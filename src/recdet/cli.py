@@ -37,15 +37,13 @@ from .errors import (
 from .families import (
     FamilyId,
     family_names,
-    family_oracle,
+    family_oracles,
     family_ring,
     family_spec,
 )
 from .hessenberg import (
+    DET_FUNCTIONS,
     LAPLACE_SIZE_LIMIT,
-    det_bareiss,
-    det_hessenberg_fast,
-    det_laplace,
     hessenberg_leading_minors,
     matrix_to_json,
     matrix_to_latex,
@@ -215,15 +213,16 @@ def _family_values(fid: FamilyId, n: int, params, check: bool):
     else:
         big = theorem1_matrix(embed_fixed_order(spec), n)
     minors = hessenberg_leading_minors(big)
+    oracles = family_oracles(fid, n, params) if check else None
     values = []
     for k in range(1, n + 1):
         value = minors[k - 1]
         if isinstance(spec, FullHistorySpec):
             value = ring_mul(spec.initial, value)
-        if check:
-            expected = family_oracle(fid, k, params)
-            if value != expected:
-                raise _FamilyMismatch(fid.value, k, render_value(value), render_value(expected))
+        if check and value != oracles[k - 1]:
+            raise _FamilyMismatch(
+                fid.value, k, render_value(value), render_value(oracles[k - 1])
+            )
         values.append((k, value))
     return values
 
@@ -269,18 +268,11 @@ def cmd_family(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BENCH_FUNCS = {
-    "fast": det_hessenberg_fast,
-    "bareiss": det_bareiss,
-    "laplace": det_laplace,
-}
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     for m in args.methods:
-        if m not in _BENCH_FUNCS:
+        if m not in DET_FUNCTIONS:
             raise _UsageError(
-                f"unknown method {m!r}; methods: {', '.join(sorted(_BENCH_FUNCS))}"
+                f"unknown method {m!r}; methods: {', '.join(sorted(DET_FUNCTIONS))}"
             )
     rng = random.Random(args.seed)
     # draw all matrices up front so the sample depends only on seed/sizes
@@ -303,7 +295,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 continue
             COUNTER.reset(track_bits=True)
             start = time.perf_counter()
-            dets[method] = _BENCH_FUNCS[method](matrix)
+            dets[method] = DET_FUNCTIONS[method](matrix)
             ms = (time.perf_counter() - start) * 1000.0
             writer.writerow(
                 [method, size, COUNTER.ring_ops, f"{ms:.3f}", COUNTER.max_bits]

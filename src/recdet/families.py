@@ -2,8 +2,8 @@
 
 Every family is exposed twice: family_spec builds the recurrence spec
 whose determinant of size n reproduces the family's n-th object, and
-family_oracle computes that object without any determinant machinery,
-so the two routes check each other.  Indexing per family:
+family_oracles computes the objects 1..n without any determinant
+machinery, so the two routes check each other.  Indexing per family:
 
     naturals        det size n = n
     horner          det size n = p0*x^(n-1) + ... + p_{n-1} (params p0, p1, ...)
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Optional, Tuple
 
 from .errors import MissingParams, OutOfRange, RecdetError, UnexpectedParams
 from .recurrence import (
@@ -65,6 +66,11 @@ FamilyParams = Optional[Tuple[RingValue, ...]]
 
 PARAM_FAMILIES = frozenset(
     {FamilyId.HORNER, FamilyId.PARTIAL_SUMS, FamilyId.CONTINUANT}
+)
+
+# p(k, 1) carries data for every k, so no band is declared
+_DENSE_FAMILIES = frozenset(
+    {FamilyId.NATURALS, FamilyId.HORNER, FamilyId.PARTIAL_SUMS}
 )
 
 POLY_FAMILIES = frozenset(
@@ -111,7 +117,11 @@ def _param(ps: tuple[RingValue, ...], k: int, fid: FamilyId) -> RingValue:
 def family_spec(
     fid: FamilyId, params: tuple[RingValue, ...] | None = None
 ) -> FullHistorySpec | FixedOrderSpec:
-    """The recurrence spec realizing the family's determinant representation."""
+    """The recurrence spec realizing the family's determinant representation.
+
+    Full-history families other than naturals, horner and partial-sums
+    have p(k, i) == 0 for i < k - 1 and declare band 1.
+    """
     ps = _check_params(fid, params)
     name = fid.value
 
@@ -225,13 +235,29 @@ def family_spec(
     else:  # pragma: no cover - the enum is closed
         raise RecdetError(f"unhandled family {fid!r}")
 
-    return FullHistorySpec(initial=_ONE, coeff=coeff, name=name)
+    band = None if fid in _DENSE_FAMILIES else 1
+    return FullHistorySpec(initial=_ONE, coeff=coeff, name=name, band=band)
 
 
-def family_oracle(
+def _iterate(
+    n: int,
+    prev: RingValue,
+    cur: RingValue,
+    step: Callable[[int, RingValue, RingValue], RingValue],
+) -> tuple[RingValue, ...]:
+    """cur followed by n - 1 steps (prev, cur) -> (cur, step(j, prev, cur)),
+    j = 1, 2, ...; the n values of cur in order."""
+    out = [cur]
+    for j in range(1, n):
+        prev, cur = cur, step(j, prev, cur)
+        out.append(cur)
+    return tuple(out)
+
+
+def family_oracles(
     fid: FamilyId, n: int, params: tuple[RingValue, ...] | None = None
-) -> RingValue:
-    """The family's n-th object, computed without determinants.
+) -> tuple[RingValue, ...]:
+    """The family's objects 1..n in one pass, computed without determinants.
 
     Polynomial families iterate their classical three-term recurrences
     directly; Horner and partial sums come from the coefficient list
@@ -242,102 +268,86 @@ def family_oracle(
     ps = _check_params(fid, params)
     if n < 1:
         raise OutOfRange(f"family index must be at least 1, got {n}")
+    if fid in PARAM_FAMILIES and n > len(ps):
+        raise OutOfRange(f"{fid.value} with {len(ps)} parameters stops at n = {len(ps)}")
 
     if fid is FamilyId.NATURALS:
-        return Fraction(n)
+        return tuple(Fraction(k) for k in range(1, n + 1))
 
     if fid is FamilyId.HORNER:
-        if n > len(ps):
-            raise OutOfRange(f"horner with {len(ps)} parameters stops at n = {len(ps)}")
-        # f_{n-1}(x) = p0 x^(n-1) + ... + p_{n-1}, constant term last
-        return Polynomial(tuple(reversed(ps[:n])))
+        # f_{k-1}(x) = p0 x^(k-1) + ... + p_{k-1}, constant term last
+        return tuple(Polynomial(tuple(reversed(ps[:k]))) for k in range(1, n + 1))
 
     if fid is FamilyId.PARTIAL_SUMS:
-        if n > len(ps):
-            raise OutOfRange(
-                f"partial-sums with {len(ps)} parameters stops at n = {len(ps)}"
-            )
-        total = Fraction(0)
-        for p in ps[:n]:
-            total = total + p
-        return total
+        return tuple(accumulate(ps[:n], initial=_ZERO))[1:]
 
     if fid is FamilyId.FIBONACCI_POLY:
-        prev: RingValue = Polynomial.one()  # F_1
-        cur: RingValue = _X  # F_2
-        for _ in range(n - 1):
-            prev, cur = cur, prev + _X * cur
-        return cur  # F_{n+1}
+        # F_2 .. F_{n+1} from F_1 = 1, F_2 = x
+        return _iterate(n, Polynomial.one(), _X, lambda j, prev, cur: prev + _X * cur)
 
     if fid is FamilyId.FIBONACCI_NUM:
-        a, b = 1, 1  # F_1, F_2
-        for _ in range(n - 1):
-            a, b = b, a + b
-        return Fraction(b)  # F_{n+1}
+        # F_2 .. F_{n+1} from F_1 = F_2 = 1
+        return tuple(Fraction(f) for f in _iterate(n, 1, 1, lambda j, prev, cur: prev + cur))
 
     if fid is FamilyId.LUCAS_POLY:
-        prev = Polynomial.constant(2)  # L_0
-        cur = _X  # L_1
-        for _ in range(n - 1):
-            prev, cur = cur, prev + _X * cur
-        return cur  # L_n
+        # L_1 .. L_n from L_0 = 2, L_1 = x
+        return _iterate(
+            n, Polynomial.constant(2), _X, lambda j, prev, cur: prev + _X * cur
+        )
 
     if fid is FamilyId.CHEBYSHEV_T:
-        prev = Polynomial.one()  # T_0
-        cur = _X  # T_1
-        for _ in range(n - 1):
-            prev, cur = cur, _TWO_X * cur - prev
-        return cur
+        return _iterate(n, Polynomial.one(), _X, lambda j, prev, cur: _TWO_X * cur - prev)
 
     if fid is FamilyId.CHEBYSHEV_U:
-        prev = Polynomial.one()  # U_0
-        cur = _TWO_X  # U_1
-        for _ in range(n - 1):
-            prev, cur = cur, _TWO_X * cur - prev
-        return cur
+        return _iterate(
+            n, Polynomial.one(), _TWO_X, lambda j, prev, cur: _TWO_X * cur - prev
+        )
 
     if fid is FamilyId.HERMITE:
-        prev = Polynomial.one()  # H_0
-        cur = _TWO_X  # H_1
-        for j in range(1, n):
-            prev, cur = cur, _TWO_X * cur - Fraction(2 * j) * prev
-        return cur
+        return _iterate(
+            n,
+            Polynomial.one(),
+            _TWO_X,
+            lambda j, prev, cur: _TWO_X * cur - Fraction(2 * j) * prev,
+        )
 
     if fid is FamilyId.LEGENDRE:
-        prev = Polynomial.one()  # P_0
-        cur = _X  # P_1
-        for j in range(1, n):
-            prev, cur = cur, (
+        return _iterate(
+            n,
+            Polynomial.one(),
+            _X,
+            lambda j, prev, cur: (
                 Polynomial((0, Fraction(2 * j + 1, j + 1))) * cur
                 - Fraction(j, j + 1) * prev
-            )
-        return cur
+            ),
+        )
 
     if fid is FamilyId.LAGUERRE:
-        prev = Polynomial.one()  # L_0
-        cur = _ONE_MINUS_X  # L_1
-        for j in range(2, n + 1):
-            prev, cur = cur, (
-                Polynomial((Fraction(2 * j - 1, j), Fraction(-1, j))) * cur
-                - Fraction(j - 1, j) * prev
-            )
-        return cur
+        return _iterate(
+            n,
+            Polynomial.one(),
+            _ONE_MINUS_X,
+            lambda j, prev, cur: (
+                Polynomial((Fraction(2 * j + 1, j + 1), Fraction(-1, j + 1))) * cur
+                - Fraction(j, j + 1) * prev
+            ),
+        )
 
     if fid is FamilyId.CONTINUANT:
-        if n > len(ps):
-            raise OutOfRange(
-                f"continuant with {len(ps)} parameters stops at n = {len(ps)}"
-            )
-        prev: RingValue = Fraction(1)  # K_0
-        cur = ps[0]  # K_1
-        for j in range(2, n + 1):
-            prev, cur = cur, ps[j - 1] * cur + prev
-        return cur
+        # K_1 .. K_n from K_0 = 1, K_1 = p1
+        return _iterate(n, _ONE, ps[0], lambda j, prev, cur: ps[j] * cur + prev)
 
     if fid is FamilyId.ODE_EXAMPLE:
-        return _ode_series(n)[n - 1]  # u(n-1)
+        return tuple(_ode_series(n))  # u(0) .. u(n-1)
 
     raise RecdetError(f"unhandled family {fid!r}")  # pragma: no cover
+
+
+def family_oracle(
+    fid: FamilyId, n: int, params: tuple[RingValue, ...] | None = None
+) -> RingValue:
+    """The family's n-th object, the last of family_oracles(fid, n, params)."""
+    return family_oracles(fid, n, params)[n - 1]
 
 
 def _ode_series(count: int) -> list[Fraction]:

@@ -49,12 +49,15 @@ class SquareMatrix:
     """Immutable dense n x n matrix of ring values.
 
     When structure is UPPER_HESSENBERG the zero pattern below the first
-    subdiagonal is enforced at construction time.
+    subdiagonal is enforced at construction time.  A declared band b
+    promises e[r][c] == 0 whenever c - r > b (b superdiagonals above the
+    main one) and is enforced the same way; None means dense.
     """
 
     size: int
     entries: tuple[tuple[RingValue, ...], ...]
     structure: Structure = Structure.GENERAL
+    band: int | None = None
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -71,13 +74,26 @@ class SquareMatrix:
                             f"nonzero entry at row {r + 1}, column {c + 1} "
                             "below the first subdiagonal"
                         )
+        if self.band is not None:
+            if self.band < 0:
+                raise RecdetError(f"band must be at least 0, got {self.band}")
+            for r in range(self.size):
+                for c in range(r + self.band + 1, self.size):
+                    if not is_zero(rows[r][c]):
+                        raise NotHessenberg(
+                            f"nonzero entry at row {r + 1}, column {c + 1} "
+                            f"above the declared band {self.band}"
+                        )
 
     @classmethod
     def from_rows(
-        cls, rows: Sequence[Sequence[object]], structure: Structure = Structure.GENERAL
+        cls,
+        rows: Sequence[Sequence[object]],
+        structure: Structure = Structure.GENERAL,
+        band: int | None = None,
     ) -> "SquareMatrix":
         rows = tuple(tuple(row) for row in rows)
-        return cls(size=len(rows), entries=rows, structure=structure)
+        return cls(size=len(rows), entries=rows, structure=structure, band=band)
 
     def entry(self, row: int, col: int) -> RingValue:
         """1-based entry access."""
@@ -86,7 +102,10 @@ class SquareMatrix:
         return self.entries[row - 1][col - 1]
 
     def with_entry(self, row: int, col: int, value: object) -> "SquareMatrix":
-        """Copy with one entry replaced (0-based indices)."""
+        """Copy with one entry replaced (0-based indices).
+
+        The copy is dense: the new value may lie outside a declared band.
+        """
         rows = [list(r) for r in self.entries]
         rows[row][col] = value
         return SquareMatrix.from_rows(rows, self.structure)
@@ -99,7 +118,7 @@ class SquareMatrix:
         if not (1 <= k <= self.size):
             raise RecdetError(f"leading submatrix size {k} out of range")
         rows = tuple(row[:k] for row in self.entries[:k])
-        return SquareMatrix(size=k, entries=rows, structure=self.structure)
+        return SquareMatrix(size=k, entries=rows, structure=self.structure, band=self.band)
 
 
 def identity(n: int) -> SquareMatrix:
@@ -184,18 +203,20 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
 
     Uses the recurrence d_c = sum_j (-1)^(c-j) m[j][c] (prod of the
     subdiagonal between j and c) d_{j-1} with d_0 = 1, in O(n^2) ring
-    multiplications for the whole batch.
+    multiplications for the whole batch.  With a declared band b the sum
+    runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
     """
     if m.structure is not Structure.UPPER_HESSENBERG:
         raise NotHessenberg("det_hessenberg_fast requires the UpperHessenberg structure flag")
     e = m.entries
     n = m.size
+    band = n if m.band is None else m.band
     one: RingValue = Fraction(1)
     d: list[RingValue] = [one]
     for c in range(n):
         acc = ring_mul(e[c][c], d[c])
         prod: RingValue = one
-        for j in range(c - 1, -1, -1):
+        for j in range(c - 1, max(c - band, 0) - 1, -1):
             prod = ring_mul(prod, ring_neg(e[j + 1][j]))
             acc = ring_add(acc, ring_mul(ring_mul(e[j][c], prod), d[j]))
         d.append(acc)

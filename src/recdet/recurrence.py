@@ -35,12 +35,14 @@ class FullHistorySpec:
     """Initial value a(1) plus the coefficient table p(k, i).
 
     coeff must be total for 1 <= i <= k; queries outside that range are
-    a contract violation by the caller.
+    a contract violation by the caller.  A declared band b promises
+    p(k, i) == 0 whenever k - i > b; None means no such promise.
     """
 
     initial: RingValue
     coeff: Callable[[int, int], RingValue]
     name: str = "full-history"
+    band: int | None = None
 
 
 @dataclass(frozen=True)
@@ -107,22 +109,24 @@ def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
 
 def theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
     """The k x k upper-Hessenberg matrix with entries[i][j] = p(j, i),
-    subdiagonal -1, zeros below."""
+    subdiagonal -1, zeros below.  The matrix carries the spec's band;
+    cells above it are zero and p is not called for them."""
     if k < 1:
         raise RecdetError("matrix size must be at least 1")
     minus_one = Fraction(-1)
+    band = k if spec.band is None else spec.band
     rows = []
     for r in range(k):
         row: list[RingValue] = []
         for c in range(k):
-            if r <= c:
+            if r <= c <= r + band:
                 row.append(spec.coeff(c + 1, r + 1))
             elif r == c + 1:
                 row.append(minus_one)
             else:
                 row.append(_ZERO)
         rows.append(row)
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG)
+    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=spec.band)
 
 
 def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
@@ -132,7 +136,8 @@ def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
     j <= m carry a(j) in row 1, columns j > m carry the band
     p_1(j)..p_m(j) ending on the diagonal.  The band argument is the
     column index j, which is what makes the determinant identity hold
-    for k-dependent coefficients.
+    for k-dependent coefficients.  Theorem 2's bandwidth m counts the
+    diagonal, so the declared band is m - 1 superdiagonals.
     """
     m = spec.order
 
@@ -148,7 +153,9 @@ def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
             return spec.coeffs[t - 1](j)
         return _ZERO
 
-    return FullHistorySpec(initial=_ONE, coeff=coeff, name=f"embed({spec.name})")
+    return FullHistorySpec(
+        initial=_ONE, coeff=coeff, name=f"embed({spec.name})", band=m - 1
+    )
 
 
 def theorem2_matrix(spec: FixedOrderSpec, k: int) -> SquareMatrix:

@@ -107,6 +107,16 @@ class TestVerify:
         assert code == 3
         assert "FAIL at k = 2" in out
 
+    def test_corrupting_an_entry_above_the_band_is_still_seen(self, capsys):
+        # ode-example has order 3, band 2: entry (1, 8) lies above the band
+        code, out, _ = run(
+            capsys, "verify", str(spec_path("ode-example")),
+            "--max-n", "8", "--corrupt", "1,8", "--format", "json",
+        )
+        assert code == 3
+        checks = json.loads(out)["checks"]
+        assert [c["k"] for c in checks if not c["ok"]] == [8]
+
     def test_laplace_is_refused_past_its_size_limit(self, capsys):
         code, _, err = run(
             capsys, "verify", "naturals", "--max-n", "9", "--method", "laplace"

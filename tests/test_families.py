@@ -10,6 +10,7 @@ from recdet.families import (
     FamilyId,
     family_names,
     family_oracle,
+    family_oracles,
     family_ring,
     family_spec,
     ode_coefficients,
@@ -54,6 +55,16 @@ def test_determinant_agrees_with_oracle(fid):
     values = det_values(fid, n, params)
     for k in range(1, n + 1):
         assert values[k - 1] == family_oracle(fid, k, params), f"{fid.value} at n={k}"
+
+
+@pytest.mark.parametrize("fid", list(FamilyId), ids=lambda f: f.value)
+def test_one_pass_oracle_is_the_per_index_oracle(fid):
+    n = 25
+    params = default_params(fid, n)
+    prefix = family_oracles(fid, n, params)
+    assert len(prefix) == n
+    for k in range(1, n + 1):
+        assert prefix[k - 1] == family_oracle(fid, k, params), f"{fid.value} at n={k}"
 
 
 class TestSpotValues:

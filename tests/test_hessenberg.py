@@ -123,6 +123,22 @@ class TestDeterminants:
             assert COUNTER.muls == (3 * n * n - n) // 2
         COUNTER.reset()
 
+    def test_banded_multiplication_count_is_exact(self):
+        # d_c sums over j >= c - b only: n + 3 * sum_c min(c, b) products
+        for n in (5, 16, 40):
+            for b in (0, 1, 3, n - 1):
+                m = SquareMatrix(
+                    size=n,
+                    entries=identity(n).entries,
+                    structure=Structure.UPPER_HESSENBERG,
+                    band=b,
+                )
+                COUNTER.reset()
+                assert det_hessenberg_fast(m) == 1
+                assert COUNTER.muls == n + 3 * sum(min(c, b) for c in range(n))
+            assert COUNTER.muls == (3 * n * n - n) // 2  # b = n - 1 is dense
+        COUNTER.reset()
+
 
 class TestEmitters:
     def test_json_matches_the_documented_schema_byte_for_byte(self):
