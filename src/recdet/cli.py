@@ -1,10 +1,11 @@
 """Command-line front end: eval, matrix, verify, family, bench.
 
 Exit codes: 0 success, 1 parse or usage error, 2 evaluation error,
-3 verification mismatch.  The SPEC argument of eval/matrix/verify is a
-.rec file path; a name that is not an existing file is looked up in the
-family catalog instead.  RECDET_COLOR=0 disables ANSI styling, =1
-forces it; otherwise styling follows isatty.
+3 verification mismatch; an error's code is its class's exit_code.  The
+SPEC argument of eval/matrix/verify is a .rec file path; a name that is
+not an existing file is looked up in the family catalog instead.
+RECDET_COLOR=0 disables ANSI styling, =1 forces it; otherwise styling
+follows isatty.
 """
 
 from __future__ import annotations
@@ -21,19 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl
-from .errors import (
-    DivisionByZero,
-    IndexBelowValidity,
-    InexactDivision,
-    MissingParams,
-    NotHessenberg,
-    OutOfRange,
-    RecdetError,
-    SizeTooLarge,
-    SpecSemanticError,
-    SpecSyntaxError,
-    UnexpectedParams,
-)
+from .errors import RecdetError
 from .families import (
     FamilyId,
     family_names,
@@ -44,7 +33,6 @@ from .families import (
 from .hessenberg import (
     DET_FUNCTIONS,
     LAPLACE_SIZE_LIMIT,
-    hessenberg_leading_minors,
     matrix_to_json,
     matrix_to_latex,
     matrix_to_text,
@@ -53,23 +41,21 @@ from .hessenberg import (
 from .recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
-    embed_fixed_order,
+    determinant_terms,
     eval_fixed_order,
     eval_full_history,
-    theorem1_matrix,
-    theorem2_matrix,
+    spec_matrix,
     verify_spec,
 )
-from .ring import COUNTER, latex_value, render_value, ring_mul
+from .ring import COUNTER, latex_value, render_value
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_EVAL = 2
 EXIT_MISMATCH = 3
 
 
 class _UsageError(RecdetError):
-    pass
+    exit_code = EXIT_USAGE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,10 +157,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     spec, ring = _resolve_spec(args.spec)
-    if isinstance(spec, FullHistorySpec):
-        matrix = theorem1_matrix(spec, args.k)
-    else:
-        matrix = theorem2_matrix(spec, args.k)
+    matrix = spec_matrix(spec, args.k)
     if args.format == "json":
         print(matrix_to_json(matrix, ring=ring))
     elif args.format == "latex":
@@ -207,27 +190,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _family_values(fid: FamilyId, n: int, params, check: bool):
-    spec = family_spec(fid, params)
-    if isinstance(spec, FullHistorySpec):
-        big = theorem1_matrix(spec, n)
-    else:
-        big = theorem1_matrix(embed_fixed_order(spec), n)
-    minors = hessenberg_leading_minors(big)
-    oracles = family_oracles(fid, n, params) if check else None
-    values = []
-    for k in range(1, n + 1):
-        value = minors[k - 1]
-        if isinstance(spec, FullHistorySpec):
-            value = ring_mul(spec.initial, value)
-        if check and value != oracles[k - 1]:
-            raise _FamilyMismatch(
-                fid.value, k, render_value(value), render_value(oracles[k - 1])
-            )
-        values.append((k, value))
-    return values
+    values = determinant_terms(family_spec(fid, params), n)
+    if check:
+        oracles = family_oracles(fid, n, params)
+        for k, (value, oracle) in enumerate(zip(values, oracles), start=1):
+            if value != oracle:
+                raise _FamilyMismatch(
+                    fid.value, k, render_value(value), render_value(oracle)
+                )
+    return list(enumerate(values, start=1))
 
 
 class _FamilyMismatch(RecdetError):
+    exit_code = EXIT_MISMATCH
+
     def __init__(self, family: str, k: int, det: str, oracle: str) -> None:
         super().__init__(
             f"family {family!r}: determinant {det} != oracle {oracle} at n = {k}"
@@ -248,23 +224,17 @@ def cmd_family(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"unknown family {args.name!r}; families: {', '.join(family_names())}"
         ) from None
-    try:
-        values = _family_values(fid, args.n, args.params, check=not args.no_check)
-    except _FamilyMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+    values = _family_values(fid, args.n, args.params, check=not args.no_check)
     if args.format == "json":
         payload = {
             "family": fid.value,
             "values": [{"n": k, "value": render_value(v)} for k, v in values],
         }
         print(json.dumps(payload, separators=(",", ":")))
-    elif args.format == "latex":
-        for k, v in values:
-            print(f"{k}: {latex_value(v)}")
     else:
+        show = latex_value if args.format == "latex" else render_value
         for k, v in values:
-            print(f"{k}: {render_value(v)}")
+            print(f"{k}: {show(v)}")
     return EXIT_OK
 
 
@@ -347,7 +317,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="check det(size k) against direct terms")
     p.add_argument("spec", help=".rec file or family name")
     p.add_argument("--max-n", type=_positive_int, required=True)
-    p.add_argument("--method", choices=("fast", "bareiss", "laplace"), default="fast")
+    p.add_argument("--method", choices=tuple(DET_FUNCTIONS), default="fast")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument(
         "--corrupt",
@@ -397,25 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "func", None) is None:
             raise _UsageError("a subcommand is required (see recdet --help)")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SpecSyntaxError, SpecSemanticError, MissingParams, UnexpectedParams) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        DivisionByZero,
-        InexactDivision,
-        SizeTooLarge,
-        NotHessenberg,
-        IndexBelowValidity,
-        OutOfRange,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
     except RecdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EVAL
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

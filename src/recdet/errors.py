@@ -1,10 +1,16 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package.
+
+Each class carries the CLI exit code it maps to as ``exit_code``: 2 (an
+evaluation error) unless a subclass says otherwise.
+"""
 
 from __future__ import annotations
 
 
 class RecdetError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class DivisionByZero(RecdetError):
@@ -39,6 +45,8 @@ class IndexBelowValidity(RecdetError):
 class SpecSyntaxError(RecdetError):
     """Input text does not match the spec grammar."""
 
+    exit_code = 1
+
     def __init__(self, line: int, col: int, message: str) -> None:
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
@@ -49,6 +57,8 @@ class SpecSyntaxError(RecdetError):
 class SpecSemanticError(RecdetError):
     """Grammatically valid input whose content is inconsistent."""
 
+    exit_code = 1
+
     def __init__(self, message: str, line: int | None = None) -> None:
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
@@ -58,9 +68,13 @@ class SpecSemanticError(RecdetError):
 class MissingParams(RecdetError):
     """The family requires a parameter list and none was given."""
 
+    exit_code = 1
+
 
 class UnexpectedParams(RecdetError):
     """The family takes no parameters but some were given."""
+
+    exit_code = 1
 
 
 class OutOfRange(RecdetError):

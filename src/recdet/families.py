@@ -26,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 from .errors import MissingParams, OutOfRange, RecdetError, UnexpectedParams
 from .recurrence import (
@@ -43,6 +43,7 @@ _TWO = Fraction(2)
 _X = Polynomial.x()
 _TWO_X = Polynomial((0, 2))
 _ONE_MINUS_X = Polynomial((1, -1))
+_MINUS_ONE = Fraction(-1)
 
 
 class FamilyId(str, Enum):
@@ -61,16 +62,8 @@ class FamilyId(str, Enum):
     ODE_EXAMPLE = "ode-example"
 
 
-# coefficient list for horner/partial-sums/continuant, None otherwise
-FamilyParams = Optional[Tuple[RingValue, ...]]
-
 PARAM_FAMILIES = frozenset(
     {FamilyId.HORNER, FamilyId.PARTIAL_SUMS, FamilyId.CONTINUANT}
-)
-
-# p(k, 1) carries data for every k, so no band is declared
-_DENSE_FAMILIES = frozenset(
-    {FamilyId.NATURALS, FamilyId.HORNER, FamilyId.PARTIAL_SUMS}
 )
 
 POLY_FAMILIES = frozenset(
@@ -105,121 +98,16 @@ def _check_params(fid: FamilyId, params: tuple[RingValue, ...] | None) -> tuple[
     return ()
 
 
-def _param(ps: tuple[RingValue, ...], k: int, fid: FamilyId) -> RingValue:
-    # 1-based access into the parameter list
-    if k > len(ps):
-        raise OutOfRange(
-            f"family {fid.value!r} needs {k} parameters, got {len(ps)}"
-        )
-    return ps[k - 1]
-
-
 def family_spec(
     fid: FamilyId, params: tuple[RingValue, ...] | None = None
 ) -> FullHistorySpec | FixedOrderSpec:
     """The recurrence spec realizing the family's determinant representation.
 
-    Full-history families other than naturals, horner and partial-sums
-    have p(k, i) == 0 for i < k - 1 and declare band 1.
+    The three-term families have p(k, i) == 0 for i < k - 1 and declare
+    band 1; naturals, horner and partial-sums are dense.
     """
     ps = _check_params(fid, params)
-    name = fid.value
-
-    if fid is FamilyId.NATURALS:
-        def coeff(k: int, i: int) -> RingValue:
-            return _ONE if i == 1 or i == k else _ZERO
-
-    elif fid is FamilyId.HORNER:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == 1:
-                return _param(ps, k, fid)
-            if i == k:
-                return _X
-            return _ZERO
-
-    elif fid is FamilyId.PARTIAL_SUMS:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == 1:
-                return _param(ps, k, fid)
-            if i == k:
-                return _ONE
-            return _ZERO
-
-    elif fid is FamilyId.FIBONACCI_POLY:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _X
-            if i == k - 1:
-                return _ONE
-            return _ZERO
-
-    elif fid is FamilyId.FIBONACCI_NUM:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k or i == k - 1:
-                return _ONE
-            return _ZERO
-
-    elif fid is FamilyId.LUCAS_POLY:
-        def coeff(k: int, i: int) -> RingValue:
-            if k == 2 and i == 1:
-                return _TWO
-            if i == k:
-                return _X
-            if i == k - 1:
-                return _ONE
-            return _ZERO
-
-    elif fid is FamilyId.CHEBYSHEV_T:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _X if k == 1 else _TWO_X
-            if i == k - 1:
-                return Fraction(-1)
-            return _ZERO
-
-    elif fid is FamilyId.CHEBYSHEV_U:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _TWO_X
-            if i == k - 1:
-                return Fraction(-1)
-            return _ZERO
-
-    elif fid is FamilyId.HERMITE:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _TWO_X
-            if i == k - 1:
-                return Fraction(-2 * (k - 1))
-            return _ZERO
-
-    elif fid is FamilyId.LEGENDRE:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _X if k == 1 else Polynomial((0, Fraction(2 * k - 1, k)))
-            if i == k - 1:
-                return Fraction(-(k - 1), k)
-            return _ZERO
-
-    elif fid is FamilyId.LAGUERRE:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                if k == 1:
-                    return _ONE_MINUS_X
-                return Polynomial((Fraction(2 * k - 1, k), Fraction(-1, k)))
-            if i == k - 1:
-                return Fraction(-(k - 1), k)
-            return _ZERO
-
-    elif fid is FamilyId.CONTINUANT:
-        def coeff(k: int, i: int) -> RingValue:
-            if i == k:
-                return _param(ps, k, fid)
-            if i == k - 1:
-                return _ONE
-            return _ZERO
-
-    elif fid is FamilyId.ODE_EXAMPLE:
+    if fid is FamilyId.ODE_EXAMPLE:
         return FixedOrderSpec(
             order=3,
             initials=(_ONE, _ZERO, _ZERO),
@@ -229,14 +117,66 @@ def family_spec(
                 lambda k: Fraction(-(k - 2), k - 1),
             ),
             first_valid_k=4,
-            name=name,
+            name=fid.value,
         )
 
-    else:  # pragma: no cover - the enum is closed
-        raise RecdetError(f"unhandled family {fid!r}")
+    def param(k: int) -> RingValue:
+        # 1-based access into the parameter list
+        if k > len(ps):
+            raise OutOfRange(
+                f"family {fid.value!r} needs {k} parameters, got {len(ps)}"
+            )
+        return ps[k - 1]
 
-    band = None if fid in _DENSE_FAMILIES else 1
-    return FullHistorySpec(initial=_ONE, coeff=coeff, name=name, band=band)
+    # p(k, k) and p(k, k - 1) as functions of k; every other p(k, i) is zero
+    three_term = {
+        FamilyId.FIBONACCI_POLY: (lambda k: _X, lambda k: _ONE),
+        FamilyId.FIBONACCI_NUM: (lambda k: _ONE, lambda k: _ONE),
+        FamilyId.LUCAS_POLY: (lambda k: _X, lambda k: _TWO if k == 2 else _ONE),
+        FamilyId.CHEBYSHEV_T: (lambda k: _X if k == 1 else _TWO_X, lambda k: _MINUS_ONE),
+        FamilyId.CHEBYSHEV_U: (lambda k: _TWO_X, lambda k: _MINUS_ONE),
+        FamilyId.HERMITE: (lambda k: _TWO_X, lambda k: Fraction(-2 * (k - 1))),
+        FamilyId.LEGENDRE: (
+            lambda k: _X if k == 1 else Polynomial((0, Fraction(2 * k - 1, k))),
+            lambda k: Fraction(-(k - 1), k),
+        ),
+        FamilyId.LAGUERRE: (
+            lambda k: (
+                _ONE_MINUS_X if k == 1
+                else Polynomial((Fraction(2 * k - 1, k), Fraction(-1, k)))
+            ),
+            lambda k: Fraction(-(k - 1), k),
+        ),
+        FamilyId.CONTINUANT: (param, lambda k: _ONE),
+    }
+    if fid in three_term:
+        diag, sub = three_term[fid]
+
+        def coeff(k: int, i: int) -> RingValue:
+            if i == k:
+                return diag(k)
+            if i == k - 1:
+                return sub(k)
+            return _ZERO
+
+        return FullHistorySpec(initial=_ONE, coeff=coeff, name=fid.value, band=1)
+
+    # p(k, 1) and p(k, k), p(k, 1) winning at k = 1; every other p(k, i) is
+    # zero, but p(k, 1) carries data for every k, so no band is declared
+    first, last = {
+        FamilyId.NATURALS: (lambda k: _ONE, lambda k: _ONE),
+        FamilyId.HORNER: (param, lambda k: _X),
+        FamilyId.PARTIAL_SUMS: (param, lambda k: _ONE),
+    }[fid]
+
+    def coeff(k: int, i: int) -> RingValue:
+        if i == 1:
+            return first(k)
+        if i == k:
+            return last(k)
+        return _ZERO
+
+    return FullHistorySpec(initial=_ONE, coeff=coeff, name=fid.value)
 
 
 def _iterate(

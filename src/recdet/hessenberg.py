@@ -110,10 +110,6 @@ class SquareMatrix:
         rows[row][col] = value
         return SquareMatrix.from_rows(rows, self.structure)
 
-    def transposed(self) -> "SquareMatrix":
-        rows = tuple(tuple(self.entries[c][r] for c in range(self.size)) for r in range(self.size))
-        return SquareMatrix(size=self.size, entries=rows, structure=Structure.GENERAL)
-
     def leading_submatrix(self, k: int) -> "SquareMatrix":
         if not (1 <= k <= self.size):
             raise RecdetError(f"leading submatrix size {k} out of range")
@@ -283,15 +279,10 @@ def matrix_from_json(text: str) -> SquareMatrix:
     rows = tuple(
         tuple(parse_value(cell, ring) for cell in row) for row in entries
     )
-    structure = Structure.UPPER_HESSENBERG
-    for r in range(2, size):
-        for c in range(r - 1):
-            if not is_zero(rows[r][c]):
-                structure = Structure.GENERAL
-                break
-        if structure is Structure.GENERAL:
-            break
-    return SquareMatrix(size=size, entries=rows, structure=structure)
+    try:
+        return SquareMatrix(size=size, entries=rows, structure=Structure.UPPER_HESSENBERG)
+    except NotHessenberg:
+        return SquareMatrix(size=size, entries=rows, structure=Structure.GENERAL)
 
 
 def matrix_to_latex(m: SquareMatrix) -> str:

@@ -18,10 +18,10 @@ from typing import Callable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
 from .hessenberg import (
+    DET_FUNCTIONS,
     SquareMatrix,
     Structure,
-    det_bareiss,
-    det_laplace,
+    det_hessenberg_fast,
     hessenberg_leading_minors,
 )
 from .ring import RingValue, render_value, ring_add, ring_mul
@@ -163,6 +163,50 @@ def theorem2_matrix(spec: FixedOrderSpec, k: int) -> SquareMatrix:
     return theorem1_matrix(embed_fixed_order(spec), k)
 
 
+def spec_matrix(spec: FullHistorySpec | FixedOrderSpec, k: int) -> SquareMatrix:
+    """Theorem 1's matrix of a full-history spec, Theorem 2's of a
+    fixed-order one."""
+    if isinstance(spec, FullHistorySpec):
+        return theorem1_matrix(spec, k)
+    return theorem2_matrix(spec, k)
+
+
+def determinant_terms(
+    spec: FullHistorySpec | FixedOrderSpec,
+    n: int,
+    method: str = "fast",
+    corrupt: tuple[int, int] | None = None,
+) -> list[RingValue]:
+    """The sequence by the determinant route, one value per k = 1..n.
+
+    For a full-history spec the k-th value is a(1) * det(D_k) = a(k+1);
+    for a fixed-order spec it is det = a(k).  method names an entry of
+    DET_FUNCTIONS: the fast method takes every leading minor in one
+    pass, the others take one determinant per leading submatrix.  The
+    optional corrupt argument adds 1 to the given 1-based matrix entry
+    before any determinant is taken, as a negative control; the position
+    must stay inside the upper-Hessenberg band.
+    """
+    big = spec_matrix(spec, n)
+    if corrupt is not None:
+        ci, cj = corrupt
+        if not (1 <= ci <= n and 1 <= cj <= n):
+            raise RecdetError(f"corrupt position {corrupt} outside a size-{n} matrix")
+        if ci > cj + 1:
+            raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
+        big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
+    det = DET_FUNCTIONS.get(method)
+    if det is None:
+        raise RecdetError(f"unknown determinant method {method!r}")
+    if det is det_hessenberg_fast:
+        minors = hessenberg_leading_minors(big)
+    else:
+        minors = [det(big.leading_submatrix(k)) for k in range(1, n + 1)]
+    if isinstance(spec, FullHistorySpec):
+        return [ring_mul(spec.initial, d) for d in minors]
+    return minors
+
+
 def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
     """Direct iteration of the fixed-order recurrence, terms 1..n."""
     if n < 1:
@@ -224,49 +268,20 @@ def verify_spec(
 ) -> VerificationReport:
     """Check the determinant identity for every k up to max_n.
 
-    For a full-history spec the check is a(1) * det(D_k) = a(k+1); for a
-    fixed-order spec it is det = a(k).  The optional corrupt argument
-    adds 1 to the given 1-based matrix entry before any determinant is
-    taken, as a negative control; the position must stay inside the
-    upper-Hessenberg band.
+    Compares determinant_terms(spec, max_n, method, corrupt) with direct
+    iteration: a(k+1) for a full-history spec, a(k) for a fixed-order one.
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
-    full = isinstance(spec, FullHistorySpec)
-    fh = spec if full else embed_fixed_order(spec)
-    big = theorem1_matrix(fh, max_n)
-    if corrupt is not None:
-        ci, cj = corrupt
-        if not (1 <= ci <= max_n and 1 <= cj <= max_n):
-            raise RecdetError(f"corrupt position {corrupt} outside a size-{max_n} matrix")
-        if ci > cj + 1:
-            raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
-        big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
-
-    if method == "fast":
-        minors = hessenberg_leading_minors(big)
-    elif method == "bareiss":
-        minors = [det_bareiss(big.leading_submatrix(k)) for k in range(1, max_n + 1)]
-    elif method == "laplace":
-        minors = [det_laplace(big.leading_submatrix(k)) for k in range(1, max_n + 1)]
+    dets = determinant_terms(spec, max_n, method, corrupt)
+    if isinstance(spec, FullHistorySpec):
+        direct = eval_full_history(spec, max_n + 1).terms[1:]
     else:
-        raise RecdetError(f"unknown determinant method {method!r}")
-
-    if full:
-        direct_terms = eval_full_history(spec, max_n + 1)
-    else:
-        direct_terms = eval_fixed_order(spec, max_n)
-
-    checks = []
-    all_ok = True
-    for k in range(1, max_n + 1):
-        det_route = ring_mul(spec.initial, minors[k - 1]) if full else minors[k - 1]
-        direct = direct_terms.term(k + 1) if full else direct_terms.term(k)
-        ok = direct == det_route
-        all_ok = all_ok and ok
-        checks.append(
-            VerificationCheck(
-                k=k, direct=render_value(direct), det=render_value(det_route), ok=ok
-            )
-        )
-    return VerificationReport(spec=spec.name, checks=tuple(checks), passed=all_ok)
+        direct = eval_fixed_order(spec, max_n).terms
+    checks = tuple(
+        VerificationCheck(k=k, direct=render_value(a), det=render_value(d), ok=a == d)
+        for k, (a, d) in enumerate(zip(direct, dets), start=1)
+    )
+    return VerificationReport(
+        spec=spec.name, checks=checks, passed=all(c.ok for c in checks)
+    )

@@ -17,8 +17,6 @@ from typing import Iterable, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError
 
-Rational = Fraction
-
 
 def _coerce_coeff(c: object) -> Fraction:
     if isinstance(c, Fraction):
@@ -180,11 +178,6 @@ class Polynomial:
 RingValue = Union[Fraction, Polynomial]
 
 
-def poly_eval(p: Polynomial, at: object) -> Fraction:
-    """Evaluate a Polynomial at an exact rational point."""
-    return p.evaluate(at)
-
-
 @dataclass
 class OpCounter:
     """Instrumentation for ring operations.
@@ -303,12 +296,15 @@ def ring_exact_div(a: RingValue, b: RingValue) -> RingValue:
 
 # --- canonical text rendering -------------------------------------------
 
-def render_value(v: RingValue) -> str:
-    """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0"."""
+def _render_terms(v: RingValue, coeff, power, star: str) -> str:
+    """v as text: a rational through coeff, a polynomial as its nonzero
+    terms, highest degree first, joined by " + " and " - ".
+
+    coeff renders a rational, power(d) renders x^d for d >= 1, and star
+    sits between a non-unit coefficient and its power.
+    """
     if not isinstance(v, Polynomial):
-        return str(v)
-    if v.is_zero:
-        return "0"
+        return coeff(v)
     parts: list[str] = []
     for d in range(len(v.coeffs) - 1, -1, -1):
         c = v.coeffs[d]
@@ -316,39 +312,26 @@ def render_value(v: RingValue) -> str:
             continue
         mag = abs(c)
         if d == 0:
-            piece = str(mag)
+            piece = coeff(mag)
         else:
-            xs = "x" if d == 1 else f"x^{d}"
-            piece = xs if mag == 1 else f"{mag}*{xs}"
+            piece = power(d) if mag == 1 else f"{coeff(mag)}{star}{power(d)}"
         if not parts:
             parts.append(piece if c > 0 else f"-{piece}")
         else:
             parts.append(f" + {piece}" if c > 0 else f" - {piece}")
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def render_value(v: RingValue) -> str:
+    """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0"."""
+    return _render_terms(v, str, lambda d: "x" if d == 1 else f"x^{d}", "*")
 
 
 def latex_value(v: RingValue) -> str:
     """LaTeX form of a ring value, for the vmatrix emitter."""
-    if not isinstance(v, Polynomial):
-        return _latex_fraction(v)
-    if v.is_zero:
-        return "0"
-    parts: list[str] = []
-    for d in range(len(v.coeffs) - 1, -1, -1):
-        c = v.coeffs[d]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if d == 0:
-            piece = _latex_fraction(mag)
-        else:
-            xs = "x" if d == 1 else f"x^{{{d}}}"
-            piece = xs if mag == 1 else f"{_latex_fraction(mag)}{xs}"
-        if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if c > 0 else f" - {piece}")
-    return "".join(parts)
+    return _render_terms(
+        v, _latex_fraction, lambda d: "x" if d == 1 else f"x^{{{d}}}", ""
+    )
 
 
 def _latex_fraction(f: Fraction) -> str:

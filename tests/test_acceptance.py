@@ -29,11 +29,11 @@ from recdet.hessenberg import (
 )
 from recdet.recurrence import (
     FullHistorySpec,
+    determinant_terms,
     embed_fixed_order,
     eval_fixed_order,
     eval_full_history,
     theorem1_matrix,
-    theorem2_matrix,
 )
 from recdet.ring import COUNTER, Polynomial
 from recdet.specfiles import available, spec_path
@@ -93,10 +93,7 @@ def test_criterion_3_every_family_determinant_equals_its_oracle():
 
 def test_criterion_4_named_spot_values_are_exact():
     def det(fid, n, params=None):
-        spec = family_spec(fid, params)
-        if isinstance(spec, FullHistorySpec):
-            return spec.initial * det_hessenberg_fast(theorem1_matrix(spec, n))
-        return det_hessenberg_fast(theorem2_matrix(spec, n))
+        return determinant_terms(family_spec(fid, params), n)[-1]
 
     assert det(FamilyId.NATURALS, 3) == 3
     assert det(FamilyId.FIBONACCI_NUM, 4) == 5

@@ -1,5 +1,6 @@
 """recdet CLI: golden outputs, exit-code contract, bench CSV."""
 
+import inspect
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import recdet
+from recdet import cli, errors
 from recdet.cli import main
 from recdet.specfiles import spec_path
 
@@ -177,6 +179,13 @@ class TestFamily:
         assert code == 1
         assert "coefficient list" in err
 
+    def test_oracle_mismatch_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "family_oracles", lambda fid, n, params: (0,) * n)
+        code, out, err = run(capsys, "family", "naturals", "--n", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: family 'naturals': determinant 1 != oracle 0 at n = 1\n"
+
     def test_params_shorter_than_n_is_an_evaluation_error(self, capsys):
         code, _, err = run(
             capsys, "family", "continuant", "--params", "1,2", "--n", "4"
@@ -220,6 +229,50 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run(capsys, "eval", "naturals", "--n", "3", "--frobnicate")[0] == 1
+
+
+def readme_exit_codes() -> dict[int, str]:
+    """Each code of the README's exit-code table with its "raised by" cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| code | meaning | raised by |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        code, _meaning, raised_by = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[int(code)] = raised_by
+    return rows
+
+
+ERROR_CLASSES = [
+    cls
+    for _, cls in inspect.getmembers(errors, inspect.isclass)
+    if issubclass(cls, errors.RecdetError)
+] + [cli._UsageError, cli._FamilyMismatch, OSError]
+
+# how the README names the errors private to the CLI
+README_PHRASES = {cli._UsageError: "usage errors", cli._FamilyMismatch: "oracle mismatch"}
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_exit_code_map_matches_the_readme(cls, capsys, monkeypatch):
+    rows = readme_exit_codes()
+    phrase = README_PHRASES.get(cls, f"`{cls.__name__}`")
+    named = [code for code, cell in rows.items() if phrase in cell]
+    # a RecdetError subclass the table does not name falls under the base class
+    expected = named or [code for code, cell in rows.items() if "`RecdetError`" in cell]
+    assert len(expected) == 1, f"{cls.__name__} in README rows {expected}"
+    if issubclass(cls, errors.RecdetError):
+        assert cls.exit_code == expected[0]
+    exc = cls.__new__(cls, "boom")  # skips the subclasses' own __init__
+
+    def raise_it(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_eval", raise_it)
+    assert main(["eval", "naturals", "--n", "1"]) == expected[0]
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 class TestBench:

@@ -16,30 +16,15 @@ from recdet.families import (
     ode_coefficients,
     ode_residual_check,
 )
-from recdet.hessenberg import hessenberg_leading_minors
-from recdet.recurrence import (
-    FullHistorySpec,
-    SequencePrefix,
-    embed_fixed_order,
-    theorem1_matrix,
-)
-from recdet.ring import Polynomial, ring_mul
+from recdet.recurrence import SequencePrefix, determinant_terms
+from recdet.ring import Polynomial
 
 F = Fraction
 
 
 def det_values(fid: FamilyId, n: int, params=None):
     """Determinant-route family values 1..n."""
-    spec = family_spec(fid, params)
-    if not isinstance(spec, FullHistorySpec):
-        spec = embed_fixed_order(spec)
-        initial = None
-    else:
-        initial = spec.initial
-    minors = hessenberg_leading_minors(theorem1_matrix(spec, n))
-    if initial is None:
-        return minors
-    return [ring_mul(initial, d) for d in minors]
+    return determinant_terms(family_spec(fid, params), n)
 
 
 def default_params(fid: FamilyId, n: int):

@@ -51,12 +51,6 @@ class TestStructure:
         assert sub.structure is Structure.UPPER_HESSENBERG
         assert sub.entries == ((Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3)))
 
-    def test_transposed_drops_to_general(self):
-        m = uh([[1, 2], [3, 4]])
-        t = m.transposed()
-        assert t.structure is Structure.GENERAL
-        assert t.entry(1, 2) == 3
-
 
 class TestDeterminants:
     def test_identity_has_determinant_one(self):

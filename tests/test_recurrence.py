@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+from recdet import dsl
 from recdet.errors import IndexBelowValidity, RecdetError
+from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import det_hessenberg_fast, hessenberg_leading_minors
 from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
     SequencePrefix,
+    determinant_terms,
     embed_fixed_order,
     eval_fixed_order,
     eval_full_history,
@@ -18,6 +21,7 @@ from recdet.recurrence import (
     theorem2_matrix,
     verify_spec,
 )
+from recdet.specfiles import available, spec_text
 
 ONE = Fraction(1)
 
@@ -196,3 +200,32 @@ class TestVerification:
         prefix = SequencePrefix((ONE, Fraction(2)))
         assert list(prefix) == [1, 2]
         assert len(prefix) == 2
+
+
+ROUTE_CASES = [("family", fid.value) for fid in FamilyId] + [
+    ("spec", name) for name in available()
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name", ROUTE_CASES, ids=[f"{kind}-{name}" for kind, name in ROUTE_CASES]
+)
+def test_determinant_terms_agree_across_methods_and_references(kind, name):
+    # families against their oracles, shipped specs against direct iteration
+    n = 10
+    if kind == "family":
+        fid = FamilyId(name)
+        params = (
+            tuple(Fraction(j) for j in range(1, n + 1)) if fid in PARAM_FAMILIES else None
+        )
+        spec = family_spec(fid, params)
+        expected = list(family_oracles(fid, n, params))
+    else:
+        spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
+        if isinstance(spec, FullHistorySpec):
+            expected = list(eval_full_history(spec, n + 1).terms[1:])
+        else:
+            expected = list(eval_fixed_order(spec, n).terms)
+    assert determinant_terms(spec, n) == expected
+    assert determinant_terms(spec, n, method="bareiss") == expected
+    assert determinant_terms(spec, 8, method="laplace") == expected[:8]

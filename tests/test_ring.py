@@ -11,7 +11,6 @@ from recdet.ring import (
     Polynomial,
     latex_value,
     parse_value,
-    poly_eval,
     render_value,
     ring_add,
     ring_exact_div,
@@ -117,7 +116,7 @@ def test_exact_polynomial_division_returns_the_cofactor():
 
 def test_poly_eval_uses_horner_exactly():
     p = Polynomial((Fraction(1, 2), 0, 1))  # x^2 + 1/2
-    assert poly_eval(p, Fraction(1, 3)) == Fraction(1, 9) + Fraction(1, 2)
+    assert p.evaluate(Fraction(1, 3)) == Fraction(1, 9) + Fraction(1, 2)
 
 
 def test_counter_tracks_adds_muls_divs_and_bits():
@@ -142,10 +141,13 @@ class TestRendering:
         assert render_value(Polynomial((-1, 0, Fraction(3, 2)))) == "3/2*x^2 - 1"
         assert render_value(Polynomial((1, 1))) == "x + 1"
         assert render_value(Polynomial()) == "0"
+        assert render_value(Polynomial((1, 0, -3))) == "-3*x^2 + 1"
+        assert render_value(Polynomial((0, 2, 0, Fraction(-5, 2)))) == "-5/2*x^3 + 2*x"
 
     def test_unit_coefficients_are_omitted(self):
         assert render_value(Polynomial((0, 1))) == "x"
         assert render_value(Polynomial((0, -1))) == "-x"
+        assert render_value(Polynomial((Fraction(1, 3), -1))) == "-x + 1/3"
 
     def test_latex_uses_frac_and_braced_exponents(self):
         assert latex_value(Fraction(-3, 2)) == "-\\frac{3}{2}"
@@ -153,6 +155,14 @@ class TestRendering:
             latex_value(Polynomial((Fraction(-1, 2), 0, Fraction(3, 2))))
             == "\\frac{3}{2}x^{2} - \\frac{1}{2}"
         )
+        assert latex_value(Polynomial((1, 0, -3))) == "-3x^{2} + 1"
+        assert (
+            latex_value(Polynomial((0, 2, 0, Fraction(-5, 2))))
+            == "-\\frac{5}{2}x^{3} + 2x"
+        )
+        assert latex_value(Polynomial((1, 1))) == "x + 1"
+        assert latex_value(Polynomial((Fraction(1, 3), -1))) == "-x + \\frac{1}{3}"
+        assert latex_value(Polynomial()) == "0"
 
     def test_parse_value_inverts_render_on_examples(self):
         for v in (
