@@ -133,11 +133,15 @@ def det_laplace(m: SquareMatrix) -> RingValue:
     Refuses matrices larger than 8 to keep the factorial blowup at bay;
     this is the brute-force oracle, not a production path.
     """
-    if m.size > LAPLACE_SIZE_LIMIT:
-        raise SizeTooLarge(
-            f"det_laplace handles sizes up to {LAPLACE_SIZE_LIMIT}, got {m.size}"
-        )
+    _refuse_laplace_size(m.size)
     return _laplace(m.entries)
+
+
+def _refuse_laplace_size(size: int) -> None:
+    if size > LAPLACE_SIZE_LIMIT:
+        raise SizeTooLarge(
+            f"det_laplace handles sizes up to {LAPLACE_SIZE_LIMIT}, got {size}"
+        )
 
 
 def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
@@ -229,6 +233,24 @@ DET_FUNCTIONS = {
     "bareiss": det_bareiss,
     "laplace": det_laplace,
 }
+
+
+def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
+    """Leading principal minors d_1..d_n of m by a method of DET_FUNCTIONS.
+
+    The fast method takes them all in one pass; the others take one
+    determinant per leading submatrix.  Laplace refuses before its first
+    determinant when a submatrix is past its size limit, naming the
+    first such size.
+    """
+    det = DET_FUNCTIONS.get(method)
+    if det is None:
+        raise RecdetError(f"unknown determinant method {method!r}")
+    if det is det_hessenberg_fast:
+        return hessenberg_leading_minors(m)
+    if det is det_laplace:
+        _refuse_laplace_size(min(m.size, LAPLACE_SIZE_LIMIT + 1))
+    return [det(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
 
 
 # --- emitters and parsers -------------------------------------------------

@@ -17,13 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import (
-    DET_FUNCTIONS,
-    SquareMatrix,
-    Structure,
-    det_hessenberg_fast,
-    hessenberg_leading_minors,
-)
+from .hessenberg import SquareMatrix, Structure, leading_minors
 from .ring import RingValue, render_value, ring_add, ring_mul
 
 _ZERO = Fraction(0)
@@ -181,8 +175,7 @@ def determinant_terms(
 
     For a full-history spec the k-th value is a(1) * det(D_k) = a(k+1);
     for a fixed-order spec it is det = a(k).  method names an entry of
-    DET_FUNCTIONS: the fast method takes every leading minor in one
-    pass, the others take one determinant per leading submatrix.  The
+    DET_FUNCTIONS, and hessenberg.leading_minors takes the minors.  The
     optional corrupt argument adds 1 to the given 1-based matrix entry
     before any determinant is taken, as a negative control; the position
     must stay inside the upper-Hessenberg band.
@@ -195,13 +188,7 @@ def determinant_terms(
         if ci > cj + 1:
             raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
         big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
-    det = DET_FUNCTIONS.get(method)
-    if det is None:
-        raise RecdetError(f"unknown determinant method {method!r}")
-    if det is det_hessenberg_fast:
-        minors = hessenberg_leading_minors(big)
-    else:
-        minors = [det(big.leading_submatrix(k)) for k in range(1, n + 1)]
+    minors = leading_minors(big, method)
     if isinstance(spec, FullHistorySpec):
         return [ring_mul(spec.initial, d) for d in minors]
     return minors

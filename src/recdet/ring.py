@@ -1,7 +1,10 @@
 """Exact ring arithmetic: rationals and univariate polynomials over them.
 
 Every value the rest of the package manipulates is either a
-``fractions.Fraction`` or a :class:`Polynomial`.  The ``ring_*`` helpers
+``fractions.Fraction`` or a :class:`Polynomial`.  A Polynomial keeps
+integer numerators over one common denominator: products go through one
+big-int multiply (Kronecker substitution) and division is fraction-free,
+so polynomial arithmetic makes no Fraction.  The ``ring_*`` helpers
 operate on that union, promote operands as needed, and feed the global
 :data:`COUNTER` used by benchmarks and the complexity tests.  The text
 renderings produced by :func:`render_value` are the bit-exact contract
@@ -13,34 +16,46 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError
 
 
-def _coerce_coeff(c: object) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
+# Operands with fewer coefficients than this multiply by the schoolbook
+# loop over ints.  A degree-1 by degree-n product (every family
+# recurrence step) costs 2n small multiplies there, less than packing
+# both operands into big ints and unpacking the product.
+_SHORT_OPERAND = 4
+
+
+def _numerator_denominator(c: object) -> tuple[int, int]:
     if isinstance(c, int):
-        return Fraction(c)
+        return c, 1
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
     raise TypeError(f"polynomial coefficients must be exact, got {type(c).__name__}")
 
 
 class Polynomial:
-    """Dense univariate polynomial in x over Fraction, constant term first.
+    """Dense univariate polynomial in x over the rationals, constant term first.
 
-    The zero polynomial is stored as an empty coefficient tuple and its
-    degree is None, so it never collides with degree 0.  Instances are
-    immutable and compare equal to Fractions and ints when constant.
+    The value is stored as a reduced pair: nums, a tuple of ints with no
+    trailing zero, over den, a positive int with gcd(den, *nums) == 1.
+    Equal polynomials therefore have equal pairs.  The zero polynomial
+    is ((), 1) and its degree is None, so it never collides with degree
+    0.  Instances are immutable and compare equal to Fractions and ints
+    when constant.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
-        cs = [_coerce_coeff(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        pairs = [_numerator_denominator(c) for c in coeffs]
+        den = lcm(*(d for _, d in pairs))
+        nums, den = _reduced([n * (den // d) for n, d in pairs], den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -62,117 +77,228 @@ class Polynomial:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, constant term first."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            if den == 1:
+                cs = tuple(map(Fraction, self.nums))
+            else:
+                cs = tuple(Fraction(n, den) for n in self.nums)
+            object.__setattr__(self, "_coeffs", cs)
+            return cs
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def coefficient(self, d: int) -> Fraction:
-        return self.coeffs[d] if 0 <= d < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[d], self.den) if 0 <= d < len(self.nums) else Fraction(0)
 
-    def _coerced(self, other: object) -> "Polynomial | None":
+    @staticmethod
+    def _coerced(other: object) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction)):
-            return Polynomial((other,))
+            return _pair_poly((other.numerator,) if other else (), other.denominator)
         return None
 
     def __add__(self, other: object) -> "Polynomial":
         p = self._coerced(other)
         if p is None:
             return NotImplemented
-        a, b = self.coeffs, p.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for d, c in enumerate(b):
-            out[d] += c
-        return Polynomial(out)
+        return _combine(self, p, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return _pair_poly(tuple(-n for n in self.nums), self.den)
 
     def __sub__(self, other: object) -> "Polynomial":
         p = self._coerced(other)
         if p is None:
             return NotImplemented
-        return self + (-p)
+        return _combine(self, p, -1)
 
     def __rsub__(self, other: object) -> "Polynomial":
         p = self._coerced(other)
         if p is None:
             return NotImplemented
-        return p + (-self)
+        return _combine(p, self, -1)
 
     def __mul__(self, other: object) -> "Polynomial":
         p = self._coerced(other)
         if p is None:
             return NotImplemented
-        if self.is_zero or p.is_zero:
-            return Polynomial(())
-        a, b = self.coeffs, p.coeffs
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+        if not self.nums or not p.nums:
+            return _ZERO
+        return _reduced_poly(_int_product(self.nums, p.nums), self.den * p.den)
 
     __rmul__ = __mul__
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division: returns (quotient, remainder) over Fraction."""
-        if other.is_zero:
+        """Long division: (quotient, remainder), the remainder of lower
+        degree than the divisor.
+
+        It is fraction-free: it divides the integer numerators of
+        self * other.den by other.nums.  When the divisor's leading
+        coefficient does not divide a step's top coefficient c, the
+        remainder and the quotient so far are scaled by
+        |lead| / gcd(c, lead), and the product of those scales becomes
+        part of both results' denominators.
+        """
+        if not other.nums:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs) - 1
-        lead = other.coeffs[-1]
-        if len(rem) <= dn:
-            return Polynomial(()), Polynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - dn)
+        d = other.nums
+        dn = len(d) - 1
+        if len(self.nums) <= dn:
+            return _ZERO, self
+        lead = d[-1]
+        rem = [c * other.den for c in self.nums]
+        quot = [0] * (len(rem) - dn)
+        scale = 1
         for top in range(len(rem) - 1, dn - 1, -1):
             c = rem[top]
-            if c == 0:
+            if not c:
                 continue
-            q = c / lead
-            quot[top - dn] = q
-            for d in range(dn + 1):
-                rem[top - dn + d] -= q * other.coeffs[d]
-        return Polynomial(quot), Polynomial(rem)
+            q, r = divmod(c, lead)
+            if r:
+                f = abs(lead) // gcd(c, lead)
+                scale *= f
+                rem[:top] = [v * f for v in rem[:top]]
+                quot = [v * f for v in quot]
+                q = c * f // lead
+            base = top - dn
+            quot[base] = q
+            for i in range(dn):
+                rem[base + i] -= q * d[i]
+        # scale * self.nums * other.den == quot * other.nums + rem[:dn]
+        den = scale * self.den
+        return _reduced_poly(quot, den), _reduced_poly(rem[:dn], den * other.den)
 
     def evaluate(self, at: object) -> Fraction:
         """Horner evaluation at an exact rational point."""
         point = at if isinstance(at, Fraction) else Fraction(at)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * point + c
-        return acc
+        return acc / self.den
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
+            return (
+                self.nums == ((other.numerator,) if other else ())
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
         # constants hash like the Fraction they equal
-        if not self.coeffs:
-            return hash(Fraction(0))
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
-        return hash(("Polynomial", self.coeffs))
+        if len(self.nums) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"Polynomial({render_value(self)!r})"
+
+
+def _pair_poly(nums: tuple[int, ...], den: int) -> Polynomial:
+    """A Polynomial from a pair that is already reduced."""
+    p = object.__new__(Polynomial)
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    return p
+
+
+def _reduced(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """nums / den (den > 0) as a reduced pair."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = [n // g for n in nums]
+            den //= g
+    return tuple(nums), den
+
+
+def _reduced_poly(nums: list[int], den: int) -> Polynomial:
+    return _pair_poly(*_reduced(nums, den))
+
+
+_ZERO = _pair_poly((), 1)
+
+
+def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
+    """a + sign * b, over the least common denominator."""
+    an, bn, den = a.nums, b.nums, a.den
+    if den != b.den:
+        g = gcd(den, b.den)
+        sa, sb = b.den // g, den // g
+        an = [n * sa for n in an]
+        bn = [n * sb for n in bn]
+        den *= sa
+    if sign > 0:
+        out = [x + y for x, y in zip(an, bn)]
+        tail = an[len(bn):] or bn[len(an):]
+    else:
+        out = [x - y for x, y in zip(an, bn)]
+        tail = an[len(bn):] or [-y for y in bn[len(an):]]
+    out += tail
+    return _reduced_poly(out, den)
+
+
+def _int_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Coefficients of the product of two nonzero integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) < _SHORT_OPERAND:
+        out = [0] * (len(a) + len(b) - 1)
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
+        return out
+    return _kronecker_product(a, b)
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Product by Kronecker substitution: evaluate both operands at
+    x = 2^w, multiply the two big ints once, and read the product's
+    coefficients back as its base-2^w digits.
+
+    No product coefficient exceeds max|a| * max|b| * min(len) in size,
+    and w leaves room for that bound and a sign.  Every digit is stored
+    offset by 2^(w-1), which makes it nonnegative, so packing and
+    unpacking are byte copies with no borrow between slots.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # bytes per slot, w = 8 * width
+    half = 1 << (8 * width - 1)
+    offset = half.to_bytes(width, "little")
+
+    def pack(v: tuple[int, ...]) -> int:
+        digits = b"".join((c + half).to_bytes(width, "little") for c in v)
+        return int.from_bytes(digits, "little") - int.from_bytes(offset * len(v), "little")
+
+    n = len(a) + len(b) - 1
+    product = pack(a) * pack(b) + int.from_bytes(offset * n, "little")
+    raw = product.to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half
+        for i in range(0, n * width, width)
+    ]
 
 
 RingValue = Union[Fraction, Polynomial]
@@ -205,19 +331,10 @@ class OpCounter:
         self.track_bits = track_bits
 
     def observe(self, value: RingValue) -> None:
-        if isinstance(value, Polynomial):
-            for c in value.coeffs:
-                self._observe_fraction(c)
-        else:
-            self._observe_fraction(value)
-
-    def _observe_fraction(self, f: Fraction) -> None:
-        bits = f.numerator.bit_length()
-        dbits = f.denominator.bit_length()
-        if dbits > bits:
-            bits = dbits
-        if bits > self.max_bits:
-            self.max_bits = bits
+        for f in value.coeffs if isinstance(value, Polynomial) else (value,):
+            bits = max(f.numerator.bit_length(), f.denominator.bit_length())
+            if bits > self.max_bits:
+                self.max_bits = bits
 
 
 COUNTER = OpCounter()
@@ -273,16 +390,22 @@ def ring_exact_div(a: RingValue, b: RingValue) -> RingValue:
     COUNTER.divs += 1
     if isinstance(a, Polynomial) or isinstance(b, Polynomial):
         pa = a if isinstance(a, Polynomial) else Polynomial((a,))
-        if not isinstance(b, Polynomial) or b.degree == 0:
-            c = b.coeffs[0] if isinstance(b, Polynomial) else b
-            r: RingValue = Polynomial(tuple(q / c for q in pa.coeffs))
-        else:
+        if isinstance(b, Polynomial) and b.degree:
             q, rem = pa.divmod(b)
             if not rem.is_zero:
                 raise InexactDivision(
                     f"{render_value(b)} does not divide {render_value(a)} exactly"
                 )
-            r = q
+            r: RingValue = q
+        else:
+            # a constant n/d only rescales the pair: (nums * d) / (den * n)
+            if isinstance(b, Polynomial):
+                n, d = b.nums[0], b.den
+            else:
+                n, d = b.numerator, b.denominator
+            if n < 0:
+                n, d = -n, -d
+            r = _reduced_poly([c * d for c in pa.nums], pa.den * n)
     else:
         if a.denominator == 1 and b.denominator == 1:
             q2, rem2 = divmod(a.numerator, b.numerator)

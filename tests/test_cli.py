@@ -301,6 +301,23 @@ class TestBench:
 
         assert counts() == counts()
 
+    def test_poly_op_counts_and_max_bits_are_pinned(self, capsys):
+        # recorded with Polynomial coefficients stored as Fractions; the
+        # ms column is dropped, ring_ops and max_bits must not move
+        code, out, _ = run(
+            capsys, "bench", "--ring", "poly", "--sizes", "8,16",
+            "--methods", "fast,bareiss,laplace", "--seed", "42",
+        )
+        assert code == 0
+        rows = [r.split(",") for r in out.split("\r\n")[1:] if r]
+        assert [(m, size, ops, bits) for m, size, ops, _, bits in rows] == [
+            ("fast", "8", "120", "22"),
+            ("bareiss", "8", "264", "38"),
+            ("laplace", "8", "10647", "22"),
+            ("fast", "16", "496", "41"),
+            ("bareiss", "16", "1810", "76"),
+        ]
+
     def test_laplace_refusal_leaves_other_pairs_running(self, capsys):
         code, out, err = run(
             capsys, "bench", "--sizes", "4,10", "--methods", "laplace"

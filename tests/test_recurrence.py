@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from recdet import dsl
-from recdet.errors import IndexBelowValidity, RecdetError
+from recdet.errors import IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import det_hessenberg_fast, hessenberg_leading_minors
+from recdet.ring import COUNTER
 from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
@@ -17,6 +18,7 @@ from recdet.recurrence import (
     embed_fixed_order,
     eval_fixed_order,
     eval_full_history,
+    spec_matrix,
     theorem1_matrix,
     theorem2_matrix,
     verify_spec,
@@ -229,3 +231,20 @@ def test_determinant_terms_agree_across_methods_and_references(kind, name):
     assert determinant_terms(spec, n) == expected
     assert determinant_terms(spec, n, method="bareiss") == expected
     assert determinant_terms(spec, 8, method="laplace") == expected[:8]
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_laplace_refuses_before_the_first_determinant(n):
+    # the DSL spec's coefficients cost ring ops to build, the refusal none;
+    # the message names size 9, the first leading submatrix past the limit
+    spec = dsl.to_spec(dsl.parse(spec_text("legendre")), name="legendre")
+    COUNTER.reset()
+    spec_matrix(spec, n)
+    build_ops = COUNTER.ring_ops
+    assert build_ops > 0
+    COUNTER.reset()
+    with pytest.raises(SizeTooLarge) as info:
+        determinant_terms(spec, n, method="laplace")
+    assert str(info.value) == "det_laplace handles sizes up to 8, got 9"
+    assert COUNTER.ring_ops == build_ops
+    COUNTER.reset()

@@ -1,9 +1,10 @@
 """Polynomial kernel, operation counter, and canonical rendering."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from recdet.errors import DivisionByZero, InexactDivision, RecdetError
 from recdet.ring import (
@@ -21,6 +22,141 @@ fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=7
 )
 polys_st = st.lists(fractions_st, min_size=0, max_size=5).map(Polynomial)
+# about 300-bit numerators and denominators
+huge_fractions_st = st.builds(
+    lambda f, m, d: f * m / d,
+    fractions_st,
+    st.integers(2**299, 2**300),
+    st.integers(1, 2**300),
+)
+
+
+# --- Fraction reference kernel ---------------------------------------------
+# Schoolbook multiply and long division over Fraction coefficient tuples,
+# constant term first.  Polynomial once ran on these; they stay here only
+# as the oracle for its integer-numerator kernel.
+
+def fraction_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return tuple(out)
+
+
+def fraction_divmod(a, b):
+    rem = list(a)
+    dn = len(b) - 1
+    if len(rem) <= dn:
+        return (), tuple(rem)
+    quot = [Fraction(0)] * (len(rem) - dn)
+    for top in range(len(rem) - 1, dn - 1, -1):
+        q = rem[top] / b[-1]
+        quot[top - dn] = q
+        for d in range(dn + 1):
+            rem[top - dn + d] -= q * b[d]
+    return tuple(quot), tuple(rem[:dn])
+
+
+def assert_reduced(p):
+    assert p.den > 0
+    assert gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(type(n) is int for n in p.nums) and type(p.den) is int
+
+
+def short_or_long(coeffs_st, length):
+    """Coefficient lists on one side of the 4-coefficient multiply cutoff."""
+    lo, hi = {"short": (1, 3), "long": (4, 12)}[length]
+    return st.lists(coeffs_st, min_size=lo, max_size=hi).filter(lambda cs: cs[-1] != 0)
+
+
+MUL_SHAPES = [
+    (size, a, b)
+    for size in ("small", "huge")
+    for a, b in (("short", "short"), ("short", "long"), ("long", "long"))
+]
+
+
+@pytest.mark.parametrize(
+    "size, a_len, b_len", MUL_SHAPES, ids=["-".join(s) for s in MUL_SHAPES]
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_product_matches_the_fraction_schoolbook(size, a_len, b_len, data):
+    coeffs_st = fractions_st if size == "small" else huge_fractions_st
+    a = data.draw(short_or_long(coeffs_st, a_len))
+    b = data.draw(short_or_long(coeffs_st, b_len))
+    p = Polynomial(a) * Polynomial(b)
+    assert p.coeffs == fraction_mul(tuple(a), tuple(b))
+    assert_reduced(p)
+    assert_reduced(Polynomial(a) + Polynomial(b))
+    assert_reduced(Polynomial(a) - Polynomial(b))
+
+
+ints_st = st.integers(-30, 30)
+int_divisors_st = st.lists(ints_st, min_size=2, max_size=6).filter(lambda cs: cs[-1] != 0)
+
+
+@given(st.lists(ints_st, max_size=8), int_divisors_st)
+def test_division_with_an_integral_quotient_matches_the_oracle(q, d):
+    # (q * d) / d in Z[x]: every step divides without scaling
+    dividend = Polynomial(q) * Polynomial(d)
+    quot, rem = dividend.divmod(Polynomial(d))
+    assert quot == Polynomial(q) and rem.is_zero
+    oq, orem = fraction_divmod(dividend.coeffs, Polynomial(d).coeffs)
+    assert quot == Polynomial(oq) and rem == Polynomial(orem)
+    assert_reduced(quot)
+    assert ring_exact_div(dividend, Polynomial(d)) == Polynomial(q)
+
+
+@given(
+    st.lists(st.one_of(fractions_st, huge_fractions_st), max_size=10),
+    st.lists(st.one_of(fractions_st, huge_fractions_st), min_size=1, max_size=6),
+)
+def test_division_with_a_fractional_quotient_matches_the_oracle(a, b):
+    pa, pb = Polynomial(a), Polynomial(b)
+    if pb.is_zero:
+        return
+    quot, rem = pa.divmod(pb)
+    oq, orem = fraction_divmod(pa.coeffs, pb.coeffs)
+    assert quot == Polynomial(oq)
+    assert rem == Polynomial(orem)
+    assert_reduced(quot)
+    assert_reduced(rem)
+
+
+@given(polys_st, polys_st)
+def test_exact_division_raises_or_returns_the_oracle_quotient(p, d):
+    if d.is_zero:
+        with pytest.raises(DivisionByZero):
+            ring_exact_div(p, d)
+        return
+    oq, orem = fraction_divmod(p.coeffs, d.coeffs)
+    if any(orem):
+        with pytest.raises(InexactDivision):
+            ring_exact_div(p, d)
+    else:
+        q = ring_exact_div(p, d)
+        assert q == Polynomial(oq)
+        assert_reduced(q)
+
+
+@given(polys_st, fractions_st)
+def test_division_by_a_constant_rescales(p, c):
+    if c == 0:
+        with pytest.raises(DivisionByZero):
+            ring_exact_div(p, c)
+        with pytest.raises(DivisionByZero):
+            ring_exact_div(p, Polynomial.constant(c))
+        return
+    expected = Polynomial(tuple(v / c for v in p.coeffs))
+    for divisor in (c, Polynomial.constant(c)):
+        q = ring_exact_div(p, divisor)
+        assert q == expected
+        assert_reduced(q)
 
 
 def test_trailing_zero_coefficients_are_stripped():
@@ -129,6 +265,15 @@ def test_counter_tracks_adds_muls_divs_and_bits():
     assert COUNTER.max_bits >= 81
     COUNTER.reset()
     assert COUNTER.ring_ops == 0
+
+
+def test_max_bits_reads_each_reduced_coefficient():
+    # stored as (1, 2^50) over 2^40; the coefficients are 1/2^40 and 1024
+    p = Polynomial((Fraction(1, 2**40), 2**10))
+    COUNTER.reset(track_bits=True)
+    ring_mul(p, Polynomial.one())
+    assert COUNTER.max_bits == 41
+    COUNTER.reset()
 
 
 class TestRendering:
