@@ -2,11 +2,11 @@
 
 Every value the rest of the package manipulates is either a
 ``fractions.Fraction`` or a :class:`Polynomial`.  A Polynomial keeps
-integer numerators over one common denominator: products go through one
-big-int multiply (Kronecker substitution) and division is fraction-free,
-so polynomial arithmetic makes no Fraction.  The ``ring_*`` helpers
-operate on that union, promote operands as needed, and feed the global
-:data:`COUNTER` used by benchmarks and the complexity tests.  The text
+integer numerators over one common denominator: products multiply ints
+and division is fraction-free, so polynomial arithmetic makes no
+Fraction.  The ``ring_*`` helpers operate on that union, promote
+operands as needed, and feed the global :data:`COUNTER` used by
+benchmarks and the complexity tests.  The text
 renderings produced by :func:`render_value` are the bit-exact contract
 for JSON output and golden tests.
 """
@@ -20,13 +20,6 @@ from math import gcd, lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError
-
-
-# Operands with fewer coefficients than this multiply by the schoolbook
-# loop over ints.  A degree-1 by degree-n product (every family
-# recurrence step) costs 2n small multiplies there, less than packing
-# both operands into big ints and unpacking the product.
-_SHORT_OPERAND = 4
 
 
 def _numerator_denominator(c: object) -> tuple[int, int]:
@@ -263,42 +256,12 @@ def _int_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of the product of two nonzero integer polynomials."""
     if len(a) < len(b):
         a, b = b, a
-    if len(b) < _SHORT_OPERAND:
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a, j):
-                    out[i] += x * y
-        return out
-    return _kronecker_product(a, b)
-
-
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Product by Kronecker substitution: evaluate both operands at
-    x = 2^w, multiply the two big ints once, and read the product's
-    coefficients back as its base-2^w digits.
-
-    No product coefficient exceeds max|a| * max|b| * min(len) in size,
-    and w leaves room for that bound and a sign.  Every digit is stored
-    offset by 2^(w-1), which makes it nonnegative, so packing and
-    unpacking are byte copies with no borrow between slots.
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1  # bytes per slot, w = 8 * width
-    half = 1 << (8 * width - 1)
-    offset = half.to_bytes(width, "little")
-
-    def pack(v: tuple[int, ...]) -> int:
-        digits = b"".join((c + half).to_bytes(width, "little") for c in v)
-        return int.from_bytes(digits, "little") - int.from_bytes(offset * len(v), "little")
-
-    n = len(a) + len(b) - 1
-    product = pack(a) * pack(b) + int.from_bytes(offset * n, "little")
-    raw = product.to_bytes(n * width, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - half
-        for i in range(0, n * width, width)
-    ]
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
 
 
 RingValue = Union[Fraction, Polynomial]

@@ -68,7 +68,7 @@ def assert_reduced(p):
 
 
 def short_or_long(coeffs_st, length):
-    """Coefficient lists on one side of the 4-coefficient multiply cutoff."""
+    """Coefficient lists of 1-3 (short) or 4-12 (long) coefficients."""
     lo, hi = {"short": (1, 3), "long": (4, 12)}[length]
     return st.lists(coeffs_st, min_size=lo, max_size=hi).filter(lambda cs: cs[-1] != 0)
 
