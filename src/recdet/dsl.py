@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import (
     DivisionByZero,
@@ -36,6 +37,7 @@ from .errors import (
 )
 from .recurrence import FixedOrderSpec, FullHistorySpec
 from .ring import (
+    COUNTER,
     Polynomial,
     RingValue,
     is_zero,
@@ -580,10 +582,128 @@ def eval_expr(e: Expr, k: int | None = None, i: int | None = None) -> RingValue:
         num = eval_expr(e.left, k, i)
         den = eval_expr(e.right, k, i)
         if is_zero(den):
-            where = f" at k = {k}" if k is not None else ""
-            raise DivisionByZero(f"denominator is zero{where}", k=k)
+            raise _zero_denominator(k)
         return ring_exact_div(num, den)
     raise RecdetError(f"unknown expression node {type(e).__name__}")
+
+
+def _zero_denominator(k: int | None) -> DivisionByZero:
+    where = f" at k = {k}" if k is not None else ""
+    return DivisionByZero(f"denominator is zero{where}", k=k)
+
+
+# --- compilation ----------------------------------------------------------
+#
+# to_spec compiles each x-free coefficient once into nested closures of
+# (k, i) over unreduced (num, den) int pairs, den != 0, and builds one
+# Fraction per call.  A coefficient that contains x (poly ring) calls
+# eval_expr, which stays the reference the compiled closures must agree with.
+
+_Pair = tuple[int, int]
+_PairFn = Callable[[int, "int | None"], _Pair]
+
+
+def _unbound(name: str) -> _PairFn:
+    def value(k: int, i: int | None) -> _Pair:
+        raise RecdetError(f"variable {name!r} is not bound")
+
+    return value
+
+
+def _compile_pair(e: Expr, bound: tuple[str, ...]) -> _PairFn:
+    """An x-free expression as a closure giving an unreduced pair."""
+    if isinstance(e, IntLit):
+        const = (e.value, 1)
+        return lambda k, i: const
+    if isinstance(e, Var):
+        if e.name not in bound:
+            return _unbound(e.name)
+        if e.name == "k":
+            return lambda k, i: (k, 1)
+        return lambda k, i: (i, 1)
+    if isinstance(e, Neg):
+        f = _compile_pair(e.operand, bound)
+
+        def value(k: int, i: int | None) -> _Pair:
+            a, b = f(k, i)
+            return -a, b
+
+        return value
+    f = _compile_pair(e.left, bound)  # type: ignore[attr-defined]
+    g = _compile_pair(e.right, bound)  # type: ignore[attr-defined]
+    if isinstance(e, Add):
+
+        def value(k: int, i: int | None) -> _Pair:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            return (a + c, b) if b == d else (a * d + c * b, b * d)
+
+    elif isinstance(e, Sub):
+
+        def value(k: int, i: int | None) -> _Pair:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            return (a - c, b) if b == d else (a * d - c * b, b * d)
+
+    elif isinstance(e, Mul):
+
+        def value(k: int, i: int | None) -> _Pair:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            return a * c, b * d
+
+    elif isinstance(e, Div):
+
+        def value(k: int, i: int | None) -> _Pair:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            if not c:
+                raise _zero_denominator(k)
+            return a * d, b * c
+
+    else:
+        raise RecdetError(f"unknown expression node {type(e).__name__}")
+    return value
+
+
+def _op_counts(e: Expr) -> tuple[int, int, int]:
+    """The adds, muls and divs eval_expr counts for e."""
+    if isinstance(e, (IntLit, Var)):
+        return 0, 0, 0
+    if isinstance(e, Neg):
+        return _op_counts(e.operand)
+    left = _op_counts(e.left)  # type: ignore[attr-defined]
+    right = _op_counts(e.right)  # type: ignore[attr-defined]
+    return (
+        left[0] + right[0] + isinstance(e, (Add, Sub)),
+        left[1] + right[1] + isinstance(e, Mul),
+        left[2] + right[2] + isinstance(e, Div),
+    )
+
+
+def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
+    """e as a coefficient function of k (and i when bound names it).
+
+    It equals eval_expr(e, k, i), raises what eval_expr raises, and on
+    success adds the same ring ops to COUNTER.  While COUNTER tracks bits
+    it defers to eval_expr, so max_bits still sees every intermediate.
+    """
+    if "x" in _vars_of(e):
+        return lambda k, i=None: eval_expr(e, k, i)
+    pair = _compile_pair(e, bound)
+    adds, muls, divs = _op_counts(e)
+
+    def coeff(k: int, i: int | None = None) -> RingValue:
+        c = COUNTER
+        if c.track_bits:
+            return eval_expr(e, k, i)
+        v = Fraction(*pair(k, i))
+        c.adds += adds
+        c.muls += muls
+        c.divs += divs
+        return v
+
+    return coeff
 
 
 # --- rendering ------------------------------------------------------------
@@ -628,21 +748,16 @@ def render(doc: SpecDocument) -> str:
 # --- spec construction ----------------------------------------------------
 
 def to_spec(doc: SpecDocument, name: str = "spec") -> FullHistorySpec | FixedOrderSpec:
-    """Build the evaluable spec behind a parsed document."""
+    """Build the evaluable spec behind a parsed document; each coefficient
+    is compiled once (see _compile_coeff)."""
     if doc.mode == "full-history":
         init = eval_expr(doc.initials[0])
-        pexpr = doc.coeffs[0].expr
-
-        def coeff(k: int, i: int, _e: Expr = pexpr) -> RingValue:
-            return eval_expr(_e, k=k, i=i)
-
+        coeff = _compile_coeff(doc.coeffs[0].expr, ("k", "i"))
         return FullHistorySpec(initial=init, coeff=coeff, name=name)
 
     m = doc.order or 1
     init_values = tuple(eval_expr(e) for e in doc.initials)
-    funcs = tuple(
-        (lambda k, _e=c.expr: eval_expr(_e, k=k)) for c in doc.coeffs
-    )
+    funcs = tuple(_compile_coeff(c.expr, ("k",)) for c in doc.coeffs)
     fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
     return FixedOrderSpec(
         order=m, initials=init_values, coeffs=funcs, first_valid_k=fvk, name=name

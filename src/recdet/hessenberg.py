@@ -12,11 +12,13 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Sequence
 
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
 from .ring import (
+    COUNTER,
     Polynomial,
     RingValue,
     is_zero,
@@ -205,15 +207,27 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     subdiagonal between j and c) d_{j-1} with d_0 = 1, in O(n^2) ring
     multiplications for the whole batch.  With a declared band b the sum
     runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
+
+    Unless COUNTER is tracking bits, the leading columns whose cells are
+    Fractions run over ints (see _int_leading_minors); the ring
+    recurrence takes the rest.
     """
     if m.structure is not Structure.UPPER_HESSENBERG:
         raise NotHessenberg("det_hessenberg_fast requires the UpperHessenberg structure flag")
-    e = m.entries
     n = m.size
     band = n if m.band is None else m.band
+    d: list[RingValue] = [Fraction(1)]
+    if not COUNTER.track_bits:
+        d += _int_leading_minors(m.entries, n, band)
+    return _ring_leading_minors(m.entries, n, band, d)
+
+
+def _ring_leading_minors(
+    e: tuple[tuple[RingValue, ...], ...], n: int, band: int, d: list[RingValue]
+) -> list[RingValue]:
+    """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n."""
     one: RingValue = Fraction(1)
-    d: list[RingValue] = [one]
-    for c in range(n):
+    for c in range(len(d) - 1, n):
         acc = ring_mul(e[c][c], d[c])
         prod: RingValue = one
         for j in range(c - 1, max(c - band, 0) - 1, -1):
@@ -221,6 +235,75 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
             acc = ring_add(acc, ring_mul(ring_mul(e[j][c], prod), d[j]))
         d.append(acc)
     return d[1:]
+
+
+# Past this many bits of column scale beyond a minor's reduced
+# denominator, the int products cost more than the ring recurrence on
+# reduced Fractions.  That happens when denominators depend on the row:
+# Theorem 1's matrix of p(k, i) = 1/i at n = 200 took 0.27 s on the ring
+# path, 1.46 s over ints throughout, 0.26 s over ints up to this bound.
+# Denominators that depend on k alone stay below it: p(k, i) =
+# (3i - 2)/(k + 2) at n = 300 took 0.09 s, against 0.77 s on the ring path.
+# The value rests on that one synthetic probe and is not tuned: no
+# benchmark workload has row-dependent denominators.
+_MAX_EXCESS_BITS = 8192
+
+
+def _int_leading_minors(
+    e: tuple[tuple[RingValue, ...], ...], n: int, band: int
+) -> list[RingValue]:
+    """The leading minors d_1..d_c by the ring recurrence run over ints,
+    for the leading columns whose band and subdiagonal cells are all
+    Fractions, and while the scales stay within _MAX_EXCESS_BITS.
+
+    Column c is scaled by L_c, the lcm of the denominators of its band
+    cells and its subdiagonal cell, which scales the c-th leading minor
+    by L_1 * ... * L_c.  The scaled minors d'_c come from the same
+    recurrence in the same order, and d_c = d'_c / (L_1 * ... * L_c).
+    Only band cells are read, so a banded matrix costs O(n*b).  COUNTER
+    gets the ring path's muls and adds for these columns, in bulk.
+    """
+    d = [1]
+    negated_sub: list[int] = []
+    minors: list[RingValue] = []
+    total = 1
+    terms = 0
+    for c in range(n):
+        # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
+        lo = max(c - band, 0)
+        cells = [e[r][c] for r in range(lo, min(c + 2, n))]
+        scale = _denominator_lcm(cells)
+        if scale is None:
+            break
+        col = [v.numerator * (scale // v.denominator) for v in cells]
+        if c + 1 < n:
+            negated_sub.append(-col[-1])
+        acc = col[c - lo] * d[c]
+        prod = 1
+        for j in range(c - 1, lo - 1, -1):
+            prod *= negated_sub[j]
+            acc += col[j - lo] * prod * d[j]
+        terms += c - lo
+        d.append(acc)
+        total *= scale
+        minor = Fraction(acc, total)
+        minors.append(minor)
+        if total.bit_length() - minor.denominator.bit_length() > _MAX_EXCESS_BITS:
+            break
+    COUNTER.muls += len(minors) + 3 * terms
+    COUNTER.adds += terms
+    return minors
+
+
+def _denominator_lcm(cells: list[RingValue]) -> int | None:
+    """The lcm of the cells' denominators, or None if one is not a Fraction."""
+    scale = 1
+    for v in cells:
+        if type(v) is not Fraction:
+            return None
+        if v.denominator != 1:
+            scale = lcm(scale, v.denominator)
+    return scale
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:

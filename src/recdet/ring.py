@@ -294,10 +294,22 @@ class OpCounter:
         self.track_bits = track_bits
 
     def observe(self, value: RingValue) -> None:
-        for f in value.coeffs if isinstance(value, Polynomial) else (value,):
-            bits = max(f.numerator.bit_length(), f.denominator.bit_length())
-            if bits > self.max_bits:
-                self.max_bits = bits
+        if isinstance(value, Polynomial):
+            # each coefficient n/den reduced by one gcd, with no Fraction built
+            nums, den = value.nums, value.den
+            if not nums:
+                return
+            if den == 1:
+                bits = max(1, *(n.bit_length() for n in nums))
+            else:
+                bits = 0
+                for n in nums:
+                    g = gcd(n, den)
+                    bits = max(bits, (n // g).bit_length(), (den // g).bit_length())
+        else:
+            bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > self.max_bits:
+            self.max_bits = bits
 
 
 COUNTER = OpCounter()

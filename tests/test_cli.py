@@ -4,13 +4,15 @@ import inspect
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import recdet
-from recdet import cli, errors
+from recdet import cli, errors, hessenberg
 from recdet.cli import main
+from recdet.ring import COUNTER
 from recdet.specfiles import spec_path
 
 NATURALS_JSON = (
@@ -333,6 +335,25 @@ class TestBench:
 
     def test_unknown_method_exits_one(self, capsys):
         assert run(capsys, "bench", "--sizes", "4", "--methods", "gauss")[0] == 1
+
+    def test_a_disagreement_switches_bit_tracking_off(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            hessenberg.DET_FUNCTIONS, "bareiss", lambda m: Fraction(10**9)
+        )
+        code, _, err = run(capsys, "bench", "--sizes", "4", "--methods", "fast,bareiss")
+        assert code == 3
+        assert "disagreement" in err
+        assert COUNTER.track_bits is False
+
+    def test_a_raising_method_switches_bit_tracking_off(self, capsys, monkeypatch):
+        def refuse(m):
+            raise errors.SizeTooLarge("refused")
+
+        monkeypatch.setitem(hessenberg.DET_FUNCTIONS, "bareiss", refuse)
+        code, _, err = run(capsys, "bench", "--sizes", "4", "--methods", "fast,bareiss")
+        assert code == 2
+        assert "refused" in err
+        assert COUNTER.track_bits is False
 
     def test_poly_ring_runs(self, capsys):
         code, out, _ = run(

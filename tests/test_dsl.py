@@ -1,11 +1,12 @@
 """Spec DSL: lexer, parser, validation, rendering, evaluation."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from recdet.dsl import (
     Add,
@@ -28,7 +29,7 @@ from recdet.errors import (
     SpecSyntaxError,
 )
 from recdet.recurrence import eval_fixed_order, eval_full_history
-from recdet.ring import Polynomial
+from recdet.ring import COUNTER, Polynomial
 from recdet.specfiles import available, spec_text
 from tests.conftest import random_document
 
@@ -240,6 +241,93 @@ class TestRendering:
         assert eval_fixed_order(spec, 8)
         with pytest.raises(DivisionByZero):
             eval_fixed_order(spec, 9)
+
+
+# --- compiled coefficients against the eval_expr reference --------------
+
+def _outcome(fn, *args):
+    """What a coefficient call gives: its value and the ring ops it counted,
+    or the error it raised (type, message, k)."""
+    before = (COUNTER.adds, COUNTER.muls, COUNTER.divs)
+    try:
+        value = fn(*args)
+    except RecdetError as exc:
+        return "raised", type(exc), str(exc), getattr(exc, "k", None)
+    after = (COUNTER.adds, COUNTER.muls, COUNTER.divs)
+    return "value", type(value), value, tuple(a - b for a, b in zip(after, before))
+
+
+def _assert_compiled_matches_eval_expr(doc, ks=range(-2, 13)):
+    spec = to_spec(doc)
+    if doc.mode == "full-history":
+        expr = doc.coeffs[0].expr
+        for k in ks:
+            for i in range(1, max(k, 1) + 1):
+                assert _outcome(spec.coeff, k, i) == _outcome(
+                    lambda: eval_expr(expr, k=k, i=i)
+                ), (render(doc), k, i)
+    else:
+        for fn, cdef in zip(spec.coeffs, doc.coeffs):
+            for k in ks:
+                assert _outcome(fn, k) == _outcome(
+                    lambda: eval_expr(cdef.expr, k=k)
+                ), (render(doc), cdef.name, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    vanishing_at=st.one_of(st.none(), st.integers(-2, 12)),
+    ring=st.sampled_from(("rational", "poly")),
+)
+def test_compiled_coefficients_match_eval_expr_on_random_documents(
+    seed, vanishing_at, ring
+):
+    doc = random_document(random.Random(seed))
+    assume(doc.ring == ring)
+    if vanishing_at is not None:
+        # divide every coefficient by k - c, which vanishes at k = c
+        den = Sub(Var("k"), IntLit(vanishing_at)) if vanishing_at >= 0 else Add(
+            Var("k"), IntLit(-vanishing_at)
+        )
+        doc = dataclasses.replace(
+            doc,
+            coeffs=tuple(
+                dataclasses.replace(c, expr=Div(c.expr, den)) for c in doc.coeffs
+            ),
+        )
+    _assert_compiled_matches_eval_expr(doc)
+
+
+def test_compiled_coefficients_match_eval_expr_on_shipped_specs():
+    # k from -2 also reaches the k where ode-example, partial-sums,
+    # laguerre and legendre divide by zero
+    for name in available():
+        _assert_compiled_matches_eval_expr(parse(spec_text(name)))
+    _assert_compiled_matches_eval_expr(parse(spec_text("bad-eval", negative=True)))
+
+
+def test_compiled_coefficients_keep_the_error_order():
+    # left to right: an unbound i and a zero denominator, in both orders
+    zero = Div(IntLit(1), Sub(Var("k"), Var("k")))
+    doc = parse(FIB)
+    for expr in (Add(Var("i"), zero), Add(zero, Var("i"))):
+        bad = dataclasses.replace(
+            doc, coeffs=(dataclasses.replace(doc.coeffs[0], expr=expr), doc.coeffs[1])
+        )
+        _assert_compiled_matches_eval_expr(bad, ks=(3,))
+
+
+def test_compiled_coefficients_defer_to_eval_expr_while_tracking_bits():
+    doc = parse(spec_text("ode-example"))
+    COUNTER.reset(track_bits=True)
+    to_spec(doc).coeffs[0](40)
+    compiled = COUNTER.max_bits, COUNTER.ring_ops
+    COUNTER.reset(track_bits=True)
+    eval_expr(doc.coeffs[0].expr, k=40)
+    reference = COUNTER.max_bits, COUNTER.ring_ops
+    COUNTER.reset()
+    assert compiled == reference
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from recdet import hessenberg
 from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     SquareMatrix,
     Structure,
+    _int_leading_minors,
+    _ring_leading_minors,
     det_bareiss,
     det_hessenberg_fast,
     det_laplace,
@@ -132,6 +135,95 @@ class TestDeterminants:
                 assert COUNTER.muls == n + 3 * sum(min(c, b) for c in range(n))
             assert COUNTER.muls == (3 * n * n - n) // 2  # b = n - 1 is dense
         COUNTER.reset()
+
+
+def _banded(rng, n, band, kind):
+    """An n x n upper-Hessenberg matrix with a declared band, its in-band
+    cells drawn by kind: integral, fractional, or fractional with about
+    half of them zero (the subdiagonal included)."""
+    def cell():
+        if kind == "integral":
+            return Fraction(rng.randint(-5, 5))
+        if kind == "sparse" and rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+
+    rows = [
+        [
+            cell() if r <= c + 1 and (band is None or c - r <= band) else 0
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+
+
+def _counted(fn, *args):
+    COUNTER.reset()
+    value = fn(*args)
+    ops = COUNTER.adds, COUNTER.muls, COUNTER.divs
+    COUNTER.reset()
+    return value, ops
+
+
+class TestIntegerKernel:
+    """The int recurrence on column-scaled Fractions against the ring path."""
+
+    def test_minors_and_op_counts_equal_the_ring_path(self):
+        rng = random.Random(6)
+        for n in range(1, 21):
+            for band in (None, 0, 1, 3):
+                for kind in ("integral", "fractional", "sparse"):
+                    m = _banded(rng, n, band, kind)
+                    b = n if band is None else band
+                    fast, fast_ops = _counted(_int_leading_minors, m.entries, n, b)
+                    ring, ring_ops = _counted(
+                        _ring_leading_minors, m.entries, n, b, [Fraction(1)]
+                    )
+                    assert fast == ring, (n, band, kind)
+                    assert all(type(d) is Fraction for d in fast)
+                    assert fast_ops == ring_ops
+                    assert _counted(hessenberg_leading_minors, m) == (ring, ring_ops)
+
+    def test_a_zero_subdiagonal_splits_the_determinant(self):
+        rows = [[Fraction(1, 2), 3, 0], [0, Fraction(2, 3), 5], [0, -1, Fraction(7, 4)]]
+        m = SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=1)
+        # d_3 = d_1 * det [[2/3, 5], [-1, 7/4]], the zero cutting the chain
+        assert _int_leading_minors(m.entries, 3, 1) == [
+            Fraction(1, 2),
+            Fraction(1, 3),
+            Fraction(1, 2) * (Fraction(2, 3) * Fraction(7, 4) + 5),
+        ]
+
+    def test_the_ring_path_takes_over_at_a_polynomial_column(self):
+        m = uh([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
+        assert _int_leading_minors(m.entries, 3, 3) == [1]
+        ring = _counted(_ring_leading_minors, m.entries, 3, 3, [Fraction(1)])
+        assert _counted(hessenberg_leading_minors, m) == ring
+
+    def test_the_ring_path_takes_over_past_the_excess_bound(self, monkeypatch):
+        # denominators that depend on the row: the column scales outgrow
+        # the reduced minors at once
+        n = 20
+        rows = [
+            [Fraction(1, r + 1) if r <= c + 1 else 0 for c in range(n)] for r in range(n)
+        ]
+        m = uh(rows)
+        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
+        assert 0 < len(_int_leading_minors(m.entries, n, n)) < n
+        ring = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
+        assert _counted(hessenberg_leading_minors, m) == ring
+
+    def test_bit_tracking_reports_the_ring_paths_max_bits(self):
+        m = _banded(random.Random(7), 20, 3, "fractional")
+        COUNTER.reset(track_bits=True)
+        minors = hessenberg_leading_minors(m)
+        got = COUNTER.max_bits
+        COUNTER.reset(track_bits=True)
+        assert _ring_leading_minors(m.entries, 20, 3, [Fraction(1)]) == minors
+        want = COUNTER.max_bits
+        COUNTER.reset()
+        assert got == want > 0
 
 
 class TestEmitters:
