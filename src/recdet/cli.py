@@ -357,8 +357,8 @@ def build_parser() -> _Parser:
         help="op-count benchmark on random matrices",
         description="Time the determinant algorithms on seeded random "
         "upper-Hessenberg matrices.  Bit tracking is on for max_bits, so "
-        "rational 'fast' timings measure the ring kernel, not the int "
-        "kernel that verify runs.",
+        "rational 'fast' and 'bareiss' timings measure the ring path, not "
+        "the int kernels that verify runs.",
     )
     p.add_argument("--sizes", type=_int_list, required=True, metavar="N1,N2,...")
     p.add_argument(

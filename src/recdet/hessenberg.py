@@ -162,19 +162,61 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
-    """Fraction-free single-step Bareiss elimination.
+    """Fraction-free single-step Bareiss elimination, O(n^3).
 
     Intermediate entries stay in the ring thanks to exact divisions by
-    the previous pivot.  Zero pivots are repaired by a downward row swap
-    with sign tracking; a fully zero column short-circuits to 0.
+    the previous pivot.  Rows are swapped only to repair a zero pivot:
+    the first row below it with a nonzero entry in its column comes up,
+    with sign tracking, and a column with no such row short-circuits to
+    0.  Unless COUNTER is tracking bits, a matrix of integral Fractions
+    runs over ints (see _int_bareiss).
     """
-    n = m.size
-    a: list[list[RingValue]] = [list(row) for row in m.entries]
+    return _bareiss(m.entries)
+
+
+def _bareiss(
+    entries: tuple[tuple[RingValue, ...], ...], minors: list[RingValue] | None = None
+) -> RingValue:
+    """det_bareiss's elimination of the rows, returning the determinant.
+
+    With a list minors, the pivot of each step is appended to it before
+    the step, and the last entry after the last step: with no row swap
+    these are the leading minors d_1..d_n.  A zero pivot then ends the
+    pass, returning 0 with that zero minor appended, instead of a swap.
+    """
+    if not COUNTER.track_bits:
+        ints = _integral_rows(entries)
+        if ints is not None:
+            return _int_bareiss(ints, minors)
+    return _ring_bareiss([list(row) for row in entries], minors)
+
+
+def _integral_rows(
+    entries: tuple[tuple[RingValue, ...], ...]
+) -> list[list[int]] | None:
+    """The rows as ints, or None unless every cell is a Fraction with
+    denominator 1."""
+    for row in entries:
+        for v in row:
+            if type(v) is not Fraction or v.denominator != 1:
+                return None
+    return [[v.numerator for v in row] for row in entries]
+
+
+def _ring_bareiss(
+    a: list[list[RingValue]], minors: list[RingValue] | None
+) -> RingValue:
+    """_bareiss over the ring, one ring_* call per operation."""
+    n = len(a)
     zero = Fraction(0)
     prev: RingValue = Fraction(1)
     sign = 1
     for k in range(n - 1):
+        if minors is not None:
+            minors.append(a[k][k])
         if is_zero(a[k][k]):
+            if minors is not None:
+                return zero
             for r in range(k + 1, n):
                 if not is_zero(a[r][k]):
                     a[k], a[r] = a[r], a[k]
@@ -197,7 +239,67 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
             row[k] = zero
         prev = pivot
     d = a[n - 1][n - 1]
+    if minors is not None:
+        minors.append(d)
     return d if sign == 1 else ring_neg(d)
+
+
+def _int_bareiss(a: list[list[int]], minors: list[RingValue] | None) -> Fraction:
+    """_bareiss over ints, with // as the exact division.
+
+    The row swaps, the early return and the skipped updates (a[i][k]
+    and a[i][j] both zero) are the ring path's, and COUNTER gets the
+    ring path's muls, adds and divs in bulk, on every way out.  The
+    determinant and the minors come back as Fractions.
+    """
+    n = len(a)
+    muls = adds = divs = 0
+    prev = 1
+    sign = 1
+    try:
+        for k in range(n - 1):
+            pivot = a[k][k]
+            if minors is not None:
+                minors.append(Fraction(pivot))
+            if not pivot:
+                if minors is not None:
+                    return Fraction(0)
+                for r in range(k + 1, n):
+                    if a[r][k]:
+                        a[k], a[r] = a[r], a[k]
+                        sign = -sign
+                        break
+                else:
+                    return Fraction(0)
+                pivot = a[k][k]
+            top = a[k][k + 1 :]
+            width = n - k - 1
+            for i in range(k + 1, n):
+                row = a[i]
+                aik = row[k]
+                tail = row[k + 1 :]
+                if aik:
+                    row[k + 1 :] = [
+                        (x * pivot - aik * y) // prev for x, y in zip(tail, top)
+                    ]
+                    muls += 2 * width
+                    adds += width
+                    divs += width
+                else:
+                    live = width - tail.count(0)
+                    if live:
+                        row[k + 1 :] = [x * pivot // prev for x in tail]
+                        muls += live
+                        divs += live
+            prev = pivot
+        d = a[n - 1][n - 1]
+        if minors is not None:
+            minors.append(Fraction(d))
+        return Fraction(d if sign == 1 else -d)
+    finally:
+        COUNTER.muls += muls
+        COUNTER.adds += adds
+        COUNTER.divs += divs
 
 
 def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
@@ -321,19 +423,26 @@ DET_FUNCTIONS = {
 def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
     """Leading principal minors d_1..d_n of m by a method of DET_FUNCTIONS.
 
-    The fast method takes them all in one pass; the others take one
-    determinant per leading submatrix.  Laplace refuses before its first
-    determinant when a submatrix is past its size limit, naming the
-    first such size.
+    The fast method takes them all in one pass, and so does Bareiss up
+    to its first zero pivot (the pivots of a pass with no row swap are
+    the leading minors); past it, and for Laplace, each remaining minor
+    is one determinant of a leading submatrix.  Laplace refuses before
+    its first determinant when a submatrix is past its size limit,
+    naming the first such size.
     """
     det = DET_FUNCTIONS.get(method)
     if det is None:
         raise RecdetError(f"unknown determinant method {method!r}")
     if det is det_hessenberg_fast:
         return hessenberg_leading_minors(m)
-    if det is det_laplace:
+    minors: list[RingValue] = []
+    if det is det_bareiss:
+        _bareiss(m.entries, minors)
+    elif det is det_laplace:
         _refuse_laplace_size(min(m.size, LAPLACE_SIZE_LIMIT + 1))
-    return [det(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
+    return minors + [
+        det(m.leading_submatrix(k)) for k in range(len(minors) + 1, m.size + 1)
+    ]
 
 
 # --- emitters and parsers -------------------------------------------------

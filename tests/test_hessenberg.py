@@ -10,6 +10,7 @@ from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     SquareMatrix,
     Structure,
+    _int_bareiss,
     _int_leading_minors,
     _ring_leading_minors,
     det_bareiss,
@@ -17,6 +18,7 @@ from recdet.hessenberg import (
     det_laplace,
     hessenberg_leading_minors,
     identity,
+    leading_minors,
     matrix_from_json,
     matrix_to_json,
     matrix_to_latex,
@@ -158,8 +160,8 @@ def _banded(rng, n, band, kind):
     return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
 
 
-def _counted(fn, *args):
-    COUNTER.reset()
+def _counted(fn, *args, track_bits=False):
+    COUNTER.reset(track_bits=track_bits)
     value = fn(*args)
     ops = COUNTER.adds, COUNTER.muls, COUNTER.divs
     COUNTER.reset()
@@ -224,6 +226,122 @@ class TestIntegerKernel:
         want = COUNTER.max_bits
         COUNTER.reset()
         assert got == want > 0
+
+
+def _integral(rng, n, structure, zeros):
+    """An n x n matrix of integral cells in [-5, 5], each zero with
+    probability zeros, with the Hessenberg zero pattern when asked."""
+    rows = [
+        [
+            0
+            if (structure is Structure.UPPER_HESSENBERG and r > c + 1)
+            or rng.random() < zeros
+            else rng.randint(-5, 5)
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    return SquareMatrix.from_rows(rows, structure)
+
+
+class TestIntegerBareiss:
+    """The int elimination of integral matrices against the ring path."""
+
+    def _agree(self, m):
+        rows = [[v.numerator for v in row] for row in m.entries]
+        fast, fast_ops = _counted(_int_bareiss, rows, None)
+        # bit tracking sends every matrix down the ring path
+        ring, ring_ops = _counted(det_bareiss, m, track_bits=True)
+        assert fast == ring
+        assert type(fast) is Fraction
+        assert fast_ops == ring_ops
+        assert _counted(det_bareiss, m) == (ring, ring_ops)
+        return fast
+
+    def test_determinants_and_op_counts_equal_the_ring_path(self):
+        rng = random.Random(8)
+        for n in range(1, 21):
+            for structure in Structure:
+                for zeros in (0.0, 0.5):
+                    self._agree(_integral(rng, n, structure, zeros))
+
+    def test_zero_pivots_swap_rows_as_on_the_ring_path(self):
+        rng = random.Random(9)
+        assert self._agree(uh([[0, 2, 3], [5, 0, 1], [0, 4, 0]])) == 60
+        for n in range(2, 21):
+            m = _integral(rng, n, Structure.GENERAL, 0.3)
+            for k in range(n):
+                m = m.with_entry(k, k, 0)
+            self._agree(m)
+
+    def test_a_zero_column_returns_zero_with_the_ring_paths_counts(self):
+        rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
+        for r in rows:
+            r[2] = 0
+        assert self._agree(SquareMatrix.from_rows(rows)) == 0
+
+    def test_bit_tracking_reports_the_ring_paths_max_bits(self):
+        m = _integral(random.Random(10), 20, Structure.GENERAL, 0.0)
+        COUNTER.reset(track_bits=True)
+        det = det_bareiss(m)
+        got = COUNTER.max_bits
+        COUNTER.reset(track_bits=True)
+        assert hessenberg._ring_bareiss([list(r) for r in m.entries], None) == det
+        want = COUNTER.max_bits
+        COUNTER.reset()
+        assert got == want > det.numerator.bit_length()
+
+    def test_a_fractional_or_polynomial_cell_takes_the_ring_path(self, monkeypatch):
+        ring = hessenberg._ring_bareiss
+        took = []
+        def spy(a, minors):
+            took.append(a[1][2])
+            return ring(a, minors)
+
+        monkeypatch.setattr(hessenberg, "_ring_bareiss", spy)
+        base = [[2, 1, 7], [3, -1, 4], [0, 5, 1]]
+        for cell in (Fraction(6), Fraction(1, 2), X):
+            rows = [list(r) for r in base]
+            rows[1][2] = cell
+            m = uh(rows)
+            assert det_bareiss(m) == det_laplace(m)
+        assert took == [Fraction(1, 2), X]
+
+
+class TestBareissMinors:
+    """leading_minors(m, "bareiss") from one pass against one det_bareiss
+    per leading submatrix."""
+
+    def _agree(self, m):
+        minors = leading_minors(m, "bareiss")
+        each = [det_bareiss(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
+        assert minors == each
+        assert [type(d) for d in minors] == [type(d) for d in each]
+        return minors
+
+    def test_random_rational_and_polynomial_matrices(self):
+        rng = random.Random(10)
+        for n in range(1, 16):
+            self._agree(_integral(rng, n, Structure.GENERAL, 0.0))
+            self._agree(_banded(rng, n, None, "fractional"))
+            self._agree(random_hessenberg(n, rng))
+            if n <= 8:
+                self._agree(random_hessenberg(n, rng, ring="poly", max_degree=2))
+
+    def test_a_vanishing_minor_falls_back_to_one_determinant_per_size(self):
+        rng = random.Random(12)
+        for n in range(3, 13):
+            for base in (
+                _integral(rng, n, Structure.UPPER_HESSENBERG, 0.0),
+                _banded(rng, n, None, "fractional"),
+            ):
+                # rows 1 and 2 agree in the first two columns: d_2 = 0
+                m = base.with_entry(1, 0, base.entries[0][0])
+                m = m.with_entry(1, 1, base.entries[0][1])
+                minors = self._agree(m)
+                assert minors[1] == 0
+        poly = uh([[X, 1, 2], [X, 1, 3], [0, X, 1]])
+        assert self._agree(poly) == [X, 0, det_laplace(poly)]
 
 
 class TestEmitters:

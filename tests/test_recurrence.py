@@ -8,7 +8,7 @@ import pytest
 from recdet import dsl
 from recdet.errors import IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
-from recdet.hessenberg import det_hessenberg_fast, hessenberg_leading_minors
+from recdet.hessenberg import det_bareiss, det_hessenberg_fast, hessenberg_leading_minors
 from recdet.ring import COUNTER
 from recdet.recurrence import (
     FixedOrderSpec,
@@ -248,3 +248,27 @@ def test_laplace_refuses_before_the_first_determinant(n):
     assert str(info.value) == "det_laplace handles sizes up to 8, got 9"
     assert COUNTER.ring_ops == build_ops
     COUNTER.reset()
+
+
+def test_bareiss_minors_cost_one_elimination():
+    # one pass gives every leading minor: the route costs one det_bareiss
+    # of the size-40 matrix plus the 40 products a(1) * d_k, where one
+    # determinant per leading submatrix cost 264,980
+    spec = dsl.to_spec(dsl.parse(spec_text("powers-of-two")), name="powers-of-two")
+    COUNTER.reset()
+    det_bareiss(spec_matrix(spec, 40))
+    one = COUNTER.ring_ops
+    COUNTER.reset()
+    determinant_terms(spec, 40, method="bareiss")
+    route = COUNTER.ring_ops
+    COUNTER.reset()
+    assert one == 24_362
+    assert route == one + 40
+
+
+def test_a_zero_term_sends_bareiss_minors_to_the_fallback():
+    # a(k) = a(k-1) + a(k-2) from 1, -1 gives a(3) = 0, the third minor
+    spec = fib_fixed(1, -1)
+    expected = list(eval_fixed_order(spec, 12).terms)
+    assert expected[2] == 0
+    assert determinant_terms(spec, 12, method="bareiss") == expected
