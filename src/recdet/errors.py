@@ -31,7 +31,8 @@ class InexactDivision(RecdetError):
 
 
 class SizeTooLarge(RecdetError):
-    """Cofactor expansion refused: the matrix exceeds the size guard."""
+    """Refused before the work: an input exceeds a documented size guard
+    (the cofactor expansion's matrix size, a parsed polynomial's degree)."""
 
 
 class NotHessenberg(RecdetError):

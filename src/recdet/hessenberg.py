@@ -33,6 +33,13 @@ from .ring import (
 )
 
 
+# The zero cell theorem1_matrix fills in.  SquareMatrix checks its zero
+# patterns with list.count(ZERO), which tests identity before calling
+# __eq__, so cells that are this very object cost no Python call.
+ZERO = Fraction(0)
+_RING_TYPES = {Fraction, Polynomial}
+
+
 class Structure(str, Enum):
     GENERAL = "general"
     UPPER_HESSENBERG = "upper-hessenberg"
@@ -64,28 +71,32 @@ class SquareMatrix:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise RecdetError("matrix size must be at least 1")
-        rows = tuple(tuple(_coerce_entry(v) for v in row) for row in self.entries)
+        rows = tuple(
+            tuple(row) if set(map(type, row)) <= _RING_TYPES
+            else tuple(map(_coerce_entry, row))
+            for row in self.entries
+        )
         if len(rows) != self.size or any(len(row) != self.size for row in rows):
             raise RecdetError(f"entries do not form a {self.size}x{self.size} array")
         object.__setattr__(self, "entries", rows)
         if self.structure is Structure.UPPER_HESSENBERG:
             for r in range(2, self.size):
-                for c in range(r - 1):
-                    if not is_zero(rows[r][c]):
-                        raise NotHessenberg(
-                            f"nonzero entry at row {r + 1}, column {c + 1} "
-                            "below the first subdiagonal"
-                        )
+                c = _first_nonzero(rows[r], 0, r - 1)
+                if c is not None:
+                    raise NotHessenberg(
+                        f"nonzero entry at row {r + 1}, column {c + 1} "
+                        "below the first subdiagonal"
+                    )
         if self.band is not None:
             if self.band < 0:
                 raise RecdetError(f"band must be at least 0, got {self.band}")
             for r in range(self.size):
-                for c in range(r + self.band + 1, self.size):
-                    if not is_zero(rows[r][c]):
-                        raise NotHessenberg(
-                            f"nonzero entry at row {r + 1}, column {c + 1} "
-                            f"above the declared band {self.band}"
-                        )
+                c = _first_nonzero(rows[r], r + self.band + 1, self.size)
+                if c is not None:
+                    raise NotHessenberg(
+                        f"nonzero entry at row {r + 1}, column {c + 1} "
+                        f"above the declared band {self.band}"
+                    )
 
     @classmethod
     def from_rows(
@@ -119,9 +130,23 @@ class SquareMatrix:
         return SquareMatrix(size=k, entries=rows, structure=self.structure, band=self.band)
 
 
+def _first_nonzero(row: tuple[RingValue, ...], lo: int, hi: int) -> int | None:
+    """The first column in lo..hi - 1 whose cell is not zero, or None.
+
+    One C-level count decides the common all-zero case; only a segment
+    that fails it is walked cell by cell.
+    """
+    seg = row[lo:hi]
+    if seg.count(ZERO) < len(seg):
+        for c, v in enumerate(seg, lo):
+            if not is_zero(v):
+                return c
+    return None
+
+
 def identity(n: int) -> SquareMatrix:
     rows = tuple(
-        tuple(Fraction(1) if r == c else Fraction(0) for c in range(n)) for r in range(n)
+        tuple(Fraction(1) if r == c else ZERO for c in range(n)) for r in range(n)
     )
     return SquareMatrix(size=n, entries=rows, structure=Structure.UPPER_HESSENBERG)
 
@@ -339,9 +364,11 @@ def _ring_leading_minors(
     return d[1:]
 
 
-# Past this many bits of column scale beyond a minor's reduced
-# denominator, the int products cost more than the ring recurrence on
-# reduced Fractions.  That happens when denominators depend on the row:
+# Past this many bits of scale beyond a value's reduced denominator,
+# the int products cost more than the ring recurrence on reduced
+# Fractions.  The int leading minors and the int direct iteration of
+# recurrence.py both hand over to their ring paths there (see
+# scale_outgrew).  That happens when denominators depend on the row:
 # Theorem 1's matrix of p(k, i) = 1/i at n = 200 took 0.27 s on the ring
 # path, 1.46 s over ints throughout, 0.26 s over ints up to this bound.
 # Denominators that depend on k alone stay below it: p(k, i) =
@@ -349,6 +376,12 @@ def _ring_leading_minors(
 # The value rests on that one synthetic probe and is not tuned: no
 # benchmark workload has row-dependent denominators.
 _MAX_EXCESS_BITS = 8192
+
+
+def scale_outgrew(scale: int, value: Fraction) -> bool:
+    """Whether scale, a multiple of value's reduced denominator, carries
+    more than _MAX_EXCESS_BITS bits beyond it."""
+    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
 
 
 def _int_leading_minors(
@@ -390,7 +423,7 @@ def _int_leading_minors(
         total *= scale
         minor = Fraction(acc, total)
         minors.append(minor)
-        if total.bit_length() - minor.denominator.bit_length() > _MAX_EXCESS_BITS:
+        if scale_outgrew(total, minor):
             break
     COUNTER.muls += len(minors) + 3 * terms
     COUNTER.adds += terms
@@ -480,7 +513,7 @@ def matrix_from_json(text: str) -> SquareMatrix:
     size = payload["size"]
     ring = payload["ring"]
     entries = payload["entries"]
-    if not isinstance(size, int) or size < 1:
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise RecdetError("matrix JSON size must be a positive integer")
     if ring not in ("rational", "poly"):
         raise RecdetError(f"matrix JSON ring must be rational or poly, got {ring!r}")
@@ -528,13 +561,12 @@ def random_hessenberg(
     """
     if size < 1:
         raise RecdetError("matrix size must be at least 1")
-    zero = Fraction(0)
     rows: list[list[RingValue]] = []
     for r in range(size):
         row: list[RingValue] = []
         for c in range(size):
             if r > c + 1:
-                row.append(zero)
+                row.append(ZERO)
             elif ring == "poly":
                 row.append(Polynomial([rng.randint(-5, 5) for _ in range(max_degree + 1)]))
             else:

@@ -14,14 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import SquareMatrix, Structure, leading_minors
-from .ring import RingValue, render_value, ring_add, ring_mul
+from .hessenberg import ZERO, SquareMatrix, Structure, leading_minors, scale_outgrew
+from .ring import COUNTER, RingValue, render_value, ring_add, ring_mul
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+_FRACTION_ONLY = {Fraction}
 
 
 @dataclass(frozen=True)
@@ -89,38 +91,132 @@ class SequencePrefix:
 
 
 def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
-    """Direct iteration of the full-history recurrence, terms 1..n."""
+    """Direct iteration of the full-history recurrence, terms 1..n.
+
+    Unless COUNTER is tracking bits, the rows whose values are all
+    Fractions run over ints (see _int_direct); the ring loop takes the
+    rest, starting with the coefficients the int kernel has read.
+    """
     if n < 1:
         raise RecdetError("n must be at least 1")
     terms: list[RingValue] = [spec.initial]
-    for k in range(1, n):
-        acc = ring_mul(spec.coeff(k, 1), terms[0])
-        for i in range(2, k + 1):
-            acc = ring_add(acc, ring_mul(spec.coeff(k, i), terms[i - 1]))
-        terms.append(acc)
+    start, fetched = 1, []
+    if not COUNTER.track_bits and type(spec.initial) is Fraction:
+        start, fetched = _int_direct(spec.coeff, range(1, n), None, terms)
+    for k in range(start, n):
+        terms.append(_ring_term(spec.coeff, k, terms[:k], fetched))
+        fetched = []
     return SequencePrefix(tuple(terms))
+
+
+def _ring_term(
+    read: Callable[[int, int], RingValue],
+    k: int,
+    window: list[RingValue],
+    fetched: list[RingValue],
+) -> RingValue:
+    """sum_i read(k, i) * window[i - 1], one ring_mul and ring_add per
+    term, reading each coefficient after the one before; the first ones
+    come from fetched when it holds them."""
+    acc = None
+    for i, a in enumerate(window, 1):
+        c = fetched[i - 1] if i <= len(fetched) else read(k, i)
+        t = ring_mul(c, a)
+        acc = t if acc is None else ring_add(acc, t)
+    return acc
+
+
+def _int_direct(
+    read: Callable[[int, int], RingValue],
+    rows: range,
+    width: int | None,
+    terms: list[RingValue],
+) -> tuple[int, list[RingValue]]:
+    """Append to terms, all Fractions, the terms of rows by the ring
+    loop's recurrence run over ints.
+
+    Row k sums read(k, i) times the i-th of the last w terms, i = 1..w,
+    where w is width, or k for a full-history spec.  Term j is kept as
+    A_j / T_j: T starts as the lcm of the initial terms' denominators
+    and is multiplied by each row's L, the lcm of the row's
+    denominators.  With P_i = read(k, i) * L, the new A is the sum of
+    P_i * A_j times the L of every term after j, which Horner takes as
+    acc = acc * L_j + P_i * A_j: two products by small ints per term.
+    COUNTER gets the ring loop's w muls and w - 1 adds per row, in bulk.
+
+    Returns the row the ring loop starts at and the coefficients already
+    read for it: the whole row when one of them is not a Fraction, none
+    when T outgrew the reduced denominator (see scale_outgrew), and none
+    with rows.stop when every row is done.  The coefficients are read in
+    the ring loop's order, so the first error raised is the same.
+    """
+    total = lcm(*[a.denominator for a in terms])
+    nums = [a.numerator * (total // a.denominator) for a in terms]
+    scales = [1] * len(terms)
+    muls = adds = 0
+    row: list[RingValue] = []
+    try:
+        for k in rows:
+            w = width or k
+            row = []
+            for i in range(1, w + 1):
+                row.append(read(k, i))
+            if set(map(type, row)) != _FRACTION_ONLY:
+                return k, row
+            scale = lcm(*[v.denominator for v in row])
+            if scale == 1:
+                scaled = [v.numerator for v in row]
+            else:
+                scaled = [v.numerator * (scale // v.denominator) for v in row]
+            lo = len(nums) - w
+            acc = scaled[0] * nums[lo]
+            for p, a, s in zip(scaled[1:], nums[lo + 1 :], scales[lo + 1 :]):
+                acc = acc * s + p * a
+            muls += w
+            adds += w - 1
+            row = []
+            nums.append(acc)
+            scales.append(scale)
+            total *= scale
+            term = Fraction(acc, total)
+            terms.append(term)
+            if scale_outgrew(total, term):
+                return k + 1, []
+        return rows.stop, []
+    except BaseException:
+        # the ring loop had multiplied and summed what it read of the row
+        muls += len(row)
+        adds += max(len(row) - 1, 0)
+        raise
+    finally:
+        COUNTER.muls += muls
+        COUNTER.adds += adds
 
 
 def theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
     """The k x k upper-Hessenberg matrix with entries[i][j] = p(j, i),
     subdiagonal -1, zeros below.  The matrix carries the spec's band;
-    cells above it are zero and p is not called for them."""
+    cells above it are zero and p is not called for them.
+
+    Each row is the band cells and the -1 between slices of one tuple
+    of ZERO cells, so neither the build nor SquareMatrix's zero checks
+    make a Python call per zero cell."""
     if k < 1:
         raise RecdetError("matrix size must be at least 1")
-    minus_one = Fraction(-1)
     band = k if spec.band is None else spec.band
+    coeff = spec.coeff
+    zeros = (ZERO,) * k
     rows = []
     for r in range(k):
-        row: list[RingValue] = []
-        for c in range(k):
-            if r <= c <= r + band:
-                row.append(spec.coeff(c + 1, r + 1))
-            elif r == c + 1:
-                row.append(minus_one)
-            else:
-                row.append(_ZERO)
-        rows.append(row)
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=spec.band)
+        hi = min(r + band + 1, k)
+        cells = tuple([coeff(c + 1, r + 1) for c in range(r, hi)])
+        if r:
+            rows.append(zeros[: r - 1] + (_MINUS_ONE,) + cells + zeros[hi:])
+        else:
+            rows.append(cells + zeros[hi:])
+    return SquareMatrix(
+        size=k, entries=tuple(rows), structure=Structure.UPPER_HESSENBERG, band=spec.band
+    )
 
 
 def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
@@ -137,7 +233,7 @@ def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
 
     def coeff(j: int, i: int) -> RingValue:
         if j <= m:
-            return spec.initials[j - 1] if i == 1 else _ZERO
+            return spec.initials[j - 1] if i == 1 else ZERO
         if j < spec.first_valid_k:
             raise IndexBelowValidity(
                 f"column {j} is below first_valid_k = {spec.first_valid_k}"
@@ -145,7 +241,7 @@ def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:
         t = i - (j - m)
         if 1 <= t <= m:
             return spec.coeffs[t - 1](j)
-        return _ZERO
+        return ZERO
 
     return FullHistorySpec(
         initial=_ONE, coeff=coeff, name=f"embed({spec.name})", band=m - 1
@@ -195,21 +291,34 @@ def determinant_terms(
 
 
 def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
-    """Direct iteration of the fixed-order recurrence, terms 1..n."""
+    """Direct iteration of the fixed-order recurrence, terms 1..n.
+
+    Unless COUNTER is tracking bits, the rows whose values are all
+    Fractions run over ints (see _int_direct), as in eval_full_history.
+    """
     if n < 1:
         raise RecdetError("n must be at least 1")
     m = spec.order
     terms: list[RingValue] = list(spec.initials[:n])
-    for k in range(m + 1, n + 1):
+
+    def read(k: int, i: int) -> RingValue:
+        return spec.coeffs[i - 1](k)
+
+    start, fetched = m + 1, []
+    if (
+        not COUNTER.track_bits
+        and spec.first_valid_k == m + 1
+        and set(map(type, terms)) == _FRACTION_ONLY
+    ):
+        start, fetched = _int_direct(read, range(m + 1, n + 1), m, terms)
+    for k in range(start, n + 1):
         if k < spec.first_valid_k:
             raise IndexBelowValidity(
                 f"term {k} requested but coefficients are only valid from "
                 f"k = {spec.first_valid_k}"
             )
-        acc = ring_mul(spec.coeffs[0](k), terms[k - m - 1])
-        for i in range(2, m + 1):
-            acc = ring_add(acc, ring_mul(spec.coeffs[i - 1](k), terms[k - m + i - 2]))
-        terms.append(acc)
+        terms.append(_ring_term(read, k, terms[k - m - 1 :], fetched))
+        fetched = []
     return SequencePrefix(tuple(terms))
 
 

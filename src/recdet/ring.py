@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, InexactDivision, RecdetError
+from .errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
 
 
 def _numerator_denominator(c: object) -> tuple[int, int]:
@@ -439,21 +439,35 @@ def _latex_fraction(f: Fraction) -> str:
     return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
 
 
-_TERM_RE = re.compile(r"(\d+)?(?:/(\d+))?(\*)?(x)?(?:\^(\d+))?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_TERM_RE = re.compile(r"([0-9]+)?(?:/([0-9]+))?(\*)?(x)?(?:\^([0-9]+))?")
+
+# The highest degree parse_value accepts in a polynomial term; a larger
+# one raises SizeTooLarge before anything of that size is allocated.
+MAX_PARSE_DEGREE = 10_000
 
 
 def parse_value(text: str, ring: str = "rational") -> RingValue:
-    """Parse the canonical rendering back into a ring value."""
+    """Parse the canonical rendering back into a ring value.
+
+    A rational is an optional "-", digits, and optionally "/" and
+    digits; surrounding whitespace is ignored.  Digits are ASCII, and a
+    polynomial term's degree is at most MAX_PARSE_DEGREE.
+    """
     s = text.strip()
     if not s:
         raise RecdetError("cannot parse empty value")
     if ring not in ("rational", "poly"):
         raise RecdetError(f"unknown ring {ring!r}")
     if ring == "rational" or "x" not in s:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RecdetError(f"cannot parse rational value {text!r}") from exc
+        m = _RATIONAL_RE.fullmatch(s)
+        if m is not None:
+            num, den = m.groups()
+            try:
+                return Fraction(int(num), int(den) if den else 1)
+            except (ValueError, ZeroDivisionError):
+                pass  # a zero denominator, or more digits than int() takes
+        raise RecdetError(f"cannot parse rational value {text!r}")
     return _parse_poly_text(s)
 
 
@@ -477,8 +491,19 @@ def _parse_poly_text(s: str) -> Polynomial:
             raise RecdetError(f"cannot parse polynomial term {term!r}")
         if den is not None and num is None:
             raise RecdetError(f"cannot parse polynomial term {term!r}")
-        c = Fraction(int(num), int(den) if den else 1) if num else Fraction(1)
-        d = (int(exp) if exp else 1) if xpart else 0
+        d = (_parse_degree(exp) if exp else 1) if xpart else 0
+        try:
+            c = Fraction(int(num), int(den) if den else 1) if num else Fraction(1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RecdetError(f"cannot parse polynomial term {term!r}") from exc
         coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
     top = max(coeffs, default=0)
     return Polynomial(tuple(coeffs.get(d, Fraction(0)) for d in range(top + 1)))
+
+
+def _parse_degree(digits: str) -> int:
+    """The exponent of a term, refused past MAX_PARSE_DEGREE."""
+    d = digits.lstrip("0") or "0"
+    if len(d) > len(str(MAX_PARSE_DEGREE)) or int(d) > MAX_PARSE_DEGREE:
+        raise SizeTooLarge(f"polynomial degree above the limit {MAX_PARSE_DEGREE}")
+    return int(d)

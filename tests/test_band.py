@@ -118,3 +118,59 @@ class TestDeclaredBand:
         assert hessenberg_leading_minors(corrupted)[-1] == hessenberg_leading_minors(
             dataclasses.replace(m, band=None)
         )[-1] + 1
+
+
+def _reference_theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
+    """theorem1_matrix as the earlier cell-by-cell double loop."""
+    band = k if spec.band is None else spec.band
+    rows = []
+    for r in range(k):
+        row = []
+        for c in range(k):
+            if r <= c <= r + band:
+                row.append(spec.coeff(c + 1, r + 1))
+            elif r == c + 1:
+                row.append(Fraction(-1))
+            else:
+                row.append(Fraction(0))
+        rows.append(row)
+    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=spec.band)
+
+
+def _recording(spec: FullHistorySpec) -> tuple[FullHistorySpec, list]:
+    calls: list = []
+
+    def coeff(k, i):
+        calls.append((k, i))
+        return spec.coeff(k, i)
+
+    return dataclasses.replace(spec, coeff=coeff), calls
+
+
+def _build_cases():
+    for name in available():
+        spec = full_history(dsl.to_spec(dsl.parse(spec_text(name)), name=name))
+        yield pytest.param(spec, id=name)
+    for fid in FamilyId:
+        spec = full_history(family_spec(fid, family_params(fid, 30)))
+        yield pytest.param(spec, id=f"family-{fid.value}")
+    rng = random.Random(5150)
+    for j in range(16):
+        yield pytest.param(full_history(dsl.to_spec(random_document(rng))), id=f"random-{j}")
+
+
+@pytest.mark.parametrize("spec", list(_build_cases()))
+def test_the_build_matches_the_reference_loop_cell_and_call_for_call(spec):
+    # banded and dense specs, both rings: the same cells, and p called
+    # for the same (k, i) in the same order
+    for n in (1, 2, 7, 30):
+        built, built_calls = _recording(spec)
+        ref, ref_calls = _recording(spec)
+        got = theorem1_matrix(built, n)
+        want = _reference_theorem1_matrix(ref, n)
+        assert got.entries == want.entries, n
+        assert [list(map(type, row)) for row in got.entries] == [
+            list(map(type, row)) for row in want.entries
+        ]
+        assert (got.band, got.structure) == (want.band, want.structure)
+        assert built_calls == ref_calls, n

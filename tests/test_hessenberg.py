@@ -1,5 +1,6 @@
 """SquareMatrix, the three determinant algorithms, and the emitters."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from recdet.hessenberg import (
     matrix_to_text,
     random_hessenberg,
 )
-from recdet.ring import COUNTER, Polynomial
+from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value
 
 
 def uh(rows):
@@ -55,6 +56,77 @@ class TestStructure:
         assert sub.size == 2
         assert sub.structure is Structure.UPPER_HESSENBERG
         assert sub.entries == ((Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3)))
+
+
+def _first_bad_cell(rows, band):
+    """The NotHessenberg text of the earlier cell-by-cell checks, or None."""
+    n = len(rows)
+    for r in range(2, n):
+        for c in range(r - 1):
+            if rows[r][c] != 0:
+                return (
+                    f"nonzero entry at row {r + 1}, column {c + 1} "
+                    "below the first subdiagonal"
+                )
+    if band is not None:
+        for r in range(n):
+            for c in range(r + band + 1, n):
+                if rows[r][c] != 0:
+                    return (
+                        f"nonzero entry at row {r + 1}, column {c + 1} "
+                        f"above the declared band {band}"
+                    )
+    return None
+
+
+class TestZeroChecks:
+    """SquareMatrix's zero-pattern checks on cells that are not ZERO."""
+
+    ZERO_KINDS = {
+        "separate-fractions": lambda: Fraction(0),
+        "zero-polynomials": Polynomial.zero,
+        "ints": lambda: 0,
+    }
+
+    @pytest.mark.parametrize("kind", list(ZERO_KINDS))
+    def test_the_first_bad_cell_is_named_for_every_kind_of_zero(self, kind):
+        zero = self.ZERO_KINDS[kind]
+        n = 7
+        bad_cells = [None, (5, 1), (6, 3), (2, 6), (0, 4)]
+        for bad in bad_cells:
+            for extra in [None, (6, 0), (1, 6)]:
+                rows = [
+                    [
+                        Fraction(r + c + 1) if r <= c + 1 and c - r <= 2 else zero()
+                        for c in range(n)
+                    ]
+                    for r in range(n)
+                ]
+                for cell in (bad, extra):
+                    if cell is not None:
+                        rows[cell[0]][cell[1]] = Fraction(3, 4)
+                for band in (None, 2):
+                    want = _first_bad_cell(rows, band)
+                    if want is None:
+                        m = SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+                        assert m.entries == tuple(map(tuple, rows))
+                        continue
+                    with pytest.raises(NotHessenberg) as info:
+                        SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+                    assert str(info.value) == want
+
+    def test_int_and_bool_cells_are_coerced(self):
+        m = uh([[True, 2], [-1, False]])
+        assert m.entries == ((1, 2), (-1, 0))
+        assert {type(v) for row in m.entries for v in row} == {Fraction}
+        mixed = uh([[Fraction(1, 2), X], [True, 0]])
+        assert mixed.entries[1] == (Fraction(1), Fraction(0))
+        assert type(mixed.entries[1][0]) is Fraction
+        assert mixed.entries[0][1] is X
+
+    def test_other_cells_are_refused(self):
+        with pytest.raises(RecdetError, match="exact ring values, got float"):
+            uh([[Fraction(1), 0.5], [-1, 1]])
 
 
 class TestDeterminants:
@@ -369,6 +441,35 @@ class TestEmitters:
         ):
             with pytest.raises(RecdetError):
                 matrix_from_json(bad)
+
+    def test_from_json_keeps_to_the_schema(self):
+        def doc(size, cell, ring="rational"):
+            return json.dumps({"size": size, "ring": ring, "entries": [[cell]]})
+
+        assert matrix_from_json(doc(1, " -3/4 ")).entries == ((Fraction(-3, 4),),)
+        assert matrix_from_json(doc(1, "3*x^2 - 1", "poly")).entries[0][0] == Polynomial(
+            (-1, 0, 3)
+        )
+        with pytest.raises(RecdetError, match="size must be a positive integer"):
+            matrix_from_json(doc(True, "1"))
+        for cell in ("1e3", "1e5000000", "3.5", "1_000", "+5", "- 5", "1/0", "x"):
+            with pytest.raises(RecdetError, match="cannot parse rational value"):
+                matrix_from_json(doc(1, cell))
+        for cell in ("2/0*x", "1.5*x", "\u0663*x"):
+            with pytest.raises(RecdetError, match="cannot parse polynomial term"):
+                matrix_from_json(doc(1, cell, "poly"))
+        with pytest.raises(RecdetError, match="cannot parse rational value"):
+            matrix_from_json(doc(1, "\u0663", "poly"))
+
+    def test_polynomial_degrees_past_the_cap_are_refused(self):
+        # refused from the exponent's digits, before any coefficient list
+        cap = MAX_PARSE_DEGREE
+        assert parse_value(f"x^{cap}", "poly").degree == cap
+        for cell in (f"x^{cap + 1}", "2*x^1000000000 + 1", "x^" + "9" * 5000):
+            with pytest.raises(SizeTooLarge) as info:
+                parse_value(cell, "poly")
+            assert info.value.exit_code == 2
+            assert str(info.value) == f"polynomial degree above the limit {cap}"
 
     def test_latex_vmatrix_golden(self):
         m = uh([[X, 1], [-1, X]])

@@ -1,19 +1,21 @@
 """Theorem-1/Theorem-2 matrix builders, direct evaluation, verification."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from recdet import dsl
+from recdet import cli, dsl, hessenberg
 from recdet.errors import IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import det_bareiss, det_hessenberg_fast, hessenberg_leading_minors
-from recdet.ring import COUNTER
+from recdet.ring import COUNTER, Polynomial
 from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
     SequencePrefix,
+    _int_direct,
     determinant_terms,
     embed_fixed_order,
     eval_fixed_order,
@@ -24,6 +26,7 @@ from recdet.recurrence import (
     verify_spec,
 )
 from recdet.specfiles import available, spec_text
+from tests.conftest import random_document
 
 ONE = Fraction(1)
 
@@ -272,3 +275,197 @@ def test_a_zero_term_sends_bareiss_minors_to_the_fallback():
     expected = list(eval_fixed_order(spec, 12).terms)
     assert expected[2] == 0
     assert determinant_terms(spec, 12, method="bareiss") == expected
+
+
+# --- the int direct kernel against the ring loop ---------------------------
+
+
+def _direct(spec, n, track_bits=False):
+    """Terms 1..n by direct iteration, or the error raised, with the
+    adds, muls and divs COUNTER saw.  Bit tracking sends every row down
+    the ring loop (and DSL coefficients down eval_expr)."""
+    COUNTER.reset(track_bits=track_bits)
+    try:
+        if isinstance(spec, FullHistorySpec):
+            result = eval_full_history(spec, n).terms
+        else:
+            result = eval_fixed_order(spec, n).terms
+    except RecdetError as exc:
+        result = (type(exc), str(exc))
+    ops = COUNTER.adds, COUNTER.muls, COUNTER.divs
+    COUNTER.reset()
+    return result, ops
+
+
+def _assert_kernel_matches_ring(spec, n):
+    fast, fast_ops = _direct(spec, n)
+    ring, ring_ops = _direct(spec, n, track_bits=True)
+    assert fast == ring, (spec.name, n)
+    assert [type(t) for t in fast] == [type(t) for t in ring]
+    assert fast_ops == ring_ops, (spec.name, n)
+    return fast
+
+
+class TestIntDirectKernel:
+    @pytest.mark.parametrize("name", available())
+    def test_shipped_specs(self, name):
+        spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
+        for n in (1, 2, 3, 17, 40):
+            _assert_kernel_matches_ring(spec, n)
+
+    @pytest.mark.parametrize("ring", ["rational", "poly"])
+    def test_random_documents_in_both_modes(self, ring):
+        rng = random.Random(880 if ring == "rational" else 881)
+        seen = {"full-history": 0, "fixed-order": 0}
+        while min(seen.values()) < 12:
+            doc = random_document(rng)
+            if doc.ring != ring:
+                continue
+            spec = dsl.to_spec(doc)
+            _assert_kernel_matches_ring(spec, rng.randint(1, 40))
+            seen[doc.mode] += 1
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [
+            lambda k, i: Fraction(1, i),
+            lambda k, i: Fraction(k - i + 1, k + 2 * i) - Fraction(1, 3),
+        ],
+        ids=["one-over-i", "row-dependent"],
+    )
+    def test_the_ring_loop_takes_over_past_the_excess_bound(self, coeff, monkeypatch):
+        # denominators that depend on i make T outgrow the reduced terms
+        spec = FullHistorySpec(initial=Fraction(3, 2), coeff=coeff, name="excess")
+        n = 30
+        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
+        terms = [spec.initial]
+        start, fetched = _int_direct(spec.coeff, range(1, n), None, terms)
+        COUNTER.reset()
+        assert 1 < start < n and fetched == []
+        assert len(terms) == start
+        _assert_kernel_matches_ring(spec, n)
+
+    def test_fixed_order_hands_over_past_the_excess_bound(self, monkeypatch):
+        spec = FixedOrderSpec(
+            order=2,
+            initials=(Fraction(1, 2), Fraction(2, 3)),
+            coeffs=(lambda k: Fraction(1, k), lambda k: Fraction(k - 1, k + 1)),
+        )
+        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
+        terms = list(spec.initials)
+
+        def read(k, i):
+            return spec.coeffs[i - 1](k)
+
+        start, fetched = _int_direct(read, range(3, 31), 2, terms)
+        COUNTER.reset()
+        assert 3 < start < 31 and fetched == []
+        _assert_kernel_matches_ring(spec, 30)
+
+    def test_a_coefficient_turning_polynomial_mid_row_is_read_once(self):
+        # row 6 turns polynomial at i = 3: the ring loop gets p(6, 1..6)
+        # with the three the kernel read, and never asks for them again
+        calls = []
+
+        def coeff(k, i):
+            calls.append((k, i))
+            if (k, i) == (6, 3) or k > 8:
+                return Polynomial((Fraction(1, k), Fraction(i)))
+            return Fraction(k + i, 2 * i + 1)
+
+        spec = FullHistorySpec(initial=Fraction(2, 3), coeff=coeff, name="turning")
+        n = 12
+        fast, fast_ops = _direct(spec, n)
+        assert calls == [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+        calls.clear()
+        ring, ring_ops = _direct(spec, n, track_bits=True)
+        assert calls == [(k, i) for k in range(1, n) for i in range(1, k + 1)]
+        assert fast == ring and fast_ops == ring_ops
+        assert [type(t) for t in fast] == [Fraction] * 6 + [Polynomial] * 6
+
+    def test_a_fixed_order_coefficient_turning_polynomial_is_read_once(self):
+        calls = []
+
+        def p2(k):
+            calls.append(k)
+            return Polynomial((0, 1)) if k >= 7 else Fraction(k, 3)
+
+        spec = FixedOrderSpec(
+            order=2,
+            initials=(Fraction(1), Fraction(1, 2)),
+            coeffs=(lambda k: Fraction(-1, k), p2),
+        )
+        fast, fast_ops = _direct(spec, 10)
+        assert calls == list(range(3, 11))
+        ring, ring_ops = _direct(spec, 10, track_bits=True)
+        assert fast == ring and fast_ops == ring_ops
+
+    def test_zero_terms(self):
+        zero_start = FullHistorySpec(
+            initial=Fraction(0), coeff=lambda k, i: Fraction(k, i), name="zero"
+        )
+        assert set(_assert_kernel_matches_ring(zero_start, 20)) == {0}
+        # a(2) = a(1), a(3) = a(1) - a(2) = 0, and zero from there on
+        vanishing = FullHistorySpec(
+            initial=Fraction(5, 7),
+            coeff=lambda k, i: Fraction(1 if i == 1 else -1),
+            name="vanishing",
+        )
+        terms = _assert_kernel_matches_ring(vanishing, 20)
+        assert terms[:3] == (Fraction(5, 7), Fraction(5, 7), 0)
+        assert _assert_kernel_matches_ring(fib_fixed(1, -1), 20)[2] == 0
+
+    def test_errors_and_counts_on_the_way_out_match_the_ring_loop(self):
+        # p(4, 3) raises: the ring loop had multiplied two products and
+        # added them once before asking for it
+        def coeff(k, i):
+            if (k, i) == (4, 3):
+                raise RecdetError("no p(4, 3)")
+            return Fraction(i, k + 1)
+
+        spec = FullHistorySpec(initial=ONE, coeff=coeff, name="raising")
+        fast = _assert_kernel_matches_ring(spec, 9)
+        assert fast == (RecdetError, "no p(4, 3)")
+        gappy = FixedOrderSpec(
+            order=1, initials=(ONE,), coeffs=(lambda k: ONE,), first_valid_k=4
+        )
+        fast = _assert_kernel_matches_ring(embed_fixed_order(gappy), 6)
+        assert fast[0] is IndexBelowValidity
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "mode = full-history\nring = rational\ninitial = 1\n"
+                "coeff p(k, i) = i/(k - 8)\n",
+                "error: denominator is zero at k = 8\n",
+            ),
+            (
+                "mode = fixed-order\nring = rational\norder = 2\ninitial = [1, 2]\n"
+                "coeff p1(k) = 1/(k - 9)\ncoeff p2(k) = k\n",
+                "error: denominator is zero at k = 9\n",
+            ),
+            (
+                "mode = fixed-order\nring = rational\norder = 2\ninitial = [1, 1]\n"
+                "first_valid_k = 5\ncoeff p1(k) = 1\ncoeff p2(k) = 1/(k - 4)\n",
+                "error: term 3 requested but coefficients are only valid from k = 5\n",
+            ),
+        ],
+        ids=["division-full-history", "division-fixed-order", "below-validity"],
+    )
+    def test_eval_errors_keep_their_message_and_exit_code(
+        self, text, message, tmp_path, capsys
+    ):
+        path = tmp_path / "bad.rec"
+        path.write_text(text, encoding="utf-8")
+        seen = []
+        for track_bits in (False, True):
+            COUNTER.reset(track_bits=track_bits)
+            code = cli.main(["eval", str(path), "--n", "12"])
+            COUNTER.reset()
+            seen.append((code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        code, captured = seen[0]
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
