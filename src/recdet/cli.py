@@ -93,14 +93,17 @@ def _resolve_spec(token: str) -> tuple[FullHistorySpec | FixedOrderSpec, str]:
     if path.is_file():
         doc = dsl.parse(path.read_text(encoding="utf-8"))
         return dsl.to_spec(doc, name=path.stem), doc.ring
-    try:
-        fid = FamilyId(token)
-    except ValueError:
-        raise _UsageError(
-            f"{token!r} is neither a spec file nor a family; "
-            f"families: {', '.join(family_names())}"
-        ) from None
+    fid = _family_id(token, f"{token!r} is neither a spec file nor a family")
     return family_spec(fid), family_ring(fid)
+
+
+def _family_id(name: str, unknown: str) -> FamilyId:
+    """The catalog family called name, or a usage error that says unknown
+    and lists the families."""
+    try:
+        return FamilyId(name)
+    except ValueError:
+        raise _UsageError(f"{unknown}; families: {', '.join(family_names())}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -218,12 +221,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.name is None:
         raise _UsageError("a family name is required (or use --list)")
-    try:
-        fid = FamilyId(args.name)
-    except ValueError:
-        raise _UsageError(
-            f"unknown family {args.name!r}; families: {', '.join(family_names())}"
-        ) from None
+    fid = _family_id(args.name, f"unknown family {args.name!r}")
     values = _family_values(fid, args.n, args.params, check=not args.no_check)
     if args.format == "json":
         payload = {

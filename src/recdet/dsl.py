@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import (
     DivisionByZero,
@@ -44,7 +44,6 @@ from .ring import (
     ring_add,
     ring_exact_div,
     ring_mul,
-    ring_neg,
     ring_sub,
 )
 
@@ -464,24 +463,22 @@ def _validate(
     return doc
 
 
-def _vars_of(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, IntLit):
-        return set()
+def _nodes(e: Expr) -> Iterator[Expr]:
+    """e and every node below it, in preorder."""
+    yield e
     if isinstance(e, Neg):
-        return _vars_of(e.operand)
-    return _vars_of(e.left) | _vars_of(e.right)  # type: ignore[attr-defined]
+        yield from _nodes(e.operand)
+    elif not isinstance(e, (IntLit, Var)):
+        yield from _nodes(e.left)  # type: ignore[attr-defined]
+        yield from _nodes(e.right)  # type: ignore[attr-defined]
+
+
+def _vars_of(e: Expr) -> set[str]:
+    return {n.name for n in _nodes(e) if isinstance(n, Var)}
 
 
 def _denominator_has_x(e: Expr) -> bool:
-    if isinstance(e, (Var, IntLit)):
-        return False
-    if isinstance(e, Neg):
-        return _denominator_has_x(e.operand)
-    if isinstance(e, Div):
-        return "x" in _vars_of(e.right) or _denominator_has_x(e.left) or _denominator_has_x(e.right)
-    return _denominator_has_x(e.left) or _denominator_has_x(e.right)  # type: ignore[attr-defined]
+    return any(isinstance(n, Div) and "x" in _vars_of(n.right) for n in _nodes(e))
 
 
 def _check_vars(
@@ -571,7 +568,7 @@ def eval_expr(e: Expr, k: int | None = None, i: int | None = None) -> RingValue:
             raise RecdetError(f"variable {e.name!r} is not bound")
         return Fraction(bound)
     if isinstance(e, Neg):
-        return ring_neg(eval_expr(e.operand, k, i))
+        return -eval_expr(e.operand, k, i)
     if isinstance(e, Add):
         return ring_add(eval_expr(e.left, k, i), eval_expr(e.right, k, i))
     if isinstance(e, Sub):
@@ -668,17 +665,8 @@ def _compile_pair(e: Expr, bound: tuple[str, ...]) -> _PairFn:
 
 def _op_counts(e: Expr) -> tuple[int, int, int]:
     """The adds, muls and divs eval_expr counts for e."""
-    if isinstance(e, (IntLit, Var)):
-        return 0, 0, 0
-    if isinstance(e, Neg):
-        return _op_counts(e.operand)
-    left = _op_counts(e.left)  # type: ignore[attr-defined]
-    right = _op_counts(e.right)  # type: ignore[attr-defined]
-    return (
-        left[0] + right[0] + isinstance(e, (Add, Sub)),
-        left[1] + right[1] + isinstance(e, Mul),
-        left[2] + right[2] + isinstance(e, Div),
-    )
+    kinds = [type(n) for n in _nodes(e)]
+    return kinds.count(Add) + kinds.count(Sub), kinds.count(Mul), kinds.count(Div)
 
 
 def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:

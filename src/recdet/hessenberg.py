@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from itertools import chain
 from random import Random
 from typing import Sequence
 
@@ -21,6 +21,7 @@ from .ring import (
     COUNTER,
     Polynomial,
     RingValue,
+    int_scaled,
     is_zero,
     latex_value,
     parse_value,
@@ -28,8 +29,8 @@ from .ring import (
     ring_add,
     ring_exact_div,
     ring_mul,
-    ring_neg,
     ring_sub,
+    scale_outgrew,
 )
 
 
@@ -108,12 +109,6 @@ class SquareMatrix:
         rows = tuple(tuple(row) for row in rows)
         return cls(size=len(rows), entries=rows, structure=structure, band=band)
 
-    def entry(self, row: int, col: int) -> RingValue:
-        """1-based entry access."""
-        if not (1 <= row <= self.size and 1 <= col <= self.size):
-            raise RecdetError(f"entry ({row},{col}) outside a size-{self.size} matrix")
-        return self.entries[row - 1][col - 1]
-
     def with_entry(self, row: int, col: int, value: object) -> "SquareMatrix":
         """Copy with one entry replaced (0-based indices).
 
@@ -181,7 +176,7 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
         minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
         term = ring_mul(v, _laplace(minor))
         if j % 2:
-            term = ring_neg(term)
+            term = -term
         total = term if total is None else ring_add(total, term)
     return Fraction(0) if total is None else total
 
@@ -193,8 +188,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     the previous pivot.  Rows are swapped only to repair a zero pivot:
     the first row below it with a nonzero entry in its column comes up,
     with sign tracking, and a column with no such row short-circuits to
-    0.  Unless COUNTER is tracking bits, a matrix of integral Fractions
-    runs over ints (see _int_bareiss).
+    0.  A matrix of integral Fractions runs over ints when
+    ring.int_scaled lets it (see _int_bareiss).
     """
     return _bareiss(m.entries)
 
@@ -209,23 +204,12 @@ def _bareiss(
     these are the leading minors d_1..d_n.  A zero pivot then ends the
     pass, returning 0 with that zero minor appended, instead of a swap.
     """
-    if not COUNTER.track_bits:
-        ints = _integral_rows(entries)
-        if ints is not None:
-            return _int_bareiss(ints, minors)
+    n = len(entries)
+    scaled = int_scaled(chain.from_iterable(entries))
+    if scaled is not None and scaled[0] == 1:
+        ints = scaled[1]
+        return _int_bareiss([ints[r : r + n] for r in range(0, n * n, n)], minors)
     return _ring_bareiss([list(row) for row in entries], minors)
-
-
-def _integral_rows(
-    entries: tuple[tuple[RingValue, ...], ...]
-) -> list[list[int]] | None:
-    """The rows as ints, or None unless every cell is a Fraction with
-    denominator 1."""
-    for row in entries:
-        for v in row:
-            if type(v) is not Fraction or v.denominator != 1:
-                return None
-    return [[v.numerator for v in row] for row in entries]
 
 
 def _ring_bareiss(
@@ -266,7 +250,7 @@ def _ring_bareiss(
     d = a[n - 1][n - 1]
     if minors is not None:
         minors.append(d)
-    return d if sign == 1 else ring_neg(d)
+    return d if sign == 1 else -d
 
 
 def _int_bareiss(a: list[list[int]], minors: list[RingValue] | None) -> Fraction:
@@ -335,17 +319,14 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     multiplications for the whole batch.  With a declared band b the sum
     runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
 
-    Unless COUNTER is tracking bits, the leading columns whose cells are
-    Fractions run over ints (see _int_leading_minors); the ring
-    recurrence takes the rest.
+    The leading columns run over ints while ring.int_scaled lets them
+    (see _int_leading_minors); the ring recurrence takes the rest.
     """
     if m.structure is not Structure.UPPER_HESSENBERG:
         raise NotHessenberg("det_hessenberg_fast requires the UpperHessenberg structure flag")
     n = m.size
     band = n if m.band is None else m.band
-    d: list[RingValue] = [Fraction(1)]
-    if not COUNTER.track_bits:
-        d += _int_leading_minors(m.entries, n, band)
+    d: list[RingValue] = [Fraction(1), *_int_leading_minors(m.entries, n, band)]
     return _ring_leading_minors(m.entries, n, band, d)
 
 
@@ -358,38 +339,19 @@ def _ring_leading_minors(
         acc = ring_mul(e[c][c], d[c])
         prod: RingValue = one
         for j in range(c - 1, max(c - band, 0) - 1, -1):
-            prod = ring_mul(prod, ring_neg(e[j + 1][j]))
+            prod = ring_mul(prod, -e[j + 1][j])
             acc = ring_add(acc, ring_mul(ring_mul(e[j][c], prod), d[j]))
         d.append(acc)
     return d[1:]
-
-
-# Past this many bits of scale beyond a value's reduced denominator,
-# the int products cost more than the ring recurrence on reduced
-# Fractions.  The int leading minors and the int direct iteration of
-# recurrence.py both hand over to their ring paths there (see
-# scale_outgrew).  That happens when denominators depend on the row:
-# Theorem 1's matrix of p(k, i) = 1/i at n = 200 took 0.27 s on the ring
-# path, 1.46 s over ints throughout, 0.26 s over ints up to this bound.
-# Denominators that depend on k alone stay below it: p(k, i) =
-# (3i - 2)/(k + 2) at n = 300 took 0.09 s, against 0.77 s on the ring path.
-# The value rests on that one synthetic probe and is not tuned: no
-# benchmark workload has row-dependent denominators.
-_MAX_EXCESS_BITS = 8192
-
-
-def scale_outgrew(scale: int, value: Fraction) -> bool:
-    """Whether scale, a multiple of value's reduced denominator, carries
-    more than _MAX_EXCESS_BITS bits beyond it."""
-    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
 
 
 def _int_leading_minors(
     e: tuple[tuple[RingValue, ...], ...], n: int, band: int
 ) -> list[RingValue]:
     """The leading minors d_1..d_c by the ring recurrence run over ints,
-    for the leading columns whose band and subdiagonal cells are all
-    Fractions, and while the scales stay within _MAX_EXCESS_BITS.
+    for the leading columns whose band and subdiagonal cells int_scaled
+    lets through, and until the scales outgrow the minors (see
+    scale_outgrew).
 
     Column c is scaled by L_c, the lcm of the denominators of its band
     cells and its subdiagonal cell, which scales the c-th leading minor
@@ -407,10 +369,10 @@ def _int_leading_minors(
         # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
         lo = max(c - band, 0)
         cells = [e[r][c] for r in range(lo, min(c + 2, n))]
-        scale = _denominator_lcm(cells)
-        if scale is None:
+        scaled = int_scaled(cells)
+        if scaled is None:
             break
-        col = [v.numerator * (scale // v.denominator) for v in cells]
+        scale, col = scaled
         if c + 1 < n:
             negated_sub.append(-col[-1])
         acc = col[c - lo] * d[c]
@@ -428,17 +390,6 @@ def _int_leading_minors(
     COUNTER.muls += len(minors) + 3 * terms
     COUNTER.adds += terms
     return minors
-
-
-def _denominator_lcm(cells: list[RingValue]) -> int | None:
-    """The lcm of the cells' denominators, or None if one is not a Fraction."""
-    scale = 1
-    for v in cells:
-        if type(v) is not Fraction:
-            return None
-        if v.denominator != 1:
-            scale = lcm(scale, v.denominator)
-    return scale
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:

@@ -14,16 +14,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import ZERO, SquareMatrix, Structure, leading_minors, scale_outgrew
-from .ring import COUNTER, RingValue, render_value, ring_add, ring_mul
+from .hessenberg import ZERO, SquareMatrix, Structure, leading_minors
+from .ring import (
+    COUNTER,
+    RingValue,
+    int_scaled,
+    render_value,
+    ring_add,
+    ring_mul,
+    scale_outgrew,
+)
 
 _ONE = Fraction(1)
 _MINUS_ONE = Fraction(-1)
-_FRACTION_ONLY = {Fraction}
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class FixedOrderSpec:
 
 @dataclass(frozen=True)
 class SequencePrefix:
-    """The first n terms of a sequence, 1-based via term()."""
+    """The first n terms of a sequence; terms[k - 1] is term k."""
 
     terms: tuple[RingValue, ...]
 
@@ -84,113 +90,84 @@ class SequencePrefix:
     def __iter__(self) -> Iterator[RingValue]:
         return iter(self.terms)
 
-    def term(self, k: int) -> RingValue:
-        if not (1 <= k <= len(self.terms)):
-            raise RecdetError(f"term {k} outside prefix of length {len(self.terms)}")
-        return self.terms[k - 1]
-
 
 def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
-    """Direct iteration of the full-history recurrence, terms 1..n.
-
-    Unless COUNTER is tracking bits, the rows whose values are all
-    Fractions run over ints (see _int_direct); the ring loop takes the
-    rest, starting with the coefficients the int kernel has read.
-    """
+    """Direct iteration of the full-history recurrence, terms 1..n (see
+    _direct)."""
     if n < 1:
         raise RecdetError("n must be at least 1")
     terms: list[RingValue] = [spec.initial]
-    start, fetched = 1, []
-    if not COUNTER.track_bits and type(spec.initial) is Fraction:
-        start, fetched = _int_direct(spec.coeff, range(1, n), None, terms)
-    for k in range(start, n):
-        terms.append(_ring_term(spec.coeff, k, terms[:k], fetched))
-        fetched = []
+    _direct(spec.coeff, range(1, n), None, terms)
     return SequencePrefix(tuple(terms))
 
 
-def _ring_term(
-    read: Callable[[int, int], RingValue],
-    k: int,
-    window: list[RingValue],
-    fetched: list[RingValue],
-) -> RingValue:
-    """sum_i read(k, i) * window[i - 1], one ring_mul and ring_add per
-    term, reading each coefficient after the one before; the first ones
-    come from fetched when it holds them."""
-    acc = None
-    for i, a in enumerate(window, 1):
-        c = fetched[i - 1] if i <= len(fetched) else read(k, i)
-        t = ring_mul(c, a)
-        acc = t if acc is None else ring_add(acc, t)
-    return acc
-
-
-def _int_direct(
+def _direct(
     read: Callable[[int, int], RingValue],
     rows: range,
     width: int | None,
     terms: list[RingValue],
-) -> tuple[int, list[RingValue]]:
-    """Append to terms, all Fractions, the terms of rows by the ring
-    loop's recurrence run over ints.
+) -> None:
+    """Append to terms the terms of rows, by direct iteration.
 
     Row k sums read(k, i) times the i-th of the last w terms, i = 1..w,
-    where w is width, or k for a full-history spec.  Term j is kept as
-    A_j / T_j: T starts as the lcm of the initial terms' denominators
-    and is multiplied by each row's L, the lcm of the row's
-    denominators.  With P_i = read(k, i) * L, the new A is the sum of
-    P_i * A_j times the L of every term after j, which Horner takes as
-    acc = acc * L_j + P_i * A_j: two products by small ints per term.
-    COUNTER gets the ring loop's w muls and w - 1 adds per row, in bulk.
+    where w is width, or k for a full-history spec: one ring_mul and
+    ring_add per term.  The coefficients are read in order, so the
+    first error raised is always the same.
 
-    Returns the row the ring loop starts at and the coefficients already
-    read for it: the whole row when one of them is not a Fraction, none
-    when T outgrew the reduced denominator (see scale_outgrew), and none
-    with rows.stop when every row is done.  The coefficients are read in
-    the ring loop's order, so the first error raised is the same.
+    While ring.int_scaled lets the terms and each row through, the rows
+    run over ints instead.  Term j is kept as A_j / T_j: T starts as the
+    lcm of the initial terms' denominators and is multiplied by each
+    row's L, the lcm of the row's denominators.  With P_i = read(k, i) * L,
+    the new A is the sum of P_i * A_j times the L of every term after j,
+    which Horner takes as acc = acc * L_j + P_i * A_j: two products by
+    small ints per term.  COUNTER gets the ring loop's w muls and w - 1
+    adds per row, in bulk.  The ring loop takes over from the first row
+    int_scaled refuses, and after the row where T outgrew the reduced
+    term (see scale_outgrew).
     """
-    total = lcm(*[a.denominator for a in terms])
-    nums = [a.numerator * (total // a.denominator) for a in terms]
-    scales = [1] * len(terms)
-    muls = adds = 0
-    row: list[RingValue] = []
-    try:
-        for k in rows:
-            w = width or k
-            row = []
+    start = int_scaled(terms)
+    over_ints = start is not None
+    if over_ints:
+        total, nums = start
+        scales = [1] * len(terms)
+    for k in rows:
+        w = width or k
+        row: list[RingValue] = []
+        try:
             for i in range(1, w + 1):
                 row.append(read(k, i))
-            if set(map(type, row)) != _FRACTION_ONLY:
-                return k, row
-            scale = lcm(*[v.denominator for v in row])
-            if scale == 1:
-                scaled = [v.numerator for v in row]
-            else:
-                scaled = [v.numerator * (scale // v.denominator) for v in row]
-            lo = len(nums) - w
-            acc = scaled[0] * nums[lo]
-            for p, a, s in zip(scaled[1:], nums[lo + 1 :], scales[lo + 1 :]):
-                acc = acc * s + p * a
-            muls += w
-            adds += w - 1
-            row = []
-            nums.append(acc)
-            scales.append(scale)
-            total *= scale
-            term = Fraction(acc, total)
-            terms.append(term)
-            if scale_outgrew(total, term):
-                return k + 1, []
-        return rows.stop, []
-    except BaseException:
-        # the ring loop had multiplied and summed what it read of the row
-        muls += len(row)
-        adds += max(len(row) - 1, 0)
-        raise
-    finally:
-        COUNTER.muls += muls
-        COUNTER.adds += adds
+        except BaseException:
+            # leave the counts and max_bits of a loop that sums each
+            # coefficient as it reads it
+            _ring_sum(row, terms[-w:])
+            raise
+        scaled = int_scaled(row) if over_ints else None
+        if scaled is None:
+            over_ints = False
+            terms.append(_ring_sum(row, terms[-w:]))
+            continue
+        scale, ps = scaled
+        lo = len(nums) - w
+        acc = ps[0] * nums[lo]
+        for p, a, s in zip(ps[1:], nums[lo + 1 :], scales[lo + 1 :]):
+            acc = acc * s + p * a
+        COUNTER.muls += w
+        COUNTER.adds += w - 1
+        nums.append(acc)
+        scales.append(scale)
+        total *= scale
+        term = Fraction(acc, total)
+        terms.append(term)
+        over_ints = not scale_outgrew(total, term)
+
+
+def _ring_sum(row: list[RingValue], window: list[RingValue]) -> RingValue:
+    """sum_i row[i] * window[i], one ring_mul and ring_add per term."""
+    acc = None
+    for c, a in zip(row, window):
+        t = ring_mul(c, a)
+        acc = t if acc is None else ring_add(acc, t)
+    return acc
 
 
 def theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
@@ -291,34 +268,23 @@ def determinant_terms(
 
 
 def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
-    """Direct iteration of the fixed-order recurrence, terms 1..n.
-
-    Unless COUNTER is tracking bits, the rows whose values are all
-    Fractions run over ints (see _int_direct), as in eval_full_history.
-    """
+    """Direct iteration of the fixed-order recurrence, terms 1..n (see
+    _direct).  Past the initials, the first term needed is k = m + 1, so
+    a larger first_valid_k refuses before any coefficient is read."""
     if n < 1:
         raise RecdetError("n must be at least 1")
     m = spec.order
+    if n > m and spec.first_valid_k > m + 1:
+        raise IndexBelowValidity(
+            f"term {m + 1} requested but coefficients are only valid from "
+            f"k = {spec.first_valid_k}"
+        )
     terms: list[RingValue] = list(spec.initials[:n])
 
     def read(k: int, i: int) -> RingValue:
         return spec.coeffs[i - 1](k)
 
-    start, fetched = m + 1, []
-    if (
-        not COUNTER.track_bits
-        and spec.first_valid_k == m + 1
-        and set(map(type, terms)) == _FRACTION_ONLY
-    ):
-        start, fetched = _int_direct(read, range(m + 1, n + 1), m, terms)
-    for k in range(start, n + 1):
-        if k < spec.first_valid_k:
-            raise IndexBelowValidity(
-                f"term {k} requested but coefficients are only valid from "
-                f"k = {spec.first_valid_k}"
-            )
-        terms.append(_ring_term(read, k, terms[k - m - 1 :], fetched))
-        fetched = []
+    _direct(read, range(m + 1, n + 1), m, terms)
     return SequencePrefix(tuple(terms))
 
 

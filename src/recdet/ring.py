@@ -315,6 +315,51 @@ class OpCounter:
 COUNTER = OpCounter()
 
 
+# --- the gate of the int kernels ------------------------------------------
+#
+# The leading minors, Bareiss and direct iteration each have an int
+# kernel that gives the ring path's values and adds its op counts to
+# COUNTER in bulk.  A kernel runs a column, row or matrix over ints only
+# when int_scaled lets it, and hands over to its ring path where
+# scale_outgrew says the scales cost more than they save.
+
+# Past this many bits of scale beyond a value's reduced denominator,
+# the int products cost more than the ring recurrence on reduced
+# Fractions.  That happens when denominators depend on the row:
+# Theorem 1's matrix of p(k, i) = 1/i at n = 200 took 0.27 s on the ring
+# path, 1.46 s over ints throughout, 0.26 s over ints up to this bound.
+# Denominators that depend on k alone stay below it: p(k, i) =
+# (3i - 2)/(k + 2) at n = 300 took 0.09 s, against 0.77 s on the ring path.
+# The value rests on that one synthetic probe and is not tuned: no
+# benchmark workload has row-dependent denominators.
+_MAX_EXCESS_BITS = 8192
+
+
+def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
+    """(L, [v * L for v in values]) as ints, L the lcm of the values'
+    denominators; None while COUNTER tracks bits, so that max_bits sees
+    the ring path's every result, or when a value is not a Fraction."""
+    if COUNTER.track_bits:
+        return None
+    nums: list[int] = []
+    dens: list[int] = []
+    for v in values:
+        if type(v) is not Fraction:
+            return None
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+    if dens.count(1) == len(dens):
+        return 1, nums
+    scale = lcm(*dens)
+    return scale, [n * (scale // d) for n, d in zip(nums, dens)]
+
+
+def scale_outgrew(scale: int, value: Fraction) -> bool:
+    """Whether scale, a multiple of value's reduced denominator, carries
+    more than _MAX_EXCESS_BITS bits beyond it."""
+    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
+
+
 def is_zero(v: RingValue) -> bool:
     return v == 0
 
@@ -333,10 +378,6 @@ def ring_sub(a: RingValue, b: RingValue) -> RingValue:
     if COUNTER.track_bits:
         COUNTER.observe(r)
     return r
-
-
-def ring_neg(a: RingValue) -> RingValue:
-    return -a
 
 
 def ring_mul(a: RingValue, b: RingValue) -> RingValue:

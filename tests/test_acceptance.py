@@ -55,7 +55,7 @@ def test_criterion_1_theorem1_identity_on_200_random_full_history_specs_k_30():
         minors = hessenberg_leading_minors(theorem1_matrix(spec, 30))
         terms = eval_full_history(spec, 31)
         for k in range(1, 31):
-            assert spec.initial * minors[k - 1] == terms.term(k + 1)
+            assert spec.initial * minors[k - 1] == terms.terms[k]
 
 
 def test_criterion_2_theorem2_identity_on_random_fixed_order_specs_k_15():
@@ -68,7 +68,7 @@ def test_criterion_2_theorem2_identity_on_random_fixed_order_specs_k_15():
         )
         terms = eval_fixed_order(spec, 15)
         for k in range(1, 16):
-            assert minors[k - 1] == terms.term(k)
+            assert minors[k - 1] == terms.terms[k - 1]
 
 
 def test_criterion_3_every_family_determinant_equals_its_oracle():
@@ -110,13 +110,13 @@ def test_criterion_4_named_spot_values_are_exact():
 def test_criterion_5_ode_series_passes_residual_and_matches_determinants():
     series = ode_coefficients(30)
     assert ode_residual_check(series)
-    assert series.term(4) == Fraction(-1, 6)  # u(3)
-    assert series.term(5) == Fraction(1, 8)  # u(4)
-    assert series.term(6) == Fraction(-1, 10)  # u(5)
+    assert series.terms[3] == Fraction(-1, 6)  # u(3)
+    assert series.terms[4] == Fraction(1, 8)  # u(4)
+    assert series.terms[5] == Fraction(-1, 10)  # u(5)
     spec = family_spec(FamilyId.ODE_EXAMPLE)
     minors = hessenberg_leading_minors(theorem1_matrix(embed_fixed_order(spec), 15))
     for k in range(1, 16):
-        assert minors[k - 1] == series.term(k)  # det size k = u(k-1)
+        assert minors[k - 1] == series.terms[k - 1]  # det size k = u(k-1)
 
 
 def test_criterion_6_three_determinant_algorithms_agree_on_random_matrices():

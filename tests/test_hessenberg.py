@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from recdet import hessenberg
+from recdet import hessenberg, ring
 from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     SquareMatrix,
@@ -47,7 +47,7 @@ class TestStructure:
 
     def test_integer_entries_are_coerced_to_fractions(self):
         m = uh([[1, 2], [3, 4]])
-        assert m.entry(1, 2) == Fraction(2)
+        assert m.entries[0][1] == Fraction(2)
         assert isinstance(m.entries[0][0], Fraction)
 
     def test_leading_submatrix_keeps_the_structure_flag(self):
@@ -283,10 +283,10 @@ class TestIntegerKernel:
             [Fraction(1, r + 1) if r <= c + 1 else 0 for c in range(n)] for r in range(n)
         ]
         m = uh(rows)
-        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
         assert 0 < len(_int_leading_minors(m.entries, n, n)) < n
-        ring = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
-        assert _counted(hessenberg_leading_minors, m) == ring
+        want = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
+        assert _counted(hessenberg_leading_minors, m) == want
 
     def test_bit_tracking_reports_the_ring_paths_max_bits(self):
         m = _banded(random.Random(7), 20, 3, "fractional")

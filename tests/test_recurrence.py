@@ -3,10 +3,11 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from recdet import cli, dsl, hessenberg
+from recdet import cli, dsl, recurrence, ring
 from recdet.errors import IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import det_bareiss, det_hessenberg_fast, hessenberg_leading_minors
@@ -15,7 +16,6 @@ from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
     SequencePrefix,
-    _int_direct,
     determinant_terms,
     embed_fixed_order,
     eval_fixed_order,
@@ -53,15 +53,6 @@ class TestFullHistory:
     def test_direct_evaluation_prefix(self):
         assert eval_full_history(naturals_full(), 5).terms == (1, 1, 2, 3, 4)
 
-    def test_term_is_one_based_and_bounded(self):
-        prefix = eval_full_history(naturals_full(), 4)
-        assert prefix.term(1) == 1
-        assert prefix.term(4) == 3
-        with pytest.raises(RecdetError):
-            prefix.term(5)
-        with pytest.raises(RecdetError):
-            prefix.term(0)
-
     def test_matrix_layout_transposes_the_coefficients(self):
         # entries[i][j] = p(j, i) above the diagonal, -1 below, 0 elsewhere
         probe = FullHistorySpec(
@@ -70,17 +61,17 @@ class TestFullHistory:
             name="probe",
         )
         m = theorem1_matrix(probe, 3)
-        assert m.entry(1, 3) == 31  # p(3, 1)
-        assert m.entry(3, 3) == 33
-        assert m.entry(2, 1) == -1
-        assert m.entry(3, 1) == 0
+        assert m.entries[0][2] == 31  # p(3, 1)
+        assert m.entries[2][2] == 33
+        assert m.entries[1][0] == -1
+        assert m.entries[2][0] == 0
 
     def test_determinant_reproduces_the_sequence(self):
         spec = naturals_full()
         minors = hessenberg_leading_minors(theorem1_matrix(spec, 8))
         terms = eval_full_history(spec, 9)
         for k in range(1, 9):
-            assert spec.initial * minors[k - 1] == terms.term(k + 1)
+            assert spec.initial * minors[k - 1] == terms.terms[k]
 
     def test_scaling_the_initial_scales_terms_but_not_the_matrix(self):
         base = naturals_full()
@@ -89,6 +80,10 @@ class TestFullHistory:
         assert [3 * t for t in eval_full_history(base, 6)] == list(
             eval_full_history(scaled, 6)
         )
+
+
+def _never_read(k):
+    raise AssertionError(f"coefficient read at k = {k}")
 
 
 class TestFixedOrder:
@@ -151,8 +146,8 @@ class TestFixedOrder:
             order=1, initials=(ONE,), coeffs=(lambda k: Fraction(k),)
         )
         m = theorem2_matrix(spec, 4)
-        assert m.entry(4, 4) == 4
-        assert m.entry(2, 2) == 2
+        assert m.entries[3][3] == 4
+        assert m.entries[1][1] == 2
 
     def test_terms_below_first_valid_k_raise(self):
         gappy = FixedOrderSpec(
@@ -166,6 +161,27 @@ class TestFixedOrder:
             eval_fixed_order(gappy, 2)
         with pytest.raises(IndexBelowValidity):
             theorem2_matrix(gappy, 3)
+        # the first term past the initials, k = m + 1, is the one refused,
+        # before any coefficient is read or any op counted
+        for initials in (
+            (Fraction(1, 2), Fraction(-3)),
+            (Polynomial((1, 1)), Fraction(2)),
+        ):
+            for first_valid_k, track_bits in product((4, 7), (False, True)):
+                spec = FixedOrderSpec(
+                    order=2,
+                    initials=initials,
+                    coeffs=(_never_read, _never_read),
+                    first_valid_k=first_valid_k,
+                )
+                assert _direct(spec, 2, track_bits) == (initials, (0, 0, 0))
+                refused = (
+                    IndexBelowValidity,
+                    "term 3 requested but coefficients are only valid "
+                    f"from k = {first_valid_k}",
+                )
+                for n in (3, 7):
+                    assert _direct(spec, n, track_bits) == (refused, (0, 0, 0))
 
 
 class TestVerification:
@@ -306,6 +322,21 @@ def _assert_kernel_matches_ring(spec, n):
     return fast
 
 
+def _rows_over_ints(spec, n, monkeypatch):
+    """How many rows direct iteration ran over ints: it asks int_scaled
+    once for the initial terms, then once per row until the ring loop
+    takes over."""
+    asked = []
+
+    def counting(values):
+        asked.append(values)
+        return ring.int_scaled(values)
+
+    monkeypatch.setattr(recurrence, "int_scaled", counting)
+    _direct(spec, n)
+    return len(asked) - 1
+
+
 class TestIntDirectKernel:
     @pytest.mark.parametrize("name", available())
     def test_shipped_specs(self, name):
@@ -337,12 +368,8 @@ class TestIntDirectKernel:
         # denominators that depend on i make T outgrow the reduced terms
         spec = FullHistorySpec(initial=Fraction(3, 2), coeff=coeff, name="excess")
         n = 30
-        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
-        terms = [spec.initial]
-        start, fetched = _int_direct(spec.coeff, range(1, n), None, terms)
-        COUNTER.reset()
-        assert 1 < start < n and fetched == []
-        assert len(terms) == start
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
+        assert 0 < _rows_over_ints(spec, n, monkeypatch) < n - 1
         _assert_kernel_matches_ring(spec, n)
 
     def test_fixed_order_hands_over_past_the_excess_bound(self, monkeypatch):
@@ -351,15 +378,8 @@ class TestIntDirectKernel:
             initials=(Fraction(1, 2), Fraction(2, 3)),
             coeffs=(lambda k: Fraction(1, k), lambda k: Fraction(k - 1, k + 1)),
         )
-        monkeypatch.setattr(hessenberg, "_MAX_EXCESS_BITS", 40)
-        terms = list(spec.initials)
-
-        def read(k, i):
-            return spec.coeffs[i - 1](k)
-
-        start, fetched = _int_direct(read, range(3, 31), 2, terms)
-        COUNTER.reset()
-        assert 3 < start < 31 and fetched == []
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
+        assert 0 < _rows_over_ints(spec, 30, monkeypatch) < 28
         _assert_kernel_matches_ring(spec, 30)
 
     def test_a_coefficient_turning_polynomial_mid_row_is_read_once(self):

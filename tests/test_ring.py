@@ -10,6 +10,7 @@ from recdet.errors import DivisionByZero, InexactDivision, RecdetError
 from recdet.ring import (
     COUNTER,
     Polynomial,
+    int_scaled,
     latex_value,
     parse_value,
     render_value,
@@ -274,6 +275,30 @@ def test_max_bits_reads_each_reduced_coefficient():
     ring_mul(p, Polynomial.one())
     assert COUNTER.max_bits == 41
     COUNTER.reset()
+
+
+class TestIntScaled:
+    def test_scales_by_the_lcm_of_the_denominators(self):
+        values = [Fraction(1, 6), Fraction(0), Fraction(-3, 4), Fraction(5)]
+        assert int_scaled(values) == (12, [2, 0, -9, 60])
+
+    def test_integral_values_keep_their_numerators(self):
+        assert int_scaled([Fraction(-7), Fraction(0), Fraction(2**70)]) == (
+            1,
+            [-7, 0, 2**70],
+        )
+
+    def test_a_polynomial_cell_refuses(self):
+        assert int_scaled([Fraction(1, 2), Polynomial((1,))]) is None
+        assert int_scaled([Polynomial.x()]) is None
+
+    def test_bit_tracking_refuses(self):
+        COUNTER.reset(track_bits=True)
+        try:
+            assert int_scaled([Fraction(1, 2), Fraction(3)]) is None
+        finally:
+            COUNTER.reset()
+        assert int_scaled([Fraction(1, 2), Fraction(3)]) == (2, [1, 6])
 
 
 class TestRendering:
