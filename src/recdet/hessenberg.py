@@ -167,18 +167,57 @@ def _refuse_laplace_size(size: int) -> None:
 
 
 def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
-    if len(rows) == 1:
-        return rows[0][0]
-    total: RingValue | None = None
-    for j, v in enumerate(rows[0]):
-        if is_zero(v):
-            continue
-        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
-        term = ring_mul(v, _laplace(minor))
-        if j % 2:
-            term = -term
-        total = term if total is None else ring_add(total, term)
-    return Fraction(0) if total is None else total
+    """Cofactor expansion along the first row, each distinct minor once.
+
+    The minor left after expanding rows 0..d-1 is rows d.. on the
+    columns that remain, so it is memoized by that column tuple: at
+    most 2^n minors.  Each entry carries the minor's value and the muls
+    and adds that the expansion recomputing every minor makes for it,
+    and COUNTER gets the root's totals in bulk.  That expansion forms
+    the same products and partial sums, so observing each distinct one
+    once leaves max_bits as it would be.
+    """
+    n = len(rows)
+    track = COUNTER.track_bits
+    memo: dict[tuple[int, ...], tuple[RingValue, int, int]] = {}
+
+    def minor(cols: tuple[int, ...]) -> tuple[RingValue, int, int]:
+        hit = memo.get(cols)
+        if hit is not None:
+            return hit
+        row = rows[n - len(cols)]
+        if len(cols) == 1:
+            hit = (row[cols[0]], 0, 0)
+        else:
+            total: RingValue | None = None
+            muls = adds = 0
+            for j, c in enumerate(cols):
+                v = row[c]
+                if is_zero(v):
+                    continue
+                sub, sub_muls, sub_adds = minor(cols[:j] + cols[j + 1 :])
+                term = v * sub
+                if track:
+                    COUNTER.observe(term)
+                if j % 2:
+                    term = -term
+                muls += 1 + sub_muls
+                adds += sub_adds
+                if total is None:
+                    total = term
+                else:
+                    total = total + term
+                    adds += 1
+                    if track:
+                        COUNTER.observe(total)
+            hit = (Fraction(0) if total is None else total, muls, adds)
+        memo[cols] = hit
+        return hit
+
+    det, muls, adds = minor(tuple(range(n)))
+    COUNTER.muls += muls
+    COUNTER.adds += adds
+    return det
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
@@ -474,13 +513,47 @@ def matrix_from_json(text: str) -> SquareMatrix:
         or any(not isinstance(row, list) or len(row) != size for row in entries)
     ):
         raise RecdetError("matrix JSON entries do not form a square array")
-    rows = tuple(
-        tuple(parse_value(cell, ring) for cell in row) for row in entries
-    )
+    # each distinct cell text is parsed once; "0" maps to the shared ZERO
+    cache: dict[str, RingValue] = {"0": ZERO}
+    lookup = cache.__getitem__
+    parsed = []
+    for r, row in enumerate(entries):
+        try:
+            parsed.append(tuple(map(lookup, row)))
+            continue
+        except (KeyError, TypeError):  # a new text, or a cell that is no string
+            pass
+        # outside the handler, so that a parse error chains no KeyError
+        parsed.append(_parse_row(row, r, ring, cache))
+    rows = tuple(parsed)
     try:
         return SquareMatrix(size=size, entries=rows, structure=Structure.UPPER_HESSENBERG)
     except NotHessenberg:
         return SquareMatrix(size=size, entries=rows, structure=Structure.GENERAL)
+
+
+def _parse_row(
+    row: list[object], r: int, ring: str, cache: dict[str, RingValue]
+) -> tuple[RingValue, ...]:
+    """Row r of matrix_from_json, parsing each text the cache lacks.
+
+    Cells are checked in order, so the first bad cell raises.  A zero
+    Fraction is stored as ZERO.
+    """
+    out = []
+    for c, cell in enumerate(row):
+        if not isinstance(cell, str):
+            raise RecdetError(
+                f"matrix JSON cell at row {r + 1}, column {c + 1} is not a string"
+            )
+        v = cache.get(cell)
+        if v is None:
+            v = parse_value(cell, ring)
+            if type(v) is Fraction and not v:
+                v = ZERO
+            cache[cell] = v
+        out.append(v)
+    return tuple(out)
 
 
 def matrix_to_latex(m: SquareMatrix) -> str:

@@ -435,49 +435,62 @@ def ring_exact_div(a: RingValue, b: RingValue) -> RingValue:
 
 # --- canonical text rendering -------------------------------------------
 
-def _render_terms(v: RingValue, coeff, power, star: str) -> str:
-    """v as text: a rational through coeff, a polynomial as its nonzero
-    terms, highest degree first, joined by " + " and " - ".
+def _render_terms(p: Polynomial, coeff, power, star: str) -> str:
+    """p's nonzero terms, highest degree first, joined by " + " and " - ".
 
-    coeff renders a rational, power(d) renders x^d for d >= 1, and star
-    sits between a non-unit coefficient and its power.
+    coeff(num, den) renders a positive reduced rational, power(d)
+    renders x^d for d >= 1, and star sits between a non-unit coefficient
+    and its power.  Each coefficient comes from the int pair: |n| / den
+    reduced by one gcd, its sign taken from n.
     """
-    if not isinstance(v, Polynomial):
-        return coeff(v)
+    den = p.den
     parts: list[str] = []
-    for d in range(len(v.coeffs) - 1, -1, -1):
-        c = v.coeffs[d]
-        if c == 0:
+    for d in range(len(p.nums) - 1, -1, -1):
+        n = p.nums[d]
+        if not n:
             continue
-        mag = abs(c)
+        g = gcd(n, den)
+        num, cden = abs(n) // g, den // g
         if d == 0:
-            piece = coeff(mag)
+            piece = coeff(num, cden)
+        elif num == 1 and cden == 1:
+            piece = power(d)
         else:
-            piece = power(d) if mag == 1 else f"{coeff(mag)}{star}{power(d)}"
+            piece = f"{coeff(num, cden)}{star}{power(d)}"
         if not parts:
-            parts.append(piece if c > 0 else f"-{piece}")
+            parts.append(piece if n > 0 else f"-{piece}")
         else:
-            parts.append(f" + {piece}" if c > 0 else f" - {piece}")
+            parts.append(f" + {piece}" if n > 0 else f" - {piece}")
     return "".join(parts) or "0"
 
 
 def render_value(v: RingValue) -> str:
     """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0"."""
-    return _render_terms(v, str, lambda d: "x" if d == 1 else f"x^{d}", "*")
+    if not isinstance(v, Polynomial):
+        return str(v)
+    return _render_terms(
+        v, _text_fraction, lambda d: "x" if d == 1 else f"x^{d}", "*"
+    )
 
 
 def latex_value(v: RingValue) -> str:
     """LaTeX form of a ring value, for the vmatrix emitter."""
+    if not isinstance(v, Polynomial):
+        return _latex_fraction(v.numerator, v.denominator)
     return _render_terms(
         v, _latex_fraction, lambda d: "x" if d == 1 else f"x^{{{d}}}", ""
     )
 
 
-def _latex_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+def _text_fraction(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _latex_fraction(num: int, den: int) -> str:
+    if den == 1:
+        return str(num)
+    sign = "-" if num < 0 else ""
+    return f"{sign}\\frac{{{abs(num)}}}{{{den}}}"
 
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from recdet import hessenberg, ring
+from recdet import dsl, hessenberg, ring
 from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     SquareMatrix,
@@ -26,7 +26,9 @@ from recdet.hessenberg import (
     matrix_to_text,
     random_hessenberg,
 )
+from recdet.recurrence import determinant_terms
 from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value
+from recdet.specfiles import available, spec_text
 
 
 def uh(rows):
@@ -416,6 +418,98 @@ class TestBareissMinors:
         assert self._agree(poly) == [X, 0, det_laplace(poly)]
 
 
+def _recursive_laplace(rows):
+    """The cofactor expansion that recomputes every minor, one ring_*
+    call per operation: the reference for the memoized det_laplace."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j, v in enumerate(rows[0]):
+        if v == 0:
+            continue
+        minor = tuple(row[:j] + row[j + 1 :] for row in rows[1:])
+        term = ring.ring_mul(v, _recursive_laplace(minor))
+        if j % 2:
+            term = -term
+        total = term if total is None else ring.ring_add(total, term)
+    return Fraction(0) if total is None else total
+
+
+def _laplace_cases(rng):
+    """Sizes 1..8 in both rings, Hessenberg and dense, each cell zero
+    with probability 0, 0.3 or 0.7."""
+    def cell(ring_name, zeros):
+        if rng.random() < zeros:
+            return 0
+        if ring_name == "poly":
+            return Polynomial([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+
+    for n in range(1, 9):
+        for ring_name in ("rational", "poly"):
+            for structure in Structure:
+                for zeros in (0.0, 0.3, 0.7):
+                    rows = [
+                        [
+                            0
+                            if structure is Structure.UPPER_HESSENBERG and r > c + 1
+                            else cell(ring_name, zeros)
+                            for c in range(n)
+                        ]
+                        for r in range(n)
+                    ]
+                    yield SquareMatrix.from_rows(rows, structure)
+
+
+class TestMemoizedLaplace:
+    """det_laplace, each distinct minor once, against the expansion that
+    recomputes every minor."""
+
+    def _agree(self, m):
+        for track_bits in (False, True):
+            COUNTER.reset(track_bits=track_bits)
+            got = det_laplace(m)
+            got_counts = COUNTER.adds, COUNTER.muls, COUNTER.divs, COUNTER.max_bits
+            COUNTER.reset(track_bits=track_bits)
+            want = _recursive_laplace(m.entries)
+            want_counts = COUNTER.adds, COUNTER.muls, COUNTER.divs, COUNTER.max_bits
+            COUNTER.reset()
+            assert got == want
+            assert type(got) is type(want)
+            assert got_counts == want_counts
+        return got
+
+    def test_values_types_and_counts_equal_the_recomputing_expansion(self):
+        for m in _laplace_cases(random.Random(14)):
+            self._agree(m)
+
+    def test_a_zero_first_row_and_a_zero_column(self):
+        rng = random.Random(15)
+        for n in range(2, 9):
+            for ring_name in ("rational", "poly"):
+                m = random_hessenberg(n, rng, ring=ring_name)
+                for r in range(n):
+                    m = m.with_entry(r, n // 2, 0)
+                assert self._agree(m) == 0
+                m = random_hessenberg(n, rng, ring=ring_name)
+                for c in range(n):
+                    m = m.with_entry(0, c, 0)
+                assert self._agree(m) == 0
+        assert self._agree(uh([[0]])) == 0
+
+    def test_leading_minors_equal_the_fast_route(self):
+        for m in _laplace_cases(random.Random(16)):
+            if m.structure is Structure.UPPER_HESSENBERG:
+                laplace = leading_minors(m, "laplace")
+                fast = leading_minors(m, "fast")
+                assert laplace == fast
+
+    @pytest.mark.parametrize("name", available())
+    def test_shipped_specs_through_determinant_terms(self, name):
+        spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
+        assert determinant_terms(spec, 8, method="laplace") == determinant_terms(spec, 8)
+
+
 class TestEmitters:
     def test_json_matches_the_documented_schema_byte_for_byte(self):
         m = uh([[1, 1, 1], [-1, 1, 0], [0, -1, 1]])
@@ -460,6 +554,44 @@ class TestEmitters:
                 matrix_from_json(doc(1, cell, "poly"))
         with pytest.raises(RecdetError, match="cannot parse rational value"):
             matrix_from_json(doc(1, "\u0663", "poly"))
+
+    def test_from_json_parses_cells_as_parse_value_does(self):
+        rng = random.Random(17)
+        texts = {
+            "rational": ["0", " 0", "0 ", "-0", "0/5", "00", "1", " 1 ", "-3/4",
+                         "\t-3/4", "6/4", "12"],
+            "poly": ["0", " 0 ", "-0", "x", " x ", "-x + 1", "3*x^2 - 1",
+                     "3*x^2  -  1", "0*x", "1/2*x - 1/3", "5", " -5/10"],
+        }
+        for ring_name, pool in texts.items():
+            for n in (1, 2, 5, 9):
+                cells = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+                doc = json.dumps({"size": n, "ring": ring_name, "entries": cells})
+                m = matrix_from_json(doc)
+                for row, texts_row in zip(m.entries, cells):
+                    want = tuple(parse_value(t, ring_name) for t in texts_row)
+                    assert row == want
+                    assert [type(v) for v in row] == [type(v) for v in want]
+                    for v in row:
+                        if type(v) is Fraction and v == 0:
+                            assert v is hessenberg.ZERO
+
+    def test_from_json_refuses_cells_that_are_not_strings(self):
+        def doc(entries):
+            return json.dumps({"size": len(entries), "ring": "rational", "entries": entries})
+
+        for cell in (1, 2.5, True, None, [1], {"a": 1}):
+            with pytest.raises(RecdetError) as info:
+                matrix_from_json(doc([["1", "2"], ["3", cell]]))
+            assert str(info.value) == "matrix JSON cell at row 2, column 2 is not a string"
+            assert type(info.value) is RecdetError
+            # the first bad cell in row-major order raises, whatever its kind
+            with pytest.raises(RecdetError, match="row 1, column 2 is not a string"):
+                matrix_from_json(doc([["1", cell], ["1/0", "4"]]))
+            with pytest.raises(RecdetError, match="cannot parse rational value"):
+                matrix_from_json(doc([["1", "1/0"], [cell, "4"]]))
+            with pytest.raises(RecdetError, match="cannot parse rational value"):
+                matrix_from_json(doc([["1/0", cell], ["3", "4"]]))
 
     def test_polynomial_degrees_past_the_cap_are_refused(self):
         # refused from the exponent's digits, before any coefficient list

@@ -353,3 +353,94 @@ class TestRendering:
         for bad in ("", "x^", "2**x", "/2*x", "one"):
             with pytest.raises(RecdetError):
                 parse_value(bad, "poly")
+
+
+# --- Fraction reference renderer -------------------------------------------
+# The renderer once walked Polynomial.coeffs, one Fraction per term, with
+# abs, == and > on Fractions; it stays here as the oracle for the walk
+# over the (nums, den) int pair.
+
+def fraction_render(v, coeff, power, star):
+    if not isinstance(v, Polynomial):
+        return coeff(v)
+    parts = []
+    for d in range(len(v.coeffs) - 1, -1, -1):
+        c = v.coeffs[d]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if d == 0:
+            piece = coeff(mag)
+        else:
+            piece = power(d) if mag == 1 else f"{coeff(mag)}{star}{power(d)}"
+        if not parts:
+            parts.append(piece if c > 0 else f"-{piece}")
+        else:
+            parts.append(f" + {piece}" if c > 0 else f" - {piece}")
+    return "".join(parts) or "0"
+
+
+def fraction_latex(f):
+    if f.denominator == 1:
+        return str(f.numerator)
+    sign = "-" if f < 0 else ""
+    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+
+
+def reference_render(v):
+    return fraction_render(v, str, lambda d: "x" if d == 1 else f"x^{d}", "*")
+
+
+def reference_latex(v):
+    return fraction_render(
+        v, fraction_latex, lambda d: "x" if d == 1 else f"x^{{{d}}}", ""
+    )
+
+
+# coefficients over one denominator that several of them share a factor
+# with, units, and +-1/den
+shared_den_fractions_st = st.builds(
+    Fraction,
+    st.sampled_from((-12, -6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6, 12, 5, -7)),
+    st.sampled_from((1, 2, 3, 4, 6, 12)),
+)
+mixed_polys_st = st.one_of(
+    polys_st,
+    st.lists(shared_den_fractions_st, min_size=0, max_size=6).map(Polynomial),
+)
+
+
+class TestRenderingFromIntPairs:
+    """render_value and latex_value on the int pair against the
+    Fraction-based renderer."""
+
+    EXAMPLES = (
+        Polynomial(),
+        Polynomial((5,)),
+        Polynomial((Fraction(-5, 3),)),
+        Polynomial((0, 1)),
+        Polynomial((0, -1)),
+        Polynomial((Fraction(1, 6), Fraction(-1, 6), Fraction(1, 2), Fraction(-2, 3))),
+        Polynomial((Fraction(1, 4), 0, Fraction(-3, 4), Fraction(1, 2), 1)),
+        Polynomial((Fraction(-1, 12), Fraction(1, 12), Fraction(5, 6), -1)),
+        Polynomial((3, Fraction(-1, 3), Fraction(9, 3))),
+        Fraction(0),
+        Fraction(-7),
+        Fraction(22, 7),
+        Fraction(-1, 9),
+    )
+
+    def test_examples(self):
+        for v in self.EXAMPLES:
+            assert render_value(v) == reference_render(v)
+            assert latex_value(v) == reference_latex(v)
+
+    @given(mixed_polys_st)
+    def test_random_polynomials(self, p):
+        assert render_value(p) == reference_render(p)
+        assert latex_value(p) == reference_latex(p)
+
+    @given(st.one_of(fractions_st, huge_fractions_st, shared_den_fractions_st))
+    def test_random_fractions(self, f):
+        assert render_value(f) == reference_render(f) == str(f)
+        assert latex_value(f) == reference_latex(f)
