@@ -2,8 +2,11 @@
 
 det_hessenberg_fast is the O(n^2) leading-principal-minor recurrence and
 the computational heart of the package; det_laplace (cofactor expansion,
-guarded at size 8) and det_bareiss (fraction-free elimination, O(n^3))
-are its independent oracles.
+guarded at size 8) and det_bareiss (fraction-free elimination) are its
+independent oracles.  det_bareiss is O(n^3) in general and an O(n^2)
+row recurrence on upper-Hessenberg matrices while bits are not tracked;
+that recurrence expands rows, where det_hessenberg_fast runs down the
+columns over products of the subdiagonal.
 """
 
 from __future__ import annotations
@@ -221,34 +224,128 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
-    """Fraction-free single-step Bareiss elimination, O(n^3).
+    """Fraction-free single-step Bareiss elimination.
 
     Intermediate entries stay in the ring thanks to exact divisions by
     the previous pivot.  Rows are swapped only to repair a zero pivot:
     the first row below it with a nonzero entry in its column comes up,
     with sign tracking, and a column with no such row short-circuits to
-    0.  A matrix of integral Fractions runs over ints when
-    ring.int_scaled lets it (see _int_bareiss).
+    0.  An upper-Hessenberg matrix takes a division-free O(n^2) row
+    recurrence while bits are not tracked (see _hessenberg_bareiss);
+    any other matrix takes the O(n^3) elimination, over ints when it is
+    integral and ring.int_scaled lets it (see _int_bareiss).
     """
-    return _bareiss(m.entries)
+    return _bareiss(m)
 
 
-def _bareiss(
-    entries: tuple[tuple[RingValue, ...], ...], minors: list[RingValue] | None = None
-) -> RingValue:
-    """det_bareiss's elimination of the rows, returning the determinant.
+def _bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValue:
+    """det_bareiss's elimination of m's rows, returning the determinant.
 
     With a list minors, the pivot of each step is appended to it before
     the step, and the last entry after the last step: with no row swap
     these are the leading minors d_1..d_n.  A zero pivot then ends the
     pass, returning 0 with that zero minor appended, instead of a swap.
+
+    An upper-Hessenberg matrix takes _hessenberg_bareiss while
+    COUNTER.track_bits is off, so that max_bits still sees every result
+    of the ring path; a zero pivot before the last hands it on to the
+    swap path below.
     """
+    entries = m.entries
+    if m.structure is Structure.UPPER_HESSENBERG and not COUNTER.track_bits:
+        d = _hessenberg_bareiss(entries, minors)
+        if d is not None:
+            return d
     n = len(entries)
     scaled = int_scaled(chain.from_iterable(entries))
     if scaled is not None and scaled[0] == 1:
         ints = scaled[1]
         return _int_bareiss([ints[r : r + n] for r in range(0, n * n, n)], minors)
     return _ring_bareiss([list(row) for row in entries], minors)
+
+
+def _hessenberg_bareiss(
+    entries: tuple[tuple[RingValue, ...], ...], minors: list[RingValue] | None
+) -> RingValue | None:
+    """_bareiss on an upper-Hessenberg matrix as a row recurrence.
+
+    Below the pivot row, Bareiss only rescales a row until its own step,
+    and those factors telescope away: row i after its last update is
+    R_i = p_{i-1} * orig_i - orig_i[i-1] * R_{i-1} on columns >= i, with
+    R_0 = orig_0 and the pivot p_i = R_i[i].  These are _ring_bareiss's
+    rows, so its pivots, minors and determinant come out, of its types,
+    from O(n^2) products and no division.  A row whose subdiagonal cell
+    is zero is only rescaled, and keeps its zero cells as they are.
+
+    The cells on or above the subdiagonal run over ints when int_scaled
+    finds them integral, and the results come back as Fractions.
+    COUNTER gets the ring path's counts in bulk.  A zero pivot before
+    the last returns None, with no counts added, so that the swap path
+    takes over; with a list minors it ends the pass as _ring_bareiss
+    does, with the counts of the steps before it.
+    """
+    n = len(entries)
+    # row r from column r - 1: the cells on or above the subdiagonal
+    tails: list = [row[max(r - 1, 0) :] for r, row in enumerate(entries)]
+    scaled = int_scaled(chain.from_iterable(tails))
+    ints = scaled is not None and scaled[0] == 1
+    if ints:
+        flat, at = scaled[1], 0
+        for r, tail in enumerate(tails):
+            tails[r] = flat[at : at + len(tail)]
+            at += len(tail)
+    row = tails[0]
+    pivots = [row[0]]
+    for tail in tails[1:]:
+        p = pivots[-1]
+        if p == 0:
+            if minors is None:
+                return None
+            break
+        s = tail[0]
+        if s == 0:
+            row = [x if x == 0 else p * x for x in tail[1:]]
+        else:
+            row = [p * x - s * y for x, y in zip(tail[1:], row[1:])]
+        pivots.append(row[0])
+    _hessenberg_bareiss_counts(tails, len(pivots) - 1)
+    if minors is not None:
+        minors += map(Fraction, pivots) if ints else pivots
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(pivots[-1]) if ints else pivots[-1]
+
+
+def _hessenberg_bareiss_counts(tails: list, steps: int) -> None:
+    """Add to COUNTER the muls, adds and divs of _ring_bareiss's first
+    steps on an upper-Hessenberg matrix, whose rows from the
+    subdiagonal on are tails.
+
+    At step k, with w = n - k - 1, row k + 1 costs 2w muls, w adds and w
+    divs when its subdiagonal cell is nonzero; every other row below the
+    pivot row costs one mul and one div per nonzero cell right of column
+    k, which for row i >= k + 2 is every nonzero cell.
+    """
+    n = len(tails)
+    muls = adds = divs = 0
+    for i in range(1, n):
+        tail = tails[i]
+        live = len(tail) - tail.count(0)
+        rescaled = live * min(steps, i - 1)
+        muls += rescaled
+        divs += rescaled
+        if i <= steps:
+            if tail[0] == 0:
+                muls += live
+                divs += live
+            else:
+                w = n - i
+                muls += 2 * w
+                adds += w
+                divs += w
+    COUNTER.muls += muls
+    COUNTER.adds += adds
+    COUNTER.divs += divs
 
 
 def _ring_bareiss(
@@ -460,7 +557,7 @@ def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
         return hessenberg_leading_minors(m)
     minors: list[RingValue] = []
     if det is det_bareiss:
-        _bareiss(m.entries, minors)
+        _bareiss(m, minors)
     elif det is det_laplace:
         _refuse_laplace_size(min(m.size, LAPLACE_SIZE_LIMIT + 1))
     return minors + [

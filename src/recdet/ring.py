@@ -41,7 +41,7 @@ class Polynomial:
     when constant.
     """
 
-    __slots__ = ("nums", "den", "_coeffs")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[object] = ()) -> None:
         pairs = [_numerator_denominator(c) for c in coeffs]
@@ -68,20 +68,6 @@ class Polynomial:
     @classmethod
     def x(cls) -> "Polynomial":
         return cls((0, 1))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced Fractions, constant term first."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            if den == 1:
-                cs = tuple(map(Fraction, self.nums))
-            else:
-                cs = tuple(Fraction(n, den) for n in self.nums)
-            object.__setattr__(self, "_coeffs", cs)
-            return cs
 
     @property
     def is_zero(self) -> bool:
@@ -495,6 +481,8 @@ def _latex_fraction(num: int, den: int) -> str:
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _TERM_RE = re.compile(r"([0-9]+)?(?:/([0-9]+))?(\*)?(x)?(?:\^([0-9]+))?")
+# the " + " and " - " between a polynomial's terms
+_SIGN_RE = re.compile(r"\s([+-])\s")
 
 # The highest degree parse_value accepts in a polynomial term; a larger
 # one raises SizeTooLarge before anything of that size is allocated.
@@ -526,12 +514,18 @@ def parse_value(text: str, ring: str = "rational") -> RingValue:
 
 
 def _parse_poly_text(s: str) -> Polynomial:
-    chunks = re.split(r"\s([+-])\s", s)
-    signed: list[tuple[int, str]] = [(1, chunks[0].strip())]
-    for t in range(1, len(chunks), 2):
-        signed.append((1 if chunks[t] == "+" else -1, chunks[t + 1].strip()))
-    coeffs: dict[int, Fraction] = {}
-    for sign, term in signed:
+    """A polynomial's text, term by term, straight into the reduced pair.
+
+    Each term gives its degree and a signed numerator over a
+    denominator, as ints; the terms are summed over the lcm of the
+    denominators.  The first malformed term raises, and a term's degree
+    is checked before its coefficient.
+    """
+    chunks = _SIGN_RE.split(s)
+    signs = [1, *(1 if c == "+" else -1 for c in chunks[1::2])]
+    terms: list[tuple[int, int, int]] = []
+    for sign, term in zip(signs, chunks[::2]):
+        term = term.strip()
         if term.startswith("-"):
             sign = -sign
             term = term[1:].strip()
@@ -539,20 +533,25 @@ def _parse_poly_text(s: str) -> Polynomial:
         if not m:
             raise RecdetError(f"cannot parse polynomial term {term!r}")
         num, den, star, xpart, exp = m.groups()
-        if num is None and xpart is None:
-            raise RecdetError(f"cannot parse polynomial term {term!r}")
-        if (exp or star) and not xpart:
-            raise RecdetError(f"cannot parse polynomial term {term!r}")
-        if den is not None and num is None:
+        if (
+            (num is None and xpart is None)
+            or ((exp or star) and not xpart)
+            or (den is not None and num is None)
+        ):
             raise RecdetError(f"cannot parse polynomial term {term!r}")
         d = (_parse_degree(exp) if exp else 1) if xpart else 0
         try:
-            c = Fraction(int(num), int(den) if den else 1) if num else Fraction(1)
-        except (ValueError, ZeroDivisionError) as exc:
+            n, q = (int(num), int(den) if den else 1) if num else (1, 1)
+        except ValueError as exc:  # more digits than int() takes
             raise RecdetError(f"cannot parse polynomial term {term!r}") from exc
-        coeffs[d] = coeffs.get(d, Fraction(0)) + sign * c
-    top = max(coeffs, default=0)
-    return Polynomial(tuple(coeffs.get(d, Fraction(0)) for d in range(top + 1)))
+        if not q:
+            raise RecdetError(f"cannot parse polynomial term {term!r}")
+        terms.append((d, sign * n, q))
+    den = lcm(*(q for _, _, q in terms))
+    nums = [0] * (max(d for d, _, _ in terms) + 1)
+    for d, n, q in terms:
+        nums[d] += n * (den // q)
+    return _reduced_poly(nums, den)
 
 
 def _parse_degree(digits: str) -> int:

@@ -24,7 +24,12 @@ from recdet.dsl import (
     Var,
 )
 from recdet.recurrence import FixedOrderSpec, FullHistorySpec
-from recdet.ring import RingValue
+from recdet.ring import Polynomial, RingValue
+
+
+def coeffs(p: Polynomial) -> tuple[Fraction, ...]:
+    """p's coefficients as reduced Fractions, constant term first."""
+    return tuple(Fraction(n, p.den) for n in p.nums)
 
 
 def rational_in(rng: random.Random, lo: int = -3, hi: int = 3) -> Fraction:

@@ -39,6 +39,7 @@ from recdet.ring import COUNTER, Polynomial
 from recdet.specfiles import available, spec_path
 
 from tests.conftest import (
+    coeffs,
     random_document,
     random_fixed_constant,
     random_fixed_variable,
@@ -162,7 +163,7 @@ def test_criterion_8_chebyshev_determinants_satisfy_the_cosine_identity():
 
     def horner(p, at):
         acc = 0.0
-        for c in reversed(p.coeffs):
+        for c in reversed(coeffs(p)):
             acc = acc * at + float(c)
         return acc
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recdet import dsl, hessenberg, ring
 from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
@@ -373,11 +374,12 @@ class TestIntegerBareiss:
             return ring(a, minors)
 
         monkeypatch.setattr(hessenberg, "_ring_bareiss", spy)
+        # GENERAL, since upper-Hessenberg matrices take the row recurrence
         base = [[2, 1, 7], [3, -1, 4], [0, 5, 1]]
         for cell in (Fraction(6), Fraction(1, 2), X):
             rows = [list(r) for r in base]
             rows[1][2] = cell
-            m = uh(rows)
+            m = SquareMatrix.from_rows(rows, Structure.GENERAL)
             assert det_bareiss(m) == det_laplace(m)
         assert took == [Fraction(1, 2), X]
 
@@ -416,6 +418,140 @@ class TestBareissMinors:
                 assert minors[1] == 0
         poly = uh([[X, 1, 2], [X, 1, 3], [0, X, 1]])
         assert self._agree(poly) == [X, 0, det_laplace(poly)]
+
+
+def _ring_reference(m, minors=None):
+    """_ring_bareiss on a copy of m's rows."""
+    return hessenberg._ring_bareiss([list(row) for row in m.entries], minors)
+
+
+def _hessenberg_case(seed, n, kind, band, zeros):
+    """A random_hessenberg matrix of the given kind (integral,
+    fractional or poly, the last with some constant Fraction cells),
+    with a declared band and each band cell zero with probability
+    zeros."""
+    rng = random.Random(seed)
+    ring_name = "poly" if kind == "poly" else "rational"
+    rows = [
+        list(row)
+        for row in random_hessenberg(n, rng, ring_name, rng.randint(0, 2)).entries
+    ]
+    for r in range(n):
+        for c in range(max(r - 1, 0), n):
+            if band is not None and c - r > band or rng.random() < zeros:
+                rows[r][c] = rng.choice((0, Polynomial())) if kind == "poly" else 0
+            elif kind == "fractional":
+                rows[r][c] /= rng.randint(1, 6)
+            elif kind == "poly" and rng.random() < 0.2:
+                rows[r][c] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+
+
+def _vanishing_minor(m, k):
+    """m with d_{k+1} = 0: column k copies column k - 1 on rows 0..k, or
+    m[0][0] = 0 when k is 0."""
+    if k == 0:
+        return m.with_entry(0, 0, 0)
+    for r in range(k + 1):
+        m = m.with_entry(r, k, m.entries[r][k - 1])
+    return m
+
+
+class TestHessenbergBareiss:
+    """The row recurrence for upper-Hessenberg matrices against
+    _ring_bareiss: the same determinants, minors, types and COUNTER
+    deltas, zero pivots included."""
+
+    def _agree(self, m):
+        det, ops = _counted(det_bareiss, m)
+        want, want_ops = _counted(_ring_reference, m)
+        assert det == want and type(det) is type(want)
+        assert ops == want_ops
+        got_minors, want_minors = [], []
+        got = _counted(hessenberg._bareiss, m, got_minors)
+        ref = _counted(_ring_reference, m, want_minors)
+        assert got == ref and type(got[0]) is type(ref[0])
+        assert got_minors == want_minors
+        assert [type(d) for d in got_minors] == [type(d) for d in want_minors]
+        # all minors, past a zero one too, as one determinant per size
+        minors = leading_minors(m, "bareiss")
+        each = [det_bareiss(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
+        assert minors == each
+        assert [type(d) for d in minors] == [type(d) for d in each]
+        return det, got_minors
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 10),
+        kind=st.sampled_from(("integral", "fractional", "poly")),
+        band=st.sampled_from((None, 0, 1, 3)),
+        zeros=st.sampled_from((0.0, 0.1, 0.4)),
+    )
+    def test_random_matrices(self, seed, n, kind, band, zeros):
+        self._agree(_hessenberg_case(seed, n, kind, band, zeros))
+
+    def test_sizes_one_and_two(self):
+        for rows in (
+            [[5]], [[0]], [[Fraction(1, 2)]], [[X]], [[Polynomial()]],
+            [[1, 2], [3, 4]], [[Fraction(1, 3), 2], [3, X]], [[X, 1], [X, 1]],
+            [[0, 2], [3, 4]], [[0, X], [1, 2]], [[1, 2], [0, 4]], [[X, 0], [0, X]],
+        ):
+            self._agree(uh(rows))
+        assert self._agree(uh([[0, 2], [3, 4]])) == (-6, [0])
+
+    def test_zero_subdiagonal_cells(self):
+        rng = random.Random(14)
+        for kind in ("integral", "fractional", "poly"):
+            for n in (3, 6, 9):
+                m = _hessenberg_case(rng.random(), n, kind, None, 0.2)
+                for r in range(1, n, 2):
+                    m = m.with_entry(r, r - 1, 0)
+                self._agree(m)
+
+    def test_zero_pivots_at_the_first_a_middle_and_the_last_step(self):
+        n = 7
+        for kind in ("integral", "fractional", "poly"):
+            # the first seed whose matrix has no zero leading minor
+            base = next(
+                m
+                for m in (_hessenberg_case(s, n, kind, None, 0.0) for s in range(100))
+                if 0 not in hessenberg_leading_minors(m)
+            )
+            # pivots p_0, p_3 and p_5 (the last step's), then d_7 = p_6
+            for k in (0, 3, n - 2, n - 1):
+                det, minors = self._agree(_vanishing_minor(base, k))
+                assert len(minors) == k + 1
+                assert minors[k] == 0 and 0 not in minors[:k]
+                if k == n - 1:
+                    assert det == 0
+
+    def test_general_matrices_and_bit_tracking_keep_the_elimination(self, monkeypatch):
+        route = hessenberg._hessenberg_bareiss
+        took = []
+
+        def spy(entries, minors):
+            took.append(len(entries))
+            return route(entries, minors)
+
+        monkeypatch.setattr(hessenberg, "_hessenberg_bareiss", spy)
+        rng = random.Random(16)
+        general = _integral(rng, 5, Structure.GENERAL, 0.0)
+        upper = _hessenberg_case(17, 6, "fractional", None, 0.0)
+        flat = SquareMatrix.from_rows(upper.entries, Structure.GENERAL)
+        for m in (general, flat):
+            det_bareiss(m)
+            leading_minors(m, "bareiss")
+        assert took == []
+        COUNTER.reset(track_bits=True)
+        try:
+            det_bareiss(upper)
+            leading_minors(upper, "bareiss")
+        finally:
+            COUNTER.reset()
+        assert took == []
+        assert det_bareiss(upper) == det_bareiss(flat)
+        assert took == [6]
 
 
 def _recursive_laplace(rows):

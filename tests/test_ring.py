@@ -1,11 +1,13 @@
 """Polynomial kernel, operation counter, and canonical rendering."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recdet import ring
 from recdet.errors import DivisionByZero, InexactDivision, RecdetError
 from recdet.ring import (
     COUNTER,
@@ -18,6 +20,8 @@ from recdet.ring import (
     ring_exact_div,
     ring_mul,
 )
+
+from tests.conftest import coeffs
 
 fractions_st = st.fractions(
     min_value=-20, max_value=20, max_denominator=7
@@ -91,7 +95,7 @@ def test_product_matches_the_fraction_schoolbook(size, a_len, b_len, data):
     a = data.draw(short_or_long(coeffs_st, a_len))
     b = data.draw(short_or_long(coeffs_st, b_len))
     p = Polynomial(a) * Polynomial(b)
-    assert p.coeffs == fraction_mul(tuple(a), tuple(b))
+    assert coeffs(p) == fraction_mul(tuple(a), tuple(b))
     assert_reduced(p)
     assert_reduced(Polynomial(a) + Polynomial(b))
     assert_reduced(Polynomial(a) - Polynomial(b))
@@ -107,7 +111,7 @@ def test_division_with_an_integral_quotient_matches_the_oracle(q, d):
     dividend = Polynomial(q) * Polynomial(d)
     quot, rem = dividend.divmod(Polynomial(d))
     assert quot == Polynomial(q) and rem.is_zero
-    oq, orem = fraction_divmod(dividend.coeffs, Polynomial(d).coeffs)
+    oq, orem = fraction_divmod(coeffs(dividend), coeffs(Polynomial(d)))
     assert quot == Polynomial(oq) and rem == Polynomial(orem)
     assert_reduced(quot)
     assert ring_exact_div(dividend, Polynomial(d)) == Polynomial(q)
@@ -122,7 +126,7 @@ def test_division_with_a_fractional_quotient_matches_the_oracle(a, b):
     if pb.is_zero:
         return
     quot, rem = pa.divmod(pb)
-    oq, orem = fraction_divmod(pa.coeffs, pb.coeffs)
+    oq, orem = fraction_divmod(coeffs(pa), coeffs(pb))
     assert quot == Polynomial(oq)
     assert rem == Polynomial(orem)
     assert_reduced(quot)
@@ -135,7 +139,7 @@ def test_exact_division_raises_or_returns_the_oracle_quotient(p, d):
         with pytest.raises(DivisionByZero):
             ring_exact_div(p, d)
         return
-    oq, orem = fraction_divmod(p.coeffs, d.coeffs)
+    oq, orem = fraction_divmod(coeffs(p), coeffs(d))
     if any(orem):
         with pytest.raises(InexactDivision):
             ring_exact_div(p, d)
@@ -153,7 +157,7 @@ def test_division_by_a_constant_rescales(p, c):
         with pytest.raises(DivisionByZero):
             ring_exact_div(p, Polynomial.constant(c))
         return
-    expected = Polynomial(tuple(v / c for v in p.coeffs))
+    expected = Polynomial(tuple(v / c for v in coeffs(p)))
     for divisor in (c, Polynomial.constant(c)):
         q = ring_exact_div(p, divisor)
         assert q == expected
@@ -161,8 +165,8 @@ def test_division_by_a_constant_rescales(p, c):
 
 
 def test_trailing_zero_coefficients_are_stripped():
-    assert Polynomial((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
-    assert Polynomial((0, 0)).coeffs == ()
+    assert Polynomial((1, 2, 0, 0)).nums == (1, 2)
+    assert Polynomial((0, 0)).nums == ()
 
 
 def test_degree_of_zero_is_none():
@@ -185,7 +189,7 @@ def test_constant_polynomial_hashes_like_its_fraction():
 def test_polynomials_are_immutable():
     p = Polynomial((1, 2))
     with pytest.raises(AttributeError):
-        p.coeffs = (Fraction(9),)
+        p.nums = (9,)
 
 
 @given(polys_st, polys_st)
@@ -356,7 +360,7 @@ class TestRendering:
 
 
 # --- Fraction reference renderer -------------------------------------------
-# The renderer once walked Polynomial.coeffs, one Fraction per term, with
+# The renderer once walked the coefficients as Fractions, one per term, with
 # abs, == and > on Fractions; it stays here as the oracle for the walk
 # over the (nums, den) int pair.
 
@@ -364,8 +368,9 @@ def fraction_render(v, coeff, power, star):
     if not isinstance(v, Polynomial):
         return coeff(v)
     parts = []
-    for d in range(len(v.coeffs) - 1, -1, -1):
-        c = v.coeffs[d]
+    cs = coeffs(v)
+    for d in range(len(cs) - 1, -1, -1):
+        c = cs[d]
         if c == 0:
             continue
         mag = abs(c)
@@ -444,3 +449,125 @@ class TestRenderingFromIntPairs:
     def test_random_fractions(self, f):
         assert render_value(f) == reference_render(f) == str(f)
         assert latex_value(f) == reference_latex(f)
+
+
+# --- Fraction reference parser ---------------------------------------------
+# The polynomial parser once built a Fraction per term and a dict of them
+# before Polynomial() took the lcm; it stays here as the oracle for the
+# parse straight into the (nums, den) pair.
+
+def reference_parse_poly_text(s):
+    chunks = re.split(r"\s([+-])\s", s)
+    signed = [(1, chunks[0].strip())]
+    for t in range(1, len(chunks), 2):
+        signed.append((1 if chunks[t] == "+" else -1, chunks[t + 1].strip()))
+    cs = {}
+    for sign, term in signed:
+        if term.startswith("-"):
+            sign = -sign
+            term = term[1:].strip()
+        m = ring._TERM_RE.fullmatch(term)
+        if not m:
+            raise RecdetError(f"cannot parse polynomial term {term!r}")
+        num, den, star, xpart, exp = m.groups()
+        if num is None and xpart is None:
+            raise RecdetError(f"cannot parse polynomial term {term!r}")
+        if (exp or star) and not xpart:
+            raise RecdetError(f"cannot parse polynomial term {term!r}")
+        if den is not None and num is None:
+            raise RecdetError(f"cannot parse polynomial term {term!r}")
+        d = (ring._parse_degree(exp) if exp else 1) if xpart else 0
+        try:
+            c = Fraction(int(num), int(den) if den else 1) if num else Fraction(1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RecdetError(f"cannot parse polynomial term {term!r}") from exc
+        cs[d] = cs.get(d, Fraction(0)) + sign * c
+    top = max(cs, default=0)
+    return Polynomial(tuple(cs.get(d, Fraction(0)) for d in range(top + 1)))
+
+
+def parse_outcome(parse, text):
+    """("ok", nums, den) for a parsed polynomial, else the error's type
+    and message."""
+    try:
+        p = parse(text)
+    except RecdetError as exc:
+        return type(exc), str(exc)
+    assert type(p) is Polynomial
+    return "ok", p.nums, p.den
+
+
+# one term of a polynomial's text, well formed or not: an optional "-",
+# digits, "/" and digits, "*", "x", "^" and digits, in any combination
+_digits_st = st.sampled_from(("0", "1", "2", "7", "12", "007", "36"))
+term_text_st = st.builds(
+    lambda neg, num, den, star, x, exp, pad: pad
+    + ("-" if neg else "")
+    + (num or "")
+    + (f"/{den}" if den is not None else "")
+    + ("*" if star else "")
+    + ("x" if x else "")
+    + (f"^{exp}" if exp is not None else "")
+    + pad,
+    st.booleans(),
+    st.one_of(st.none(), _digits_st),
+    st.one_of(st.none(), _digits_st),
+    st.booleans(),
+    st.booleans(),
+    st.one_of(st.none(), _digits_st),
+    st.sampled_from(("", " ")),
+)
+poly_text_st = st.builds(
+    lambda first, rest: first + "".join(f" {sign} {term}" for sign, term in rest),
+    term_text_st,
+    st.lists(st.tuples(st.sampled_from("+-"), term_text_st), max_size=5),
+)
+
+
+class TestParsingIntoThePair:
+    """_parse_poly_text against the Fraction-based parser: the same
+    Polynomial for every accepted text, the same error type and message
+    for every refused one."""
+
+    MALFORMED = (
+        "x^", "2**x", "/2*x", "one", "2^3*x", "2*", "2^3", "x + 1/0", "1/0*x",
+        "x + /3", "--x", "x +", "x - 2*", "x ^2", "1/0 + x^99999",
+        "x^99999 + 1/0", "x^10001", "x + x^100000000000", "1/0*x^99999",
+    )
+    # past int()'s digit limit, where the Python has one
+    LONG = ("x + " + "9" * 5000, "9" * 5000 + "*x", "1/" + "9" * 5000 + "*x")
+    ACCEPTED = (
+        "x", "-x", "*x", "x^0", "0*x", "x - x", "3/6*x^2 + 1/4*x - 2",
+        "x + - x", "x^0002 - 1/2 + x^2", "2/4*x - 1/6", "x^10000",
+        "0/5*x + 7", " x + 1 ", "-3*x^2 + 1",
+    )
+
+    def test_malformed_terms(self):
+        for text in self.MALFORMED:
+            got = parse_outcome(ring._parse_poly_text, text)
+            assert got[0] != "ok", text
+            assert got == parse_outcome(reference_parse_poly_text, text), text
+
+    def test_coefficients_past_the_digit_limit(self):
+        for text in self.LONG:
+            got = parse_outcome(ring._parse_poly_text, text)
+            assert got == parse_outcome(reference_parse_poly_text, text), text
+
+    def test_accepted_examples(self):
+        for text in self.ACCEPTED:
+            got = parse_outcome(ring._parse_poly_text, text)
+            assert got[0] == "ok", text
+            assert got == parse_outcome(reference_parse_poly_text, text), text
+
+    @given(mixed_polys_st)
+    def test_rendered_polynomials(self, p):
+        text = render_value(p)
+        assert parse_outcome(ring._parse_poly_text, text) == ("ok", p.nums, p.den)
+        assert parse_outcome(reference_parse_poly_text, text) == ("ok", p.nums, p.den)
+
+    @settings(max_examples=300)
+    @given(poly_text_st)
+    def test_random_texts(self, text):
+        assert parse_outcome(ring._parse_poly_text, text) == parse_outcome(
+            reference_parse_poly_text, text
+        )
