@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -299,7 +300,9 @@ def _bench(args: argparse.Namespace) -> int:
 
 # --- driver ----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    # built once per process: in-process callers of main skip rebuilding it
     parser = _Parser(
         prog="recdet",
         description="Determinant representations of linearly recurrent sequences.",
@@ -309,7 +312,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="print terms 1..n of a recurrence", parents=[])
     p.add_argument("spec", help=".rec file or family name")
     p.add_argument("--n", type=_positive_int, required=True, help="last index to print")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("matrix", help="print the size-k determinant matrix")
     p.add_argument("spec", help=".rec file or family name")
@@ -317,7 +319,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--format", choices=("text", "json", "latex"), default="text"
     )
-    p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("verify", help="check det(size k) against direct terms")
     p.add_argument("spec", help=".rec file or family name")
@@ -331,7 +332,6 @@ def build_parser() -> _Parser:
         metavar="I,J",
         help="add 1 to entry (I, J) first, as a negative control",
     )
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("family", help="catalog families via their determinants")
     p.add_argument("name", nargs="?", help="family name")
@@ -348,7 +348,6 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--format", choices=("text", "json", "latex"), default="text"
     )
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser(
         "bench",
@@ -367,7 +366,6 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--ring", choices=("rational", "poly"), default="rational")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 
@@ -376,9 +374,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is None:
+        if args.command is None:
             raise _UsageError("a subcommand is required (see recdet --help)")
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so the
+        # module's current cmd_* functions run
+        commands = {
+            "eval": cmd_eval,
+            "matrix": cmd_matrix,
+            "verify": cmd_verify,
+            "family": cmd_family,
+            "bench": cmd_bench,
+        }
+        return commands[args.command](args)
     except RecdetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -12,7 +12,7 @@ matrix whose determinant is a(k).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -332,9 +332,13 @@ def verify_spec(
 
     Compares determinant_terms(spec, max_n, method, corrupt) with direct
     iteration: a(k+1) for a full-history spec, a(k) for a fixed-order one.
+    Both routes read the coefficients through one table (see _read_once),
+    so each value is computed once; direct iteration still never reads
+    the matrix, so a corrupted cell or a wrong index map is still seen.
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
+    spec = _read_once(spec, max_n)
     dets = determinant_terms(spec, max_n, method, corrupt)
     if isinstance(spec, FullHistorySpec):
         direct = eval_full_history(spec, max_n + 1).terms[1:]
@@ -347,3 +351,42 @@ def verify_spec(
     return VerificationReport(
         spec=spec.name, checks=checks, passed=all(c.ok for c in checks)
     )
+
+
+def _read_once(
+    spec: FullHistorySpec | FixedOrderSpec, n: int
+) -> FullHistorySpec | FixedOrderSpec:
+    """A copy of spec that computes each coefficient value up to index n
+    once and then returns the stored value.
+
+    A full-history spec gets a row per k, indexed by i; a fixed-order
+    spec one list per p_t, indexed by k.  Values are computed lazily, in
+    the order of the first reads, and a value that raised is not stored,
+    so errors are those of the spec itself.  The table is local to the
+    copy: nothing is shared between calls or threads.
+    """
+    if isinstance(spec, FullHistorySpec):
+        coeff = spec.coeff
+        rows: list[list[RingValue | None]] = [[None] * (k + 1) for k in range(n + 1)]
+
+        def read(k: int, i: int) -> RingValue:
+            row = rows[k]
+            v = row[i]
+            if v is None:
+                v = row[i] = coeff(k, i)
+            return v
+
+        return replace(spec, coeff=read)
+    return replace(spec, coeffs=tuple(_read_once_by_k(f, n) for f in spec.coeffs))
+
+
+def _read_once_by_k(f: Callable[[int], RingValue], n: int) -> Callable[[int], RingValue]:
+    values: list[RingValue | None] = [None] * (n + 1)
+
+    def read(k: int) -> RingValue:
+        v = values[k]
+        if v is None:
+            v = values[k] = f(k)
+        return v
+
+    return read

@@ -233,6 +233,70 @@ class TestExitCodes:
         assert run(capsys, "eval", "naturals", "--n", "3", "--frobnicate")[0] == 1
 
 
+USAGE_ERRORS = [
+    (),
+    ("--frobnicate",),
+    ("frobnicate",),
+    ("eval", "naturals"),
+    ("eval", "naturals", "--n", "0"),
+    ("eval", "naturals", "--n", "three"),
+    ("eval", "no-such-thing", "--n", "3"),
+    ("verify", "naturals", "--max-n", "5", "--corrupt", "1"),
+    ("verify", "naturals", "--max-n", "5", "--corrupt", "a,b"),
+    ("verify", "naturals", "--max-n", "5", "--method", "cramer"),
+    ("verify", "naturals", "--max-n", "5", "--format", "latex"),
+    ("family",),
+    ("family", "no-such-family"),
+    ("family", "continuant", "--params", "1,x"),
+    ("bench", "--sizes", "4", "--methods", "cramer"),
+    ("bench", "--sizes", ""),
+]
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+class TestParserBuiltOnce:
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help"), ("bench", "--help")])
+    def test_help_is_byte_identical_on_every_call(self, argv, capsys):
+        first = _help(capsys, *argv)
+        assert first[0] == 0 and first[1].startswith("usage: recdet")
+        assert _help(capsys, *argv) == first
+        # and the same as from a parser built afresh
+        cli.build_parser.cache_clear()
+        assert _help(capsys, *argv) == first
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_errors_are_byte_identical_on_every_call(self, argv, capsys):
+        first = run(capsys, *argv)
+        assert first[0] == 1 and first[1] == "" and first[2].startswith("error: ")
+        assert run(capsys, *argv) == first
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == first
+
+    def test_options_fall_back_to_their_defaults(self, capsys):
+        parse = cli.build_parser().parse_args
+        verify = ["verify", "naturals", "--max-n", "5"]
+        assert parse(verify + ["--corrupt", "1,1"]).corrupt == (1, 1)
+        assert parse(verify).corrupt is None
+        family = ["family", "continuant", "--n", "3"]
+        assert parse(family + ["--params", "1,2,3"]).params == (1, 2, 3)
+        assert parse(family).params is None
+        # and through main: a corrupted run, then a clean one
+        assert run(capsys, *verify, "--corrupt", "1,1")[0] == 3
+        assert run(capsys, *verify)[0] == 0
+        assert run(capsys, *family, "--params", "1,2,3")[0] == 0
+        code, _, err = run(capsys, *family)
+        assert (code, err) == (1, "error: family 'continuant' needs a coefficient list\n")
+
+
 def readme_exit_codes() -> dict[int, str]:
     """Each code of the README's exit-code table with its "raised by" cell."""
     readme = Path(__file__).resolve().parents[1] / "README.md"

@@ -2,13 +2,15 @@
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recdet import cli, dsl, recurrence, ring
-from recdet.errors import IndexBelowValidity, RecdetError, SizeTooLarge
+from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import det_bareiss, det_hessenberg_fast, hessenberg_leading_minors
 from recdet.ring import COUNTER, Polynomial
@@ -16,6 +18,8 @@ from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
     SequencePrefix,
+    VerificationCheck,
+    VerificationReport,
     determinant_terms,
     embed_fixed_order,
     eval_fixed_order,
@@ -489,3 +493,232 @@ class TestIntDirectKernel:
         assert code == 2
         assert captured.out == ""
         assert captured.err == message
+
+
+# --- verify_spec's coefficient table against the plain composition ---------
+
+
+def reference_verify(spec, max_n, method="fast", corrupt=None):
+    """verify_spec as composed without its coefficient table: the
+    determinant route and direct iteration each read the spec itself."""
+    if max_n < 1:
+        raise RecdetError("max_n must be at least 1")
+    dets = determinant_terms(spec, max_n, method, corrupt)
+    if isinstance(spec, FullHistorySpec):
+        direct = eval_full_history(spec, max_n + 1).terms[1:]
+    else:
+        direct = eval_fixed_order(spec, max_n).terms
+    checks = tuple(
+        VerificationCheck(
+            k=k, direct=ring.render_value(a), det=ring.render_value(d), ok=a == d
+        )
+        for k, (a, d) in enumerate(zip(direct, dets), start=1)
+    )
+    return VerificationReport(
+        spec=spec.name, checks=checks, passed=all(c.ok for c in checks)
+    )
+
+
+def _outcome(run, spec, *args, track_bits=False):
+    """The report, or the error's type, message and k, with max_bits and
+    the ring ops COUNTER saw."""
+    COUNTER.reset(track_bits=track_bits)
+    try:
+        result = run(spec, *args)
+    except RecdetError as exc:
+        result = (type(exc), str(exc), getattr(exc, "k", None))
+    counts = COUNTER.max_bits, COUNTER.ring_ops
+    COUNTER.reset()
+    return result, counts
+
+
+def _assert_table_matches_reference(spec, *args, track_bits=False):
+    got, (got_bits, got_ops) = _outcome(verify_spec, spec, *args, track_bits=track_bits)
+    want, (want_bits, want_ops) = _outcome(
+        reference_verify, spec, *args, track_bits=track_bits
+    )
+    assert got == want, (spec.name, args)
+    # the same intermediates; only the coefficients' repeated ops are gone
+    assert got_bits == want_bits
+    assert got_ops <= want_ops
+    return got
+
+
+def _dsl_spec(text, name="spec"):
+    return dsl.to_spec(dsl.parse(text), name=name)
+
+
+class TestCoefficientTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(("fast", "bareiss", "laplace")),
+        corrupt=st.booleans(),
+        track_bits=st.booleans(),
+    )
+    def test_random_documents(self, seed, method, corrupt, track_bits):
+        rng = random.Random(seed)
+        spec = dsl.to_spec(random_document(rng))
+        n = rng.randint(1, 8 if method == "laplace" else 30)
+        # any position, in the band, above it or below the subdiagonal
+        position = (rng.randint(1, n), rng.randint(1, n)) if corrupt else None
+        _assert_table_matches_reference(spec, n, method, position, track_bits=track_bits)
+
+    @pytest.mark.parametrize("name", available())
+    def test_shipped_specs(self, name):
+        spec = _dsl_spec(spec_text(name), name)
+        for method, n in (("fast", 30), ("bareiss", 30), ("laplace", 8)):
+            report = _assert_table_matches_reference(spec, n, method)
+            assert report.passed
+            # (1, 1) is in every band, (3, 2) on the subdiagonal; (1, n) is
+            # above the band of every fixed-order spec, and in the dense
+            # matrix of the full-history one
+            for position in ((1, 1), (1, n), (3, 2)):
+                _assert_table_matches_reference(spec, n, method, position)
+        _assert_table_matches_reference(spec, 12, "fast", (1, 1), track_bits=True)
+
+    @pytest.mark.parametrize("name", available(negative=True))
+    def test_negative_specs(self, name):
+        try:
+            spec = _dsl_spec(spec_text(name, negative=True), name)
+        except RecdetError:
+            return  # refused by the parser, before any spec exists
+        for n in (8, 9, 12):
+            _assert_table_matches_reference(spec, n)
+
+    def test_bad_eval_raises_as_before(self):
+        spec = _dsl_spec(spec_text("bad-eval", negative=True), "bad-eval")
+        got = _assert_table_matches_reference(spec, 12)
+        assert got[0] is DivisionByZero and got[2] == 9
+
+    def test_the_matrix_read_order_picks_the_first_error(self):
+        # k + 3i = 22 vanishes at (k, i) = (7, 5), (10, 4), ..., (19, 1):
+        # direct iteration alone meets k = 7 first, the matrix build, row
+        # i = 1 first, the cell with the smallest i inside the matrix
+        spec = _dsl_spec(
+            "mode = full-history\nring = rational\ninitial = 1\n"
+            "coeff p(k, i) = 1/(k + 3*i - 22)\n"
+        )
+        with pytest.raises(DivisionByZero) as direct_only:
+            eval_full_history(spec, 21)
+        assert direct_only.value.k == 7
+        for n, k in ((20, 19), (12, 10), (8, 7)):
+            for method in ("fast", "bareiss"):
+                got = _assert_table_matches_reference(spec, n, method)
+                assert got == (DivisionByZero, f"denominator is zero at k = {k}", k)
+
+    def test_a_spec_that_breaks_its_band_still_fails(self):
+        # band 1 promises p(k, i) = 0 for k - i > 1; p is 1 everywhere
+        spec = FullHistorySpec(
+            initial=ONE, coeff=lambda k, i: ONE, name="band-breaker", band=1
+        )
+        report = _assert_table_matches_reference(spec, 10)
+        assert not report.passed
+        assert report.first_failure() == 3
+
+    def test_corruption_is_seen_by_the_determinant_route_only(self):
+        spec = naturals_full()
+        direct = [ring.render_value(a) for a in eval_full_history(spec, 9).terms[1:]]
+        for position in ((1, 1), (1, 8), (2, 1), (4, 6)):
+            report = _assert_table_matches_reference(spec, 8, "fast", position)
+            assert not report.passed
+            assert [c.direct for c in report.checks] == direct
+
+
+def _counting_full(value, band=None):
+    calls = Counter()
+
+    def coeff(k, i):
+        calls[k, i] += 1
+        return value(k, i)
+
+    return FullHistorySpec(initial=ONE, coeff=coeff, name="counted", band=band), calls
+
+
+class TestCoefficientReadsOnce:
+    @pytest.mark.parametrize("method", ["fast", "bareiss", "laplace"])
+    def test_dense_full_history(self, method):
+        n = 8
+        spec, calls = _counting_full(lambda k, i: Fraction(k + i, 2 * i + 1))
+        before = (spec.coeff, spec.initial, spec.band, spec.name)
+        assert verify_spec(spec, n, method).passed
+        assert calls == Counter({(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1)})
+        assert sum(calls.values()) == n * (n + 1) // 2
+        assert (spec.coeff, spec.initial, spec.band, spec.name) == before
+        # nothing is kept between calls
+        verify_spec(spec, n, method)
+        assert set(calls.values()) == {2}
+
+    def test_banded_full_history_reads_out_of_band_cells_once_more(self):
+        # the build reads the band, direct iteration once more each cell
+        # outside it, which the matrix never holds
+        n, band = 12, 2
+        spec, calls = _counting_full(
+            lambda k, i: Fraction(k, i) if k - i <= band else Fraction(0), band=band
+        )
+        theorem1_matrix(spec, n)
+        in_band = Counter(calls)
+        assert in_band == Counter(
+            {(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1) if k - i <= band}
+        )
+        calls.clear()
+        assert verify_spec(spec, n).passed
+        assert calls == Counter({(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1)})
+        assert sum(calls.values()) - sum(in_band.values()) == sum(
+            1 for k in range(1, n + 1) for i in range(1, k + 1) if k - i > band
+        )
+
+    @pytest.mark.parametrize("method", ["fast", "bareiss"])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_fixed_order(self, m, method):
+        n = 20
+        calls = Counter()
+
+        def p(t):
+            def coeff(k):
+                calls[t, k] += 1
+                return Fraction(t * k - 1, k + t)
+
+            return coeff
+
+        spec = FixedOrderSpec(
+            order=m,
+            initials=tuple(Fraction(j, 2) for j in range(1, m + 1)),
+            coeffs=tuple(p(t) for t in range(1, m + 1)),
+        )
+        coeffs = spec.coeffs
+        assert verify_spec(spec, n, method).passed
+        assert calls == Counter(
+            {(t, k): 1 for t in range(1, m + 1) for k in range(spec.first_valid_k, n + 1)}
+        )
+        assert spec.coeffs is coeffs
+
+    def test_a_value_that_raised_is_read_again(self):
+        # a raising coefficient is not stored: a second verify of the same
+        # spec raises the same error from the same cell
+        spec = _dsl_spec(spec_text("bad-eval", negative=True), "bad-eval")
+        for _ in range(2):
+            with pytest.raises(DivisionByZero) as info:
+                verify_spec(spec, 12)
+            assert info.value.k == 9
+
+    def test_dsl_coefficient_ops_are_counted_once(self):
+        # the matrix build reads every cell direct iteration reads, so
+        # verify counts the build's coefficient ops and none for direct
+        spec = _dsl_spec(spec_text("partial-sums"), "partial-sums")
+        n = 30
+        COUNTER.reset()
+        determinant_terms(spec, n)
+        det_ops = COUNTER.ring_ops
+        COUNTER.reset()
+        for k in range(2, n + 1):
+            spec.coeffs[0](k)
+        coeff_ops = COUNTER.ring_ops
+        COUNTER.reset()
+        eval_fixed_order(spec, n)
+        direct_ops = COUNTER.ring_ops
+        COUNTER.reset()
+        verify_spec(spec, n)
+        assert coeff_ops > 0
+        assert COUNTER.ring_ops == det_ops + direct_ops - coeff_ops
+        COUNTER.reset()
