@@ -92,7 +92,13 @@ def _resolve_spec(token: str) -> tuple[FullHistorySpec | FixedOrderSpec, str]:
     """A .rec file path, or failing that a catalog family name."""
     path = Path(token)
     if path.is_file():
-        doc = dsl.parse(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise _UsageError(
+                f"{token} is not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+        doc = dsl.parse(text)
         return dsl.to_spec(doc, name=path.stem), doc.ring
     fid = _family_id(token, f"{token!r} is neither a spec file nor a family")
     return family_spec(fid), family_ring(fid)

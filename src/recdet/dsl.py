@@ -137,9 +137,9 @@ def _lex_line(text: str, line_no: int) -> list[_Token]:
             i += 1
             continue
         col = i + 1
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes "²" and "٣"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Token("INT", text[i:j], line_no, col))
             i = j
@@ -155,6 +155,15 @@ def _lex_line(text: str, line_no: int) -> list[_Token]:
         else:
             raise SpecSyntaxError(line_no, col, f"unexpected character {ch!r}")
     return toks
+
+
+def _int_literal(t: _Token) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits allows
+        raise SpecSyntaxError(
+            t.line, t.col, f"integer literal of {len(t.text)} digits is too long"
+        ) from None
 
 
 class _Cursor:
@@ -223,7 +232,7 @@ def _parse_factor(cur: _Cursor) -> Expr:
         return Neg(_parse_factor(cur))
     if t.kind == "INT":
         cur.take()
-        return IntLit(int(t.text))
+        return IntLit(_int_literal(t))
     if t.kind == "IDENT" and t.text in ("k", "i", "x"):
         cur.take()
         return Var(t.text)
@@ -329,9 +338,9 @@ def parse(text: str) -> SpecDocument:
             num = cur.expect("INT", "an integer")
             cur.expect_end()
             if key == "order":
-                order = int(num.text)
+                order = _int_literal(num)
             else:
-                first_valid_k = int(num.text)
+                first_valid_k = _int_literal(num)
             continue
 
         # key == "initial"

@@ -3,10 +3,11 @@
 det_hessenberg_fast is the O(n^2) leading-principal-minor recurrence and
 the computational heart of the package; det_laplace (cofactor expansion,
 guarded at size 8) and det_bareiss (fraction-free elimination) are its
-independent oracles.  det_bareiss is O(n^3) in general and an O(n^2)
-row recurrence on upper-Hessenberg matrices while bits are not tracked;
-that recurrence expands rows, where det_hessenberg_fast runs down the
-columns over products of the subdiagonal.
+independent oracles.  det_bareiss is the O(n^3) ring elimination in
+general, and an O(n^2) row recurrence on upper-Hessenberg matrices
+while bits are not tracked, which makes the elimination's row swaps
+itself; that recurrence expands rows, where det_hessenberg_fast runs
+down the columns over products of the subdiagonal.
 """
 
 from __future__ import annotations
@@ -231,9 +232,8 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     the first row below it with a nonzero entry in its column comes up,
     with sign tracking, and a column with no such row short-circuits to
     0.  An upper-Hessenberg matrix takes a division-free O(n^2) row
-    recurrence while bits are not tracked (see _hessenberg_bareiss);
-    any other matrix takes the O(n^3) elimination, over ints when it is
-    integral and ring.int_scaled lets it (see _int_bareiss).
+    recurrence while bits are not tracked, swaps included (see
+    _hessenberg_bareiss); any other matrix takes the O(n^3) elimination.
     """
     return _bareiss(m)
 
@@ -248,25 +248,17 @@ def _bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValu
 
     An upper-Hessenberg matrix takes _hessenberg_bareiss while
     COUNTER.track_bits is off, so that max_bits still sees every result
-    of the ring path; a zero pivot before the last hands it on to the
-    swap path below.
+    of the ring path; any other matrix, and every matrix while bits are
+    tracked, takes _ring_bareiss.
     """
-    entries = m.entries
     if m.structure is Structure.UPPER_HESSENBERG and not COUNTER.track_bits:
-        d = _hessenberg_bareiss(entries, minors)
-        if d is not None:
-            return d
-    n = len(entries)
-    scaled = int_scaled(chain.from_iterable(entries))
-    if scaled is not None and scaled[0] == 1:
-        ints = scaled[1]
-        return _int_bareiss([ints[r : r + n] for r in range(0, n * n, n)], minors)
-    return _ring_bareiss([list(row) for row in entries], minors)
+        return _hessenberg_bareiss(m.entries, minors)
+    return _ring_bareiss([list(row) for row in m.entries], minors)
 
 
 def _hessenberg_bareiss(
     entries: tuple[tuple[RingValue, ...], ...], minors: list[RingValue] | None
-) -> RingValue | None:
+) -> RingValue:
     """_bareiss on an upper-Hessenberg matrix as a row recurrence.
 
     Below the pivot row, Bareiss only rescales a row until its own step,
@@ -277,12 +269,17 @@ def _hessenberg_bareiss(
     from O(n^2) products and no division.  A row whose subdiagonal cell
     is zero is only rescaled, and keeps its zero cells as they are.
 
+    A zero pivot p_{i-1} can only be repaired by row i, the one row
+    below it with a nonzero cell in its column.  When that subdiagonal
+    cell s is nonzero, the swap puts it on the pivot and the step
+    rescales R_{i-1} by s, which is then the next pivot row: the sign
+    flips and the recurrence goes on from s * R_{i-1} on columns >= i.
+    When s is zero too, the determinant is 0.  With a list minors the
+    first zero pivot ends the pass instead, as in _ring_bareiss.
+
     The cells on or above the subdiagonal run over ints when int_scaled
     finds them integral, and the results come back as Fractions.
-    COUNTER gets the ring path's counts in bulk.  A zero pivot before
-    the last returns None, with no counts added, so that the swap path
-    takes over; with a list minors it ends the pass as _ring_bareiss
-    does, with the counts of the steps before it.
+    COUNTER gets the ring path's counts in bulk.
     """
     n = len(entries)
     # row r from column r - 1: the cells on or above the subdiagonal
@@ -296,35 +293,43 @@ def _hessenberg_bareiss(
             at += len(tail)
     row = tails[0]
     pivots = [row[0]]
-    for tail in tails[1:]:
-        p = pivots[-1]
+    sign = 1
+    # row i -> the nonzero cells that a swap with row i rescales
+    swaps: dict[int, int] = {}
+    for i in range(1, n):
+        tail = tails[i]
+        p, s = row[0], tail[0]
         if p == 0:
-            if minors is None:
-                return None
-            break
-        s = tail[0]
-        if s == 0:
+            if minors is not None or s == 0:
+                break
+            sign = -sign
+            row = [x if x == 0 else s * x for x in row[1:]]
+            swaps[i] = len(row) - row.count(0)
+        elif s == 0:
             row = [x if x == 0 else p * x for x in tail[1:]]
         else:
             row = [p * x - s * y for x, y in zip(tail[1:], row[1:])]
         pivots.append(row[0])
-    _hessenberg_bareiss_counts(tails, len(pivots) - 1)
+    _hessenberg_bareiss_counts(tails, len(pivots) - 1, swaps)
     if minors is not None:
         minors += map(Fraction, pivots) if ints else pivots
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(pivots[-1]) if ints else pivots[-1]
+    d = pivots[-1] if sign == 1 else -pivots[-1]
+    return Fraction(d) if ints else d
 
 
-def _hessenberg_bareiss_counts(tails: list, steps: int) -> None:
+def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -> None:
     """Add to COUNTER the muls, adds and divs of _ring_bareiss's first
     steps on an upper-Hessenberg matrix, whose rows from the
-    subdiagonal on are tails.
+    subdiagonal on are tails, with the rows in swaps swapped up.
 
     At step k, with w = n - k - 1, row k + 1 costs 2w muls, w adds and w
     divs when its subdiagonal cell is nonzero; every other row below the
     pivot row costs one mul and one div per nonzero cell right of column
-    k, which for row i >= k + 2 is every nonzero cell.
+    k, which for row i >= k + 2 is every nonzero cell.  When row k + 1 is
+    swapped up, the old pivot row takes its place, at one mul and one
+    div per nonzero cell of it right of column k: swaps[k + 1] of them.
     """
     n = len(tails)
     muls = adds = divs = 0
@@ -335,7 +340,10 @@ def _hessenberg_bareiss_counts(tails: list, steps: int) -> None:
         muls += rescaled
         divs += rescaled
         if i <= steps:
-            if tail[0] == 0:
+            if i in swaps:
+                muls += swaps[i]
+                divs += swaps[i]
+            elif tail[0] == 0:
                 muls += live
                 divs += live
             else:
@@ -387,64 +395,6 @@ def _ring_bareiss(
     if minors is not None:
         minors.append(d)
     return d if sign == 1 else -d
-
-
-def _int_bareiss(a: list[list[int]], minors: list[RingValue] | None) -> Fraction:
-    """_bareiss over ints, with // as the exact division.
-
-    The row swaps, the early return and the skipped updates (a[i][k]
-    and a[i][j] both zero) are the ring path's, and COUNTER gets the
-    ring path's muls, adds and divs in bulk, on every way out.  The
-    determinant and the minors come back as Fractions.
-    """
-    n = len(a)
-    muls = adds = divs = 0
-    prev = 1
-    sign = 1
-    try:
-        for k in range(n - 1):
-            pivot = a[k][k]
-            if minors is not None:
-                minors.append(Fraction(pivot))
-            if not pivot:
-                if minors is not None:
-                    return Fraction(0)
-                for r in range(k + 1, n):
-                    if a[r][k]:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-                pivot = a[k][k]
-            top = a[k][k + 1 :]
-            width = n - k - 1
-            for i in range(k + 1, n):
-                row = a[i]
-                aik = row[k]
-                tail = row[k + 1 :]
-                if aik:
-                    row[k + 1 :] = [
-                        (x * pivot - aik * y) // prev for x, y in zip(tail, top)
-                    ]
-                    muls += 2 * width
-                    adds += width
-                    divs += width
-                else:
-                    live = width - tail.count(0)
-                    if live:
-                        row[k + 1 :] = [x * pivot // prev for x in tail]
-                        muls += live
-                        divs += live
-            prev = pivot
-        d = a[n - 1][n - 1]
-        if minors is not None:
-            minors.append(Fraction(d))
-        return Fraction(d if sign == 1 else -d)
-    finally:
-        COUNTER.muls += muls
-        COUNTER.adds += adds
-        COUNTER.divs += divs
 
 
 def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:

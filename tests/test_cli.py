@@ -232,6 +232,16 @@ class TestExitCodes:
     def test_unknown_flag_exits_one(self, capsys):
         assert run(capsys, "eval", "naturals", "--n", "3", "--frobnicate")[0] == 1
 
+    def test_a_spec_file_that_is_not_utf8_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "latin1.rec"
+        path.write_bytes("mode = fixed-order\n# caf\u00e9\n".encode("latin-1"))
+        for command in (("eval", str(path), "--n", "3"), ("verify", str(path), "--max-n", "3")):
+            code, out, err = run(capsys, *command)
+            assert (code, out) == (1, "")
+            assert err == (
+                f"error: {path} is not UTF-8 text (invalid continuation byte at byte 24)\n"
+            )
+
 
 USAGE_ERRORS = [
     (),

@@ -2,11 +2,12 @@
 
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from recdet.dsl import (
     Add,
@@ -32,6 +33,9 @@ from recdet.recurrence import eval_fixed_order, eval_full_history
 from recdet.ring import COUNTER, Polynomial
 from recdet.specfiles import available, spec_text
 from tests.conftest import random_document
+
+# int()'s cap on the digits of a literal; 0 (or no cap at all) is no limit
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 FIB = """\
 mode = fixed-order
@@ -108,6 +112,31 @@ class TestSyntaxErrors:
     def test_trailing_tokens_are_rejected(self):
         with pytest.raises(SpecSyntaxError):
             parse(FIB.replace("order = 2", "order = 2 3"))
+
+    def test_digits_other_than_ascii_are_unexpected_characters(self):
+        for old_text, new_text, col in (
+            ("coeff p1(k) = 1", "coeff p1(k) = \u00b2", 15),
+            ("initial = [1, 1]", "initial = [\u0663, 1]", 12),
+            ("order = 2", "order = \uff12", 9),
+            ("order = 2", "order = 2\u00b2", 10),
+        ):
+            with pytest.raises(SpecSyntaxError) as exc:
+                parse(FIB.replace(old_text, new_text))
+            assert exc.value.col == col
+            assert f"unexpected character {new_text[col - 1]!r}" in str(exc.value)
+
+    @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="int() takes any number of digits")
+    def test_literals_past_the_int_digit_limit_are_syntax_errors(self):
+        digits = "9" * (_INT_DIGIT_LIMIT + 1)
+        for old_text, new_text, line, col in (
+            ("coeff p1(k) = 1", f"coeff p1(k) = k + {digits}", 5, 19),
+            ("order = 2", f"order = {digits}", 3, 9),
+            ("ring = rational", f"ring = rational\nfirst_valid_k = {digits}", 3, 17),
+        ):
+            with pytest.raises(SpecSyntaxError) as exc:
+                parse(FIB.replace(old_text, new_text))
+            assert (exc.value.line, exc.value.col) == (line, col)
+            assert f"literal of {len(digits)} digits is too long" in str(exc.value)
 
 
 class TestSemanticErrors:
@@ -330,7 +359,30 @@ def test_compiled_coefficients_defer_to_eval_expr_while_tracking_bits():
     assert compiled == reference
 
 
+_TOTALITY_EXAMPLES = [
+    "coeff p1(k) = \u00b2",
+    "initial = [\u0663]",
+    "order = \u0661\u0662",
+    "mode = fixed-order\nring = rational\norder = 1\ninitial = [1]\ncoeff p1(k) = k\u00b9",
+]
+if _INT_DIGIT_LIMIT:
+    _LONG = "9" * max(5000, _INT_DIGIT_LIMIT + 1)
+    _TOTALITY_EXAMPLES += [
+        f"coeff p1(k) = 2 * {_LONG}",
+        f"order = {_LONG}",
+        f"first_valid_k = {_LONG}",
+        f"mode = fixed-order\nring = rational\norder = 1\ninitial = [{_LONG}]\ncoeff p1(k) = 1",
+    ]
+
+
+def _with_examples(test):
+    for text in _TOTALITY_EXAMPLES:
+        test = example(text)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
+@_with_examples
 @given(
     st.text(
         alphabet="mode=fixdrngplcf oklixy()[]+-*/0123456789,\n#_",

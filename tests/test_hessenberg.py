@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from recdet import dsl, hessenberg, ring
 from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
+    LAPLACE_SIZE_LIMIT,
     SquareMatrix,
     Structure,
-    _int_bareiss,
     _int_leading_minors,
     _ring_leading_minors,
     det_bareiss,
@@ -29,7 +29,8 @@ from recdet.hessenberg import (
 )
 from recdet.recurrence import determinant_terms
 from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value
-from recdet.specfiles import available, spec_text
+from recdet.cli import main
+from recdet.specfiles import available, spec_path, spec_text
 
 
 def uh(rows):
@@ -166,13 +167,29 @@ class TestDeterminants:
     def test_bareiss_handles_zero_pivots_with_a_row_swap(self):
         m = uh([[0, 1], [1, 0]])
         assert det_bareiss(m) == -1
-        m = uh([[0, 2, 3], [5, 0, 1], [0, 4, 0]])
-        assert det_bareiss(m) == det_laplace(m)
+        rows = [[0, 2, 3], [5, 0, 1], [0, 4, 0]]
+        for structure in Structure:
+            m = SquareMatrix.from_rows(rows, structure)
+            assert det_bareiss(m) == det_laplace(m) == 60
+        # general matrices with a zero diagonal, in both structures
+        rng = random.Random(9)
+        for n in range(2, LAPLACE_SIZE_LIMIT + 1):
+            for structure in Structure:
+                m = _integral(rng, n, structure, 0.3)
+                for k in range(n):
+                    m = m.with_entry(k, k, 0)
+                assert det_bareiss(m) == det_laplace(m)
 
     def test_bareiss_detects_singular_matrices(self):
         m = uh([[0, 1], [0, 1]])
         assert det_bareiss(m) == 0
         m = uh([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        assert det_bareiss(m) == det_laplace(m) == 0
+        # a zero column: no row can repair its pivot
+        rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
+        for r in rows:
+            r[2] = 0
+        m = SquareMatrix.from_rows(rows)
         assert det_bareiss(m) == det_laplace(m) == 0
 
     def test_determinant_multiplies_like_a_sign_under_row_scaling(self):
@@ -319,71 +336,6 @@ def _integral(rng, n, structure, zeros):
     return SquareMatrix.from_rows(rows, structure)
 
 
-class TestIntegerBareiss:
-    """The int elimination of integral matrices against the ring path."""
-
-    def _agree(self, m):
-        rows = [[v.numerator for v in row] for row in m.entries]
-        fast, fast_ops = _counted(_int_bareiss, rows, None)
-        # bit tracking sends every matrix down the ring path
-        ring, ring_ops = _counted(det_bareiss, m, track_bits=True)
-        assert fast == ring
-        assert type(fast) is Fraction
-        assert fast_ops == ring_ops
-        assert _counted(det_bareiss, m) == (ring, ring_ops)
-        return fast
-
-    def test_determinants_and_op_counts_equal_the_ring_path(self):
-        rng = random.Random(8)
-        for n in range(1, 21):
-            for structure in Structure:
-                for zeros in (0.0, 0.5):
-                    self._agree(_integral(rng, n, structure, zeros))
-
-    def test_zero_pivots_swap_rows_as_on_the_ring_path(self):
-        rng = random.Random(9)
-        assert self._agree(uh([[0, 2, 3], [5, 0, 1], [0, 4, 0]])) == 60
-        for n in range(2, 21):
-            m = _integral(rng, n, Structure.GENERAL, 0.3)
-            for k in range(n):
-                m = m.with_entry(k, k, 0)
-            self._agree(m)
-
-    def test_a_zero_column_returns_zero_with_the_ring_paths_counts(self):
-        rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
-        for r in rows:
-            r[2] = 0
-        assert self._agree(SquareMatrix.from_rows(rows)) == 0
-
-    def test_bit_tracking_reports_the_ring_paths_max_bits(self):
-        m = _integral(random.Random(10), 20, Structure.GENERAL, 0.0)
-        COUNTER.reset(track_bits=True)
-        det = det_bareiss(m)
-        got = COUNTER.max_bits
-        COUNTER.reset(track_bits=True)
-        assert hessenberg._ring_bareiss([list(r) for r in m.entries], None) == det
-        want = COUNTER.max_bits
-        COUNTER.reset()
-        assert got == want > det.numerator.bit_length()
-
-    def test_a_fractional_or_polynomial_cell_takes_the_ring_path(self, monkeypatch):
-        ring = hessenberg._ring_bareiss
-        took = []
-        def spy(a, minors):
-            took.append(a[1][2])
-            return ring(a, minors)
-
-        monkeypatch.setattr(hessenberg, "_ring_bareiss", spy)
-        # GENERAL, since upper-Hessenberg matrices take the row recurrence
-        base = [[2, 1, 7], [3, -1, 4], [0, 5, 1]]
-        for cell in (Fraction(6), Fraction(1, 2), X):
-            rows = [list(r) for r in base]
-            rows[1][2] = cell
-            m = SquareMatrix.from_rows(rows, Structure.GENERAL)
-            assert det_bareiss(m) == det_laplace(m)
-        assert took == [Fraction(1, 2), X]
-
-
 class TestBareissMinors:
     """leading_minors(m, "bareiss") from one pass against one det_bareiss
     per leading submatrix."""
@@ -447,13 +399,15 @@ def _hessenberg_case(seed, n, kind, band, zeros):
     return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
 
 
-def _vanishing_minor(m, k):
-    """m with d_{k+1} = 0: column k copies column k - 1 on rows 0..k, or
-    m[0][0] = 0 when k is 0."""
-    if k == 0:
-        return m.with_entry(0, 0, 0)
-    for r in range(k + 1):
-        m = m.with_entry(r, k, m.entries[r][k - 1])
+def _vanishing_minor(m, *ks):
+    """m with d_{k+1} = 0 for each k: column k copies column k - 1 on
+    rows 0..k, or m[0][0] = 0 when k is 0.  Each copy leaves the minors
+    of the smaller ks as they were."""
+    for k in sorted(ks):
+        if k == 0:
+            m = m.with_entry(0, 0, 0)
+        for r in range(k + 1 if k else 0):
+            m = m.with_entry(r, k, m.entries[r][k - 1])
     return m
 
 
@@ -487,9 +441,11 @@ class TestHessenbergBareiss:
         kind=st.sampled_from(("integral", "fractional", "poly")),
         band=st.sampled_from((None, 0, 1, 3)),
         zeros=st.sampled_from((0.0, 0.1, 0.4)),
+        vanishing=st.lists(st.integers(0, 9), max_size=3, unique=True),
     )
-    def test_random_matrices(self, seed, n, kind, band, zeros):
-        self._agree(_hessenberg_case(seed, n, kind, band, zeros))
+    def test_random_matrices(self, seed, n, kind, band, zeros, vanishing):
+        m = _hessenberg_case(seed, n, kind, band, zeros)
+        self._agree(_vanishing_minor(m, *(k for k in vanishing if k < n)))
 
     def test_sizes_one_and_two(self):
         for rows in (
@@ -525,6 +481,45 @@ class TestHessenbergBareiss:
                 assert minors[k] == 0 and 0 not in minors[:k]
                 if k == n - 1:
                     assert det == 0
+
+    # two and three vanishing leading minors, adjacent and apart
+    VANISHING = ((2, 3), (1, 5), (0, 1, 2), (1, 3, 6), (5, 6, 7))
+
+    def _several_vanishing(self):
+        n = 8
+        for kind in ("integral", "fractional", "poly"):
+            # the first seed with no zero leading minor or subdiagonal cell
+            base = next(
+                m
+                for m in (_hessenberg_case(s, n, kind, None, 0.0) for s in range(100))
+                if 0 not in hessenberg_leading_minors(m)
+                and all(m.entries[r][r - 1] != 0 for r in range(1, n))
+            )
+            for ks in self.VANISHING:
+                yield ks, _vanishing_minor(base, *ks)
+
+    def test_several_zero_pivots_swap_rows_as_on_the_ring_path(self):
+        for ks, m in self._several_vanishing():
+            fast = hessenberg_leading_minors(m)
+            assert [k for k, d in enumerate(fast) if d == 0] == list(ks)
+            det, minors = self._agree(m)
+            # the minors pass ends at the first zero pivot
+            assert len(minors) == ks[0] + 1 and minors[-1] == 0
+            assert det == fast[-1]
+
+    def test_no_ring_elimination_while_bits_are_untracked(self, monkeypatch, capsys):
+        took = []
+        monkeypatch.setattr(
+            hessenberg, "_ring_bareiss", lambda a, minors: took.append(len(a))
+        )
+        for _ks, m in self._several_vanishing():
+            det_bareiss(m)
+            leading_minors(m, "bareiss")
+        # ode-example has a(2) = a(3) = 0, so every size from 3 on swaps rows
+        path = str(spec_path("ode-example"))
+        assert main(["verify", path, "--max-n", "40", "--method", "bareiss"]) == 0
+        assert "result: pass (40 checks)" in capsys.readouterr().out
+        assert took == []
 
     def test_general_matrices_and_bit_tracking_keep_the_elimination(self, monkeypatch):
         route = hessenberg._hessenberg_bareiss
