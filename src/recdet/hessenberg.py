@@ -5,20 +5,19 @@ the computational heart of the package; det_laplace (cofactor expansion,
 guarded at size 8) and det_bareiss (fraction-free elimination) are its
 independent oracles.  det_bareiss is the O(n^3) ring elimination in
 general, and an O(n^2) row recurrence on upper-Hessenberg matrices
-while bits are not tracked, which makes the elimination's row swaps
-itself; that recurrence expands rows, where det_hessenberg_fast runs
-down the columns over products of the subdiagonal.
+while bits are not tracked, which needs no row swap; that recurrence
+expands rows, where det_hessenberg_fast runs down the columns over
+products of the subdiagonal.  A matrix is given by its rows and an
+optional band; whether it is upper Hessenberg is read from its cells.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from random import Random
-from typing import Sequence
 
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
 from .ring import (
@@ -45,11 +44,6 @@ ZERO = Fraction(0)
 _RING_TYPES = {Fraction, Polynomial}
 
 
-class Structure(str, Enum):
-    GENERAL = "general"
-    UPPER_HESSENBERG = "upper-hessenberg"
-
-
 def _coerce_entry(v: object) -> RingValue:
     if isinstance(v, (Fraction, Polynomial)):
         return v
@@ -60,58 +54,54 @@ def _coerce_entry(v: object) -> RingValue:
 
 @dataclass(frozen=True)
 class SquareMatrix:
-    """Immutable dense n x n matrix of ring values.
+    """Immutable dense n x n matrix of ring values, given by its rows.
 
-    When structure is UPPER_HESSENBERG the zero pattern below the first
-    subdiagonal is enforced at construction time.  A declared band b
-    promises e[r][c] == 0 whenever c - r > b (b superdiagonals above the
-    main one) and is enforced the same way; None means dense.
+    The size and the shape are read from the cells.  The matrix is upper
+    Hessenberg when every cell below the first subdiagonal is zero;
+    otherwise _below_subdiagonal keeps the first nonzero one, 0-based
+    (row, column) in row-major order, and hessenberg_leading_minors
+    refuses the matrix naming it.  A declared band b promises
+    e[r][c] == 0 whenever c - r > b (b superdiagonals above the main
+    one) and is enforced at construction; None means dense.
     """
 
-    size: int
     entries: tuple[tuple[RingValue, ...], ...]
-    structure: Structure = Structure.GENERAL
     band: int | None = None
+    _below_subdiagonal: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise RecdetError("matrix size must be at least 1")
         rows = tuple(
             tuple(row) if set(map(type, row)) <= _RING_TYPES
             else tuple(map(_coerce_entry, row))
             for row in self.entries
         )
-        if len(rows) != self.size or any(len(row) != self.size for row in rows):
-            raise RecdetError(f"entries do not form a {self.size}x{self.size} array")
+        n = len(rows)
+        if n < 1:
+            raise RecdetError("matrix size must be at least 1")
+        if any(len(row) != n for row in rows):
+            raise RecdetError(f"entries do not form a {n}x{n} array")
         object.__setattr__(self, "entries", rows)
-        if self.structure is Structure.UPPER_HESSENBERG:
-            for r in range(2, self.size):
-                c = _first_nonzero(rows[r], 0, r - 1)
-                if c is not None:
-                    raise NotHessenberg(
-                        f"nonzero entry at row {r + 1}, column {c + 1} "
-                        "below the first subdiagonal"
-                    )
+        for r in range(2, n):
+            c = _first_nonzero(rows[r], 0, r - 1)
+            if c is not None:
+                object.__setattr__(self, "_below_subdiagonal", (r, c))
+                break
         if self.band is not None:
             if self.band < 0:
                 raise RecdetError(f"band must be at least 0, got {self.band}")
-            for r in range(self.size):
-                c = _first_nonzero(rows[r], r + self.band + 1, self.size)
+            for r in range(n):
+                c = _first_nonzero(rows[r], r + self.band + 1, n)
                 if c is not None:
                     raise NotHessenberg(
                         f"nonzero entry at row {r + 1}, column {c + 1} "
                         f"above the declared band {self.band}"
                     )
 
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[object]],
-        structure: Structure = Structure.GENERAL,
-        band: int | None = None,
-    ) -> "SquareMatrix":
-        rows = tuple(tuple(row) for row in rows)
-        return cls(size=len(rows), entries=rows, structure=structure, band=band)
+    @property
+    def size(self) -> int:
+        return len(self.entries)
 
     def with_entry(self, row: int, col: int, value: object) -> "SquareMatrix":
         """Copy with one entry replaced (0-based indices).
@@ -120,13 +110,12 @@ class SquareMatrix:
         """
         rows = [list(r) for r in self.entries]
         rows[row][col] = value
-        return SquareMatrix.from_rows(rows, self.structure)
+        return SquareMatrix(rows)
 
     def leading_submatrix(self, k: int) -> "SquareMatrix":
         if not (1 <= k <= self.size):
             raise RecdetError(f"leading submatrix size {k} out of range")
-        rows = tuple(row[:k] for row in self.entries[:k])
-        return SquareMatrix(size=k, entries=rows, structure=self.structure, band=self.band)
+        return SquareMatrix(tuple(row[:k] for row in self.entries[:k]), self.band)
 
 
 def _first_nonzero(row: tuple[RingValue, ...], lo: int, hi: int) -> int | None:
@@ -147,7 +136,7 @@ def identity(n: int) -> SquareMatrix:
     rows = tuple(
         tuple(Fraction(1) if r == c else ZERO for c in range(n)) for r in range(n)
     )
-    return SquareMatrix(size=n, entries=rows, structure=Structure.UPPER_HESSENBERG)
+    return SquareMatrix(rows)
 
 
 LAPLACE_SIZE_LIMIT = 8
@@ -232,7 +221,7 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
     the first row below it with a nonzero entry in its column comes up,
     with sign tracking, and a column with no such row short-circuits to
     0.  An upper-Hessenberg matrix takes a division-free O(n^2) row
-    recurrence while bits are not tracked, swaps included (see
+    recurrence while bits are not tracked, which needs no swap (see
     _hessenberg_bareiss); any other matrix takes the O(n^3) elimination.
     """
     return _bareiss(m)
@@ -241,17 +230,18 @@ def det_bareiss(m: SquareMatrix) -> RingValue:
 def _bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValue:
     """det_bareiss's elimination of m's rows, returning the determinant.
 
-    With a list minors, the pivot of each step is appended to it before
-    the step, and the last entry after the last step: with no row swap
-    these are the leading minors d_1..d_n.  A zero pivot then ends the
-    pass, returning 0 with that zero minor appended, instead of a swap.
+    With a list minors, leading minors are appended to it:
+    _hessenberg_bareiss appends all of d_1..d_n.  _ring_bareiss appends
+    the pivot of each step before the step, and the last entry after the
+    last step, which are d_1..d_n while no row is swapped; its first zero
+    pivot ends the pass, returning 0 with that zero minor appended.
 
     An upper-Hessenberg matrix takes _hessenberg_bareiss while
     COUNTER.track_bits is off, so that max_bits still sees every result
     of the ring path; any other matrix, and every matrix while bits are
     tracked, takes _ring_bareiss.
     """
-    if m.structure is Structure.UPPER_HESSENBERG and not COUNTER.track_bits:
+    if m._below_subdiagonal is None and not COUNTER.track_bits:
         return _hessenberg_bareiss(m.entries, minors)
     return _ring_bareiss([list(row) for row in m.entries], minors)
 
@@ -261,25 +251,26 @@ def _hessenberg_bareiss(
 ) -> RingValue:
     """_bareiss on an upper-Hessenberg matrix as a row recurrence.
 
-    Below the pivot row, Bareiss only rescales a row until its own step,
-    and those factors telescope away: row i after its last update is
-    R_i = p_{i-1} * orig_i - orig_i[i-1] * R_{i-1} on columns >= i, with
-    R_0 = orig_0 and the pivot p_i = R_i[i].  These are _ring_bareiss's
-    rows, so its pivots, minors and determinant come out, of its types,
-    from O(n^2) products and no division.  A row whose subdiagonal cell
-    is zero is only rescaled, and keeps its zero cells as they are.
+    Let R_i[c] be the determinant of rows 0..i on columns 0..i-1 and c,
+    so that R_i[i] is the leading minor d_{i+1}.  Row i of that matrix is
+    zero but for its subdiagonal cell s_i = orig_i[i-1] and orig_i[c], so
+    expanding along it gives R_i = d_i * orig_i - s_i * R_{i-1} on columns
+    >= i, with R_0 = orig_0, for every d_i, zero included.  While no
+    pivot is zero these are _ring_bareiss's rows: below the pivot row,
+    Bareiss only rescales a row until its own step, and those factors
+    telescope away.  So the determinant and every leading minor come
+    out, of _ring_bareiss's types, from O(n^2) products and no division.
 
-    A zero pivot p_{i-1} can only be repaired by row i, the one row
-    below it with a nonzero cell in its column.  When that subdiagonal
-    cell s is nonzero, the swap puts it on the pivot and the step
-    rescales R_{i-1} by s, which is then the next pivot row: the sign
-    flips and the recurrence goes on from s * R_{i-1} on columns >= i.
-    When s is zero too, the determinant is 0.  With a list minors the
-    first zero pivot ends the pass instead, as in _ring_bareiss.
+    When d_i = 0 the next row is -s_i * R_{i-1}.  The elimination swaps
+    row i up instead and rescales the old pivot row by s_i, which gives
+    the same row up to its sign, so no swap is needed.  When s_i is zero
+    as well, every later minor is 0.  A row whose subdiagonal cell is
+    zero is only rescaled, and keeps its zero cells as they are.
 
     The cells on or above the subdiagonal run over ints when int_scaled
     finds them integral, and the results come back as Fractions.
-    COUNTER gets the ring path's counts in bulk.
+    COUNTER gets det_bareiss's ring-path counts in bulk, with minors or
+    without.
     """
     n = len(entries)
     # row r from column r - 1: the cells on or above the subdiagonal
@@ -293,16 +284,18 @@ def _hessenberg_bareiss(
             at += len(tail)
     row = tails[0]
     pivots = [row[0]]
-    sign = 1
-    # row i -> the nonzero cells that a swap with row i rescales
+    steps = n - 1
+    # row i -> the nonzero cells that _ring_bareiss's swap with row i rescales
     swaps: dict[int, int] = {}
     for i in range(1, n):
         tail = tails[i]
         p, s = row[0], tail[0]
         if p == 0:
-            if minors is not None or s == 0:
+            if s == 0:
+                steps = i - 1
+                pivots += [Fraction(0)] * (n - i)
                 break
-            sign = -sign
+            s = -s
             row = [x if x == 0 else s * x for x in row[1:]]
             swaps[i] = len(row) - row.count(0)
         elif s == 0:
@@ -310,13 +303,10 @@ def _hessenberg_bareiss(
         else:
             row = [p * x - s * y for x, y in zip(tail[1:], row[1:])]
         pivots.append(row[0])
-    _hessenberg_bareiss_counts(tails, len(pivots) - 1, swaps)
+    _hessenberg_bareiss_counts(tails, steps, swaps)
     if minors is not None:
         minors += map(Fraction, pivots) if ints else pivots
-    if len(pivots) < n:
-        return Fraction(0)
-    d = pivots[-1] if sign == 1 else -pivots[-1]
-    return Fraction(d) if ints else d
+    return Fraction(pivots[-1]) if ints else pivots[-1]
 
 
 def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -> None:
@@ -408,8 +398,11 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     The leading columns run over ints while ring.int_scaled lets them
     (see _int_leading_minors); the ring recurrence takes the rest.
     """
-    if m.structure is not Structure.UPPER_HESSENBERG:
-        raise NotHessenberg("det_hessenberg_fast requires the UpperHessenberg structure flag")
+    if m._below_subdiagonal is not None:
+        r, c = m._below_subdiagonal
+        raise NotHessenberg(
+            f"nonzero entry at row {r + 1}, column {c + 1} below the first subdiagonal"
+        )
     n = m.size
     band = n if m.band is None else m.band
     d: list[RingValue] = [Fraction(1), *_int_leading_minors(m.entries, n, band)]
@@ -493,12 +486,13 @@ DET_FUNCTIONS = {
 def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
     """Leading principal minors d_1..d_n of m by a method of DET_FUNCTIONS.
 
-    The fast method takes them all in one pass, and so does Bareiss up
-    to its first zero pivot (the pivots of a pass with no row swap are
-    the leading minors); past it, and for Laplace, each remaining minor
-    is one determinant of a leading submatrix.  Laplace refuses before
-    its first determinant when a submatrix is past its size limit,
-    naming the first such size.
+    The fast method takes them all in one pass, and so does Bareiss on
+    an upper-Hessenberg matrix while bits are not tracked.  Bareiss's
+    ring elimination takes them up to its first zero pivot (the pivots
+    of a pass with no row swap are the leading minors); past it, and for
+    Laplace, each remaining minor is one determinant of a leading
+    submatrix.  Laplace refuses before its first determinant when a
+    submatrix is past its size limit, naming the first such size.
     """
     det = DET_FUNCTIONS.get(method)
     if det is None:
@@ -536,11 +530,7 @@ def matrix_to_json(m: SquareMatrix, ring: str | None = None) -> str:
 
 
 def matrix_from_json(text: str) -> SquareMatrix:
-    """Parse the JSON schema back into a matrix.
-
-    The structure flag is inferred: matrices whose zero pattern is upper
-    Hessenberg come back flagged as such.
-    """
+    """Parse the JSON schema back into a matrix."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -572,11 +562,7 @@ def matrix_from_json(text: str) -> SquareMatrix:
             pass
         # outside the handler, so that a parse error chains no KeyError
         parsed.append(_parse_row(row, r, ring, cache))
-    rows = tuple(parsed)
-    try:
-        return SquareMatrix(size=size, entries=rows, structure=Structure.UPPER_HESSENBERG)
-    except NotHessenberg:
-        return SquareMatrix(size=size, entries=rows, structure=Structure.GENERAL)
+    return SquareMatrix(tuple(parsed))
 
 
 def _parse_row(
@@ -643,4 +629,4 @@ def random_hessenberg(
             else:
                 row.append(Fraction(rng.randint(-5, 5)))
         rows.append(row)
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG)
+    return SquareMatrix(rows)

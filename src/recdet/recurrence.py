@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import ZERO, SquareMatrix, Structure, leading_minors
+from .hessenberg import ZERO, SquareMatrix, leading_minors
 from .ring import (
     COUNTER,
     RingValue,
@@ -191,9 +191,7 @@ def theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
             rows.append(zeros[: r - 1] + (_MINUS_ONE,) + cells + zeros[hi:])
         else:
             rows.append(cells + zeros[hi:])
-    return SquareMatrix(
-        size=k, entries=tuple(rows), structure=Structure.UPPER_HESSENBERG, band=spec.band
-    )
+    return SquareMatrix(tuple(rows), spec.band)
 
 
 def embed_fixed_order(spec: FixedOrderSpec) -> FullHistorySpec:

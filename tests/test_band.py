@@ -9,7 +9,7 @@ import pytest
 from recdet import dsl
 from recdet.errors import NotHessenberg, RecdetError
 from recdet.families import PARAM_FAMILIES, FamilyId, family_spec
-from recdet.hessenberg import SquareMatrix, Structure, hessenberg_leading_minors
+from recdet.hessenberg import SquareMatrix, hessenberg_leading_minors
 from recdet.recurrence import (
     FixedOrderSpec,
     FullHistorySpec,
@@ -95,24 +95,20 @@ class TestDeclaredBand:
     def test_nonzero_entry_above_the_band_is_rejected(self):
         rows = [[1, 0, 5], [-1, 1, 0], [0, -1, 1]]
         with pytest.raises(NotHessenberg, match="row 1, column 3"):
-            SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=1)
-        m = SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=2)
+            SquareMatrix(rows, band=1)
+        m = SquareMatrix(rows, band=2)
         assert m.band == 2
 
     def test_negative_band_is_rejected(self):
         with pytest.raises(RecdetError):
-            SquareMatrix.from_rows([[1]], Structure.UPPER_HESSENBERG, band=-1)
+            SquareMatrix([[1]], band=-1)
 
     def test_leading_submatrix_keeps_the_band(self):
-        m = SquareMatrix.from_rows(
-            [[1, 2, 0], [-1, 3, 4], [0, -1, 5]], Structure.UPPER_HESSENBERG, band=1
-        )
+        m = SquareMatrix([[1, 2, 0], [-1, 3, 4], [0, -1, 5]], band=1)
         assert m.leading_submatrix(2).band == 1
 
     def test_with_entry_drops_the_band(self):
-        m = SquareMatrix.from_rows(
-            [[1, 2, 0], [-1, 3, 4], [0, -1, 5]], Structure.UPPER_HESSENBERG, band=1
-        )
+        m = SquareMatrix([[1, 2, 0], [-1, 3, 4], [0, -1, 5]], band=1)
         corrupted = m.with_entry(0, 2, Fraction(1))
         assert corrupted.band is None
         assert hessenberg_leading_minors(corrupted)[-1] == hessenberg_leading_minors(
@@ -134,7 +130,7 @@ def _reference_theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
             else:
                 row.append(Fraction(0))
         rows.append(row)
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=spec.band)
+    return SquareMatrix(rows, band=spec.band)
 
 
 def _recording(spec: FullHistorySpec) -> tuple[FullHistorySpec, list]:
@@ -172,5 +168,5 @@ def test_the_build_matches_the_reference_loop_cell_and_call_for_call(spec):
         assert [list(map(type, row)) for row in got.entries] == [
             list(map(type, row)) for row in want.entries
         ]
-        assert (got.band, got.structure) == (want.band, want.structure)
+        assert got.band == want.band
         assert built_calls == ref_calls, n

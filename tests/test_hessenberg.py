@@ -12,7 +12,6 @@ from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     LAPLACE_SIZE_LIMIT,
     SquareMatrix,
-    Structure,
     _int_leading_minors,
     _ring_leading_minors,
     det_bareiss,
@@ -27,14 +26,11 @@ from recdet.hessenberg import (
     matrix_to_text,
     random_hessenberg,
 )
-from recdet.recurrence import determinant_terms
+from recdet.families import FamilyId, family_spec
+from recdet.recurrence import determinant_terms, theorem2_matrix
 from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value
 from recdet.cli import main
 from recdet.specfiles import available, spec_path, spec_text
-
-
-def uh(rows):
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG)
 
 
 X = Polynomial.x()
@@ -42,51 +38,49 @@ X = Polynomial.x()
 
 class TestStructure:
     def test_rows_must_be_square(self):
-        with pytest.raises(RecdetError):
-            SquareMatrix.from_rows([[1, 2], [3, 4], [5, 6]], Structure.GENERAL)
-
-    def test_upper_hessenberg_flag_rejects_lower_entries(self):
-        with pytest.raises(NotHessenberg):
-            uh([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+        for rows in ([[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], []):
+            with pytest.raises(RecdetError):
+                SquareMatrix(rows)
 
     def test_integer_entries_are_coerced_to_fractions(self):
-        m = uh([[1, 2], [3, 4]])
+        m = SquareMatrix([[1, 2], [3, 4]])
         assert m.entries[0][1] == Fraction(2)
         assert isinstance(m.entries[0][0], Fraction)
 
-    def test_leading_submatrix_keeps_the_structure_flag(self):
-        m = uh([[1, 2, 0], [-1, 3, 4], [0, -1, 5]])
+    def test_leading_submatrix_reads_its_own_shape(self):
+        m = SquareMatrix([[1, 2, 0], [-1, 3, 4], [0, -1, 5]])
         sub = m.leading_submatrix(2)
         assert sub.size == 2
-        assert sub.structure is Structure.UPPER_HESSENBERG
         assert sub.entries == ((Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3)))
+        # a cell below the subdiagonal outside the leading block
+        general = m.with_entry(2, 0, 1)
+        with pytest.raises(NotHessenberg, match="row 3, column 1 below"):
+            hessenberg_leading_minors(general)
+        assert hessenberg_leading_minors(general.leading_submatrix(2)) == [1, 5]
 
 
-def _first_bad_cell(rows, band):
-    """The NotHessenberg text of the earlier cell-by-cell checks, or None."""
+def _first_bad_cell(rows, band=None):
+    """The NotHessenberg text of a cell-by-cell scan, or None: the first
+    nonzero cell below the first subdiagonal, or with a band, the first
+    one above the band."""
     n = len(rows)
-    for r in range(2, n):
-        for c in range(r - 1):
-            if rows[r][c] != 0:
-                return (
-                    f"nonzero entry at row {r + 1}, column {c + 1} "
-                    "below the first subdiagonal"
-                )
-    if band is not None:
-        for r in range(n):
-            for c in range(r + band + 1, n):
-                if rows[r][c] != 0:
-                    return (
-                        f"nonzero entry at row {r + 1}, column {c + 1} "
-                        f"above the declared band {band}"
-                    )
+    if band is None:
+        cells = [(r, c) for r in range(2, n) for c in range(r - 1)]
+        where = "below the first subdiagonal"
+    else:
+        cells = [(r, c) for r in range(n) for c in range(r + band + 1, n)]
+        where = f"above the declared band {band}"
+    for r, c in cells:
+        if rows[r][c] != 0:
+            return f"nonzero entry at row {r + 1}, column {c + 1} {where}"
     return None
 
 
 class TestZeroChecks:
-    """SquareMatrix's zero-pattern checks on cells that are not ZERO."""
+    """SquareMatrix's zero-pattern scans on every kind of zero cell."""
 
     ZERO_KINDS = {
+        "shared-zero": lambda: hessenberg.ZERO,
         "separate-fractions": lambda: Fraction(0),
         "zero-polynomials": Polynomial.zero,
         "ints": lambda: 0,
@@ -94,6 +88,8 @@ class TestZeroChecks:
 
     @pytest.mark.parametrize("kind", list(ZERO_KINDS))
     def test_the_first_bad_cell_is_named_for_every_kind_of_zero(self, kind):
+        # a cell above the band is refused at construction; the shape is
+        # inferred, and the fast route refuses a cell below the subdiagonal
         zero = self.ZERO_KINDS[kind]
         n = 7
         bad_cells = [None, (5, 1), (6, 3), (2, 6), (0, 4)]
@@ -110,27 +106,35 @@ class TestZeroChecks:
                     if cell is not None:
                         rows[cell[0]][cell[1]] = Fraction(3, 4)
                 for band in (None, 2):
-                    want = _first_bad_cell(rows, band)
-                    if want is None:
-                        m = SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
-                        assert m.entries == tuple(map(tuple, rows))
+                    above = None if band is None else _first_bad_cell(rows, band)
+                    if above is not None:
+                        with pytest.raises(NotHessenberg) as info:
+                            SquareMatrix(rows, band)
+                        assert str(info.value) == above
+                        continue
+                    m = SquareMatrix(rows, band)
+                    assert m.entries == tuple(map(tuple, rows))
+                    below = _first_bad_cell(rows)
+                    assert (m._below_subdiagonal is None) == (below is None)
+                    if below is None:
+                        assert det_hessenberg_fast(m) == det_laplace(m)
                         continue
                     with pytest.raises(NotHessenberg) as info:
-                        SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
-                    assert str(info.value) == want
+                        det_hessenberg_fast(m)
+                    assert str(info.value) == below
 
     def test_int_and_bool_cells_are_coerced(self):
-        m = uh([[True, 2], [-1, False]])
+        m = SquareMatrix([[True, 2], [-1, False]])
         assert m.entries == ((1, 2), (-1, 0))
         assert {type(v) for row in m.entries for v in row} == {Fraction}
-        mixed = uh([[Fraction(1, 2), X], [True, 0]])
+        mixed = SquareMatrix([[Fraction(1, 2), X], [True, 0]])
         assert mixed.entries[1] == (Fraction(1), Fraction(0))
         assert type(mixed.entries[1][0]) is Fraction
         assert mixed.entries[0][1] is X
 
     def test_other_cells_are_refused(self):
         with pytest.raises(RecdetError, match="exact ring values, got float"):
-            uh([[Fraction(1), 0.5], [-1, 1]])
+            SquareMatrix([[Fraction(1), 0.5], [-1, 1]])
 
 
 class TestDeterminants:
@@ -139,16 +143,16 @@ class TestDeterminants:
             assert det_hessenberg_fast(identity(n)) == 1
 
     def test_size_one(self):
-        m = uh([[Fraction(-7, 3)]])
+        m = SquareMatrix([[Fraction(-7, 3)]])
         assert det_laplace(m) == det_bareiss(m) == det_hessenberg_fast(m) == Fraction(-7, 3)
 
     def test_continuant_example(self):
         # dets of these tridiagonal matrices are the continuants K(1), K(1,2), K(1,2,3)
-        m = uh([[1, -1, 0], [1, 2, -1], [0, 1, 3]])
+        m = SquareMatrix([[1, -1, 0], [1, 2, -1], [0, 1, 3]])
         assert hessenberg_leading_minors(m) == [1, 3, 10]
 
     def test_polynomial_determinant(self):
-        m = uh([[X, 1], [-1, X]])
+        m = SquareMatrix([[X, 1], [-1, X]])
         assert det_bareiss(m) == Polynomial((1, 0, 1))
         assert det_hessenberg_fast(m) == Polynomial((1, 0, 1))
 
@@ -165,46 +169,48 @@ class TestDeterminants:
             assert det_bareiss(m) == det_hessenberg_fast(m)
 
     def test_bareiss_handles_zero_pivots_with_a_row_swap(self):
-        m = uh([[0, 1], [1, 0]])
+        m = SquareMatrix([[0, 1], [1, 0]])
         assert det_bareiss(m) == -1
-        rows = [[0, 2, 3], [5, 0, 1], [0, 4, 0]]
-        for structure in Structure:
-            m = SquareMatrix.from_rows(rows, structure)
-            assert det_bareiss(m) == det_laplace(m) == 60
-        # general matrices with a zero diagonal, in both structures
+        m = SquareMatrix([[0, 2, 3], [5, 0, 1], [0, 4, 0]])
+        assert det_bareiss(m) == _ring_reference(m) == det_laplace(m) == 60
+        # dense and upper-Hessenberg matrices with a zero diagonal
         rng = random.Random(9)
         for n in range(2, LAPLACE_SIZE_LIMIT + 1):
-            for structure in Structure:
-                m = _integral(rng, n, structure, 0.3)
+            for upper in (False, True):
+                m = _integral(rng, n, upper, 0.3)
                 for k in range(n):
                     m = m.with_entry(k, k, 0)
                 assert det_bareiss(m) == det_laplace(m)
 
     def test_bareiss_detects_singular_matrices(self):
-        m = uh([[0, 1], [0, 1]])
+        m = SquareMatrix([[0, 1], [0, 1]])
         assert det_bareiss(m) == 0
-        m = uh([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
+        m = SquareMatrix([[1, 1, 1], [1, 1, 1], [0, 1, 1]])
         assert det_bareiss(m) == det_laplace(m) == 0
         # a zero column: no row can repair its pivot
         rows = [[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8], [9, 7, 9, 3]]
         for r in rows:
             r[2] = 0
-        m = SquareMatrix.from_rows(rows)
+        m = SquareMatrix(rows)
         assert det_bareiss(m) == det_laplace(m) == 0
 
     def test_determinant_multiplies_like_a_sign_under_row_scaling(self):
-        m = uh([[2, 3], [-1, 4]])
-        scaled = uh([[4, 6], [-1, 4]])
+        m = SquareMatrix([[2, 3], [-1, 4]])
+        scaled = SquareMatrix([[4, 6], [-1, 4]])
         assert det_bareiss(scaled) == 2 * det_bareiss(m)
 
     def test_laplace_refuses_large_sizes(self):
         with pytest.raises(SizeTooLarge):
             det_laplace(identity(9))
 
-    def test_fast_requires_the_hessenberg_flag(self):
-        m = SquareMatrix.from_rows([[1, 2], [3, 4]], Structure.GENERAL)
-        with pytest.raises(NotHessenberg):
+    def test_fast_takes_any_matrix_of_upper_hessenberg_shape(self):
+        # every 2 x 2 matrix is upper Hessenberg
+        assert det_hessenberg_fast(SquareMatrix([[1, 2], [3, 4]])) == -2
+        m = SquareMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+        with pytest.raises(NotHessenberg) as info:
             det_hessenberg_fast(m)
+        assert str(info.value) == "nonzero entry at row 3, column 1 below the first subdiagonal"
+        assert det_bareiss(m) == det_laplace(m) == -3
 
     def test_fast_multiplication_count_is_quadratic_exactly(self):
         for n in (5, 16, 40):
@@ -218,12 +224,7 @@ class TestDeterminants:
         # d_c sums over j >= c - b only: n + 3 * sum_c min(c, b) products
         for n in (5, 16, 40):
             for b in (0, 1, 3, n - 1):
-                m = SquareMatrix(
-                    size=n,
-                    entries=identity(n).entries,
-                    structure=Structure.UPPER_HESSENBERG,
-                    band=b,
-                )
+                m = SquareMatrix(identity(n).entries, b)
                 COUNTER.reset()
                 assert det_hessenberg_fast(m) == 1
                 assert COUNTER.muls == n + 3 * sum(min(c, b) for c in range(n))
@@ -249,7 +250,7 @@ def _banded(rng, n, band, kind):
         ]
         for r in range(n)
     ]
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+    return SquareMatrix(rows, band)
 
 
 def _counted(fn, *args, track_bits=False):
@@ -281,7 +282,7 @@ class TestIntegerKernel:
 
     def test_a_zero_subdiagonal_splits_the_determinant(self):
         rows = [[Fraction(1, 2), 3, 0], [0, Fraction(2, 3), 5], [0, -1, Fraction(7, 4)]]
-        m = SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=1)
+        m = SquareMatrix(rows, band=1)
         # d_3 = d_1 * det [[2/3, 5], [-1, 7/4]], the zero cutting the chain
         assert _int_leading_minors(m.entries, 3, 1) == [
             Fraction(1, 2),
@@ -290,7 +291,7 @@ class TestIntegerKernel:
         ]
 
     def test_the_ring_path_takes_over_at_a_polynomial_column(self):
-        m = uh([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
+        m = SquareMatrix([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
         assert _int_leading_minors(m.entries, 3, 3) == [1]
         ring = _counted(_ring_leading_minors, m.entries, 3, 3, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == ring
@@ -302,7 +303,7 @@ class TestIntegerKernel:
         rows = [
             [Fraction(1, r + 1) if r <= c + 1 else 0 for c in range(n)] for r in range(n)
         ]
-        m = uh(rows)
+        m = SquareMatrix(rows)
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
         assert 0 < len(_int_leading_minors(m.entries, n, n)) < n
         want = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
@@ -320,20 +321,20 @@ class TestIntegerKernel:
         assert got == want > 0
 
 
-def _integral(rng, n, structure, zeros):
+def _integral(rng, n, upper, zeros):
     """An n x n matrix of integral cells in [-5, 5], each zero with
-    probability zeros, with the Hessenberg zero pattern when asked."""
+    probability zeros, with the Hessenberg zero pattern when upper."""
     rows = [
         [
             0
-            if (structure is Structure.UPPER_HESSENBERG and r > c + 1)
+            if (upper and r > c + 1)
             or rng.random() < zeros
             else rng.randint(-5, 5)
             for c in range(n)
         ]
         for r in range(n)
     ]
-    return SquareMatrix.from_rows(rows, structure)
+    return SquareMatrix(rows)
 
 
 class TestBareissMinors:
@@ -350,17 +351,19 @@ class TestBareissMinors:
     def test_random_rational_and_polynomial_matrices(self):
         rng = random.Random(10)
         for n in range(1, 16):
-            self._agree(_integral(rng, n, Structure.GENERAL, 0.0))
+            self._agree(_integral(rng, n, False, 0.0))
             self._agree(_banded(rng, n, None, "fractional"))
             self._agree(random_hessenberg(n, rng))
             if n <= 8:
                 self._agree(random_hessenberg(n, rng, ring="poly", max_degree=2))
 
     def test_a_vanishing_minor_falls_back_to_one_determinant_per_size(self):
+        # on the ring elimination: a matrix that is not upper Hessenberg,
+        # and any matrix while bits are tracked
         rng = random.Random(12)
         for n in range(3, 13):
             for base in (
-                _integral(rng, n, Structure.UPPER_HESSENBERG, 0.0),
+                _integral(rng, n, False, 0.0),
                 _banded(rng, n, None, "fractional"),
             ):
                 # rows 1 and 2 agree in the first two columns: d_2 = 0
@@ -368,7 +371,12 @@ class TestBareissMinors:
                 m = m.with_entry(1, 1, base.entries[0][1])
                 minors = self._agree(m)
                 assert minors[1] == 0
-        poly = uh([[X, 1, 2], [X, 1, 3], [0, X, 1]])
+                COUNTER.reset(track_bits=True)
+                try:
+                    assert self._agree(m) == minors
+                finally:
+                    COUNTER.reset()
+        poly = SquareMatrix([[X, 1, 2], [X, 1, 3], [0, X, 1]])
         assert self._agree(poly) == [X, 0, det_laplace(poly)]
 
 
@@ -396,7 +404,7 @@ def _hessenberg_case(seed, n, kind, band, zeros):
                 rows[r][c] /= rng.randint(1, 6)
             elif kind == "poly" and rng.random() < 0.2:
                 rows[r][c] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-    return SquareMatrix.from_rows(rows, Structure.UPPER_HESSENBERG, band=band)
+    return SquareMatrix(rows, band)
 
 
 def _vanishing_minor(m, *ks):
@@ -413,26 +421,21 @@ def _vanishing_minor(m, *ks):
 
 class TestHessenbergBareiss:
     """The row recurrence for upper-Hessenberg matrices against
-    _ring_bareiss: the same determinants, minors, types and COUNTER
-    deltas, zero pivots included."""
+    _ring_bareiss: the same determinants, types and COUNTER deltas, zero
+    pivots included, and every leading minor from one pass."""
 
     def _agree(self, m):
         det, ops = _counted(det_bareiss, m)
         want, want_ops = _counted(_ring_reference, m)
         assert det == want and type(det) is type(want)
         assert ops == want_ops
-        got_minors, want_minors = [], []
-        got = _counted(hessenberg._bareiss, m, got_minors)
-        ref = _counted(_ring_reference, m, want_minors)
-        assert got == ref and type(got[0]) is type(ref[0])
-        assert got_minors == want_minors
-        assert [type(d) for d in got_minors] == [type(d) for d in want_minors]
-        # all minors, past a zero one too, as one determinant per size
-        minors = leading_minors(m, "bareiss")
-        each = [det_bareiss(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
+        # all minors, past a zero one too, at det_bareiss's counts
+        minors, minors_ops = _counted(leading_minors, m, "bareiss")
+        assert minors_ops == ops
+        each = [_ring_reference(m.leading_submatrix(k)) for k in range(1, m.size + 1)]
         assert minors == each
         assert [type(d) for d in minors] == [type(d) for d in each]
-        return det, got_minors
+        return det, minors
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -453,8 +456,8 @@ class TestHessenbergBareiss:
             [[1, 2], [3, 4]], [[Fraction(1, 3), 2], [3, X]], [[X, 1], [X, 1]],
             [[0, 2], [3, 4]], [[0, X], [1, 2]], [[1, 2], [0, 4]], [[X, 0], [0, X]],
         ):
-            self._agree(uh(rows))
-        assert self._agree(uh([[0, 2], [3, 4]])) == (-6, [0])
+            self._agree(SquareMatrix(rows))
+        assert self._agree(SquareMatrix([[0, 2], [3, 4]])) == (-6, [0, -6])
 
     def test_zero_subdiagonal_cells(self):
         rng = random.Random(14)
@@ -476,8 +479,9 @@ class TestHessenbergBareiss:
             )
             # pivots p_0, p_3 and p_5 (the last step's), then d_7 = p_6
             for k in (0, 3, n - 2, n - 1):
-                det, minors = self._agree(_vanishing_minor(base, k))
-                assert len(minors) == k + 1
+                m = _vanishing_minor(base, k)
+                det, minors = self._agree(m)
+                assert minors == hessenberg_leading_minors(m)
                 assert minors[k] == 0 and 0 not in minors[:k]
                 if k == n - 1:
                     assert det == 0
@@ -503,8 +507,7 @@ class TestHessenbergBareiss:
             fast = hessenberg_leading_minors(m)
             assert [k for k, d in enumerate(fast) if d == 0] == list(ks)
             det, minors = self._agree(m)
-            # the minors pass ends at the first zero pivot
-            assert len(minors) == ks[0] + 1 and minors[-1] == 0
+            assert minors == fast
             assert det == fast[-1]
 
     def test_no_ring_elimination_while_bits_are_untracked(self, monkeypatch, capsys):
@@ -515,38 +518,53 @@ class TestHessenbergBareiss:
         for _ks, m in self._several_vanishing():
             det_bareiss(m)
             leading_minors(m, "bareiss")
-        # ode-example has a(2) = a(3) = 0, so every size from 3 on swaps rows
+        # ode-example has a(2) = a(3) = 0: a zero pivot at every size from 3 on
         path = str(spec_path("ode-example"))
         assert main(["verify", path, "--max-n", "40", "--method", "bareiss"]) == 0
         assert "result: pass (40 checks)" in capsys.readouterr().out
         assert took == []
 
     def test_general_matrices_and_bit_tracking_keep_the_elimination(self, monkeypatch):
-        route = hessenberg._hessenberg_bareiss
         took = []
 
-        def spy(entries, minors):
-            took.append(len(entries))
-            return route(entries, minors)
+        def spy(name):
+            route = getattr(hessenberg, name)
 
-        monkeypatch.setattr(hessenberg, "_hessenberg_bareiss", spy)
-        rng = random.Random(16)
-        general = _integral(rng, 5, Structure.GENERAL, 0.0)
+            def call(rows, minors):
+                took.append((name, len(rows)))
+                return route(rows, minors)
+
+            monkeypatch.setattr(hessenberg, name, call)
+
+        spy("_hessenberg_bareiss")
+        spy("_ring_bareiss")
+        general = _integral(random.Random(16), 5, False, 0.0)
         upper = _hessenberg_case(17, 6, "fractional", None, 0.0)
-        flat = SquareMatrix.from_rows(upper.entries, Structure.GENERAL)
-        for m in (general, flat):
-            det_bareiss(m)
-            leading_minors(m, "bareiss")
-        assert took == []
+        det_bareiss(general)
+        assert took == [("_ring_bareiss", 5)]
         COUNTER.reset(track_bits=True)
         try:
             det_bareiss(upper)
-            leading_minors(upper, "bareiss")
         finally:
             COUNTER.reset()
-        assert took == []
-        assert det_bareiss(upper) == det_bareiss(flat)
-        assert took == [6]
+        assert took[1:] == [("_ring_bareiss", 6)]
+        # the shape is read from the cells: plain rows of it take the recurrence
+        for m in (upper, SquareMatrix([list(row) for row in upper.entries])):
+            took.clear()
+            det_bareiss(m)
+            leading_minors(m, "bareiss")
+            assert took == [("_hessenberg_bareiss", 6)] * 2
+
+    @pytest.mark.parametrize("n", [40, 120])
+    def test_ode_example_minors_from_one_pass(self, n):
+        # a(2) = a(3) = 0: zero pivots at steps 1 and 2
+        m = theorem2_matrix(family_spec(FamilyId.ODE_EXAMPLE), n)
+        minors, ops = _counted(leading_minors, m, "bareiss")
+        assert minors == hessenberg_leading_minors(m)
+        assert minors[1] == minors[2] == 0
+        assert ops == _counted(det_bareiss, m)[1]
+        if n == 120:
+            assert sum(ops) == 69_278
 
 
 def _recursive_laplace(rows):
@@ -578,18 +596,18 @@ def _laplace_cases(rng):
 
     for n in range(1, 9):
         for ring_name in ("rational", "poly"):
-            for structure in Structure:
+            for upper in (False, True):
                 for zeros in (0.0, 0.3, 0.7):
                     rows = [
                         [
                             0
-                            if structure is Structure.UPPER_HESSENBERG and r > c + 1
+                            if upper and r > c + 1
                             else cell(ring_name, zeros)
                             for c in range(n)
                         ]
                         for r in range(n)
                     ]
-                    yield SquareMatrix.from_rows(rows, structure)
+                    yield SquareMatrix(rows)
 
 
 class TestMemoizedLaplace:
@@ -626,11 +644,11 @@ class TestMemoizedLaplace:
                 for c in range(n):
                     m = m.with_entry(0, c, 0)
                 assert self._agree(m) == 0
-        assert self._agree(uh([[0]])) == 0
+        assert self._agree(SquareMatrix([[0]])) == 0
 
     def test_leading_minors_equal_the_fast_route(self):
         for m in _laplace_cases(random.Random(16)):
-            if m.structure is Structure.UPPER_HESSENBERG:
+            if m._below_subdiagonal is None:
                 laplace = leading_minors(m, "laplace")
                 fast = leading_minors(m, "fast")
                 assert laplace == fast
@@ -643,7 +661,7 @@ class TestMemoizedLaplace:
 
 class TestEmitters:
     def test_json_matches_the_documented_schema_byte_for_byte(self):
-        m = uh([[1, 1, 1], [-1, 1, 0], [0, -1, 1]])
+        m = SquareMatrix([[1, 1, 1], [-1, 1, 0], [0, -1, 1]])
         assert matrix_to_json(m, ring="rational") == (
             '{"size":3,"ring":"rational",'
             '"entries":[["1","1","1"],["-1","1","0"],["0","-1","1"]]}'
@@ -654,8 +672,8 @@ class TestEmitters:
         for ring in ("rational", "poly"):
             m = random_hessenberg(5, rng, ring=ring)
             again = matrix_from_json(matrix_to_json(m))
-            assert again.entries == m.entries
-            assert again.structure is Structure.UPPER_HESSENBERG
+            assert again == m
+            assert hessenberg_leading_minors(again) == hessenberg_leading_minors(m)
 
     def test_from_json_rejects_malformed_documents(self):
         for bad in (
@@ -735,7 +753,7 @@ class TestEmitters:
             assert str(info.value) == f"polynomial degree above the limit {cap}"
 
     def test_latex_vmatrix_golden(self):
-        m = uh([[X, 1], [-1, X]])
+        m = SquareMatrix([[X, 1], [-1, X]])
         assert matrix_to_latex(m) == (
             "\\begin{vmatrix}\n"
             "x & 1 \\\\\n"
@@ -744,7 +762,7 @@ class TestEmitters:
         )
 
     def test_text_output_aligns_columns(self):
-        m = uh([[1, 22], [-1, 3]])
+        m = SquareMatrix([[1, 22], [-1, 3]])
         lines = matrix_to_text(m).splitlines()
         assert len(lines) == 2
         assert len(lines[0]) == len(lines[1])
