@@ -27,7 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import add, mul, sub
+from typing import Callable, Iterator, Union
 
 from .errors import (
     DivisionByZero,
@@ -684,6 +685,9 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     It equals eval_expr(e, k, i), raises what eval_expr raises, and on
     success adds the same ring ops to COUNTER.  While COUNTER tracks bits
     it defers to eval_expr, so max_bits still sees every intermediate.
+    An x-free e also gets its vector form (see _compile_vector) as the
+    function's attribute vector, and the (adds, muls, divs) one value
+    costs as its attribute ops.
     """
     if "x" in _vars_of(e):
         return lambda k, i=None: eval_expr(e, k, i)
@@ -700,7 +704,122 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
         c.divs += divs
         return v
 
+    run = _compile_vector(e, bound)
+
+    def vector(k: _Vec, i: _Vec | None = None) -> tuple[_Vec, _Vec] | None:
+        try:
+            return run(k, i)
+        except _Refused:
+            return None
+
+    coeff.vector = vector  # type: ignore[attr-defined]
+    coeff.ops = (adds, muls, divs)  # type: ignore[attr-defined]
     return coeff
+
+
+# The vector form evaluates a coefficient over a run of one index: i for
+# fixed k in full history, k in fixed order.  The index that runs is
+# given as a list of ints, and every value is an unreduced (num, den)
+# pair of ints or of lists, an int standing for the same int at every
+# index of the run.  A value of the run that eval_expr would refuse, by
+# a zero denominator or an unbound variable, makes the whole run return
+# None; nothing is added to COUNTER.
+
+_Vec = Union[int, list[int]]
+
+
+class _Refused(Exception):
+    """A value of a run divides by zero or names an unbound variable."""
+
+
+def _vneg(a: _Vec) -> _Vec:
+    return -a if type(a) is int else [-x for x in a]
+
+
+def _vadd(a: _Vec, b: _Vec) -> _Vec:
+    if type(a) is not int:
+        if type(b) is not int:
+            return list(map(add, a, b))
+        a, b = b, a
+    elif type(b) is int:
+        return a + b
+    return b if a == 0 else [a + x for x in b]
+
+
+def _vsub(a: _Vec, b: _Vec) -> _Vec:
+    if type(b) is int:
+        return _vadd(a, -b)
+    if type(a) is int:
+        return [a - x for x in b]
+    return list(map(sub, a, b))
+
+
+def _vmul(a: _Vec, b: _Vec) -> _Vec:
+    if type(a) is not int:
+        if type(b) is not int:
+            return list(map(mul, a, b))
+        a, b = b, a
+    elif type(b) is int:
+        return a * b
+    return b if a == 1 else [a * x for x in b]
+
+
+def _refuse(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+    raise _Refused
+
+
+def _compile_vector(e: Expr, bound: tuple[str, ...]) -> Callable[..., tuple[_Vec, _Vec]]:
+    """An x-free expression as a closure of (k, i) over runs, as
+    _compile_pair is over ints; it raises _Refused where _compile_pair
+    raises at some index of the run."""
+    if isinstance(e, IntLit):
+        const = (e.value, 1)
+        return lambda k, i: const
+    if isinstance(e, Var):
+        if e.name not in bound:
+            return _refuse
+        if e.name == "k":
+            return lambda k, i: (k, 1)
+        return lambda k, i: (i, 1)
+    if isinstance(e, Neg):
+        f = _compile_vector(e.operand, bound)
+
+        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+            a, b = f(k, i)
+            return _vneg(a), b
+
+        return value
+    f = _compile_vector(e.left, bound)  # type: ignore[attr-defined]
+    g = _compile_vector(e.right, bound)  # type: ignore[attr-defined]
+    if isinstance(e, (Add, Sub)):
+        op = _vadd if isinstance(e, Add) else _vsub
+
+        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            if b == d:
+                return op(a, c), b
+            return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
+
+    elif isinstance(e, Mul):
+
+        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            return _vmul(a, c), _vmul(b, d)
+
+    elif isinstance(e, Div):
+
+        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+            a, b = f(k, i)
+            c, d = g(k, i)
+            if (c == 0) if type(c) is int else (0 in c):
+                raise _Refused
+            return _vmul(a, d), _vmul(b, c)
+
+    else:
+        raise RecdetError(f"unknown expression node {type(e).__name__}")
+    return value
 
 
 # --- rendering ------------------------------------------------------------

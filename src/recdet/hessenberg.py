@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from random import Random
+from typing import Iterable
 
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
 from .ring import (
@@ -427,38 +428,56 @@ def _ring_leading_minors(
 def _int_leading_minors(
     e: tuple[tuple[RingValue, ...], ...], n: int, band: int
 ) -> list[RingValue]:
-    """The leading minors d_1..d_c by the ring recurrence run over ints,
-    for the leading columns whose band and subdiagonal cells int_scaled
-    lets through, and until the scales outgrow the minors (see
-    scale_outgrew).
+    """The leading minors d_1..d_c by scaled_leading_minors, for the
+    leading columns whose band and subdiagonal cells int_scaled lets
+    through.  Only band cells are read, so a banded matrix costs O(n*b).
+    COUNTER gets the ring path's muls and adds for these columns, in bulk.
+    """
 
-    Column c is scaled by L_c, the lcm of the denominators of its band
-    cells and its subdiagonal cell, which scales the c-th leading minor
-    by L_1 * ... * L_c.  The scaled minors d'_c come from the same
-    recurrence in the same order, and d_c = d'_c / (L_1 * ... * L_c).
-    Only band cells are read, so a banded matrix costs O(n*b).  COUNTER
-    gets the ring path's muls and adds for these columns, in bulk.
+    def columns():
+        for c in range(n):
+            # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
+            scaled = int_scaled([e[r][c] for r in range(max(c - band, 0), min(c + 2, n))])
+            if scaled is None:
+                return
+            scale, col = scaled
+            yield scale, col, -col[-1]
+
+    minors, terms = scaled_leading_minors(columns(), band)
+    COUNTER.muls += len(minors) + 3 * terms
+    COUNTER.adds += terms
+    return minors
+
+
+def scaled_leading_minors(
+    columns: Iterable[tuple[int, list[int], int]], band: int
+) -> tuple[list[Fraction], int]:
+    """The leading minors of the columns, by the ring recurrence run over
+    ints, until the columns run out or the scales outgrow the minors (see
+    scale_outgrew); with the number of band terms summed, from which the
+    ring path's counts follow: len(minors) + 3 * terms muls, terms adds.
+    Nothing is added to COUNTER.
+
+    Column c comes as (L_c, col, s): its band cells, rows max(c - band, 0)
+    to c, scaled to ints by L_c, and its subdiagonal cell (c + 1, c)
+    negated and scaled by L_c (any int for the last column).  L_c
+    scales the c-th leading minor by L_1 * ... * L_c, so the scaled
+    minors d'_c come from the same recurrence in the same order, and
+    d_c = d'_c / (L_1 * ... * L_c).
     """
     d = [1]
     negated_sub: list[int] = []
-    minors: list[RingValue] = []
+    minors: list[Fraction] = []
     total = 1
     terms = 0
-    for c in range(n):
-        # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
+    for c, (scale, col, sub) in enumerate(columns):
         lo = max(c - band, 0)
-        cells = [e[r][c] for r in range(lo, min(c + 2, n))]
-        scaled = int_scaled(cells)
-        if scaled is None:
-            break
-        scale, col = scaled
-        if c + 1 < n:
-            negated_sub.append(-col[-1])
         acc = col[c - lo] * d[c]
         prod = 1
         for j in range(c - 1, lo - 1, -1):
             prod *= negated_sub[j]
             acc += col[j - lo] * prod * d[j]
+        negated_sub.append(sub)
         terms += c - lo
         d.append(acc)
         total *= scale
@@ -466,9 +485,7 @@ def _int_leading_minors(
         minors.append(minor)
         if scale_outgrew(total, minor):
             break
-    COUNTER.muls += len(minors) + 3 * terms
-    COUNTER.adds += terms
-    return minors
+    return minors, terms
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:

@@ -14,14 +14,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import ZERO, SquareMatrix, leading_minors
+from .hessenberg import ZERO, SquareMatrix, leading_minors, scaled_leading_minors
 from .ring import (
     COUNTER,
     RingValue,
     int_scaled,
+    pairs_scaled,
     render_value,
     ring_add,
     ring_mul,
@@ -115,50 +116,77 @@ def _direct(
     first error raised is always the same.
 
     While ring.int_scaled lets the terms and each row through, the rows
-    run over ints instead.  Term j is kept as A_j / T_j: T starts as the
-    lcm of the initial terms' denominators and is multiplied by each
-    row's L, the lcm of the row's denominators.  With P_i = read(k, i) * L,
-    the new A is the sum of P_i * A_j times the L of every term after j,
-    which Horner takes as acc = acc * L_j + P_i * A_j: two products by
-    small ints per term.  COUNTER gets the ring loop's w muls and w - 1
-    adds per row, in bulk.  The ring loop takes over from the first row
-    int_scaled refuses, and after the row where T outgrew the reduced
-    term (see scale_outgrew).
+    run over ints instead (see _scaled_terms), and COUNTER gets the ring
+    loop's w muls and w - 1 adds per row, in bulk.  The ring loop takes
+    over from the first row int_scaled refuses, and after the row where
+    the scale outgrew the term (see scale_outgrew).
     """
+    rows = iter(rows)
+
+    def scaled_rows() -> Iterator[tuple[int, list[int]]]:
+        for k in rows:
+            w = width or k
+            row = _read_row(read, k, w, terms)
+            scaled = int_scaled(row)
+            if scaled is None:
+                # the ring loop sums this row and the rest
+                terms.append(_ring_sum(row, terms[-w:]))
+                return
+            COUNTER.muls += w
+            COUNTER.adds += w - 1
+            yield scaled
+
     start = int_scaled(terms)
-    over_ints = start is not None
-    if over_ints:
-        total, nums = start
-        scales = [1] * len(terms)
+    if start is not None:
+        _scaled_terms(scaled_rows(), terms, *start)
     for k in rows:
         w = width or k
-        row: list[RingValue] = []
-        try:
-            for i in range(1, w + 1):
-                row.append(read(k, i))
-        except BaseException:
-            # leave the counts and max_bits of a loop that sums each
-            # coefficient as it reads it
-            _ring_sum(row, terms[-w:])
-            raise
-        scaled = int_scaled(row) if over_ints else None
-        if scaled is None:
-            over_ints = False
-            terms.append(_ring_sum(row, terms[-w:]))
-            continue
-        scale, ps = scaled
-        lo = len(nums) - w
+        terms.append(_ring_sum(_read_row(read, k, w, terms), terms[-w:]))
+
+
+def _read_row(
+    read: Callable[[int, int], RingValue], k: int, w: int, terms: list[RingValue]
+) -> list[RingValue]:
+    """read(k, 1..w), in order."""
+    row: list[RingValue] = []
+    try:
+        for i in range(1, w + 1):
+            row.append(read(k, i))
+    except BaseException:
+        # leave the counts and max_bits of a loop that sums each
+        # coefficient as it reads it
+        _ring_sum(row, terms[-w:])
+        raise
+    return row
+
+
+def _scaled_terms(
+    rows: Iterable[tuple[int, list[int]]], terms: list[RingValue], total: int, nums: list[int]
+) -> None:
+    """Append to terms one term per scaled row, until the rows run out or
+    T outgrows the term (see scale_outgrew).  Nothing is added to COUNTER.
+
+    A row comes as (L, [P_1, ..., P_w]), P_i = p_i * L: its coefficients
+    scaled to ints by L, the lcm of their denominators.  Term j is kept
+    as A_j / T_j, nums holding the A of the terms so far: T = total
+    starts as the lcm of the initial terms' denominators and is
+    multiplied by each row's L.  The new A is the sum of P_i * A_j times
+    the L of every term after j, which Horner takes as
+    acc = acc * L_j + P_i * A_j: two products by small ints per term.
+    """
+    scales = [1] * len(nums)
+    for scale, ps in rows:
+        lo = len(nums) - len(ps)
         acc = ps[0] * nums[lo]
         for p, a, s in zip(ps[1:], nums[lo + 1 :], scales[lo + 1 :]):
             acc = acc * s + p * a
-        COUNTER.muls += w
-        COUNTER.adds += w - 1
         nums.append(acc)
         scales.append(scale)
         total *= scale
         term = Fraction(acc, total)
         terms.append(term)
-        over_ints = not scale_outgrew(total, term)
+        if scale_outgrew(total, term):
+            return
 
 
 def _ring_sum(row: list[RingValue], window: list[RingValue]) -> RingValue:
@@ -330,25 +358,155 @@ def verify_spec(
 
     Compares determinant_terms(spec, max_n, method, corrupt) with direct
     iteration: a(k+1) for a full-history spec, a(k) for a fixed-order one.
-    Both routes read the coefficients through one table (see _read_once),
-    so each value is computed once; direct iteration still never reads
-    the matrix, so a corrupted cell or a wrong index map is still seen.
+
+    With the fast method, no corrupt cell and bits untracked, a spec
+    whose coefficients all have a vector form (compiled DSL ones) and
+    whose initial values are Fractions takes the column route (see
+    _column_route): both sides read one scaled int column per k, and no
+    matrix is built.  Any other call, and any column route that cannot
+    finish over ints, takes the matrix route (see _matrix_route) from
+    the start, so the report, the error raised and COUNTER's counts are
+    the matrix route's.
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
-    spec = _read_once(spec, max_n)
-    dets = determinant_terms(spec, max_n, method, corrupt)
-    if isinstance(spec, FullHistorySpec):
-        direct = eval_full_history(spec, max_n + 1).terms[1:]
-    else:
-        direct = eval_fixed_order(spec, max_n).terms
+    routes = None
+    if method == "fast" and corrupt is None:
+        routes = _column_route(spec, max_n)
+    direct, dets = routes or _matrix_route(spec, max_n, method, corrupt)
+    return _report(spec.name, direct, dets)
+
+
+def _report(
+    name: str, direct: list[RingValue], dets: list[RingValue]
+) -> VerificationReport:
     checks = tuple(
         VerificationCheck(k=k, direct=render_value(a), det=render_value(d), ok=a == d)
         for k, (a, d) in enumerate(zip(direct, dets), start=1)
     )
-    return VerificationReport(
-        spec=spec.name, checks=checks, passed=all(c.ok for c in checks)
-    )
+    return VerificationReport(spec=name, checks=checks, passed=all(c.ok for c in checks))
+
+
+def _matrix_route(
+    spec: FullHistorySpec | FixedOrderSpec,
+    max_n: int,
+    method: str,
+    corrupt: tuple[int, int] | None,
+) -> tuple[list[RingValue], list[RingValue]]:
+    """verify_spec's direct terms and determinant terms, the latter from
+    Theorem 1's or 2's matrix.
+
+    Both read the coefficients through one table (see _read_once), so
+    each value is computed once; the matrix build reads first, so errors
+    come in its order.  Direct iteration still never reads the matrix,
+    so a corrupted cell or a wrong index map is still seen.
+    """
+    spec = _read_once(spec, max_n)
+    dets = determinant_terms(spec, max_n, method, corrupt)
+    if isinstance(spec, FullHistorySpec):
+        return eval_full_history(spec, max_n + 1).terms[1:], dets
+    return eval_fixed_order(spec, max_n).terms, dets
+
+
+def _column_route(
+    spec: FullHistorySpec | FixedOrderSpec, n: int
+) -> tuple[list[RingValue], list[RingValue]] | None:
+    """_matrix_route(spec, n, "fast", None) from one scaled int column per
+    k (see _columns), or None when that must run instead.
+
+    The leading minors read column k as column k of the matrix
+    (hessenberg.scaled_leading_minors), and direct iteration reads it as
+    row k (_scaled_terms): the matrix route's int kernels on the same
+    scales.  The two still check each other, because they combine the
+    columns by different recurrences.
+
+    None, with nothing added to COUNTER, when bits are tracked, a
+    coefficient has no vector form, an initial value is not a Fraction,
+    a full-history spec declares a band, a value divides by zero or
+    names an unbound variable, first_valid_k refuses a k, or a kernel's
+    scale outgrows its values before the last k: where the matrix route
+    raises or hands over to its ring path.  Otherwise COUNTER gets what
+    the matrix route adds: each coefficient value's DSL ops once, the
+    kernels' muls and adds and, for a full-history spec, the n products
+    by a(1).
+    """
+    if COUNTER.track_bits:
+        return None
+    full = isinstance(spec, FullHistorySpec)
+    coeffs = (spec.coeff,) if full else spec.coeffs
+    direct: list[RingValue] = [spec.initial] if full else list(spec.initials[:n])
+    if (
+        (full and spec.band is not None)
+        or not all(hasattr(f, "vector") for f in coeffs)
+        or any(type(v) is not Fraction for v in direct)
+    ):
+        return None
+    columns: list[tuple[int, list[int]]] = []
+
+    def kept() -> Iterator[tuple[int, list[int], int]]:
+        # the -1 under column k, negated and scaled, is L_k
+        for scale, col in _columns(spec, n):
+            columns.append((scale, col))
+            yield scale, col, scale
+
+    minors, terms = scaled_leading_minors(kept(), n if full else spec.order - 1)
+    if len(minors) < n:
+        return None
+    rows = columns if full else columns[spec.order :]
+    start = len(direct)
+    _scaled_terms(rows, direct, *int_scaled(direct))
+    if len(direct) < start + len(rows):
+        return None
+    reads = n * (n + 1) // 2 if full else len(rows)
+    for f in coeffs:
+        adds, muls, divs = f.ops  # type: ignore[attr-defined]
+        COUNTER.adds += adds * reads
+        COUNTER.muls += muls * reads
+        COUNTER.divs += divs * reads
+    products = sum(len(ps) for _, ps in rows)
+    COUNTER.muls += len(minors) + 3 * terms + products
+    COUNTER.adds += terms + products - len(rows)
+    if full:
+        COUNTER.muls += n
+        return direct[1:], [spec.initial * d for d in minors]
+    return direct, minors
+
+
+def _columns(
+    spec: FullHistorySpec | FixedOrderSpec, n: int
+) -> Iterator[tuple[int, list[int]]]:
+    """Column k of spec's matrix for k = 1..n, in order, as (L_k, [p * L_k]),
+    up to the first k whose values a vector form or first_valid_k refuses.
+
+    The column holds p(k, 1..k) of a full-history spec; of a fixed-order
+    one, the band p_1(k)..p_m(k), or a(k) in row 1 for k <= m.  L_k is
+    the lcm of their reduced denominators, as ring.int_scaled takes it
+    for that column of the matrix.  A full-history spec takes one run of
+    its vector form per k, so columns a kernel never reaches are never
+    built; a fixed-order one takes one run of k per p_t, and column k
+    gathers p_1(k)..p_m(k) from them.  No Fraction is built per value.
+    """
+    if isinstance(spec, FullHistorySpec):
+        i = list(range(1, n + 1))
+        for k in i:
+            run = spec.coeff.vector(k, i[:k])  # type: ignore[attr-defined]
+            if run is None:
+                return
+            nums, dens = run
+            yield pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
+        return
+    m = spec.order
+    for k, a in enumerate(spec.initials[:n], start=1):
+        yield a.denominator, [a.numerator] + [0] * (k - 1)
+    if n <= m or spec.first_valid_k > m + 1:
+        return
+    ks = list(range(m + 1, n + 1))
+    runs = [f.vector(ks, None) for f in spec.coeffs]  # type: ignore[attr-defined]
+    if any(run is None for run in runs):
+        return
+    nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in runs))
+    dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in runs))
+    yield from map(pairs_scaled, nums, dens)
 
 
 def _read_once(

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import floordiv
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
@@ -338,6 +339,26 @@ def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
         return 1, nums
     scale = lcm(*dens)
     return scale, [n * (scale // d) for n, d in zip(nums, dens)]
+
+
+def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]]:
+    """int_scaled of the Fractions nums[j] / dens[j], from int pairs that
+    need not be reduced (every den nonzero, of either sign); dens may be
+    one int that every pair shares.
+
+    A shared den d takes one gcd over the run: the reduced denominators
+    are d / gcd(n_j, d), whose lcm is d / gcd(d, n_1, ..., n_w)."""
+    if type(dens) is int:
+        if dens < 0:
+            dens, nums = -dens, [-n for n in nums]
+        if dens == 1:
+            return 1, nums
+        g = gcd(dens, *nums)
+        return dens // g, nums if g == 1 else [n // g for n in nums]
+    if dens.count(1) == len(dens):
+        return 1, nums
+    scale = lcm(*map(floordiv, dens, map(gcd, nums, dens)))
+    return scale, [n * scale // d for n, d in zip(nums, dens)]
 
 
 def scale_outgrew(scale: int, value: Fraction) -> bool:

@@ -17,6 +17,7 @@ from recdet.dsl import (
     Neg,
     Sub,
     Var,
+    _vars_of,
     eval_expr,
     parse,
     render,
@@ -295,12 +296,54 @@ def _assert_compiled_matches_eval_expr(doc, ks=range(-2, 13)):
                 assert _outcome(spec.coeff, k, i) == _outcome(
                     lambda: eval_expr(expr, k=k, i=i)
                 ), (render(doc), k, i)
+            # the vector form over i = 1..k for this k
+            _assert_vector_matches_eval_expr(
+                spec.coeff, expr, list(range(1, max(k, 1) + 1)),
+                lambda i, k=k: eval_expr(expr, k=k, i=i),
+                lambda run, k=k: spec.coeff.vector(k, run),
+            )
     else:
+        ks = list(ks)
         for fn, cdef in zip(spec.coeffs, doc.coeffs):
             for k in ks:
                 assert _outcome(fn, k) == _outcome(
                     lambda: eval_expr(cdef.expr, k=k)
                 ), (render(doc), cdef.name, k)
+            # the vector form over runs of k: the whole range, every
+            # suffix of it and every single k
+            for run in [ks[j:] for j in range(len(ks))] + [[k] for k in ks]:
+                _assert_vector_matches_eval_expr(
+                    fn, cdef.expr, run,
+                    lambda k, e=cdef.expr: eval_expr(e, k=k),
+                    lambda run, fn=fn: fn.vector(run, None),
+                )
+
+
+def _assert_vector_matches_eval_expr(fn, expr, run, reference, vector):
+    """fn's vector form over run: eval_expr's value at every index, or
+    None where eval_expr raises at some index; nothing counted."""
+    if "x" in _vars_of(expr):
+        assert not hasattr(fn, "vector")
+        return
+    before = (COUNTER.adds, COUNTER.muls, COUNTER.divs)
+    got = vector(run)
+    assert (COUNTER.adds, COUNTER.muls, COUNTER.divs) == before
+    want = [_outcome(reference, index) for index in run]
+    if any(w[0] == "raised" for w in want):
+        assert got is None, (render_expr(expr), run)
+        return
+    assert got is not None, (render_expr(expr), run)
+    nums, dens = got
+    for part in (nums, dens):
+        assert type(part) is int or (type(part) is list and len(part) == len(run))
+    values = [
+        Fraction(*(v if type(v) is int else v[j] for v in (nums, dens)))
+        for j in range(len(run))
+    ]
+    assert values == [w[2] for w in want], (render_expr(expr), run)
+    # what one value costs, as eval_expr counts it (adds, muls, divs)
+    adds, muls, divs = fn.ops
+    assert all(w[3] == (adds, muls, divs) for w in want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Theorem-1/Theorem-2 matrix builders, direct evaluation, verification."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -7,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from recdet import cli, dsl, recurrence, ring
 from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
@@ -722,3 +723,160 @@ class TestCoefficientReadsOnce:
         assert coeff_ops > 0
         assert COUNTER.ring_ops == det_ops + direct_ops - coeff_ops
         COUNTER.reset()
+
+
+# --- verify_spec's column route against its matrix route --------------------
+
+
+def _matrix_report(spec, n):
+    return recurrence._report(spec.name, *recurrence._matrix_route(spec, n, "fast", None))
+
+
+def _assert_routes_agree(spec, n, route_taken=None):
+    """verify_spec equals its matrix route, in the report (so in its JSON
+    bytes) or the error's type, message and k, and in COUNTER's ring ops;
+    route_taken, when given, says whether the column route gave it."""
+    calls = []
+    column_route = recurrence._column_route
+
+    def spy(*args):
+        calls.append(column_route(*args))
+        return calls[-1]
+
+    recurrence._column_route = spy
+    try:
+        got = _outcome(verify_spec, spec, n)
+    finally:
+        recurrence._column_route = column_route
+    assert got == _outcome(_matrix_report, spec, n), (spec.name, n)
+    if route_taken is not None:
+        assert (calls[0] is not None) == route_taken, (spec.name, n)
+    return got[0]
+
+
+def _k_minus(c):
+    # k - c, or k + |c| for c < 0
+    return dsl.Sub(dsl.Var("k"), dsl.IntLit(c)) if c >= 0 else dsl.Add(
+        dsl.Var("k"), dsl.IntLit(-c)
+    )
+
+
+class TestColumnRoute:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vanishing_at=st.one_of(st.none(), st.integers(-2, 30)),
+        n=st.integers(1, 40),
+    )
+    def test_random_rational_documents(self, seed, vanishing_at, n):
+        doc = random_document(random.Random(seed))
+        assume(doc.ring == "rational")
+        if vanishing_at is not None:
+            # divide every coefficient by k - c, which vanishes at k = c
+            doc = dataclasses.replace(
+                doc,
+                coeffs=tuple(
+                    dataclasses.replace(c, expr=dsl.Div(c.expr, _k_minus(vanishing_at)))
+                    for c in doc.coeffs
+                ),
+            )
+        _assert_routes_agree(dsl.to_spec(doc), n)
+
+    @pytest.mark.parametrize(
+        "name", [name for name in available() if dsl.parse(spec_text(name)).ring == "rational"]
+    )
+    def test_rational_shipped_specs(self, name):
+        spec = _dsl_spec(spec_text(name), name)
+        for n in (1, 2, 3, 4, 40, 150):
+            assert _assert_routes_agree(spec, n, route_taken=True).passed
+
+    @pytest.mark.parametrize("name", available(negative=True))
+    def test_negative_specs(self, name):
+        try:
+            spec = _dsl_spec(spec_text(name, negative=True), name)
+        except RecdetError:
+            return  # refused by the parser, before any spec exists
+        for n in (8, 9, 12):
+            _assert_routes_agree(spec, n, route_taken=n < 9)
+
+    def test_the_matrix_read_order_picks_the_first_error(self):
+        # k + 3i = 22 vanishes at (k, i) = (7, 5), (10, 4), ..., (19, 1);
+        # a pass over the columns meets k = 7 first, the matrix build
+        # k = 19 at n = 20
+        spec = _dsl_spec(
+            "mode = full-history\nring = rational\ninitial = 1\n"
+            "coeff p(k, i) = 1/(k + 3*i - 22)\n"
+        )
+        for n, k in ((20, 19), (12, 10), (8, 7)):
+            got = _assert_routes_agree(spec, n, route_taken=False)
+            assert got == (DivisionByZero, f"denominator is zero at k = {k}", k)
+        _assert_routes_agree(spec, 6, route_taken=True)
+
+    def test_specs_left_to_the_matrix_route(self):
+        # a first_valid_k gap, initial values that are not Fractions, and
+        # a declared band that p breaks, which only the matrix route sees
+        gap = _dsl_spec(
+            "mode = fixed-order\nring = rational\norder = 2\ninitial = [1, 2]\n"
+            "first_valid_k = 6\ncoeff p1(k) = 1/(k - 4)\ncoeff p2(k) = k\n"
+        )
+        assert _assert_routes_agree(gap, 2, route_taken=True).passed
+        assert _assert_routes_agree(gap, 3, route_taken=False)[0] is IndexBelowValidity
+        poly_initial = _dsl_spec(
+            "mode = fixed-order\nring = poly\norder = 2\ninitial = [1, x]\n"
+            "coeff p1(k) = 2\ncoeff p2(k) = -1\n"
+        )
+        _assert_routes_agree(poly_initial, 1, route_taken=True)
+        _assert_routes_agree(poly_initial, 12, route_taken=False)
+        _assert_routes_agree(
+            _dsl_spec("mode = full-history\nring = poly\ninitial = x\ncoeff p(k, i) = i/k\n"),
+            12,
+            route_taken=False,
+        )
+        dense = _dsl_spec("mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = 1\n")
+        assert _assert_routes_agree(dense, 10, route_taken=True).passed
+        banded = dataclasses.replace(dense, band=1)
+        assert not _assert_routes_agree(banded, 10, route_taken=False).passed
+
+    @pytest.mark.parametrize(
+        "p, n, route_taken",
+        [
+            ("(k - i + 1)/(k + 2*i) - 1/3", 100, False),
+            ("(k - i + 1)/(k + 2*i) - 1/3", 200, False),
+            ("1/i", 100, True),
+            ("1/i", 200, False),
+        ],
+    )
+    def test_row_dependent_denominators(self, p, n, route_taken):
+        # the scales grow with the row: where the matrix route's int
+        # kernel hands over to the ring path, the column route gives way
+        # to the matrix route from the start
+        spec = _dsl_spec(f"mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = {p}\n")
+        assert _assert_routes_agree(spec, n, route_taken).passed
+
+    @pytest.mark.parametrize(
+        "kwargs, track_bits",
+        [
+            ({}, True),
+            ({"corrupt": (1, 1)}, False),
+            ({"corrupt": (2, 5)}, False),
+            ({"method": "bareiss"}, False),
+            ({"method": "laplace"}, False),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["powers-of-two", "ode-example"])
+    def test_only_fast_untracked_uncorrupted_calls_take_the_route(
+        self, name, kwargs, track_bits
+    ):
+        spec = _dsl_spec(spec_text(name), name)
+        runs = []
+        for f in (spec.coeff,) if isinstance(spec, FullHistorySpec) else spec.coeffs:
+            vector = f.vector
+            f.vector = lambda *args, vector=vector: runs.append(args) or vector(*args)
+        COUNTER.reset(track_bits=track_bits)
+        try:
+            verify_spec(spec, 8, **kwargs)
+        finally:
+            COUNTER.reset()
+        assert runs == []
+        verify_spec(spec, 8)
+        assert runs

@@ -14,6 +14,7 @@ from recdet.ring import (
     Polynomial,
     int_scaled,
     latex_value,
+    pairs_scaled,
     parse_value,
     render_value,
     ring_add,
@@ -303,6 +304,33 @@ class TestIntScaled:
         finally:
             COUNTER.reset()
         assert int_scaled([Fraction(1, 2), Fraction(3)]) == (2, [1, 6])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.integers(-60, 60),
+                st.integers(-12, 12).filter(bool),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        shared=st.one_of(st.none(), st.integers(-12, 12).filter(bool)),
+    )
+    def test_unreduced_pairs_scale_as_their_fractions(self, pairs, shared):
+        # signs on either side, common factors, zero numerators; dens
+        # given per pair or as one shared int
+        nums = [n for n, _ in pairs]
+        dens = [d for _, d in pairs] if shared is None else shared
+        values = [Fraction(n, d) for n, d in zip(nums, [shared] * len(nums) if shared else dens)]
+        assert pairs_scaled(nums, dens) == int_scaled(values)
+
+    def test_unreduced_pair_examples(self):
+        assert pairs_scaled([2, 0, -9], [-4, 7, 6]) == (2, [-1, 0, -3])
+        assert pairs_scaled([4, 6, 0], 8) == (4, [2, 3, 0])
+        assert pairs_scaled([4, -6], -2) == (1, [-2, 3])
+        assert pairs_scaled([0, 0], 5) == (1, [0, 0])
+        assert pairs_scaled((3, 5), (1, 1)) == (1, (3, 5))
 
 
 class TestRendering:
