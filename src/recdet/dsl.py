@@ -27,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
-from typing import Callable, Iterator, Union
+from operator import add, mul, neg, not_, sub
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -601,76 +601,12 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 
 # --- compilation ----------------------------------------------------------
 #
-# to_spec compiles each x-free coefficient once into nested closures of
-# (k, i) over unreduced (num, den) int pairs, den != 0, and builds one
-# Fraction per call.  A coefficient that contains x (poly ring) calls
-# eval_expr, which stays the reference the compiled closures must agree with.
-
-_Pair = tuple[int, int]
-_PairFn = Callable[[int, "int | None"], _Pair]
-
-
-def _unbound(name: str) -> _PairFn:
-    def value(k: int, i: int | None) -> _Pair:
-        raise RecdetError(f"variable {name!r} is not bound")
-
-    return value
-
-
-def _compile_pair(e: Expr, bound: tuple[str, ...]) -> _PairFn:
-    """An x-free expression as a closure giving an unreduced pair."""
-    if isinstance(e, IntLit):
-        const = (e.value, 1)
-        return lambda k, i: const
-    if isinstance(e, Var):
-        if e.name not in bound:
-            return _unbound(e.name)
-        if e.name == "k":
-            return lambda k, i: (k, 1)
-        return lambda k, i: (i, 1)
-    if isinstance(e, Neg):
-        f = _compile_pair(e.operand, bound)
-
-        def value(k: int, i: int | None) -> _Pair:
-            a, b = f(k, i)
-            return -a, b
-
-        return value
-    f = _compile_pair(e.left, bound)  # type: ignore[attr-defined]
-    g = _compile_pair(e.right, bound)  # type: ignore[attr-defined]
-    if isinstance(e, Add):
-
-        def value(k: int, i: int | None) -> _Pair:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            return (a + c, b) if b == d else (a * d + c * b, b * d)
-
-    elif isinstance(e, Sub):
-
-        def value(k: int, i: int | None) -> _Pair:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            return (a - c, b) if b == d else (a * d - c * b, b * d)
-
-    elif isinstance(e, Mul):
-
-        def value(k: int, i: int | None) -> _Pair:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            return a * c, b * d
-
-    elif isinstance(e, Div):
-
-        def value(k: int, i: int | None) -> _Pair:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            if not c:
-                raise _zero_denominator(k)
-            return a * d, b * c
-
-    else:
-        raise RecdetError(f"unknown expression node {type(e).__name__}")
-    return value
+# to_spec compiles each x-free coefficient into nested closures over
+# unreduced (num, den) int pairs, den != 0 (see _compile): once for one
+# (k, i), where a call builds one Fraction, and once for the runs that
+# verify's column route reads.  A coefficient that contains x (poly
+# ring) calls eval_expr, which stays the reference the compiled closures
+# must agree with.
 
 
 def _op_counts(e: Expr) -> tuple[int, int, int]:
@@ -685,26 +621,34 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     It equals eval_expr(e, k, i), raises what eval_expr raises, and on
     success adds the same ring ops to COUNTER.  While COUNTER tracks bits
     it defers to eval_expr, so max_bits still sees every intermediate.
-    An x-free e also gets its vector form (see _compile_vector) as the
-    function's attribute vector, and the (adds, muls, divs) one value
-    costs as its attribute ops.
+    An x-free e also gets its vector form as the function's attribute
+    vector, and the (adds, muls, divs) one value costs as its attribute
+    ops.
     """
     if "x" in _vars_of(e):
         return lambda k, i=None: eval_expr(e, k, i)
-    pair = _compile_pair(e, bound)
+    pair = _compile(e, bound, _ON_INTS)
+    run = _compile(e, bound, _ON_RUNS)
     adds, muls, divs = _op_counts(e)
 
     def coeff(k: int, i: int | None = None) -> RingValue:
         c = COUNTER
         if c.track_bits:
             return eval_expr(e, k, i)
-        v = Fraction(*pair(k, i))
+        try:
+            v = Fraction(*pair(k, i))
+        except _Refused:
+            # eval_expr raises the error, with its k; a value that fails
+            # adds nothing to COUNTER
+            saved = c.adds, c.muls, c.divs
+            try:
+                return eval_expr(e, k, i)
+            finally:
+                c.adds, c.muls, c.divs = saved
         c.adds += adds
         c.muls += muls
         c.divs += divs
         return v
-
-    run = _compile_vector(e, bound)
 
     def vector(k: _Vec, i: _Vec | None = None) -> tuple[_Vec, _Vec] | None:
         try:
@@ -717,19 +661,29 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     return coeff
 
 
-# The vector form evaluates a coefficient over a run of one index: i for
-# fixed k in full history, k in fixed order.  The index that runs is
-# given as a list of ints, and every value is an unreduced (num, den)
-# pair of ints or of lists, an int standing for the same int at every
-# index of the run.  A value of the run that eval_expr would refuse, by
-# a zero denominator or an unbound variable, makes the whole run return
-# None; nothing is added to COUNTER.
+# The compiled form evaluates a coefficient at one (k, i) or over a run
+# of one index: i for fixed k in full history, k in fixed order.  The
+# index that runs is given as a list of ints, and every value is an
+# unreduced (num, den) pair of ints or of lists, an int standing for the
+# same int at every index of the run.  A value that eval_expr would
+# refuse, by a zero denominator or an unbound variable, raises _Refused
+# for the whole run; nothing is added to COUNTER.  One compiler builds
+# both forms from a table of the int arithmetic it uses: the operator
+# module's for one (k, i), and list-aware ones for a run.
 
 _Vec = Union[int, list[int]]
 
 
 class _Refused(Exception):
     """A value of a run divides by zero or names an unbound variable."""
+
+
+class _Arith(NamedTuple):
+    neg: Callable[[_Vec], _Vec]
+    add: Callable[[_Vec, _Vec], _Vec]
+    sub: Callable[[_Vec, _Vec], _Vec]
+    mul: Callable[[_Vec, _Vec], _Vec]
+    has_zero: Callable[[_Vec], bool]
 
 
 def _vneg(a: _Vec) -> _Vec:
@@ -764,14 +718,24 @@ def _vmul(a: _Vec, b: _Vec) -> _Vec:
     return b if a == 1 else [a * x for x in b]
 
 
+def _vhas_zero(a: _Vec) -> bool:
+    return a == 0 if type(a) is int else 0 in a
+
+
+_ON_INTS = _Arith(neg, add, sub, mul, not_)
+_ON_RUNS = _Arith(_vneg, _vadd, _vsub, _vmul, _vhas_zero)
+
+
 def _refuse(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
     raise _Refused
 
 
-def _compile_vector(e: Expr, bound: tuple[str, ...]) -> Callable[..., tuple[_Vec, _Vec]]:
-    """An x-free expression as a closure of (k, i) over runs, as
-    _compile_pair is over ints; it raises _Refused where _compile_pair
-    raises at some index of the run."""
+def _compile(
+    e: Expr, bound: tuple[str, ...], arith: _Arith
+) -> Callable[..., tuple[_Vec, _Vec]]:
+    """An x-free expression as a closure of (k, i) giving an unreduced
+    pair, by arith over ints (_ON_INTS) or runs (_ON_RUNS); it raises
+    _Refused where eval_expr raises at some index."""
     if isinstance(e, IntLit):
         const = (e.value, 1)
         return lambda k, i: const
@@ -782,40 +746,43 @@ def _compile_vector(e: Expr, bound: tuple[str, ...]) -> Callable[..., tuple[_Vec
             return lambda k, i: (k, 1)
         return lambda k, i: (i, 1)
     if isinstance(e, Neg):
-        f = _compile_vector(e.operand, bound)
+        f = _compile(e.operand, bound, arith)
+        negate = arith.neg
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
-            return _vneg(a), b
+            return negate(a), b
 
         return value
-    f = _compile_vector(e.left, bound)  # type: ignore[attr-defined]
-    g = _compile_vector(e.right, bound)  # type: ignore[attr-defined]
+    f = _compile(e.left, bound, arith)  # type: ignore[attr-defined]
+    g = _compile(e.right, bound, arith)  # type: ignore[attr-defined]
+    times = arith.mul
     if isinstance(e, (Add, Sub)):
-        op = _vadd if isinstance(e, Add) else _vsub
+        op = arith.add if isinstance(e, Add) else arith.sub
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
             if b == d:
                 return op(a, c), b
-            return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
+            return op(times(a, d), times(c, b)), times(b, d)
 
     elif isinstance(e, Mul):
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
-            return _vmul(a, c), _vmul(b, d)
+            return times(a, c), times(b, d)
 
     elif isinstance(e, Div):
+        has_zero = arith.has_zero
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
-            if (c == 0) if type(c) is int else (0 in c):
+            if has_zero(c):
                 raise _Refused
-            return _vmul(a, d), _vmul(b, c)
+            return times(a, d), times(b, c)
 
     else:
         raise RecdetError(f"unknown expression node {type(e).__name__}")

@@ -431,7 +431,6 @@ def _int_leading_minors(
     """The leading minors d_1..d_c by scaled_leading_minors, for the
     leading columns whose band and subdiagonal cells int_scaled lets
     through.  Only band cells are read, so a banded matrix costs O(n*b).
-    COUNTER gets the ring path's muls and adds for these columns, in bulk.
     """
 
     def columns():
@@ -443,20 +442,16 @@ def _int_leading_minors(
             scale, col = scaled
             yield scale, col, -col[-1]
 
-    minors, terms = scaled_leading_minors(columns(), band)
-    COUNTER.muls += len(minors) + 3 * terms
-    COUNTER.adds += terms
-    return minors
+    return scaled_leading_minors(columns(), band)
 
 
 def scaled_leading_minors(
     columns: Iterable[tuple[int, list[int], int]], band: int
-) -> tuple[list[Fraction], int]:
+) -> list[Fraction]:
     """The leading minors of the columns, by the ring recurrence run over
     ints, until the columns run out or the scales outgrow the minors (see
-    scale_outgrew); with the number of band terms summed, from which the
-    ring path's counts follow: len(minors) + 3 * terms muls, terms adds.
-    Nothing is added to COUNTER.
+    scale_outgrew).  COUNTER gets the ring path's muls and adds for these
+    columns, in bulk.
 
     Column c comes as (L_c, col, s): its band cells, rows max(c - band, 0)
     to c, scaled to ints by L_c, and its subdiagonal cell (c + 1, c)
@@ -485,7 +480,9 @@ def scaled_leading_minors(
         minors.append(minor)
         if scale_outgrew(total, minor):
             break
-    return minors, terms
+    COUNTER.muls += len(minors) + 3 * terms
+    COUNTER.adds += terms
+    return minors
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:

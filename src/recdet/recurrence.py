@@ -116,8 +116,7 @@ def _direct(
     first error raised is always the same.
 
     While ring.int_scaled lets the terms and each row through, the rows
-    run over ints instead (see _scaled_terms), and COUNTER gets the ring
-    loop's w muls and w - 1 adds per row, in bulk.  The ring loop takes
+    run over ints instead (see _scaled_terms).  The ring loop takes
     over from the first row int_scaled refuses, and after the row where
     the scale outgrew the term (see scale_outgrew).
     """
@@ -132,8 +131,6 @@ def _direct(
                 # the ring loop sums this row and the rest
                 terms.append(_ring_sum(row, terms[-w:]))
                 return
-            COUNTER.muls += w
-            COUNTER.adds += w - 1
             yield scaled
 
     start = int_scaled(terms)
@@ -164,7 +161,8 @@ def _scaled_terms(
     rows: Iterable[tuple[int, list[int]]], terms: list[RingValue], total: int, nums: list[int]
 ) -> None:
     """Append to terms one term per scaled row, until the rows run out or
-    T outgrows the term (see scale_outgrew).  Nothing is added to COUNTER.
+    T outgrows the term (see scale_outgrew).  COUNTER gets the ring
+    loop's w muls and w - 1 adds per row of w coefficients, in bulk.
 
     A row comes as (L, [P_1, ..., P_w]), P_i = p_i * L: its coefficients
     scaled to ints by L, the lcm of their denominators.  Term j is kept
@@ -185,6 +183,8 @@ def _scaled_terms(
         total *= scale
         term = Fraction(acc, total)
         terms.append(term)
+        COUNTER.muls += len(ps)
+        COUNTER.adds += len(ps) - 1
         if scale_outgrew(total, term):
             return
 
@@ -420,13 +420,13 @@ def _column_route(
     scales.  The two still check each other, because they combine the
     columns by different recurrences.
 
-    None, with nothing added to COUNTER, when bits are tracked, a
-    coefficient has no vector form, an initial value is not a Fraction,
-    a full-history spec declares a band, a value divides by zero or
-    names an unbound variable, first_valid_k refuses a k, or a kernel's
-    scale outgrows its values before the last k: where the matrix route
-    raises or hands over to its ring path.  Otherwise COUNTER gets what
-    the matrix route adds: each coefficient value's DSL ops once, the
+    None, with COUNTER as it was, when bits are tracked, a coefficient
+    has no vector form, an initial value is not a Fraction, a
+    full-history spec declares a band, a value divides by zero or names
+    an unbound variable, first_valid_k refuses a k, or a kernel's scale
+    outgrows its values before the last k: where the matrix route raises
+    or hands over to its ring path.  Otherwise COUNTER gets what the
+    matrix route adds: each coefficient value's DSL ops once, the
     kernels' muls and adds and, for a full-history spec, the n products
     by a(1).
     """
@@ -449,27 +449,26 @@ def _column_route(
             columns.append((scale, col))
             yield scale, col, scale
 
-    minors, terms = scaled_leading_minors(kept(), n if full else spec.order - 1)
-    if len(minors) < n:
-        return None
-    rows = columns if full else columns[spec.order :]
-    start = len(direct)
-    _scaled_terms(rows, direct, *int_scaled(direct))
-    if len(direct) < start + len(rows):
-        return None
-    reads = n * (n + 1) // 2 if full else len(rows)
-    for f in coeffs:
-        adds, muls, divs = f.ops  # type: ignore[attr-defined]
-        COUNTER.adds += adds * reads
-        COUNTER.muls += muls * reads
-        COUNTER.divs += divs * reads
-    products = sum(len(ps) for _, ps in rows)
-    COUNTER.muls += len(minors) + 3 * terms + products
-    COUNTER.adds += terms + products - len(rows)
-    if full:
-        COUNTER.muls += n
-        return direct[1:], [spec.initial * d for d in minors]
-    return direct, minors
+    # the kernels count as they go; a route that falls back takes it back
+    saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
+    minors = scaled_leading_minors(kept(), n if full else spec.order - 1)
+    if len(minors) == n:
+        rows = columns if full else columns[spec.order :]
+        start = len(direct)
+        _scaled_terms(rows, direct, *int_scaled(direct))
+        if len(direct) == start + len(rows):
+            reads = n * (n + 1) // 2 if full else len(rows)
+            for f in coeffs:
+                adds, muls, divs = f.ops  # type: ignore[attr-defined]
+                COUNTER.adds += adds * reads
+                COUNTER.muls += muls * reads
+                COUNTER.divs += divs * reads
+            if full:
+                COUNTER.muls += n
+                return direct[1:], [spec.initial * d for d in minors]
+            return direct, minors
+    COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+    return None
 
 
 def _columns(

@@ -219,6 +219,19 @@ class TestEvaluation:
             eval_expr(Div(IntLit(1), Sub(Var("k"), IntLit(5))), k=5)
         assert exc.value.k == 5
 
+    def test_a_compiled_value_that_raises_counts_nothing(self):
+        # eval_expr, which raises the error, has counted the
+        # denominator's ops by then
+        spec = to_spec(parse(
+            "mode = full-history\nring = rational\ninitial = 1\n"
+            "coeff p(k, i) = 1/(k + 3*i - 22)\n"
+        ))
+        COUNTER.reset()
+        with pytest.raises(DivisionByZero) as exc:
+            spec.coeff(7, 5)
+        assert exc.value.k == 7
+        assert COUNTER.ring_ops == 0
+
     def test_to_spec_fixed_order_evaluates(self):
         spec = to_spec(parse(FIB), name="fib")
         assert eval_fixed_order(spec, 7).terms == (1, 1, 2, 3, 5, 8, 13)
