@@ -1,22 +1,22 @@
 """Square matrices over the exact rings, plus three determinant algorithms.
 
-det_hessenberg_fast is the O(n^2) leading-principal-minor recurrence and
-the computational heart of the package; det_laplace (cofactor expansion,
-guarded at size 8) and det_bareiss (fraction-free elimination) are its
-independent oracles.  det_bareiss is the O(n^3) ring elimination in
-general, and an O(n^2) row recurrence on upper-Hessenberg matrices
-while bits are not tracked, which needs no row swap; that recurrence
-expands rows, where det_hessenberg_fast runs down the columns over
-products of the subdiagonal.  A matrix is given by its rows and an
-optional band; whether it is upper Hessenberg is read from its cells.
+det_hessenberg_fast is the O(n^2) leading-principal-minor recurrence,
+run down each column in Horner order, and the computational heart of
+the package; det_laplace (cofactor expansion, guarded at size 8) and
+det_bareiss (fraction-free elimination) are its independent oracles.
+det_bareiss is the O(n^3) ring elimination in general, and an O(n^2)
+row recurrence on upper-Hessenberg matrices while bits are not tracked,
+which needs no row swap and expands rows.  A matrix is given by its rows
+and an optional band; whether it is upper Hessenberg is read from its
+cells, and both fast routes read its integral cells as ints once.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from random import Random
 from typing import Iterable
 
@@ -71,6 +71,7 @@ class SquareMatrix:
     _below_subdiagonal: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -117,6 +118,24 @@ class SquareMatrix:
         if not (1 <= k <= self.size):
             raise RecdetError(f"leading submatrix size {k} out of range")
         return SquareMatrix(tuple(row[:k] for row in self.entries[:k]), self.band)
+
+    def _int_rows(self) -> tuple[tuple[int, ...], ...] | None:
+        """The cells as ints, when every cell on or above the subdiagonal
+        of this upper-Hessenberg matrix is an integral Fraction; else None.
+        Kept in _ints from the first use, () if not integral, and None
+        while COUNTER tracks bits, so that max_bits sees the ring path's."""
+        if COUNTER.track_bits:
+            return None
+        if self._ints is None:
+            ints: list = []
+            for r, row in enumerate(self.entries):
+                tail = row[max(r - 1, 0) :]
+                if set(map(type, tail)) != {Fraction} or {v.denominator for v in tail} != {1}:
+                    ints.clear()
+                    break
+                ints.append((0,) * (r - 1) + tuple([v.numerator for v in tail]))
+            object.__setattr__(self, "_ints", tuple(ints))
+        return self._ints or None
 
 
 def _first_nonzero(row: tuple[RingValue, ...], lo: int, hi: int) -> int | None:
@@ -243,13 +262,11 @@ def _bareiss(m: SquareMatrix, minors: list[RingValue] | None = None) -> RingValu
     tracked, takes _ring_bareiss.
     """
     if m._below_subdiagonal is None and not COUNTER.track_bits:
-        return _hessenberg_bareiss(m.entries, minors)
+        return _hessenberg_bareiss(m, minors)
     return _ring_bareiss([list(row) for row in m.entries], minors)
 
 
-def _hessenberg_bareiss(
-    entries: tuple[tuple[RingValue, ...], ...], minors: list[RingValue] | None
-) -> RingValue:
+def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> RingValue:
     """_bareiss on an upper-Hessenberg matrix as a row recurrence.
 
     Let R_i[c] be the determinant of rows 0..i on columns 0..i-1 and c,
@@ -268,21 +285,14 @@ def _hessenberg_bareiss(
     as well, every later minor is 0.  A row whose subdiagonal cell is
     zero is only rescaled, and keeps its zero cells as they are.
 
-    The cells on or above the subdiagonal run over ints when int_scaled
-    finds them integral, and the results come back as Fractions.
-    COUNTER gets det_bareiss's ring-path counts in bulk, with minors or
-    without.
+    The cells on or above the subdiagonal run over m._int_rows when it
+    has them, and the results come back as Fractions.  COUNTER gets
+    det_bareiss's ring-path counts in bulk, with minors or without.
     """
-    n = len(entries)
+    n = m.size
+    ints = m._int_rows()
     # row r from column r - 1: the cells on or above the subdiagonal
-    tails: list = [row[max(r - 1, 0) :] for r, row in enumerate(entries)]
-    scaled = int_scaled(chain.from_iterable(tails))
-    ints = scaled is not None and scaled[0] == 1
-    if ints:
-        flat, at = scaled[1], 0
-        for r, tail in enumerate(tails):
-            tails[r] = flat[at : at + len(tail)]
-            at += len(tail)
+    tails = [row[max(r - 1, 0) :] for r, row in enumerate(ints or m.entries)]
     row = tails[0]
     pivots = [row[0]]
     steps = n - 1
@@ -306,8 +316,8 @@ def _hessenberg_bareiss(
         pivots.append(row[0])
     _hessenberg_bareiss_counts(tails, steps, swaps)
     if minors is not None:
-        minors += map(Fraction, pivots) if ints else pivots
-    return Fraction(pivots[-1]) if ints else pivots[-1]
+        minors += pivots if ints is None else map(Fraction, pivots)
+    return pivots[-1] if ints is None else Fraction(pivots[-1])
 
 
 def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -> None:
@@ -393,11 +403,11 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
 
     Uses the recurrence d_c = sum_j (-1)^(c-j) m[j][c] (prod of the
     subdiagonal between j and c) d_{j-1} with d_0 = 1, in O(n^2) ring
-    multiplications for the whole batch.  With a declared band b the sum
-    runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
+    multiplications in Horner order (see _horner).  With a declared band
+    b the sum runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
 
-    The leading columns run over ints while ring.int_scaled lets them
-    (see _int_leading_minors); the ring recurrence takes the rest.
+    The leading columns run over ints while m._int_rows or int_scaled
+    lets them (see _int_leading_minors); the ring recurrence takes the rest.
     """
     if m._below_subdiagonal is not None:
         r, c = m._below_subdiagonal
@@ -406,18 +416,28 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
         )
     n = m.size
     band = n if m.band is None else m.band
-    d: list[RingValue] = [Fraction(1), *_int_leading_minors(m.entries, n, band)]
+    d: list[RingValue] = [Fraction(1), *_int_leading_minors(m, band)]
     return _ring_leading_minors(m.entries, n, band, d)
 
 
 def _ring_leading_minors(
     e: tuple[tuple[RingValue, ...], ...], n: int, band: int, d: list[RingValue]
 ) -> list[RingValue]:
-    """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n."""
-    one: RingValue = Fraction(1)
-    for c in range(len(d) - 1, n):
+    """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n.
+    Columns run in _horner's order, or while COUNTER tracks bits as the
+    plain sum of e[j][c] * prod * d_j, one ring_* call per operation, so
+    that max_bits sees the values it pins."""
+    start = len(d) - 1
+    if not COUNTER.track_bits:
+        subs = [-e[t + 1][t] for t in range(n - 1)]
+        subs = [None if s == 1 and type(s) is Fraction else s for s in subs]
+        for c in range(start, n):
+            lo = max(c - band, 0)
+            d.append(_horner([row[c] for row in e[lo : c + 1]], lo, d, subs))
+        return d[1:]
+    for c in range(start, n):
         acc = ring_mul(e[c][c], d[c])
-        prod: RingValue = one
+        prod: RingValue = Fraction(1)
         for j in range(c - 1, max(c - band, 0) - 1, -1):
             prod = ring_mul(prod, -e[j + 1][j])
             acc = ring_add(acc, ring_mul(ring_mul(e[j][c], prod), d[j]))
@@ -425,18 +445,20 @@ def _ring_leading_minors(
     return d[1:]
 
 
-def _int_leading_minors(
-    e: tuple[tuple[RingValue, ...], ...], n: int, band: int
-) -> list[RingValue]:
-    """The leading minors d_1..d_c by scaled_leading_minors, for the
+def _int_leading_minors(m: SquareMatrix, band: int) -> list[Fraction]:
+    """The leading minors d_1..d_c by scaled_leading_minors: of every
+    column, at scale 1, when m._int_rows has the cells, else of the
     leading columns whose band and subdiagonal cells int_scaled lets
     through.  Only band cells are read, so a banded matrix costs O(n*b).
     """
+    ints = m._int_rows()
+    cells = ints or m.entries
+    gate = int_scaled if ints is None else lambda col: (1, col)
 
     def columns():
-        for c in range(n):
+        for c in range(m.size):
             # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
-            scaled = int_scaled([e[r][c] for r in range(max(c - band, 0), min(c + 2, n))])
+            scaled = gate([row[c] for row in cells[max(c - band, 0) : c + 2]])
             if scaled is None:
                 return
             scale, col = scaled
@@ -457,32 +479,41 @@ def scaled_leading_minors(
     to c, scaled to ints by L_c, and its subdiagonal cell (c + 1, c)
     negated and scaled by L_c (any int for the last column).  L_c
     scales the c-th leading minor by L_1 * ... * L_c, so the scaled
-    minors d'_c come from the same recurrence in the same order, and
+    minors d'_c come from the same recurrence, and
     d_c = d'_c / (L_1 * ... * L_c).
     """
     d = [1]
-    negated_sub: list[int] = []
+    subs: list[int | None] = []
     minors: list[Fraction] = []
     total = 1
-    terms = 0
     for c, (scale, col, sub) in enumerate(columns):
-        lo = max(c - band, 0)
-        acc = col[c - lo] * d[c]
-        prod = 1
-        for j in range(c - 1, lo - 1, -1):
-            prod *= negated_sub[j]
-            acc += col[j - lo] * prod * d[j]
-        negated_sub.append(sub)
-        terms += c - lo
-        d.append(acc)
+        d.append(_horner(col, max(c - band, 0), d, subs))
+        subs.append(None if sub == 1 else sub)
         total *= scale
-        minor = Fraction(acc, total)
+        minor = Fraction(d[-1], total)
         minors.append(minor)
         if scale_outgrew(total, minor):
             break
-    COUNTER.muls += len(minors) + 3 * terms
-    COUNTER.adds += terms
     return minors
+
+
+def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
+    """The minor d_{c+1}, c = len(d) - 1, over ints or ring values, from
+    column c's cells col (rows lo..c; later ones unread), d = [d_0..d_c]
+    and the negated subdiagonal cells subs, None for an int or Fraction 1
+    (as under every column of Theorems 1 and 2), whose product is skipped.
+
+    acc = acc * subs[j - 1] + e[j][c] * d_j for j = lo..c takes two
+    products per term, neither of two large values, where the sum of
+    e[j][c] * prod * d_j, prod the product of subs[j..c-1], takes three;
+    COUNTER gets that sum's 1 + 3(c - lo) muls and c - lo adds."""
+    c = len(d) - 1
+    acc = col[0] * d[lo]
+    for s, v, dj in zip(subs[lo:c], col[1:], d[lo + 1 :]):
+        acc = (acc if s is None else acc * s) + v * dj
+    COUNTER.muls += 1 + 3 * (c - lo)
+    COUNTER.adds += c - lo
+    return acc
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:
@@ -576,7 +607,14 @@ def matrix_from_json(text: str) -> SquareMatrix:
             pass
         # outside the handler, so that a parse error chains no KeyError
         parsed.append(_parse_row(row, r, ring, cache))
-    return SquareMatrix(tuple(parsed))
+    m = SquareMatrix(tuple(parsed))
+    # _int_rows of an integral matrix, from one numerator per distinct text
+    ints = {
+        t: v.numerator for t, v in cache.items() if type(v) is Fraction and v.denominator == 1
+    }
+    with suppress(KeyError):  # a cell that is no integral Fraction: _int_rows decides
+        object.__setattr__(m, "_ints", tuple(tuple(map(ints.__getitem__, r)) for r in entries))
+    return m
 
 
 def _parse_row(

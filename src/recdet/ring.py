@@ -306,9 +306,9 @@ COUNTER = OpCounter()
 #
 # The leading minors, Bareiss and direct iteration each have an int
 # kernel that gives the ring path's values and adds its op counts to
-# COUNTER in bulk.  A kernel runs a column, row or matrix over ints only
-# when int_scaled lets it, and hands over to its ring path where
-# scale_outgrew says the scales cost more than they save.
+# COUNTER in bulk.  It runs a column or row over ints when int_scaled
+# lets it, or a matrix when SquareMatrix._int_rows does, and hands over
+# to its ring path where scale_outgrew says the scales cost too much.
 
 # Past this many bits of scale beyond a value's reduced denominator,
 # the int products cost more than the ring recurrence on reduced

@@ -394,6 +394,35 @@ class TestBench:
             ("bareiss", "16", "1810", "76"),
         ]
 
+    def test_each_method_is_timed_untracked_and_tracked_at_the_same_ring_ops(
+        self, capsys, monkeypatch
+    ):
+        # every record comes from a timed pass with bits off, then a
+        # tracked pass for max_bits; both make the record's ring_ops
+        passes = []
+        for name, det in list(hessenberg.DET_FUNCTIONS.items()):
+            def spy(m, det=det, name=name):
+                value = det(m)
+                passes.append((name, m.size, COUNTER.track_bits, COUNTER.ring_ops))
+                return value
+
+            monkeypatch.setitem(hessenberg.DET_FUNCTIONS, name, spy)
+        for ring_name in ("rational", "poly"):
+            passes.clear()
+            code, out, _ = run(
+                capsys, "bench", "--ring", ring_name, "--sizes", "5,8,20",
+                "--methods", "fast,bareiss,laplace", "--seed", "7",
+            )
+            assert code == 0
+            rows = [r.split(",") for r in out.split("\r\n")[1:] if r]
+            assert len(rows) == 8
+            assert [tracked for _, _, tracked, _ in passes] == [False, True] * len(rows)
+            for (method, size, ops, _, _), timed, tracked in zip(
+                rows, passes[::2], passes[1::2]
+            ):
+                assert timed[:2] == tracked[:2] == (method, int(size))
+                assert timed[3] == tracked[3] == int(ops) > 0
+
     def test_laplace_refusal_leaves_other_pairs_running(self, capsys):
         code, out, err = run(
             capsys, "bench", "--sizes", "4,10", "--methods", "laplace"

@@ -28,7 +28,7 @@ from recdet.hessenberg import (
 )
 from recdet.families import FamilyId, family_spec
 from recdet.recurrence import determinant_terms, theorem2_matrix
-from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value
+from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value, render_value
 from recdet.cli import main
 from recdet.specfiles import available, spec_path, spec_text
 
@@ -271,7 +271,7 @@ class TestIntegerKernel:
                 for kind in ("integral", "fractional", "sparse"):
                     m = _banded(rng, n, band, kind)
                     b = n if band is None else band
-                    fast, fast_ops = _counted(_int_leading_minors, m.entries, n, b)
+                    fast, fast_ops = _counted(_int_leading_minors, m, b)
                     ring, ring_ops = _counted(
                         _ring_leading_minors, m.entries, n, b, [Fraction(1)]
                     )
@@ -284,7 +284,7 @@ class TestIntegerKernel:
         rows = [[Fraction(1, 2), 3, 0], [0, Fraction(2, 3), 5], [0, -1, Fraction(7, 4)]]
         m = SquareMatrix(rows, band=1)
         # d_3 = d_1 * det [[2/3, 5], [-1, 7/4]], the zero cutting the chain
-        assert _int_leading_minors(m.entries, 3, 1) == [
+        assert _int_leading_minors(m, 1) == [
             Fraction(1, 2),
             Fraction(1, 3),
             Fraction(1, 2) * (Fraction(2, 3) * Fraction(7, 4) + 5),
@@ -292,7 +292,7 @@ class TestIntegerKernel:
 
     def test_the_ring_path_takes_over_at_a_polynomial_column(self):
         m = SquareMatrix([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
-        assert _int_leading_minors(m.entries, 3, 3) == [1]
+        assert _int_leading_minors(m, 3) == [1]
         ring = _counted(_ring_leading_minors, m.entries, 3, 3, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == ring
 
@@ -305,7 +305,7 @@ class TestIntegerKernel:
         ]
         m = SquareMatrix(rows)
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
-        assert 0 < len(_int_leading_minors(m.entries, n, n)) < n
+        assert 0 < len(_int_leading_minors(m, n)) < n
         want = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == want
 
@@ -319,6 +319,156 @@ class TestIntegerKernel:
         want = COUNTER.max_bits
         COUNTER.reset()
         assert got == want > 0
+
+
+def _minors_and_ops(m, track_bits=False):
+    """hessenberg_leading_minors of m and the COUNTER delta it makes."""
+    return _counted(hessenberg_leading_minors, m, track_bits=track_bits)
+
+
+class TestHornerOrder:
+    """The ring kernel in Horner order against the order it keeps while
+    bits are tracked: the same minors, of the same types and renderings,
+    and the same COUNTER deltas."""
+
+    def _agree(self, m):
+        n = m.size
+        band = n if m.band is None else m.band
+        ring_path = (_ring_leading_minors, m.entries, n, band)
+        got, ops = _counted(*ring_path, [Fraction(1)])
+        want, want_ops = _counted(*ring_path, [Fraction(1)], track_bits=True)
+        # the whole fast route, int kernel first, against the tracked one
+        fast, fast_ops = _minors_and_ops(m)
+        for minors in (got, fast):
+            assert minors == want
+            assert [type(d) for d in minors] == [type(d) for d in want]
+            assert list(map(render_value, minors)) == list(map(render_value, want))
+        assert ops == fast_ops == want_ops
+        assert _minors_and_ops(m, track_bits=True) == (want, want_ops)
+        return want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 12),
+        kind=st.sampled_from(("integral", "fractional", "poly")),
+        band=st.sampled_from((None, 0, 1, 3)),
+        zeros=st.sampled_from((0.0, 0.1, 0.4)),
+        vanishing=st.lists(st.integers(0, 11), max_size=3, unique=True),
+    )
+    def test_random_matrices(self, seed, n, kind, band, zeros, vanishing):
+        # zeros = 0.4 makes sparse matrices, zero subdiagonal cells included
+        m = _hessenberg_case(seed, n, kind, band, zeros)
+        self._agree(_vanishing_minor(m, *(k for k in vanishing if k < n)))
+
+    def test_zero_subdiagonal_cells_and_zero_minors(self):
+        rng = random.Random(18)
+        for kind in ("integral", "fractional", "poly"):
+            for band in (None, 0, 1, 3):
+                m = _hessenberg_case(rng.random(), 9, kind, band, 0.0)
+                for r in range(2, 9, 3):
+                    m = m.with_entry(r, r - 1, 0)
+                minors = self._agree(_vanishing_minor(m, 1, 5))
+                assert minors[1] == minors[5] == 0
+
+    def test_polynomial_degrees_one_and_two(self):
+        rng = random.Random(19)
+        for degree in (1, 2):
+            for n in (1, 2, 7, 16):
+                self._agree(random_hessenberg(n, rng, ring="poly", max_degree=degree))
+
+    def test_a_polynomial_one_under_the_diagonal_keeps_its_product(self):
+        # -Polynomial(-1) equals 1 but is no Fraction: multiplying by it
+        # turns the Fraction minors into Polynomials, so it is not skipped
+        m = SquareMatrix([[2, 3, 1], [Polynomial((-1,)), 5, Fraction(1, 2)], [0, -1, 4]])
+        minors = self._agree(m)
+        assert [type(d) for d in minors] == [Fraction, Polynomial, Polynomial]
+        # the Fraction -1 of Theorems 1 and 2 is skipped, with the same result
+        self._agree(m.with_entry(1, 0, -1))
+
+
+def _integral_json(seed, n):
+    """An integral upper-Hessenberg matrix as JSON, with zeros."""
+    return matrix_to_json(_hessenberg_case(seed, n, "integral", None, 0.2))
+
+
+class TestIntCache:
+    """SquareMatrix._int_rows: filled by matrix_from_json or computed on
+    first use, read by both fast and Bareiss, never while bits are
+    tracked."""
+
+    def test_matrix_from_json_fills_the_cells(self):
+        for seed in range(10):
+            m = matrix_from_json(_integral_json(seed, seed + 1))
+            assert m._ints == m.entries
+            assert {type(v) for row in m._ints for v in row} == {int}
+            assert m._int_rows() is m._ints
+            # the same cells as a matrix without the parser computes
+            assert SquareMatrix(m.entries)._int_rows() == m._ints
+
+    def test_other_json_gets_no_cache(self):
+        rng = random.Random(20)
+        for kind in ("fractional", "poly"):
+            text = matrix_to_json(_hessenberg_case(rng.random(), 6, kind, None, 0.0))
+            m = matrix_from_json(text)
+            assert m._ints is None
+            assert m._int_rows() is None and m._ints == ()
+            assert det_hessenberg_fast(m) == det_bareiss(m) == det_laplace(m)
+        # one fractional cell in the band
+        doc = {"size": 2, "ring": "rational", "entries": [["1", "1/2"], ["-1", "3"]]}
+        assert matrix_from_json(json.dumps(doc))._int_rows() is None
+        # integral cells above a nonzero one below the subdiagonal: no shape to use
+        rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "10"]]
+        doc = {"size": 3, "ring": "rational", "entries": rows}
+        assert det_bareiss(matrix_from_json(json.dumps(doc))) == -3
+
+    def test_tracking_bits_ignores_the_cache(self):
+        text = _integral_json(21, 12)
+        for cached in (True, False):
+            # the parser's matrix has the cells; a copy has none yet
+            m = matrix_from_json(text)
+            if not cached:
+                m = SquareMatrix(m.entries)
+            COUNTER.reset(track_bits=True)
+            try:
+                assert m._int_rows() is None
+                fast = det_hessenberg_fast(m)
+                fast_bits = COUNTER.max_bits
+                COUNTER.reset(track_bits=True)
+                bareiss = det_bareiss(m)
+                bareiss_bits = COUNTER.max_bits
+                COUNTER.reset(track_bits=True)
+                want = _ring_leading_minors(m.entries, 12, 12, [Fraction(1)])[-1]
+                want_bits = COUNTER.max_bits
+                COUNTER.reset(track_bits=True)
+                _ring_reference(m)
+                assert (fast, fast_bits) == (want, want_bits)
+                assert (bareiss, bareiss_bits) == (want, COUNTER.max_bits)
+            finally:
+                COUNTER.reset()
+            # nothing is computed while bits are tracked
+            assert (m._ints is None) is not cached
+
+    def test_with_entry_of_a_cached_matrix_starts_afresh(self):
+        rng = random.Random(22)
+        for seed in range(8):
+            m = matrix_from_json(_integral_json(seed, 8))
+            assert m._int_rows() is not None
+            r = rng.randrange(8)
+            c = rng.randrange(max(r - 1, 0), 8)
+            for value in (Fraction(1, 3), Fraction(-7, 2), X):
+                changed = m.with_entry(r, c, value)
+                assert changed._ints is None
+                want = det_laplace(changed)
+                assert det_hessenberg_fast(changed) == det_bareiss(changed) == want
+                assert changed._int_rows() is None
+                assert leading_minors(changed, "bareiss") == hessenberg_leading_minors(changed)
+            # an integral cell keeps the matrix integral, with its own cells
+            changed = m.with_entry(r, c, 9)
+            assert changed._int_rows() == changed.entries
+            assert det_hessenberg_fast(changed) == det_bareiss(changed) == det_laplace(changed)
+            sub = m.leading_submatrix(5)
+            assert sub._ints is None and sub._int_rows() == sub.entries
 
 
 def _integral(rng, n, upper, zeros):
@@ -530,9 +680,10 @@ class TestHessenbergBareiss:
         def spy(name):
             route = getattr(hessenberg, name)
 
-            def call(rows, minors):
-                took.append((name, len(rows)))
-                return route(rows, minors)
+            def call(a, minors):
+                # _hessenberg_bareiss takes the matrix, _ring_bareiss its rows
+                took.append((name, len(getattr(a, "entries", a))))
+                return route(a, minors)
 
             monkeypatch.setattr(hessenberg, name, call)
 
