@@ -120,10 +120,9 @@ class SquareMatrix:
         return SquareMatrix(tuple(row[:k] for row in self.entries[:k]), self.band)
 
     def _int_rows(self) -> tuple[tuple[int, ...], ...] | None:
-        """The cells as ints, when every cell on or above the subdiagonal
-        of this upper-Hessenberg matrix is an integral Fraction; else None.
-        Kept in _ints from the first use, () if not integral, and None
-        while COUNTER tracks bits, so that max_bits sees the ring path's."""
+        """The cells as ints, computed on first use and kept in _ints, when
+        every cell on or above this upper-Hessenberg matrix's subdiagonal is
+        an integral Fraction; else None, and None while COUNTER tracks bits."""
         if COUNTER.track_bits:
             return None
         if self._ints is None:
@@ -434,6 +433,9 @@ def _ring_leading_minors(
         for c in range(start, n):
             lo = max(c - band, 0)
             d.append(_horner([row[c] for row in e[lo : c + 1]], lo, d, subs))
+        terms = sum(min(c, band) for c in range(start, n))
+        COUNTER.muls += n - start + 3 * terms
+        COUNTER.adds += terms
         return d[1:]
     for c in range(start, n):
         acc = ring_mul(e[c][c], d[c])
@@ -452,13 +454,12 @@ def _int_leading_minors(m: SquareMatrix, band: int) -> list[Fraction]:
     through.  Only band cells are read, so a banded matrix costs O(n*b).
     """
     ints = m._int_rows()
-    cells = ints or m.entries
     gate = int_scaled if ints is None else lambda col: (1, col)
 
     def columns():
         for c in range(m.size):
             # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
-            scaled = gate([row[c] for row in cells[max(c - band, 0) : c + 2]])
+            scaled = gate([row[c] for row in (ints or m.entries)[max(c - band, 0) : c + 2]])
             if scaled is None:
                 return
             scale, col = scaled
@@ -486,14 +487,19 @@ def scaled_leading_minors(
     subs: list[int | None] = []
     minors: list[Fraction] = []
     total = 1
+    terms = 0
     for c, (scale, col, sub) in enumerate(columns):
-        d.append(_horner(col, max(c - band, 0), d, subs))
+        lo = max(c - band, 0)
+        d.append(_horner(col, lo, d, subs))
         subs.append(None if sub == 1 else sub)
+        terms += c - lo
         total *= scale
         minor = Fraction(d[-1], total)
         minors.append(minor)
         if scale_outgrew(total, minor):
             break
+    COUNTER.muls += len(minors) + 3 * terms
+    COUNTER.adds += terms
     return minors
 
 
@@ -501,18 +507,13 @@ def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
     """The minor d_{c+1}, c = len(d) - 1, over ints or ring values, from
     column c's cells col (rows lo..c; later ones unread), d = [d_0..d_c]
     and the negated subdiagonal cells subs, None for an int or Fraction 1
-    (as under every column of Theorems 1 and 2), whose product is skipped.
-
-    acc = acc * subs[j - 1] + e[j][c] * d_j for j = lo..c takes two
-    products per term, neither of two large values, where the sum of
-    e[j][c] * prod * d_j, prod the product of subs[j..c-1], takes three;
-    COUNTER gets that sum's 1 + 3(c - lo) muls and c - lo adds."""
-    c = len(d) - 1
+    (as under Theorems 1 and 2), whose product is skipped.  Each term takes
+    two products, neither of two large values, where e[j][c] * prod * d_j,
+    prod the product of subs[j..c-1], takes three; the kernels count those."""
     acc = col[0] * d[lo]
-    for s, v, dj in zip(subs[lo:c], col[1:], d[lo + 1 :]):
-        acc = (acc if s is None else acc * s) + v * dj
-    COUNTER.muls += 1 + 3 * (c - lo)
-    COUNTER.adds += c - lo
+    for j in range(lo + 1, len(d)):
+        s = subs[j - 1]
+        acc = (acc if s is None else acc * s) + col[j - lo] * d[j]
     return acc
 
 
@@ -609,9 +610,8 @@ def matrix_from_json(text: str) -> SquareMatrix:
         parsed.append(_parse_row(row, r, ring, cache))
     m = SquareMatrix(tuple(parsed))
     # _int_rows of an integral matrix, from one numerator per distinct text
-    ints = {
-        t: v.numerator for t, v in cache.items() if type(v) is Fraction and v.denominator == 1
-    }
+    ints = {t: v.numerator for t, v in cache.items()
+            if type(v) is Fraction and v.denominator == 1}
     with suppress(KeyError):  # a cell that is no integral Fraction: _int_rows decides
         object.__setattr__(m, "_ints", tuple(tuple(map(ints.__getitem__, r)) for r in entries))
     return m

@@ -310,15 +310,15 @@ COUNTER = OpCounter()
 # lets it, or a matrix when SquareMatrix._int_rows does, and hands over
 # to its ring path where scale_outgrew says the scales cost too much.
 
-# Past this many bits of scale beyond a value's reduced denominator,
-# the int products cost more than the ring recurrence on reduced
-# Fractions.  That happens when denominators depend on the row:
-# Theorem 1's matrix of p(k, i) = 1/i at n = 200 took 0.27 s on the ring
-# path, 1.46 s over ints throughout, 0.26 s over ints up to this bound.
-# Denominators that depend on k alone stay below it: p(k, i) =
-# (3i - 2)/(k + 2) at n = 300 took 0.09 s, against 0.77 s on the ring path.
-# The value rests on that one synthetic probe and is not tuned: no
-# benchmark workload has row-dependent denominators.
+# Past this many bits of scale beyond a value's reduced denominator, the
+# int products of the term-by-term sum cost more than the ring recurrence
+# on reduced Fractions, when denominators depend on the row.  In Horner
+# order that no longer holds: Theorem 1's matrix of p(k, i) = 1/i at
+# n = 200 took 0.09 s on the ring path, 0.08 s over ints throughout and
+# 0.08 s up to this bound; (3i - 2)/(k + 2), whose denominators depend on
+# k alone, 0.03 s at n = 300 against 0.30 s on the ring path (medians of
+# 3 best-of-3 runs, Python 3.11, x86-64).  The value is kept, not tuned:
+# no benchmark workload has row-dependent denominators.
 _MAX_EXCESS_BITS = 8192
 
 

@@ -321,11 +321,6 @@ class TestIntegerKernel:
         assert got == want > 0
 
 
-def _minors_and_ops(m, track_bits=False):
-    """hessenberg_leading_minors of m and the COUNTER delta it makes."""
-    return _counted(hessenberg_leading_minors, m, track_bits=track_bits)
-
-
 class TestHornerOrder:
     """The ring kernel in Horner order against the order it keeps while
     bits are tracked: the same minors, of the same types and renderings,
@@ -338,13 +333,13 @@ class TestHornerOrder:
         got, ops = _counted(*ring_path, [Fraction(1)])
         want, want_ops = _counted(*ring_path, [Fraction(1)], track_bits=True)
         # the whole fast route, int kernel first, against the tracked one
-        fast, fast_ops = _minors_and_ops(m)
+        fast, fast_ops = _counted(hessenberg_leading_minors, m)
         for minors in (got, fast):
             assert minors == want
             assert [type(d) for d in minors] == [type(d) for d in want]
             assert list(map(render_value, minors)) == list(map(render_value, want))
         assert ops == fast_ops == want_ops
-        assert _minors_and_ops(m, track_bits=True) == (want, want_ops)
+        assert _counted(hessenberg_leading_minors, m, track_bits=True) == (want, want_ops)
         return want
 
     @settings(max_examples=300, deadline=None)
