@@ -17,14 +17,18 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from math import gcd
+from operator import add, mul
 from random import Random
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
 from .ring import (
     COUNTER,
     Polynomial,
     RingValue,
+    _reduced_poly,
     int_scaled,
     is_zero,
     latex_value,
@@ -416,33 +420,52 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     n = m.size
     band = n if m.band is None else m.band
     d: list[RingValue] = [Fraction(1), *_int_leading_minors(m, band)]
-    return _ring_leading_minors(m.entries, n, band, d)
+    return _ring_leading_minors(*_matrix_columns(m.entries), n, band, d)
+
+
+def _matrix_columns(
+    e: tuple[tuple[RingValue, ...], ...]
+) -> tuple[Callable[[int, int], list[RingValue]], list[RingValue]]:
+    """The column source of the matrix rows e, for _ring_leading_minors."""
+    return (
+        lambda c, lo: [row[c] for row in e[lo : c + 1]],
+        [-e[t + 1][t] for t in range(len(e) - 1)],
+    )
 
 
 def _ring_leading_minors(
-    e: tuple[tuple[RingValue, ...], ...], n: int, band: int, d: list[RingValue]
+    column: Callable[[int, int], list[RingValue]],
+    subs: list[RingValue],
+    n: int,
+    band: int,
+    d: list[RingValue],
 ) -> list[RingValue]:
     """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n.
-    Columns run in _horner's order, or while COUNTER tracks bits as the
-    plain sum of e[j][c] * prod * d_j, one ring_* call per operation, so
-    that max_bits sees the values it pins."""
+
+    column(c, lo) gives column c's cells, rows lo..c of its band (0-based),
+    and is called once per column, in order, from c on; subs[t] is the
+    negated subdiagonal cell (t + 1, t).  Columns run in _horner's order,
+    or while COUNTER tracks bits as the plain sum of e[j][c] * prod * d_j,
+    one ring_* call per operation, so that max_bits sees the values it
+    pins."""
     start = len(d) - 1
     if not COUNTER.track_bits:
-        subs = [-e[t + 1][t] for t in range(n - 1)]
-        subs = [None if s == 1 and type(s) is Fraction else s for s in subs]
+        skip = [None if s == 1 and type(s) is Fraction else s for s in subs]
         for c in range(start, n):
             lo = max(c - band, 0)
-            d.append(_horner([row[c] for row in e[lo : c + 1]], lo, d, subs))
+            d.append(_horner(column(c, lo), lo, d, skip))
         terms = sum(min(c, band) for c in range(start, n))
         COUNTER.muls += n - start + 3 * terms
         COUNTER.adds += terms
         return d[1:]
     for c in range(start, n):
-        acc = ring_mul(e[c][c], d[c])
+        lo = max(c - band, 0)
+        col = column(c, lo)
+        acc = ring_mul(col[-1], d[c])
         prod: RingValue = Fraction(1)
-        for j in range(c - 1, max(c - band, 0) - 1, -1):
-            prod = ring_mul(prod, -e[j + 1][j])
-            acc = ring_add(acc, ring_mul(ring_mul(e[j][c], prod), d[j]))
+        for j in range(c - 1, lo - 1, -1):
+            prod = ring_mul(prod, subs[j])
+            acc = ring_add(acc, ring_mul(ring_mul(col[j - lo], prod), d[j]))
         d.append(acc)
     return d[1:]
 
@@ -469,8 +492,8 @@ def _int_leading_minors(m: SquareMatrix, band: int) -> list[Fraction]:
 
 
 def scaled_leading_minors(
-    columns: Iterable[tuple[int, list[int], int]], band: int
-) -> list[Fraction]:
+    columns: Iterable[tuple[int, list, int]], band: int
+) -> list[RingValue]:
     """The leading minors of the columns, by the ring recurrence run over
     ints, until the columns run out or the scales outgrow the minors (see
     scale_outgrew).  COUNTER gets the ring path's muls and adds for these
@@ -482,25 +505,66 @@ def scaled_leading_minors(
     scales the c-th leading minor by L_1 * ... * L_c, so the scaled
     minors d'_c come from the same recurrence, and
     d_c = d'_c / (L_1 * ... * L_c).
+
+    The cells are ints (ring.int_scaled), or polynomials as int
+    coefficient lists (ring.poly_scaled), whose s is still an int.  From
+    the first column of lists on, every column must come as lists: the
+    scaled minors become lists too (_horner_lists), and the minors
+    Polynomials, as the ring path makes them once a Polynomial enters.
+    Each list minor then divides out what its scale shares with the
+    minors the next column reads (see _divide_window).
     """
-    d = [1]
+    d: list = [1]
+    shares: list[int] = []
     subs: list[int | None] = []
-    minors: list[Fraction] = []
+    minors: list[RingValue] = []
     total = 1
     terms = 0
+    step = _horner
     for c, (scale, col, sub) in enumerate(columns):
         lo = max(c - band, 0)
-        d.append(_horner(col, lo, d, subs))
+        if step is _horner and type(col[0]) is list:
+            step = _horner_lists
+            d = [[v] if v else [] for v in d]
+            shares = [1] * len(d)
+        d.append(step(col, lo, d, subs))
         subs.append(None if sub == 1 else sub)
         terms += c - lo
         total *= scale
-        minor = Fraction(d[-1], total)
+        if step is _horner:
+            minor = Fraction(d[-1], total)
+        else:
+            # trims the trailing zeros of d[-1] in place
+            minor = _reduced_poly(d[-1], total)
+            shares.append(total // minor.den)
+            total = _divide_window(d, shares, max(c + 1 - band, 0), total)
         minors.append(minor)
         if scale_outgrew(total, minor):
             break
     COUNTER.muls += len(minors) + 3 * terms
     COUNTER.adds += terms
     return minors
+
+
+def _divide_window(d: list, shares: list[int], lo: int, total: int) -> int:
+    """Divide the list minors d[lo:], the ones the next column reads, and
+    their scale total by h, the gcd of shares[lo:]; returns total / h.
+
+    shares[j] is what d[j]'s scale shares with its coefficients, the
+    scale over the minor's reduced denominator, so h divides every
+    coefficient of the window and every scale in it: the minors keep
+    their values and their scales their ratios L_j.  Where denominators
+    cancel, as in Legendre's, the ints stay near the reduced minors'
+    instead of growing with L_1 * ... * L_c.  A window that holds d_0,
+    as every column of a dense matrix reads, has h = 1.
+    """
+    h = gcd(*shares[lo:])
+    if h == 1:
+        return total
+    for j in range(lo, len(d)):
+        d[j] = [a // h for a in d[j]]
+        shares[j] //= h
+    return total // h
 
 
 def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
@@ -514,6 +578,37 @@ def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
     for j in range(lo + 1, len(d)):
         s = subs[j - 1]
         acc = (acc if s is None else acc * s) + col[j - lo] * d[j]
+    return acc
+
+
+def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
+    """_horner over polynomials as int coefficient lists, constant term
+    first and [] for zero: the cells col and minors d are lists, subs
+    ints or None.  A zero cell or minor skips its product."""
+    acc = _add_product([], col[0], d[lo])
+    for j in range(lo + 1, len(d)):
+        s = subs[j - 1]
+        if s is not None:
+            acc = [a * s for a in acc]
+        acc = _add_product(acc, col[j - lo], d[j])
+    return acc
+
+
+def _add_product(acc: list[int], a: list[int], b: list[int]) -> list[int]:
+    """acc + a * b over int coefficient lists, in place when acc is long
+    enough.  Each coefficient of the shorter factor adds one row, a C-level
+    map over the longer one."""
+    if not a or not b:
+        return acc
+    if len(a) > len(b):
+        a, b = b, a
+    w = len(b)
+    short = len(a) + w - 1 - len(acc)
+    if short > 0:
+        acc = acc + [0] * short
+    for i, y in enumerate(a):
+        if y:
+            acc[i : i + w] = map(add, acc[i : i + w], map(mul, b, repeat(y)))
     return acc
 
 
@@ -666,19 +761,26 @@ def random_hessenberg(
     Entries in the allowed band are drawn uniformly from the integers
     [-5, 5]; for the poly ring each band entry gets max_degree + 1 such
     integers as coefficients.  The PRNG is whatever Random instance the
-    caller seeds, so runs are reproducible.
+    caller seeds, so runs are reproducible.  A rational matrix keeps the
+    ints it draws as its _int_rows.
     """
     if size < 1:
         raise RecdetError("matrix size must be at least 1")
     rows: list[list[RingValue]] = []
+    ints: list[tuple[int, ...]] = []
     for r in range(size):
-        row: list[RingValue] = []
-        for c in range(size):
-            if r > c + 1:
-                row.append(ZERO)
-            elif ring == "poly":
-                row.append(Polynomial([rng.randint(-5, 5) for _ in range(max_degree + 1)]))
-            else:
-                row.append(Fraction(rng.randint(-5, 5)))
-        rows.append(row)
-    return SquareMatrix(rows)
+        if ring == "poly":
+            rows.append([
+                ZERO if r > c + 1
+                else Polynomial([rng.randint(-5, 5) for _ in range(max_degree + 1)])
+                for c in range(size)
+            ])
+        else:
+            below = max(r - 1, 0)
+            drawn = [rng.randint(-5, 5) for _ in range(below, size)]
+            ints.append((0,) * below + tuple(drawn))
+            rows.append([ZERO] * below + [Fraction(v) for v in drawn])
+    m = SquareMatrix(rows)
+    if ints:
+        object.__setattr__(m, "_ints", tuple(ints))
+    return m

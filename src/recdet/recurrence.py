@@ -17,12 +17,20 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
-from .hessenberg import ZERO, SquareMatrix, leading_minors, scaled_leading_minors
+from .hessenberg import (
+    _RING_TYPES,
+    ZERO,
+    SquareMatrix,
+    _ring_leading_minors,
+    leading_minors,
+    scaled_leading_minors,
+)
 from .ring import (
     COUNTER,
     RingValue,
     int_scaled,
     pairs_scaled,
+    poly_scaled,
     render_value,
     ring_add,
     ring_mul,
@@ -278,19 +286,93 @@ def determinant_terms(
     optional corrupt argument adds 1 to the given 1-based matrix entry
     before any determinant is taken, as a negative control; the position
     must stay inside the upper-Hessenberg band.
+
+    The fast method with no corrupt cell and bits untracked builds no
+    matrix: it reads the band columns from the spec (see _band_minors).
+    Every other call takes the minors of spec_matrix(spec, n).  An a(1)
+    of Fraction 1 skips its n products while bits are untracked; COUNTER
+    still counts them.
     """
-    big = spec_matrix(spec, n)
-    if corrupt is not None:
-        ci, cj = corrupt
-        if not (1 <= ci <= n and 1 <= cj <= n):
-            raise RecdetError(f"corrupt position {corrupt} outside a size-{n} matrix")
-        if ci > cj + 1:
-            raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
-        big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
-    minors = leading_minors(big, method)
-    if isinstance(spec, FullHistorySpec):
-        return [ring_mul(spec.initial, d) for d in minors]
-    return minors
+    minors = None
+    if method == "fast" and corrupt is None and n >= 1 and not COUNTER.track_bits:
+        saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
+        try:
+            minors = _band_minors(
+                spec if isinstance(spec, FullHistorySpec) else embed_fixed_order(spec), n
+            )
+        except _BuildTheMatrix:
+            COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+    if minors is None:
+        big = spec_matrix(spec, n)
+        if corrupt is not None:
+            ci, cj = corrupt
+            if not (1 <= ci <= n and 1 <= cj <= n):
+                raise RecdetError(f"corrupt position {corrupt} outside a size-{n} matrix")
+            if ci > cj + 1:
+                raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
+            big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
+        minors = leading_minors(big, method)
+    if not isinstance(spec, FullHistorySpec):
+        return minors
+    a1 = spec.initial
+    if type(a1) is Fraction and a1 == 1 and not COUNTER.track_bits:
+        COUNTER.muls += len(minors)
+        return minors
+    return [ring_mul(a1, d) for d in minors]
+
+
+class _BuildTheMatrix(Exception):
+    """The band columns cannot stand in for the matrix build: a
+    coefficient raised, and the build, reading in row order, may meet
+    another error first; or a cell is no ring value, or the declared band
+    is negative, which the build coerces or refuses."""
+
+
+def _band_minors(spec: FullHistorySpec, n: int) -> list[RingValue]:
+    """hessenberg_leading_minors(theorem1_matrix(spec, n)), its values and
+    COUNTER counts, from columns read straight from the spec.
+
+    Column k holds p(k, i) for the band rows max(k - b, 1)..k, b the
+    spec's band, and the -1 under it; each cell is read once, as the
+    build reads it.  The columns run over ints while they are Fractions
+    (ring.int_scaled), then over int coefficient lists from the first
+    column with a Polynomial on (ring.poly_scaled), and the ring
+    recurrence takes over from the column where a scale outgrew its minor,
+    with the minors so far.
+
+    The columns are read in column order and the build reads in row
+    order, so a coefficient error of any kind, a cell that is neither a
+    Fraction nor a Polynomial, and a negative band raise _BuildTheMatrix,
+    for the caller to build the matrix, which raises what it raises.
+    """
+    band = n if spec.band is None else spec.band
+    if band < 0:
+        raise _BuildTheMatrix
+    coeff = spec.coeff
+
+    def column(c: int, lo: int) -> list[RingValue]:
+        try:
+            cells = [coeff(c + 1, i) for i in range(lo + 1, c + 2)]
+        except Exception as exc:
+            raise _BuildTheMatrix from exc
+        if not set(map(type, cells)) <= _RING_TYPES:
+            raise _BuildTheMatrix
+        return cells
+
+    def scaled() -> Iterator[tuple[int, list, int]]:
+        gate = int_scaled
+        for c in range(n):
+            cells = column(c, max(c - band, 0))
+            got = gate(cells)
+            if got is None:  # a Polynomial: lists from here on
+                gate = poly_scaled
+                got = gate(cells)
+            # the -1 under column k, negated and scaled, is L_k
+            scale, col = got
+            yield scale, col, scale
+
+    d: list[RingValue] = [_ONE, *scaled_leading_minors(scaled(), band)]
+    return _ring_leading_minors(column, [_ONE] * (n - 1), n, band, d)
 
 
 def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
@@ -393,19 +475,30 @@ def _matrix_route(
     method: str,
     corrupt: tuple[int, int] | None,
 ) -> tuple[list[RingValue], list[RingValue]]:
-    """verify_spec's direct terms and determinant terms, the latter from
-    Theorem 1's or 2's matrix.
+    """verify_spec's direct terms and determinant terms, the latter by
+    determinant_terms: from the band columns, or Theorem 1's or 2's matrix.
 
     Both read the coefficients through one table (see _read_once), so
-    each value is computed once; the matrix build reads first, so errors
-    come in its order.  Direct iteration still never reads the matrix,
-    so a corrupted cell or a wrong index map is still seen.
+    each value is computed once; the determinant side reads first, so
+    errors come in the matrix build's order.  Direct iteration still never
+    reads the matrix or the columns, so a corrupted cell or a wrong index
+    map is still seen.
+
+    When the determinant side raises, COUNTER gets the counts of a build
+    from an empty table: the band columns may have stored values that
+    the build, reading them back, would not count.
     """
-    spec = _read_once(spec, max_n)
-    dets = determinant_terms(spec, max_n, method, corrupt)
-    if isinstance(spec, FullHistorySpec):
-        return eval_full_history(spec, max_n + 1).terms[1:], dets
-    return eval_fixed_order(spec, max_n).terms, dets
+    table = _read_once(spec, max_n)
+    saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
+    try:
+        dets = determinant_terms(table, max_n, method, corrupt)
+    except Exception:
+        COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+        spec_matrix(spec, max_n)
+        raise
+    if isinstance(table, FullHistorySpec):
+        return eval_full_history(table, max_n + 1).terms[1:], dets
+    return eval_fixed_order(table, max_n).terms, dets
 
 
 def _column_route(

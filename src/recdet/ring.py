@@ -341,6 +341,33 @@ def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
     return scale, [n * (scale // d) for n, d in zip(nums, dens)]
 
 
+def poly_scaled(values: Iterable[RingValue]) -> tuple[int, list[list[int]]] | None:
+    """int_scaled of values that mix Fractions and Polynomials: (L, the
+    values times L as int coefficient lists, constant term first, [] for
+    zero), L the lcm of their denominators; None while COUNTER tracks
+    bits, or when a value is neither."""
+    if COUNTER.track_bits:
+        return None
+    nums: list[list[int]] = []
+    dens: list[int] = []
+    for v in values:
+        t = type(v)
+        if t is Polynomial:
+            nums.append(list(v.nums))
+            dens.append(v.den)
+        elif t is Fraction:
+            nums.append([v.numerator] if v else [])
+            dens.append(v.denominator)
+        else:
+            return None
+    if dens.count(1) == len(dens):
+        return 1, nums
+    scale = lcm(*dens)
+    return scale, [
+        ns if d == scale else [n * (scale // d) for n in ns] for ns, d in zip(nums, dens)
+    ]
+
+
 def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]]:
     """int_scaled of the Fractions nums[j] / dens[j], from int pairs that
     need not be reduced (every den nonzero, of either sign); dens may be
@@ -361,10 +388,11 @@ def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]
     return scale, [n * scale // d for n, d in zip(nums, dens)]
 
 
-def scale_outgrew(scale: int, value: Fraction) -> bool:
+def scale_outgrew(scale: int, value: RingValue) -> bool:
     """Whether scale, a multiple of value's reduced denominator, carries
     more than _MAX_EXCESS_BITS bits beyond it."""
-    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
+    den = value.den if type(value) is Polynomial else value.denominator
+    return scale.bit_length() - den.bit_length() > _MAX_EXCESS_BITS
 
 
 def is_zero(v: RingValue) -> bool:

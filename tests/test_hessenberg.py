@@ -13,6 +13,7 @@ from recdet.hessenberg import (
     LAPLACE_SIZE_LIMIT,
     SquareMatrix,
     _int_leading_minors,
+    _matrix_columns,
     _ring_leading_minors,
     det_bareiss,
     det_hessenberg_fast,
@@ -273,7 +274,7 @@ class TestIntegerKernel:
                     b = n if band is None else band
                     fast, fast_ops = _counted(_int_leading_minors, m, b)
                     ring, ring_ops = _counted(
-                        _ring_leading_minors, m.entries, n, b, [Fraction(1)]
+                        _ring_leading_minors, *_matrix_columns(m.entries), n, b, [Fraction(1)]
                     )
                     assert fast == ring, (n, band, kind)
                     assert all(type(d) is Fraction for d in fast)
@@ -293,7 +294,7 @@ class TestIntegerKernel:
     def test_the_ring_path_takes_over_at_a_polynomial_column(self):
         m = SquareMatrix([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
         assert _int_leading_minors(m, 3) == [1]
-        ring = _counted(_ring_leading_minors, m.entries, 3, 3, [Fraction(1)])
+        ring = _counted(_ring_leading_minors, *_matrix_columns(m.entries), 3, 3, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == ring
 
     def test_the_ring_path_takes_over_past_the_excess_bound(self, monkeypatch):
@@ -306,7 +307,7 @@ class TestIntegerKernel:
         m = SquareMatrix(rows)
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
         assert 0 < len(_int_leading_minors(m, n)) < n
-        want = _counted(_ring_leading_minors, m.entries, n, n, [Fraction(1)])
+        want = _counted(_ring_leading_minors, *_matrix_columns(m.entries), n, n, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == want
 
     def test_bit_tracking_reports_the_ring_paths_max_bits(self):
@@ -315,10 +316,40 @@ class TestIntegerKernel:
         minors = hessenberg_leading_minors(m)
         got = COUNTER.max_bits
         COUNTER.reset(track_bits=True)
-        assert _ring_leading_minors(m.entries, 20, 3, [Fraction(1)]) == minors
+        assert _ring_leading_minors(*_matrix_columns(m.entries), 20, 3, [Fraction(1)]) == minors
         want = COUNTER.max_bits
         COUNTER.reset()
         assert got == want > 0
+
+
+class TestListKernel:
+    """scaled_leading_minors over polynomials as int coefficient lists."""
+
+    def test_a_window_divides_by_what_its_scales_share(self):
+        # d_1 = (1 + 2x)/6 and d_2 = 3x/6 at total 36: both scales share 6
+        d = [[1], [6, 12], [0, 18]]
+        shares = [1, 6, 6]
+        assert hessenberg._divide_window(d, shares, 1, 36) == 6
+        assert d == [[1], [1, 2], [0, 3]] and shares == [1, 1, 1]
+        # a window that holds d_0 shares nothing
+        assert hessenberg._divide_window(d, [1, 6, 6], 0, 36) == 36
+        assert d == [[1], [1, 2], [0, 3]]
+
+    def test_legendre_scales_stay_near_the_reduced_denominators(self, monkeypatch):
+        # the columns' scales multiply to n!, the minors' denominators
+        # are powers of 2
+        divide = hessenberg._divide_window
+        total_bits = []
+
+        def spy(d, shares, lo, total):
+            total = divide(d, shares, lo, total)
+            total_bits.append(total.bit_length())
+            return total
+
+        monkeypatch.setattr(hessenberg, "_divide_window", spy)
+        minors = determinant_terms(family_spec(FamilyId.LEGENDRE), 200)
+        assert len(total_bits) == 200
+        assert total_bits[-1] - minors[-1].den.bit_length() < 16
 
 
 class TestHornerOrder:
@@ -329,7 +360,7 @@ class TestHornerOrder:
     def _agree(self, m):
         n = m.size
         band = n if m.band is None else m.band
-        ring_path = (_ring_leading_minors, m.entries, n, band)
+        ring_path = (_ring_leading_minors, *_matrix_columns(m.entries), n, band)
         got, ops = _counted(*ring_path, [Fraction(1)])
         want, want_ops = _counted(*ring_path, [Fraction(1)], track_bits=True)
         # the whole fast route, int kernel first, against the tracked one
@@ -401,6 +432,25 @@ class TestIntCache:
             # the same cells as a matrix without the parser computes
             assert SquareMatrix(m.entries)._int_rows() == m._ints
 
+    def test_random_hessenberg_keeps_the_ints_it_draws(self):
+        for ring_name in ("rational", "poly"):
+            for size in (1, 2, 3, 9, 40):
+                m = random_hessenberg(size, random.Random(size), ring=ring_name)
+                # the same draws in the same order as cell by cell
+                rng = random.Random(size)
+                for r, row in enumerate(m.entries):
+                    for c, v in enumerate(row):
+                        if r <= c + 1:
+                            want = [rng.randint(-5, 5) for _ in range(2 if ring_name == "poly" else 1)]
+                            assert v == (Polynomial(want) if ring_name == "poly" else want[0])
+                        else:
+                            assert v is hessenberg.ZERO
+                if ring_name == "poly":
+                    assert m._ints is None and m._int_rows() is None
+                else:
+                    assert m._ints == SquareMatrix(m.entries)._int_rows()
+                    assert {type(v) for row in m._ints for v in row} == {int}
+
     def test_other_json_gets_no_cache(self):
         rng = random.Random(20)
         for kind in ("fractional", "poly"):
@@ -433,7 +483,7 @@ class TestIntCache:
                 bareiss = det_bareiss(m)
                 bareiss_bits = COUNTER.max_bits
                 COUNTER.reset(track_bits=True)
-                want = _ring_leading_minors(m.entries, 12, 12, [Fraction(1)])[-1]
+                want = _ring_leading_minors(*_matrix_columns(m.entries), 12, 12, [Fraction(1)])[-1]
                 want_bits = COUNTER.max_bits
                 COUNTER.reset(track_bits=True)
                 _ring_reference(m)

@@ -13,7 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 from recdet import cli, dsl, recurrence, ring
 from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
-from recdet.hessenberg import det_bareiss, det_hessenberg_fast, hessenberg_leading_minors
+from recdet.hessenberg import (
+    _matrix_columns,
+    _ring_leading_minors,
+    det_bareiss,
+    det_hessenberg_fast,
+    hessenberg_leading_minors,
+)
 from recdet.ring import COUNTER, Polynomial
 from recdet.recurrence import (
     FixedOrderSpec,
@@ -880,3 +886,226 @@ class TestColumnRoute:
         assert runs == []
         verify_spec(spec, 8)
         assert runs
+
+
+# --- determinant_terms' band columns against the matrix ---------------------
+
+
+def _counted(fn, *args, track_bits=False):
+    """fn(*args), or the error's type, message and k, with COUNTER's adds,
+    muls, divs and max_bits."""
+    COUNTER.reset(track_bits=track_bits)
+    try:
+        value = fn(*args)
+    except RecdetError as exc:
+        value = (type(exc), str(exc), getattr(exc, "k", None))
+    counts = COUNTER.adds, COUNTER.muls, COUNTER.divs, COUNTER.max_bits
+    COUNTER.reset()
+    return value, counts
+
+
+def _matrix_minors(spec, n):
+    """The leading minors of Theorem 1's or 2's matrix by the ring kernel
+    alone, with no int kernel."""
+    m = spec_matrix(spec, n)
+    band = n if m.band is None else m.band
+    return _ring_leading_minors(*_matrix_columns(m.entries), n, band, [ONE])
+
+
+def _matrix_terms(spec, n):
+    minors = _matrix_minors(spec, n)
+    if isinstance(spec, FullHistorySpec):
+        return [ring.ring_mul(spec.initial, d) for d in minors]
+    return minors
+
+
+def _assert_same_values(got, want):
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert list(map(ring.render_value, got)) == list(map(ring.render_value, want))
+
+
+def _assert_columns_match_matrix(spec, n):
+    """The band columns give the matrix's minors and determinant_terms
+    the matrix route's terms: values, types, renderings and COUNTER."""
+    full = spec if isinstance(spec, FullHistorySpec) else embed_fixed_order(spec)
+    got, counts = _counted(recurrence._band_minors, full, n)
+    want, want_counts = _counted(_matrix_minors, spec, n)
+    _assert_same_values(got, want)
+    assert counts == want_counts
+    got, counts = _counted(determinant_terms, spec, n)
+    want, want_counts = _counted(_matrix_terms, spec, n)
+    _assert_same_values(got, want)
+    assert counts == want_counts
+    return got
+
+
+def _fractional_params(n):
+    # zero, negative and fractional parameters
+    return tuple(Fraction(j % 7 - 3, j % 4 + 1) for j in range(n))
+
+
+def _fractional_poly_document(rng):
+    """A random poly-ring document whose every coefficient is its random
+    expression over 3 plus x/(k + 1): fractional, x-bearing, k-dependent."""
+    doc = random_document(rng)
+    while doc.ring != "poly":
+        doc = random_document(rng)
+    extra = dsl.Div(dsl.Var("x"), dsl.Add(dsl.Var("k"), dsl.IntLit(1)))
+    return dataclasses.replace(
+        doc,
+        coeffs=tuple(
+            dataclasses.replace(c, expr=dsl.Add(dsl.Div(c.expr, dsl.IntLit(3)), extra))
+            for c in doc.coeffs
+        ),
+    )
+
+
+class TestBandColumns:
+    """determinant_terms by the fast method reads band columns from the
+    spec, with no matrix: against the ring kernel on Theorem 1's and 2's
+    matrices."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 60, 200])
+    @pytest.mark.parametrize("fid", list(FamilyId))
+    def test_catalog_families(self, fid, n):
+        params = _fractional_params(n) if fid in PARAM_FAMILIES else None
+        got = _assert_columns_match_matrix(family_spec(fid, params), n)
+        if n <= 60:
+            assert got == list(family_oracles(fid, n, params))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_poly_ring_documents(self, seed):
+        rng = random.Random(seed)
+        spec = dsl.to_spec(_fractional_poly_document(rng))
+        for n in (1, 2, 7, 25):
+            _assert_columns_match_matrix(spec, n)
+        if isinstance(spec, FullHistorySpec):
+            # banded: the build and the columns read the band cells only
+            for band in (0, 1, 3):
+                _assert_columns_match_matrix(dataclasses.replace(spec, band=band), 25)
+
+    @pytest.mark.parametrize("name", available())
+    def test_shipped_specs(self, name):
+        spec = _dsl_spec(spec_text(name), name)
+        for n in (1, 4, 40):
+            _assert_columns_match_matrix(spec, n)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            lambda k, i: Polynomial((Fraction(1, k + 2 * i), Fraction(1, i))),
+            lambda k, i: Fraction(1, i),
+            # rational leading columns, then polynomial ones
+            lambda k, i: Fraction(1, i) if k < 6 else Polynomial((Fraction(1, i), 1)),
+        ],
+        ids=["poly", "rational", "rational-then-poly"],
+    )
+    def test_the_ring_path_takes_over_from_the_minors_so_far(self, value, monkeypatch):
+        # row-dependent denominators outgrow a low bound within a few
+        # columns; the ring kernel goes on from the next column, and no
+        # cell is read twice
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 16)
+        kernel = recurrence.scaled_leading_minors
+        lengths = []
+
+        def spy(*args):
+            minors = kernel(*args)
+            lengths.append(len(minors))
+            return minors
+
+        monkeypatch.setattr(recurrence, "scaled_leading_minors", spy)
+        n = 30
+        spec, calls = _counting_full(value)
+        _assert_columns_match_matrix(spec, n)
+        assert all(0 < length < n for length in lengths), lengths
+        calls.clear()
+        determinant_terms(spec, n)
+        assert calls == Counter({(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1)})
+
+    def test_columns_are_read_in_band_once_each(self):
+        n, band = 20, 2
+        spec, calls = _counting_full(
+            lambda k, i: Polynomial((Fraction(k, i), 1)) if k - i <= band else ONE - ONE,
+            band=band,
+        )
+        determinant_terms(spec, n)
+        assert calls == Counter(
+            {(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1) if k - i <= band}
+        )
+
+    @pytest.mark.parametrize(
+        "name, max_bits",
+        [
+            ("naturals", 6),
+            ("fibonacci-poly", 39),
+            ("fibonacci-num", 42),
+            ("lucas-poly", 40),
+            ("chebyshev-t", 73),
+            ("chebyshev-u", 74),
+            ("hermite", 177),
+            ("legendre", 126),
+            ("laguerre", 273),
+            ("ode-example", 251),
+        ],
+    )
+    def test_tracked_runs_keep_their_max_bits(self, name, max_bits, monkeypatch):
+        # bits tracked: the matrix and its ring kernel, as before
+        spec = family_spec(FamilyId(name))
+        terms, counts = _counted(determinant_terms, spec, 60, track_bits=True)
+        assert counts[3] == max_bits
+        untracked, untracked_counts = _counted(determinant_terms, spec, 60)
+        _assert_same_values(untracked, terms)
+        assert untracked_counts[:3] == counts[:3]
+        monkeypatch.setattr(recurrence, "_band_minors", None)
+        assert _counted(determinant_terms, spec, 60, track_bits=True) == (terms, counts)
+
+    def test_an_initial_value_of_one_skips_its_products_only_as_a_fraction(self):
+        # a Polynomial 1 turns Fraction minors into Polynomials: its
+        # products stay; a Fraction 1 gives the minors themselves
+        coeff = lambda k, i: Fraction(k, i + 1)  # noqa: E731
+        for initial in (ONE, Polynomial.one(), Fraction(2, 3)):
+            spec = FullHistorySpec(initial=initial, coeff=coeff)
+            got = _assert_columns_match_matrix(spec, 12)
+            assert {type(v) for v in got} == {type(initial)}
+
+    def test_a_column_error_is_raised_in_the_builds_order(self):
+        # x/(k + 3i - 22) vanishes at (k, i) = (7, 5), ..., (19, 1): the
+        # columns meet k = 7 first, the build k = 19 at n = 20
+        spec = _dsl_spec("mode = full-history\nring = poly\ninitial = 1\ncoeff p(k, i) = x/(k + 3*i - 22)\n")
+        for n, k in ((20, 19), (12, 10), (8, 7)):
+            got = _counted(determinant_terms, spec, n)
+            assert got == _counted(spec_matrix, spec, n)
+            assert got[0] == (DivisionByZero, f"denominator is zero at k = {k}", k)
+            # verify counts what the build from an empty table counts
+            assert _outcome(verify_spec, spec, n) == _outcome(reference_verify, spec, n)
+        assert _counted(determinant_terms, spec, 6)[0] == _matrix_terms(spec, 6)
+
+    def test_what_the_build_coerces_or_refuses_goes_to_the_build(self):
+        ints = FullHistorySpec(initial=ONE, coeff=lambda k, i: k - i + 1)
+        _assert_same_values(determinant_terms(ints, 9), _matrix_terms(ints, 9))
+        floats = FullHistorySpec(initial=ONE, coeff=lambda k, i: 0.5)
+        with pytest.raises(RecdetError, match="exact ring values, got float"):
+            determinant_terms(floats, 3)
+        negative_band = FullHistorySpec(initial=ONE, coeff=lambda k, i: ONE, band=-1)
+        with pytest.raises(RecdetError, match="band must be at least 0, got -1"):
+            determinant_terms(negative_band, 3)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "{path}", "--max-n", "20"], "error: denominator is zero at k = 19\n"),
+            (["verify", "{path}", "--max-n", "12", "--method", "bareiss"], "error: denominator is zero at k = 10\n"),
+            (["eval", "{path}", "--n", "21"], "error: denominator is zero at k = 7\n"),
+        ],
+    )
+    def test_poly_ring_errors_through_the_cli(self, argv, message, tmp_path, capsys):
+        path = tmp_path / "vanishing.rec"
+        path.write_text(
+            "mode = full-history\nring = poly\ninitial = 1\ncoeff p(k, i) = x/(k + 3*i - 22)\n",
+            encoding="utf-8",
+        )
+        assert cli.main([a.format(path=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message

@@ -2,7 +2,7 @@
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from recdet.ring import (
     latex_value,
     pairs_scaled,
     parse_value,
+    poly_scaled,
     render_value,
     ring_add,
     ring_exact_div,
@@ -324,6 +325,29 @@ class TestIntScaled:
         dens = [d for _, d in pairs] if shared is None else shared
         values = [Fraction(n, d) for n, d in zip(nums, [shared] * len(nums) if shared else dens)]
         assert pairs_scaled(nums, dens) == int_scaled(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(fractions_st, polys_st), min_size=1, max_size=6))
+    def test_polynomials_scale_to_int_coefficient_lists(self, values):
+        scale, lists = poly_scaled(values)
+        dens = [v.den if isinstance(v, Polynomial) else v.denominator for v in values]
+        assert scale == lcm(*dens)
+        for v, nums in zip(values, lists):
+            assert type(nums) is list and all(type(c) is int for c in nums)
+            assert (not nums or nums[-1] != 0) and Polynomial(nums) == v * scale
+        if all(isinstance(v, Fraction) for v in values):
+            assert [c[0] if c else 0 for c in lists] == int_scaled(values)[1]
+
+    def test_poly_scaled_examples(self):
+        values = [Polynomial((Fraction(1, 2), 3)), Fraction(-2, 3), Fraction(0), Polynomial(())]
+        assert poly_scaled(values) == (6, [[3, 18], [-4], [], []])
+        assert poly_scaled([Polynomial.x(), Fraction(5)]) == (1, [[0, 1], [5]])
+        assert poly_scaled([Fraction(1), 1]) is None
+        COUNTER.reset(track_bits=True)
+        try:
+            assert poly_scaled([Polynomial.x()]) is None
+        finally:
+            COUNTER.reset()
 
     def test_unreduced_pair_examples(self):
         assert pairs_scaled([2, 0, -9], [-4, 7, 6]) == (2, [-1, 0, -3])
