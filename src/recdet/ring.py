@@ -309,6 +309,8 @@ COUNTER = OpCounter()
 # COUNTER in bulk.  It runs a column or row over ints when int_scaled
 # lets it, or a matrix when SquareMatrix._int_rows does, and hands over
 # to its ring path where scale_outgrew says the scales cost too much.
+# The leading minors of a spec's polynomial columns run over int
+# coefficient lists when poly_scaled lets them.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence
@@ -320,6 +322,14 @@ COUNTER = OpCounter()
 # 3 best-of-3 runs, Python 3.11, x86-64).  The value is kept, not tuned:
 # no benchmark workload has row-dependent denominators.
 _MAX_EXCESS_BITS = 8192
+# The bound for a Polynomial minor's scaled coefficient list, where every
+# coefficient carries the excess.  On p(k, i) = x/i + 1/(k + 2i) at
+# n = 60, whose excess reaches 4,800 bits, lists up to 8,192 bits took
+# about 145 ms, up to this bound about 95 ms and the ring path alone
+# about 85 ms (best of 5 calls, 5 processes each, Python 3.11, x86-64);
+# Horner's polynomials with fractional coefficients, whose excess grows
+# by about 1.5 bits a column, ran no slower at n = 800 than with no bound.
+_MAX_POLY_EXCESS_BITS = 2048
 
 
 def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
@@ -390,9 +400,11 @@ def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]
 
 def scale_outgrew(scale: int, value: RingValue) -> bool:
     """Whether scale, a multiple of value's reduced denominator, carries
-    more than _MAX_EXCESS_BITS bits beyond it."""
-    den = value.den if type(value) is Polynomial else value.denominator
-    return scale.bit_length() - den.bit_length() > _MAX_EXCESS_BITS
+    more than _MAX_EXCESS_BITS bits beyond it, or _MAX_POLY_EXCESS_BITS
+    for a Polynomial."""
+    if type(value) is Polynomial:
+        return scale.bit_length() - value.den.bit_length() > _MAX_POLY_EXCESS_BITS
+    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
 
 
 def is_zero(v: RingValue) -> bool:

@@ -1006,6 +1006,7 @@ class TestBandColumns:
         # columns; the ring kernel goes on from the next column, and no
         # cell is read twice
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 16)
+        monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", 16)
         kernel = recurrence.scaled_leading_minors
         lengths = []
 

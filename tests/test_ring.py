@@ -349,6 +349,15 @@ class TestIntScaled:
         finally:
             COUNTER.reset()
 
+    def test_a_polynomial_scale_outgrows_it_sooner(self):
+        # the excess is counted beyond the value's reduced denominator
+        for value in (Fraction(1, 3), Polynomial((Fraction(1, 3), 1))):
+            assert not ring.scale_outgrew(3 << 2048, value)
+        assert ring.scale_outgrew(3 << 2049, Polynomial((Fraction(1, 3), 1)))
+        assert not ring.scale_outgrew(3 << 2049, Fraction(1, 3))
+        assert not ring.scale_outgrew(3 << 8192, Fraction(1, 3))
+        assert ring.scale_outgrew(3 << 8193, Fraction(1, 3))
+
     def test_unreduced_pair_examples(self):
         assert pairs_scaled([2, 0, -9], [-4, 7, 6]) == (2, [-1, 0, -3])
         assert pairs_scaled([4, 6, 0], 8) == (4, [2, 3, 0])
