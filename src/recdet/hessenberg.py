@@ -443,7 +443,7 @@ def _ring_leading_minors(
     """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n.
 
     column(c, lo) gives column c's cells, rows lo..c of its band (0-based),
-    and is called once per column, in order, from c on; subs[t] is the
+    and is called once for each column d lacks, in order; subs[t] is the
     negated subdiagonal cell (t + 1, t).  Columns run in _horner's order,
     or while COUNTER tracks bits as the plain sum of e[j][c] * prod * d_j,
     one ring_* call per operation, so that max_bits sees the values it
