@@ -492,13 +492,16 @@ def _matrix_route(
     saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
     try:
         dets = determinant_terms(table, max_n, method, corrupt)
-    except Exception:
-        COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
-        spec_matrix(spec, max_n)
-        raise
-    if isinstance(table, FullHistorySpec):
-        return eval_full_history(table, max_n + 1).terms[1:], dets
-    return eval_fixed_order(table, max_n).terms, dets
+    except Exception as exc:
+        failed = exc
+    else:
+        if isinstance(table, FullHistorySpec):
+            return eval_full_history(table, max_n + 1).terms[1:], dets
+        return eval_fixed_order(table, max_n).terms, dets
+    # outside the handler, so that the build's error chains nothing
+    COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+    spec_matrix(spec, max_n)
+    raise failed
 
 
 def _column_route(
