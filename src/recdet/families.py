@@ -26,6 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from typing import Callable
 
 from .errors import MissingParams, OutOfRange, RecdetError, UnexpectedParams
@@ -35,7 +36,7 @@ from .recurrence import (
     SequencePrefix,
     eval_fixed_order,
 )
-from .ring import Polynomial, RingValue
+from .ring import Polynomial, RingValue, _reduced_poly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -194,6 +195,48 @@ def _iterate(
     return tuple(out)
 
 
+# The classical three-term recurrences (Abramowitz & Stegun 22.7) as
+# (p_0, p_1, step): p_0 and p_1 are int coefficient lists, constant term
+# first, and step(j) = (a, b, c, q) with
+# p_{j+1} = ((a x + b) p_j - c p_{j-1}) / q; the family's objects are
+# p_1, p_2, ...  Fibonacci's are F_2, F_3, ... from F_1 = 1, F_2 = x and
+# Lucas's L_1, L_2, ... from L_0 = 2, L_1 = x.
+_THREE_TERM: dict[FamilyId, tuple[tuple[int, ...], tuple[int, ...], Callable]] = {
+    FamilyId.FIBONACCI_POLY: ((1,), (0, 1), lambda j: (1, 0, -1, 1)),
+    FamilyId.LUCAS_POLY: ((2,), (0, 1), lambda j: (1, 0, -1, 1)),
+    FamilyId.CHEBYSHEV_T: ((1,), (0, 1), lambda j: (2, 0, 1, 1)),
+    FamilyId.CHEBYSHEV_U: ((1,), (0, 2), lambda j: (2, 0, 1, 1)),
+    FamilyId.HERMITE: ((1,), (0, 2), lambda j: (2, 0, 2 * j, 1)),
+    FamilyId.LEGENDRE: ((1,), (0, 1), lambda j: (2 * j + 1, 0, j, j + 1)),
+    FamilyId.LAGUERRE: ((1,), (1, -1), lambda j: (-1, 2 * j + 1, j, j + 1)),
+}
+
+
+def _three_term(
+    n: int, p0: tuple[int, ...], p1: tuple[int, ...], step: Callable
+) -> tuple[Polynomial, ...]:
+    """p_1 .. p_n, each step over the reduced (int list, den) pairs of
+    p_{j-1} and p_j brought to their common denominator."""
+    prev, dprev = p0, 1
+    cur = _reduced_poly(list(p1), 1)
+    out = [cur]
+    for j in range(1, n):
+        a, b, c, q = step(j)
+        nums, den = cur.nums, cur.den
+        g = gcd(den, dprev)
+        sc, sp = dprev // g, den // g
+        a, b, c = a * sc, b * sc, c * sp
+        lifted, back = (0, *nums), (*prev, 0, 0)  # x p_j and p_{j-1}
+        if b:
+            nxt = [a * u + b * v - c * w for u, v, w in zip(lifted, (*nums, 0), back)]
+        else:
+            nxt = [a * u - c * w for u, w in zip(lifted, back)]
+        prev, dprev = nums, den
+        cur = _reduced_poly(nxt, den * sc * q)
+        out.append(cur)
+    return tuple(out)
+
+
 def family_oracles(
     fid: FamilyId, n: int, params: tuple[RingValue, ...] | None = None
 ) -> tuple[RingValue, ...]:
@@ -221,57 +264,12 @@ def family_oracles(
     if fid is FamilyId.PARTIAL_SUMS:
         return tuple(accumulate(ps[:n], initial=_ZERO))[1:]
 
-    if fid is FamilyId.FIBONACCI_POLY:
-        # F_2 .. F_{n+1} from F_1 = 1, F_2 = x
-        return _iterate(n, Polynomial.one(), _X, lambda j, prev, cur: prev + _X * cur)
+    if fid in _THREE_TERM:
+        return _three_term(n, *_THREE_TERM[fid])
 
     if fid is FamilyId.FIBONACCI_NUM:
         # F_2 .. F_{n+1} from F_1 = F_2 = 1
         return tuple(Fraction(f) for f in _iterate(n, 1, 1, lambda j, prev, cur: prev + cur))
-
-    if fid is FamilyId.LUCAS_POLY:
-        # L_1 .. L_n from L_0 = 2, L_1 = x
-        return _iterate(
-            n, Polynomial.constant(2), _X, lambda j, prev, cur: prev + _X * cur
-        )
-
-    if fid is FamilyId.CHEBYSHEV_T:
-        return _iterate(n, Polynomial.one(), _X, lambda j, prev, cur: _TWO_X * cur - prev)
-
-    if fid is FamilyId.CHEBYSHEV_U:
-        return _iterate(
-            n, Polynomial.one(), _TWO_X, lambda j, prev, cur: _TWO_X * cur - prev
-        )
-
-    if fid is FamilyId.HERMITE:
-        return _iterate(
-            n,
-            Polynomial.one(),
-            _TWO_X,
-            lambda j, prev, cur: _TWO_X * cur - Fraction(2 * j) * prev,
-        )
-
-    if fid is FamilyId.LEGENDRE:
-        return _iterate(
-            n,
-            Polynomial.one(),
-            _X,
-            lambda j, prev, cur: (
-                Polynomial((0, Fraction(2 * j + 1, j + 1))) * cur
-                - Fraction(j, j + 1) * prev
-            ),
-        )
-
-    if fid is FamilyId.LAGUERRE:
-        return _iterate(
-            n,
-            Polynomial.one(),
-            _ONE_MINUS_X,
-            lambda j, prev, cur: (
-                Polynomial((Fraction(2 * j + 1, j + 1), Fraction(-1, j + 1))) * cur
-                - Fraction(j, j + 1) * prev
-            ),
-        )
 
     if fid is FamilyId.CONTINUANT:
         # K_1 .. K_n from K_0 = 1, K_1 = p1

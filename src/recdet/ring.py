@@ -482,51 +482,65 @@ def ring_exact_div(a: RingValue, b: RingValue) -> RingValue:
 
 # --- canonical text rendering -------------------------------------------
 
-def _render_terms(p: Polynomial, coeff, power, star: str) -> str:
+# x^d's text at index d, d >= 1, per power format; a longer tuple replaces
+# a shorter one whole, so a thread reads an old table or a new one, both
+# right, and a race only rebuilds a table
+_POWER_TEXTS = {"x^{}": ("", "x"), "x^{{{}}}": ("", "x")}
+
+
+def _power_texts(fmt: str, top: int) -> tuple[str, ...]:
+    texts = _POWER_TEXTS[fmt]
+    if len(texts) <= top:
+        grown = range(len(texts), max(top + 1, 2 * len(texts)))
+        texts = _POWER_TEXTS[fmt] = texts + tuple(fmt.format(d) for d in grown)
+    return texts
+
+
+def _render_terms(p: Polynomial, coeff, power_fmt: str, star: str) -> str:
     """p's nonzero terms, highest degree first, joined by " + " and " - ".
 
-    coeff(num, den) renders a positive reduced rational, power(d)
-    renders x^d for d >= 1, and star sits between a non-unit coefficient
-    and its power.  Each coefficient comes from the int pair: |n| / den
-    reduced by one gcd, its sign taken from n.
+    coeff(num, den) renders a positive reduced rational,
+    power_fmt.format(d) renders x^d for d >= 1, and star sits between a
+    non-unit coefficient and its power.  Each coefficient comes from the
+    int pair: |n| / den, reduced by one gcd when den is not 1.  Every
+    term is written with its sign as " + " or " - ", and the first
+    term's is rewritten once at the end.
     """
-    den = p.den
+    nums, den = p.nums, p.den
+    if not nums:
+        return "0"
+    powers = _power_texts(power_fmt, len(nums) - 1)
     parts: list[str] = []
-    for d in range(len(p.nums) - 1, -1, -1):
-        n = p.nums[d]
+    for d in range(len(nums) - 1, -1, -1):
+        n = nums[d]
         if not n:
             continue
-        g = gcd(n, den)
-        num, cden = abs(n) // g, den // g
-        if d == 0:
-            piece = coeff(num, cden)
-        elif num == 1 and cden == 1:
-            piece = power(d)
+        sign, num = (" - ", -n) if n < 0 else (" + ", n)
+        if d and num == den:  # a unit coefficient
+            parts.append(f"{sign}{powers[d]}")
+            continue
+        if den == 1:
+            c = num
         else:
-            piece = f"{coeff(num, cden)}{star}{power(d)}"
-        if not parts:
-            parts.append(piece if n > 0 else f"-{piece}")
-        else:
-            parts.append(f" + {piece}" if n > 0 else f" - {piece}")
-    return "".join(parts) or "0"
+            g = gcd(num, den)
+            c = coeff(num // g, den // g)
+        parts.append(f"{sign}{c}{star}{powers[d]}" if d else f"{sign}{c}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else f"-{text[3:]}"
 
 
 def render_value(v: RingValue) -> str:
     """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0"."""
     if not isinstance(v, Polynomial):
         return str(v)
-    return _render_terms(
-        v, _text_fraction, lambda d: "x" if d == 1 else f"x^{d}", "*"
-    )
+    return _render_terms(v, _text_fraction, "x^{}", "*")
 
 
 def latex_value(v: RingValue) -> str:
     """LaTeX form of a ring value, for the vmatrix emitter."""
     if not isinstance(v, Polynomial):
         return _latex_fraction(v.numerator, v.denominator)
-    return _render_terms(
-        v, _latex_fraction, lambda d: "x" if d == 1 else f"x^{{{d}}}", ""
-    )
+    return _render_terms(v, _latex_fraction, "x^{{{}}}", "")
 
 
 def _text_fraction(num: int, den: int) -> str:

@@ -1,12 +1,15 @@
 """Catalog families: determinant route against the independent oracles."""
 
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from recdet.errors import MissingParams, OutOfRange, UnexpectedParams
 from recdet.families import (
+    _THREE_TERM,
     PARAM_FAMILIES,
+    POLY_FAMILIES,
     FamilyId,
     family_names,
     family_oracle,
@@ -126,6 +129,125 @@ class TestCrossIdentities:
         for p in ps:
             acc = acc * at + p
         assert family_oracle(FamilyId.HORNER, 4, ps).evaluate(at) == acc
+
+
+# --- Polynomial-object reference recurrences ---------------------------------
+# family_oracles once stepped each classical three-term recurrence on
+# Polynomial objects, a product and a sum of Polynomials per step; they
+# stay here as a check on its steps over int coefficient lists.
+
+_X = Polynomial.x()
+_TWO_X = Polynomial((0, 2))
+
+
+def _iterate(n, prev, cur, step):
+    out = [cur]
+    for j in range(1, n):
+        prev, cur = cur, step(j, prev, cur)
+        out.append(cur)
+    return tuple(out)
+
+
+REFERENCE_RECURRENCES = {
+    # F_2 .. F_{n+1} from F_1 = 1, F_2 = x
+    FamilyId.FIBONACCI_POLY: (Polynomial.one(), _X, lambda j, prev, cur: prev + _X * cur),
+    # L_1 .. L_n from L_0 = 2, L_1 = x
+    FamilyId.LUCAS_POLY: (Polynomial.constant(2), _X, lambda j, prev, cur: prev + _X * cur),
+    FamilyId.CHEBYSHEV_T: (Polynomial.one(), _X, lambda j, prev, cur: _TWO_X * cur - prev),
+    FamilyId.CHEBYSHEV_U: (Polynomial.one(), _TWO_X, lambda j, prev, cur: _TWO_X * cur - prev),
+    FamilyId.HERMITE: (
+        Polynomial.one(),
+        _TWO_X,
+        lambda j, prev, cur: _TWO_X * cur - F(2 * j) * prev,
+    ),
+    FamilyId.LEGENDRE: (
+        Polynomial.one(),
+        _X,
+        lambda j, prev, cur: (
+            Polynomial((0, F(2 * j + 1, j + 1))) * cur - F(j, j + 1) * prev
+        ),
+    ),
+    FamilyId.LAGUERRE: (
+        Polynomial.one(),
+        Polynomial((1, -1)),
+        lambda j, prev, cur: (
+            Polynomial((F(2 * j + 1, j + 1), F(-1, j + 1))) * cur - F(j, j + 1) * prev
+        ),
+    ),
+}
+
+
+def reference_oracles(fid, n):
+    return _iterate(n, *REFERENCE_RECURRENCES[fid])
+
+
+def explicit_sum(fid, n):
+    """The family's n-th object from its closed coefficient sum, with the
+    family_oracle index: F_{n+1} for fibonacci-poly, the n-th
+    polynomial otherwise."""
+    c = [F(0)] * (n + 1)
+    if fid is FamilyId.FIBONACCI_POLY:
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = F(comb(n - k, k))
+    elif fid is FamilyId.LUCAS_POLY:
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = F(n * comb(n - k, k), n - k)
+    elif fid is FamilyId.CHEBYSHEV_T:
+        # T_n = sum (-1)^k n / (2 (n - k)) C(n - k, k) (2x)^(n - 2k)
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = F((-1) ** k * n * comb(n - k, k) * 2 ** (n - 2 * k), 2 * (n - k))
+    elif fid is FamilyId.CHEBYSHEV_U:
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = F((-1) ** k * comb(n - k, k) * 2 ** (n - 2 * k))
+    elif fid is FamilyId.HERMITE:
+        # H_n = n! sum (-1)^m (2x)^(n - 2m) / (m! (n - 2m)!)
+        for m in range(n // 2 + 1):
+            c[n - 2 * m] = F(
+                (-1) ** m * factorial(n) * 2 ** (n - 2 * m),
+                factorial(m) * factorial(n - 2 * m),
+            )
+    elif fid is FamilyId.LEGENDRE:
+        # P_n = 2^-n sum (-1)^k C(n, k) C(2n - 2k, n) x^(n - 2k)
+        for k in range(n // 2 + 1):
+            c[n - 2 * k] = F((-1) ** k * comb(n, k) * comb(2 * n - 2 * k, n), 2**n)
+    elif fid is FamilyId.LAGUERRE:
+        # L_n = sum C(n, k) (-1)^k x^k / k!
+        for k in range(n + 1):
+            c[k] = F((-1) ** k * comb(n, k), factorial(k))
+    return Polynomial(c)
+
+
+class TestThreeTermOracles:
+    """family_oracles' steps over int lists against the Polynomial-object
+    recurrences and the closed coefficient sums."""
+
+    def test_explicit_sums_keep_the_oracle_index(self):
+        # the spot values of TestSpotValues, from the sums
+        assert explicit_sum(FamilyId.FIBONACCI_POLY, 2) == Polynomial((1, 0, 1))
+        assert explicit_sum(FamilyId.FIBONACCI_POLY, 3) == Polynomial((0, 2, 0, 1))
+        assert explicit_sum(FamilyId.LUCAS_POLY, 1) == Polynomial((0, 1))
+        assert explicit_sum(FamilyId.LUCAS_POLY, 2) == Polynomial((2, 0, 1))
+        assert explicit_sum(FamilyId.CHEBYSHEV_T, 3) == Polynomial((0, -3, 0, 4))
+        assert explicit_sum(FamilyId.CHEBYSHEV_U, 2) == Polynomial((-1, 0, 4))
+        assert explicit_sum(FamilyId.HERMITE, 3) == Polynomial((0, -12, 0, 8))
+        assert explicit_sum(FamilyId.LEGENDRE, 2) == Polynomial((F(-1, 2), 0, F(3, 2)))
+        assert explicit_sum(FamilyId.LAGUERRE, 2) == Polynomial((1, -2, F(1, 2)))
+
+    @pytest.mark.parametrize("fid", list(REFERENCE_RECURRENCES), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", (1, 2, 3, 60, 200))
+    def test_oracles_match_the_references(self, fid, n):
+        got = family_oracles(fid, n)
+        assert len(got) == n
+        assert all(type(v) is Polynomial for v in got)
+        assert got == reference_oracles(fid, n)
+        assert got[-1] == explicit_sum(fid, n)
+        if n <= 3:
+            assert got == tuple(explicit_sum(fid, k) for k in range(1, n + 1))
+
+    def test_the_table_covers_the_polynomial_families(self):
+        assert set(_THREE_TERM) == set(REFERENCE_RECURRENCES) == (
+            POLY_FAMILIES - PARAM_FAMILIES
+        )
 
 
 class TestOde:

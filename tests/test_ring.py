@@ -1,8 +1,11 @@
 """Polynomial kernel, operation counter, and canonical rendering."""
 
 import re
+import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,6 +479,53 @@ mixed_polys_st = st.one_of(
 )
 
 
+# at least 200-bit numerators, over dens that are 1, small, or large
+big_fractions_st = st.builds(
+    lambda sign, num, den: Fraction(sign * num, den),
+    st.sampled_from((1, -1)),
+    st.integers(2**200, 2**320),
+    st.sampled_from((1, 1, 2, 6, 35, 2**64, 3**50, 2**201 + 1)),
+)
+# a few nonzero terms up to degree 1,000, far past a fresh power table
+sparse_polys_st = st.dictionaries(
+    st.integers(0, 1000), fractions_st.filter(bool), min_size=1, max_size=6
+).map(lambda cs: Polynomial(cs.get(d, 0) for d in range(max(cs) + 1)))
+# numerators over one den built from small primes, each numerator a
+# multiple of one of the den's divisors
+shared_factor_polys_st = st.lists(st.sampled_from((2, 3, 5, 7)), min_size=1, max_size=4).flatmap(
+    lambda primes: st.lists(
+        st.builds(
+            lambda k, f: Fraction(k * f, prod(primes)),
+            st.integers(-40, 40),
+            st.sampled_from((1, *primes, prod(primes))),
+        ),
+        min_size=1,
+        max_size=8,
+    ).map(Polynomial)
+)
+# +-1 and +-1/den at degrees 0, 1 and 2, and zeros
+units_st = st.lists(
+    st.one_of(
+        st.sampled_from((0, 1, -1)),
+        st.integers(2, 10**6).flatmap(
+            lambda d: st.sampled_from((Fraction(1, d), Fraction(-1, d)))
+        ),
+    ),
+    max_size=3,
+).map(Polynomial)
+
+
+@contextmanager
+def fresh_power_texts():
+    """Render from power tables holding only x^1, as in a new process."""
+    saved = ring._POWER_TEXTS
+    ring._POWER_TEXTS = {fmt: texts[:2] for fmt, texts in saved.items()}
+    try:
+        yield
+    finally:
+        ring._POWER_TEXTS = saved
+
+
 class TestRenderingFromIntPairs:
     """render_value and latex_value on the int pair against the
     Fraction-based renderer."""
@@ -510,6 +560,80 @@ class TestRenderingFromIntPairs:
     def test_random_fractions(self, f):
         assert render_value(f) == reference_render(f) == str(f)
         assert latex_value(f) == reference_latex(f)
+
+    @staticmethod
+    def assert_renders_like_the_reference(p):
+        with fresh_power_texts():
+            assert render_value(p) == reference_render(p)
+            assert latex_value(p) == reference_latex(p)
+        assert parse_value(render_value(p), "poly") == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(big_fractions_st, min_size=1, max_size=6).map(Polynomial))
+    def test_coefficients_of_200_bits_and_more(self, p):
+        self.assert_renders_like_the_reference(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_polys_st)
+    def test_degrees_past_the_power_tables(self, p):
+        self.assert_renders_like_the_reference(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_factor_polys_st)
+    def test_dens_sharing_factors_with_numerators(self, p):
+        self.assert_renders_like_the_reference(p)
+
+    @given(units_st)
+    def test_units_and_unit_fractions_at_low_degrees(self, p):
+        self.assert_renders_like_the_reference(p)
+
+    def test_units_and_the_zero_polynomial(self):
+        F = Fraction
+        for cs in ((), (1,), (-1,), (0, 1), (0, -1), (0, 0, 1), (-1, 1, -1),
+                   (F(1, 7),), (F(-1, 7), F(1, 7)), (0, F(-1, 2), F(1, 2)),
+                   (F(1, 3), F(-1, 2), F(1, 6))):
+            self.assert_renders_like_the_reference(Polynomial(cs))
+
+    def test_threads_growing_the_power_texts_render_alike(self):
+        """8 threads render polynomials of degree 0 to 1,200 in both
+        formats from fresh tables, two of them from the top degree down,
+        with the interpreter switching between them as often as it can;
+        three times over."""
+        sixths = {
+            d: Polynomial(
+                {d: 6, d - 1: -4, d // 2: -6, 1: 30, 0: 3}.get(i, 0) for i in range(d + 1)
+            )
+            * Fraction(1, 6)
+            for d in (*range(0, 1200, 3), 1200)
+        }
+        expected = {d: (reference_render(p), reference_latex(p)) for d, p in sixths.items()}
+        start = threading.Barrier(8)
+
+        def work(t, got):
+            start.wait(timeout=60)
+            order = sorted(sixths, reverse=t % 4 == 3)
+            got[t] = [(d, render_value(sixths[d]), latex_value(sixths[d])) for d in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got: dict[int, list] = {}
+                with fresh_power_texts():
+                    threads = [
+                        threading.Thread(target=work, args=(t, got)) for t in range(8)
+                    ]
+                    for th in threads:
+                        th.start()
+                    for th in threads:
+                        th.join(timeout=60)
+                assert not any(th.is_alive() for th in threads)
+                assert sorted(got) == list(range(8))
+                for rows in got.values():
+                    for d, text, latex in rows:
+                        assert (text, latex) == expected[d], d
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # --- Fraction reference parser ---------------------------------------------
