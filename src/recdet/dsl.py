@@ -604,9 +604,10 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 # to_spec compiles each x-free coefficient into nested closures over
 # unreduced (num, den) int pairs, den != 0 (see _compile): once for one
 # (k, i), where a call builds one Fraction, and once for the runs that
-# verify's column route reads.  A coefficient that contains x (poly
-# ring) calls eval_expr, which stays the reference the compiled closures
-# must agree with.
+# compute whole rows of recurrence._Rows, the row table that the
+# determinant route and direct iteration read.  A coefficient that
+# contains x (poly ring) calls eval_expr, which stays the reference the
+# compiled closures must agree with.
 
 
 def _op_counts(e: Expr) -> tuple[int, int, int]:
@@ -623,7 +624,8 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     it defers to eval_expr, so max_bits still sees every intermediate.
     An x-free e also gets its vector form as the function's attribute
     vector, and the (adds, muls, divs) one value costs as its attribute
-    ops.
+    ops: a row table computes a row by one run of vector and adds ops
+    once per value of it to COUNTER, as that many calls would.
     """
     if "x" in _vars_of(e):
         return lambda k, i=None: eval_expr(e, k, i)

@@ -12,6 +12,7 @@ matrix whose determinant is a(k).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -100,63 +101,186 @@ class SequencePrefix:
         return iter(self.terms)
 
 
+class _Rows:
+    """A spec's coefficient values up to row n, each computed once.
+
+    Row k holds p(k, 1..k) of a full-history spec, or p_1(k)..p_m(k) of
+    a fixed-order one, k > m.  The kernels read rows whole, as scaled
+    int rows (L, [p * L]) where the coefficients' vector form gives them
+    (see scaled), L the lcm of the reduced denominators as
+    ring.int_scaled takes it.  The vector form computes every row at
+    once, when a kernel first asks: one run of i per row of a
+    full-history spec with no declared band, one run of k per p_t of a
+    fixed-order spec.  Every other value is computed by a call, in the
+    order the values are read (see value), and from the first such call
+    on no vector form runs.  A value that raised is not stored, so
+    errors are those of the spec itself.
+
+    verify_spec's two sides read one table; nothing is shared between
+    calls or threads.
+    """
+
+    def __init__(self, spec: FullHistorySpec | FixedOrderSpec, n: int) -> None:
+        self.spec = spec
+        self.n = n
+        self.full = isinstance(spec, FullHistorySpec)
+        self.funcs = (spec.coeff,) if self.full else spec.coeffs
+        self.clear()
+
+    def clear(self) -> None:
+        """Forget every value, as if nothing had been read."""
+        self.cells: defaultdict[int, dict[int, RingValue]] = defaultdict(dict)
+        self.ints: list[tuple[int, list[int]] | None] = [None] * (self.n + 1)
+        self.vector = all(hasattr(f, "vector") for f in self.funcs) and (
+            not self.full or self.spec.band is None
+        )
+
+    def width(self, k: int) -> int:
+        return k if self.full else len(self.funcs)
+
+    def value(self, k: int, i: int) -> RingValue:
+        """p(k, i) of a full-history spec, p_i(k) of a fixed-order one."""
+        row = self.cells[k]
+        v = row.get(i)
+        if v is None:
+            got = self.ints[k]
+            if got is None:
+                self.vector = False
+                v = self.funcs[0](k, i) if self.full else self.funcs[i - 1](k)
+            else:
+                v = Fraction(got[1][i - 1], got[0])
+            row[i] = v
+        return v
+
+    def scaled(self) -> list[tuple[int, list[int]] | None]:
+        """The rows as scaled int rows, indexed by k, None for a row that
+        the vector form does not give.
+
+        The first call computes every row it can: none while bits are
+        tracked, when a coefficient has no vector form, or once a value
+        was computed by a call; for a full-history spec the rows up to
+        the first whose run divides by zero or names an unbound
+        variable; for a fixed-order spec all rows from first_valid_k on,
+        or none if a run refuses.  COUNTER gets each value's DSL ops."""
+        if not self.vector or COUNTER.track_bits:
+            return self.ints
+        self.vector = False
+        if self.full:
+            coeff = self.spec.coeff
+            i = list(range(1, self.n + 1))
+            values = 0
+            for k in i:
+                run = coeff.vector(k, i[:k])  # type: ignore[attr-defined]
+                if run is None:
+                    break  # by calls from here
+                nums, dens = run
+                self.ints[k] = pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
+                values += k
+            self._count(values)
+            return self.ints
+        ks = list(range(self.spec.first_valid_k, self.n + 1))
+        runs = [f.vector(ks, None) for f in self.funcs] if ks else [None]  # type: ignore[attr-defined]
+        if None not in runs:
+            nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in runs))
+            dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in runs))
+            self.ints[ks[0] :] = map(pairs_scaled, nums, dens)
+            self._count(len(ks))
+        return self.ints
+
+    def _count(self, values: int) -> None:
+        """COUNTER gets the DSL ops of that many values of each coefficient."""
+        for f in self.funcs:
+            adds, muls, divs = f.ops  # type: ignore[attr-defined]
+            COUNTER.adds += adds * values
+            COUNTER.muls += muls * values
+            COUNTER.divs += divs * values
+
+    def reader(self) -> FullHistorySpec | FixedOrderSpec:
+        """A copy of the spec whose coefficients read the table."""
+        if self.full:
+            return replace(self.spec, coeff=self.value)
+        value = self.value
+        return replace(
+            self.spec,
+            coeffs=tuple((lambda k, t=t: value(k, t)) for t in range(1, len(self.funcs) + 1)),
+        )
+
+
 def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
     """Direct iteration of the full-history recurrence, terms 1..n (see
     _direct)."""
     if n < 1:
         raise RecdetError("n must be at least 1")
-    terms: list[RingValue] = [spec.initial]
-    _direct(spec.coeff, range(1, n), None, terms)
-    return SequencePrefix(tuple(terms))
+    return SequencePrefix(tuple(_direct(_Rows(spec, n - 1))))
 
 
-def _direct(
-    read: Callable[[int, int], RingValue],
-    rows: range,
-    width: int | None,
-    terms: list[RingValue],
-) -> None:
-    """Append to terms the terms of rows, by direct iteration.
+def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
+    """Direct iteration of the fixed-order recurrence, terms 1..n (see
+    _direct)."""
+    if n < 1:
+        raise RecdetError("n must be at least 1")
+    return SequencePrefix(tuple(_direct(_Rows(spec, n))))
 
-    Row k sums read(k, i) times the i-th of the last w terms, i = 1..w,
-    where w is width, or k for a full-history spec: one ring_mul and
-    ring_add per term.  The coefficients are read in order, so the
-    first error raised is always the same.
+
+def _direct(rows: _Rows) -> list[RingValue]:
+    """The terms by direct iteration over the rows of the table: a(1) and
+    a(k + 1) for each row k of a full-history spec, a(1..m) and a(k) for
+    each row k > m of a fixed-order one.  A first_valid_k above m + 1
+    refuses term m + 1 before any coefficient is read.
+
+    Row k sums its coefficients times the last w terms, w its length:
+    one ring_mul and ring_add per term.  The coefficients are read in
+    order, so the first error raised is always the same.
 
     While ring.int_scaled lets the terms and each row through, the rows
-    run over ints instead (see _scaled_terms).  The ring loop takes
-    over from the first row int_scaled refuses, and after the row where
-    the scale outgrew the term (see scale_outgrew).
+    run over ints instead (see _scaled_terms); a row the table holds as
+    a scaled int row is taken as it is.  The ring loop takes over from
+    the first row int_scaled refuses, and after the row where the scale
+    outgrew the term (see scale_outgrew).
     """
-    rows = iter(rows)
+    spec, n = rows.spec, rows.n
+    if rows.full:
+        terms: list[RingValue] = [spec.initial]
+        ks = iter(range(1, n + 1))
+    else:
+        m = spec.order
+        if n > m and spec.first_valid_k > m + 1:
+            raise IndexBelowValidity(
+                f"term {m + 1} requested but coefficients are only valid from "
+                f"k = {spec.first_valid_k}"
+            )
+        terms = list(spec.initials[:n])
+        ks = iter(range(m + 1, n + 1))
 
     def scaled_rows() -> Iterator[tuple[int, list[int]]]:
-        for k in rows:
-            w = width or k
-            row = _read_row(read, k, w, terms)
-            scaled = int_scaled(row)
+        ints = rows.scaled()
+        for k in ks:
+            scaled = ints[k]
             if scaled is None:
-                # the ring loop sums this row and the rest
-                terms.append(_ring_sum(row, terms[-w:]))
-                return
+                row = _read_row(rows, k, terms)
+                scaled = int_scaled(row)
+                if scaled is None:
+                    # the ring loop sums this row and the rest
+                    terms.append(_ring_sum(row, terms[-len(row) :]))
+                    return
             yield scaled
 
     start = int_scaled(terms)
     if start is not None:
         _scaled_terms(scaled_rows(), terms, *start)
-    for k in rows:
-        w = width or k
-        terms.append(_ring_sum(_read_row(read, k, w, terms), terms[-w:]))
+    for k in ks:
+        row = _read_row(rows, k, terms)
+        terms.append(_ring_sum(row, terms[-len(row) :]))
+    return terms
 
 
-def _read_row(
-    read: Callable[[int, int], RingValue], k: int, w: int, terms: list[RingValue]
-) -> list[RingValue]:
-    """read(k, 1..w), in order."""
+def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
+    """Row k of the table, in order."""
+    w = rows.width(k)
     row: list[RingValue] = []
     try:
         for i in range(1, w + 1):
-            row.append(read(k, i))
+            row.append(rows.value(k, i))
     except BaseException:
         # leave the counts and max_bits of a loop that sums each
         # coefficient as it reads it
@@ -287,23 +411,33 @@ def determinant_terms(
     before any determinant is taken, as a negative control; the position
     must stay inside the upper-Hessenberg band.
 
-    The fast method with no corrupt cell and bits untracked builds no
-    matrix: it reads the band columns from the spec (see _band_minors).
-    Every other call takes the minors of spec_matrix(spec, n).  An a(1)
-    of Fraction 1 skips its n products while bits are untracked; COUNTER
-    still counts them.
+    The coefficients are read through a row table (see _Rows).  The fast
+    method with no corrupt cell and bits untracked builds no matrix: it
+    reads the band columns from the table (see _band_minors).  Every
+    other call takes the minors of Theorem 1's or 2's matrix, built from
+    the table.  While bits are untracked, COUNTER counts the n products
+    by a(1) in bulk, and an a(1) of Fraction 1 skips them.
     """
+    return _determinant_terms(_Rows(spec, n), method, corrupt)
+
+
+def _determinant_terms(
+    rows: _Rows, method: str, corrupt: tuple[int, int] | None
+) -> list[RingValue]:
+    """determinant_terms(rows.spec, rows.n, method, corrupt), reading the
+    coefficients from rows."""
+    spec, n = rows.spec, rows.n
     minors = None
     if method == "fast" and corrupt is None and n >= 1 and not COUNTER.track_bits:
         saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
         try:
-            minors = _band_minors(
-                spec if isinstance(spec, FullHistorySpec) else embed_fixed_order(spec), n
-            )
+            minors = _band_minors(rows)
         except _BuildTheMatrix:
+            # the build reads in its own order, from an empty table
             COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+            rows.clear()
     if minors is None:
-        big = spec_matrix(spec, n)
+        big = spec_matrix(rows.reader(), n)
         if corrupt is not None:
             ci, cj = corrupt
             if not (1 <= ci <= n and 1 <= cj <= n):
@@ -312,13 +446,15 @@ def determinant_terms(
                 raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
             big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
         minors = leading_minors(big, method)
-    if not isinstance(spec, FullHistorySpec):
+    if not rows.full:
         return minors
     a1 = spec.initial
-    if type(a1) is Fraction and a1 == 1 and not COUNTER.track_bits:
-        COUNTER.muls += len(minors)
+    if COUNTER.track_bits:
+        return [ring_mul(a1, d) for d in minors]
+    COUNTER.muls += len(minors)
+    if type(a1) is Fraction and a1 == 1:
         return minors
-    return [ring_mul(a1, d) for d in minors]
+    return [a1 * d for d in minors]
 
 
 class _BuildTheMatrix(Exception):
@@ -328,23 +464,29 @@ class _BuildTheMatrix(Exception):
     is negative, which the build coerces or refuses."""
 
 
-def _band_minors(spec: FullHistorySpec, n: int) -> list[RingValue]:
-    """hessenberg_leading_minors(theorem1_matrix(spec, n)), its values and
-    COUNTER counts, from columns read straight from the spec.
+def _band_minors(rows: _Rows) -> list[RingValue]:
+    """hessenberg_leading_minors(spec_matrix(rows.spec, rows.n)), its
+    values and COUNTER counts, from the matrix's columns read from the
+    table.
 
     Column k holds p(k, i) for the band rows max(k - b, 1)..k, b the
-    spec's band, and the -1 under it; each cell is read once, as the
-    build reads it.  The columns run over ints while they are Fractions
-    (ring.int_scaled), then over int coefficient lists from the first
-    column with a Polynomial on (ring.poly_scaled), and the ring
-    recurrence takes over from the column where a scale outgrew its minor,
-    with the minors so far.
+    band, and the -1 under it: row k of the table, or for a fixed-order
+    spec's k <= m, a(k) on top (see embed_fixed_order).  The columns run
+    over ints: the table's scaled int row where it has one, else the
+    cells through ring.int_scaled while they are Fractions, or as int
+    coefficient lists from the first column with a Polynomial on
+    (ring.poly_scaled).  The ring recurrence takes over from the column
+    where a scale outgrew its minor, with the minors so far.
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
     Fraction nor a Polynomial, and a negative band raise _BuildTheMatrix,
     for the caller to build the matrix, which raises what it raises.
     """
+    n = rows.n
+    spec = rows.reader()
+    if not rows.full:
+        spec = embed_fixed_order(spec)
     band = n if spec.band is None else spec.band
     if band < 0:
         raise _BuildTheMatrix
@@ -360,40 +502,22 @@ def _band_minors(spec: FullHistorySpec, n: int) -> list[RingValue]:
         return cells
 
     def scaled() -> Iterator[tuple[int, list, int]]:
+        ints = rows.scaled()
         gate = int_scaled
         for c in range(n):
-            cells = column(c, max(c - band, 0))
-            got = gate(cells)
-            if got is None:  # a Polynomial: lists from here on
-                gate = poly_scaled
+            got = ints[c + 1] if gate is int_scaled else None
+            if got is None:
+                cells = column(c, max(c - band, 0))
                 got = gate(cells)
+                if got is None:  # a Polynomial: lists from here on
+                    gate = poly_scaled
+                    got = gate(cells)
             # the -1 under column k, negated and scaled, is L_k
             scale, col = got
             yield scale, col, scale
 
     d: list[RingValue] = [_ONE, *scaled_leading_minors(scaled(), band)]
     return _ring_leading_minors(column, [_ONE] * (n - 1), n, band, d)
-
-
-def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
-    """Direct iteration of the fixed-order recurrence, terms 1..n (see
-    _direct).  Past the initials, the first term needed is k = m + 1, so
-    a larger first_valid_k refuses before any coefficient is read."""
-    if n < 1:
-        raise RecdetError("n must be at least 1")
-    m = spec.order
-    if n > m and spec.first_valid_k > m + 1:
-        raise IndexBelowValidity(
-            f"term {m + 1} requested but coefficients are only valid from "
-            f"k = {spec.first_valid_k}"
-        )
-    terms: list[RingValue] = list(spec.initials[:n])
-
-    def read(k: int, i: int) -> RingValue:
-        return spec.coeffs[i - 1](k)
-
-    _direct(read, range(m + 1, n + 1), m, terms)
-    return SequencePrefix(tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -440,23 +564,19 @@ def verify_spec(
 
     Compares determinant_terms(spec, max_n, method, corrupt) with direct
     iteration: a(k+1) for a full-history spec, a(k) for a fixed-order one.
-
-    With the fast method, no corrupt cell and bits untracked, a spec
-    whose coefficients all have a vector form (compiled DSL ones) and
-    whose initial values are Fractions takes the column route (see
-    _column_route): both sides read one scaled int column per k, and no
-    matrix is built.  Any other call, and any column route that cannot
-    finish over ints, takes the matrix route (see _matrix_route) from
-    the start, so the report, the error raised and COUNTER's counts are
-    the matrix route's.
+    Both read one row table (see _Rows), so each coefficient value is
+    computed once: as scaled int rows by the vector form when a kernel
+    of the fast method first asks, else by calls.  The determinant side
+    reads first, so errors come in the matrix build's order.  Direct
+    iteration never reads the matrix or the columns, so a corrupted cell
+    or a wrong index map is still seen.
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
-    routes = None
-    if method == "fast" and corrupt is None:
-        routes = _column_route(spec, max_n)
-    direct, dets = routes or _matrix_route(spec, max_n, method, corrupt)
-    return _report(spec.name, direct, dets)
+    rows = _Rows(spec, max_n)
+    dets = _determinant_terms(rows, method, corrupt)
+    direct = _direct(rows)
+    return _report(spec.name, direct[1:] if rows.full else direct, dets)
 
 
 def _report(
@@ -467,177 +587,3 @@ def _report(
         for k, (a, d) in enumerate(zip(direct, dets), start=1)
     )
     return VerificationReport(spec=name, checks=checks, passed=all(c.ok for c in checks))
-
-
-def _matrix_route(
-    spec: FullHistorySpec | FixedOrderSpec,
-    max_n: int,
-    method: str,
-    corrupt: tuple[int, int] | None,
-) -> tuple[list[RingValue], list[RingValue]]:
-    """verify_spec's direct terms and determinant terms, the latter by
-    determinant_terms: from the band columns, or Theorem 1's or 2's matrix.
-
-    Both read the coefficients through one table (see _read_once), so
-    each value is computed once; the determinant side reads first, so
-    errors come in the matrix build's order.  Direct iteration still never
-    reads the matrix or the columns, so a corrupted cell or a wrong index
-    map is still seen.
-
-    When the determinant side raises, COUNTER gets the counts of a build
-    from an empty table: the band columns may have stored values that
-    the build, reading them back, would not count.
-    """
-    table = _read_once(spec, max_n)
-    saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
-    try:
-        dets = determinant_terms(table, max_n, method, corrupt)
-    except Exception as exc:
-        failed = exc
-    else:
-        if isinstance(table, FullHistorySpec):
-            return eval_full_history(table, max_n + 1).terms[1:], dets
-        return eval_fixed_order(table, max_n).terms, dets
-    # outside the handler, so that the build's error chains nothing
-    COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
-    spec_matrix(spec, max_n)
-    raise failed
-
-
-def _column_route(
-    spec: FullHistorySpec | FixedOrderSpec, n: int
-) -> tuple[list[RingValue], list[RingValue]] | None:
-    """_matrix_route(spec, n, "fast", None) from one scaled int column per
-    k (see _columns), or None when that must run instead.
-
-    The leading minors read column k as column k of the matrix
-    (hessenberg.scaled_leading_minors), and direct iteration reads it as
-    row k (_scaled_terms): the matrix route's int kernels on the same
-    scales.  The two still check each other, because they combine the
-    columns by different recurrences.
-
-    None, with COUNTER as it was, when bits are tracked, a coefficient
-    has no vector form, an initial value is not a Fraction, a
-    full-history spec declares a band, a value divides by zero or names
-    an unbound variable, first_valid_k refuses a k, or a kernel's scale
-    outgrows its values before the last k: where the matrix route raises
-    or hands over to its ring path.  Otherwise COUNTER gets what the
-    matrix route adds: each coefficient value's DSL ops once, the
-    kernels' muls and adds and, for a full-history spec, the n products
-    by a(1).
-    """
-    if COUNTER.track_bits:
-        return None
-    full = isinstance(spec, FullHistorySpec)
-    coeffs = (spec.coeff,) if full else spec.coeffs
-    direct: list[RingValue] = [spec.initial] if full else list(spec.initials[:n])
-    if (
-        (full and spec.band is not None)
-        or not all(hasattr(f, "vector") for f in coeffs)
-        or any(type(v) is not Fraction for v in direct)
-    ):
-        return None
-    columns: list[tuple[int, list[int]]] = []
-
-    def kept() -> Iterator[tuple[int, list[int], int]]:
-        # the -1 under column k, negated and scaled, is L_k
-        for scale, col in _columns(spec, n):
-            columns.append((scale, col))
-            yield scale, col, scale
-
-    # the kernels count as they go; a route that falls back takes it back
-    saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
-    minors = scaled_leading_minors(kept(), n if full else spec.order - 1)
-    if len(minors) == n:
-        rows = columns if full else columns[spec.order :]
-        start = len(direct)
-        _scaled_terms(rows, direct, *int_scaled(direct))
-        if len(direct) == start + len(rows):
-            reads = n * (n + 1) // 2 if full else len(rows)
-            for f in coeffs:
-                adds, muls, divs = f.ops  # type: ignore[attr-defined]
-                COUNTER.adds += adds * reads
-                COUNTER.muls += muls * reads
-                COUNTER.divs += divs * reads
-            if full:
-                COUNTER.muls += n
-                return direct[1:], [spec.initial * d for d in minors]
-            return direct, minors
-    COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
-    return None
-
-
-def _columns(
-    spec: FullHistorySpec | FixedOrderSpec, n: int
-) -> Iterator[tuple[int, list[int]]]:
-    """Column k of spec's matrix for k = 1..n, in order, as (L_k, [p * L_k]),
-    up to the first k whose values a vector form or first_valid_k refuses.
-
-    The column holds p(k, 1..k) of a full-history spec; of a fixed-order
-    one, the band p_1(k)..p_m(k), or a(k) in row 1 for k <= m.  L_k is
-    the lcm of their reduced denominators, as ring.int_scaled takes it
-    for that column of the matrix.  A full-history spec takes one run of
-    its vector form per k, so columns a kernel never reaches are never
-    built; a fixed-order one takes one run of k per p_t, and column k
-    gathers p_1(k)..p_m(k) from them.  No Fraction is built per value.
-    """
-    if isinstance(spec, FullHistorySpec):
-        i = list(range(1, n + 1))
-        for k in i:
-            run = spec.coeff.vector(k, i[:k])  # type: ignore[attr-defined]
-            if run is None:
-                return
-            nums, dens = run
-            yield pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
-        return
-    m = spec.order
-    for k, a in enumerate(spec.initials[:n], start=1):
-        yield a.denominator, [a.numerator] + [0] * (k - 1)
-    if n <= m or spec.first_valid_k > m + 1:
-        return
-    ks = list(range(m + 1, n + 1))
-    runs = [f.vector(ks, None) for f in spec.coeffs]  # type: ignore[attr-defined]
-    if any(run is None for run in runs):
-        return
-    nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in runs))
-    dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in runs))
-    yield from map(pairs_scaled, nums, dens)
-
-
-def _read_once(
-    spec: FullHistorySpec | FixedOrderSpec, n: int
-) -> FullHistorySpec | FixedOrderSpec:
-    """A copy of spec that computes each coefficient value up to index n
-    once and then returns the stored value.
-
-    A full-history spec gets a row per k, indexed by i; a fixed-order
-    spec one list per p_t, indexed by k.  Values are computed lazily, in
-    the order of the first reads, and a value that raised is not stored,
-    so errors are those of the spec itself.  The table is local to the
-    copy: nothing is shared between calls or threads.
-    """
-    if isinstance(spec, FullHistorySpec):
-        coeff = spec.coeff
-        rows: list[list[RingValue | None]] = [[None] * (k + 1) for k in range(n + 1)]
-
-        def read(k: int, i: int) -> RingValue:
-            row = rows[k]
-            v = row[i]
-            if v is None:
-                v = row[i] = coeff(k, i)
-            return v
-
-        return replace(spec, coeff=read)
-    return replace(spec, coeffs=tuple(_read_once_by_k(f, n) for f in spec.coeffs))
-
-
-def _read_once_by_k(f: Callable[[int], RingValue], n: int) -> Callable[[int], RingValue]:
-    values: list[RingValue | None] = [None] * (n + 1)
-
-    def read(k: int) -> RingValue:
-        v = values[k]
-        if v is None:
-            v = values[k] = f(k)
-        return v
-
-    return read

@@ -234,6 +234,56 @@ class TestVerification:
         assert len(prefix) == 2
 
 
+# verify_spec's (adds, muls, divs) untracked at n = 1, 40 and 150, and its
+# (max_bits, ring_ops) tracked at n = 12, for every shipped spec and the
+# seven polynomial families
+VERIFY_COUNTS = [
+    ("spec", "chebyshev-t", (0, 1, 0), (77, 271, 0), (297, 1041, 0), (13, 96)),
+    ("spec", "chebyshev-u", (0, 1, 0), (77, 271, 0), (297, 1041, 0), (14, 96)),
+    ("spec", "continuant", (0, 1, 0), (77, 233, 0), (297, 893, 0), (30, 86)),
+    ("spec", "fibonacci-num", (0, 1, 0), (77, 233, 0), (297, 893, 0), (8, 86)),
+    ("spec", "fibonacci-poly", (0, 1, 0), (77, 233, 0), (297, 893, 0), (7, 86)),
+    ("spec", "hermite", (0, 1, 0), (115, 309, 0), (445, 1189, 0), (24, 116)),
+    ("spec", "horner", (0, 1, 0), (225, 419, 0), (885, 1629, 0), (5, 168)),
+    ("spec", "laguerre", (0, 1, 0), (191, 271, 76), (741, 1041, 296), (29, 146)),
+    ("spec", "legendre", (0, 1, 0), (153, 309, 76), (593, 1189, 296), (23, 146)),
+    ("spec", "lucas-poly", (0, 1, 0), (77, 233, 0), (297, 893, 0), (7, 86)),
+    ("spec", "naturals", (0, 1, 0), (77, 233, 0), (297, 893, 0), (5, 86)),
+    ("spec", "ode-example", (0, 1, 0), (299, 419, 74), (1179, 1629, 294), (20, 204)),
+    ("spec", "partial-sums", (0, 1, 0), (78, 79, 39), (298, 299, 149), (7, 56)),
+    ("spec", "powers-of-two", (0, 3, 0), (1560, 3240, 0), (22350, 45150, 0), (12, 432)),
+    ("family", "fibonacci-poly", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (7, 212)),
+    ("family", "lucas-poly", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (7, 212)),
+    ("family", "chebyshev-t", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (13, 212)),
+    ("family", "chebyshev-u", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (14, 212)),
+    ("family", "hermite", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (24, 212)),
+    ("family", "legendre", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (23, 212)),
+    ("family", "laguerre", (0, 3, 0), (819, 1017, 0), (11324, 12072, 0), (29, 212)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name, at_1, at_40, at_150, tracked_12",
+    VERIFY_COUNTS,
+    ids=[f"{kind}-{name}" for kind, name, *_ in VERIFY_COUNTS],
+)
+def test_verify_counts_are_pinned(kind, name, at_1, at_40, at_150, tracked_12):
+    if kind == "spec":
+        spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
+    else:
+        spec = family_spec(FamilyId(name))
+    for n, want in ((1, at_1), (40, at_40), (150, at_150)):
+        COUNTER.reset()
+        assert verify_spec(spec, n).passed
+        assert (COUNTER.adds, COUNTER.muls, COUNTER.divs) == want, n
+    COUNTER.reset(track_bits=True)
+    try:
+        assert verify_spec(spec, 12).passed
+        assert (COUNTER.max_bits, COUNTER.ring_ops) == tracked_12
+    finally:
+        COUNTER.reset()
+
+
 ROUTE_CASES = [("family", fid.value) for fid in FamilyId] + [
     ("spec", name) for name in available()
 ]
@@ -731,33 +781,7 @@ class TestCoefficientReadsOnce:
         COUNTER.reset()
 
 
-# --- verify_spec's column route against its matrix route --------------------
-
-
-def _matrix_report(spec, n):
-    return recurrence._report(spec.name, *recurrence._matrix_route(spec, n, "fast", None))
-
-
-def _assert_routes_agree(spec, n, route_taken=None):
-    """verify_spec equals its matrix route, in the report (so in its JSON
-    bytes) or the error's type, message and k, and in COUNTER's ring ops;
-    route_taken, when given, says whether the column route gave it."""
-    calls = []
-    column_route = recurrence._column_route
-
-    def spy(*args):
-        calls.append(column_route(*args))
-        return calls[-1]
-
-    recurrence._column_route = spy
-    try:
-        got = _outcome(verify_spec, spec, n)
-    finally:
-        recurrence._column_route = column_route
-    assert got == _outcome(_matrix_report, spec, n), (spec.name, n)
-    if route_taken is not None:
-        assert (calls[0] is not None) == route_taken, (spec.name, n)
-    return got[0]
+# --- verify_spec on the specs the vector form covers, or does not -----------
 
 
 def _k_minus(c):
@@ -767,7 +791,29 @@ def _k_minus(c):
     )
 
 
-class TestColumnRoute:
+def _evaluations_counted(spec):
+    """spec with its coefficient wrapped to count each value it computes:
+    one per scalar call, and one per index of a vector run."""
+    f = spec.coeff
+    evaluated = Counter()
+
+    def coeff(k, i):
+        evaluated[k, i] += 1
+        return f(k, i)
+
+    def vector(k, i):
+        evaluated.update((k, j) for j in i)
+        return f.vector(k, i)
+
+    coeff.vector = vector
+    coeff.ops = f.ops
+    return dataclasses.replace(spec, coeff=coeff), evaluated
+
+
+class TestVectorRows:
+    """verify_spec against reference_verify where the vector form computes
+    rows of the table, gives way to calls, or hands its kernels over."""
+
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -786,7 +832,7 @@ class TestColumnRoute:
                     for c in doc.coeffs
                 ),
             )
-        _assert_routes_agree(dsl.to_spec(doc), n)
+        _assert_table_matches_reference(dsl.to_spec(doc), n)
 
     @pytest.mark.parametrize(
         "name", [name for name in available() if dsl.parse(spec_text(name)).ring == "rational"]
@@ -794,7 +840,7 @@ class TestColumnRoute:
     def test_rational_shipped_specs(self, name):
         spec = _dsl_spec(spec_text(name), name)
         for n in (1, 2, 3, 4, 40, 150):
-            assert _assert_routes_agree(spec, n, route_taken=True).passed
+            assert _assert_table_matches_reference(spec, n).passed
 
     @pytest.mark.parametrize("name", available(negative=True))
     def test_negative_specs(self, name):
@@ -803,7 +849,7 @@ class TestColumnRoute:
         except RecdetError:
             return  # refused by the parser, before any spec exists
         for n in (8, 9, 12):
-            _assert_routes_agree(spec, n, route_taken=n < 9)
+            _assert_table_matches_reference(spec, n)
 
     def test_the_matrix_read_order_picks_the_first_error(self):
         # k + 3i = 22 vanishes at (k, i) = (7, 5), (10, 4), ..., (19, 1);
@@ -814,50 +860,54 @@ class TestColumnRoute:
             "coeff p(k, i) = 1/(k + 3*i - 22)\n"
         )
         for n, k in ((20, 19), (12, 10), (8, 7)):
-            got = _assert_routes_agree(spec, n, route_taken=False)
+            got = _assert_table_matches_reference(spec, n)
             assert got == (DivisionByZero, f"denominator is zero at k = {k}", k)
-        _assert_routes_agree(spec, 6, route_taken=True)
+        assert _assert_table_matches_reference(spec, 6).passed
 
-    def test_specs_left_to_the_matrix_route(self):
+    def test_specs_the_vector_rows_leave_to_calls(self):
         # a first_valid_k gap, initial values that are not Fractions, and
-        # a declared band that p breaks, which only the matrix route sees
+        # a declared band that p breaks, which only direct iteration sees
         gap = _dsl_spec(
             "mode = fixed-order\nring = rational\norder = 2\ninitial = [1, 2]\n"
             "first_valid_k = 6\ncoeff p1(k) = 1/(k - 4)\ncoeff p2(k) = k\n"
         )
-        assert _assert_routes_agree(gap, 2, route_taken=True).passed
-        assert _assert_routes_agree(gap, 3, route_taken=False)[0] is IndexBelowValidity
+        assert _assert_table_matches_reference(gap, 2).passed
+        assert _assert_table_matches_reference(gap, 3)[0] is IndexBelowValidity
         poly_initial = _dsl_spec(
             "mode = fixed-order\nring = poly\norder = 2\ninitial = [1, x]\n"
             "coeff p1(k) = 2\ncoeff p2(k) = -1\n"
         )
-        _assert_routes_agree(poly_initial, 1, route_taken=True)
-        _assert_routes_agree(poly_initial, 12, route_taken=False)
-        _assert_routes_agree(
+        _assert_table_matches_reference(poly_initial, 1)
+        _assert_table_matches_reference(poly_initial, 12)
+        _assert_table_matches_reference(
             _dsl_spec("mode = full-history\nring = poly\ninitial = x\ncoeff p(k, i) = i/k\n"),
             12,
-            route_taken=False,
         )
         dense = _dsl_spec("mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = 1\n")
-        assert _assert_routes_agree(dense, 10, route_taken=True).passed
+        assert _assert_table_matches_reference(dense, 10).passed
         banded = dataclasses.replace(dense, band=1)
-        assert not _assert_routes_agree(banded, 10, route_taken=False).passed
+        assert not _assert_table_matches_reference(banded, 10).passed
 
     @pytest.mark.parametrize(
-        "p, n, route_taken",
+        "p, n",
         [
-            ("(k - i + 1)/(k + 2*i) - 1/3", 100, False),
-            ("(k - i + 1)/(k + 2*i) - 1/3", 200, False),
-            ("1/i", 100, True),
-            ("1/i", 200, False),
+            ("(k - i + 1)/(k + 2*i) - 1/3", 100),
+            ("(k - i + 1)/(k + 2*i) - 1/3", 200),
+            ("1/i", 100),
+            ("1/i", 200),
         ],
     )
-    def test_row_dependent_denominators(self, p, n, route_taken):
-        # the scales grow with the row: where the matrix route's int
-        # kernel hands over to the ring path, the column route gives way
-        # to the matrix route from the start
-        spec = _dsl_spec(f"mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = {p}\n")
-        assert _assert_routes_agree(spec, n, route_taken).passed
+    def test_row_dependent_denominators(self, p, n):
+        # the scales grow with the row: each int kernel hands over to its
+        # ring path where its own scale outgrows its values, and goes on
+        # from the values the vector rows computed, evaluating none again
+        spec, evaluated = _evaluations_counted(
+            _dsl_spec(f"mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = {p}\n")
+        )
+        got = verify_spec(spec, n)
+        assert evaluated == Counter({(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1)})
+        assert got.passed
+        assert _assert_table_matches_reference(spec, n) == got
 
     @pytest.mark.parametrize(
         "kwargs, track_bits",
@@ -870,7 +920,7 @@ class TestColumnRoute:
         ],
     )
     @pytest.mark.parametrize("name", ["powers-of-two", "ode-example"])
-    def test_only_fast_untracked_uncorrupted_calls_take_the_route(
+    def test_only_fast_untracked_uncorrupted_calls_run_the_vector_form(
         self, name, kwargs, track_bits
     ):
         spec = _dsl_spec(spec_text(name), name)
@@ -928,8 +978,7 @@ def _assert_same_values(got, want):
 def _assert_columns_match_matrix(spec, n):
     """The band columns give the matrix's minors and determinant_terms
     the matrix route's terms: values, types, renderings and COUNTER."""
-    full = spec if isinstance(spec, FullHistorySpec) else embed_fixed_order(spec)
-    got, counts = _counted(recurrence._band_minors, full, n)
+    got, counts = _counted(recurrence._band_minors, recurrence._Rows(spec, n))
     want, want_counts = _counted(_matrix_minors, spec, n)
     _assert_same_values(got, want)
     assert counts == want_counts
