@@ -977,7 +977,8 @@ def _assert_same_values(got, want):
 
 def _assert_columns_match_matrix(spec, n):
     """The band columns give the matrix's minors and determinant_terms
-    the matrix route's terms: values, types, renderings and COUNTER."""
+    the terms _matrix_terms takes from the matrix: values, types,
+    renderings and COUNTER."""
     got, counts = _counted(recurrence._band_minors, recurrence._Rows(spec, n))
     want, want_counts = _counted(_matrix_minors, spec, n)
     _assert_same_values(got, want)
