@@ -15,6 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .errors import IndexBelowValidity, RecdetError
@@ -108,21 +109,26 @@ class _Rows:
     a fixed-order one, k > m.  The kernels read rows whole, as scaled
     int rows (L, [p * L]) where the coefficients' vector form gives them
     (see scaled), L the lcm of the reduced denominators as
-    ring.int_scaled takes it.  The vector form computes every row at
-    once, when a kernel first asks: one run of i per row of a
-    full-history spec with no declared band, one run of k per p_t of a
-    fixed-order spec.  Every other value is computed by a call, in the
-    order the values are read (see value), and from the first such call
-    on no vector form runs.  A value that raised is not stored, so
-    errors are those of the spec itself.
+    ring.int_scaled takes it.  The vector form runs once a kernel asks
+    for a scaled row (see scaled): for a full-history spec with no
+    declared band, one run of i per row, when the row is first read, up
+    to the first row whose run refuses; for a fixed-order spec, one run
+    of k per p_t, for every row at once.  Every other value is computed
+    by a call, in the order the values are read (see value and take),
+    and from the first such call on no vector form runs.  A value that
+    raised is not stored, so errors are those of the spec itself.
 
-    verify_spec's two sides read one table; nothing is shared between
-    calls or threads.
+    verify_spec's two sides read one table, which it makes shared;
+    direct iteration, the last reader, forgets each row once it has
+    summed it (see take).  Nothing is shared between calls or threads.
     """
 
-    def __init__(self, spec: FullHistorySpec | FixedOrderSpec, n: int) -> None:
+    def __init__(
+        self, spec: FullHistorySpec | FixedOrderSpec, n: int, shared: bool = False
+    ) -> None:
         self.spec = spec
         self.n = n
+        self.shared = shared
         self.full = isinstance(spec, FullHistorySpec)
         self.funcs = (spec.coeff,) if self.full else spec.coeffs
         self.clear()
@@ -134,6 +140,7 @@ class _Rows:
         self.vector = all(hasattr(f, "vector") for f in self.funcs) and (
             not self.full or self.spec.band is None
         )
+        self.asked = False
 
     def width(self, k: int) -> int:
         return k if self.full else len(self.funcs)
@@ -143,7 +150,7 @@ class _Rows:
         row = self.cells[k]
         v = row.get(i)
         if v is None:
-            got = self.ints[k]
+            got = self.scaled(k) if self.asked else None
             if got is None:
                 self.vector = False
                 v = self.funcs[0](k, i) if self.full else self.funcs[i - 1](k)
@@ -152,32 +159,27 @@ class _Rows:
             row[i] = v
         return v
 
-    def scaled(self) -> list[tuple[int, list[int]] | None]:
-        """The rows as scaled int rows, indexed by k, None for a row that
-        the vector form does not give.
-
-        The first call computes every row it can: none while bits are
-        tracked, when a coefficient has no vector form, or once a value
-        was computed by a call; for a full-history spec the rows up to
-        the first whose run divides by zero or names an unbound
-        variable; for a fixed-order spec all rows from first_valid_k on,
-        or none if a run refuses.  COUNTER gets each value's DSL ops."""
-        if not self.vector or COUNTER.track_bits:
-            return self.ints
-        self.vector = False
+    def scaled(self, k: int) -> tuple[int, list[int]] | None:
+        """Row k as a scaled int row, or None if the vector form does not
+        give it: while bits are tracked, when a coefficient has no vector
+        form, or once a value was computed by a call; for a full-history
+        spec from the first row whose run divides by zero or names an
+        unbound variable; for a fixed-order spec below first_valid_k, or
+        if a run refuses.  COUNTER gets each value's DSL ops."""
+        got = self.ints[k]
+        if got is not None or not self.vector or COUNTER.track_bits:
+            return got
+        self.asked = True
         if self.full:
-            coeff = self.spec.coeff
-            i = list(range(1, self.n + 1))
-            values = 0
-            for k in i:
-                run = coeff.vector(k, i[:k])  # type: ignore[attr-defined]
-                if run is None:
-                    break  # by calls from here
-                nums, dens = run
-                self.ints[k] = pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
-                values += k
-            self._count(values)
-            return self.ints
+            run = self.spec.coeff.vector(k, list(range(1, k + 1)))  # type: ignore[attr-defined]
+            if run is None:
+                self.vector = False  # by calls from here
+                return None
+            nums, dens = run
+            got = self.ints[k] = pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
+            self._count(k)
+            return got
+        self.vector = False
         ks = list(range(self.spec.first_valid_k, self.n + 1))
         runs = [f.vector(ks, None) for f in self.funcs] if ks else [None]  # type: ignore[attr-defined]
         if None not in runs:
@@ -185,7 +187,28 @@ class _Rows:
             dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in runs))
             self.ints[ks[0] :] = map(pairs_scaled, nums, dens)
             self._count(len(ks))
-        return self.ints
+        return self.ints[k]
+
+    def take(self, k: int, row: list[RingValue]) -> None:
+        """Append row k's values to row, in order, for the row's last
+        reader, and forget the row.  A row that neither another reader
+        read nor the vector form gives is computed by calls and not
+        stored.  A value that raises leaves the values before it in row,
+        as list.extend keeps what it took."""
+        if k in self.cells or (self.asked and self.scaled(k)):
+            row.extend(self.value(k, i) for i in range(1, self.width(k) + 1))
+        else:
+            self.vector = False
+            if self.full:
+                row.extend(map(partial(self.spec.coeff, k), range(1, k + 1)))
+            else:
+                row.extend(f(k) for f in self.funcs)
+        self.drop(k)
+
+    def drop(self, k: int) -> None:
+        """Forget row k, which no reader reads again."""
+        self.cells.pop(k, None)
+        self.ints[k] = None
 
     def _count(self, values: int) -> None:
         """COUNTER gets the DSL ops of that many values of each coefficient."""
@@ -196,7 +219,11 @@ class _Rows:
             COUNTER.divs += divs * values
 
     def reader(self) -> FullHistorySpec | FixedOrderSpec:
-        """A copy of the spec whose coefficients read the table."""
+        """A copy of the spec whose coefficients read the table, or the
+        spec itself where storing its values serves no one: a table no
+        other reader reads, whose vector form will not run."""
+        if not (self.shared or self.vector or self.asked):
+            return self.spec
         if self.full:
             return replace(self.spec, coeff=self.value)
         value = self.value
@@ -253,9 +280,8 @@ def _direct(rows: _Rows) -> list[RingValue]:
         ks = iter(range(m + 1, n + 1))
 
     def scaled_rows() -> Iterator[tuple[int, list[int]]]:
-        ints = rows.scaled()
         for k in ks:
-            scaled = ints[k]
+            scaled = rows.scaled(k)
             if scaled is None:
                 row = _read_row(rows, k, terms)
                 scaled = int_scaled(row)
@@ -263,6 +289,8 @@ def _direct(rows: _Rows) -> list[RingValue]:
                     # the ring loop sums this row and the rest
                     terms.append(_ring_sum(row, terms[-len(row) :]))
                     return
+            else:
+                rows.drop(k)
             yield scaled
 
     start = int_scaled(terms)
@@ -275,16 +303,14 @@ def _direct(rows: _Rows) -> list[RingValue]:
 
 
 def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
-    """Row k of the table, in order."""
-    w = rows.width(k)
+    """Row k of the table, in order (see _Rows.take)."""
     row: list[RingValue] = []
     try:
-        for i in range(1, w + 1):
-            row.append(rows.value(k, i))
+        rows.take(k, row)
     except BaseException:
         # leave the counts and max_bits of a loop that sums each
         # coefficient as it reads it
-        _ring_sum(row, terms[-w:])
+        _ring_sum(row, terms[-rows.width(k) :])
         raise
     return row
 
@@ -415,8 +441,8 @@ def determinant_terms(
     method with no corrupt cell and bits untracked builds no matrix: it
     reads the band columns from the table (see _band_minors).  Every
     other call takes the minors of Theorem 1's or 2's matrix, built from
-    the table.  While bits are untracked, COUNTER counts the n products
-    by a(1) in bulk, and an a(1) of Fraction 1 skips them.
+    the table.  An a(1) of Fraction 1 skips its n products while bits
+    are untracked; COUNTER still counts them.
     """
     return _determinant_terms(_Rows(spec, n), method, corrupt)
 
@@ -449,12 +475,10 @@ def _determinant_terms(
     if not rows.full:
         return minors
     a1 = spec.initial
-    if COUNTER.track_bits:
-        return [ring_mul(a1, d) for d in minors]
-    COUNTER.muls += len(minors)
-    if type(a1) is Fraction and a1 == 1:
+    if type(a1) is Fraction and a1 == 1 and not COUNTER.track_bits:
+        COUNTER.muls += len(minors)
         return minors
-    return [a1 * d for d in minors]
+    return [ring_mul(a1, d) for d in minors]
 
 
 class _BuildTheMatrix(Exception):
@@ -476,7 +500,8 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
     cells through ring.int_scaled while they are Fractions, or as int
     coefficient lists from the first column with a Polynomial on
     (ring.poly_scaled).  The ring recurrence takes over from the column
-    where a scale outgrew its minor, with the minors so far.
+    where a scale outgrew its minor, with the minors so far.  A table
+    that is not shared forgets each row once its column is read from it.
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
@@ -485,6 +510,7 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
     """
     n = rows.n
     spec = rows.reader()
+    forget = spec is not rows.spec and not rows.shared
     if not rows.full:
         spec = embed_fixed_order(spec)
     band = n if spec.band is None else spec.band
@@ -497,21 +523,24 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
             cells = [coeff(c + 1, i) for i in range(lo + 1, c + 2)]
         except Exception as exc:
             raise _BuildTheMatrix from exc
+        if forget:
+            rows.drop(c + 1)
         if not set(map(type, cells)) <= _RING_TYPES:
             raise _BuildTheMatrix
         return cells
 
     def scaled() -> Iterator[tuple[int, list, int]]:
-        ints = rows.scaled()
         gate = int_scaled
         for c in range(n):
-            got = ints[c + 1] if gate is int_scaled else None
+            got = rows.scaled(c + 1) if gate is int_scaled else None
             if got is None:
                 cells = column(c, max(c - band, 0))
                 got = gate(cells)
                 if got is None:  # a Polynomial: lists from here on
                     gate = poly_scaled
                     got = gate(cells)
+            elif forget:
+                rows.drop(c + 1)
             # the -1 under column k, negated and scaled, is L_k
             scale, col = got
             yield scale, col, scale
@@ -573,7 +602,7 @@ def verify_spec(
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
-    rows = _Rows(spec, max_n)
+    rows = _Rows(spec, max_n, shared=True)
     dets = _determinant_terms(rows, method, corrupt)
     direct = _direct(rows)
     return _report(spec.name, direct[1:] if rows.full else direct, dets)

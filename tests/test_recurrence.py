@@ -556,10 +556,13 @@ class TestIntDirectKernel:
 
 
 def reference_verify(spec, max_n, method="fast", corrupt=None):
-    """verify_spec as composed without its coefficient table: the
-    determinant route and direct iteration each read the spec itself."""
+    """verify_spec as composed without a shared coefficient table: the
+    determinant route and direct iteration each compute every value by
+    a call.  The coefficients are plain wrappers with no vector form, so
+    no scaled int row enters either side (see _by_calls)."""
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
+    spec = _by_calls(spec)
     dets = determinant_terms(spec, max_n, method, corrupt)
     if isinstance(spec, FullHistorySpec):
         direct = eval_full_history(spec, max_n + 1).terms[1:]
@@ -574,6 +577,15 @@ def reference_verify(spec, max_n, method="fast", corrupt=None):
     return VerificationReport(
         spec=spec.name, checks=checks, passed=all(c.ok for c in checks)
     )
+
+
+def _by_calls(spec):
+    """A copy of spec whose coefficients call the spec's, with no vector
+    form: each value is computed by one call, as the spec computes it."""
+    if isinstance(spec, FullHistorySpec):
+        f = spec.coeff
+        return dataclasses.replace(spec, coeff=lambda k, i: f(k, i))
+    return dataclasses.replace(spec, coeffs=tuple((lambda k, f=f: f(k)) for f in spec.coeffs))
 
 
 def _outcome(run, spec, *args, track_bits=False):
@@ -936,6 +948,35 @@ class TestVectorRows:
         assert runs == []
         verify_spec(spec, 8)
         assert runs
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "mode = full-history\nring = rational\ninitial = 1\n"
+            "coeff p(k, i) = (k - i + 1)/(k + 2*i) - 1/3\n",
+            "mode = full-history\nring = rational\ninitial = 1\ncoeff p(k, i) = 1/k\n",
+            spec_text("ode-example"),
+        ],
+        ids=["row-dependent", "one-over-k", "fixed-order"],
+    )
+    def test_the_last_reader_of_a_row_forgets_it(self, text):
+        # so eval and a lone determinant_terms hold no more than a row of
+        # coefficients at a time; by calls as well as by vector rows
+        def forgot_everything(rows):
+            return not rows.cells and rows.ints == [None] * (rows.n + 1)
+
+        for spec in (_dsl_spec(text), _by_calls(_dsl_spec(text))):
+            rows = recurrence._Rows(spec, 100)
+            recurrence._direct(rows)
+            assert forgot_everything(rows)
+            rows = recurrence._Rows(spec, 100)
+            recurrence._determinant_terms(rows, "fast", None)
+            assert forgot_everything(rows)
+            rows = recurrence._Rows(spec, 100, shared=True)
+            recurrence._determinant_terms(rows, "fast", None)
+            assert not forgot_everything(rows)
+            recurrence._direct(rows)
+            assert forgot_everything(rows)
 
 
 # --- determinant_terms' band columns against the matrix ---------------------
