@@ -111,16 +111,20 @@ class _Rows:
     (see scaled), L the lcm of the reduced denominators as
     ring.int_scaled takes it.  The vector form runs once a kernel asks
     for a scaled row (see scaled): for a full-history spec with no
-    declared band, one run of i per row, when the row is first read, up
-    to the first row whose run refuses; for a fixed-order spec, one run
-    of k per p_t, for every row at once.  Every other value is computed
+    declared band, one run of i per row, up to the first row whose run
+    refuses; for a fixed-order spec, one run of k per p_t, for every row
+    at once.  Every other value is computed
     by a call, in the order the values are read (see value and take),
     and from the first such call on no vector form runs.  A value that
     raised is not stored, so errors are those of the spec itself.
 
-    verify_spec's two sides read one table, which it makes shared;
-    direct iteration, the last reader, forgets each row once it has
-    summed it (see take).  Nothing is shared between calls or threads.
+    verify_spec's two sides read one table, which it makes shared.  It
+    holds every row by the time direct iteration, the last reader,
+    starts, and goes when verify_spec returns.  A table that is not
+    shared, eval's or a lone determinant_terms', computes each row of a
+    full-history spec when it is first read and forgets it once read
+    (see take), so it holds one row at a time.  Nothing is shared
+    between calls or threads.
     """
 
     def __init__(
@@ -171,14 +175,19 @@ class _Rows:
             return got
         self.asked = True
         if self.full:
-            run = self.spec.coeff.vector(k, list(range(1, k + 1)))  # type: ignore[attr-defined]
-            if run is None:
-                self.vector = False  # by calls from here
-                return None
-            nums, dens = run
-            got = self.ints[k] = pairs_scaled(nums if type(nums) is list else [nums] * k, dens)
-            self._count(k)
-            return got
+            # every row of a shared table is read: those from k on come
+            # at once, in one count
+            values = 0
+            for j in range(k, self.n + 1 if self.shared else k + 1):
+                run = self.spec.coeff.vector(j, list(range(1, j + 1)))  # type: ignore[attr-defined]
+                if run is None:
+                    self.vector = False  # by calls from here
+                    break
+                nums, dens = run
+                self.ints[j] = pairs_scaled(nums if type(nums) is list else [nums] * j, dens)
+                values += j
+            self._count(values)
+            return self.ints[k]
         self.vector = False
         ks = list(range(self.spec.first_valid_k, self.n + 1))
         runs = [f.vector(ks, None) for f in self.funcs] if ks else [None]  # type: ignore[attr-defined]
@@ -289,7 +298,7 @@ def _direct(rows: _Rows) -> list[RingValue]:
                     # the ring loop sums this row and the rest
                     terms.append(_ring_sum(row, terms[-len(row) :]))
                     return
-            else:
+            elif not rows.shared:
                 rows.drop(k)
             yield scaled
 
