@@ -154,12 +154,12 @@ class _Rows:
         row = self.cells[k]
         v = row.get(i)
         if v is None:
-            got = self.scaled(k) if self.asked else None
-            if got is None:
+            got = self.ints[k] or self.asked and self.scaled(k)
+            if got:
+                v = Fraction(got[1][i - 1], got[0])
+            else:
                 self.vector = False
                 v = self.funcs[0](k, i) if self.full else self.funcs[i - 1](k)
-            else:
-                v = Fraction(got[1][i - 1], got[0])
             row[i] = v
         return v
 
@@ -200,12 +200,15 @@ class _Rows:
 
     def take(self, k: int, row: list[RingValue]) -> None:
         """Append row k's values to row, in order, for the row's last
-        reader, and forget the row.  A row that neither another reader
-        read nor the vector form gives is computed by calls and not
-        stored.  A value that raises leaves the values before it in row,
-        as list.extend keeps what it took."""
-        if k in self.cells or (self.asked and self.scaled(k)):
+        reader, and forget the row.  A row that no other reader read is
+        not stored: it comes from the vector form's scaled int row where
+        that gives one, else by calls.  A value that raises leaves the
+        values before it in row, as list.extend keeps what it took."""
+        got = self.ints[k] or self.asked and self.scaled(k)
+        if k in self.cells:
             row.extend(self.value(k, i) for i in range(1, self.width(k) + 1))
+        elif got:
+            row.extend([Fraction(p, got[0]) for p in got[1]])
         else:
             self.vector = False
             if self.full:
@@ -290,7 +293,7 @@ def _direct(rows: _Rows) -> list[RingValue]:
 
     def scaled_rows() -> Iterator[tuple[int, list[int]]]:
         for k in ks:
-            scaled = rows.scaled(k)
+            scaled = rows.ints[k] or rows.scaled(k)
             if scaled is None:
                 row = _read_row(rows, k, terms)
                 scaled = int_scaled(row)
@@ -541,7 +544,7 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
     def scaled() -> Iterator[tuple[int, list, int]]:
         gate = int_scaled
         for c in range(n):
-            got = rows.scaled(c + 1) if gate is int_scaled else None
+            got = (rows.ints[c + 1] or rows.scaled(c + 1)) if gate is int_scaled else None
             if got is None:
                 cells = column(c, max(c - band, 0))
                 got = gate(cells)
