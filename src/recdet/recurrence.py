@@ -113,10 +113,10 @@ class _Rows:
     for a scaled row (see scaled): for a full-history spec with no
     declared band, one run of i per row, up to the first row whose run
     refuses; for a fixed-order spec, one run of k per p_t, for every row
-    at once.  Every other value is computed
-    by a call, in the order the values are read (see value and take),
-    and from the first such call on no vector form runs.  A value that
-    raised is not stored, so errors are those of the spec itself.
+    at once.  Every other value is computed by a call, in the order the
+    values are read (see value and take), and from the first such call
+    on no vector form runs.  A value that raised is not stored, so
+    errors are those of the spec itself.
 
     verify_spec's two sides read one table, which it makes shared.  It
     holds every row by the time direct iteration, the last reader,
