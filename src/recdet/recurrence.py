@@ -449,8 +449,9 @@ def determinant_terms(
     before any determinant is taken, as a negative control; the position
     must stay inside the upper-Hessenberg band.
 
-    The coefficients are read through a row table (see _Rows).  The fast
-    method with no corrupt cell and bits untracked builds no matrix: it
+    The coefficients are read through a row table of this call's own,
+    which holds one row at a time (see _Rows).  The fast method with no
+    corrupt cell and bits untracked builds no matrix: it
     reads the band columns from the table (see _band_minors).  Every
     other call takes the minors of Theorem 1's or 2's matrix, built from
     the table.  An a(1) of Fraction 1 skips its n products while bits
