@@ -32,7 +32,8 @@ class InexactDivision(RecdetError):
 
 class SizeTooLarge(RecdetError):
     """Refused before the work: an input exceeds a documented size guard
-    (the cofactor expansion's matrix size, a parsed polynomial's degree)."""
+    (the cofactor expansion's matrix size, a dense matrix's size, a parsed
+    polynomial's degree)."""
 
 
 class NotHessenberg(RecdetError):

@@ -8,7 +8,8 @@ det_bareiss is the O(n^3) ring elimination in general, and an O(n^2)
 row recurrence on upper-Hessenberg matrices while bits are not tracked,
 which needs no row swap and expands rows.  A matrix is given by its rows
 and an optional band; whether it is upper Hessenberg is read from its
-cells, and both fast routes read its integral cells as ints once.
+cells.  Both fast routes read its integral cells as ints once, and all
+three read its integral polynomial cells as int coefficient lists once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-from operator import add, mul
+from operator import add, attrgetter, mul, sub
 from random import Random
 from typing import Callable, Iterable
 
@@ -28,6 +29,7 @@ from .ring import (
     COUNTER,
     Polynomial,
     RingValue,
+    _reduced,
     _reduced_poly,
     int_scaled,
     is_zero,
@@ -76,6 +78,7 @@ class SquareMatrix:
         default=None, init=False, repr=False, compare=False
     )
     _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -127,18 +130,41 @@ class SquareMatrix:
         """The cells as ints, computed on first use and kept in _ints, when
         every cell on or above this upper-Hessenberg matrix's subdiagonal is
         an integral Fraction; else None, and None while COUNTER tracks bits."""
+        return self._kernel_rows(
+            "_ints", Fraction, attrgetter("denominator"), attrgetter("numerator"), 0
+        )
+
+    def _list_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+        """The cells as int coefficient tuples (Polynomial.nums, () for
+        zero), computed on first use and kept in _lists, when every cell on
+        or above this upper-Hessenberg matrix's subdiagonal is a Polynomial
+        with den 1; else None, and None while COUNTER tracks bits."""
+        return self._kernel_rows(
+            "_lists", Polynomial, attrgetter("den"), attrgetter("nums"), ()
+        )
+
+    def _kernel_rows(
+        self, slot: str, kind: type, den: Callable, value: Callable, zero: object
+    ) -> tuple | None:
+        """The rows of an int kernel, kept in the field slot: each cell
+        value(v), zero below the subdiagonal, when the matrix is upper
+        Hessenberg and every cell on or above its subdiagonal is of type
+        kind with den(v) == 1."""
         if COUNTER.track_bits:
             return None
-        if self._ints is None:
-            ints: list = []
-            for r, row in enumerate(self.entries):
-                tail = row[max(r - 1, 0) :]
-                if set(map(type, tail)) != {Fraction} or {v.denominator for v in tail} != {1}:
-                    ints.clear()
-                    break
-                ints.append((0,) * (r - 1) + tuple([v.numerator for v in tail]))
-            object.__setattr__(self, "_ints", tuple(ints))
-        return self._ints or None
+        rows = getattr(self, slot)
+        if rows is None:
+            got: list = []
+            if self._below_subdiagonal is None:
+                for r, row in enumerate(self.entries):
+                    tail = row[max(r - 1, 0) :]
+                    if set(map(type, tail)) != {kind} or set(map(den, tail)) != {1}:
+                        got.clear()
+                        break
+                    got.append((zero,) * (r - 1) + tuple(map(value, tail)))
+            rows = tuple(got)
+            object.__setattr__(self, slot, rows)
+        return rows or None
 
 
 def _first_nonzero(row: tuple[RingValue, ...], lo: int, hi: int) -> int | None:
@@ -164,6 +190,23 @@ def identity(n: int) -> SquareMatrix:
 
 LAPLACE_SIZE_LIMIT = 8
 
+# The largest dense matrix that theorem1_matrix, matrix_from_json and
+# random_hessenberg build; a larger size raises SizeTooLarge before any
+# row is built.  Building and printing one costs about 150 bytes a cell:
+# `matrix --k N --format json` of the poly-ring spec p(k, i) = k*x + i
+# peaked at 60 MB RSS at N = 500 and 191 MB at N = 1000, and of the
+# rational p(k, i) = (k + i)/(2k + i + 1) at 52 and 160 MB;
+# matrix_from_json of that poly JSON at 52 and 169 MB (Python 3.11,
+# x86-64).  So this size stays near 0.75 GB.
+MAX_MATRIX_SIZE = 2000
+
+
+def _refuse_matrix_size(size: int) -> None:
+    """Raise SizeTooLarge when a dense matrix of this size is past
+    MAX_MATRIX_SIZE."""
+    if size > MAX_MATRIX_SIZE:
+        raise SizeTooLarge(f"matrix size above the limit {MAX_MATRIX_SIZE}, got {size}")
+
 
 def det_laplace(m: SquareMatrix) -> RingValue:
     """Determinant by cofactor expansion along the first row.
@@ -172,7 +215,7 @@ def det_laplace(m: SquareMatrix) -> RingValue:
     this is the brute-force oracle, not a production path.
     """
     _refuse_laplace_size(m.size)
-    return _laplace(m.entries)
+    return _laplace(m)
 
 
 def _refuse_laplace_size(size: int) -> None:
@@ -182,7 +225,7 @@ def _refuse_laplace_size(size: int) -> None:
         )
 
 
-def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
+def _laplace(m: SquareMatrix) -> RingValue:
     """Cofactor expansion along the first row, each distinct minor once.
 
     The minor left after expanding rows 0..d-1 is rows d.. on the
@@ -192,9 +235,16 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
     and COUNTER gets the root's totals in bulk.  That expansion forms
     the same products and partial sums, so observing each distinct one
     once leaves max_bits as it would be.
+
+    The cells run over m._list_rows when it has them, each term added
+    into its minor's list (see _list_term), and the determinant comes
+    back as the ring path's Polynomial, or its Fraction 0 when the first
+    row is zero; else over ring values (see _ring_term).
     """
+    lists = m._list_rows()
+    rows = lists or m.entries
+    zero, term = ((), _list_term) if lists else (0, _ring_term)
     n = len(rows)
-    track = COUNTER.track_bits
     memo: dict[tuple[int, ...], tuple[RingValue, int, int]] = {}
 
     def minor(cols: tuple[int, ...]) -> tuple[RingValue, int, int]:
@@ -205,27 +255,16 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
         if len(cols) == 1:
             hit = (row[cols[0]], 0, 0)
         else:
-            total: RingValue | None = None
+            total = None
             muls = adds = 0
             for j, c in enumerate(cols):
                 v = row[c]
-                if is_zero(v):
+                if v == zero:
                     continue
-                sub, sub_muls, sub_adds = minor(cols[:j] + cols[j + 1 :])
-                term = v * sub
-                if track:
-                    COUNTER.observe(term)
-                if j % 2:
-                    term = -term
-                muls += 1 + sub_muls
-                adds += sub_adds
-                if total is None:
-                    total = term
-                else:
-                    total = total + term
-                    adds += 1
-                    if track:
-                        COUNTER.observe(total)
+                rest, rest_muls, rest_adds = minor(cols[:j] + cols[j + 1 :])
+                muls += 1 + rest_muls
+                adds += rest_adds if total is None else rest_adds + 1
+                total = term(total, v, rest, j % 2)
             hit = (Fraction(0) if total is None else total, muls, adds)
         memo[cols] = hit
         return hit
@@ -233,7 +272,36 @@ def _laplace(rows: tuple[tuple[RingValue, ...], ...]) -> RingValue:
     det, muls, adds = minor(tuple(range(n)))
     COUNTER.muls += muls
     COUNTER.adds += adds
-    return det
+    return _list_value(det) if lists else det
+
+
+def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
+    """total + (-1)^odd * v * rest over the ring, the product and the sum
+    observed while bits are tracked; a total of None starts the sum."""
+    t = v * rest
+    if COUNTER.track_bits:
+        COUNTER.observe(t)
+    if odd:
+        t = -t
+    if total is None:
+        return t
+    total = total + t
+    if COUNTER.track_bits:
+        COUNTER.observe(total)
+    return total
+
+
+def _list_term(total, v: tuple[int, ...], rest, odd: int) -> list[int]:
+    """_ring_term over int coefficient lists, a total of None starting
+    from []: v * rest added into total, or subtracted when odd.  A rest
+    that is the Fraction 0 of an empty expansion adds nothing."""
+    return _add_product([] if total is None else total, v, rest, sub if odd else add)
+
+
+def _list_value(v) -> RingValue:
+    """A list kernel's result as the ring path's value: the Polynomial of
+    an int coefficient list or tuple, or a Fraction as it is."""
+    return v if type(v) is Fraction else _reduced_poly(list(v), 1)
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
@@ -288,14 +356,19 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
     as well, every later minor is 0.  A row whose subdiagonal cell is
     zero is only rescaled, and keeps its zero cells as they are.
 
-    The cells on or above the subdiagonal run over m._int_rows when it
-    has them, and the results come back as Fractions.  COUNTER gets
-    det_bareiss's ring-path counts in bulk, with minors or without.
+    The cells on or above the subdiagonal run over m._int_rows or
+    m._list_rows when it has them, and the results come back as the ring
+    path's Fractions or Polynomials (see _list_value); the loop forms its
+    rows by _combine or _combine_lists.  COUNTER gets det_bareiss's
+    ring-path counts in bulk, with minors or without.
     """
     n = m.size
     ints = m._int_rows()
+    lists = None if ints else m._list_rows()
+    zero, combine = ((), _combine_lists) if lists else (0, _combine)
+    value = Fraction if ints else _list_value if lists else None
     # row r from column r - 1: the cells on or above the subdiagonal
-    tails = [row[max(r - 1, 0) :] for r, row in enumerate(ints or m.entries)]
+    tails = [row[max(r - 1, 0) :] for r, row in enumerate(ints or lists or m.entries)]
     row = tails[0]
     pivots = [row[0]]
     steps = n - 1
@@ -304,29 +377,52 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
     for i in range(1, n):
         tail = tails[i]
         p, s = row[0], tail[0]
-        if p == 0:
-            if s == 0:
-                steps = i - 1
-                pivots += [Fraction(0)] * (n - i)
-                break
-            s = -s
-            row = [x if x == 0 else s * x for x in row[1:]]
-            swaps[i] = len(row) - row.count(0)
-        elif s == 0:
-            row = [x if x == 0 else p * x for x in tail[1:]]
-        else:
-            row = [p * x - s * y for x, y in zip(tail[1:], row[1:])]
+        if p == zero and s == zero:
+            steps = i - 1
+            pivots += [Fraction(0)] * (n - i)
+            break
+        row = combine(p, tail[1:], s, row[1:])
+        if p == zero:
+            swaps[i] = len(row) - row.count(zero)
         pivots.append(row[0])
-    _hessenberg_bareiss_counts(tails, steps, swaps)
+    _hessenberg_bareiss_counts(tails, steps, swaps, zero)
     if minors is not None:
-        minors += pivots if ints is None else map(Fraction, pivots)
-    return pivots[-1] if ints is None else Fraction(pivots[-1])
+        minors += pivots if value is None else map(value, pivots)
+    return pivots[-1] if value is None else value(pivots[-1])
 
 
-def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -> None:
+def _combine(p: RingValue, xs: list, s: RingValue, ys: list) -> list:
+    """The next row of _hessenberg_bareiss over ints or ring values:
+    p * xs - s * ys cell by cell, or, when p is zero, -s * ys and, when s
+    is zero, p * xs, with zero cells kept as they are."""
+    if p == 0:
+        s = -s
+        return [y if y == 0 else s * y for y in ys]
+    if s == 0:
+        return [x if x == 0 else p * x for x in xs]
+    return [p * x - s * y for x, y in zip(xs, ys)]
+
+
+def _combine_lists(p: tuple[int, ...], xs: list, s: tuple[int, ...], ys: list) -> list:
+    """_combine over int coefficient lists, () for zero: a nonzero cell
+    is a list or tuple with no trailing zero, so that a zero test is a
+    comparison with () and a cancelled p * x - s * y becomes ()."""
+    if not p:
+        return [y if not y else _add_product([], s, y, sub) for y in ys]
+    if not s:
+        return [x if not x else _add_product([], p, x) for x in xs]
+    return [
+        acc if (acc := _add_product(_add_product([], p, x), s, y, sub)) and acc[-1]
+        else _reduced(acc, 1)[0]
+        for x, y in zip(xs, ys)
+    ]
+
+
+def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int], zero) -> None:
     """Add to COUNTER the muls, adds and divs of _ring_bareiss's first
     steps on an upper-Hessenberg matrix, whose rows from the
-    subdiagonal on are tails, with the rows in swaps swapped up.
+    subdiagonal on are tails, with the rows in swaps swapped up.  A
+    cell equal to zero (0, or () in int coefficient lists) is zero.
 
     At step k, with w = n - k - 1, row k + 1 costs 2w muls, w adds and w
     divs when its subdiagonal cell is nonzero; every other row below the
@@ -339,7 +435,7 @@ def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -
     muls = adds = divs = 0
     for i in range(1, n):
         tail = tails[i]
-        live = len(tail) - tail.count(0)
+        live = len(tail) - tail.count(zero)
         rescaled = live * min(steps, i - 1)
         muls += rescaled
         divs += rescaled
@@ -347,7 +443,7 @@ def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -
             if i in swaps:
                 muls += swaps[i]
                 divs += swaps[i]
-            elif tail[0] == 0:
+            elif tail[0] == zero:
                 muls += live
                 divs += live
             else:
@@ -409,8 +505,9 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     multiplications in Horner order (see _horner).  With a declared band
     b the sum runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
 
-    The leading columns run over ints while m._int_rows or int_scaled
-    lets them (see _int_leading_minors); the ring recurrence takes the rest.
+    The leading columns run over ints or int coefficient lists while
+    m._int_rows, m._list_rows or int_scaled lets them (see
+    _int_leading_minors); the ring recurrence takes the rest.
     """
     if m._below_subdiagonal is not None:
         r, c = m._below_subdiagonal
@@ -420,6 +517,8 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     n = m.size
     band = n if m.band is None else m.band
     d: list[RingValue] = [Fraction(1), *_int_leading_minors(m, band)]
+    if len(d) > n:
+        return d[1:]
     return _ring_leading_minors(*_matrix_columns(m.entries), n, band, d)
 
 
@@ -470,23 +569,26 @@ def _ring_leading_minors(
     return d[1:]
 
 
-def _int_leading_minors(m: SquareMatrix, band: int) -> list[Fraction]:
+def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
     """The leading minors d_1..d_c by scaled_leading_minors: of every
-    column, at scale 1, when m._int_rows has the cells, else of the
+    column, at scale 1, when m._int_rows or m._list_rows has the cells,
+    the negated subdiagonal cell of a list column a list too; else of the
     leading columns whose band and subdiagonal cells int_scaled lets
     through.  Only band cells are read, so a banded matrix costs O(n*b).
     """
-    ints = m._int_rows()
-    gate = int_scaled if ints is None else lambda col: (1, col)
+    rows = m._int_rows() or m._list_rows()
+    gate = int_scaled if rows is None else lambda col: (1, col)
+    rows = rows or m.entries
 
     def columns():
         for c in range(m.size):
             # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
-            scaled = gate([row[c] for row in (ints or m.entries)[max(c - band, 0) : c + 2]])
+            scaled = gate([row[c] for row in rows[max(c - band, 0) : c + 2]])
             if scaled is None:
                 return
             scale, col = scaled
-            yield scale, col, -col[-1]
+            s = col[-1]
+            yield scale, col, [-a for a in s] if type(s) is tuple else -s
 
     return scaled_leading_minors(columns(), band)
 
@@ -507,10 +609,12 @@ def scaled_leading_minors(
     d_c = d'_c / (L_1 * ... * L_c).
 
     The cells are ints (ring.int_scaled), or polynomials as int
-    coefficient lists (ring.poly_scaled), whose s is still an int.  From
-    the first column of lists on, every column must come as lists: the
-    scaled minors become lists too (_horner_lists), and the minors
-    Polynomials, as the ring path makes them once a Polynomial enters.
+    coefficient lists or tuples: from ring.poly_scaled, whose s is still
+    an int, or from SquareMatrix._list_rows at scale 1, whose s is a
+    list.  From the first column of lists on, every column must come as
+    lists: the scaled minors become lists too (_horner_lists), and the
+    minors Polynomials, as the ring path makes them once a Polynomial
+    enters.
     Each list minor then divides out what its scale shares with the
     minors the next column reads (see _divide_window).
     """
@@ -523,7 +627,7 @@ def scaled_leading_minors(
     step = _horner
     for c, (scale, col, sub) in enumerate(columns):
         lo = max(c - band, 0)
-        if step is _horner and type(col[0]) is list:
+        if step is _horner and type(col[0]) is not int:
             step = _horner_lists
             d = [[v] if v else [] for v in d]
             shares = [1] * len(d)
@@ -583,21 +687,23 @@ def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
 
 def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
     """_horner over polynomials as int coefficient lists, constant term
-    first and [] for zero: the cells col and minors d are lists, subs
-    ints or None.  A zero cell or minor skips its product."""
+    first and [] or () for zero: the cells col and minors d are lists or
+    tuples, subs ints, lists or None.  A zero cell or minor skips its
+    product."""
     acc = _add_product([], col[0], d[lo])
     for j in range(lo + 1, len(d)):
         s = subs[j - 1]
         if s is not None:
-            acc = [a * s for a in acc]
+            acc = [a * s for a in acc] if type(s) is int else _add_product([], acc, s)
         acc = _add_product(acc, col[j - lo], d[j])
     return acc
 
 
-def _add_product(acc: list[int], a: list[int], b: list[int]) -> list[int]:
-    """acc + a * b over int coefficient lists, in place when acc is long
-    enough.  Each coefficient of the shorter factor adds one row, a C-level
-    map over the longer one."""
+def _add_product(acc: list[int], a, b, op=add) -> list[int]:
+    """acc + a * b over int coefficient lists or tuples, or acc - a * b
+    when op is operator.sub, in place when acc is long enough.  A factor
+    that is empty, or the Fraction 0, adds nothing.  Each coefficient of
+    the shorter factor adds one row, a C-level map over the longer one."""
     if not a or not b:
         return acc
     if len(a) > len(b):
@@ -608,7 +714,7 @@ def _add_product(acc: list[int], a: list[int], b: list[int]) -> list[int]:
         acc = acc + [0] * short
     for i, y in enumerate(a):
         if y:
-            acc[i : i + w] = map(add, acc[i : i + w], map(mul, b, repeat(y)))
+            acc[i : i + w] = map(op, acc[i : i + w], map(mul, b, repeat(y)))
     return acc
 
 
@@ -683,6 +789,7 @@ def matrix_from_json(text: str) -> SquareMatrix:
     entries = payload["entries"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise RecdetError("matrix JSON size must be a positive integer")
+    _refuse_matrix_size(size)
     if ring not in ("rational", "poly"):
         raise RecdetError(f"matrix JSON ring must be rational or poly, got {ring!r}")
     if (
@@ -766,6 +873,7 @@ def random_hessenberg(
     """
     if size < 1:
         raise RecdetError("matrix size must be at least 1")
+    _refuse_matrix_size(size)
     rows: list[list[RingValue]] = []
     ints: list[tuple[int, ...]] = []
     for r in range(size):

@@ -23,6 +23,7 @@ from .hessenberg import (
     _RING_TYPES,
     ZERO,
     SquareMatrix,
+    _refuse_matrix_size,
     _ring_leading_minors,
     leading_minors,
     scaled_leading_minors,
@@ -273,9 +274,11 @@ def _direct(rows: _Rows) -> list[RingValue]:
 
     While ring.int_scaled lets the terms and each row through, the rows
     run over ints instead (see _scaled_terms); a row the table holds as
-    a scaled int row is taken as it is.  The ring loop takes over from
-    the first row int_scaled refuses, and after the row where the scale
-    outgrew the term (see scale_outgrew).
+    a scaled int row is taken as it is.  Where the scale outgrew the term
+    (see scale_outgrew), the int kernel starts again from the terms the
+    next row reads, scaled by the lcm of their own denominators, unless
+    that outgrows the last term too.  The ring loop takes over from the
+    first row int_scaled refuses, and from a scale that still outgrows.
     """
     spec, n = rows.spec, rows.n
     if rows.full:
@@ -306,8 +309,10 @@ def _direct(rows: _Rows) -> list[RingValue]:
             yield scaled
 
     start = int_scaled(terms)
-    if start is not None:
-        _scaled_terms(scaled_rows(), terms, *start)
+    while start is not None and _scaled_terms(scaled_rows(), terms, *start):
+        start = int_scaled(terms if rows.full else terms[-spec.order :])
+        if start is not None and scale_outgrew(start[0], terms[-1]):
+            break
     for k in ks:
         row = _read_row(rows, k, terms)
         terms.append(_ring_sum(row, terms[-len(row) :]))
@@ -329,18 +334,20 @@ def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
 
 def _scaled_terms(
     rows: Iterable[tuple[int, list[int]]], terms: list[RingValue], total: int, nums: list[int]
-) -> None:
+) -> bool:
     """Append to terms one term per scaled row, until the rows run out or
-    T outgrows the term (see scale_outgrew).  COUNTER gets the ring
-    loop's w muls and w - 1 adds per row of w coefficients, in bulk.
+    T outgrows the term (see scale_outgrew); returns whether T outgrew.
+    COUNTER gets the ring loop's w muls and w - 1 adds per row of w
+    coefficients, in bulk.
 
     A row comes as (L, [P_1, ..., P_w]), P_i = p_i * L: its coefficients
     scaled to ints by L, the lcm of their denominators.  Term j is kept
-    as A_j / T_j, nums holding the A of the terms so far: T = total
-    starts as the lcm of the initial terms' denominators and is
-    multiplied by each row's L.  The new A is the sum of P_i * A_j times
-    the L of every term after j, which Horner takes as
-    acc = acc * L_j + P_i * A_j: two products by small ints per term.
+    as A_j / T_j, nums holding the A of the last terms, at least those
+    the first row reads: T = total starts as the lcm of their
+    denominators and is multiplied by each row's L.  The new A is the
+    sum of P_i * A_j times the L of every term after j, which Horner
+    takes as acc = acc * L_j + P_i * A_j: two products by small ints per
+    term.
     """
     scales = [1] * len(nums)
     for scale, ps in rows:
@@ -356,7 +363,8 @@ def _scaled_terms(
         COUNTER.muls += len(ps)
         COUNTER.adds += len(ps) - 1
         if scale_outgrew(total, term):
-            return
+            return True
+    return False
 
 
 def _ring_sum(row: list[RingValue], window: list[RingValue]) -> RingValue:
@@ -378,6 +386,7 @@ def theorem1_matrix(spec: FullHistorySpec, k: int) -> SquareMatrix:
     make a Python call per zero cell."""
     if k < 1:
         raise RecdetError("matrix size must be at least 1")
+    _refuse_matrix_size(k)
     band = k if spec.band is None else spec.band
     coeff = spec.coeff
     zeros = (ZERO,) * k

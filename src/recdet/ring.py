@@ -304,13 +304,17 @@ COUNTER = OpCounter()
 
 # --- the gate of the int kernels ------------------------------------------
 #
-# The leading minors, Bareiss and direct iteration each have an int
-# kernel that gives the ring path's values and adds its op counts to
+# The leading minors, Bareiss, Laplace and direct iteration each have an
+# int kernel that gives the ring path's values and adds its op counts to
 # COUNTER in bulk.  It runs a column or row over ints when int_scaled
-# lets it, or a matrix when SquareMatrix._int_rows does, and hands over
-# to its ring path where scale_outgrew says the scales cost too much.
-# The leading minors of a spec's polynomial columns run over int
-# coefficient lists when poly_scaled lets them.
+# lets it, or a matrix when SquareMatrix._int_rows does.  Where
+# scale_outgrew says the scales cost too much, the leading minors hand
+# over to their ring path, and direct iteration starts again from its
+# terms unless their own lcm outgrows the last one too.  The leading
+# minors of a spec's polynomial columns run over int coefficient lists
+# when poly_scaled lets them, and the leading minors, Bareiss and Laplace
+# run a polynomial matrix over its cells' int coefficient lists when
+# SquareMatrix._list_rows does.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence

@@ -28,7 +28,13 @@ from recdet.hessenberg import (
     random_hessenberg,
 )
 from recdet.families import FamilyId, family_spec
-from recdet.recurrence import determinant_terms, theorem2_matrix
+from recdet.recurrence import (
+    FixedOrderSpec,
+    FullHistorySpec,
+    determinant_terms,
+    theorem1_matrix,
+    theorem2_matrix,
+)
 from recdet.ring import COUNTER, MAX_PARSE_DEGREE, Polynomial, parse_value, render_value
 from recdet.cli import main
 from recdet.specfiles import available, spec_path, spec_text
@@ -602,13 +608,13 @@ def _hessenberg_case(seed, n, kind, band, zeros):
     return SquareMatrix(rows, band)
 
 
-def _vanishing_minor(m, *ks):
+def _vanishing_minor(m, *ks, zero=0):
     """m with d_{k+1} = 0 for each k: column k copies column k - 1 on
-    rows 0..k, or m[0][0] = 0 when k is 0.  Each copy leaves the minors
-    of the smaller ks as they were."""
+    rows 0..k, or m[0][0] = zero when k is 0.  Each copy leaves the
+    minors of the smaller ks as they were."""
     for k in sorted(ks):
         if k == 0:
-            m = m.with_entry(0, 0, 0)
+            m = m.with_entry(0, 0, zero)
         for r in range(k + 1 if k else 0):
             m = m.with_entry(r, k, m.entries[r][k - 1])
     return m
@@ -853,6 +859,216 @@ class TestMemoizedLaplace:
     def test_shipped_specs_through_determinant_terms(self, name):
         spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
         assert determinant_terms(spec, 8, method="laplace") == determinant_terms(spec, 8)
+
+
+def _poly_band_case(rng, n, degree, band, zeros):
+    """An n x n upper-Hessenberg matrix whose cells on or above the
+    subdiagonal are all integral Polynomials of degree at most degree:
+    Polynomial() above the declared band and, with probability zeros,
+    in it.  The cells below the subdiagonal are the int 0."""
+
+    def cell(r, c):
+        if band is not None and c - r > band or rng.random() < zeros:
+            return Polynomial()
+        return Polynomial([rng.randint(-4, 4) for _ in range(degree + 1)])
+
+    return SquareMatrix(
+        [[cell(r, c) if r <= c + 1 else 0 for c in range(n)] for r in range(n)], band
+    )
+
+
+_LIST_ROUTE_FUNCTIONS = {
+    "det_hessenberg_fast": det_hessenberg_fast,
+    "hessenberg_leading_minors": hessenberg_leading_minors,
+    "det_bareiss": det_bareiss,
+    "leading_minors bareiss": lambda m: leading_minors(m, "bareiss"),
+    "det_laplace": det_laplace,
+    "leading_minors laplace": lambda m: leading_minors(m, "laplace"),
+}
+
+
+class TestListRoute:
+    """SquareMatrix._list_rows, and fast, Bareiss and Laplace over int
+    coefficient lists against their ring paths on the same matrix: the
+    same values, types, renderings and COUNTER deltas."""
+
+    def _agree(self, m, monkeypatch):
+        assert m._list_rows() is not None
+        results = {}
+        for name, fn in _LIST_ROUTE_FUNCTIONS.items():
+            if "laplace" in name and m.size > LAPLACE_SIZE_LIMIT:
+                continue
+            got, got_ops = _counted(fn, m)
+            with monkeypatch.context() as mp:
+                mp.setattr(SquareMatrix, "_list_rows", lambda self: None)
+                want, want_ops = _counted(fn, m)
+            got = got if isinstance(got, list) else [got]
+            want = want if isinstance(want, list) else [want]
+            assert got == want, name
+            assert [type(v) for v in got] == [type(v) for v in want], name
+            assert [render_value(v) for v in got] == [render_value(v) for v in want], name
+            assert got_ops == want_ops, name
+            results[name] = got
+        return results
+
+    def test_random_matrices(self, monkeypatch):
+        rng = random.Random(30)
+        for n in range(1, 13):
+            for degree in range(4):
+                for band in (None, 0, 1, 3):
+                    for zeros in (0.0, 0.3):
+                        self._agree(_poly_band_case(rng, n, degree, band, zeros), monkeypatch)
+
+    def test_the_gate_reads_each_cells_coefficients(self):
+        m = _poly_band_case(random.Random(31), 7, 2, 1, 0.3)
+        rows = m._list_rows()
+        assert rows is m._lists
+        for r in range(7):
+            for c in range(7):
+                want = m.entries[r][c].nums if r <= c + 1 else ()
+                assert rows[r][c] == want and type(rows[r][c]) is tuple
+
+    def test_zero_pivots_at_the_first_a_middle_and_the_last_step(self, monkeypatch):
+        n = 8
+        rng = random.Random(32)
+        for degree in (0, 1, 3):
+            base = next(
+                m
+                for m in (_poly_band_case(rng, n, degree, None, 0.0) for _ in range(100))
+                if 0 not in hessenberg_leading_minors(m)
+            )
+            for k in (0, 3, n - 2, n - 1):
+                m = _vanishing_minor(base, k, zero=Polynomial())
+                minors = self._agree(m, monkeypatch)["hessenberg_leading_minors"]
+                assert minors[k] == 0 and 0 not in minors[:k]
+            for ks in TestHessenbergBareiss.VANISHING:
+                self._agree(_vanishing_minor(base, *ks, zero=Polynomial()), monkeypatch)
+
+    def test_zero_subdiagonal_cells_and_a_zero_first_row(self, monkeypatch):
+        rng = random.Random(33)
+        for n in (2, 3, 6, 9, 12):
+            m = _poly_band_case(rng, n, 2, None, 0.2)
+            for r in range(1, n, 2):
+                m = m.with_entry(r, r - 1, Polynomial())
+            self._agree(m, monkeypatch)
+            # a zero pivot over a zero subdiagonal cell: every later minor is 0
+            m = m.with_entry(0, 0, Polynomial()).with_entry(1, 0, Polynomial())
+            self._agree(m, monkeypatch)
+            for c in range(n):
+                m = m.with_entry(0, c, Polynomial())
+            results = self._agree(m, monkeypatch)
+            if n <= LAPLACE_SIZE_LIMIT:
+                # the empty expansion's Fraction 0, as on the ring path
+                assert type(results["det_laplace"][0]) is Fraction
+        self._agree(SquareMatrix([[Polynomial()]]), monkeypatch)
+
+    def test_det_crosscheck_shaped_json(self, monkeypatch):
+        # every cell on or above the subdiagonal of exact degree 1 or 2,
+        # "0" below it
+        rng = random.Random(34)
+
+        def cell(degree):
+            lead = rng.choice((-3, -2, -1, 1, 2, 3))
+            return render_value(Polynomial([rng.randint(-3, 3) for _ in range(degree)] + [lead]))
+
+        shapes = [(size, 1) for size in range(1, 14)] + [(size, 2) for size in range(1, 12)]
+        for n, degree in shapes:
+            rows = [[cell(degree) if r <= c + 1 else "0" for c in range(n)] for r in range(n)]
+            m = matrix_from_json(json.dumps({"size": n, "ring": "poly", "entries": rows}))
+            results = self._agree(m, monkeypatch)
+            assert results["det_bareiss"] == results["det_hessenberg_fast"]
+
+    def test_the_gate_refuses_other_matrices(self, monkeypatch):
+        base = _poly_band_case(random.Random(35), 6, 2, None, 0.0)
+        assert base._list_rows() is not None
+        refused = [
+            # a Fraction cell in the band, integral or not, zero included
+            base.with_entry(2, 4, Fraction(3)),
+            base.with_entry(2, 4, Fraction(1, 2)),
+            base.with_entry(3, 2, 0),
+            # a Polynomial whose den is not 1
+            base.with_entry(2, 4, Polynomial([Fraction(1, 2), 1])),
+            # not upper Hessenberg
+            base.with_entry(4, 1, Polynomial([1])),
+            # a constant cell of poly JSON parses as a Fraction
+            matrix_from_json(json.dumps({
+                "size": 2, "ring": "poly", "entries": [["x + 1", "3"], ["2*x", "x"]]
+            })),
+        ]
+        for m in refused:
+            assert m._list_rows() is None and m._lists == ()
+            want = det_laplace(m)
+            assert det_bareiss(m) == want
+            if m._below_subdiagonal is None:
+                assert det_hessenberg_fast(m) == want
+        # nothing is computed while bits are tracked, and the ring paths run
+        m = SquareMatrix(base.entries)
+        COUNTER.reset(track_bits=True)
+        try:
+            assert m._list_rows() is None
+            fast = det_hessenberg_fast(m)
+            fast_bits = COUNTER.max_bits
+            COUNTER.reset(track_bits=True)
+            laplace = det_laplace(m)
+            laplace_bits = COUNTER.max_bits
+            COUNTER.reset(track_bits=True)
+            want = _ring_leading_minors(*_matrix_columns(m.entries), 6, 6, [Fraction(1)])[-1]
+            assert (fast, fast_bits) == (want, COUNTER.max_bits)
+            COUNTER.reset(track_bits=True)
+            assert (laplace, laplace_bits) == (_recursive_laplace(m.entries), COUNTER.max_bits)
+        finally:
+            COUNTER.reset()
+        assert m._lists is None
+        self._agree(m, monkeypatch)
+
+
+class TestSizeCap:
+    """Dense matrices past MAX_MATRIX_SIZE are refused before any row is
+    built; only refusals are run here."""
+
+    TOO_LARGE = hessenberg.MAX_MATRIX_SIZE + 1
+
+    def test_random_hessenberg_draws_nothing(self):
+        rng = random.Random(40)
+        state = rng.getstate()
+        for ring_name in ("rational", "poly"):
+            with pytest.raises(SizeTooLarge, match="matrix size above the limit 2000, got 2001"):
+                random_hessenberg(self.TOO_LARGE, rng, ring=ring_name)
+        assert rng.getstate() == state
+
+    def test_theorem1_matrix_reads_no_coefficient(self):
+        calls = []
+        spec = FullHistorySpec(
+            initial=Fraction(1), coeff=lambda k, i: calls.append((k, i)) or Fraction(1)
+        )
+        with pytest.raises(SizeTooLarge):
+            theorem1_matrix(spec, self.TOO_LARGE)
+        fixed = FixedOrderSpec(
+            order=1, initials=(Fraction(1),), coeffs=(lambda k: calls.append(k) or Fraction(1),)
+        )
+        with pytest.raises(SizeTooLarge):
+            theorem2_matrix(fixed, self.TOO_LARGE)
+        assert calls == []
+
+    def test_matrix_from_json_refuses_the_size_first(self):
+        doc = {"size": self.TOO_LARGE, "ring": "rational", "entries": []}
+        with pytest.raises(SizeTooLarge):
+            matrix_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--sizes", "3,2001"],
+            ["matrix", "fibonacci-num", "--k", "2001"],
+            ["verify", "fibonacci-num", "--max-n", "2001", "--method", "bareiss"],
+            ["verify", "hermite", "--max-n", "2001", "--method", "laplace"],
+        ],
+    )
+    def test_the_cli_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: matrix size above the limit 2000, got 2001\n"
 
 
 class TestEmitters:

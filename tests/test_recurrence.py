@@ -383,19 +383,32 @@ def _assert_kernel_matches_ring(spec, n):
     return fast
 
 
-def _rows_over_ints(spec, n, monkeypatch):
-    """How many rows direct iteration ran over ints: it asks int_scaled
-    once for the initial terms, then once per row until the ring loop
-    takes over."""
-    asked = []
+def _kernel_runs(spec, n, monkeypatch):
+    """How direct iteration went: the runs of the int kernel, one more
+    for each time it started again, and the rows the ring loop summed."""
+    runs, ring_rows = [], []
+    kernel, ring_sum = recurrence._scaled_terms, recurrence._ring_sum
+    with monkeypatch.context() as mp:
+        mp.setattr(recurrence, "_scaled_terms", lambda *a: runs.append(a) or kernel(*a))
+        mp.setattr(recurrence, "_ring_sum", lambda *a: ring_rows.append(a) or ring_sum(*a))
+        _direct(spec, n)
+    return len(runs), len(ring_rows)
 
-    def counting(values):
-        asked.append(values)
-        return ring.int_scaled(values)
 
-    monkeypatch.setattr(recurrence, "int_scaled", counting)
-    _direct(spec, n)
-    return len(asked) - 1
+def _one_over_i(k, i):
+    return Fraction(1, i)
+
+
+def _row_dependent(k, i):
+    return Fraction(k - i + 1, k + 2 * i) - Fraction(1, 3)
+
+
+def _excess_fixed_order():
+    return FixedOrderSpec(
+        order=2,
+        initials=(Fraction(1, 2), Fraction(2, 3)),
+        coeffs=(lambda k: Fraction(1, k), lambda k: Fraction(k - 1, k + 1)),
+    )
 
 
 class TestIntDirectKernel:
@@ -418,30 +431,62 @@ class TestIntDirectKernel:
             seen[doc.mode] += 1
 
     @pytest.mark.parametrize(
-        "coeff",
-        [
-            lambda k, i: Fraction(1, i),
-            lambda k, i: Fraction(k - i + 1, k + 2 * i) - Fraction(1, 3),
-        ],
-        ids=["one-over-i", "row-dependent"],
+        "coeff", [_one_over_i, _row_dependent], ids=["one-over-i", "row-dependent"]
     )
     def test_the_ring_loop_takes_over_past_the_excess_bound(self, coeff, monkeypatch):
-        # denominators that depend on i make T outgrow the reduced terms
+        # denominators that depend on i make T outgrow the reduced terms,
+        # and at a bound of one bit the lcm of the terms' own denominators
+        # soon outgrows the last term too
         spec = FullHistorySpec(initial=Fraction(3, 2), coeff=coeff, name="excess")
         n = 30
-        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
-        assert 0 < _rows_over_ints(spec, n, monkeypatch) < n - 1
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 1)
+        runs, ring_rows = _kernel_runs(spec, n, monkeypatch)
+        assert runs >= 1 and 0 < ring_rows < n - 1
         _assert_kernel_matches_ring(spec, n)
 
     def test_fixed_order_hands_over_past_the_excess_bound(self, monkeypatch):
-        spec = FixedOrderSpec(
-            order=2,
-            initials=(Fraction(1, 2), Fraction(2, 3)),
-            coeffs=(lambda k: Fraction(1, k), lambda k: Fraction(k - 1, k + 1)),
-        )
-        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
-        assert 0 < _rows_over_ints(spec, 30, monkeypatch) < 28
+        spec = _excess_fixed_order()
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 4)
+        runs, ring_rows = _kernel_runs(spec, 30, monkeypatch)
+        assert runs > 1 and 0 < ring_rows < 28
         _assert_kernel_matches_ring(spec, 30)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FullHistorySpec(initial=Fraction(3, 2), coeff=_one_over_i, name="excess"),
+            FullHistorySpec(initial=Fraction(3, 2), coeff=_row_dependent, name="excess"),
+            FullHistorySpec(initial=ONE, coeff=lambda k, i: Fraction(1, k), name="one-over-k"),
+            _excess_fixed_order(),
+        ],
+        ids=["one-over-i", "row-dependent", "one-over-k", "fixed-order"],
+    )
+    def test_the_int_kernel_starts_again_from_the_terms(self, spec, monkeypatch):
+        # where T outgrew the term, the lcm of the denominators of the
+        # terms the next row reads does not, so the ints go on from there
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
+        runs, ring_rows = _kernel_runs(spec, 30, monkeypatch)
+        assert runs > 1 and ring_rows == 0
+        _assert_kernel_matches_ring(spec, 30)
+        # across bounds, each run starting again or handing over
+        for bits in (1, 2, 4, 8, 16, 100):
+            monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", bits)
+            for n in (2, 3, 17, 30):
+                _assert_kernel_matches_ring(spec, n)
+
+    def test_an_error_after_a_start_again_is_the_ring_loops(self, monkeypatch):
+        def coeff(k, i):
+            if (k, i) == (25, 3):
+                raise DivisionByZero("no p(25, 3)", k=k)
+            return Fraction(1, i)
+
+        spec = FullHistorySpec(initial=Fraction(3, 2), coeff=coeff, name="raising")
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
+        runs, ring_rows = _kernel_runs(spec, 30, monkeypatch)
+        # the error's row leaves the ring loop's counts
+        assert runs > 1 and ring_rows == 1
+        fast = _assert_kernel_matches_ring(spec, 30)
+        assert fast == (DivisionByZero, "no p(25, 3)")
 
     def test_a_coefficient_turning_polynomial_mid_row_is_read_once(self):
         # row 6 turns polynomial at i = 3: the ring loop gets p(6, 1..6)
