@@ -34,6 +34,8 @@ from .ring import (
     int_scaled,
     is_zero,
     latex_value,
+    pair_outgrew,
+    pair_value,
     parse_value,
     render_value,
     ring_add,
@@ -570,11 +572,12 @@ def _ring_leading_minors(
 
 
 def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
-    """The leading minors d_1..d_c by scaled_leading_minors: of every
-    column, at scale 1, when m._int_rows or m._list_rows has the cells,
-    the negated subdiagonal cell of a list column a list too; else of the
-    leading columns whose band and subdiagonal cells int_scaled lets
-    through.  Only band cells are read, so a banded matrix costs O(n*b).
+    """The leading minors d_1..d_c by scaled_leading_minors, as ring
+    values: of every column, at scale 1, when m._int_rows or m._list_rows
+    has the cells, the negated subdiagonal cell of a list column a list
+    too; else of the leading columns whose band and subdiagonal cells
+    int_scaled lets through.  Only band cells are read, so a banded matrix
+    costs O(n*b).
     """
     rows = m._int_rows() or m._list_rows()
     gate = int_scaled if rows is None else lambda col: (1, col)
@@ -590,23 +593,23 @@ def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
             s = col[-1]
             yield scale, col, [-a for a in s] if type(s) is tuple else -s
 
-    return scaled_leading_minors(columns(), band)
+    return list(map(pair_value, scaled_leading_minors(columns(), band)))
 
 
-def scaled_leading_minors(
-    columns: Iterable[tuple[int, list, int]], band: int
-) -> list[RingValue]:
+def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -> list:
     """The leading minors of the columns, by the ring recurrence run over
     ints, until the columns run out or the scales outgrow the minors (see
-    scale_outgrew).  COUNTER gets the ring path's muls and adds for these
-    columns, in bulk.
+    pair_outgrew and scale_outgrew).  COUNTER gets the ring path's muls
+    and adds for these columns, in bulk.
 
     Column c comes as (L_c, col, s): its band cells, rows max(c - band, 0)
     to c, scaled to ints by L_c, and its subdiagonal cell (c + 1, c)
     negated and scaled by L_c (any int for the last column).  L_c
     scales the c-th leading minor by L_1 * ... * L_c, so the scaled
     minors d'_c come from the same recurrence, and
-    d_c = d'_c / (L_1 * ... * L_c).
+    d_c = d'_c / (L_1 * ... * L_c).  A minor of int cells comes back as
+    that unreduced pair (d'_c, L_1 * ... * L_c), for the caller to turn
+    into a Fraction where it leaves as a ring value (ring.pair_value).
 
     The cells are ints (ring.int_scaled), or polynomials as int
     coefficient lists or tuples: from ring.poly_scaled, whose s is still
@@ -636,15 +639,17 @@ def scaled_leading_minors(
         terms += c - lo
         total *= scale
         if step is _horner:
-            minor = Fraction(d[-1], total)
+            minors.append((d[-1], total))
+            if pair_outgrew(d[-1], total):
+                break
         else:
             # trims the trailing zeros of d[-1] in place
             minor = _reduced_poly(d[-1], total)
             shares.append(total // minor.den)
             total = _divide_window(d, shares, max(c + 1 - band, 0), total)
-        minors.append(minor)
-        if scale_outgrew(total, minor):
-            break
+            minors.append(minor)
+            if scale_outgrew(total, minor):
+                break
     COUNTER.muls += len(minors) + 3 * terms
     COUNTER.adds += terms
     return minors

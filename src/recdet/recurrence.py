@@ -32,8 +32,12 @@ from .ring import (
     COUNTER,
     RingValue,
     int_scaled,
+    pair_outgrew,
+    pair_value,
+    pairs_equal,
     pairs_scaled,
     poly_scaled,
+    render_pair,
     render_value,
     ring_add,
     ring_mul,
@@ -121,11 +125,13 @@ class _Rows:
 
     verify_spec's two sides read one table, which it makes shared.  It
     holds every row by the time direct iteration, the last reader,
-    starts, and goes when verify_spec returns.  A table that is not
+    starts, and goes when verify_spec returns.  Direct iteration over a
+    shared table keeps each term its int kernel computes as the pair
+    (A, T) for the report (see _scaled_terms).  A table that is not
     shared, eval's or a lone determinant_terms', computes each row of a
     full-history spec when it is first read and forgets it once read
-    (see take), so it holds one row at a time.  Nothing is shared
-    between calls or threads.
+    (see take), so it holds one row at a time, and direct iteration makes
+    each term a Fraction.  Nothing is shared between calls or threads.
     """
 
     def __init__(
@@ -262,7 +268,7 @@ def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
     return SequencePrefix(tuple(_direct(_Rows(spec, n))))
 
 
-def _direct(rows: _Rows) -> list[RingValue]:
+def _direct(rows: _Rows) -> list:
     """The terms by direct iteration over the rows of the table: a(1) and
     a(k + 1) for each row k of a full-history spec, a(1..m) and a(k) for
     each row k > m of a fixed-order one.  A first_valid_k above m + 1
@@ -275,10 +281,13 @@ def _direct(rows: _Rows) -> list[RingValue]:
     While ring.int_scaled lets the terms and each row through, the rows
     run over ints instead (see _scaled_terms); a row the table holds as
     a scaled int row is taken as it is.  Where the scale outgrew the term
-    (see scale_outgrew), the int kernel starts again from the terms the
-    next row reads, scaled by the lcm of their own denominators, unless
-    that outgrows the last term too.  The ring loop takes over from the
-    first row int_scaled refuses, and from a scale that still outgrows.
+    (see ring.pair_outgrew), the int kernel starts again from the terms
+    the next row reads, scaled by the lcm of their own denominators,
+    unless that outgrows the last term too (scale_outgrew).  The ring
+    loop takes over from the first row int_scaled refuses, and from a
+    scale that still outgrows.  Over a shared table the kernel's terms
+    are pairs (A, T), each made a Fraction only when a row that starts
+    again or a ring loop reads it (see _ring_window).
     """
     spec, n = rows.spec, rows.n
     if rows.full:
@@ -302,21 +311,31 @@ def _direct(rows: _Rows) -> list[RingValue]:
                 scaled = int_scaled(row)
                 if scaled is None:
                     # the ring loop sums this row and the rest
-                    terms.append(_ring_sum(row, terms[-len(row) :]))
+                    terms.append(_ring_sum(row, _ring_window(terms, len(row))))
                     return
             elif not rows.shared:
                 rows.drop(k)
             yield scaled
 
     start = int_scaled(terms)
-    while start is not None and _scaled_terms(scaled_rows(), terms, *start):
-        start = int_scaled(terms if rows.full else terms[-spec.order :])
-        if start is not None and scale_outgrew(start[0], terms[-1]):
+    while start is not None and _scaled_terms(scaled_rows(), terms, *start, rows.shared):
+        window = _ring_window(terms, len(terms) if rows.full else spec.order)
+        start = int_scaled(window)
+        if start is not None and scale_outgrew(start[0], window[-1]):
             break
     for k in ks:
         row = _read_row(rows, k, terms)
-        terms.append(_ring_sum(row, terms[-len(row) :]))
+        terms.append(_ring_sum(row, _ring_window(terms, len(row))))
     return terms
+
+
+def _ring_window(terms: list, w: int) -> list[RingValue]:
+    """The last w terms, which the next row reads, as ring values: a pair
+    (A, T) among them becomes its Fraction, in terms too."""
+    window = terms[-w:]
+    if tuple in map(type, window):
+        window = terms[-w:] = list(map(pair_value, window))
+    return window
 
 
 def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
@@ -327,18 +346,22 @@ def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
     except BaseException:
         # leave the counts and max_bits of a loop that sums each
         # coefficient as it reads it
-        _ring_sum(row, terms[-rows.width(k) :])
+        _ring_sum(row, _ring_window(terms, rows.width(k)))
         raise
     return row
 
 
 def _scaled_terms(
-    rows: Iterable[tuple[int, list[int]]], terms: list[RingValue], total: int, nums: list[int]
+    rows: Iterable[tuple[int, list[int]]],
+    terms: list,
+    total: int,
+    nums: list[int],
+    pairs: bool,
 ) -> bool:
     """Append to terms one term per scaled row, until the rows run out or
-    T outgrows the term (see scale_outgrew); returns whether T outgrew.
-    COUNTER gets the ring loop's w muls and w - 1 adds per row of w
-    coefficients, in bulk.
+    T outgrows the term (see ring.pair_outgrew); returns whether T
+    outgrew.  COUNTER gets the ring loop's w muls and w - 1 adds per row
+    of w coefficients, in bulk.
 
     A row comes as (L, [P_1, ..., P_w]), P_i = p_i * L: its coefficients
     scaled to ints by L, the lcm of their denominators.  Term j is kept
@@ -347,7 +370,8 @@ def _scaled_terms(
     denominators and is multiplied by each row's L.  The new A is the
     sum of P_i * A_j times the L of every term after j, which Horner
     takes as acc = acc * L_j + P_i * A_j: two products by small ints per
-    term.
+    term.  A new term goes into terms as the pair (A, T) it is held as
+    when pairs is set, else as the Fraction A / T.
     """
     scales = [1] * len(nums)
     for scale, ps in rows:
@@ -358,11 +382,10 @@ def _scaled_terms(
         nums.append(acc)
         scales.append(scale)
         total *= scale
-        term = Fraction(acc, total)
-        terms.append(term)
+        terms.append((acc, total) if pairs else Fraction(acc, total))
         COUNTER.muls += len(ps)
         COUNTER.adds += len(ps) - 1
-        if scale_outgrew(total, term):
+        if pair_outgrew(acc, total):
             return True
     return False
 
@@ -464,16 +487,17 @@ def determinant_terms(
     reads the band columns from the table (see _band_minors).  Every
     other call takes the minors of Theorem 1's or 2's matrix, built from
     the table.  An a(1) of Fraction 1 skips its n products while bits
-    are untracked; COUNTER still counts them.
+    are untracked; COUNTER still counts them.  The int kernel's values
+    become Fractions here, as they leave.
     """
-    return _determinant_terms(_Rows(spec, n), method, corrupt)
+    return list(map(pair_value, _determinant_terms(_Rows(spec, n), method, corrupt)))
 
 
-def _determinant_terms(
-    rows: _Rows, method: str, corrupt: tuple[int, int] | None
-) -> list[RingValue]:
+def _determinant_terms(rows: _Rows, method: str, corrupt: tuple[int, int] | None) -> list:
     """determinant_terms(rows.spec, rows.n, method, corrupt), reading the
-    coefficients from rows."""
+    coefficients from rows, with each value the int kernel computed as
+    its pair (A, T) (see scaled_leading_minors); a Fraction a(1) = p/q
+    scales a pair to (p * A, q * T)."""
     spec, n = rows.spec, rows.n
     minors = None
     if method == "fast" and corrupt is None and n >= 1 and not COUNTER.track_bits:
@@ -497,10 +521,13 @@ def _determinant_terms(
     if not rows.full:
         return minors
     a1 = spec.initial
-    if type(a1) is Fraction and a1 == 1 and not COUNTER.track_bits:
-        COUNTER.muls += len(minors)
+    if type(a1) is not Fraction or COUNTER.track_bits:
+        return [ring_mul(a1, pair_value(d)) for d in minors]
+    COUNTER.muls += len(minors)
+    if a1 == 1:
         return minors
-    return [ring_mul(a1, d) for d in minors]
+    p, q = a1.numerator, a1.denominator
+    return [(p * d[0], q * d[1]) if type(d) is tuple else a1 * d for d in minors]
 
 
 class _BuildTheMatrix(Exception):
@@ -510,7 +537,7 @@ class _BuildTheMatrix(Exception):
     is negative, which the build coerces or refuses."""
 
 
-def _band_minors(rows: _Rows) -> list[RingValue]:
+def _band_minors(rows: _Rows) -> list:
     """hessenberg_leading_minors(spec_matrix(rows.spec, rows.n)), its
     values and COUNTER counts, from the matrix's columns read from the
     table.
@@ -521,9 +548,13 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
     over ints: the table's scaled int row where it has one, else the
     cells through ring.int_scaled while they are Fractions, or as int
     coefficient lists from the first column with a Polynomial on
-    (ring.poly_scaled).  The ring recurrence takes over from the column
-    where a scale outgrew its minor, with the minors so far.  A table
-    that is not shared forgets each row once its column is read from it.
+    (ring.poly_scaled).  The minors of int columns come back as the
+    kernel's pairs (A, T) (see scaled_leading_minors).  The ring
+    recurrence takes over from the column where a scale outgrew its
+    minor, with the minors so far, those its first column reads made
+    Fractions; it returns early when the kernel took every column.  A
+    table that is not shared forgets each row once its column is read
+    from it.
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
@@ -567,7 +598,13 @@ def _band_minors(rows: _Rows) -> list[RingValue]:
             scale, col = got
             yield scale, col, scale
 
-    d: list[RingValue] = [_ONE, *scaled_leading_minors(scaled(), band)]
+    d = [_ONE, *scaled_leading_minors(scaled(), band)]
+    if len(d) > n:
+        return d[1:]
+    # the ring recurrence goes on from the minors its first column reads,
+    # as ring values
+    lo = max(len(d) - 1 - band, 0)
+    d[lo:] = map(pair_value, d[lo:])
     return _ring_leading_minors(column, [_ONE] * (n - 1), n, band, d)
 
 
@@ -620,7 +657,9 @@ def verify_spec(
     of the fast method first asks, else by calls.  The determinant side
     reads first, so errors come in the matrix build's order.  Direct
     iteration never reads the matrix or the columns, so a corrupted cell
-    or a wrong index map is still seen.
+    or a wrong index map is still seen.  Each side hands the report what
+    its int kernel computed as the pairs (A, T) it holds, with no
+    Fraction made for a value no ring loop read (see _report).
     """
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
@@ -630,11 +669,23 @@ def verify_spec(
     return _report(spec.name, direct[1:] if rows.full else direct, dets)
 
 
-def _report(
-    name: str, direct: list[RingValue], dets: list[RingValue]
-) -> VerificationReport:
-    checks = tuple(
-        VerificationCheck(k=k, direct=render_value(a), det=render_value(d), ok=a == d)
-        for k, (a, d) in enumerate(zip(direct, dets), start=1)
-    )
-    return VerificationReport(spec=name, checks=checks, passed=all(c.ok for c in checks))
+def _report(name: str, direct: list, dets: list) -> VerificationReport:
+    """The report of the two sides' values, each a ring value or an int
+    kernel's pair (A, T).  Where both sides are rational, a check compares
+    their pairs (ring.pairs_equal) and renders from them
+    (ring.render_pair): once, when they agree.  Where a Polynomial is on
+    either side, a check compares and renders ring values."""
+    checks = []
+    for k, (a, d) in enumerate(zip(direct, dets), start=1):
+        if type(a) is Fraction:
+            a = a.numerator, a.denominator
+        if type(d) is Fraction:
+            d = d.numerator, d.denominator
+        if type(a) is tuple and type(d) is tuple:
+            ok = pairs_equal(*a, *d)
+            text = render_pair(*a)
+            checks.append(VerificationCheck(k, text, text if ok else render_pair(*d), ok))
+        else:
+            a, d = pair_value(a), pair_value(d)
+            checks.append(VerificationCheck(k, render_value(a), render_value(d), a == d))
+    return VerificationReport(spec=name, checks=tuple(checks), passed=all(c.ok for c in checks))

@@ -308,13 +308,13 @@ COUNTER = OpCounter()
 # int kernel that gives the ring path's values and adds its op counts to
 # COUNTER in bulk.  It runs a column or row over ints when int_scaled
 # lets it, or a matrix when SquareMatrix._int_rows does.  Where
-# scale_outgrew says the scales cost too much, the leading minors hand
-# over to their ring path, and direct iteration starts again from its
-# terms unless their own lcm outgrows the last one too.  The leading
-# minors of a spec's polynomial columns run over int coefficient lists
-# when poly_scaled lets them, and the leading minors, Bareiss and Laplace
-# run a polynomial matrix over its cells' int coefficient lists when
-# SquareMatrix._list_rows does.
+# pair_outgrew (scale_outgrew for a Polynomial) says the scales cost too
+# much, the leading minors hand over to their ring path, and direct
+# iteration starts again from its terms unless their own lcm outgrows
+# the last one too.  The leading minors of a spec's polynomial columns
+# run over int coefficient lists when poly_scaled lets them, and the
+# leading minors, Bareiss and Laplace run a polynomial matrix over its
+# cells' int coefficient lists when SquareMatrix._list_rows does.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence
@@ -409,6 +409,44 @@ def scale_outgrew(scale: int, value: RingValue) -> bool:
     if type(value) is Polynomial:
         return scale.bit_length() - value.den.bit_length() > _MAX_POLY_EXCESS_BITS
     return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
+
+
+# A value of an int kernel is held as the pair (A, T) it computes, the
+# rational A / T with T > 0, neither reduced.  pair_outgrew, pairs_equal
+# and render_pair give what the Fraction A / T would, with no Fraction
+# built; pair_value builds it where the value leaves as a ring value.
+
+
+def pair_outgrew(num: int, scale: int) -> bool:
+    """scale_outgrew(scale, Fraction(num, scale)), scale > 0.  A scale of
+    at most _MAX_EXCESS_BITS bits cannot carry that many beyond any
+    denominator, so only a longer one takes a gcd."""
+    bits = scale.bit_length()
+    if bits <= _MAX_EXCESS_BITS:
+        return False
+    return bits - (scale // gcd(num, scale)).bit_length() > _MAX_EXCESS_BITS
+
+
+def pairs_equal(a: int, t: int, b: int, u: int) -> bool:
+    """Whether a / t == b / u, t and u nonzero: over one scale by the
+    numerators, else by one cross product."""
+    return a == b if t == u else a * u == b * t
+
+
+def pair_value(v: tuple[int, int] | RingValue) -> RingValue:
+    """A kernel's value as a ring value: Fraction(A, T) of a pair (A, T),
+    any other value as it is."""
+    return Fraction(*v) if type(v) is tuple else v
+
+
+def render_pair(num: int, den: int) -> str:
+    """render_value(Fraction(num, den)), den > 0, reduced by one gcd."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != den:
+            return f"{num // g}/{den // g}"
+        num //= g
+    return str(num)
 
 
 def is_zero(v: RingValue) -> bool:

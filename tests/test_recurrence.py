@@ -730,6 +730,62 @@ class TestCoefficientTable:
         assert not report.passed
         assert report.first_failure() == 3
 
+    @pytest.mark.parametrize("bits", [1, 4, 40])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FullHistorySpec(initial=Fraction(3, 2), coeff=_row_dependent, name="row-dependent"),
+            FullHistorySpec(initial=Fraction(-2, 3), coeff=_one_over_i, name="one-over-i"),
+            _excess_fixed_order(),
+            FullHistorySpec(
+                initial=Fraction(5, 7),
+                coeff=lambda k, i: _row_dependent(k, i) if k - i <= 2 else ONE - ONE,
+                name="banded",
+                band=2,
+            ),
+        ],
+        ids=["row-dependent", "one-over-i", "fixed-order", "banded"],
+    )
+    def test_both_int_kernels_trip_under_a_lowered_bound(self, spec, bits, monkeypatch):
+        # the leading minors' kernel hands over to its ring path and direct
+        # iteration's starts again or hands over, each from values it holds
+        # as pairs (A, T); a banded spec's minors below the ring path's
+        # first window stay pairs, which an a(1) other than 1 scales
+        n = 30
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", bits)
+        minors, outgrew = [], []
+        minors_kernel, terms_kernel = recurrence.scaled_leading_minors, recurrence._scaled_terms
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                recurrence,
+                "scaled_leading_minors",
+                lambda *a: minors.append(minors_kernel(*a)) or minors[-1],
+            )
+            mp.setattr(
+                recurrence, "_scaled_terms", lambda *a: outgrew.append(terms_kernel(*a)) or outgrew[-1]
+            )
+            got = _outcome(verify_spec, spec, n)
+        assert len(minors) == 1 and 0 < len(minors[0]) < n
+        assert True in outgrew
+        assert got == _outcome(reference_verify, spec, n)
+        report = got[0]
+        assert report.passed
+        # and the same report where no int kernel takes the minors
+        assert report == verify_spec(spec, n, "bareiss")
+
+    @pytest.mark.parametrize("initial", ["3/2", "-2/3", "0", "7", "-1"])
+    def test_an_initial_value_scales_the_pairs(self, initial):
+        # no kernel trips at the default bound, so every value stays a pair
+        # up to the report, and a(1) = p/q scales each to (p * A, q * T)
+        for coeff, n in (("(k - i + 1)/(k + 2*i) - 1/3", 40), ("1/i", 40), ("k/(i + 1)", 25)):
+            spec = _dsl_spec(
+                f"mode = full-history\nring = rational\ninitial = {initial}\n"
+                f"coeff p(k, i) = {coeff}\n"
+            )
+            report = _assert_table_matches_reference(spec, n)
+            assert report.passed
+            assert report == verify_spec(spec, n, "bareiss")
+
     def test_corruption_is_seen_by_the_determinant_route_only(self):
         spec = naturals_full()
         direct = [ring.render_value(a) for a in eval_full_history(spec, 9).terms[1:]]
@@ -1063,10 +1119,12 @@ def _assert_same_values(got, want):
 def _assert_columns_match_matrix(spec, n):
     """The band columns give the matrix's minors and determinant_terms
     the terms _matrix_terms takes from the matrix: values, types,
-    renderings and COUNTER."""
+    renderings and COUNTER.  The band columns' int minors come as pairs
+    (A, T), T > 0, which determinant_terms turns into Fractions."""
     got, counts = _counted(recurrence._band_minors, recurrence._Rows(spec, n))
     want, want_counts = _counted(_matrix_minors, spec, n)
-    _assert_same_values(got, want)
+    assert all(v[1] > 0 for v in got if type(v) is tuple)
+    _assert_same_values(list(map(ring.pair_value, got)), want)
     assert counts == want_counts
     got, counts = _counted(determinant_terms, spec, n)
     want, want_counts = _counted(_matrix_terms, spec, n)

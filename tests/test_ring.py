@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from recdet import ring
 from recdet.errors import DivisionByZero, InexactDivision, RecdetError
@@ -17,13 +17,17 @@ from recdet.ring import (
     Polynomial,
     int_scaled,
     latex_value,
+    pair_outgrew,
+    pairs_equal,
     pairs_scaled,
     parse_value,
     poly_scaled,
+    render_pair,
     render_value,
     ring_add,
     ring_exact_div,
     ring_mul,
+    scale_outgrew,
 )
 
 from tests.conftest import coeffs
@@ -367,6 +371,61 @@ class TestIntScaled:
         assert pairs_scaled([4, -6], -2) == (1, [-2, 3])
         assert pairs_scaled([0, 0], 5) == (1, [0, 0])
         assert pairs_scaled((3, 5), (1, 1)) == (1, (3, 5))
+
+
+# An int kernel's pair (A, T) = (a * s, d * s): a value a / d with a
+# common factor s that no reduction has taken out.  The largest s put T
+# above the default _MAX_EXCESS_BITS (8,192) bits, with an excess on either
+# side of the bound.
+pair_st = st.builds(
+    lambda a, d, s: (a * s, d * s),
+    st.one_of(st.just(0), st.integers(-(2**70), 2**70)),
+    st.one_of(st.just(1), st.integers(1, 2**70)),
+    st.one_of(st.just(1), st.integers(1, 2**100), st.integers(2**8185, 2**8200)),
+)
+
+
+class TestPairs:
+    """The helpers that compare, render and gate an int kernel's pair
+    (A, T), T > 0, against the Fraction A / T."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pair=pair_st,
+        other=pair_st,
+        m=st.integers(1, 2**80),
+        bound=st.sampled_from((None, 1, 8, 64)),
+    )
+    @example(pair=(0, 1), other=(0, 7), m=3, bound=None)
+    @example(pair=(-6, 1), other=(6, 1), m=1, bound=None)
+    @example(pair=(-5 << 8200, 3 << 8200), other=(-5, 3), m=2, bound=None)
+    @example(pair=(7 << 8195, 1 << 8195), other=(7, 1), m=1, bound=None)
+    def test_the_pair_helpers_give_the_fractions_answers(self, pair, other, m, bound):
+        a, t = pair
+        b, u = other
+        value = Fraction(a, t)
+        assert render_pair(a, t) == render_value(value)
+        assert pairs_equal(a, t, b, u) == (value == Fraction(b, u))
+        # the same value over another scale, and over the same one
+        assert pairs_equal(a, t, a * m, t * m)
+        assert pairs_equal(a, t, b, t) == (a == b)
+        saved = ring._MAX_EXCESS_BITS
+        if bound is not None:
+            ring._MAX_EXCESS_BITS = bound
+        try:
+            assert pair_outgrew(a, t) == scale_outgrew(t, value)
+        finally:
+            ring._MAX_EXCESS_BITS = saved
+
+    def test_pair_examples(self):
+        assert render_pair(-6, 4) == "-3/2" and render_pair(6, 3) == "2"
+        assert render_pair(0, 5) == "0" and render_pair(-7, 1) == "-7"
+        assert pairs_equal(1, 2, 3, 6) and not pairs_equal(1, 2, -1, 2)
+        # an excess of 8,193 bits over the reduced denominator 3
+        assert pair_outgrew(1 << 8193, 3 << 8193)
+        assert not pair_outgrew(1 << 8192, 3 << 8192)
+        # a long scale that is all denominator carries no excess
+        assert not pair_outgrew(1, (1 << 9000) + 1)
 
 
 class TestRendering:
