@@ -117,8 +117,7 @@ class SpecDocument:
 
 # --- tokenizer ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "INT", "IDENT", or the symbol itself
     text: str
     line: int
@@ -522,16 +521,22 @@ def _check_vars(
 
 
 def _probe_fixed(doc: SpecDocument, by_name: dict[str, tuple[CoeffDef, int]]) -> None:
-    # best-effort guard: evaluate every coefficient at a few sample k
+    """Best-effort guard: every initial, and every coefficient at the 2m + 1
+    sample k from first_valid_k on, must not divide by zero.  A
+    coefficient goes by one run of k (see _probe_runs), else point by
+    point with eval_expr, which names the first k that fails."""
     m = doc.order or 1
     fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
+    ks = range(fvk, fvk + 2 * m + 1)
     for e in doc.initials:
         try:
             eval_expr(e)
         except DivisionByZero:
             raise SpecSemanticError("initial value divides by zero") from None
     for name, (cdef, ln) in by_name.items():
-        for kk in range(fvk, fvk + 2 * m + 1):
+        if _probe_runs(cdef.expr, ("k",), [(list(ks), None)]):
+            continue
+        for kk in ks:
             try:
                 eval_expr(cdef.expr, k=kk)
             except DivisionByZero:
@@ -543,11 +548,18 @@ def _probe_fixed(doc: SpecDocument, by_name: dict[str, tuple[CoeffDef, int]]) ->
 
 
 def _probe_full(doc: SpecDocument, ln: int) -> None:
+    """Best-effort guard: the initial, and p(k, i) for 1 <= i <= k <= 6,
+    must not divide by zero.  p goes by one run of i per k (see
+    _probe_runs), else point by point with eval_expr, which names the
+    first (k, i) that fails."""
     try:
         eval_expr(doc.initials[0])
     except DivisionByZero:
         raise SpecSemanticError("initial value divides by zero") from None
     cdef = doc.coeffs[0]
+    runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
+    if _probe_runs(cdef.expr, ("k", "i"), runs):
+        return
     for kk in range(1, 7):
         for ii in range(1, kk + 1):
             try:
@@ -558,6 +570,31 @@ def _probe_full(doc: SpecDocument, ln: int) -> None:
                     "must be defined for all 1 <= i <= k",
                     line=ln,
                 ) from None
+
+
+def _probe_runs(e: Expr, bound: tuple[str, ...], runs: list[tuple[_Vec, _Vec | None]]) -> bool:
+    """Whether e is defined at every probe point, by one run of its
+    compiled form (see _compile) per (k, i) in runs, i running, or k
+    where i is None.  If so COUNTER gets the ops eval_expr would count
+    at each point, in bulk as _Rows._count adds them.  False, with nothing
+    counted, while bits are tracked, for an e with x (a variable the
+    compiled form does not bind, so every run refuses), or when a run
+    refuses: the probe then goes point by point with eval_expr, which
+    gives the first failing point, its error text and its counts."""
+    if COUNTER.track_bits:
+        return False
+    run = _compile(e, bound, _ON_RUNS)
+    try:
+        for k, i in runs:
+            run(k, i)
+    except _Refused:
+        return False
+    points = sum(len(k if i is None else i) for k, i in runs)
+    adds, muls, divs = _op_counts(e)
+    COUNTER.adds += adds * points
+    COUNTER.muls += muls * points
+    COUNTER.divs += divs * points
+    return True
 
 
 # --- evaluation -----------------------------------------------------------

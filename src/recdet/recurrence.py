@@ -11,12 +11,12 @@ matrix whose determinant is a(k).
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import IndexBelowValidity, RecdetError
 from .hessenberg import (
@@ -34,7 +34,6 @@ from .ring import (
     int_scaled,
     pair_outgrew,
     pair_value,
-    pairs_equal,
     pairs_scaled,
     poly_scaled,
     render_pair,
@@ -370,17 +369,19 @@ def _scaled_terms(
     denominators and is multiplied by each row's L.  The new A is the
     sum of P_i * A_j times the L of every term after j, which Horner
     takes as acc = acc * L_j + P_i * A_j: two products by small ints per
-    term.  A new term goes into terms as the pair (A, T) it is held as
-    when pairs is set, else as the Fraction A / T.
+    term.  An L_j of 1 (every row of int coefficients) is held as None,
+    and its product skipped, as hessenberg._horner skips its subs.  A new
+    term goes into terms as the pair (A, T) it is held as when pairs is
+    set, else as the Fraction A / T.
     """
-    scales = [1] * len(nums)
+    scales: list[int | None] = [None] * len(nums)
     for scale, ps in rows:
         lo = len(nums) - len(ps)
         acc = ps[0] * nums[lo]
         for p, a, s in zip(ps[1:], nums[lo + 1 :], scales[lo + 1 :]):
-            acc = acc * s + p * a
+            acc = (acc if s is None else acc * s) + p * a
         nums.append(acc)
-        scales.append(scale)
+        scales.append(None if scale == 1 else scale)
         total *= scale
         terms.append((acc, total) if pairs else Fraction(acc, total))
         COUNTER.muls += len(ps)
@@ -608,8 +609,7 @@ def _band_minors(rows: _Rows) -> list:
     return _ring_leading_minors(column, [_ONE] * (n - 1), n, band, d)
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(NamedTuple):
     k: int
     direct: str
     det: str
@@ -631,15 +631,21 @@ class VerificationReport:
         return None
 
     def to_json(self) -> str:
-        payload = {
-            "spec": self.spec,
-            "checks": [
-                {"k": c.k, "direct": c.direct, "det": c.det, "ok": c.ok}
-                for c in self.checks
-            ],
-            "pass": self.passed,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        """The report as one compact JSON line, written in one pass: the
+        bytes json.dumps(payload, separators=(",", ":")) writes for the
+        payload {"spec", "checks": [{"k", "direct", "det", "ok"}...],
+        "pass"}.  Each string goes through encode_basestring_ascii, the
+        escaping json.dumps applies under its default ensure_ascii."""
+        enc = encode_basestring_ascii
+        checks = ",".join([
+            f'{{"k":{c.k},"direct":{enc(c.direct)},"det":{enc(c.det)},'
+            f'"ok":{"true" if c.ok else "false"}}}'
+            for c in self.checks
+        ])
+        return (
+            f'{{"spec":{enc(self.spec)},"checks":[{checks}],'
+            f'"pass":{"true" if self.passed else "false"}}}'
+        )
 
 
 def verify_spec(
@@ -672,20 +678,26 @@ def verify_spec(
 def _report(name: str, direct: list, dets: list) -> VerificationReport:
     """The report of the two sides' values, each a ring value or an int
     kernel's pair (A, T).  Where both sides are rational, a check compares
-    their pairs (ring.pairs_equal) and renders from them
-    (ring.render_pair): once, when they agree.  Where a Polynomial is on
-    either side, a check compares and renders ring values."""
+    their pairs, by the numerators when the scales are equal, else by one
+    cross product, and renders from them (ring.render_pair): once, when
+    they agree.  Where a Polynomial is on either side, a check compares
+    and renders ring values.  passed is kept as the checks are made."""
     checks = []
+    passed = True
     for k, (a, d) in enumerate(zip(direct, dets), start=1):
         if type(a) is Fraction:
             a = a.numerator, a.denominator
         if type(d) is Fraction:
             d = d.numerator, d.denominator
         if type(a) is tuple and type(d) is tuple:
-            ok = pairs_equal(*a, *d)
-            text = render_pair(*a)
-            checks.append(VerificationCheck(k, text, text if ok else render_pair(*d), ok))
+            (an, at), (dn, dt) = a, d
+            ok = an == dn if at == dt else an * dt == dn * at
+            text = render_pair(an, at)
+            checks.append(VerificationCheck(k, text, text if ok else render_pair(dn, dt), ok))
         else:
             a, d = pair_value(a), pair_value(d)
-            checks.append(VerificationCheck(k, render_value(a), render_value(d), a == d))
-    return VerificationReport(spec=name, checks=tuple(checks), passed=all(c.ok for c in checks))
+            ok = a == d
+            checks.append(VerificationCheck(k, render_value(a), render_value(d), ok))
+        if not ok:
+            passed = False
+    return VerificationReport(spec=name, checks=tuple(checks), passed=passed)

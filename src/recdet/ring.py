@@ -412,9 +412,9 @@ def scale_outgrew(scale: int, value: RingValue) -> bool:
 
 
 # A value of an int kernel is held as the pair (A, T) it computes, the
-# rational A / T with T > 0, neither reduced.  pair_outgrew, pairs_equal
-# and render_pair give what the Fraction A / T would, with no Fraction
-# built; pair_value builds it where the value leaves as a ring value.
+# rational A / T with T > 0, neither reduced.  pair_outgrew and
+# render_pair give what the Fraction A / T would, with no Fraction built;
+# pair_value builds it where the value leaves as a ring value.
 
 
 def pair_outgrew(num: int, scale: int) -> bool:
@@ -425,12 +425,6 @@ def pair_outgrew(num: int, scale: int) -> bool:
     if bits <= _MAX_EXCESS_BITS:
         return False
     return bits - (scale // gcd(num, scale)).bit_length() > _MAX_EXCESS_BITS
-
-
-def pairs_equal(a: int, t: int, b: int, u: int) -> bool:
-    """Whether a / t == b / u, t and u nonzero: over one scale by the
-    numerators, else by one cross product."""
-    return a == b if t == u else a * u == b * t
 
 
 def pair_value(v: tuple[int, int] | RingValue) -> RingValue:

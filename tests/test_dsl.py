@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from recdet import dsl
 from recdet.dsl import (
     Add,
     Div,
@@ -413,6 +414,144 @@ def test_compiled_coefficients_defer_to_eval_expr_while_tracking_bits():
     reference = COUNTER.max_bits, COUNTER.ring_ops
     COUNTER.reset()
     assert compiled == reference
+
+
+# --- parse-time probes against the eval_expr reference -------------------
+
+
+def _reference_probe_fixed(doc, by_name):
+    """The fixed-order probe point by point by eval_expr: the reference
+    whose errors, lines and counts the compiled probe must give."""
+    m = doc.order or 1
+    fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
+    for e in doc.initials:
+        try:
+            eval_expr(e)
+        except DivisionByZero:
+            raise SpecSemanticError("initial value divides by zero") from None
+    for name, (cdef, ln) in by_name.items():
+        for kk in range(fvk, fvk + 2 * m + 1):
+            try:
+                eval_expr(cdef.expr, k=kk)
+            except DivisionByZero:
+                raise SpecSemanticError(
+                    f"{name}({kk}) divides by zero; raise first_valid_k or fix "
+                    "the coefficient",
+                    line=ln,
+                ) from None
+
+
+def _reference_probe_full(doc, ln):
+    """The full-history probe point by point by eval_expr."""
+    try:
+        eval_expr(doc.initials[0])
+    except DivisionByZero:
+        raise SpecSemanticError("initial value divides by zero") from None
+    for kk in range(1, 7):
+        for ii in range(1, kk + 1):
+            try:
+                eval_expr(doc.coeffs[0].expr, k=kk, i=ii)
+            except DivisionByZero:
+                raise SpecSemanticError(
+                    f"p({kk}, {ii}) divides by zero; full-history coefficients "
+                    "must be defined for all 1 <= i <= k",
+                    line=ln,
+                ) from None
+
+
+def _parse_outcome(text, track_bits):
+    """parse's document or error (type, message, line), with the ring ops
+    and max_bits COUNTER saw from before it."""
+    COUNTER.reset(track_bits=track_bits)
+    try:
+        try:
+            got = parse(text)
+        except (SpecSemanticError, SpecSyntaxError) as exc:
+            got = type(exc), str(exc), exc.line
+        return got, (COUNTER.adds, COUNTER.muls, COUNTER.divs, COUNTER.max_bits)
+    finally:
+        COUNTER.reset()
+
+
+def _fixed(m, coeffs, initials=None, first_valid_k=None, ring="rational"):
+    lines = [
+        "mode = fixed-order",
+        f"ring = {ring}",
+        f"order = {m}",
+        f"initial = [{initials or ', '.join(['1'] * m)}]",
+    ]
+    if first_valid_k is not None:
+        lines.append(f"first_valid_k = {first_valid_k}")
+    lines += [f"coeff p{j}(k) = {c}" for j, c in enumerate(coeffs, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def _full(p, initial="1", ring="rational"):
+    return f"mode = full-history\nring = {ring}\ninitial = {initial}\ncoeff p(k, i) = {p}\n"
+
+
+def _vanishing_at(k, i):
+    # zero at (k, i) alone among integer points
+    return f"1/((k - {k})*(k - {k}) + (i - {i})*(i - {i}))"
+
+
+PROBE_DOCUMENTS = [
+    # order 2 probes k = 3..7: the first, a middle and the last
+    pytest.param(_fixed(2, ["1/(k - 3)", "k"]), id="fixed-first-k"),
+    pytest.param(_fixed(2, ["k", "(k + 1)/(k - 5)"]), id="fixed-middle-k"),
+    pytest.param(_fixed(2, ["1/(2*k - 14)", "1"]), id="fixed-last-k"),
+    # order 3 from first_valid_k = 6 probes k = 6..12
+    pytest.param(_fixed(3, ["1", "k/(k - 6)", "1"], first_valid_k=6), id="fvk-first-k"),
+    pytest.param(_fixed(3, ["1", "1", "-1/(12 - k)"], first_valid_k=6), id="fvk-last-k"),
+    # the second coefficient fails after the first passes, and ones that
+    # fail at every k
+    pytest.param(_fixed(2, ["k/(k + 1)", "1/(k - 4)"]), id="second-coefficient"),
+    pytest.param(_fixed(1, ["1/(k - k)"]), id="every-k"),
+    pytest.param(_fixed(1, ["1/0 * 0"]), id="constant"),
+    # x-bearing coefficients over poly, passing and failing
+    pytest.param(
+        _fixed(2, ["x*k/(k + 4)", "1/(k - 99)"], initials="x, 1", ring="poly"), id="fixed-x"
+    ),
+    pytest.param(
+        _fixed(2, ["x/(k - 4)", "1"], initials="x, 1", ring="poly"), id="fixed-x-fails"
+    ),
+    pytest.param(_full("x*i/(k - i + 1)", initial="x", ring="poly"), id="full-x"),
+    pytest.param(_full("x/(i - 3)", ring="poly"), id="full-x-fails"),
+    # full history: p(k, i) vanishing at (1, 1), (4, 2) and (6, 6)
+    pytest.param(_full(_vanishing_at(1, 1)), id="full-1-1"),
+    pytest.param(_full(_vanishing_at(4, 2)), id="full-4-2"),
+    pytest.param(_full(_vanishing_at(6, 6)), id="full-6-6"),
+    pytest.param(_full("(k - i + 1)/(k + 2*i) - 1/3", initial="-2/3"), id="full-row-dependent"),
+    # initials that divide by zero, before a coefficient that would too
+    pytest.param(_fixed(2, ["1/(k - 3)", "1"], initials="1, 1/(3 - 3)"), id="fixed-initial"),
+    pytest.param(_full("1/(i - 2)", initial="1/0"), id="full-initial"),
+] + [pytest.param(spec_text(name), id=name) for name in available()] + [
+    pytest.param(spec_text(name, negative=True), id=name)
+    for name in available(negative=True)
+]
+
+
+@pytest.mark.parametrize("track_bits", (False, True))
+@pytest.mark.parametrize("text", PROBE_DOCUMENTS)
+def test_probes_match_the_eval_expr_reference(text, track_bits, monkeypatch):
+    got = _parse_outcome(text, track_bits)
+    with monkeypatch.context() as m:
+        m.setattr(dsl, "_probe_fixed", _reference_probe_fixed)
+        m.setattr(dsl, "_probe_full", _reference_probe_full)
+        want = _parse_outcome(text, track_bits)
+    assert got == want
+
+
+def test_probes_of_x_free_coefficients_run_no_eval_expr(monkeypatch):
+    # only the initials take eval_expr while bits are not tracked
+    calls = []
+    monkeypatch.setattr(
+        dsl, "eval_expr", lambda e, k=None, i=None: calls.append((k, i)) or eval_expr(e, k, i)
+    )
+    for name in ("ode-example", "continuant", "partial-sums", "naturals", "powers-of-two"):
+        calls.clear()
+        parse(spec_text(name))
+        assert calls and all(c == (None, None) for c in calls), name
 
 
 _TOTALITY_EXAMPLES = [

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from recdet import cli, dsl, recurrence, ring
 from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
@@ -195,6 +195,17 @@ class TestFixedOrder:
                     assert _direct(spec, n, track_bits) == (refused, (0, 0, 0))
 
 
+# strings that JSON escapes: quotes, backslashes, controls, non-ASCII,
+# astral characters (a surrogate pair in JSON) and a lone surrogate
+json_text_st = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\t\x00\x1f\x7f \u00e9\u2028\ud800\U0001f600'),
+        st.characters(),
+    ),
+    max_size=12,
+)
+
+
 class TestVerification:
     def test_passing_report(self):
         report = verify_spec(naturals_full(), 10)
@@ -227,6 +238,44 @@ class TestVerification:
         assert set(payload) == {"spec", "checks", "pass"}
         assert payload["pass"] is True
         assert payload["checks"][2] == {"k": 3, "direct": "2", "det": "2", "ok": True}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=json_text_st,
+        checks=st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 200), st.integers(2**62, 2**300)),
+                json_text_st,
+                json_text_st,
+                st.booleans(),
+            ),
+            max_size=4,
+        ),
+        passed=st.booleans(),
+    )
+    @example(spec='f\u00efb "q"\\\n\x00 \U0001f600', checks=[], passed=False)
+    @example(spec="", checks=[(10**40, "-3/2", "x + 1", False)], passed=True)
+    def test_json_report_is_compact_json_dumps(self, spec, checks, passed):
+        report = VerificationReport(
+            spec=spec, checks=tuple(VerificationCheck(*c) for c in checks), passed=passed
+        )
+        payload = {
+            "spec": spec,
+            "checks": [
+                {"k": k, "direct": direct, "det": det, "ok": ok}
+                for k, direct, det, ok in checks
+            ],
+            "pass": passed,
+        }
+        assert report.to_json() == json.dumps(payload, separators=(",", ":"))
+
+    def test_a_check_by_keyword_is_the_check_by_position(self):
+        check = VerificationCheck(k=3, direct="1/2", det="-1", ok=False)
+        assert check == VerificationCheck(3, "1/2", "-1", False)
+        assert repr(check) == "VerificationCheck(k=3, direct='1/2', det='-1', ok=False)"
+        assert check._replace(det="1/2", ok=True) == VerificationCheck(3, "1/2", "1/2", True)
+        with pytest.raises(AttributeError):
+            check.ok = True  # type: ignore[misc]
 
     def test_sequence_prefix_iterates_in_order(self):
         prefix = SequencePrefix((ONE, Fraction(2)))

@@ -10,7 +10,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from recdet import ring
+from recdet import recurrence, ring
 from recdet.errors import DivisionByZero, InexactDivision, RecdetError
 from recdet.ring import (
     COUNTER,
@@ -18,7 +18,6 @@ from recdet.ring import (
     int_scaled,
     latex_value,
     pair_outgrew,
-    pairs_equal,
     pairs_scaled,
     parse_value,
     poly_scaled,
@@ -385,9 +384,19 @@ pair_st = st.builds(
 )
 
 
+def _check(pair, other):
+    """verify's report of one k whose direct side is the pair and whose
+    determinant side is other; the report compares the pairs itself."""
+    return recurrence._report("s", [pair], [other]).checks[0]
+
+
+def _agree(a, t, b, u):
+    return _check((a, t), (b, u)).ok
+
+
 class TestPairs:
-    """The helpers that compare, render and gate an int kernel's pair
-    (A, T), T > 0, against the Fraction A / T."""
+    """The helpers that render and gate an int kernel's pair (A, T),
+    T > 0, and the report's compare, against the Fraction A / T."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -405,10 +414,12 @@ class TestPairs:
         b, u = other
         value = Fraction(a, t)
         assert render_pair(a, t) == render_value(value)
-        assert pairs_equal(a, t, b, u) == (value == Fraction(b, u))
+        check = _check(pair, other)
+        assert check.ok == (value == Fraction(b, u))
+        assert (check.direct, check.det) == (render_value(value), render_value(Fraction(b, u)))
         # the same value over another scale, and over the same one
-        assert pairs_equal(a, t, a * m, t * m)
-        assert pairs_equal(a, t, b, t) == (a == b)
+        assert _agree(a, t, a * m, t * m)
+        assert _agree(a, t, b, t) == (a == b)
         saved = ring._MAX_EXCESS_BITS
         if bound is not None:
             ring._MAX_EXCESS_BITS = bound
@@ -420,7 +431,7 @@ class TestPairs:
     def test_pair_examples(self):
         assert render_pair(-6, 4) == "-3/2" and render_pair(6, 3) == "2"
         assert render_pair(0, 5) == "0" and render_pair(-7, 1) == "-7"
-        assert pairs_equal(1, 2, 3, 6) and not pairs_equal(1, 2, -1, 2)
+        assert _agree(1, 2, 3, 6) and not _agree(1, 2, -1, 2)
         # an excess of 8,193 bits over the reduced denominator 3
         assert pair_outgrew(1 << 8193, 3 << 8193)
         assert not pair_outgrew(1 << 8192, 3 << 8192)
