@@ -27,8 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, neg, not_, sub
-from typing import Callable, Iterator, NamedTuple, Union
+from operator import add, mul, sub
+from typing import Callable, NamedTuple, Union
 
 from .errors import (
     DivisionByZero,
@@ -124,36 +124,27 @@ class _Token(NamedTuple):
     col: int
 
 
-_SYMBOLS = "+-*/()[],="
+# Only space, tab and CR are blanks.  Digits are ASCII only: \d and
+# str.isdigit also take "٣" and "²".  A word is \w+, which per character
+# is str.isalnum() or "_", and must start with a letter or "_", a test
+# no character class makes, so _lex_line makes it.  BAD takes any other
+# character, so finditer passes over nothing but blanks at the end.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<INT>[0-9]+)|(?P<IDENT>\w+)|(?P<SYM>[-+*/()\[\],=])|(?P<BAD>[^ \t\r]))"
+)
 
 
 def _lex_line(text: str, line_no: int) -> list[_Token]:
     toks: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i + 1
-        if "0" <= ch <= "9":  # ASCII only: str.isdigit also takes "²" and "٣"
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(_Token("INT", text[i:j], line_no, col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("IDENT", text[i:j], line_no, col))
-            i = j
-        elif ch in _SYMBOLS:
-            toks.append(_Token(ch, ch, line_no, col))
-            i += 1
-        else:
-            raise SpecSyntaxError(line_no, col, f"unexpected character {ch!r}")
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        col = m.start(kind) + 1
+        if kind == "SYM":
+            kind = tok
+        elif kind == "BAD" or kind == "IDENT" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise SpecSyntaxError(line_no, col, f"unexpected character {tok[0]!r}")
+        toks.append(_Token(kind, tok, line_no, col))
     return toks
 
 
@@ -424,8 +415,10 @@ def _validate(
             coeffs=ordered,
             first_valid_k=first_valid_k,
         )
-        _check_vars(doc, coeffs, seen)
-        _probe_fixed(doc, by_name)
+        fvk = first_valid_k if first_valid_k is not None else order + 1
+        runs = [(list(range(fvk, fvk + 2 * order + 1)), None)]
+        hint = "raise first_valid_k or fix the coefficient"
+        _probe(doc, _check_vars(doc, coeffs, seen), ("k",), runs, hint)
         return doc
 
     # full-history
@@ -467,35 +460,39 @@ def _validate(
         coeffs=(cdef,),
         first_valid_k=None,
     )
-    _check_vars(doc, coeffs, seen)
-    _probe_full(doc, ln)
+    runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
+    hint = "full-history coefficients must be defined for all 1 <= i <= k"
+    _probe(doc, _check_vars(doc, coeffs, seen), ("k", "i"), runs, hint)
     return doc
 
 
-def _nodes(e: Expr) -> Iterator[Expr]:
-    """e and every node below it, in preorder."""
-    yield e
+_Facts = tuple[frozenset[str], bool, tuple[int, int, int]]
+
+
+def _facts(e: Expr) -> _Facts:
+    """One walk of e: its variables, whether x is in some denominator,
+    and the (adds, muls, divs) eval_expr counts for it."""
     if isinstance(e, Neg):
-        yield from _nodes(e.operand)
-    elif not isinstance(e, (IntLit, Var)):
-        yield from _nodes(e.left)  # type: ignore[attr-defined]
-        yield from _nodes(e.right)  # type: ignore[attr-defined]
-
-
-def _vars_of(e: Expr) -> set[str]:
-    return {n.name for n in _nodes(e) if isinstance(n, Var)}
-
-
-def _denominator_has_x(e: Expr) -> bool:
-    return any(isinstance(n, Div) and "x" in _vars_of(n.right) for n in _nodes(e))
+        return _facts(e.operand)
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        return frozenset((e.name,) if isinstance(e, Var) else ()), False, (0, 0, 0)
+    names, x_below, ops = _facts(e.left)
+    right, x_right, right_ops = _facts(e.right)
+    t = type(e)
+    this = (t is Add or t is Sub, t is Mul, t is Div)
+    x_below = x_below or x_right or t is Div and "x" in right
+    return names | right, x_below, tuple(map(sum, zip(ops, right_ops, this)))
 
 
 def _check_vars(
     doc: SpecDocument, coeffs: list[tuple[CoeffDef, int]], seen: dict[str, int]
-) -> None:
+) -> list[tuple[CoeffDef, int, _Facts]]:
+    """Refuse a variable where the document may not use it, and x in a
+    denominator; each coefficient comes back with its line and its
+    facts (see _facts), in document order, for _probe."""
     init_line = seen.get("initial")
     for e in doc.initials:
-        vs = _vars_of(e)
+        vs, x_below, _ = _facts(e)
         if "k" in vs or "i" in vs:
             raise SpecSemanticError(
                 "initial values must be constants (no k or i)", line=init_line
@@ -504,97 +501,71 @@ def _check_vars(
             raise SpecSemanticError(
                 "x requires ring = poly", line=init_line
             )
-        if _denominator_has_x(e):
+        if x_below:
             raise SpecSemanticError(
                 "denominators must be x-free", line=init_line
             )
+    checked = []
     for c, ln in coeffs:
-        vs = _vars_of(c.expr)
+        facts = _facts(c.expr)
+        vs, x_below, _ = facts
         if "i" in vs and doc.mode == "fixed-order":
             raise SpecSemanticError(
                 "variable i is only available in full-history coefficients", line=ln
             )
         if "x" in vs and doc.ring != "poly":
             raise SpecSemanticError("x requires ring = poly", line=ln)
-        if _denominator_has_x(c.expr):
+        if x_below:
             raise SpecSemanticError("denominators must be x-free", line=ln)
+        checked.append((c, ln, facts))
+    return checked
 
 
-def _probe_fixed(doc: SpecDocument, by_name: dict[str, tuple[CoeffDef, int]]) -> None:
-    """Best-effort guard: every initial, and every coefficient at the 2m + 1
-    sample k from first_valid_k on, must not divide by zero.  A
-    coefficient goes by one run of k (see _probe_runs), else point by
-    point with eval_expr, which names the first k that fails."""
-    m = doc.order or 1
-    fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
-    ks = range(fvk, fvk + 2 * m + 1)
+def _probe(
+    doc: SpecDocument,
+    coeffs: list[tuple[CoeffDef, int, _Facts]],
+    bound: tuple[str, ...],
+    runs: list[tuple[_Vec, _Vec | None]],
+    hint: str,
+) -> None:
+    """Best-effort guard: no initial, and no coefficient at a point of runs
+    (each i of a run (k, i), each k of a run (k, None)), divides by zero.
+    The coefficients go in document order, each by one run of its compiled
+    form (see _compile) per entry of runs; COUNTER then gets the ops
+    eval_expr would count at each point, in bulk as _Rows._count adds
+    them.  While bits are tracked, for a coefficient with x, or when a run
+    refuses, it goes point by point with eval_expr instead, which names
+    the first point that fails, followed by hint, and gives the error
+    text, counts and max_bits."""
     for e in doc.initials:
         try:
             eval_expr(e)
         except DivisionByZero:
             raise SpecSemanticError("initial value divides by zero") from None
-    for name, (cdef, ln) in by_name.items():
-        if _probe_runs(cdef.expr, ("k",), [(list(ks), None)]):
-            continue
-        for kk in ks:
+    points: list[tuple[int, int | None]] = []
+    for k, i in runs:
+        points += [(kk, None) for kk in k] if i is None else [(k, ii) for ii in i]
+    for cdef, ln, (vs, _, (adds, muls, divs)) in coeffs:
+        if not COUNTER.track_bits and "x" not in vs:
+            run = _compile(cdef.expr, bound)
             try:
-                eval_expr(cdef.expr, k=kk)
-            except DivisionByZero:
-                raise SpecSemanticError(
-                    f"{name}({kk}) divides by zero; raise first_valid_k or fix "
-                    "the coefficient",
-                    line=ln,
-                ) from None
-
-
-def _probe_full(doc: SpecDocument, ln: int) -> None:
-    """Best-effort guard: the initial, and p(k, i) for 1 <= i <= k <= 6,
-    must not divide by zero.  p goes by one run of i per k (see
-    _probe_runs), else point by point with eval_expr, which names the
-    first (k, i) that fails."""
-    try:
-        eval_expr(doc.initials[0])
-    except DivisionByZero:
-        raise SpecSemanticError("initial value divides by zero") from None
-    cdef = doc.coeffs[0]
-    runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
-    if _probe_runs(cdef.expr, ("k", "i"), runs):
-        return
-    for kk in range(1, 7):
-        for ii in range(1, kk + 1):
+                for k, i in runs:
+                    run(k, i)
+            except _Refused:
+                pass
+            else:
+                COUNTER.adds += adds * len(points)
+                COUNTER.muls += muls * len(points)
+                COUNTER.divs += divs * len(points)
+                continue
+        for kk, ii in points:
             try:
-                eval_expr(cdef.expr, k=kk, i=ii)
+                eval_expr(cdef.expr, kk, ii)
             except DivisionByZero:
+                at = kk if ii is None else f"{kk}, {ii}"
                 raise SpecSemanticError(
-                    f"p({kk}, {ii}) divides by zero; full-history coefficients "
-                    "must be defined for all 1 <= i <= k",
-                    line=ln,
+                    f"{cdef.name}({at}) divides by zero; {hint}", line=ln
                 ) from None
-
-
-def _probe_runs(e: Expr, bound: tuple[str, ...], runs: list[tuple[_Vec, _Vec | None]]) -> bool:
-    """Whether e is defined at every probe point, by one run of its
-    compiled form (see _compile) per (k, i) in runs, i running, or k
-    where i is None.  If so COUNTER gets the ops eval_expr would count
-    at each point, in bulk as _Rows._count adds them.  False, with nothing
-    counted, while bits are tracked, for an e with x (a variable the
-    compiled form does not bind, so every run refuses), or when a run
-    refuses: the probe then goes point by point with eval_expr, which
-    gives the first failing point, its error text and its counts."""
-    if COUNTER.track_bits:
-        return False
-    run = _compile(e, bound, _ON_RUNS)
-    try:
-        for k, i in runs:
-            run(k, i)
-    except _Refused:
-        return False
-    points = sum(len(k if i is None else i) for k, i in runs)
-    adds, muls, divs = _op_counts(e)
-    COUNTER.adds += adds * points
-    COUNTER.muls += muls * points
-    COUNTER.divs += divs * points
-    return True
 
 
 # --- evaluation -----------------------------------------------------------
@@ -638,19 +609,19 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 
 # --- compilation ----------------------------------------------------------
 #
-# to_spec compiles each x-free coefficient into nested closures over
-# unreduced (num, den) int pairs, den != 0 (see _compile): once for one
-# (k, i), where a call builds one Fraction, and once for the runs that
-# compute whole rows of recurrence._Rows, the row table that the
-# determinant route and direct iteration read.  A coefficient that
-# contains x (poly ring) calls eval_expr, which stays the reference the
-# compiled closures must agree with.
-
-
-def _op_counts(e: Expr) -> tuple[int, int, int]:
-    """The adds, muls and divs eval_expr counts for e."""
-    kinds = [type(n) for n in _nodes(e)]
-    return kinds.count(Add) + kinds.count(Sub), kinds.count(Mul), kinds.count(Div)
+# to_spec compiles each x-free coefficient once into nested closures over
+# unreduced (num, den) int pairs, den != 0 (see _compile).  There is one
+# compiled form: it evaluates the coefficient over a run of one index, i
+# for a fixed k in full history and k in fixed order, the running index
+# given as a list of ints, and every value is a pair of ints or of lists,
+# an int standing for the same int at every index of the run.  The row
+# table, recurrence._Rows, computes whole rows by runs; a call at one
+# (k, i) runs the same closures at int k and i, which the run arithmetic
+# takes as one-point runs.  A value that eval_expr would refuse, by a zero
+# denominator or an unbound variable, raises _Refused for the whole run,
+# and nothing is added to COUNTER.  A coefficient that contains x (poly
+# ring) calls eval_expr, which stays the reference the compiled closures
+# must agree with.
 
 
 def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
@@ -664,18 +635,17 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     ops: a row table computes a row by one run of vector and adds ops
     once per value of it to COUNTER, as that many calls would.
     """
-    if "x" in _vars_of(e):
+    vs, _, (adds, muls, divs) = _facts(e)
+    if "x" in vs:
         return lambda k, i=None: eval_expr(e, k, i)
-    pair = _compile(e, bound, _ON_INTS)
-    run = _compile(e, bound, _ON_RUNS)
-    adds, muls, divs = _op_counts(e)
+    run = _compile(e, bound)
 
     def coeff(k: int, i: int | None = None) -> RingValue:
         c = COUNTER
         if c.track_bits:
             return eval_expr(e, k, i)
         try:
-            v = Fraction(*pair(k, i))
+            v = Fraction(*run(k, i))
         except _Refused:
             # eval_expr raises the error, with its k; a value that fails
             # adds nothing to COUNTER
@@ -700,29 +670,11 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     return coeff
 
 
-# The compiled form evaluates a coefficient at one (k, i) or over a run
-# of one index: i for fixed k in full history, k in fixed order.  The
-# index that runs is given as a list of ints, and every value is an
-# unreduced (num, den) pair of ints or of lists, an int standing for the
-# same int at every index of the run.  A value that eval_expr would
-# refuse, by a zero denominator or an unbound variable, raises _Refused
-# for the whole run; nothing is added to COUNTER.  One compiler builds
-# both forms from a table of the int arithmetic it uses: the operator
-# module's for one (k, i), and list-aware ones for a run.
-
 _Vec = Union[int, list[int]]
 
 
 class _Refused(Exception):
     """A value of a run divides by zero or names an unbound variable."""
-
-
-class _Arith(NamedTuple):
-    neg: Callable[[_Vec], _Vec]
-    add: Callable[[_Vec, _Vec], _Vec]
-    sub: Callable[[_Vec, _Vec], _Vec]
-    mul: Callable[[_Vec, _Vec], _Vec]
-    has_zero: Callable[[_Vec], bool]
 
 
 def _vneg(a: _Vec) -> _Vec:
@@ -761,20 +713,14 @@ def _vhas_zero(a: _Vec) -> bool:
     return a == 0 if type(a) is int else 0 in a
 
 
-_ON_INTS = _Arith(neg, add, sub, mul, not_)
-_ON_RUNS = _Arith(_vneg, _vadd, _vsub, _vmul, _vhas_zero)
-
-
 def _refuse(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
     raise _Refused
 
 
-def _compile(
-    e: Expr, bound: tuple[str, ...], arith: _Arith
-) -> Callable[..., tuple[_Vec, _Vec]]:
-    """An x-free expression as a closure of (k, i) giving an unreduced
-    pair, by arith over ints (_ON_INTS) or runs (_ON_RUNS); it raises
-    _Refused where eval_expr raises at some index."""
+def _compile(e: Expr, bound: tuple[str, ...]) -> Callable[..., tuple[_Vec, _Vec]]:
+    """An x-free expression as a closure of (k, i), each an int or a run,
+    giving an unreduced pair; it raises _Refused where eval_expr raises
+    at some index."""
     if isinstance(e, IntLit):
         const = (e.value, 1)
         return lambda k, i: const
@@ -785,43 +731,40 @@ def _compile(
             return lambda k, i: (k, 1)
         return lambda k, i: (i, 1)
     if isinstance(e, Neg):
-        f = _compile(e.operand, bound, arith)
-        negate = arith.neg
+        f = _compile(e.operand, bound)
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
-            return negate(a), b
+            return _vneg(a), b
 
         return value
-    f = _compile(e.left, bound, arith)  # type: ignore[attr-defined]
-    g = _compile(e.right, bound, arith)  # type: ignore[attr-defined]
-    times = arith.mul
+    f = _compile(e.left, bound)  # type: ignore[attr-defined]
+    g = _compile(e.right, bound)  # type: ignore[attr-defined]
     if isinstance(e, (Add, Sub)):
-        op = arith.add if isinstance(e, Add) else arith.sub
+        op = _vadd if isinstance(e, Add) else _vsub
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
             if b == d:
                 return op(a, c), b
-            return op(times(a, d), times(c, b)), times(b, d)
+            return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
 
     elif isinstance(e, Mul):
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
-            return times(a, c), times(b, d)
+            return _vmul(a, c), _vmul(b, d)
 
     elif isinstance(e, Div):
-        has_zero = arith.has_zero
 
         def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
             a, b = f(k, i)
             c, d = g(k, i)
-            if has_zero(c):
+            if _vhas_zero(c):
                 raise _Refused
-            return times(a, d), times(b, c)
+            return _vmul(a, d), _vmul(b, c)
 
     else:
         raise RecdetError(f"unknown expression node {type(e).__name__}")

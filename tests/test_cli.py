@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -478,14 +479,19 @@ class TestColor:
 
 
 def test_console_script_end_to_end():
+    # Bare env on purpose; pass recdet's import root, as it may run from src/,
+    # and the parent's PYTHONDONTWRITEBYTECODE, so that the child writes no
+    # __pycache__ into a checkout the parent keeps free of one.
+    env = {"PATH": "", "RECDET_COLOR": "0",
+           "PYTHONPATH": str(Path(recdet.__file__).resolve().parents[1])}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     proc = subprocess.run(
         [sys.executable, "-m", "recdet.cli", "matrix", "naturals", "--k", "3",
          "--format", "json"],
         capture_output=True,
         text=True,
-        # Bare env on purpose; pass recdet's import root, as it may run from src/.
-        env={"PATH": "", "RECDET_COLOR": "0",
-             "PYTHONPATH": str(Path(recdet.__file__).resolve().parents[1])},
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == NATURALS_JSON

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import string
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +19,7 @@ from recdet.dsl import (
     Neg,
     Sub,
     Var,
-    _vars_of,
+    _facts,
     eval_expr,
     parse,
     render,
@@ -141,6 +142,68 @@ class TestSyntaxErrors:
             assert f"literal of {len(digits)} digits is too long" in str(exc.value)
 
 
+def _reference_lex_line(text, line_no):
+    """The lexer the regex scan replaced, a character at a time: the
+    reference for dsl._lex_line's tokens and for its error's text, line
+    and column."""
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r":
+            i += 1
+            continue
+        col = i + 1
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(dsl._Token("INT", text[i:j], line_no, col))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(dsl._Token("IDENT", text[i:j], line_no, col))
+            i = j
+        elif ch in "+-*/()[],=":
+            toks.append(dsl._Token(ch, ch, line_no, col))
+            i += 1
+        else:
+            raise SpecSyntaxError(line_no, col, f"unexpected character {ch!r}")
+    return toks
+
+
+def _lexed(lex, text):
+    try:
+        return lex(text, 7)
+    except SpecSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+# printable ASCII, the blanks str.strip and str.isspace know of, NUL, and
+# letters, digits and numbers outside ASCII: superscript two and Arabic-Indic
+# three (isdigit), a half and Roman twelve (isnumeric), e acute and a
+# titlecase digraph (isalpha), a double-struck zero (isdecimal, astral) and
+# Deseret long I (isalpha, astral)
+_LEX_ALPHABET = sorted(
+    set(string.printable) - {"\n"} | set("\x00\xa0\u00b2\u0663\u00bd\u216b\u00e9\u01c5")
+    | {"\U0001d7d8", "\U00010400"}
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@example("coeff p1(k) = k\u00b2 + 2\u00b2")
+@example("\U00010400\u0663_ = \u216b")
+@example("order = 2 \t\r")
+@example("initial = [1,\xa01]")
+@example("_\U0001d7d8 \x0b")
+@given(st.text(alphabet=st.sampled_from(_LEX_ALPHABET), max_size=40))
+def test_lexer_matches_the_character_scan(text):
+    assert _lexed(dsl._lex_line, text) == _lexed(_reference_lex_line, text)
+
+
 class TestSemanticErrors:
     def assert_semantic(self, text, fragment):
         with pytest.raises(SpecSemanticError) as exc:
@@ -173,10 +236,16 @@ class TestSemanticErrors:
         )
 
     def test_x_in_a_denominator_is_rejected_even_over_poly(self):
-        bad = FIB.replace("ring = rational", "ring = poly").replace(
-            "coeff p1(k) = 1", "coeff p1(k) = 1/(x + 1)"
-        )
-        self.assert_semantic(bad, "x-free")
+        poly = FIB.replace("ring = rational", "ring = poly")
+        # however deep below a Div's right side x sits
+        for p1 in ("1/(x + 1)", "1/(k*(x + 1))", "k/(2 + (1/x))", "k - 2/(k*x)"):
+            self.assert_semantic(
+                poly.replace("coeff p1(k) = 1", f"coeff p1(k) = {p1}"), "x-free"
+            )
+        self.assert_semantic(poly.replace("[1, 1]", "[1, 1/(2*x)]"), "x-free")
+        # x in a numerator under a Div is no denominator
+        doc = parse(poly.replace("coeff p1(k) = 1", "coeff p1(k) = (x + 1)/k"))
+        assert doc.coeffs[0].expr == Div(Add(Var("x"), IntLit(1)), Var("k"))
 
     def test_first_valid_k_must_clear_the_initials(self):
         self.assert_semantic(FIB + "first_valid_k = 2\n", "at least order + 1")
@@ -336,7 +405,7 @@ def _assert_compiled_matches_eval_expr(doc, ks=range(-2, 13)):
 def _assert_vector_matches_eval_expr(fn, expr, run, reference, vector):
     """fn's vector form over run: eval_expr's value at every index, or
     None where eval_expr raises at some index; nothing counted."""
-    if "x" in _vars_of(expr):
+    if "x" in _facts(expr)[0]:
         assert not hasattr(fn, "vector")
         return
     before = (COUNTER.adds, COUNTER.muls, COUNTER.divs)
@@ -419,44 +488,37 @@ def test_compiled_coefficients_defer_to_eval_expr_while_tracking_bits():
 # --- parse-time probes against the eval_expr reference -------------------
 
 
-def _reference_probe_fixed(doc, by_name):
-    """The fixed-order probe point by point by eval_expr: the reference
-    whose errors, lines and counts the compiled probe must give."""
-    m = doc.order or 1
-    fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
+def _reference_probe(doc, coeffs, bound, runs, hint):
+    """The probe point by point by eval_expr: the reference whose errors,
+    lines and counts the compiled probe must give.  It takes dsl._probe's
+    arguments but finds its points from doc alone."""
     for e in doc.initials:
         try:
             eval_expr(e)
         except DivisionByZero:
             raise SpecSemanticError("initial value divides by zero") from None
-    for name, (cdef, ln) in by_name.items():
-        for kk in range(fvk, fvk + 2 * m + 1):
+    if doc.mode == "fixed-order":
+        m = doc.order or 1
+        fvk = doc.first_valid_k if doc.first_valid_k is not None else m + 1
+        points = [(kk, None) for kk in range(fvk, fvk + 2 * m + 1)]
+    else:
+        points = [(kk, ii) for kk in range(1, 7) for ii in range(1, kk + 1)]
+    for cdef, ln, _ in coeffs:
+        for kk, ii in points:
             try:
-                eval_expr(cdef.expr, k=kk)
+                eval_expr(cdef.expr, k=kk, i=ii)
             except DivisionByZero:
-                raise SpecSemanticError(
-                    f"{name}({kk}) divides by zero; raise first_valid_k or fix "
-                    "the coefficient",
-                    line=ln,
-                ) from None
-
-
-def _reference_probe_full(doc, ln):
-    """The full-history probe point by point by eval_expr."""
-    try:
-        eval_expr(doc.initials[0])
-    except DivisionByZero:
-        raise SpecSemanticError("initial value divides by zero") from None
-    for kk in range(1, 7):
-        for ii in range(1, kk + 1):
-            try:
-                eval_expr(doc.coeffs[0].expr, k=kk, i=ii)
-            except DivisionByZero:
-                raise SpecSemanticError(
-                    f"p({kk}, {ii}) divides by zero; full-history coefficients "
-                    "must be defined for all 1 <= i <= k",
-                    line=ln,
-                ) from None
+                if ii is None:
+                    message = (
+                        f"{cdef.name}({kk}) divides by zero; raise first_valid_k "
+                        "or fix the coefficient"
+                    )
+                else:
+                    message = (
+                        f"p({kk}, {ii}) divides by zero; full-history "
+                        "coefficients must be defined for all 1 <= i <= k"
+                    )
+                raise SpecSemanticError(message, line=ln) from None
 
 
 def _parse_outcome(text, track_bits):
@@ -536,8 +598,7 @@ PROBE_DOCUMENTS = [
 def test_probes_match_the_eval_expr_reference(text, track_bits, monkeypatch):
     got = _parse_outcome(text, track_bits)
     with monkeypatch.context() as m:
-        m.setattr(dsl, "_probe_fixed", _reference_probe_fixed)
-        m.setattr(dsl, "_probe_full", _reference_probe_full)
+        m.setattr(dsl, "_probe", _reference_probe)
         want = _parse_outcome(text, track_bits)
     assert got == want
 
