@@ -17,7 +17,9 @@ Grammar (EBNF):
 
 Fixed-order documents name their coefficients p1..pm, each a function
 of k; full-history documents have a single coefficient p(k, i).  Blank
-lines are skipped.  Division denominators must be structurally x-free;
+lines, and comment lines, are skipped; their blanks are those of the
+lexer (space, tab, CR), so a line of other spaces is refused at its
+first character.  Division denominators must be structurally x-free;
 denominators that vanish for some k are a runtime error tied to
 first_valid_k, with a best-effort parse-time probe at a few sample k.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import add, mul, sub
 from typing import Callable, NamedTuple, Union
 
@@ -129,6 +132,7 @@ class _Token(NamedTuple):
 # is str.isalnum() or "_", and must start with a letter or "_", a test
 # no character class makes, so _lex_line makes it.  BAD takes any other
 # character, so finditer passes over nothing but blanks at the end.
+_BLANKS = " \t\r"
 _TOKEN_RE = re.compile(
     r"[ \t\r]*(?:(?P<INT>[0-9]+)|(?P<IDENT>\w+)|(?P<SYM>[-+*/()\[\],=])|(?P<BAD>[^ \t\r]))"
 )
@@ -260,7 +264,7 @@ def parse(text: str) -> SpecDocument:
     coeffs: list[tuple[CoeffDef, int]] = []
 
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.strip()
+        stripped = raw_line.strip(_BLANKS)
         if not stripped or stripped.startswith("#"):
             continue
         toks = _lex_line(raw_line, line_no)
@@ -621,7 +625,10 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 # denominator or an unbound variable, raises _Refused for the whole run,
 # and nothing is added to COUNTER.  A coefficient that contains x (poly
 # ring) calls eval_expr, which stays the reference the compiled closures
-# must agree with.
+# must agree with.  A full-history coefficient whose AST factors as
+# h(k) * g(i) (see _split) has one more form, the runs of h and g over
+# 1..n (see _factored), from which recurrence._Rows takes the whole
+# triangle in O(n).
 
 
 def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
@@ -633,7 +640,9 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     An x-free e also gets its vector form as the function's attribute
     vector, and the (adds, muls, divs) one value costs as its attribute
     ops: a row table computes a row by one run of vector and adds ops
-    once per value of it to COUNTER, as that many calls would.
+    once per value of it to COUNTER, as that many calls would.  A
+    full-history e that factors (see _split) also gets the attribute
+    factored, n -> the runs of h and g (see _factored).
     """
     vs, _, (adds, muls, divs) = _facts(e)
     if "x" in vs:
@@ -667,10 +676,76 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
 
     coeff.vector = vector  # type: ignore[attr-defined]
     coeff.ops = (adds, muls, divs)  # type: ignore[attr-defined]
+    factors = _split(e) if bound == ("k", "i") else None
+    if factors is not None:
+        coeff.factored = partial(_factored, *factors)  # type: ignore[attr-defined]
     return coeff
 
 
 _Vec = Union[int, list[int]]
+# a factor of a separable coefficient: its compiled form, whether it
+# divides, and whether it sits in a denominator and so refuses a zero
+_Factor = tuple[Callable[..., tuple[_Vec, _Vec]], bool, bool]
+_Runs = tuple[list[int], list[int]]
+
+
+def _split(e: Expr) -> tuple[int, list[_Factor], list[_Factor]] | None:
+    """e as sign * h(k) * g(i), or None where its AST does not factor so.
+
+    e factors when it is a product or quotient of factors, with or
+    without negation, each free of k (a factor of g) or free of i (of h;
+    a constant goes there too); the split reads the AST only.  A factor
+    under the right side of some Div refuses where it is zero, even
+    where the split puts it in a numerator: that is where e's own
+    division refuses, so h and g refuse where e does."""
+    sign = 1
+    h: list[_Factor] = []
+    g: list[_Factor] = []
+    todo = [(e, False, False)]
+    while todo:
+        node, divides, guarded = todo.pop()
+        names = _facts(node)[0]
+        if "k" not in names or "i" not in names:
+            (g if "i" in names else h).append((_compile(node, ("k", "i")), divides, guarded))
+        elif isinstance(node, Neg):
+            sign = -sign
+            todo.append((node.operand, divides, guarded))
+        elif isinstance(node, Mul):
+            todo += [(node.left, divides, guarded), (node.right, divides, guarded)]
+        elif isinstance(node, Div):
+            todo += [(node.left, divides, guarded), (node.right, not divides, True)]
+        else:
+            return None
+    return sign, h, g
+
+
+def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_Runs, _Runs] | None:
+    """The factored form of a separable coefficient (see _split): h's run
+    over k = 1..n and g's over i = 1..n, each as (nums, dens), unreduced
+    ints with every den > 0, so that p(k, i) = h(k) * g(i); None where
+    either run refuses, which is where eval_expr refuses at some
+    1 <= i <= k <= n, since the triangle meets every k and every i."""
+    run = list(range(1, n + 1))
+    runs = []
+    for factors, num in ((h, sign), (g, 1)):
+        den: _Vec = 1
+        for f, divides, guarded in factors:
+            try:
+                a, b = f(run, run)
+            except _Refused:
+                return None
+            if guarded and _vhas_zero(a):
+                return None
+            if divides:
+                a, b = b, a
+            num, den = _vmul(num, a), _vmul(den, b)
+        nums = num if type(num) is list else [num] * n
+        dens = den if type(den) is list else [den] * n
+        if min(dens, default=1) < 0:
+            nums = [-a if b < 0 else a for a, b in zip(nums, dens)]
+            dens = list(map(abs, dens))
+        runs.append((nums, dens))
+    return runs[0], runs[1]
 
 
 class _Refused(Exception):

@@ -655,6 +655,39 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
     return minors
 
 
+def rank_one_leading_minors(h: tuple, g: tuple) -> list[tuple[int, int]]:
+    """The leading minors d_1..d_n, as pairs (A, T), of Theorem 1's
+    matrix whose cell (i, k), i <= k, is h(k) * g(i) and whose subdiagonal
+    is -1: above its subdiagonal it has rank one.  h and g come as runs
+    (nums, dens) over 1..n, every den > 0.
+
+    Expanding d_k along column k gives d_k = h(k) * U_k with
+    U_k = U_{k-1} + g(k) * d_{k-1}, U_0 = 0 and d_0 = 1: O(n) where the
+    leading-minor recurrence takes O(n^2).  U_k is held as the pair
+    (B, Q), and d_k as its numerator over Q times the den of h(k), so
+    each step multiplies large ints by small ones only.  Where U's scale
+    outgrew it (ring.pair_outgrew), its pair is divided by their gcd and
+    the expansion goes on.  COUNTER gets what scaled_leading_minors adds
+    for n dense columns, in bulk.
+    """
+    (hn, hd), (gn, gd) = h, g
+    minors: list[tuple[int, int]] = []
+    # U as b / q; d_{k-1} as a / (q * t)
+    b, q, a, t = 0, 1, 1, 1
+    for hk, dk, gk, ek in zip(hn, hd, gn, gd):
+        s = t * ek
+        b, q = b * s + gk * a, q * s
+        if pair_outgrew(b, q):
+            c = gcd(b, q)
+            b, q = b // c, q // c
+        a, t = hk * b, dk
+        minors.append((a, q * t))
+    n = len(minors)
+    COUNTER.muls += n + 3 * (n * (n - 1) // 2)
+    COUNTER.adds += n * (n - 1) // 2
+    return minors
+
+
 def _divide_window(d: list, shares: list[int], lo: int, total: int) -> int:
     """Divide the list minors d[lo:], the ones the next column reads, and
     their scale total by h, the gcd of shares[lo:]; returns total / h.

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import IndexBelowValidity, RecdetError
@@ -26,6 +27,7 @@ from .hessenberg import (
     _refuse_matrix_size,
     _ring_leading_minors,
     leading_minors,
+    rank_one_leading_minors,
     scaled_leading_minors,
 )
 from .ring import (
@@ -151,6 +153,7 @@ class _Rows:
             not self.full or self.spec.band is None
         )
         self.asked = False
+        self.hg: tuple | bool | None = None
 
     def width(self, k: int) -> int:
         return k if self.full else len(self.funcs)
@@ -168,6 +171,30 @@ class _Rows:
                 v = self.funcs[0](k, i) if self.full else self.funcs[i - 1](k)
             row[i] = v
         return v
+
+    def factored(self) -> tuple | None:
+        """The runs of h and g of a full-history coefficient that factors
+        as p(k, i) = h(k) * g(i) (the coefficient's attribute factored,
+        see dsl._factored), read once per call; None if the form does not
+        give them: when the spec has a declared band, an a(1) that is not
+        a Fraction or no such form, while bits are tracked, once a value
+        was computed by a call or a vector row was asked for, or where a
+        run refuses.  COUNTER gets the DSL ops of the whole triangle."""
+        if self.hg is None:
+            f = self.funcs[0]
+            self.hg = (
+                self.full
+                and self.vector
+                and not self.asked
+                and self.n >= 1
+                and not COUNTER.track_bits
+                and type(self.spec.initial) is Fraction
+                and hasattr(f, "factored")
+                and f.factored(self.n)  # type: ignore[attr-defined]
+            ) or False
+            if self.hg:
+                self._count(self.n * (self.n + 1) // 2)
+        return self.hg or None
 
     def scaled(self, k: int) -> tuple[int, list[int]] | None:
         """Row k as a scaled int row, or None if the vector form does not
@@ -290,6 +317,9 @@ def _direct(rows: _Rows) -> list:
     """
     spec, n = rows.spec, rows.n
     if rows.full:
+        hg = rows.factored()
+        if hg:
+            return _factored_terms(*hg, spec.initial, rows.shared)
         terms: list[RingValue] = [spec.initial]
         ks = iter(range(1, n + 1))
     else:
@@ -325,6 +355,38 @@ def _direct(rows: _Rows) -> list:
     for k in ks:
         row = _read_row(rows, k, terms)
         terms.append(_ring_sum(row, _ring_window(terms, len(row))))
+    return terms
+
+
+def _factored_terms(h: tuple, g: tuple, a1: Fraction, pairs: bool) -> list:
+    """Direct iteration where p(k, i) = h(k) * g(i), in O(n): the row sum
+    of row k is h(k) * S_k with S_k = S_{k-1} + g(k) * a(k), so
+    a(k + 1) = h(k) * S_k.  h and g come as runs (nums, dens), dens > 0
+    (see _Rows.factored).
+
+    S_k is held as the pair (B, Q), and a(k) as its numerator over Q
+    times r, r the den of h(k - 1) (of a(1) for k = 1), so that each step
+    multiplies large ints by small ones only.  Where S's scale outgrew it
+    (ring.pair_outgrew), its pair is divided by their gcd and the sum goes
+    on.  COUNTER gets the row sums' k muls and k - 1 adds per row k, in
+    bulk.  A term goes into the list as its pair when pairs is set, else
+    as the Fraction.
+    """
+    (hn, hd), (gn, gd) = h, g
+    terms: list = [a1]
+    # S as b / q; a(k) as a / (q * r)
+    b, q, a, r = 0, 1, a1.numerator, a1.denominator
+    for hk, dk, gk, ek in zip(hn, hd, gn, gd):
+        s = r * ek
+        b, q = b * s + gk * a, q * s
+        if pair_outgrew(b, q):
+            c = gcd(b, q)
+            b, q = b // c, q // c
+        a, r = hk * b, dk
+        terms.append((a, q * r) if pairs else Fraction(a, q * r))
+    n = len(hn)
+    COUNTER.muls += n * (n + 1) // 2
+    COUNTER.adds += n * (n - 1) // 2
     return terms
 
 
@@ -562,6 +624,9 @@ def _band_minors(rows: _Rows) -> list:
     Fraction nor a Polynomial, and a negative band raise _BuildTheMatrix,
     for the caller to build the matrix, which raises what it raises.
     """
+    hg = rows.factored()
+    if hg:
+        return rank_one_leading_minors(*hg)
     n = rows.n
     spec = rows.reader()
     forget = spec is not rows.spec and not rows.shared

@@ -14,6 +14,7 @@ for JSON output and golden tests.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -435,12 +436,24 @@ def pair_value(v: tuple[int, int] | RingValue) -> RingValue:
 
 def render_pair(num: int, den: int) -> str:
     """render_value(Fraction(num, den)), den > 0, reduced by one gcd."""
-    if den != 1:
-        g = gcd(num, den)
-        if g != den:
-            return f"{num // g}/{den // g}"
-        num //= g
-    return str(num)
+    try:
+        if den != 1:
+            g = gcd(num, den)
+            if g != den:
+                return f"{num // g}/{den // g}"
+            num //= g
+        return str(num)
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> SizeTooLarge:
+    """The refusal of a value with an int longer than the interpreter
+    writes out (Python 3.11 and later), which raises ValueError."""
+    return SizeTooLarge(
+        f"a value has an integer of more than {sys.get_int_max_str_digits()} digits, "
+        "the most this Python writes out (sys.set_int_max_str_digits)"
+    )
 
 
 def is_zero(v: RingValue) -> bool:
@@ -566,17 +579,25 @@ def _render_terms(p: Polynomial, coeff, power_fmt: str, star: str) -> str:
 
 
 def render_value(v: RingValue) -> str:
-    """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0"."""
-    if not isinstance(v, Polynomial):
-        return str(v)
-    return _render_terms(v, _text_fraction, "x^{}", "*")
+    """Canonical rendering: "n", "n/d", or "c_k*x^k + ... + c_0".  An
+    int too long to write out raises SizeTooLarge, here and in
+    render_pair and latex_value."""
+    try:
+        if not isinstance(v, Polynomial):
+            return str(v)
+        return _render_terms(v, _text_fraction, "x^{}", "*")
+    except ValueError:
+        raise _too_long() from None
 
 
 def latex_value(v: RingValue) -> str:
     """LaTeX form of a ring value, for the vmatrix emitter."""
-    if not isinstance(v, Polynomial):
-        return _latex_fraction(v.numerator, v.denominator)
-    return _render_terms(v, _latex_fraction, "x^{{{}}}", "")
+    try:
+        if not isinstance(v, Polynomial):
+            return _latex_fraction(v.numerator, v.denominator)
+        return _render_terms(v, _latex_fraction, "x^{{{}}}", "")
+    except ValueError:
+        raise _too_long() from None
 
 
 def _text_fraction(num: int, den: int) -> str:

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,6 +21,10 @@ NATURALS_JSON = (
     '{"size":3,"ring":"rational",'
     '"entries":[["1","1","1"],["-1","1","0"],["0","-1","1"]]}'
 )
+
+
+# the most digits str() writes of an int; 0 (or no limit at all) is none
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture(autouse=True)
@@ -242,6 +247,30 @@ class TestExitCodes:
             assert err == (
                 f"error: {path} is not UTF-8 text (invalid continuation byte at byte 24)\n"
             )
+
+    @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="str() writes ints of any length")
+    def test_values_past_the_int_digit_limit_exit_two(self, capsys):
+        # at the lowest limit Python takes, so that the values are cheap;
+        # a(k) = 2^(k - 2) of powers-of-two has more digits than the limit
+        # from k = 2 + ceil(limit / log10(2)) on (about 2,128 at 640)
+        limit = 640
+        past = 2 + math.ceil(limit / math.log10(2))
+        error = (
+            f"error: a value has an integer of more than {limit} digits, "
+            "the most this Python writes out (sys.set_int_max_str_digits)\n"
+        )
+        path = str(spec_path("powers-of-two"))
+        sys.set_int_max_str_digits(limit)
+        try:
+            for n, fmt in ((past - 1, "text"), (past + 3, "json")):
+                assert run(capsys, "verify", path, "--max-n", str(n), "--format", fmt) == (2, "", error)
+            assert run(capsys, "verify", path, "--max-n", str(past - 10))[0] == 0
+            code, out, err = run(capsys, "eval", path, "--n", str(past + 3))
+            assert (code, err) == (2, error)
+            # eval prints the terms before the first that is too long
+            assert out.splitlines()[-1].startswith(f"{past - 1}: ")
+        finally:
+            sys.set_int_max_str_digits(_INT_DIGIT_LIMIT)
 
 
 USAGE_ERRORS = [

@@ -35,7 +35,7 @@ from recdet.errors import (
 from recdet.recurrence import eval_fixed_order, eval_full_history
 from recdet.ring import COUNTER, Polynomial
 from recdet.specfiles import available, spec_text
-from tests.conftest import random_document
+from tests.conftest import random_document, random_expr
 
 # int()'s cap on the digits of a literal; 0 (or no cap at all) is no limit
 _INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -127,6 +127,20 @@ class TestSyntaxErrors:
                 parse(FIB.replace(old_text, new_text))
             assert exc.value.col == col
             assert f"unexpected character {new_text[col - 1]!r}" in str(exc.value)
+
+    def test_lines_of_other_spaces_are_not_blank(self):
+        # blank and comment lines are decided with the lexer's blanks
+        # (space, tab, CR), so a line of other spaces fails where
+        # 'order\xa0= 1' does: at its first such character
+        for line, col in (("\xa0\xa0", 1), ("\u2003", 1), ("\xa0# note", 1), ("order\xa0= 1", 6)):
+            with pytest.raises(SpecSyntaxError) as exc:
+                parse(FIB.replace("order = 2", f"order = 2\n{line}"))
+            assert (exc.value.line, exc.value.col) == (4, col)
+            assert f"unexpected character {line[col - 1]!r}" in str(exc.value)
+
+    def test_lines_of_blanks_and_comments_after_blanks_are_skipped(self):
+        for line in ("\t# note", "  \r", " \t"):
+            assert parse(FIB.replace("order = 2", f"order = 2\n{line}")) == parse(FIB)
 
     @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="int() takes any number of digits")
     def test_literals_past_the_int_digit_limit_are_syntax_errors(self):
@@ -452,6 +466,76 @@ def test_compiled_coefficients_match_eval_expr_on_random_documents(
             ),
         )
     _assert_compiled_matches_eval_expr(doc)
+
+
+def _random_separable(rng, depth=0):
+    """A product or quotient, with negations, of random factors each of
+    k alone or of i alone; a divisor may vanish anywhere."""
+    kind = rng.randrange(2 if depth < 2 else 0, 5 if depth < 4 else 2)
+    if kind < 2:
+        return random_expr(rng, (("k",), ("i",))[kind])
+    if kind == 2:
+        return Neg(_random_separable(rng, depth + 1))
+    node = Mul if kind == 3 else Div
+    return node(_random_separable(rng, depth + 1), _random_separable(rng, depth + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_the_factored_form_matches_eval_expr(seed):
+    # h(k) * g(i) is eval_expr's value on the whole triangle, or the form
+    # refuses exactly where eval_expr raises somewhere in it
+    e = _random_separable(random.Random(seed))
+    n = 12
+    split = dsl._split(e)
+    assert split is not None, render_expr(e)
+    got = dsl._factored(*split, n)
+    triangle = [(k, i) for k in range(1, n + 1) for i in range(1, k + 1)]
+    want = {}
+    for k, i in triangle:
+        try:
+            want[k, i] = eval_expr(e, k, i)
+        except DivisionByZero:
+            assert got is None, render_expr(e)
+            return
+    assert got is not None, render_expr(e)
+    (hn, hd), (gn, gd) = got
+    assert len(hn) == len(hd) == len(gn) == len(gd) == n
+    assert min(hd) > 0 and min(gd) > 0
+    for k, i in triangle:
+        assert Fraction(hn[k - 1], hd[k - 1]) * Fraction(gn[i - 1], gd[i - 1]) == want[k, i]
+    # to_spec gives the form to the full-history coefficient
+    spec = to_spec(parse(_full(render_expr(e))))
+    assert spec.coeff.factored(n) == got
+
+
+@pytest.mark.parametrize(
+    "p", ["k - i", "(k + i)/k", "k/(k + i)", "(k - i + 1)/(k + 2*i) - 1/3", "x*i/k"]
+)
+def test_coefficients_that_do_not_factor_have_no_factored_form(p):
+    doc = parse(_full(p, ring="poly" if "x" in p else "rational"))
+    if "x" not in p:
+        assert dsl._split(doc.coeffs[0].expr) is None
+    assert not hasattr(to_spec(doc).coeff, "factored")
+
+
+def test_fixed_order_coefficients_have_no_factored_form():
+    spec = to_spec(parse(FIB))
+    assert not any(hasattr(f, "factored") for f in spec.coeffs)
+
+
+def test_a_factor_under_a_divisor_refuses_its_zero_in_a_numerator():
+    # (k + 1)/((i - 8)/(k + 2)) splits as (k + 1)(k + 2) * (i - 8)^-1;
+    # i - 8 divides, so the form refuses at i = 8 as eval_expr does, and
+    # in (k + 1)/((i + 8)/(k - 9)), k - 9 is a numerator factor of h
+    # that still refuses its zero
+    for p, zero in (("(k + 1)/((i - 8)/(k + 2))", 8), ("(k + 1)/((i + 8)/(k - 9))", 9)):
+        doc = parse(_full(p))
+        f = to_spec(doc).coeff
+        assert f.factored(zero - 1) is not None
+        assert f.factored(zero) is None
+        with pytest.raises(DivisionByZero):
+            eval_expr(doc.coeffs[0].expr, zero, zero)
 
 
 def test_compiled_coefficients_match_eval_expr_on_shipped_specs():

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from recdet import cli, dsl, recurrence, ring
+from recdet import cli, dsl, hessenberg, recurrence, ring
 from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
 from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
 from recdet.hessenberg import (
@@ -1082,14 +1082,19 @@ class TestVectorRows:
         ],
     )
     @pytest.mark.parametrize("name", ["powers-of-two", "ode-example"])
-    def test_only_fast_untracked_uncorrupted_calls_run_the_vector_form(
+    def test_only_fast_untracked_uncorrupted_calls_run_a_compiled_form(
         self, name, kwargs, track_bits
     ):
+        # powers-of-two's p(k, i) = 1 factors, so its fast call runs the
+        # factored form in place of the vector form
         spec = _dsl_spec(spec_text(name), name)
         runs = []
         for f in (spec.coeff,) if isinstance(spec, FullHistorySpec) else spec.coeffs:
-            vector = f.vector
-            f.vector = lambda *args, vector=vector: runs.append(args) or vector(*args)
+            for form in ("vector", "factored"):
+                if hasattr(f, form):
+                    run = getattr(f, form)
+                    spy = lambda *args, form=form, run=run: runs.append(form) or run(*args)
+                    setattr(f, form, spy)
         COUNTER.reset(track_bits=track_bits)
         try:
             verify_spec(spec, 8, **kwargs)
@@ -1097,7 +1102,7 @@ class TestVectorRows:
             COUNTER.reset()
         assert runs == []
         verify_spec(spec, 8)
-        assert runs
+        assert runs == (["factored"] if name == "powers-of-two" else ["vector"] * 3)
 
     @pytest.mark.parametrize(
         "text",
@@ -1112,7 +1117,8 @@ class TestVectorRows:
     def test_a_table_no_one_shares_forgets_each_row(self, text):
         # so eval and a lone determinant_terms hold no more than a row of
         # coefficients at a time, by calls as well as by vector rows;
-        # verify's table keeps the rows its determinant side read
+        # verify's table keeps the rows its determinant side read, or
+        # where p(k, i) factors, the runs of h and g in their place
         def forgot_everything(rows):
             return not rows.cells and rows.ints == [None] * (rows.n + 1)
 
@@ -1125,7 +1131,118 @@ class TestVectorRows:
             assert forgot_everything(rows)
             rows = recurrence._Rows(spec, 100, shared=True)
             recurrence._determinant_terms(rows, "fast", None)
-            assert not forgot_everything(rows)
+            assert rows.factored() or not forgot_everything(rows)
+
+
+# --- full-history coefficients that factor as h(k) * g(i) -------------------
+
+# the last three vanish in h at k = 7, in g at i = 9, and at i = 8 in a
+# divisor that the split moves to a numerator; -i/(3 - 2*k) has negative
+# denominators
+SEPARABLE = [
+    "1",
+    "1/k",
+    "(2*i - 1)/(k + 3)",
+    "-(3*i + 1)/(2*k + 1)",
+    "k*i/(i + 1)",
+    "(k + 1)/((i + 2)/(k + 4))",
+    "-i/(3 - 2*k)",
+    "i/(k - 7)",
+    "k/(i - 9)",
+    "(k + 1)/((i - 8)/(k + 2))",
+]
+
+
+def _separable(p, initial="1"):
+    spec = _dsl_spec(f"mode = full-history\nring = rational\ninitial = {initial}\ncoeff p(k, i) = {p}\n")
+    assert hasattr(spec.coeff, "factored")
+    return spec
+
+
+def _unfactored(spec):
+    """A copy of spec whose coefficient keeps its vector form but has no
+    factored form: the general path, row by row."""
+    f = spec.coeff
+
+    def coeff(k, i=None):
+        return f(k, i)
+
+    coeff.vector, coeff.ops = f.vector, f.ops
+    return dataclasses.replace(spec, coeff=coeff)
+
+
+def _assert_factored_matches(spec, n, method="fast"):
+    """verify_spec and eval_full_history of spec give the general path's
+    reports, values and counts, and reference_verify's reports; eval also
+    the by-calls path's counts."""
+    got = _counted(verify_spec, spec, n, method)
+    assert got == _counted(verify_spec, _unfactored(spec), n, method)
+    assert got[0] == _outcome(reference_verify, spec, n, method)[0]
+    terms = _counted(eval_full_history, spec, n + 1)
+    assert terms == _counted(eval_full_history, _unfactored(spec), n + 1)
+    assert terms == _counted(eval_full_history, _by_calls(spec), n + 1)
+    return got[0]
+
+
+class TestFactoredForm:
+    @pytest.mark.parametrize("initial", ["0", "1", "-2/3", "3/2"])
+    @pytest.mark.parametrize("p", SEPARABLE)
+    def test_every_method_matches_the_general_path(self, p, initial):
+        spec = _separable(p, initial)
+        for method, n in (("fast", 1), ("fast", 12), ("fast", 40), ("bareiss", 12), ("laplace", 7)):
+            _assert_factored_matches(spec, n, method)
+
+    @pytest.mark.parametrize("p", SEPARABLE)
+    def test_only_a_fast_verify_and_eval_run_the_factored_loops(self, p, monkeypatch):
+        calls = []
+        for name in ("rank_one_leading_minors", "_factored_terms"):
+            loop = getattr(recurrence, name)
+            monkeypatch.setattr(
+                recurrence, name, lambda *a, name=name, loop=loop: calls.append(name) or loop(*a)
+            )
+        spec = _separable(p, "-2/3")
+        n = 12
+        refuses = spec.coeff.factored(n) is None
+        assert refuses == (p in SEPARABLE[-3:])
+        for method, corrupt in (("bareiss", None), ("laplace", None), ("fast", (2, 5))):
+            _counted(verify_spec, spec, n, method, corrupt)
+        assert calls == []
+        _counted(verify_spec, spec, n)
+        _counted(eval_full_history, spec, n)
+        assert calls == ([] if refuses else ["rank_one_leading_minors"] + ["_factored_terms"] * 2)
+
+    @pytest.mark.parametrize("bits", [1, 4, 40])
+    def test_both_loops_divide_out_under_a_lowered_bound(self, bits, monkeypatch):
+        # each side divides its running pair by its gcd where the scale
+        # outgrew it, and goes on
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", bits)
+        trips = Counter()
+        for module in (recurrence, hessenberg):
+            outgrew = module.pair_outgrew
+            monkeypatch.setattr(
+                module,
+                "pair_outgrew",
+                lambda *a, m=module.__name__, f=outgrew: f(*a) and not trips.update([m]),
+            )
+        for p in SEPARABLE[:7]:
+            for initial in ("0", "1", "-2/3", "3/2"):
+                report = _assert_factored_matches(_separable(p, initial), 30)
+                assert report.passed
+        assert trips["recdet.recurrence"] and trips["recdet.hessenberg"]
+
+    def test_a_poly_initial_keeps_the_general_path(self, monkeypatch):
+        spec = _dsl_spec("mode = full-history\nring = poly\ninitial = x\ncoeff p(k, i) = (2*i - 1)/(k + 3)\n")
+        monkeypatch.setattr(recurrence, "rank_one_leading_minors", None)
+        monkeypatch.setattr(recurrence, "_factored_terms", None)
+        assert verify_spec(spec, 20).passed
+        assert eval_full_history(spec, 20) == eval_full_history(_by_calls(spec), 20)
+
+    def test_a_band_or_tracked_bits_keep_the_general_path(self, monkeypatch):
+        spec = _separable("(2*i - 1)/(k + 3)")
+        monkeypatch.setattr(recurrence, "rank_one_leading_minors", None)
+        monkeypatch.setattr(recurrence, "_factored_terms", None)
+        assert not verify_spec(dataclasses.replace(spec, band=2), 12).passed
+        assert _assert_table_matches_reference(spec, 12, track_bits=True).passed
 
 
 # --- determinant_terms' band columns against the matrix ---------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from recdet import recurrence, ring
-from recdet.errors import DivisionByZero, InexactDivision, RecdetError
+from recdet.errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
 from recdet.ring import (
     COUNTER,
     Polynomial,
@@ -825,3 +825,23 @@ class TestParsingIntoThePair:
         assert parse_outcome(ring._parse_poly_text, text) == parse_outcome(
             reference_parse_poly_text, text
         )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="str() writes ints of any length"
+)
+def test_renderers_refuse_an_int_past_the_digit_limit():
+    # SizeTooLarge names the limit, in place of int's ValueError
+    long = 10 ** sys.get_int_max_str_digits()
+    for render, value in (
+        (ring.render_value, Fraction(long)),
+        (ring.render_value, Fraction(1, long)),
+        (ring.render_value, Polynomial([1, Fraction(long, 3)])),
+        (ring.latex_value, Fraction(-long, 7)),
+        (ring.latex_value, Polynomial([Fraction(1, long)])),
+        (lambda v: ring.render_pair(*v), (3 * long, 3)),
+        (lambda v: ring.render_pair(*v), (2, 4 * long)),
+    ):
+        with pytest.raises(SizeTooLarge, match=f"more than {sys.get_int_max_str_digits()} digits"):
+            render(value)
+    assert ring.render_pair(long, long) == "1"
