@@ -536,7 +536,7 @@ def _probe(
     (each i of a run (k, i), each k of a run (k, None)), divides by zero.
     The coefficients go in document order, each by one run of its compiled
     form (see _compile) per entry of runs; COUNTER then gets the ops
-    eval_expr would count at each point, in bulk as _Rows._count adds
+    eval_expr would count at each point, in bulk as recurrence._count adds
     them.  While bits are tracked, for a coefficient with x, or when a run
     refuses, it goes point by point with eval_expr instead, which names
     the first point that fails, followed by hint, and gives the error

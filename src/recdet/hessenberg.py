@@ -769,7 +769,8 @@ DET_FUNCTIONS = {
 
 
 def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
-    """Leading principal minors d_1..d_n of m by a method of DET_FUNCTIONS.
+    """Leading principal minors d_1..d_n of m by the method of
+    DET_FUNCTIONS that method names.
 
     The fast method takes them all in one pass, and so does Bareiss on
     an upper-Hessenberg matrix while bits are not tracked.  Bareiss's
@@ -779,9 +780,7 @@ def leading_minors(m: SquareMatrix, method: str) -> list[RingValue]:
     submatrix.  Laplace refuses before its first determinant when a
     submatrix is past its size limit, naming the first such size.
     """
-    det = DET_FUNCTIONS.get(method)
-    if det is None:
-        raise RecdetError(f"unknown determinant method {method!r}")
+    det = DET_FUNCTIONS[method]
     if det is det_hessenberg_fast:
         return hessenberg_leading_minors(m)
     minors: list[RingValue] = []

@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .errors import IndexBelowValidity, RecdetError
 from .hessenberg import (
     _RING_TYPES,
+    DET_FUNCTIONS,
     ZERO,
     SquareMatrix,
     _refuse_matrix_size,
@@ -109,30 +110,29 @@ class SequencePrefix:
 
 
 class _Rows:
-    """A spec's coefficient values up to row n, each computed once.
+    """A spec's coefficient rows up to row n, each value computed once.
 
-    Row k holds p(k, 1..k) of a full-history spec, or p_1(k)..p_m(k) of
-    a fixed-order one, k > m.  The kernels read rows whole, as scaled
-    int rows (L, [p * L]) where the coefficients' vector form gives them
-    (see scaled), L the lcm of the reduced denominators as
-    ring.int_scaled takes it.  The vector form runs once a kernel asks
-    for a scaled row (see scaled): for a full-history spec with no
-    declared band, one run of i per row, up to the first row whose run
-    refuses; for a fixed-order spec, one run of k per p_t, for every row
-    at once.  Every other value is computed by a call, in the order the
-    values are read (see value and take), and from the first such call
-    on no vector form runs.  A value that raised is not stored, so
-    errors are those of the spec itself.
+    Row k multiplies the last len(row) terms, and is column k of Theorem
+    1's or 2's matrix ending on the diagonal, cell i in row i: p(k, i) of a
+    full-history spec for i = 1..k, or for i >= k - b within a declared
+    band b; p_t(k) of a fixed-order spec of order m for i = k - m + t.  So
+    row k has min(k, span) cells.  The shape is decided here, once: how a
+    cell comes by a call (cell), rows by the vector form (runs), and the
+    spec that builds the matrix from a shared table's values (view).
 
-    verify_spec's two sides read one table, which it makes shared.  It
-    holds every row by the time direct iteration, the last reader,
-    starts, and goes when verify_spec returns.  Direct iteration over a
-    shared table keeps each term its int kernel computes as the pair
-    (A, T) for the report (see _scaled_terms).  A table that is not
-    shared, eval's or a lone determinant_terms', computes each row of a
-    full-history spec when it is first read and forgets it once read
-    (see take), so it holds one row at a time, and direct iteration makes
-    each term a Fraction.  Nothing is shared between calls or threads.
+    The kernels read rows whole, as scaled int rows (L, [p * L]) where the
+    vector form gives them (see scaled), L the lcm of the reduced
+    denominators.  Every other value is computed by a call, in the order
+    the values are read, and from then on no vector form runs.  A value
+    that raised is not stored, so errors are those of the spec itself.
+
+    verify_spec's two sides read one table, which it makes shared: its
+    full-history rows are whole, so that a spec that breaks its band still
+    fails, and it holds every row until direct iteration, the last reader,
+    takes it.  Any other table, eval's or a lone determinant_terms', reads
+    within the declared band, trusting it as theorem1_matrix does, and
+    forgets each row once read.  Nothing is allocated in proportion to n
+    up front, or shared between calls.
     """
 
     def __init__(
@@ -141,50 +141,89 @@ class _Rows:
         self.spec = spec
         self.n = n
         self.shared = shared
-        self.full = isinstance(spec, FullHistorySpec)
-        self.funcs = (spec.coeff,) if self.full else spec.coeffs
+        # a run puts the scaled int rows it makes in ints, counts their
+        # DSL ops, and returns whether later rows may still run
+        if isinstance(spec, FullHistorySpec):
+            f = spec.coeff
+            self.funcs = (f,)
+            self.band = n if spec.band is None else spec.band
+            self.span = (n if shared or self.band < 0 else self.band) + 1
+            self.cell = f
+            self.view = lambda value: replace(spec, coeff=value)
+            self.hg: tuple | bool | None = None
+
+            def runs(k: int, ints: dict) -> bool:
+                # one run of i per row, up to the first that refuses: to
+                # row n for a shared table, whose every row is read
+                values = 0
+                for j in range(k, n + 1 if shared else k + 1):
+                    run = f.vector(j, list(range(1, j + 1)))
+                    if run is None:
+                        break
+                    nums, dens = run
+                    ints[j] = pairs_scaled(nums if type(nums) is list else [nums] * j, dens)
+                    values += j
+                _count((f,), values)
+                return run is not None and not shared
+
+            self.runs = runs if spec.band is None else None
+        else:
+            coeffs, m, first = spec.coeffs, spec.order, spec.first_valid_k
+            self.funcs = coeffs
+            self.band, self.span = m - 1, m
+            self.cell = lambda k, i: coeffs[i - k + m - 1](k)
+            self.view = lambda value: replace(
+                spec, coeffs=tuple((lambda k, t=t: value(k, k - m + t)) for t in range(1, m + 1))
+            )
+            self.hg = False
+
+            def runs(k: int, ints: dict) -> bool:
+                # one run of k per p_t, for every row at once
+                ks = list(range(first, n + 1))
+                got = [f.vector(ks, None) for f in coeffs] if ks else [None]
+                if None not in got:
+                    nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in got))
+                    dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in got))
+                    ints.update(zip(ks, map(pairs_scaled, nums, dens)))
+                    _count(coeffs, len(ks))
+                return False
+
+            self.runs = runs
         self.clear()
 
     def clear(self) -> None:
         """Forget every value, as if nothing had been read."""
         self.cells: defaultdict[int, dict[int, RingValue]] = defaultdict(dict)
-        self.ints: list[tuple[int, list[int]] | None] = [None] * (self.n + 1)
-        self.vector = all(hasattr(f, "vector") for f in self.funcs) and (
-            not self.full or self.spec.band is None
-        )
+        self.ints: dict[int, tuple[int, list[int]]] = {}
+        self.vector = self.runs is not None and all(hasattr(f, "vector") for f in self.funcs)
         self.asked = False
-        self.hg: tuple | bool | None = None
-
-    def width(self, k: int) -> int:
-        return k if self.full else len(self.funcs)
 
     def value(self, k: int, i: int) -> RingValue:
-        """p(k, i) of a full-history spec, p_i(k) of a fixed-order one."""
+        """Cell i of row k of a shared table, kept for its other reader."""
         row = self.cells[k]
         v = row.get(i)
         if v is None:
-            got = self.ints[k] or self.asked and self.scaled(k)
+            got = self.ints.get(k) or self.asked and self.scaled(k)
             if got:
-                v = Fraction(got[1][i - 1], got[0])
+                scale, ps = got
+                v = Fraction(ps[i - k + len(ps) - 1], scale)
             else:
                 self.vector = False
-                v = self.funcs[0](k, i) if self.full else self.funcs[i - 1](k)
+                v = self.cell(k, i)
             row[i] = v
         return v
 
     def factored(self) -> tuple | None:
         """The runs of h and g of a full-history coefficient that factors
-        as p(k, i) = h(k) * g(i) (the coefficient's attribute factored,
-        see dsl._factored), read once per call; None if the form does not
-        give them: when the spec has a declared band, an a(1) that is not
-        a Fraction or no such form, while bits are tracked, once a value
-        was computed by a call or a vector row was asked for, or where a
-        run refuses.  COUNTER gets the DSL ops of the whole triangle."""
+        as p(k, i) = h(k) * g(i) (see dsl._factored), read once per call;
+        None where the vector form would not run, for a fixed-order spec,
+        an a(1) that is not a Fraction or no such form, while bits are
+        tracked, once a vector row was asked for, or where a run refuses.
+        COUNTER gets the DSL ops of the whole triangle."""
         if self.hg is None:
             f = self.funcs[0]
             self.hg = (
-                self.full
-                and self.vector
+                self.vector
                 and not self.asked
                 and self.n >= 1
                 and not COUNTER.track_bits
@@ -193,94 +232,53 @@ class _Rows:
                 and f.factored(self.n)  # type: ignore[attr-defined]
             ) or False
             if self.hg:
-                self._count(self.n * (self.n + 1) // 2)
+                _count(self.funcs, self.n * (self.n + 1) // 2)
         return self.hg or None
 
     def scaled(self, k: int) -> tuple[int, list[int]] | None:
-        """Row k as a scaled int row, or None if the vector form does not
-        give it: while bits are tracked, when a coefficient has no vector
-        form, or once a value was computed by a call; for a full-history
-        spec from the first row whose run divides by zero or names an
-        unbound variable; for a fixed-order spec below first_valid_k, or
-        if a run refuses.  COUNTER gets each value's DSL ops."""
-        got = self.ints[k]
-        if got is not None or not self.vector or COUNTER.track_bits:
-            return got
-        self.asked = True
-        if self.full:
-            # every row of a shared table is read: those from k on come
-            # at once, in one count
-            values = 0
-            for j in range(k, self.n + 1 if self.shared else k + 1):
-                run = self.spec.coeff.vector(j, list(range(1, j + 1)))  # type: ignore[attr-defined]
-                if run is None:
-                    self.vector = False  # by calls from here
-                    break
-                nums, dens = run
-                self.ints[j] = pairs_scaled(nums if type(nums) is list else [nums] * j, dens)
-                values += j
-            self._count(values)
-            return self.ints[k]
-        self.vector = False
-        ks = list(range(self.spec.first_valid_k, self.n + 1))
-        runs = [f.vector(ks, None) for f in self.funcs] if ks else [None]  # type: ignore[attr-defined]
-        if None not in runs:
-            nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in runs))
-            dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in runs))
-            self.ints[ks[0] :] = map(pairs_scaled, nums, dens)
-            self._count(len(ks))
-        return self.ints[k]
+        """Row k as a scaled int row, forgotten unless the table is shared,
+        or None where the vector form does not give it: while bits are
+        tracked, when a coefficient has no vector form or a full-history
+        spec declares a band, once a value was computed by a call, below
+        first_valid_k, and where a run refuses.  COUNTER gets each value's
+        DSL ops."""
+        if k not in self.ints and self.vector and not COUNTER.track_bits:
+            self.asked = True
+            self.vector = self.runs(k, self.ints)  # type: ignore[misc]
+        return self.ints.get(k) if self.shared else self.ints.pop(k, None)
 
     def take(self, k: int, row: list[RingValue]) -> None:
         """Append row k's values to row, in order, for the row's last
-        reader, and forget the row.  A row that no other reader read is
-        not stored: it comes from the vector form's scaled int row where
-        that gives one, else by calls.  A value that raises leaves the
-        values before it in row, as list.extend keeps what it took."""
-        got = self.ints[k] or self.asked and self.scaled(k)
-        if k in self.cells:
-            row.extend(self.value(k, i) for i in range(1, self.width(k) + 1))
-        elif got:
+        reader, and forget the row: from its scaled int row where there is
+        one, else from the cells a shared table kept and by calls.  A
+        value that raises leaves the values before it in row."""
+        got = self.asked and self.scaled(k)
+        window = range(k - self.span + 1 if k > self.span else 1, k + 1)
+        if got:
             row.extend([Fraction(p, got[0]) for p in got[1]])
+        elif k in self.cells:
+            row.extend(map(partial(self.value, k), window))
         else:
             self.vector = False
-            if self.full:
-                row.extend(map(partial(self.spec.coeff, k), range(1, k + 1)))
-            else:
-                row.extend(f(k) for f in self.funcs)
-        self.drop(k)
+            row.extend(map(partial(self.cell, k), window))
+        if self.shared:
+            self.cells.pop(k, None)
+            self.ints.pop(k, None)
 
-    def drop(self, k: int) -> None:
-        """Forget row k, which no reader reads again."""
-        self.cells.pop(k, None)
-        self.ints[k] = None
 
-    def _count(self, values: int) -> None:
-        """COUNTER gets the DSL ops of that many values of each coefficient."""
-        for f in self.funcs:
-            adds, muls, divs = f.ops  # type: ignore[attr-defined]
-            COUNTER.adds += adds * values
-            COUNTER.muls += muls * values
-            COUNTER.divs += divs * values
-
-    def reader(self) -> FullHistorySpec | FixedOrderSpec:
-        """A copy of the spec whose coefficients read the table, or the
-        spec itself where storing its values serves no one: a table no
-        other reader reads, whose vector form will not run."""
-        if not (self.shared or self.vector or self.asked):
-            return self.spec
-        if self.full:
-            return replace(self.spec, coeff=self.value)
-        value = self.value
-        return replace(
-            self.spec,
-            coeffs=tuple((lambda k, t=t: value(k, t)) for t in range(1, len(self.funcs) + 1)),
-        )
+def _count(funcs: tuple, values: int) -> None:
+    """COUNTER gets the DSL ops of that many values of each coefficient."""
+    for f in funcs:
+        adds, muls, divs = f.ops
+        COUNTER.adds += adds * values
+        COUNTER.muls += muls * values
+        COUNTER.divs += divs * values
 
 
 def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
     """Direct iteration of the full-history recurrence, terms 1..n (see
-    _direct)."""
+    _direct).  Row k reads p(k, i) within a declared band only, which is
+    trusted as theorem1_matrix trusts it: a banded spec costs O(n*b)."""
     if n < 1:
         raise RecdetError("n must be at least 1")
     return SequencePrefix(tuple(_direct(_Rows(spec, n - 1))))
@@ -316,10 +314,10 @@ def _direct(rows: _Rows) -> list:
     again or a ring loop reads it (see _ring_window).
     """
     spec, n = rows.spec, rows.n
-    if rows.full:
-        hg = rows.factored()
-        if hg:
-            return _factored_terms(*hg, spec.initial, rows.shared)
+    hg = rows.factored()
+    if hg:
+        return _factored_terms(*hg, spec.initial, rows.shared)
+    if isinstance(spec, FullHistorySpec):
         terms: list[RingValue] = [spec.initial]
         ks = iter(range(1, n + 1))
     else:
@@ -334,7 +332,7 @@ def _direct(rows: _Rows) -> list:
 
     def scaled_rows() -> Iterator[tuple[int, list[int]]]:
         for k in ks:
-            scaled = rows.ints[k] or rows.scaled(k)
+            scaled = rows.scaled(k)
             if scaled is None:
                 row = _read_row(rows, k, terms)
                 scaled = int_scaled(row)
@@ -342,13 +340,11 @@ def _direct(rows: _Rows) -> list:
                     # the ring loop sums this row and the rest
                     terms.append(_ring_sum(row, _ring_window(terms, len(row))))
                     return
-            elif not rows.shared:
-                rows.drop(k)
             yield scaled
 
     start = int_scaled(terms)
     while start is not None and _scaled_terms(scaled_rows(), terms, *start, rows.shared):
-        window = _ring_window(terms, len(terms) if rows.full else spec.order)
+        window = _ring_window(terms, rows.span)
         start = int_scaled(window)
         if start is not None and scale_outgrew(start[0], window[-1]):
             break
@@ -391,8 +387,8 @@ def _factored_terms(h: tuple, g: tuple, a1: Fraction, pairs: bool) -> list:
 
 
 def _ring_window(terms: list, w: int) -> list[RingValue]:
-    """The last w terms, which the next row reads, as ring values: a pair
-    (A, T) among them becomes its Fraction, in terms too."""
+    """The last w terms, all of them if there are fewer, as ring values:
+    a pair (A, T) among them becomes its Fraction, in terms too."""
     window = terms[-w:]
     if tuple in map(type, window):
         window = terms[-w:] = list(map(pair_value, window))
@@ -407,7 +403,7 @@ def _read_row(rows: _Rows, k: int, terms: list[RingValue]) -> list[RingValue]:
     except BaseException:
         # leave the counts and max_bits of a loop that sums each
         # coefficient as it reads it
-        _ring_sum(row, _ring_window(terms, rows.width(k)))
+        _ring_sum(row, _ring_window(terms, rows.span))
         raise
     return row
 
@@ -548,8 +544,8 @@ def determinant_terms(
     which holds one row at a time (see _Rows).  The fast method with no
     corrupt cell and bits untracked builds no matrix: it
     reads the band columns from the table (see _band_minors).  Every
-    other call takes the minors of Theorem 1's or 2's matrix, built from
-    the table.  An a(1) of Fraction 1 skips its n products while bits
+    other call takes the minors of Theorem 1's or 2's matrix, built by
+    calls.  An a(1) of Fraction 1 skips its n products while bits
     are untracked; COUNTER still counts them.  The int kernel's values
     become Fractions here, as they leave.
     """
@@ -560,8 +556,18 @@ def _determinant_terms(rows: _Rows, method: str, corrupt: tuple[int, int] | None
     """determinant_terms(rows.spec, rows.n, method, corrupt), reading the
     coefficients from rows, with each value the int kernel computed as
     its pair (A, T) (see scaled_leading_minors); a Fraction a(1) = p/q
-    scales a pair to (p * A, q * T)."""
+    scales a pair to (p * A, q * T).  An unknown method and a corrupt
+    position outside the band are refused before any coefficient is
+    read."""
     spec, n = rows.spec, rows.n
+    if method not in DET_FUNCTIONS:
+        raise RecdetError(f"unknown determinant method {method!r}")
+    if corrupt is not None:
+        ci, cj = corrupt
+        if not (1 <= ci <= n and 1 <= cj <= n):
+            raise RecdetError(f"corrupt position {corrupt} outside a size-{n} matrix")
+        if ci > cj + 1:
+            raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
     minors = None
     if method == "fast" and corrupt is None and n >= 1 and not COUNTER.track_bits:
         saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
@@ -572,16 +578,11 @@ def _determinant_terms(rows: _Rows, method: str, corrupt: tuple[int, int] | None
             COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
             rows.clear()
     if minors is None:
-        big = spec_matrix(rows.reader(), n)
+        big = spec_matrix(rows.view(rows.value) if rows.shared else spec, n)
         if corrupt is not None:
-            ci, cj = corrupt
-            if not (1 <= ci <= n and 1 <= cj <= n):
-                raise RecdetError(f"corrupt position {corrupt} outside a size-{n} matrix")
-            if ci > cj + 1:
-                raise RecdetError("corrupt position must stay in the upper-Hessenberg band")
             big = big.with_entry(ci - 1, cj - 1, big.entries[ci - 1][cj - 1] + _ONE)
         minors = leading_minors(big, method)
-    if not rows.full:
+    if isinstance(spec, FixedOrderSpec):
         return minors
     a1 = spec.initial
     if type(a1) is not Fraction or COUNTER.track_bits:
@@ -603,21 +604,17 @@ class _BuildTheMatrix(Exception):
 def _band_minors(rows: _Rows) -> list:
     """hessenberg_leading_minors(spec_matrix(rows.spec, rows.n)), its
     values and COUNTER counts, from the matrix's columns read from the
-    table.
+    table: column k is the band tail of row k, or for a fixed-order spec's
+    k <= m, a(k) on top of zeros (see embed_fixed_order).
 
-    Column k holds p(k, i) for the band rows max(k - b, 1)..k, b the
-    band, and the -1 under it: row k of the table, or for a fixed-order
-    spec's k <= m, a(k) on top (see embed_fixed_order).  The columns run
-    over ints: the table's scaled int row where it has one, else the
-    cells through ring.int_scaled while they are Fractions, or as int
-    coefficient lists from the first column with a Polynomial on
+    The columns run over ints: the table's scaled int row where it has
+    one, else the cells through ring.int_scaled while they are Fractions,
+    or as int coefficient lists from the first column with a Polynomial on
     (ring.poly_scaled).  The minors of int columns come back as the
     kernel's pairs (A, T) (see scaled_leading_minors).  The ring
     recurrence takes over from the column where a scale outgrew its
     minor, with the minors so far, those its first column reads made
-    Fractions; it returns early when the kernel took every column.  A
-    table that is not shared forgets each row once its column is read
-    from it.
+    Fractions; it returns early when the kernel took every column.
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
@@ -627,23 +624,27 @@ def _band_minors(rows: _Rows) -> list:
     hg = rows.factored()
     if hg:
         return rank_one_leading_minors(*hg)
-    n = rows.n
-    spec = rows.reader()
-    forget = spec is not rows.spec and not rows.shared
-    if not rows.full:
-        spec = embed_fixed_order(spec)
-    band = n if spec.band is None else spec.band
+    spec, n, band = rows.spec, rows.n, rows.band
     if band < 0:
         raise _BuildTheMatrix
-    coeff = spec.coeff
+    initials, first = (
+        (spec.initials, spec.first_valid_k) if isinstance(spec, FixedOrderSpec) else ((), 1)
+    )
 
     def column(c: int, lo: int) -> list[RingValue]:
+        k = c + 1
+        if len(initials) < k < first:
+            raise _BuildTheMatrix
+        cells: list[RingValue] = []
         try:
-            cells = [coeff(c + 1, i) for i in range(lo + 1, c + 2)]
+            if k <= len(initials):
+                cells = [initials[c], *[ZERO] * c]
+            elif rows.shared:
+                cells = [rows.value(k, i) for i in range(lo + 1, k + 1)]
+            else:
+                rows.take(k, cells)
         except Exception as exc:
             raise _BuildTheMatrix from exc
-        if forget:
-            rows.drop(c + 1)
         if not set(map(type, cells)) <= _RING_TYPES:
             raise _BuildTheMatrix
         return cells
@@ -651,15 +652,13 @@ def _band_minors(rows: _Rows) -> list:
     def scaled() -> Iterator[tuple[int, list, int]]:
         gate = int_scaled
         for c in range(n):
-            got = (rows.ints[c + 1] or rows.scaled(c + 1)) if gate is int_scaled else None
+            got = rows.scaled(c + 1) if gate is int_scaled else None
             if got is None:
                 cells = column(c, max(c - band, 0))
                 got = gate(cells)
                 if got is None:  # a Polynomial: lists from here on
                     gate = poly_scaled
                     got = gate(cells)
-            elif forget:
-                rows.drop(c + 1)
             # the -1 under column k, negated and scaled, is L_k
             scale, col = got
             yield scale, col, scale
@@ -737,7 +736,7 @@ def verify_spec(
     rows = _Rows(spec, max_n, shared=True)
     dets = _determinant_terms(rows, method, corrupt)
     direct = _direct(rows)
-    return _report(spec.name, direct[1:] if rows.full else direct, dets)
+    return _report(spec.name, direct[1:] if isinstance(spec, FullHistorySpec) else direct, dets)
 
 
 def _report(name: str, direct: list, dets: list) -> VerificationReport:

@@ -233,6 +233,25 @@ class TestVerification:
         with pytest.raises(RecdetError):
             verify_spec(naturals_full(), 8, corrupt=(9, 9))
 
+    def test_bad_input_is_refused_before_any_coefficient_is_read(self):
+        # a position outside the matrix or below its subdiagonal, or an
+        # unknown method, wins over the error of the first coefficient
+        def never_read(k, i):
+            raise DivisionByZero(f"p({k}, {i}) read", k=k)
+
+        full = FullHistorySpec(initial=ONE, coeff=never_read)
+        fixed = FixedOrderSpec(order=2, initials=(ONE, ONE), coeffs=(_never_read, _never_read))
+        for spec in (full, fixed):
+            for kwargs, message in (
+                ({"corrupt": (0, 0)}, r"corrupt position \(0, 0\) outside a size-8 matrix"),
+                ({"corrupt": (9, 1)}, r"corrupt position \(9, 1\) outside a size-8 matrix"),
+                ({"corrupt": (5, 1)}, "must stay in the upper-Hessenberg band"),
+                ({"method": "cramer"}, "unknown determinant method 'cramer'"),
+            ):
+                for route in (verify_spec, determinant_terms):
+                    with pytest.raises(RecdetError, match=message):
+                        route(spec, 8, **kwargs)
+
     def test_json_report_schema(self):
         payload = json.loads(verify_spec(fib_fixed(), 3).to_json())
         assert set(payload) == {"spec", "checks", "pass"}
@@ -331,6 +350,59 @@ def test_verify_counts_are_pinned(kind, name, at_1, at_40, at_150, tracked_12):
         assert (COUNTER.max_bits, COUNTER.ring_ops) == tracked_12
     finally:
         COUNTER.reset()
+
+
+# eval's (adds, muls, divs) untracked at n = 1, 40 and 150, for every
+# shipped spec and every catalog family, the parameter families with
+# _fractional_params(150); a banded full-history family reads its band
+# alone, so row k costs min(k, b + 1) muls and one add fewer
+EVAL_COUNTS = [
+    ("spec", "chebyshev-t", (0, 0, 0), (38, 114, 0), (148, 444, 0)),
+    ("spec", "chebyshev-u", (0, 0, 0), (38, 114, 0), (148, 444, 0)),
+    ("spec", "continuant", (0, 0, 0), (38, 76, 0), (148, 296, 0)),
+    ("spec", "fibonacci-num", (0, 0, 0), (38, 76, 0), (148, 296, 0)),
+    ("spec", "fibonacci-poly", (0, 0, 0), (38, 76, 0), (148, 296, 0)),
+    ("spec", "hermite", (0, 0, 0), (76, 152, 0), (296, 592, 0)),
+    ("spec", "horner", (0, 0, 0), (148, 148, 0), (588, 588, 0)),
+    ("spec", "laguerre", (0, 0, 0), (152, 114, 76), (592, 444, 296)),
+    ("spec", "legendre", (0, 0, 0), (114, 152, 76), (444, 592, 296)),
+    ("spec", "lucas-poly", (0, 0, 0), (38, 76, 0), (148, 296, 0)),
+    ("spec", "naturals", (0, 0, 0), (38, 76, 0), (148, 296, 0)),
+    ("spec", "ode-example", (0, 0, 0), (222, 148, 74), (882, 588, 294)),
+    ("spec", "partial-sums", (0, 0, 0), (78, 39, 39), (298, 149, 149)),
+    ("spec", "powers-of-two", (0, 0, 0), (741, 780, 0), (11026, 11175, 0)),
+    ("family", "naturals", (0, 0, 0), (741, 780, 0), (11026, 11175, 0)),
+    ("family", "horner", (0, 0, 0), (741, 780, 0), (11026, 11175, 0)),
+    ("family", "partial-sums", (0, 0, 0), (741, 780, 0), (11026, 11175, 0)),
+    ("family", "fibonacci-poly", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "fibonacci-num", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "lucas-poly", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "chebyshev-t", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "chebyshev-u", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "hermite", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "legendre", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "laguerre", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "continuant", (0, 0, 0), (38, 77, 0), (148, 297, 0)),
+    ("family", "ode-example", (0, 0, 0), (74, 111, 0), (294, 441, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, name, at_1, at_40, at_150",
+    EVAL_COUNTS,
+    ids=[f"{kind}-{name}" for kind, name, *_ in EVAL_COUNTS],
+)
+def test_eval_counts_are_pinned(kind, name, at_1, at_40, at_150):
+    if kind == "spec":
+        spec = dsl.to_spec(dsl.parse(spec_text(name)), name=name)
+    else:
+        fid = FamilyId(name)
+        spec = family_spec(fid, _fractional_params(150) if fid in PARAM_FAMILIES else None)
+    for n, want in ((1, at_1), (40, at_40), (150, at_150)):
+        assert _direct(spec, n)[1] == want, n
+    if getattr(spec, "band", None) is not None:
+        widths = [min(k, spec.band + 1) for k in range(1, 150)]
+        assert at_150 == (sum(widths) - len(widths), sum(widths), 0)
 
 
 ROUTE_CASES = [("family", fid.value) for fid in FamilyId] + [
@@ -653,13 +725,16 @@ def reference_verify(spec, max_n, method="fast", corrupt=None):
     """verify_spec as composed without a shared coefficient table: the
     determinant route and direct iteration each compute every value by
     a call.  The coefficients are plain wrappers with no vector form, so
-    no scaled int row enters either side (see _by_calls)."""
+    no scaled int row enters either side (see _by_calls).  verify's
+    direct side reads whole rows, where eval reads within a declared
+    band, so the direct side here drops the band."""
     if max_n < 1:
         raise RecdetError("max_n must be at least 1")
     spec = _by_calls(spec)
     dets = determinant_terms(spec, max_n, method, corrupt)
     if isinstance(spec, FullHistorySpec):
-        direct = eval_full_history(spec, max_n + 1).terms[1:]
+        whole_rows = dataclasses.replace(spec, band=None)
+        direct = eval_full_history(whole_rows, max_n + 1).terms[1:]
     else:
         direct = eval_fixed_order(spec, max_n).terms
     checks = tuple(
@@ -1120,7 +1195,7 @@ class TestVectorRows:
         # verify's table keeps the rows its determinant side read, or
         # where p(k, i) factors, the runs of h and g in their place
         def forgot_everything(rows):
-            return not rows.cells and rows.ints == [None] * (rows.n + 1)
+            return not rows.cells and not rows.ints
 
         for spec in (_dsl_spec(text), _by_calls(_dsl_spec(text))):
             rows = recurrence._Rows(spec, 100)
@@ -1329,9 +1404,14 @@ class TestBandColumns:
     @pytest.mark.parametrize("fid", list(FamilyId))
     def test_catalog_families(self, fid, n):
         params = _fractional_params(n) if fid in PARAM_FAMILIES else None
-        got = _assert_columns_match_matrix(family_spec(fid, params), n)
+        spec = family_spec(fid, params)
+        got = _assert_columns_match_matrix(spec, n)
         if n <= 60:
             assert got == list(family_oracles(fid, n, params))
+        if isinstance(spec, FullHistorySpec) and spec.band is not None:
+            # eval reads the band alone, and gives what whole rows give
+            whole_rows = dataclasses.replace(spec, band=None)
+            assert eval_full_history(spec, n + 1) == eval_full_history(whole_rows, n + 1)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_seeded_poly_ring_documents(self, seed):
@@ -1393,6 +1473,52 @@ class TestBandColumns:
         assert calls == Counter(
             {(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1) if k - i <= band}
         )
+
+    def test_eval_reads_in_band_once_each(self):
+        n, band = 20, 2
+        spec, calls = _counting_full(
+            lambda k, i: Polynomial((Fraction(k, i), 1)) if k - i <= band else ONE - ONE,
+            band=band,
+        )
+        eval_full_history(spec, n + 1)
+        assert calls == Counter(
+            {(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1) if k - i <= band}
+        )
+
+    @pytest.mark.parametrize("ring_name", ["rational", "poly"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_eval_within_a_kept_band_is_eval_of_whole_rows(self, seed, ring_name):
+        # p of a random document, zero outside band b: the same terms, or
+        # the same error, whether eval reads the band or whole rows
+        rng = random.Random(seed)
+        doc = random_document(rng)
+        while doc.ring != ring_name or doc.mode != "full-history":
+            doc = random_document(rng)
+        spec = dsl.to_spec(doc)
+        f = spec.coeff
+        for band in (0, 1, 2, 3):
+            banded = dataclasses.replace(
+                spec, coeff=lambda k, i, b=band: f(k, i) if k - i <= b else ONE - ONE, band=band
+            )
+            whole_rows = dataclasses.replace(banded, band=None)
+            for n in (1, 2, 5, 25):
+                assert _direct(banded, n)[0] == _direct(whole_rows, n)[0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            FullHistorySpec(initial=ONE, coeff=lambda k, i: _never_read(k) if k == 3 else ONE),
+            FixedOrderSpec(
+                order=1, initials=(ONE,), coeffs=(lambda k: _never_read(k) if k == 3 else ONE,)
+            ),
+        ],
+        ids=["full-history", "fixed-order"],
+    )
+    def test_eval_of_a_huge_n_raises_the_coefficients_error(self, spec):
+        # nothing in proportion to n is allocated before the first row
+        run = eval_full_history if isinstance(spec, FullHistorySpec) else eval_fixed_order
+        with pytest.raises(AssertionError, match="coefficient read at k = 3"):
+            run(spec, 10**12)
 
     @pytest.mark.parametrize(
         "name, max_bits",
