@@ -135,12 +135,9 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
 
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:

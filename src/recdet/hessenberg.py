@@ -18,9 +18,8 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter, sub
 from random import Random
 from typing import Callable, Iterable
 
@@ -29,6 +28,7 @@ from .ring import (
     COUNTER,
     Polynomial,
     RingValue,
+    _add_product,
     _reduced,
     _reduced_poly,
     int_scaled,
@@ -734,25 +734,6 @@ def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
         if s is not None:
             acc = [a * s for a in acc] if type(s) is int else _add_product([], acc, s)
         acc = _add_product(acc, col[j - lo], d[j])
-    return acc
-
-
-def _add_product(acc: list[int], a, b, op=add) -> list[int]:
-    """acc + a * b over int coefficient lists or tuples, or acc - a * b
-    when op is operator.sub, in place when acc is long enough.  A factor
-    that is empty, or the Fraction 0, adds nothing.  Each coefficient of
-    the shorter factor adds one row, a C-level map over the longer one."""
-    if not a or not b:
-        return acc
-    if len(a) > len(b):
-        a, b = b, a
-    w = len(b)
-    short = len(a) + w - 1 - len(acc)
-    if short > 0:
-        acc = acc + [0] * short
-    for i, y in enumerate(a):
-        if y:
-            acc[i : i + w] = map(op, acc[i : i + w], map(mul, b, repeat(y)))
     return acc
 
 

@@ -278,18 +278,20 @@ def _count(funcs: tuple, values: int) -> None:
 def eval_full_history(spec: FullHistorySpec, n: int) -> SequencePrefix:
     """Direct iteration of the full-history recurrence, terms 1..n (see
     _direct).  Row k reads p(k, i) within a declared band only, which is
-    trusted as theorem1_matrix trusts it: a banded spec costs O(n*b)."""
+    trusted as theorem1_matrix trusts it: a banded spec costs O(n*b).
+    The int kernel's terms become Fractions here, as they leave."""
     if n < 1:
         raise RecdetError("n must be at least 1")
-    return SequencePrefix(tuple(_direct(_Rows(spec, n - 1))))
+    return SequencePrefix(tuple(map(pair_value, _direct(_Rows(spec, n - 1)))))
 
 
 def eval_fixed_order(spec: FixedOrderSpec, n: int) -> SequencePrefix:
     """Direct iteration of the fixed-order recurrence, terms 1..n (see
-    _direct)."""
+    _direct).  The int kernel's terms become Fractions here, as they
+    leave."""
     if n < 1:
         raise RecdetError("n must be at least 1")
-    return SequencePrefix(tuple(_direct(_Rows(spec, n))))
+    return SequencePrefix(tuple(map(pair_value, _direct(_Rows(spec, n)))))
 
 
 def _direct(rows: _Rows) -> list:
@@ -309,14 +311,14 @@ def _direct(rows: _Rows) -> list:
     the next row reads, scaled by the lcm of their own denominators,
     unless that outgrows the last term too (scale_outgrew).  The ring
     loop takes over from the first row int_scaled refuses, and from a
-    scale that still outgrows.  Over a shared table the kernel's terms
-    are pairs (A, T), each made a Fraction only when a row that starts
-    again or a ring loop reads it (see _ring_window).
+    scale that still outgrows.  The kernel's terms are pairs (A, T), each
+    made a Fraction only when a row that starts again or a ring loop
+    reads it (see _ring_window), or where it leaves as a ring value.
     """
     spec, n = rows.spec, rows.n
     hg = rows.factored()
     if hg:
-        return _factored_terms(*hg, spec.initial, rows.shared)
+        return _factored_terms(*hg, spec.initial)
     if isinstance(spec, FullHistorySpec):
         terms: list[RingValue] = [spec.initial]
         ks = iter(range(1, n + 1))
@@ -343,7 +345,7 @@ def _direct(rows: _Rows) -> list:
             yield scaled
 
     start = int_scaled(terms)
-    while start is not None and _scaled_terms(scaled_rows(), terms, *start, rows.shared):
+    while start is not None and _scaled_terms(scaled_rows(), terms, *start):
         window = _ring_window(terms, rows.span)
         start = int_scaled(window)
         if start is not None and scale_outgrew(start[0], window[-1]):
@@ -354,7 +356,7 @@ def _direct(rows: _Rows) -> list:
     return terms
 
 
-def _factored_terms(h: tuple, g: tuple, a1: Fraction, pairs: bool) -> list:
+def _factored_terms(h: tuple, g: tuple, a1: Fraction) -> list:
     """Direct iteration where p(k, i) = h(k) * g(i), in O(n): the row sum
     of row k is h(k) * S_k with S_k = S_{k-1} + g(k) * a(k), so
     a(k + 1) = h(k) * S_k.  h and g come as runs (nums, dens), dens > 0
@@ -365,8 +367,7 @@ def _factored_terms(h: tuple, g: tuple, a1: Fraction, pairs: bool) -> list:
     multiplies large ints by small ones only.  Where S's scale outgrew it
     (ring.pair_outgrew), its pair is divided by their gcd and the sum goes
     on.  COUNTER gets the row sums' k muls and k - 1 adds per row k, in
-    bulk.  A term goes into the list as its pair when pairs is set, else
-    as the Fraction.
+    bulk.  A term goes into the list as its pair (A, T).
     """
     (hn, hd), (gn, gd) = h, g
     terms: list = [a1]
@@ -379,7 +380,7 @@ def _factored_terms(h: tuple, g: tuple, a1: Fraction, pairs: bool) -> list:
             c = gcd(b, q)
             b, q = b // c, q // c
         a, r = hk * b, dk
-        terms.append((a, q * r) if pairs else Fraction(a, q * r))
+        terms.append((a, q * r))
     n = len(hn)
     COUNTER.muls += n * (n + 1) // 2
     COUNTER.adds += n * (n - 1) // 2
@@ -413,7 +414,6 @@ def _scaled_terms(
     terms: list,
     total: int,
     nums: list[int],
-    pairs: bool,
 ) -> bool:
     """Append to terms one term per scaled row, until the rows run out or
     T outgrows the term (see ring.pair_outgrew); returns whether T
@@ -429,8 +429,7 @@ def _scaled_terms(
     takes as acc = acc * L_j + P_i * A_j: two products by small ints per
     term.  An L_j of 1 (every row of int coefficients) is held as None,
     and its product skipped, as hessenberg._horner skips its subs.  A new
-    term goes into terms as the pair (A, T) it is held as when pairs is
-    set, else as the Fraction A / T.
+    term goes into terms as the pair (A, T) it is held as.
     """
     scales: list[int | None] = [None] * len(nums)
     for scale, ps in rows:
@@ -441,7 +440,7 @@ def _scaled_terms(
         nums.append(acc)
         scales.append(None if scale == 1 else scale)
         total *= scale
-        terms.append((acc, total) if pairs else Fraction(acc, total))
+        terms.append((acc, total))
         COUNTER.muls += len(ps)
         COUNTER.adds += len(ps) - 1
         if pair_outgrew(acc, total):

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import floordiv
+from operator import add, floordiv, sub
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
@@ -120,7 +120,7 @@ class Polynomial:
             return NotImplemented
         if not self.nums or not p.nums:
             return _ZERO
-        return _reduced_poly(_int_product(self.nums, p.nums), self.den * p.den)
+        return _reduced_poly(_add_product([], self.nums, p.nums), self.den * p.den)
 
     __rmul__ = __mul__
 
@@ -240,16 +240,26 @@ def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
     return _reduced_poly(out, den)
 
 
-def _int_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of the product of two nonzero integer polynomials."""
-    if len(a) < len(b):
+def _add_product(acc: list[int], a, b, op=add) -> list[int]:
+    """acc + a * b over int coefficient lists or tuples, constant term
+    first, or acc - a * b when op is operator.sub: in place when acc is
+    long enough, else into a copy of acc grown by zeros.  A factor that is
+    empty, or the Fraction 0, adds nothing.  The shorter factor drives the
+    outer loop."""
+    if not a or not b:
+        return acc
+    if len(a) > len(b):
         a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
+    short = len(a) + len(b) - 1 - len(acc)
+    if short > 0:
+        acc = acc + [0] * short
+    if op is sub:
+        a = [-y for y in a]
+    for i, y in enumerate(a):
         if y:
-            for i, x in enumerate(a, j):
-                out[i] += x * y
-    return out
+            for j, x in enumerate(b, i):
+                acc[j] += x * y
+    return acc
 
 
 RingValue = Union[Fraction, Polynomial]

@@ -24,6 +24,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().with_name("contract.json")
@@ -37,8 +38,11 @@ from recdet.ring import COUNTER  # noqa: E402
 from recdet.specfiles import available, spec_path  # noqa: E402
 
 SPECS = "{specs}"
+SPECS_DIR = str(spec_path(available()[0]).parent)
 SIZES = ("1", "2", "9", "30")
 FAMILY_SIZES = ("1", "9", "30")
+# no ANSI styling, whatever the environment says; restored afterwards
+_PLAIN = mock.patch.dict(os.environ, RECDET_COLOR="0")
 
 
 def argvs() -> list[list[str]]:
@@ -94,14 +98,13 @@ def _drop_ms(csv_text: str) -> tuple[str, list[int]]:
 
 def run(argv: list[str]) -> tuple[dict, str, str]:
     """One invocation's record, and its stdout and stderr as hashed."""
-    specs = str(spec_path(available()[0]).parent)
-    real = [a.replace(SPECS, specs) for a in argv]
+    real = [a.replace(SPECS, SPECS_DIR) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     COUNTER.reset()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(real)
-    stdout = out.getvalue().replace(specs, SPECS)
-    stderr = err.getvalue().replace(specs, SPECS)
+    stdout = out.getvalue().replace(SPECS_DIR, SPECS)
+    stderr = err.getvalue().replace(SPECS_DIR, SPECS)
     record = {
         "code": code,
         "adds": COUNTER.adds,
@@ -118,27 +121,27 @@ def run(argv: list[str]) -> tuple[dict, str, str]:
 
 
 def records() -> dict[str, dict]:
-    os.environ["RECDET_COLOR"] = "0"
-    return {" ".join(argv): run(argv)[0] for argv in argvs()}
+    with _PLAIN:
+        return {" ".join(argv): run(argv)[0] for argv in argvs()}
 
 
 def first_mismatch(golden: dict[str, dict]) -> str | None:
     """A report of the first invocation whose record differs from the
     golden one, in argv order, or of a key only one side has; None when
     every record matches."""
-    os.environ["RECDET_COLOR"] = "0"
     keys = []
-    for argv in argvs():
-        key = " ".join(argv)
-        keys.append(key)
-        if key not in golden:
-            return f"recdet {key}: no golden record"
-        got, stdout, stderr = run(argv)
-        if got != golden[key]:
-            return (
-                f"recdet {key}\n  golden: {golden[key]}\n  got:    {got}\n"
-                f"--- stdout ---\n{stdout[:2000]}--- stderr ---\n{stderr[:2000]}"
-            )
+    with _PLAIN:
+        for argv in argvs():
+            key = " ".join(argv)
+            keys.append(key)
+            if key not in golden:
+                return f"recdet {key}: no golden record"
+            got, stdout, stderr = run(argv)
+            if got != golden[key]:
+                return (
+                    f"recdet {key}\n  golden: {golden[key]}\n  got:    {got}\n"
+                    f"--- stdout ---\n{stdout[:2000]}--- stderr ---\n{stderr[:2000]}"
+                )
     extra = sorted(set(golden) - set(keys))
     return f"golden records with no invocation: {extra[:5]}" if extra else None
 

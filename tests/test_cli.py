@@ -14,7 +14,7 @@ import pytest
 import recdet
 from recdet import cli, errors, hessenberg
 from recdet.cli import main
-from recdet.ring import COUNTER
+from recdet.ring import COUNTER, parse_value
 from recdet.specfiles import spec_path
 
 NATURALS_JSON = (
@@ -271,6 +271,85 @@ class TestExitCodes:
             assert out.splitlines()[-1].startswith(f"{past - 1}: ")
         finally:
             sys.set_int_max_str_digits(_INT_DIGIT_LIMIT)
+
+
+_FIXED = "mode = fixed-order\n"
+_FULL = "mode = full-history\n"
+
+# (document, the error line eval prints for it); every one exits 1
+SPEC_REFUSALS = [
+    ("mode = banana\n",
+     "line 1: mode must be one of fixed-order, full-history, got 'banana'"),
+    (_FIXED + "ring = complex\n",
+     "line 2: ring must be one of rational, poly, got 'complex'"),
+    (_FIXED + "order = 1\ninitial = [1]\ncoeff q(k) = 1\n",
+     "line 4: coefficient must be named p (full-history) or p1..pm, got 'q'"),
+    (_FIXED + "order = 1\ninitial = [1]\ncoeff p1(n) = 1\n",
+     "line 4: coefficient parameters must be k or i, got 'n'"),
+    (_FIXED + "initial = [1]\ncoeff p1(k) = 1\n",
+     "missing key: order (required in fixed-order mode)"),
+    (_FIXED + "order = 0\ninitial = [1]\ncoeff p1(k) = 1\n",
+     "line 2: order must be at least 1"),
+    (_FIXED + "order = 1\ncoeff p1(k) = 1\n", "missing key: initial"),
+    (_FULL + "coeff p(k, i) = 1\n", "missing key: initial"),
+    (_FIXED + "order = 1\ninitial = 1\ncoeff p1(k) = 1\n",
+     "line 3: fixed-order initial must be a bracketed list [a1, ..., am]"),
+    (_FIXED + "order = 1\ninitial = [1]\ncoeff p1(k) = 1\ncoeff p2(k) = 1\n",
+     "line 5: unexpected coefficient 'p2' for order 1"),
+    (_FIXED + "order = 1\ninitial = [1]\ncoeff p1(k, i) = 1\n",
+     "line 4: p1 must take exactly (k)"),
+    (_FULL + "order = 1\ninitial = 1\ncoeff p(k, i) = 1\n",
+     "line 2: order is not allowed in full-history mode"),
+    (_FULL + "first_valid_k = 2\ninitial = 1\ncoeff p(k, i) = 1\n",
+     "line 2: first_valid_k is not allowed in full-history mode"),
+    (_FULL + "initial = [1]\ncoeff p(k, i) = 1\n",
+     "line 2: full-history initial must be a single expression, not a list"),
+    (_FULL + "initial = 1\n", "missing coefficient p(k, i)"),
+    (_FULL + "initial = 1\ncoeff p(k, i) = 1\ncoeff p1(k) = 1\n",
+     "line 4: full-history mode takes a single coefficient p(k, i)"),
+    (_FULL + "initial = k\ncoeff p(k, i) = 1\n",
+     "line 2: initial values must be constants (no k or i)"),
+    (_FULL + "initial = x\ncoeff p(k, i) = 1\n", "line 2: x requires ring = poly"),
+    (_FULL + "initial = 1 +\ncoeff p(k, i) = 1\n", "line 2, col 14: expected expression"),
+    (_FIXED + "order = x\n", "line 2, col 9: expected an integer, found 'x'"),
+]
+
+
+class TestRefusals:
+    """Refusals of outside input that no other test reaches, each with its
+    exact error line and exit code."""
+
+    @pytest.mark.parametrize("text, error", SPEC_REFUSALS)
+    def test_a_malformed_spec_exits_one_with_its_error_line(self, capsys, tmp_path, text, error):
+        path = tmp_path / "spec.rec"
+        path.write_text(text, encoding="utf-8")
+        assert run(capsys, "eval", str(path), "--n", "3") == (1, "", f"error: {error}\n")
+
+    def test_a_size_below_one_exits_two(self, capsys):
+        assert run(capsys, "bench", "--sizes", "0") == (
+            2, "", "error: matrix size must be at least 1\n"
+        )
+
+    @pytest.mark.parametrize("sizes", ["", ","])
+    def test_sizes_with_no_integer_exit_one(self, capsys, sizes):
+        assert run(capsys, "bench", "--sizes", sizes) == (
+            1, "", "error: argument --sizes: expected a comma-separated integer list\n"
+        )
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: hessenberg.matrix_from_json("{"),
+         "invalid matrix JSON: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)"),
+        (lambda: hessenberg.matrix_from_json(
+            '{"size":2,"ring":"rational","entries":[["1","2"],["3"]]}'),
+         "matrix JSON entries do not form a square array"),
+        (lambda: parse_value("1", "bogus"), "unknown ring 'bogus'"),
+        (lambda: spec_path("no-such-spec"), "no shipped spec named 'no-such-spec'"),
+    ])
+    def test_library_refusals_exit_two(self, call, error):
+        with pytest.raises(errors.RecdetError) as info:
+            call()
+        assert (str(info.value), info.value.exit_code) == (error, 2)
 
 
 USAGE_ERRORS = [

@@ -6,6 +6,7 @@ import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add, sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -107,6 +108,55 @@ def test_product_matches_the_fraction_schoolbook(size, a_len, b_len, data):
     assert_reduced(p)
     assert_reduced(Polynomial(a) + Polynomial(b))
     assert_reduced(Polynomial(a) - Polynomial(b))
+
+
+def schoolbook_add_product(acc, a, b, sign):
+    """acc + sign * a * b over int coefficient lists, by the schoolbook
+    rule; acc as it is when a factor is empty."""
+    if not a or not b:
+        return list(acc)
+    out = list(acc) + [0] * (len(a) + len(b) - 1 - len(acc))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += sign * x * y
+    return out
+
+
+# zeros, negatives, and ints past a machine word
+int_coeffs_st = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    acc=st.lists(int_coeffs_st, max_size=12),
+    a=st.lists(int_coeffs_st, max_size=6),
+    b=st.lists(int_coeffs_st, max_size=6),
+    as_tuples=st.booleans(),
+    op=st.sampled_from([add, sub]),
+)
+@example(acc=[], a=[1, -2], b=[0, 3, 4], as_tuples=True, op=add)
+@example(acc=[5, 5, 5, 5, 5, 5], a=[1, -2], b=[0, 3, 4], as_tuples=False, op=sub)
+@example(acc=[7], a=[], b=[1, 2], as_tuples=True, op=sub)
+def test_add_product_matches_the_schoolbook(acc, a, b, as_tuples, op):
+    fa, fb = (tuple(a), tuple(b)) if as_tuples else (list(a), list(b))
+    before = list(acc)
+    got = ring._add_product(acc, fa, fb) if op is add else ring._add_product(acc, fa, fb, op)
+    assert got == schoolbook_add_product(before, a, b, -1 if op is sub else 1)
+    assert (list(fa), list(fb)) == (a, b)
+    if not a or not b or len(before) >= len(a) + len(b) - 1:
+        # in place: a running sum, as in _horner_lists, allocates no list per term
+        assert got is acc
+    else:
+        assert acc == before
+
+
+@pytest.mark.parametrize("op", [add, sub])
+def test_add_product_of_a_fraction_zero_adds_nothing(op):
+    # a Laplace expansion of no rows is the Fraction 0
+    for a, b in (([1, 2], Fraction(0)), (Fraction(0), (3,)), ((), Fraction(0))):
+        acc = [4, -1]
+        assert ring._add_product(acc, a, b, op) is acc
+        assert acc == [4, -1]
 
 
 ints_st = st.integers(-30, 30)
