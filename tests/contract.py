@@ -33,7 +33,7 @@ if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
 from recdet import cli  # noqa: E402
-from recdet.families import PARAM_FAMILIES, family_names  # noqa: E402
+from recdet.families import PARAM_FAMILIES, POLY_FAMILIES, family_names  # noqa: E402
 from recdet.ring import COUNTER  # noqa: E402
 from recdet.specfiles import available, spec_path  # noqa: E402
 
@@ -41,6 +41,8 @@ SPECS = "{specs}"
 SPECS_DIR = str(spec_path(available()[0]).parent)
 SIZES = ("1", "2", "9", "30")
 FAMILY_SIZES = ("1", "9", "30")
+# the seven three-term polynomial families also run at a larger n
+THREE_TERM_POLY = frozenset(f.value for f in POLY_FAMILIES - PARAM_FAMILIES)
 # no ANSI styling, whatever the environment says; restored afterwards
 _PLAIN = mock.patch.dict(os.environ, RECDET_COLOR="0")
 
@@ -69,7 +71,7 @@ def argvs() -> list[list[str]]:
         for method in ("fast", "bareiss"):
             out.append(["verify", name, "--max-n", "30", "--method", method, "--format", "json"])
         out.append(["verify", name, "--max-n", "9", "--corrupt", "1,1", "--format", "json"])
-        for n in FAMILY_SIZES:
+        for n in FAMILY_SIZES + (("150",) if name in THREE_TERM_POLY else ()):
             for fmt in ("text", "json", "latex"):
                 for check in ([], ["--no-check"]):
                     for p in params:
