@@ -174,11 +174,12 @@ digit_limit() {
 # longer than int() takes, and a line holding a superscript two, a
 # vertical tab or a no-break space (the lexer skips only space, tab
 # and CR and takes ASCII digits only, and str.splitlines ends a line
-# at a vertical tab); exit 2 for an evaluation error and for a dense
-# matrix past hessenberg.MAX_MATRIX_SIZE (2000), refused before any
-# row is built
+# at a vertical tab), and for a bench size below 1; exit 2 for an
+# evaluation error, for a dense matrix past hessenberg.MAX_MATRIX_SIZE
+# (2000), refused before any row is built, and for an eval or family
+# --n past cli.MAX_TERMS, refused before any term is computed
 malformed_input() {
-  local tmp head f
+  local tmp head f past
   tmp=$(step_tmp)
   printf 'mode = fixed-order\n# caf\xe9\n' > "$tmp/latin1.rec"
   python -c "print('mode = fixed-order\nring = rational\norder = 1\ninitial = [1]\ncoeff p1(k) = ' + '9' * 5000)" > "$tmp/long.rec"
@@ -199,6 +200,10 @@ malformed_input() {
   expect 2 eval src/recdet/specs/negative/bad-eval.rec --n 12
   expect 2 bench --sizes 2001
   expect 2 matrix fibonacci-num --k 2001
+  expect 1 bench --sizes 0
+  past=$(PYTHONPATH=src python -c 'from recdet.cli import MAX_TERMS; print(MAX_TERMS + 1)')
+  expect 2 family fibonacci-num --n "$past"
+  expect 2 eval naturals --n "$past"
 }
 
 # verify's determinant side and direct side read one row table; a

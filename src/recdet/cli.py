@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import dsl
-from .errors import RecdetError
+from .errors import RecdetError, SizeTooLarge
 from .families import (
     FamilyId,
     family_names,
@@ -53,6 +53,22 @@ from .ring import COUNTER, latex_value, render_value
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 3
+
+# The most terms eval and family compute; a larger --n raises
+# SizeTooLarge before any term is computed.  Both hold every term before
+# they print.  Of the shipped families, fibonacci-num's terms outgrow
+# memory fastest at large n (F(k) has about 0.69k bits): `family
+# fibonacci-num --n N --no-check` peaked at 247 MB RSS in 3.7 s at
+# N = 50,000 and 922 MB in 6.4 s at N = 100,000 (Python 3.11, x86-64).
+# The polynomial, dense and ODE families are bound by time well below
+# the cap: laguerre took 11.5 s and 619 MB at N = 750, ode-example 61 s
+# and 186 MB at N = 10,000.  Library calls are not capped.
+MAX_TERMS = 50_000
+
+
+def _refuse_terms(n: int) -> None:
+    if n > MAX_TERMS:
+        raise SizeTooLarge(f"n above the limit {MAX_TERMS}, got {n}")
 
 
 class _UsageError(RecdetError):
@@ -135,9 +151,12 @@ def _int_pair(text: str) -> tuple[int, int]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        values = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from None
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return values
 
 
 def _fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -153,6 +172,7 @@ def _fraction_list(text: str) -> tuple[Fraction, ...]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     spec, _ring = _resolve_spec(args.spec)
+    _refuse_terms(args.n)
     if isinstance(spec, FullHistorySpec):
         prefix = eval_full_history(spec, args.n)
     else:
@@ -197,7 +217,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _family_values(fid: FamilyId, n: int, params, check: bool):
-    values = determinant_terms(family_spec(fid, params), n)
+    spec = family_spec(fid, params)
+    _refuse_terms(n)
+    values = determinant_terms(spec, n)
     if check:
         oracles = family_oracles(fid, n, params)
         for k, (value, oracle) in enumerate(zip(values, oracles), start=1):

@@ -40,11 +40,7 @@ from .ring import Polynomial, RingValue, _reduced_poly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_TWO = Fraction(2)
 _X = Polynomial.x()
-_TWO_X = Polynomial((0, 2))
-_ONE_MINUS_X = Polynomial((1, -1))
-_MINUS_ONE = Fraction(-1)
 
 
 class FamilyId(str, Enum):
@@ -99,6 +95,44 @@ def _check_params(fid: FamilyId, params: tuple[RingValue, ...] | None) -> tuple[
     return ()
 
 
+# Theorem 1's column k of each three-term polynomial family, k >= 2, as
+# (L, [L p(k, k - 1), L p(k, k)]): the band cells times L, L the lcm of
+# their denominators, as int coefficient lists, constant term first.
+# Column 1 is its last cell alone, and every other p(k, i) is zero.
+_COLUMNS: dict[FamilyId, Callable[[int], tuple[int, list[list[int]]]]] = {
+    FamilyId.FIBONACCI_POLY: lambda k: (1, [[1], [0, 1]]),
+    FamilyId.LUCAS_POLY: lambda k: (1, [[2 if k == 2 else 1], [0, 1]]),
+    FamilyId.CHEBYSHEV_T: lambda k: (1, [[-1], [0, 1 if k == 1 else 2]]),
+    FamilyId.CHEBYSHEV_U: lambda k: (1, [[-1], [0, 2]]),
+    FamilyId.HERMITE: lambda k: (1, [[2 - 2 * k], [0, 2]]),
+    FamilyId.LEGENDRE: lambda k: (k, [[1 - k], [0, 2 * k - 1]]),
+    FamilyId.LAGUERRE: lambda k: (k, [[1 - k], [2 * k - 1, -1]]),
+}
+
+
+def _column_spec(fid: FamilyId) -> FullHistorySpec:
+    """The band-1 spec of a family of _COLUMNS.  Its coeff carries the
+    family's scaled columns as coeff.column(k), the form ring.poly_scaled
+    gives of the cells, which the determinant kernel reads whole (see
+    recurrence._band_minors); a cell read by a call is a Fraction where
+    it is constant and a Polynomial elsewhere."""
+    cells = _COLUMNS[fid]
+
+    def column(k: int) -> tuple[int, list[list[int]]]:
+        scale, col = cells(k)
+        return scale, col if k > 1 else col[1:]
+
+    def coeff(k: int, i: int) -> RingValue:
+        if i < k - 1:
+            return _ZERO
+        scale, col = column(k)
+        nums = col[i - k - 1]
+        return Fraction(nums[0], scale) if len(nums) == 1 else _reduced_poly(nums, scale)
+
+    coeff.column = column  # type: ignore[attr-defined]
+    return FullHistorySpec(initial=_ONE, coeff=coeff, name=fid.value, band=1)
+
+
 def family_spec(
     fid: FamilyId, params: tuple[RingValue, ...] | None = None
 ) -> FullHistorySpec | FixedOrderSpec:
@@ -108,6 +142,8 @@ def family_spec(
     band 1; naturals, horner and partial-sums are dense.
     """
     ps = _check_params(fid, params)
+    if fid in _COLUMNS:
+        return _column_spec(fid)
     if fid is FamilyId.ODE_EXAMPLE:
         return FixedOrderSpec(
             order=3,
@@ -131,23 +167,7 @@ def family_spec(
 
     # p(k, k) and p(k, k - 1) as functions of k; every other p(k, i) is zero
     three_term = {
-        FamilyId.FIBONACCI_POLY: (lambda k: _X, lambda k: _ONE),
         FamilyId.FIBONACCI_NUM: (lambda k: _ONE, lambda k: _ONE),
-        FamilyId.LUCAS_POLY: (lambda k: _X, lambda k: _TWO if k == 2 else _ONE),
-        FamilyId.CHEBYSHEV_T: (lambda k: _X if k == 1 else _TWO_X, lambda k: _MINUS_ONE),
-        FamilyId.CHEBYSHEV_U: (lambda k: _TWO_X, lambda k: _MINUS_ONE),
-        FamilyId.HERMITE: (lambda k: _TWO_X, lambda k: Fraction(-2 * (k - 1))),
-        FamilyId.LEGENDRE: (
-            lambda k: _X if k == 1 else Polynomial((0, Fraction(2 * k - 1, k))),
-            lambda k: Fraction(-(k - 1), k),
-        ),
-        FamilyId.LAGUERRE: (
-            lambda k: (
-                _ONE_MINUS_X if k == 1
-                else Polynomial((Fraction(2 * k - 1, k), Fraction(-1, k)))
-            ),
-            lambda k: Fraction(-(k - 1), k),
-        ),
         FamilyId.CONTINUANT: (param, lambda k: _ONE),
     }
     if fid in three_term:

@@ -606,14 +606,18 @@ def _band_minors(rows: _Rows) -> list:
     table: column k is the band tail of row k, or for a fixed-order spec's
     k <= m, a(k) on top of zeros (see embed_fixed_order).
 
-    The columns run over ints: the table's scaled int row where it has
-    one, else the cells through ring.int_scaled while they are Fractions,
-    or as int coefficient lists from the first column with a Polynomial on
-    (ring.poly_scaled).  The minors of int columns come back as the
-    kernel's pairs (A, T) (see scaled_leading_minors).  The ring
-    recurrence takes over from the column where a scale outgrew its
-    minor, with the minors so far, those its first column reads made
-    Fractions; it returns early when the kernel took every column.
+    The columns run over ints: on a table no one shares, a coefficient's
+    own scaled columns where it carries them as coeff.column(k), the form
+    ring.poly_scaled gives of the cells (the catalog's three-term
+    polynomial families, see families._COLUMNS); else the table's scaled
+    int row where it has one, else the cells through ring.int_scaled
+    while they are Fractions, or as int coefficient lists from the first
+    column with a Polynomial on (ring.poly_scaled).  The minors of int
+    columns come back as the kernel's pairs (A, T) (see
+    scaled_leading_minors).  The ring recurrence takes over from the
+    column where a scale outgrew its minor, with the minors so far, those
+    its first column reads made Fractions, and reads the cells; it returns
+    early when the kernel took every column.
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
@@ -648,10 +652,12 @@ def _band_minors(rows: _Rows) -> list:
             raise _BuildTheMatrix
         return cells
 
+    given = None if rows.shared else getattr(rows.cell, "column", None)
+
     def scaled() -> Iterator[tuple[int, list, int]]:
         gate = int_scaled
         for c in range(n):
-            got = rows.scaled(c + 1) if gate is int_scaled else None
+            got = given(c + 1) if given else rows.scaled(c + 1) if gate is int_scaled else None
             if got is None:
                 cells = column(c, max(c - band, 0))
                 got = gate(cells)

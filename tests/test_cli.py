@@ -325,10 +325,34 @@ class TestRefusals:
         path.write_text(text, encoding="utf-8")
         assert run(capsys, "eval", str(path), "--n", "3") == (1, "", f"error: {error}\n")
 
-    def test_a_size_below_one_exits_two(self, capsys):
-        assert run(capsys, "bench", "--sizes", "0") == (
-            2, "", "error: matrix size must be at least 1\n"
+    @pytest.mark.parametrize("sizes", ["0", "-3", "2,0"])
+    def test_a_size_below_one_is_a_usage_error(self, capsys, sizes):
+        assert run(capsys, "bench", "--sizes", sizes) == (
+            1, "", "error: argument --sizes: must be at least 1\n"
         )
+
+    @pytest.mark.parametrize("argv", [
+        ("family", "fibonacci-num"),
+        ("family", "legendre", "--no-check"),
+        ("eval", "naturals"),
+        ("eval", str(spec_path("fibonacci-num"))),
+    ])
+    def test_an_n_past_the_cap_exits_two_before_any_term(self, capsys, monkeypatch, argv):
+        def no_terms(*args):
+            raise AssertionError("a term was computed")
+
+        for name in ("determinant_terms", "eval_full_history", "eval_fixed_order"):
+            monkeypatch.setattr(cli, name, no_terms)
+        assert run(capsys, *argv, "--n", str(cli.MAX_TERMS + 1)) == (
+            2, "", f"error: n above the limit {cli.MAX_TERMS}, got {cli.MAX_TERMS + 1}\n"
+        )
+
+    def test_the_cap_comes_after_the_spec_and_params_errors(self, capsys):
+        n = str(cli.MAX_TERMS + 1)
+        assert run(capsys, "family", "continuant", "--n", n) == (
+            1, "", "error: family 'continuant' needs a coefficient list\n"
+        )
+        assert run(capsys, "eval", "no-such-thing", "--n", n)[0] == 1
 
     @pytest.mark.parametrize("sizes", ["", ","])
     def test_sizes_with_no_integer_exit_one(self, capsys, sizes):

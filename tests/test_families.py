@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from recdet import recurrence, ring
 from recdet.errors import MissingParams, OutOfRange, UnexpectedParams
 from recdet.families import (
     _THREE_TERM,
@@ -19,8 +20,8 @@ from recdet.families import (
     ode_coefficients,
     ode_residual_check,
 )
-from recdet.recurrence import SequencePrefix, determinant_terms
-from recdet.ring import Polynomial
+from recdet.recurrence import FullHistorySpec, SequencePrefix, determinant_terms
+from recdet.ring import COUNTER, Polynomial, poly_scaled
 
 from tests.conftest import coeffs
 
@@ -248,6 +249,104 @@ class TestThreeTermOracles:
         assert set(_THREE_TERM) == set(REFERENCE_RECURRENCES) == (
             POLY_FAMILIES - PARAM_FAMILIES
         )
+
+
+# Theorem 1's cells of each three-term family, restated from the
+# textbook recurrences P_k = (a_k x + b_k) P_{k-1} - c_k P_{k-2} with
+# a(1) = 1 standing for P_0: p(k, k) = a_k x + b_k, p(k, k - 1) = -c_k.
+# Lucas's L_0 = 2 makes p(2, 1) = 2, and T_1 = x T_0 makes p(1, 1) = x;
+# Legendre's is k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2} and
+# Laguerre's k L_k = (2k - 1 - x) L_{k-1} - (k - 1) L_{k-2}.
+TEXTBOOK_CELLS = {
+    FamilyId.FIBONACCI_POLY: (lambda k: _X, lambda k: F(1)),
+    FamilyId.LUCAS_POLY: (lambda k: _X, lambda k: F(2 if k == 2 else 1)),
+    FamilyId.CHEBYSHEV_T: (lambda k: _X if k == 1 else _TWO_X, lambda k: F(-1)),
+    FamilyId.CHEBYSHEV_U: (lambda k: _TWO_X, lambda k: F(-1)),
+    FamilyId.HERMITE: (lambda k: _TWO_X, lambda k: F(-2 * (k - 1))),
+    FamilyId.LEGENDRE: (lambda k: Polynomial((0, F(2 * k - 1, k))), lambda k: F(1 - k, k)),
+    FamilyId.LAGUERRE: (
+        lambda k: Polynomial((F(2 * k - 1, k), F(-1, k))),
+        lambda k: F(1 - k, k),
+    ),
+}
+
+
+def cell_route(spec):
+    """The spec with a coeff that has no scaled columns, so the kernel
+    reads its cells."""
+    return FullHistorySpec(spec.initial, lambda k, i: spec.coeff(k, i), spec.name, spec.band)
+
+
+def counted(call):
+    COUNTER.reset()
+    out = call()
+    return out, (COUNTER.adds, COUNTER.muls, COUNTER.divs)
+
+
+class TestBandColumns:
+    """The three-term polynomial families are written as their scaled
+    band columns, coeff.column(k); the cells derive from them."""
+
+    @pytest.mark.parametrize("fid", list(TEXTBOOK_CELLS), ids=lambda f: f.value)
+    def test_cells_are_the_textbook_coefficients(self, fid):
+        coeff = family_spec(fid).coeff
+        diag, sub = TEXTBOOK_CELLS[fid]
+        for k in range(1, 61):
+            got = coeff(k, k)
+            assert (type(got), got) == (Polynomial, diag(k)), f"p({k}, {k})"
+            if k > 1:
+                got = coeff(k, k - 1)
+                assert (type(got), got) == (Fraction, sub(k)), f"p({k}, {k - 1})"
+            for i in range(1, k - 1):
+                got = coeff(k, i)
+                assert (type(got), got) == (Fraction, 0), f"p({k}, {i})"
+
+    @pytest.mark.parametrize("fid", list(TEXTBOOK_CELLS), ids=lambda f: f.value)
+    def test_columns_are_the_scaled_cells(self, fid):
+        coeff = family_spec(fid).coeff
+        for k in range(1, 301):
+            cells = [coeff(k, i) for i in range(max(k - 1, 1), k + 1)]
+            assert coeff.column(k) == poly_scaled(cells), f"column {k}"
+
+    @pytest.mark.parametrize("fid", list(TEXTBOOK_CELLS), ids=lambda f: f.value)
+    @pytest.mark.parametrize("n", (1, 2, 3, 60, 300))
+    def test_the_columns_give_what_the_cells_give(self, fid, n):
+        spec = family_spec(fid)
+        got, ops = counted(lambda: determinant_terms(spec, n))
+        want, want_ops = counted(lambda: determinant_terms(cell_route(spec), n))
+        assert list(map(type, got)) == list(map(type, want))
+        assert (got, ops) == (want, want_ops)
+        assert ops[1] > 0
+
+    @pytest.mark.parametrize(
+        "fid, bits",
+        [(f, -1) for f in TEXTBOOK_CELLS] + [(FamilyId.LEGENDRE, 2)],
+        ids=str,
+    )
+    def test_the_ring_recurrence_takes_over_from_the_columns_as_from_the_cells(
+        self, monkeypatch, fid, bits
+    ):
+        # a low bound makes a scale outgrow its minor, after the first
+        # column at -1 and further on for Legendre at 2; the ring
+        # recurrence then reads the cells on both routes
+        monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", bits)
+        handovers = []
+        tail = recurrence._ring_leading_minors
+        monkeypatch.setattr(
+            recurrence, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
+        )
+        spec = family_spec(fid)
+        got, ops = counted(lambda: determinant_terms(spec, 40))
+        want, want_ops = counted(lambda: determinant_terms(cell_route(spec), 40))
+        assert handovers == [1, 1]
+        assert (got, ops) == (want, want_ops)
+        assert tuple(got) == family_oracles(fid, 40)
+
+    def test_the_families_of_columns_are_the_three_term_polynomial_ones(self):
+        assert set(TEXTBOOK_CELLS) == POLY_FAMILIES - PARAM_FAMILIES
+        specs = {f: family_spec(f, default_params(f, 3)) for f in FamilyId}
+        columns = {f for f, spec in specs.items() if hasattr(getattr(spec, "coeff", None), "column")}
+        assert columns == set(TEXTBOOK_CELLS)
 
 
 class TestOde:
