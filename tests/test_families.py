@@ -344,8 +344,8 @@ class TestBandColumns:
 
     def test_the_families_of_columns_are_the_three_term_polynomial_ones(self):
         assert set(TEXTBOOK_CELLS) == POLY_FAMILIES - PARAM_FAMILIES
-        specs = {f: family_spec(f, default_params(f, 3)) for f in FamilyId}
-        columns = {f for f, spec in specs.items() if hasattr(getattr(spec, "coeff", None), "column")}
+        coeff_of = {f: getattr(family_spec(f, default_params(f, 3)), "coeff", None) for f in FamilyId}
+        columns = {f for f, coeff in coeff_of.items() if hasattr(coeff, "column")}
         assert columns == set(TEXTBOOK_CELLS)
 
 
