@@ -20,16 +20,22 @@ recdet() { PYTHONPATH=src python -m recdet.cli "$@"; }
 # bench exits 3 when fast, Bareiss and Laplace disagree on the
 # determinants of its timed passes, which run with bits off as users
 # do: the int kernels, the Horner order and Bareiss's row recurrence,
-# and for the poly ring all three over int coefficient lists. Sizes
-# 1 to 5 are the list route's edge cases (one cell, one step, the
-# first and the last pivot close together). Size 40 is past
-# Laplace's limit, so there fast and Bareiss check each other alone
-# on a dense upper-Hessenberg matrix. Each method's second pass
-# tracks bits, which runs every ring path and Laplace's memo on its
-# observing path
+# and for the poly ring all three over the cells packed into ints up
+# to the packing's width gate, and fast and Bareiss over int
+# coefficient lists past it. Sizes 1 to 5 are the packed route's edge
+# cases (one cell, one step, the first and the last pivot close
+# together). Size 40 is past Laplace's limit, so there fast and
+# Bareiss check each other alone on a dense upper-Hessenberg matrix.
+# The third run's sizes straddle the gate of 320 bits: B is 116, 188
+# and 302 at sizes 20, 30 and 45, which run packed, and 344 and 427 at
+# 50 and 60, which run over lists (size 90's tracked Bareiss pass
+# alone would take about 45 s).
+# Each method's second pass tracks bits, which runs every ring path
+# and Laplace's memo on its observing path
 determinant_agreement() {
   recdet bench --ring poly --sizes 1,2,3,4,5,6,7,8,40 --methods fast,bareiss,laplace --seed 42
   recdet bench --ring rational --sizes 6,7,8,40 --methods fast,bareiss,laplace --seed 42
+  recdet bench --ring poly --sizes 20,30,45,50,60 --methods fast,bareiss --seed 42
 }
 
 # bench's random matrices and det-crosscheck's are integral or

@@ -196,6 +196,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec, _ring = _resolve_spec(args.spec)
+    _refuse_terms(args.max_n)
     report = verify_spec(spec, args.max_n, method=args.method, corrupt=args.corrupt)
     if args.format == "json":
         print(report.to_json())

@@ -9,7 +9,9 @@ row recurrence on upper-Hessenberg matrices while bits are not tracked,
 which needs no row swap and expands rows.  A matrix is given by its rows
 and an optional band; whether it is upper Hessenberg is read from its
 cells.  Both fast routes read its integral cells as ints once, and all
-three read its integral polynomial cells as int coefficient lists once.
+three read its integral polynomial cells once, packed into ints by
+Kronecker substitution up to a width gate and as int coefficient lists
+past it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 from random import Random
 from typing import Callable, Iterable
 
@@ -29,6 +32,7 @@ from .ring import (
     Polynomial,
     RingValue,
     _add_product,
+    _pair_poly,
     _reduced,
     _reduced_poly,
     int_scaled,
@@ -72,6 +76,14 @@ class SquareMatrix:
     refuses the matrix naming it.  A declared band b promises
     e[r][c] == 0 whenever c - r > b (b superdiagonals above the main
     one) and is enforced at construction; None means dense.
+
+    The int kernels read the cells of an upper-Hessenberg matrix once,
+    kept in fields that compare and print as nothing: _int_rows when every
+    cell on or above the subdiagonal is an integral Fraction, _list_rows
+    when every such cell is a Polynomial with integer coefficients, and
+    _packed_rows, those cells packed into ints, when they are and the
+    packing's slot width passes its gate.  Any other matrix, and every
+    matrix while bits are tracked, keeps the ring paths.
     """
 
     entries: tuple[tuple[RingValue, ...], ...]
@@ -81,6 +93,7 @@ class SquareMatrix:
     )
     _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -145,6 +158,32 @@ class SquareMatrix:
             "_lists", Polynomial, attrgetter("den"), attrgetter("nums"), ()
         )
 
+    def _packed_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
+        """(B, the cells of _list_rows as the ints p(2^B)) when _list_rows
+        has the cells and B is at most _MAX_PACKED_BITS; else None.  B
+        and then the ints are computed on first use and kept in _packed.
+
+        B = bit_length(H) + 1, H the product over the rows of
+        max(1, the sum of the row's cells' coefficient 1-norms).  By its
+        Leibniz expansion every minor has a 1-norm of at most H, so its
+        coefficients have magnitudes below 2^(B - 1) (see _unpacked).
+        """
+        lists = self._list_rows()
+        if lists is None:
+            return None
+        if self._packed is None:
+            h = 1
+            for row in lists:
+                h *= max(1, sum(abs(a) for cell in row for a in cell))
+            object.__setattr__(self, "_packed", (h.bit_length() + 1, None))
+        b, rows = self._packed
+        if b > _MAX_PACKED_BITS:
+            return None
+        if rows is None:
+            rows = tuple(tuple(_pack(cell, b) for cell in row) for row in lists)
+            object.__setattr__(self, "_packed", (b, rows))
+        return b, rows
+
     def _kernel_rows(
         self, slot: str, kind: type, den: Callable, value: Callable, zero: object
     ) -> tuple | None:
@@ -167,6 +206,43 @@ class SquareMatrix:
             rows = tuple(got)
             object.__setattr__(self, slot, rows)
         return rows or None
+
+
+# The widest slot B with which the kernels run a polynomial matrix
+# packed (see SquareMatrix._packed_rows).  The packed ints grow with B
+# and the degrees, and det_hessenberg_fast fell behind the list route
+# from B of about 350 to 450 bits in probes of degree 1 to 8 with
+# coefficients of 3 to 30 bits, at sizes from 14 to 65 (Python 3.11,
+# x86-64).
+_MAX_PACKED_BITS = 320
+
+
+def _pack(cell: tuple[int, ...], b: int) -> int:
+    """The int coefficient tuple cell, constant term first, evaluated at
+    x = 2^b."""
+    v = 0
+    for a in reversed(cell):
+        v = (v << b) + a
+    return v
+
+
+def _unpacked(v: int | Fraction, b: int) -> RingValue:
+    """A packed kernel's value as the ring path's: the Polynomial p with
+    integral coefficients of magnitude below 2^(b - 1) and p(2^b) = v,
+    whose coefficients are v's balanced base-2^b digits, lowest first; a
+    Fraction as it is."""
+    if type(v) is Fraction:
+        return v
+    nums = []
+    half, full = 1 << (b - 1), 1 << b
+    mask = full - 1
+    while v:
+        a = v & mask
+        if a >= half:
+            a -= full
+        nums.append(a)
+        v = (v - a) >> b
+    return _pair_poly(tuple(nums), 1)
 
 
 def _first_nonzero(row: tuple[RingValue, ...], lo: int, hi: int) -> int | None:
@@ -238,14 +314,15 @@ def _laplace(m: SquareMatrix) -> RingValue:
     the same products and partial sums, so observing each distinct one
     once leaves max_bits as it would be.
 
-    The cells run over m._list_rows when it has them, each term added
-    into its minor's list (see _list_term), and the determinant comes
-    back as the ring path's Polynomial, or its Fraction 0 when the first
-    row is zero; else over ring values (see _ring_term).
+    The cells run over m._packed_rows when it has them, as ints, and the
+    determinant comes back as the ring path's Polynomial, or its Fraction
+    0 when the first row of a matrix wider than 1 is zero; else over ring
+    values (see _ring_term).
     """
-    lists = m._list_rows()
-    rows = lists or m.entries
-    zero, term = ((), _list_term) if lists else (0, _ring_term)
+    packed = m._packed_rows()
+    rows = packed[1] if packed else m.entries
+    # an empty expansion's value: the ring path's Fraction 0, or an int
+    empty = 0 if packed else Fraction(0)
     n = len(rows)
     memo: dict[tuple[int, ...], tuple[RingValue, int, int]] = {}
 
@@ -261,25 +338,30 @@ def _laplace(m: SquareMatrix) -> RingValue:
             muls = adds = 0
             for j, c in enumerate(cols):
                 v = row[c]
-                if v == zero:
+                if v == 0:
                     continue
                 rest, rest_muls, rest_adds = minor(cols[:j] + cols[j + 1 :])
                 muls += 1 + rest_muls
                 adds += rest_adds if total is None else rest_adds + 1
-                total = term(total, v, rest, j % 2)
-            hit = (Fraction(0) if total is None else total, muls, adds)
+                total = _ring_term(total, v, rest, j % 2)
+            hit = (empty if total is None else total, muls, adds)
         memo[cols] = hit
         return hit
 
     det, muls, adds = minor(tuple(range(n)))
     COUNTER.muls += muls
     COUNTER.adds += adds
-    return _list_value(det) if lists else det
+    if not packed:
+        return det
+    if n > 1 and not any(rows[0]):
+        return Fraction(0)
+    return _unpacked(det, packed[0])
 
 
 def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
-    """total + (-1)^odd * v * rest over the ring, the product and the sum
-    observed while bits are tracked; a total of None starts the sum."""
+    """total + (-1)^odd * v * rest over the ring or ints, the product and
+    the sum observed while bits are tracked; a total of None starts the
+    sum."""
     t = v * rest
     if COUNTER.track_bits:
         COUNTER.observe(t)
@@ -291,13 +373,6 @@ def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
     if COUNTER.track_bits:
         COUNTER.observe(total)
     return total
-
-
-def _list_term(total, v: tuple[int, ...], rest, odd: int) -> list[int]:
-    """_ring_term over int coefficient lists, a total of None starting
-    from []: v * rest added into total, or subtracted when odd.  A rest
-    that is the Fraction 0 of an empty expansion adds nothing."""
-    return _add_product([] if total is None else total, v, rest, sub if odd else add)
 
 
 def _list_value(v) -> RingValue:
@@ -358,19 +433,25 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
     as well, every later minor is 0.  A row whose subdiagonal cell is
     zero is only rescaled, and keeps its zero cells as they are.
 
-    The cells on or above the subdiagonal run over m._int_rows or
-    m._list_rows when it has them, and the results come back as the ring
-    path's Fractions or Polynomials (see _list_value); the loop forms its
-    rows by _combine or _combine_lists.  COUNTER gets det_bareiss's
-    ring-path counts in bulk, with minors or without.
+    The cells on or above the subdiagonal run over m._int_rows,
+    m._packed_rows or m._list_rows when it has them, and the results come
+    back as the ring path's Fractions or Polynomials, keeping the pivots'
+    Fraction 0s (see _unpacked and _list_value); the loop forms its rows
+    by _combine over ints and ring values, or by _combine_lists.  COUNTER
+    gets det_bareiss's ring-path counts in bulk, with minors or without.
     """
     n = m.size
     ints = m._int_rows()
-    lists = None if ints else m._list_rows()
+    packed = None if ints else m._packed_rows()
+    lists = None if ints or packed else m._list_rows()
     zero, combine = ((), _combine_lists) if lists else (0, _combine)
-    value = Fraction if ints else _list_value if lists else None
+    if packed:
+        value, rows = partial(_unpacked, b=packed[0]), packed[1]
+    else:
+        value = Fraction if ints else _list_value if lists else None
+        rows = ints or lists or m.entries
     # row r from column r - 1: the cells on or above the subdiagonal
-    tails = [row[max(r - 1, 0) :] for r, row in enumerate(ints or lists or m.entries)]
+    tails = [row[max(r - 1, 0) :] for r, row in enumerate(rows)]
     row = tails[0]
     pivots = [row[0]]
     steps = n - 1
@@ -508,8 +589,8 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     b the sum runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
 
     The leading columns run over ints or int coefficient lists while
-    m._int_rows, m._list_rows or int_scaled lets them (see
-    _int_leading_minors); the ring recurrence takes the rest.
+    m._int_rows, m._packed_rows, m._list_rows or int_scaled lets them
+    (see _int_leading_minors); the ring recurrence takes the rest.
     """
     if m._below_subdiagonal is not None:
         r, c = m._below_subdiagonal
@@ -573,13 +654,16 @@ def _ring_leading_minors(
 
 def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
     """The leading minors d_1..d_c by scaled_leading_minors, as ring
-    values: of every column, at scale 1, when m._int_rows or m._list_rows
-    has the cells, the negated subdiagonal cell of a list column a list
-    too; else of the leading columns whose band and subdiagonal cells
-    int_scaled lets through.  Only band cells are read, so a banded matrix
-    costs O(n*b).
+    values: of every column, at scale 1, when m._int_rows, m._packed_rows
+    or m._list_rows has the cells, the negated subdiagonal cell of a list
+    column a list too; else of the leading columns whose band and
+    subdiagonal cells int_scaled lets through.  Only band cells are read,
+    so a banded matrix costs O(n*b).  Packed minors come back unpacked to
+    Polynomials.
     """
-    rows = m._int_rows() or m._list_rows()
+    rows = m._int_rows()
+    packed = None if rows else m._packed_rows()
+    rows = packed[1] if packed else rows or m._list_rows()
     gate = int_scaled if rows is None else lambda col: (1, col)
     rows = rows or m.entries
 
@@ -593,7 +677,10 @@ def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
             s = col[-1]
             yield scale, col, [-a for a in s] if type(s) is tuple else -s
 
-    return list(map(pair_value, scaled_leading_minors(columns(), band)))
+    minors = scaled_leading_minors(columns(), band)
+    if packed:
+        return [_unpacked(a, packed[0]) for a, _ in minors]
+    return list(map(pair_value, minors))
 
 
 def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -> list:

@@ -323,9 +323,15 @@ COUNTER = OpCounter()
 # much, the leading minors hand over to their ring path, and direct
 # iteration starts again from its terms unless their own lcm outgrows
 # the last one too.  The leading minors of a spec's polynomial columns
-# run over int coefficient lists when poly_scaled lets them, and the
-# leading minors, Bareiss and Laplace run a polynomial matrix over its
-# cells' int coefficient lists when SquareMatrix._list_rows does.
+# run over int coefficient lists when poly_scaled lets them.  A
+# polynomial matrix whose cells SquareMatrix._list_rows admits runs on
+# the int kernels by Kronecker substitution: each cell p packed as the
+# int p(2^B), B = bit_length(H) + 1, H the product of the rows'
+# coefficient 1-norm sums, which bounds every minor's coefficients, and
+# no kernel divides, so every minor unpacks exactly from its int.  Past
+# a width gate on B (SquareMatrix._packed_rows), where wide int products
+# cost more than list ones, the leading minors and Bareiss run over the
+# cells' int coefficient lists and Laplace over ring values.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence

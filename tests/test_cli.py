@@ -347,12 +347,31 @@ class TestRefusals:
             2, "", f"error: n above the limit {cli.MAX_TERMS}, got {cli.MAX_TERMS + 1}\n"
         )
 
+    @pytest.mark.parametrize("extra", [
+        (),
+        ("--method", "bareiss"),
+        ("--method", "laplace", "--format", "json"),
+        # the cap comes before a bad --corrupt position
+        ("--corrupt", "60000,1"),
+    ])
+    def test_verify_past_the_cap_exits_two_before_any_term(self, capsys, monkeypatch, extra):
+        def no_terms(*args, **kwargs):
+            raise AssertionError("a term was computed")
+
+        monkeypatch.setattr(cli, "verify_spec", no_terms)
+        n = cli.MAX_TERMS + 1
+        for spec in (str(spec_path("fibonacci-num")), "legendre"):
+            assert run(capsys, "verify", spec, "--max-n", str(n), *extra) == (
+                2, "", f"error: n above the limit {cli.MAX_TERMS}, got {n}\n"
+            )
+
     def test_the_cap_comes_after_the_spec_and_params_errors(self, capsys):
         n = str(cli.MAX_TERMS + 1)
         assert run(capsys, "family", "continuant", "--n", n) == (
             1, "", "error: family 'continuant' needs a coefficient list\n"
         )
         assert run(capsys, "eval", "no-such-thing", "--n", n)[0] == 1
+        assert run(capsys, "verify", "no-such-thing", "--max-n", n)[0] == 1
 
     @pytest.mark.parametrize("sizes", ["", ","])
     def test_sizes_with_no_integer_exit_one(self, capsys, sizes):

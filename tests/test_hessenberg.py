@@ -877,6 +877,15 @@ def _poly_band_case(rng, n, degree, band, zeros):
     )
 
 
+def _packing_bound(m):
+    """H of SquareMatrix._packed_rows: the product over the rows of
+    max(1, the sum of the coefficient 1-norms of the row's cells)."""
+    h = 1
+    for row in m.entries:
+        h *= max(1, sum(abs(a) for v in row if type(v) is Polynomial for a in v.nums))
+    return h
+
+
 _LIST_ROUTE_FUNCTIONS = {
     "det_hessenberg_fast": det_hessenberg_fast,
     "hessenberg_leading_minors": hessenberg_leading_minors,
@@ -888,27 +897,32 @@ _LIST_ROUTE_FUNCTIONS = {
 
 
 class TestListRoute:
-    """SquareMatrix._list_rows, and fast, Bareiss and Laplace over int
-    coefficient lists against their ring paths on the same matrix: the
-    same values, types, renderings and COUNTER deltas."""
+    """SquareMatrix._list_rows and _packed_rows, and fast, Bareiss and
+    Laplace over packed ints and over int coefficient lists against their
+    ring paths on the same matrix: the same values, types, renderings and
+    COUNTER deltas, with packing forced on and forced off."""
 
     def _agree(self, m, monkeypatch):
         assert m._list_rows() is not None
         results = {}
-        for name, fn in _LIST_ROUTE_FUNCTIONS.items():
-            if "laplace" in name and m.size > LAPLACE_SIZE_LIMIT:
-                continue
-            got, got_ops = _counted(fn, m)
+        for limit in (1 << 40, 0):
             with monkeypatch.context() as mp:
-                mp.setattr(SquareMatrix, "_list_rows", lambda self: None)
-                want, want_ops = _counted(fn, m)
-            got = got if isinstance(got, list) else [got]
-            want = want if isinstance(want, list) else [want]
-            assert got == want, name
-            assert [type(v) for v in got] == [type(v) for v in want], name
-            assert [render_value(v) for v in got] == [render_value(v) for v in want], name
-            assert got_ops == want_ops, name
-            results[name] = got
+                mp.setattr(hessenberg, "_MAX_PACKED_BITS", limit)
+                assert (m._packed_rows() is None) is (limit == 0)
+                for name, fn in _LIST_ROUTE_FUNCTIONS.items():
+                    if "laplace" in name and m.size > LAPLACE_SIZE_LIMIT:
+                        continue
+                    got, got_ops = _counted(fn, m)
+                    with monkeypatch.context() as ring_path:
+                        ring_path.setattr(SquareMatrix, "_list_rows", lambda self: None)
+                        want, want_ops = _counted(fn, m)
+                    got = got if isinstance(got, list) else [got]
+                    want = want if isinstance(want, list) else [want]
+                    assert got == want, (name, limit)
+                    assert [type(v) for v in got] == [type(v) for v in want], (name, limit)
+                    assert list(map(render_value, got)) == list(map(render_value, want)), name
+                    assert got_ops == want_ops, (name, limit)
+                    results.setdefault(name, got)
         return results
 
     def test_random_matrices(self, monkeypatch):
@@ -927,6 +941,101 @@ class TestListRoute:
             for c in range(7):
                 want = m.entries[r][c].nums if r <= c + 1 else ()
                 assert rows[r][c] == want and type(rows[r][c]) is tuple
+        # each cell packed as its value at x = 2^B
+        b, packed = m._packed_rows()
+        assert m._packed == (b, packed)
+        assert b == _packing_bound(m).bit_length() + 1
+        for r in range(7):
+            for c in range(7):
+                want = m.entries[r][c].evaluate(2**b) if r <= c + 1 else 0
+                assert packed[r][c] == want and type(packed[r][c]) is int
+
+    def test_the_width_limit_is_on_b(self, monkeypatch):
+        m = _poly_band_case(random.Random(36), 9, 2, None, 0.0)
+        b = m._packed_rows()[0]
+        monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b)
+        assert m._packed_rows()[0] == b
+        monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b - 1)
+        assert m._packed_rows() is None and m._list_rows() is not None
+        # a matrix past the limit keeps its B and packs no cell
+        wide = SquareMatrix(m.entries)
+        assert wide._packed_rows() is None and wide._packed == (b, None)
+
+    def test_diagonal_and_triangular_monomials_where_b_is_tight(self, monkeypatch):
+        # a diagonal determinant is one monomial whose coefficient is +-H:
+        # 3 * 5 * 17 = 2^8 - 1 is the largest magnitude that B = 9 holds
+        for scales in ((3, 5, 17), (16, 16), (255,), (1, 3, 1, 5, 17), (2, 2, 2, 2)):
+            n = len(scales)
+            for signs in ((1,) * n, (-1,) * n, tuple((-1) ** j for j in range(n))):
+                cells = [
+                    Polynomial([0] * (j % 3) + [sign * scale])
+                    for j, (sign, scale) in enumerate(zip(signs, scales))
+                ]
+                m = SquareMatrix(
+                    [[cells[r] if r == c else Polynomial() for c in range(n)] for r in range(n)]
+                )
+                h = _packing_bound(m)
+                assert m._packed_rows()[0] == h.bit_length() + 1
+                det = self._agree(m, monkeypatch)["det_hessenberg_fast"][-1]
+                assert max(map(abs, det.nums)) == h
+                # upper triangular: monomials above the diagonal too
+                rng = random.Random(n)
+                upper = [
+                    [cells[r] if r == c else Polynomial([0] * rng.randint(0, 2) + [
+                        rng.choice((-2, -1, 1, 2))]) if c > r else Polynomial()
+                     for c in range(n)]
+                    for r in range(n)
+                ]
+                diagonal = Polynomial([1])
+                for cell in cells:
+                    diagonal *= cell
+                assert self._agree(SquareMatrix(upper), monkeypatch)["det_bareiss"] == [diagonal]
+                # lower bidiagonal: monomials on the subdiagonal
+                lower = [
+                    [cells[r] if r == c else Polynomial([-1, 0, 2]) if r == c + 1
+                     else Polynomial() for c in range(n)]
+                    for r in range(n)
+                ]
+                self._agree(SquareMatrix(lower), monkeypatch)
+
+    def test_one_by_one_matrices(self, monkeypatch):
+        for cell in (Polynomial(), Polynomial([5]), Polynomial([-1]), X, -X * X + 3,
+                     Polynomial([0, 0, 0, -7])):
+            results = self._agree(SquareMatrix([[cell]]), monkeypatch)
+            assert results["det_laplace"] == [cell] and type(results["det_laplace"][0]) is Polynomial
+
+    def test_constant_polynomial_cells(self, monkeypatch):
+        rng = random.Random(37)
+        for n in (2, 3, 5, 8, 12):
+            for choices in ((-1, 1), (-3, -1, 0, 1, 2), (1,)):
+                rows = [
+                    [Polynomial([rng.choice(choices)]) if r <= c + 1 else 0 for c in range(n)]
+                    for r in range(n)
+                ]
+                self._agree(SquareMatrix(rows), monkeypatch)
+            # Theorem 1's -1 under the diagonal, whose product the packed
+            # minors skip and the lists do not
+            rows = [
+                [Polynomial([-1]) if r == c + 1 else Polynomial([rng.randint(-4, 4)])
+                 if r <= c else 0 for c in range(n)]
+                for r in range(n)
+            ]
+            self._agree(SquareMatrix(rows), monkeypatch)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 9),
+        degree=st.integers(0, 3),
+        band=st.sampled_from((None, 0, 1, 3)),
+        zeros=st.sampled_from((0.0, 0.3, 0.7)),
+        vanishing=st.lists(st.integers(0, 8), max_size=2, unique=True),
+    )
+    def test_random_small_matrices(self, seed, n, degree, band, zeros, vanishing):
+        m = _poly_band_case(random.Random(seed), n, degree, band, zeros)
+        m = _vanishing_minor(m, *(k for k in vanishing if k < n), zero=Polynomial())
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._agree(m, monkeypatch)
 
     def test_zero_pivots_at_the_first_a_middle_and_the_last_step(self, monkeypatch):
         n = 8
@@ -997,6 +1106,7 @@ class TestListRoute:
         ]
         for m in refused:
             assert m._list_rows() is None and m._lists == ()
+            assert m._packed_rows() is None and m._packed is None
             want = det_laplace(m)
             assert det_bareiss(m) == want
             if m._below_subdiagonal is None:
@@ -1005,7 +1115,7 @@ class TestListRoute:
         m = SquareMatrix(base.entries)
         COUNTER.reset(track_bits=True)
         try:
-            assert m._list_rows() is None
+            assert m._list_rows() is None and m._packed_rows() is None
             fast = det_hessenberg_fast(m)
             fast_bits = COUNTER.max_bits
             COUNTER.reset(track_bits=True)
@@ -1018,7 +1128,7 @@ class TestListRoute:
             assert (laplace, laplace_bits) == (_recursive_laplace(m.entries), COUNTER.max_bits)
         finally:
             COUNTER.reset()
-        assert m._lists is None
+        assert m._lists is None and m._packed is None
         self._agree(m, monkeypatch)
 
 
