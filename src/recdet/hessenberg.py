@@ -211,8 +211,8 @@ class SquareMatrix:
 # The widest slot B with which the kernels run a polynomial matrix
 # packed (see SquareMatrix._packed_rows).  The packed ints grow with B
 # and the degrees, and det_hessenberg_fast fell behind the list route
-# from B of about 350 to 450 bits in probes of degree 1 to 8 with
-# coefficients of 3 to 30 bits, at sizes from 14 to 65 (Python 3.11,
+# from B of about 300 to 470 bits in probes of degree 1 to 8 with
+# coefficients of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11,
 # x86-64).
 _MAX_PACKED_BITS = 320
 

@@ -920,7 +920,9 @@ class TestListRoute:
                     want = want if isinstance(want, list) else [want]
                     assert got == want, (name, limit)
                     assert [type(v) for v in got] == [type(v) for v in want], (name, limit)
-                    assert list(map(render_value, got)) == list(map(render_value, want)), name
+                    assert list(map(render_value, got)) == list(map(render_value, want)), (
+                        name, limit
+                    )
                     assert got_ops == want_ops, (name, limit)
                     results.setdefault(name, got)
         return results
