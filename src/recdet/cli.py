@@ -20,6 +20,8 @@ import random
 import sys
 import time
 from fractions import Fraction
+# what json.dumps writes for a str
+from json.encoder import encode_basestring_ascii as json_string
 from pathlib import Path
 
 from . import dsl
@@ -251,11 +253,17 @@ def cmd_family(args: argparse.Namespace) -> int:
     fid = _family_id(args.name, f"unknown family {args.name!r}")
     values = _family_values(fid, args.n, args.params, check=not args.no_check)
     if args.format == "json":
-        payload = {
-            "family": fid.value,
-            "values": [{"n": k, "value": render_value(v)} for k, v in values],
-        }
-        print(json.dumps(payload, separators=(",", ":")))
+        # every value is rendered before the first byte goes out, so that a
+        # value past the digit limit prints nothing; then the line is
+        # written in pieces, the bytes of the compact json.dumps of
+        # {"family": ..., "values": [{"n": k, "value": text}, ...]}
+        texts = [render_value(v) for _, v in values]
+        del values
+        write = sys.stdout.write
+        write(f'{{"family":{json.dumps(fid.value)},"values":[')
+        for k, text in enumerate(texts, start=1):
+            write(f'{"," if k > 1 else ""}{{"n":{k},"value":{json_string(text)}}}')
+        write("]}\n")
     else:
         show = latex_value if args.format == "latex" else render_value
         for k, v in values:

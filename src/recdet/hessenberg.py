@@ -17,7 +17,6 @@ past it.
 from __future__ import annotations
 
 import json
-from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -65,6 +64,13 @@ def _coerce_entry(v: object) -> RingValue:
     raise RecdetError(f"matrix entries must be exact ring values, got {type(v).__name__}")
 
 
+# What SquareMatrix._kernel_rows reads for _int_rows and for _list_rows:
+# the field that keeps the rows, the cells' type, their denominator, the
+# kernel's value of a cell, and its zero below the subdiagonal
+_INT_CELLS = ("_ints", Fraction, attrgetter("denominator"), attrgetter("numerator"), 0)
+_LIST_CELLS = ("_lists", Polynomial, attrgetter("den"), attrgetter("nums"), ())
+
+
 @dataclass(frozen=True)
 class SquareMatrix:
     """Immutable dense n x n matrix of ring values, given by its rows.
@@ -82,8 +88,11 @@ class SquareMatrix:
     cell on or above the subdiagonal is an integral Fraction, _list_rows
     when every such cell is a Polynomial with integer coefficients, and
     _packed_rows, those cells packed into ints, when they are and the
-    packing's slot width passes its gate.  Any other matrix, and every
-    matrix while bits are tracked, keeps the ring paths.
+    packing's slot width passes its gate.  Each is computed on first use,
+    or filled by matrix_from_json from the matrix's distinct cell texts
+    (and _int_rows by random_hessenberg from its draws) under the same
+    rule.  Any other matrix, and every matrix while bits are tracked,
+    keeps the ring paths.
     """
 
     entries: tuple[tuple[RingValue, ...], ...]
@@ -107,11 +116,7 @@ class SquareMatrix:
         if any(len(row) != n for row in rows):
             raise RecdetError(f"entries do not form a {n}x{n} array")
         object.__setattr__(self, "entries", rows)
-        for r in range(2, n):
-            c = _first_nonzero(rows[r], 0, r - 1)
-            if c is not None:
-                object.__setattr__(self, "_below_subdiagonal", (r, c))
-                break
+        self._find_below_subdiagonal()
         if self.band is not None:
             if self.band < 0:
                 raise RecdetError(f"band must be at least 0, got {self.band}")
@@ -122,6 +127,26 @@ class SquareMatrix:
                         f"nonzero entry at row {r + 1}, column {c + 1} "
                         f"above the declared band {self.band}"
                     )
+
+    @classmethod
+    def _of_ring_rows(cls, rows: tuple[tuple[RingValue, ...], ...]) -> "SquareMatrix":
+        """The dense matrix of rows, n >= 1 tuples of n cells each a
+        Fraction or a Polynomial, taken as they are: the constructor with
+        no walk over the cells' types."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        m._find_below_subdiagonal()
+        return m
+
+    def _find_below_subdiagonal(self) -> None:
+        """Keep the first nonzero cell below the subdiagonal, if any, in
+        _below_subdiagonal."""
+        rows = self.entries
+        for r in range(2, len(rows)):
+            c = _first_nonzero(rows[r], 0, r - 1)
+            if c is not None:
+                object.__setattr__(self, "_below_subdiagonal", (r, c))
+                break
 
     @property
     def size(self) -> int:
@@ -145,18 +170,14 @@ class SquareMatrix:
         """The cells as ints, computed on first use and kept in _ints, when
         every cell on or above this upper-Hessenberg matrix's subdiagonal is
         an integral Fraction; else None, and None while COUNTER tracks bits."""
-        return self._kernel_rows(
-            "_ints", Fraction, attrgetter("denominator"), attrgetter("numerator"), 0
-        )
+        return self._kernel_rows(*_INT_CELLS)
 
     def _list_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
         """The cells as int coefficient tuples (Polynomial.nums, () for
         zero), computed on first use and kept in _lists, when every cell on
         or above this upper-Hessenberg matrix's subdiagonal is a Polynomial
         with den 1; else None, and None while COUNTER tracks bits."""
-        return self._kernel_rows(
-            "_lists", Polynomial, attrgetter("den"), attrgetter("nums"), ()
-        )
+        return self._kernel_rows(*_LIST_CELLS)
 
     def _packed_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
         """(B, the cells of _list_rows as the ints p(2^B)) when _list_rows
@@ -172,10 +193,8 @@ class SquareMatrix:
         if lists is None:
             return None
         if self._packed is None:
-            h = 1
-            for row in lists:
-                h *= max(1, sum(abs(a) for cell in row for a in cell))
-            object.__setattr__(self, "_packed", (h.bit_length() + 1, None))
+            b = _slot_bits(sum(abs(a) for cell in row for a in cell) for row in lists)
+            object.__setattr__(self, "_packed", (b, None))
         b, rows = self._packed
         if b > _MAX_PACKED_BITS:
             return None
@@ -215,6 +234,15 @@ class SquareMatrix:
 # coefficients of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11,
 # x86-64).
 _MAX_PACKED_BITS = 320
+
+
+def _slot_bits(row_norms: Iterable[int]) -> int:
+    """B = bit_length(H) + 1, H the product of max(1, s) over the rows'
+    coefficient 1-norm sums s (see SquareMatrix._packed_rows)."""
+    h = 1
+    for s in row_norms:
+        h *= max(1, s)
+    return h.bit_length() + 1
 
 
 def _pack(cell: tuple[int, ...], b: int) -> int:
@@ -882,7 +910,14 @@ def matrix_to_json(m: SquareMatrix, ring: str | None = None) -> str:
 
 
 def matrix_from_json(text: str) -> SquareMatrix:
-    """Parse the JSON schema back into a matrix."""
+    """Parse the JSON schema back into a matrix.
+
+    Each distinct cell text is parsed once, and each distinct term of the
+    polynomial texts once, through a table of this call's own (see
+    ring._parse_poly_text); cells are checked in row-major order, so the
+    first bad cell raises.  The kernel rows of an upper-Hessenberg
+    matrix come from the distinct texts too (see _fill_kernel_rows).
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -903,8 +938,10 @@ def matrix_from_json(text: str) -> SquareMatrix:
         or any(not isinstance(row, list) or len(row) != size for row in entries)
     ):
         raise RecdetError("matrix JSON entries do not form a square array")
-    # each distinct cell text is parsed once; "0" maps to the shared ZERO
+    # each distinct cell text is parsed once, and each distinct term of a
+    # polynomial text once; "0" maps to the shared ZERO
     cache: dict[str, RingValue] = {"0": ZERO}
+    terms: dict[str, tuple[int, int, int]] = {}
     lookup = cache.__getitem__
     parsed = []
     for r, row in enumerate(entries):
@@ -914,20 +951,22 @@ def matrix_from_json(text: str) -> SquareMatrix:
         except (KeyError, TypeError):  # a new text, or a cell that is no string
             pass
         # outside the handler, so that a parse error chains no KeyError
-        parsed.append(_parse_row(row, r, ring, cache))
-    m = SquareMatrix(tuple(parsed))
-    # _int_rows of an integral matrix, from one numerator per distinct text
-    ints = {t: v.numerator for t, v in cache.items()
-            if type(v) is Fraction and v.denominator == 1}
-    with suppress(KeyError):  # a cell that is no integral Fraction: _int_rows decides
-        object.__setattr__(m, "_ints", tuple(tuple(map(ints.__getitem__, r)) for r in entries))
+        parsed.append(_parse_row(row, r, ring, cache, terms))
+    m = SquareMatrix._of_ring_rows(tuple(parsed))
+    if m._below_subdiagonal is None:
+        _fill_kernel_rows(m, entries, cache)
     return m
 
 
 def _parse_row(
-    row: list[object], r: int, ring: str, cache: dict[str, RingValue]
+    row: list[object],
+    r: int,
+    ring: str,
+    cache: dict[str, RingValue],
+    terms: dict[str, tuple[int, int, int]],
 ) -> tuple[RingValue, ...]:
-    """Row r of matrix_from_json, parsing each text the cache lacks.
+    """Row r of matrix_from_json, parsing each text the cache lacks, with
+    the table terms of the polynomial terms parsed so far.
 
     Cells are checked in order, so the first bad cell raises.  A zero
     Fraction is stored as ZERO.
@@ -940,12 +979,46 @@ def _parse_row(
             )
         v = cache.get(cell)
         if v is None:
-            v = parse_value(cell, ring)
+            v = parse_value(cell, ring, terms)
             if type(v) is Fraction and not v:
                 v = ZERO
             cache[cell] = v
         out.append(v)
     return tuple(out)
+
+
+def _fill_kernel_rows(
+    m: SquareMatrix, texts: list[list[str]], cells: dict[str, RingValue]
+) -> None:
+    """Fill the kernel rows of m, the upper-Hessenberg matrix of texts,
+    from cells, the value of each distinct text, each text converted
+    once: _ints, or _lists and _packed with _packed_rows' B, by
+    SquareMatrix._kernel_rows' rule.  A text whose value the rule refuses
+    may stand only below the subdiagonal, where it is zero; else m keeps
+    its fields for the accessors to decide."""
+    slot, kind, den, value, zero = (
+        _INT_CELLS if type(cells[texts[0][0]]) is Fraction else _LIST_CELLS
+    )
+    odd = {t for t, v in cells.items() if type(v) is not kind or den(v) != 1}
+    if odd and any(
+        not odd.isdisjoint(row[max(r - 1, 0) :]) for r, row in enumerate(texts)
+    ):
+        return
+    table = {t: zero if t in odd else value(v) for t, v in cells.items()}
+    object.__setattr__(m, slot, _rows_of(texts, table))
+    if kind is Polynomial:
+        norms = {t: sum(map(abs, nums)) for t, nums in table.items()}
+        b = _slot_bits(sum(map(norms.__getitem__, row)) for row in texts)
+        packed = None
+        if b <= _MAX_PACKED_BITS:
+            packed = _rows_of(texts, {t: _pack(nums, b) for t, nums in table.items()})
+        object.__setattr__(m, "_packed", (b, packed))
+
+
+def _rows_of(texts: list[list[str]], table: dict[str, object]) -> tuple:
+    """The rows of texts with each text replaced by its entry in table."""
+    get = table.__getitem__
+    return tuple(tuple(map(get, row)) for row in texts)
 
 
 def matrix_to_latex(m: SquareMatrix) -> str:

@@ -637,12 +637,16 @@ _SIGN_RE = re.compile(r"\s([+-])\s")
 MAX_PARSE_DEGREE = 10_000
 
 
-def parse_value(text: str, ring: str = "rational") -> RingValue:
+def parse_value(
+    text: str, ring: str = "rational", terms: dict | None = None
+) -> RingValue:
     """Parse the canonical rendering back into a ring value.
 
     A rational is an optional "-", digits, and optionally "/" and
     digits; surrounding whitespace is ignored.  Digits are ASCII, and a
-    polynomial term's degree is at most MAX_PARSE_DEGREE.
+    polynomial term's degree is at most MAX_PARSE_DEGREE.  A caller that
+    parses many texts may pass one dict as terms, the table of the
+    polynomial terms parsed so far (see _parse_poly_text).
     """
     s = text.strip()
     if not s:
@@ -658,48 +662,70 @@ def parse_value(text: str, ring: str = "rational") -> RingValue:
             except (ValueError, ZeroDivisionError):
                 pass  # a zero denominator, or more digits than int() takes
         raise RecdetError(f"cannot parse rational value {text!r}")
-    return _parse_poly_text(s)
+    return _parse_poly_text(s, terms)
 
 
-def _parse_poly_text(s: str) -> Polynomial:
+def _parse_poly_text(s: str, table: dict | None = None) -> Polynomial:
     """A polynomial's text, term by term, straight into the reduced pair.
 
     Each term gives its degree and a signed numerator over a
     denominator, as ints; the terms are summed over the lcm of the
-    denominators.  The first malformed term raises, and a term's degree
-    is checked before its coefficient.
+    denominators, or as they are when every denominator is 1.  The first
+    malformed term raises, and a term's degree is checked before its
+    coefficient.  table, when given, maps each term's text (as it stands
+    between the " + " and " - " signs) to its (degree, numerator,
+    denominator), filled as terms are parsed: a term in it is not parsed
+    again, and one that raises is never stored, so it raises again.
     """
+    # the terms at even indices, each after the sign before it
     chunks = _SIGN_RE.split(s)
-    signs = [1, *(1 if c == "+" else -1 for c in chunks[1::2])]
+    if table is None:
+        table = {}
+    get = table.get
     terms: list[tuple[int, int, int]] = []
-    for sign, term in zip(signs, chunks[::2]):
-        term = term.strip()
-        if term.startswith("-"):
-            sign = -sign
-            term = term[1:].strip()
-        m = _TERM_RE.fullmatch(term)
-        if not m:
-            raise RecdetError(f"cannot parse polynomial term {term!r}")
-        num, den, star, xpart, exp = m.groups()
-        if (
-            (num is None and xpart is None)
-            or ((exp or star) and not xpart)
-            or (den is not None and num is None)
-        ):
-            raise RecdetError(f"cannot parse polynomial term {term!r}")
-        d = (_parse_degree(exp) if exp else 1) if xpart else 0
-        try:
-            n, q = (int(num), int(den) if den else 1) if num else (1, 1)
-        except ValueError as exc:  # more digits than int() takes
-            raise RecdetError(f"cannot parse polynomial term {term!r}") from exc
-        if not q:
-            raise RecdetError(f"cannot parse polynomial term {term!r}")
-        terms.append((d, sign * n, q))
-    den = lcm(*(q for _, _, q in terms))
-    nums = [0] * (max(d for d, _, _ in terms) + 1)
+    for j in range(0, len(chunks), 2):
+        chunk = chunks[j]
+        term = get(chunk)
+        if term is None:
+            term = table[chunk] = _parse_term(chunk)
+        if j and chunks[j - 1] == "-":
+            d, n, q = term
+            term = d, -n, q
+        terms.append(term)
+    nums = [0] * (max([t[0] for t in terms]) + 1)
+    dens = [t[2] for t in terms]
+    den = 1 if dens.count(1) == len(dens) else lcm(*dens)
     for d, n, q in terms:
-        nums[d] += n * (den // q)
+        nums[d] += n if q == den else n * (den // q)
     return _reduced_poly(nums, den)
+
+
+def _parse_term(chunk: str) -> tuple[int, int, int]:
+    """One term of a polynomial's text as (degree, numerator,
+    denominator), the numerator signed by the term's own leading "-"."""
+    term = chunk.strip()
+    sign = 1
+    if term.startswith("-"):
+        sign = -1
+        term = term[1:].strip()
+    m = _TERM_RE.fullmatch(term)
+    if not m:
+        raise RecdetError(f"cannot parse polynomial term {term!r}")
+    num, den, star, xpart, exp = m.groups()
+    if (
+        (num is None and xpart is None)
+        or ((exp or star) and not xpart)
+        or (den is not None and num is None)
+    ):
+        raise RecdetError(f"cannot parse polynomial term {term!r}")
+    d = (_parse_degree(exp) if exp else 1) if xpart else 0
+    try:
+        n, q = (int(num), int(den) if den else 1) if num else (1, 1)
+    except ValueError as exc:  # more digits than int() takes
+        raise RecdetError(f"cannot parse polynomial term {term!r}") from exc
+    if not q:
+        raise RecdetError(f"cannot parse polynomial term {term!r}")
+    return d, sign * n, q
 
 
 def _parse_degree(digits: str) -> int:
