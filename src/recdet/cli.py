@@ -20,8 +20,7 @@ import random
 import sys
 import time
 from fractions import Fraction
-# what json.dumps writes for a str
-from json.encoder import encode_basestring_ascii as json_string
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import dsl
@@ -255,14 +254,15 @@ def cmd_family(args: argparse.Namespace) -> int:
     if args.format == "json":
         # every value is rendered before the first byte goes out, so that a
         # value past the digit limit prints nothing; then the line is
-        # written in pieces, the bytes of the compact json.dumps of
+        # written in pieces, each string escaped as json.dumps escapes it,
+        # the bytes of the compact json.dumps of
         # {"family": ..., "values": [{"n": k, "value": text}, ...]}
         texts = [render_value(v) for _, v in values]
         del values
         write = sys.stdout.write
         write(f'{{"family":{json.dumps(fid.value)},"values":[')
         for k, text in enumerate(texts, start=1):
-            write(f'{"," if k > 1 else ""}{{"n":{k},"value":{json_string(text)}}}')
+            write(f'{"," if k > 1 else ""}{{"n":{k},"value":{encode_basestring_ascii(text)}}}')
         write("]}\n")
     else:
         show = latex_value if args.format == "latex" else render_value
