@@ -116,11 +116,7 @@ class SquareMatrix:
         if any(len(row) != n for row in rows):
             raise RecdetError(f"entries do not form a {n}x{n} array")
         object.__setattr__(self, "entries", rows)
-        for r in range(2, n):
-            c = _first_nonzero(rows[r], 0, r - 1)
-            if c is not None:
-                object.__setattr__(self, "_below_subdiagonal", (r, c))
-                break
+        self._find_below_subdiagonal()
         if self.band is not None:
             if self.band < 0:
                 raise RecdetError(f"band must be at least 0, got {self.band}")
@@ -131,6 +127,26 @@ class SquareMatrix:
                         f"nonzero entry at row {r + 1}, column {c + 1} "
                         f"above the declared band {self.band}"
                     )
+
+    @classmethod
+    def _of_ring_rows(cls, rows: tuple[tuple[RingValue, ...], ...]) -> "SquareMatrix":
+        """The dense matrix of rows, n >= 1 tuples of n cells each a
+        Fraction or a Polynomial, taken as they are: the constructor with
+        no walk over the cells' types."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", rows)
+        m._find_below_subdiagonal()
+        return m
+
+    def _find_below_subdiagonal(self) -> None:
+        """Keep the first nonzero cell below the subdiagonal, if any, in
+        _below_subdiagonal."""
+        rows = self.entries
+        for r in range(2, len(rows)):
+            c = _first_nonzero(rows[r], 0, r - 1)
+            if c is not None:
+                object.__setattr__(self, "_below_subdiagonal", (r, c))
+                break
 
     @property
     def size(self) -> int:
@@ -936,7 +952,7 @@ def matrix_from_json(text: str) -> SquareMatrix:
             pass
         # outside the handler, so that a parse error chains no KeyError
         parsed.append(_parse_row(row, r, ring, cache, terms))
-    m = SquareMatrix(tuple(parsed))
+    m = SquareMatrix._of_ring_rows(tuple(parsed))
     if m._below_subdiagonal is None:
         _fill_kernel_rows(m, entries, cache)
     return m
