@@ -89,6 +89,46 @@ family_against_oracles() {
   done
 }
 
+# a library caller passes matrix JSON to matrix_from_json: the
+# printed matrix of every shipped spec and every family that takes no
+# coefficient list (matrix and eval have no --params) at k = 30, parsed
+# back, must give by the fast method and by Bareiss the value eval
+# prints, a(1) * det = a(31) for a full-history spec and det = a(30)
+# for a fixed-order one. These matrices hold the cells det-crosscheck
+# never draws: fractional and constant polynomial cells, zero cells in
+# the band, and Fraction cells in a poly matrix, such as the -1s of
+# the subdiagonal, which keep every poly matrix here on the ring paths
+# (the rational ones with integral cells run on the ints)
+library_round_trip() {
+  local tmp spec
+  tmp=$(step_tmp)
+  for spec in src/recdet/specs/*.rec naturals fibonacci-poly fibonacci-num lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre ode-example; do
+    recdet matrix "$spec" --k 30 --format json > "$tmp/matrix.json" || { echo "matrix $spec --k 30 failed"; exit 1; }
+    recdet eval "$spec" --n 31 > "$tmp/eval" || { echo "eval $spec --n 31 failed"; exit 1; }
+    PYTHONPATH=src python - "$spec" "$tmp/matrix.json" "$tmp/eval" <<'EOF' || { echo "the matrix JSON of $spec does not give eval's value"; exit 1; }
+import json
+import sys
+from pathlib import Path
+
+from recdet import FamilyId, FullHistorySpec, det_bareiss, det_hessenberg_fast, dsl, family_spec
+from recdet import matrix_from_json, parse_value
+
+token, matrix, terms = sys.argv[1:]
+if Path(token).is_file():
+    spec = dsl.to_spec(dsl.parse(Path(token).read_text(encoding="utf-8")))
+else:
+    spec = family_spec(FamilyId(token))
+text = Path(matrix).read_text(encoding="utf-8")
+m = matrix_from_json(text)
+ring = json.loads(text)["ring"]
+a = [parse_value(line.split(": ", 1)[1], ring) for line in Path(terms).read_text().splitlines()]
+fast, bareiss = det_hessenberg_fast(m), det_bareiss(m)
+full = isinstance(spec, FullHistorySpec)
+sys.exit(0 if fast == bareiss and (a[0] * fast if full else fast) == a[30 if full else 29] else 1)
+EOF
+  done
+}
+
 # eval reads a banded full-history spec within its band: row k
 # multiplies the last min(k, b + 1) terms, by direct iteration over
 # those windows, while family takes the leading minors of the band
@@ -245,6 +285,7 @@ STEPS=(
   determinant_agreement
   verify_shipped_by_bareiss
   family_against_oracles
+  library_round_trip
   eval_against_band_minors
   verify_row_dependent
   verify_factored

@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import random
 import sys
@@ -260,7 +259,7 @@ def cmd_family(args: argparse.Namespace) -> int:
         texts = [render_value(v) for _, v in values]
         del values
         write = sys.stdout.write
-        write(f'{{"family":{json.dumps(fid.value)},"values":[')
+        write(f'{{"family":{encode_basestring_ascii(fid.value)},"values":[')
         for k, text in enumerate(texts, start=1):
             write(f'{"," if k > 1 else ""}{{"n":{k},"value":{encode_basestring_ascii(text)}}}')
         write("]}\n")

@@ -182,6 +182,37 @@ class TestFamily:
         payload = json.loads(out)
         assert payload["values"][1] == {"n": 2, "value": "3/2*x^2 - 1/2"}
 
+    @pytest.mark.parametrize("argv", [
+        ("legendre", "--n", "1"),
+        ("laguerre", "--n", "40"),
+        ("fibonacci-num", "--n", "30"),
+        ("continuant", "--params", "1,-2,1/3,4", "--n", "4"),
+    ])
+    def test_json_is_the_compact_dump_of_the_text_values(self, capsys, argv):
+        code, text, _ = run(capsys, "family", *argv)
+        assert code == 0
+        values = [
+            {"n": int(k), "value": v}
+            for k, v in (line.split(": ", 1) for line in text.splitlines())
+        ]
+        payload = {"family": argv[0], "values": values}
+        want = json.dumps(payload, separators=(",", ":")) + "\n"
+        assert run(capsys, "family", *argv, "--format", "json") == (0, want, "")
+
+    @pytest.mark.skipif(not _INT_DIGIT_LIMIT, reason="str() writes ints of any length")
+    def test_json_prints_nothing_past_the_int_digit_limit(self, capsys):
+        # F(k) has about 0.209k digits: past 640 from k of about 3,070 on
+        limit = 640
+        sys.set_int_max_str_digits(limit)
+        try:
+            code, out, err = run(
+                capsys, "family", "fibonacci-num", "--n", "3100", "--no-check", "--format", "json"
+            )
+        finally:
+            sys.set_int_max_str_digits(_INT_DIGIT_LIMIT)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: a value has an integer of more than {limit} digits")
+
     def test_missing_params_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "family", "horner", "--n", "3")
         assert code == 1

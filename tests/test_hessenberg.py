@@ -521,6 +521,153 @@ class TestIntCache:
             sub = m.leading_submatrix(5)
             assert sub._ints is None and sub._int_rows() == sub.entries
 
+    def test_a_matrix_that_is_not_upper_hessenberg_gets_no_kernel_rows(self):
+        # integral cells, and integral polynomials, above a nonzero cell
+        # below the subdiagonal: the parser fills no field, as a matrix
+        # built from the same cells computes none
+        docs = [
+            ("rational", [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "10"]]),
+            ("poly", [["x", "2*x", "x^2"], ["x + 1", "5*x", "-x"], ["x - 1", "x", "3*x"]]),
+        ]
+        for ring_name, rows in docs:
+            m = matrix_from_json(json.dumps({"size": 3, "ring": ring_name, "entries": rows}))
+            assert m._below_subdiagonal == (2, 0)
+            assert (m._ints, m._lists, m._packed) == (None, None, None)
+            fresh = SquareMatrix(m.entries)
+            for got in (m, fresh):
+                assert got._int_rows() is None
+                assert got._list_rows() is None and got._packed_rows() is None
+            want = det_laplace(m)
+            assert det_bareiss(m) == det_bareiss(fresh) == want
+
+
+# zero texts of each ring; "0/5" and "-0" parse as the Fraction 0 in both,
+# "0*x" as the zero Polynomial
+_ZERO_TEXTS = {
+    "rational": ("0", " 0", "-0", "0/5", "00"),
+    "poly": ("0", " 0", "-0", "0/5", "0*x", "0*x^2 - 0"),
+}
+
+
+def _poly_text_st(bits):
+    """Texts of integral polynomials of degree 1 to 3, coefficients of up
+    to bits bits: their cells run on the list route."""
+    return st.lists(
+        st.integers(-(2**bits), 2**bits), min_size=1, max_size=3
+    ).map(lambda cs: render_value(Polynomial([*cs, 2**bits])))
+
+
+@st.composite
+def _matrix_docs(draw):
+    """A matrix JSON document (ring, rows of cell texts): zero texts and
+    cells on or above the subdiagonal drawn to reach the int kernels'
+    rows, or their refusals (fractions; constant cells, which parse as
+    Fractions in either ring; constant and fractional polynomials), with
+    coefficients small or wide enough to put B past _MAX_PACKED_BITS, and
+    now and then a nonzero cell below the subdiagonal."""
+    ring_name = draw(st.sampled_from(("rational", "poly")))
+    n = draw(st.integers(1, 7))
+    zero = st.sampled_from(_ZERO_TEXTS[ring_name])
+    if ring_name == "rational":
+        kernel = st.integers(-9, 9).map(str)
+        other = st.sampled_from(("1/2", "-3/4", "6/3", "7"))
+    else:
+        kernel = _poly_text_st(draw(st.sampled_from((2, 40, 90))))
+        other = st.sampled_from(
+            ("3", "-1", "1/2", "0*x + 3", "x^0", "-2*x^0", "1/2*x - 1/3", "3/4*x^2")
+        )
+    band = st.one_of(kernel, zero, other) if draw(st.booleans()) else st.one_of(kernel, zero)
+    rows = [[draw(band if r <= c + 1 else zero) for c in range(n)] for r in range(n)]
+    if n > 2 and draw(st.integers(0, 4)) == 0:
+        r = draw(st.integers(2, n - 1))
+        rows[r][draw(st.integers(0, r - 2))] = draw(kernel)
+    return ring_name, rows
+
+
+def _kernel_fields(m):
+    """What the kernels read of m, through the accessors and then as
+    kept: the same for a parsed matrix and for a fresh one."""
+    return (
+        m.entries,
+        [[type(v) for v in row] for row in m.entries],
+        m._int_rows(),
+        m._list_rows(),
+        m._packed_rows(),
+        m._below_subdiagonal,
+        m._ints,
+        m._lists,
+        m._packed,
+    )
+
+
+class TestParseRoute:
+    """matrix_from_json fills the kernel rows from the distinct cell texts:
+    every field it fills equals what a matrix built from its cells
+    computes, and the accessors read the fields it filled."""
+
+    def _agree(self, ring_name, rows):
+        n = len(rows)
+        m = matrix_from_json(json.dumps({"size": n, "ring": ring_name, "entries": rows}))
+        filled = m._ints, m._lists, m._packed
+        fresh = SquareMatrix(m.entries)
+        assert fresh._ints is fresh._lists is fresh._packed is None
+        # the parser's constructor makes the matrix the constructor makes
+        assert (m, hash(m), repr(m), m.band) == (fresh, hash(fresh), repr(fresh), None)
+        assert _kernel_fields(m) == _kernel_fields(fresh)
+        # a field the parser filled is the one the accessor hands out
+        if filled[0] is not None:
+            assert m._int_rows() is filled[0]
+        if filled[1] is not None:
+            assert m._list_rows() is filled[1]
+            assert m._packed is filled[2]
+        # and the parser fills every field that the rule admits
+        assert (filled[0] is not None) is (fresh._ints != ())
+        assert (filled[1] is not None) is (fresh._lists != ())
+        return m
+
+    @settings(max_examples=300, deadline=None)
+    @given(_matrix_docs())
+    def test_random_documents(self, doc):
+        self._agree(*doc)
+
+    def test_zero_texts_on_and_above_the_subdiagonal(self):
+        for ring_name, zeros in _ZERO_TEXTS.items():
+            kernel = "3" if ring_name == "rational" else "2*x - 1"
+            for zero in zeros:
+                for n in (1, 2, 4):
+                    for spot in ((0, 0), (n - 1, max(n - 2, 0)), (0, n - 1)):
+                        rows = [[kernel if r <= c + 1 else zeros[(r + c) % len(zeros)]
+                                 for c in range(n)] for r in range(n)]
+                        rows[spot[0]][spot[1]] = zero
+                        m = self._agree(ring_name, rows)
+                        # a Fraction zero sends a poly matrix to the ring path
+                        lists = ring_name == "poly" and "x" in zero
+                        assert (m._list_rows() is not None) is lists
+
+    def test_b_on_both_sides_of_the_gate(self):
+        for bits, n in ((2, 6), (90, 2), (90, 4), (40, 7)):
+            rows = [
+                [render_value(Polynomial([r - c, 2**bits])) if r <= c + 1 else "0"
+                 for c in range(n)]
+                for r in range(n)
+            ]
+            m = self._agree("poly", rows)
+            b = m._packed[0]
+            assert b == _packing_bound(m).bit_length() + 1
+            assert (m._packed_rows() is None) is (b > hessenberg._MAX_PACKED_BITS)
+            assert m._list_rows() is not None
+
+    def test_constant_and_fractional_polynomial_cells(self):
+        for cell, route in (("0*x + 3", "lists"), ("x^0", "lists"), ("-2*x^0", "lists"),
+                            ("1/2*x - 1/3", None), ("3/4*x^2", None), ("3", None)):
+            # "-1" would parse as a Fraction
+            rows = [["x", cell], ["0*x - 1", "x + 1"]]
+            m = self._agree("poly", rows)
+            assert (m._list_rows() is not None) is (route == "lists"), cell
+        # a poly document whose every band cell is a constant runs on the ints
+        m = self._agree("poly", [["3", "0"], ["-1", " 2"]])
+        assert m._int_rows() == ((3, 0), (-1, 2))
+
 
 def _integral(rng, n, upper, zeros):
     """An n x n matrix of integral cells in [-5, 5], each zero with

@@ -876,6 +876,34 @@ class TestParsingIntoThePair:
             reference_parse_poly_text, text
         )
 
+    @settings(max_examples=300)
+    @given(st.lists(poly_text_st, min_size=1, max_size=8))
+    # a malformed text whose good terms an earlier text put in the table
+    @example(["x + 1", "x + 1 + 2^3"])
+    @example(["3*x^2 - 1/2", "-1/2 + 3*x^2 - 1/0"])
+    # a term past the degree cap after a term in the table
+    @example(["x^2 + 1", "x^2 + x^10001", "x^2 + 1"])
+    @example(["x", "x - x^99999 + 1/0"])
+    def test_texts_sharing_one_term_table(self, texts):
+        table = {}
+        for text in texts:
+            got = parse_outcome(lambda s: ring._parse_poly_text(s, table), text)
+            assert got == parse_outcome(reference_parse_poly_text, text), text
+        # the table keeps only terms that parsed, each as it parses alone
+        for chunk, term in table.items():
+            assert term == ring._parse_term(chunk)
+
+    def test_parse_value_reads_and_fills_the_table(self):
+        table = {}
+        assert parse_value("-3*x^2 + 1/2", "poly", table) == parse_value("-3*x^2 + 1/2", "poly")
+        assert table == {"-3*x^2": (2, -3, 1), "1/2": (0, 1, 2)}
+        # a table entry is what the text's term stands for, sign and all
+        table["1/2"] = (1, 5, 1)
+        assert parse_value("x - 1/2", "poly", table) == Polynomial([0, -4])
+        # rationals take no table
+        assert parse_value("1/2", "rational", table) == Fraction(1, 2)
+        assert len(table) == 3
+
 
 @pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="str() writes ints of any length"
