@@ -266,6 +266,48 @@ corrupt_negative_control() {
   done
 }
 
+# a command imports only the modules it runs: the catalog commands
+# import no recdet.dsl, and a spec file's verify does. These are real
+# processes through python -m, the route in-process tests cannot reach,
+# logged by -X importtime. Each recdet module's self time on the spec
+# file's verify is printed, once with no bytecode cache (every module
+# compiled, as a checkout run with PYTHONDONTWRITEBYTECODE=1 is) and
+# once from a cache in a PYTHONPYCACHEPREFIX of the step's own; no time
+# is asserted
+cold_start() {
+  local tmp args cache
+  tmp=$(step_tmp)
+  cache="$tmp/pycache"
+  logged() {  # recdet ARGS... under -X importtime, its log in $tmp/log
+    python -X importtime -m recdet.cli "$@" > /dev/null 2> "$tmp/log" || { echo "recdet $* failed:"; cat "$tmp/log"; exit 1; }
+  }
+  imports_dsl() { grep -q '| *recdet\.dsl$' "$tmp/log"; }
+  self_times() {
+    echo "$1, self time of each recdet module (us):"
+    awk -F'|' '$3 ~ /^ *recdet/ { sub(/^import time: */, "", $1); sub(/^ */, "", $3); printf "  %-18s %7d\n", $3, $1 }' "$tmp/log"
+  }
+  export PYTHONPATH=src
+  for args in "family legendre --n 3" "verify legendre --max-n 3" "eval chebyshev-t --n 3"; do
+    # shellcheck disable=SC2086  # args holds several words
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX="$tmp/none" logged $args
+    ! imports_dsl || { echo "recdet $args imported recdet.dsl"; exit 1; }
+  done
+  args="verify src/recdet/specs/naturals.rec --max-n 3"
+  # shellcheck disable=SC2086
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX="$tmp/none" logged $args
+  imports_dsl || { echo "recdet $args did not import recdet.dsl"; exit 1; }
+  self_times "no bytecode cache"
+  (
+    # the first run writes the cache, the second reads it
+    unset PYTHONDONTWRITEBYTECODE
+    # shellcheck disable=SC2086
+    PYTHONPYCACHEPREFIX="$cache" logged $args
+    # shellcheck disable=SC2086
+    PYTHONPYCACHEPREFIX="$cache" logged $args
+    self_times "from a bytecode cache"
+  )
+}
+
 # one short benchmark run per workload, untraced and traced; its last
 # line must say "correct": true. A traced chain that prints other bytes
 # than cli.main counts as a failed job, so "correct" also gates the
@@ -292,6 +334,7 @@ STEPS=(
   digit_limit
   malformed_input
   corrupt_negative_control
+  cold_start
   benchmark_smoke
 )
 

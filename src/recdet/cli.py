@@ -11,18 +11,13 @@ follows isatty.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import os
-import random
 import sys
-import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import dsl
 from .errors import RecdetError, SizeTooLarge
 from .families import (
     FamilyId,
@@ -114,6 +109,10 @@ def _resolve_spec(token: str) -> tuple[FullHistorySpec | FixedOrderSpec, str]:
             raise _UsageError(
                 f"{token} is not UTF-8 text ({exc.reason} at byte {exc.start})"
             ) from None
+        # the DSL is imported by the one route that reads a spec file, so
+        # no other command pays for compiling it
+        from . import dsl
+
         doc = dsl.parse(text)
         return dsl.to_spec(doc, name=path.stem), doc.ring
     fid = _family_id(token, f"{token!r} is neither a spec file nor a family")
@@ -279,6 +278,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _bench(args: argparse.Namespace) -> int:
+    import csv
+    import io
+    import random
+    import time
+
     for m in args.methods:
         if m not in DET_FUNCTIONS:
             raise _UsageError(

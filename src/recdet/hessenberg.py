@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import attrgetter, sub
-from random import Random
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from . import ring
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
 from .ring import (
     COUNTER,
@@ -47,6 +47,9 @@ from .ring import (
     ring_sub,
     scale_outgrew,
 )
+
+if TYPE_CHECKING:
+    from random import Random
 
 
 # The zero cell theorem1_matrix fills in.  SquareMatrix checks its zero
@@ -743,6 +746,8 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
     total = 1
     terms = 0
     step = _horner
+    # a scale no longer than the bound outgrows no minor (see pair_outgrew)
+    bound = ring._MAX_EXCESS_BITS
     for c, (scale, col, sub) in enumerate(columns):
         lo = max(c - band, 0)
         if step is _horner and type(col[0]) is not int:
@@ -755,7 +760,7 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
         total *= scale
         if step is _horner:
             minors.append((d[-1], total))
-            if pair_outgrew(d[-1], total):
+            if total.bit_length() > bound and pair_outgrew(d[-1], total):
                 break
         else:
             # trims the trailing zeros of d[-1] in place

@@ -19,6 +19,7 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import ring
 from .errors import IndexBelowValidity, RecdetError
 from .hessenberg import (
     _RING_TYPES,
@@ -43,6 +44,7 @@ from .ring import (
     render_value,
     ring_add,
     ring_mul,
+    runs_scaled,
     scale_outgrew,
 )
 
@@ -182,9 +184,7 @@ class _Rows:
                 ks = list(range(first, n + 1))
                 got = [f.vector(ks, None) for f in coeffs] if ks else [None]
                 if None not in got:
-                    nums = zip(*(a if type(a) is list else [a] * len(ks) for a, _ in got))
-                    dens = zip(*(d if type(d) is list else [d] * len(ks) for _, d in got))
-                    ints.update(zip(ks, map(pairs_scaled, nums, dens)))
+                    ints.update(zip(ks, runs_scaled(got, len(ks))))
                     _count(coeffs, len(ks))
                 return False
 
@@ -418,7 +418,7 @@ def _scaled_terms(
     """Append to terms one term per scaled row, until the rows run out or
     T outgrows the term (see ring.pair_outgrew); returns whether T
     outgrew.  COUNTER gets the ring loop's w muls and w - 1 adds per row
-    of w coefficients, in bulk.
+    of w coefficients, in bulk, once per call.
 
     A row comes as (L, [P_1, ..., P_w]), P_i = p_i * L: its coefficients
     scaled to ints by L, the lcm of their denominators.  Term j is kept
@@ -432,20 +432,28 @@ def _scaled_terms(
     term goes into terms as the pair (A, T) it is held as.
     """
     scales: list[int | None] = [None] * len(nums)
-    for scale, ps in rows:
-        lo = len(nums) - len(ps)
-        acc = ps[0] * nums[lo]
-        for p, a, s in zip(ps[1:], nums[lo + 1 :], scales[lo + 1 :]):
-            acc = (acc if s is None else acc * s) + p * a
-        nums.append(acc)
-        scales.append(None if scale == 1 else scale)
-        total *= scale
-        terms.append((acc, total))
-        COUNTER.muls += len(ps)
-        COUNTER.adds += len(ps) - 1
-        if pair_outgrew(acc, total):
-            return True
-    return False
+    first = len(nums)
+    products = 0
+    # a T no longer than the bound outgrows no term (see pair_outgrew)
+    bound = ring._MAX_EXCESS_BITS
+    try:
+        for scale, ps in rows:
+            lo = len(nums) - len(ps)
+            acc = ps[0] * nums[lo]
+            for p, a, s in zip(ps[1:], nums[lo + 1 :], scales[lo + 1 :]):
+                acc = (acc if s is None else acc * s) + p * a
+            nums.append(acc)
+            scales.append(None if scale == 1 else scale)
+            total *= scale
+            terms.append((acc, total))
+            products += len(ps)
+            if total.bit_length() > bound and pair_outgrew(acc, total):
+                return True
+        return False
+    finally:
+        # the rows summed, also where reading the next one raised
+        COUNTER.muls += products
+        COUNTER.adds += products - (len(nums) - first)
 
 
 def _ring_sum(row: list[RingValue], window: list[RingValue]) -> RingValue:

@@ -17,9 +17,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, sub
-from typing import Iterable, Union
+from operator import add, floordiv, mul, sub
+from typing import Iterable, Iterator, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
 
@@ -415,8 +416,36 @@ def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]
         return dens // g, nums if g == 1 else [n // g for n in nums]
     if dens.count(1) == len(dens):
         return 1, nums
-    scale = lcm(*map(floordiv, dens, map(gcd, nums, dens)))
-    return scale, [n * scale // d for n, d in zip(nums, dens)]
+    scale = lcm(*_reduced_dens(nums, dens))
+    return scale, list(_times(nums, repeat(scale), dens))
+
+
+def runs_scaled(
+    runs: list[tuple[list[int] | int, list[int] | int]], w: int
+) -> Iterator[tuple[int, list[int]]]:
+    """pairs_scaled of each of w rows, row r made of the r-th pair of
+    every run (nums, dens) in turn; a run's nums or dens may be one int
+    that every row shares.  The rule is pairs_scaled's, taken a run at a
+    time: each run's reduced denominators, each row's lcm of them across
+    the runs, and each run's products, so no row makes a Python call."""
+    nums = [a if type(a) is list else [a] * w for a, _ in runs]
+    dens = [d if type(d) is list else [d] * w for _, d in runs]
+    if all(d.count(1) == w for d in dens):
+        return zip(repeat(1), map(list, zip(*nums)))
+    scales = list(map(lcm, *map(_reduced_dens, nums, dens)))
+    return zip(scales, map(list, zip(*map(_times, nums, repeat(scales), dens))))
+
+
+def _reduced_dens(nums: Iterable[int], dens: Iterable[int]) -> Iterator[int]:
+    """The denominators of the Fractions nums[j] / dens[j], reduced, of
+    the sign of dens[j]."""
+    return map(floordiv, dens, map(gcd, nums, dens))
+
+
+def _times(nums: Iterable[int], scales: Iterable[int], dens: Iterable[int]) -> Iterator[int]:
+    """nums[j] / dens[j] times scales[j], each scale a multiple of the
+    reduced denominator, as ints."""
+    return map(floordiv, map(mul, nums, scales), dens)
 
 
 def scale_outgrew(scale: int, value: RingValue) -> bool:

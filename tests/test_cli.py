@@ -677,3 +677,76 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == NATURALS_JSON
+
+
+# --- start-up: a command imports only the modules it runs -----------------
+
+# run in the child: import recdet.cli, run main on the argv given as JSON
+# (none: only the import), then print the exit code and which of the
+# watched modules are loaded, as the last line
+_IMPORTS_CHILD = """\
+import json, sys
+import recdet.cli
+argv = json.loads(sys.argv[1])
+code = recdet.cli.main(argv) if argv else None
+print(json.dumps([code, [m for m in sys.argv[2:] if m in sys.modules]]))
+"""
+_WATCHED = ("recdet.cli", "recdet.dsl", "csv", "random")
+
+
+def _loaded_after(*argv, flags=(), code=_IMPORTS_CHILD):
+    """(exit code, the watched modules loaded) in a fresh interpreter that
+    writes no bytecode, with recdet's import root as its PYTHONPATH."""
+    env = {"PATH": "", "RECDET_COLOR": "0", "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(Path(recdet.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, json.dumps(list(argv)), *_WATCHED],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    rc, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return rc, set(loaded)
+
+
+class TestStartUp:
+    def test_import_cli_loads_neither_the_dsl_nor_csv(self):
+        _, loaded = _loaded_after()
+        assert "recdet.cli" in loaded
+        assert not loaded & {"recdet.dsl", "csv"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("family", "legendre", "--n", "3"),
+            ("verify", "legendre", "--max-n", "3"),
+            ("eval", "chebyshev-t", "--n", "3"),
+            ("matrix", "hermite", "--k", "3", "--format", "json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_catalog_command_never_imports_the_dsl(self, argv):
+        rc, loaded = _loaded_after(*argv)
+        assert rc == 0
+        assert "recdet.dsl" not in loaded
+
+    def test_bench_imports_csv_and_not_the_dsl(self):
+        rc, loaded = _loaded_after("bench", "--sizes", "3")
+        assert rc == 0
+        assert "csv" in loaded
+        assert "recdet.dsl" not in loaded
+
+    def test_a_spec_file_imports_the_dsl(self):
+        rc, loaded = _loaded_after("verify", str(spec_path("naturals")), "--max-n", "3")
+        assert rc == 0
+        assert "recdet.dsl" in loaded
+
+    def test_import_recdet_loads_no_cli_dsl_or_random(self):
+        # -S: no site, whose .pth files may import random themselves
+        code = (
+            "import json, sys\nimport recdet\n"
+            "print(json.dumps([None, [m for m in sys.argv[2:] if m in sys.modules]]))\n"
+        )
+        _, loaded = _loaded_after(flags=("-S",), code=code)
+        assert not loaded & {"recdet.cli", "recdet.dsl", "random"}

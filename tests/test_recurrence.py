@@ -1209,6 +1209,61 @@ class TestVectorRows:
             assert rows.factored() or not forgot_everything(rows)
 
 
+def _generated_fixed_order(seed):
+    """A rational fixed-order spec of order 1..4 whose coefficients are
+    constants, k, or ratios of linear forms in k of either sign that no
+    k >= 1 zeroes."""
+    rng = random.Random(seed)
+    m = rng.randint(1, 4)
+    lines = [
+        "mode = fixed-order",
+        "ring = rational",
+        f"order = {m}",
+        "initial = [" + ", ".join(str(rng.randint(-3, 3)) for _ in range(m)) + "]",
+    ]
+    for j in range(1, m + 1):
+        a, b, c, d = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 3), rng.randint(0, 3)
+        lines.append(f"coeff p{j}(k) = " + rng.choice(
+            [f"{a}", f"{a}/{c}", "k", f"({a}*k + {b})/({c}*k + {d})", f"({a}*k + {b})/(-{c}*k - {d})"]
+        ))
+    return _dsl_spec("\n".join(lines) + "\n", f"generated-{seed}")
+
+
+def _fixed_order_specs():
+    shipped = [
+        _dsl_spec(spec_text(name), name)
+        for name in available()
+        if (doc := dsl.parse(spec_text(name))).ring == "rational" and doc.mode == "fixed-order"
+    ]
+    random_docs = [random_document(random.Random(seed)) for seed in range(200)]
+    documents = [
+        dsl.to_spec(doc, name=f"random-{seed}")
+        for seed, doc in enumerate(random_docs)
+        if doc.ring == "rational" and doc.mode == "fixed-order"
+    ][:10]
+    return shipped + [_generated_fixed_order(seed) for seed in range(20)] + documents
+
+
+@pytest.mark.parametrize("spec", _fixed_order_specs(), ids=lambda spec: spec.name)
+def test_fixed_order_rows_scale_as_pairs_scaled_row_by_row(spec):
+    # a shared table's scaled int rows, made a run at a time
+    # (ring.runs_scaled), against each row through ring.pairs_scaled
+    n = 150
+    rows = recurrence._Rows(spec, n, shared=True)
+    assert rows.scaled(n) is not None
+    ks = list(range(spec.first_valid_k, n + 1))
+    runs = [f.vector(ks, None) for f in spec.coeffs]
+
+    def at(v, r):
+        return v[r] if type(v) is list else v
+
+    want = {}
+    for r, k in enumerate(ks):
+        scale, ps = ring.pairs_scaled([at(a, r) for a, _ in runs], [at(d, r) for _, d in runs])
+        want[k] = (scale, list(ps))
+    assert rows.ints == want
+
+
 # --- full-history coefficients that factor as h(k) * g(i) -------------------
 
 # the last three vanish in h at k = 7, in g at i = 9, and at i = 8 in a

@@ -27,6 +27,7 @@ from recdet.ring import (
     ring_add,
     ring_exact_div,
     ring_mul,
+    runs_scaled,
     scale_outgrew,
 )
 
@@ -420,6 +421,58 @@ class TestIntScaled:
         assert pairs_scaled([4, -6], -2) == (1, [-2, 3])
         assert pairs_scaled([0, 0], 5) == (1, [0, 0])
         assert pairs_scaled((3, 5), (1, 1)) == (1, (3, 5))
+
+
+def _run_st(w: int):
+    """A run (nums, dens) of length w as a vector form gives it: nums a
+    list or one shared int, zeros and negatives among them; dens a list
+    of either sign, all 1, or one shared int."""
+    nums = st.one_of(st.lists(st.integers(-60, 60), min_size=w, max_size=w), st.integers(-60, 60))
+    dens = st.one_of(
+        st.lists(st.integers(-12, 12).filter(bool), min_size=w, max_size=w),
+        st.just([1] * w),
+        st.just(1),
+        st.integers(-12, 12).filter(bool),
+    )
+    return st.tuples(nums, dens)
+
+
+runs_st = st.integers(0, 30).flatmap(
+    lambda w: st.tuples(st.just(w), st.lists(_run_st(w), min_size=1, max_size=4))
+)
+
+
+class TestRunsScaled:
+    """runs_scaled, the fixed-order row table's fast path, against
+    pairs_scaled of each row, its slow path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=runs_st)
+    def test_each_row_is_pairs_scaled_of_that_row(self, case):
+        w, runs = case
+        def column(v, r):
+            return v[r] if type(v) is list else v
+
+        got = list(runs_scaled(runs, w))
+        assert len(got) == w
+        for r, (scale, ps) in enumerate(got):
+            nums = [column(a, r) for a, _ in runs]
+            dens = [column(d, r) for _, d in runs]
+            want_scale, want = pairs_scaled(nums, dens)
+            assert type(ps) is list
+            assert (scale, ps) == (want_scale, list(want))
+
+    def test_examples(self):
+        # two runs of three rows: 1/2, -2/4 | 3, 0 | -2/-6, 5/3
+        assert list(runs_scaled([([1, 3, -2], [2, 1, -6]), ([-2, 0, 5], [4, 1, 3])], 3)) == [
+            (2, [1, -1]),
+            (1, [3, 0]),
+            (3, [1, 5]),
+        ]
+        # every den 1: scale 1, the nums as they are
+        assert list(runs_scaled([(7, 1), ([1, 2], [1, 1])], 2)) == [(1, [7, 1]), (1, [7, 2])]
+        # one shared negative den
+        assert list(runs_scaled([([4, 6], -8)], 2)) == [(2, [-1]), (4, [-3])]
 
 
 # An int kernel's pair (A, T) = (a * s, d * s): a value a / d with a
