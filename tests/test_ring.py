@@ -437,6 +437,11 @@ def _run_st(w: int):
     return st.tuples(nums, dens)
 
 
+def _at(v, r):
+    """Row r's entry of a run's nums or dens."""
+    return v[r] if type(v) is list else v
+
+
 runs_st = st.integers(0, 30).flatmap(
     lambda w: st.tuples(st.just(w), st.lists(_run_st(w), min_size=1, max_size=4))
 )
@@ -450,14 +455,11 @@ class TestRunsScaled:
     @given(case=runs_st)
     def test_each_row_is_pairs_scaled_of_that_row(self, case):
         w, runs = case
-        def column(v, r):
-            return v[r] if type(v) is list else v
-
         got = list(runs_scaled(runs, w))
         assert len(got) == w
         for r, (scale, ps) in enumerate(got):
-            nums = [column(a, r) for a, _ in runs]
-            dens = [column(d, r) for _, d in runs]
+            nums = [_at(a, r) for a, _ in runs]
+            dens = [_at(d, r) for _, d in runs]
             want_scale, want = pairs_scaled(nums, dens)
             assert type(ps) is list
             assert (scale, ps) == (want_scale, list(want))
