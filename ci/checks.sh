@@ -279,14 +279,13 @@ cold_start() {
   tmp=$(step_tmp)
   cache="$tmp/pycache"
   logged() {  # recdet ARGS... under -X importtime, its log in $tmp/log
-    python -X importtime -m recdet.cli "$@" > /dev/null 2> "$tmp/log" || { echo "recdet $* failed:"; cat "$tmp/log"; exit 1; }
+    PYTHONPATH=src python -X importtime -m recdet.cli "$@" > /dev/null 2> "$tmp/log" || { echo "recdet $* failed:"; cat "$tmp/log"; exit 1; }
   }
   imports_dsl() { grep -q '| *recdet\.dsl$' "$tmp/log"; }
   self_times() {
     echo "$1, self time of each recdet module (us):"
     awk -F'|' '$3 ~ /^ *recdet/ { sub(/^import time: */, "", $1); sub(/^ */, "", $3); printf "  %-18s %7d\n", $3, $1 }' "$tmp/log"
   }
-  export PYTHONPATH=src
   for args in "family legendre --n 3" "verify legendre --max-n 3" "eval chebyshev-t --n 3"; do
     # shellcheck disable=SC2086  # args holds several words
     PYTHONDONTWRITEBYTECODE=1 PYTHONPYCACHEPREFIX="$tmp/none" logged $args

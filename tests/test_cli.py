@@ -681,26 +681,26 @@ def test_console_script_end_to_end():
 
 # --- start-up: a command imports only the modules it runs -----------------
 
-# run in the child: import recdet.cli, run main on the argv given as JSON
-# (none: only the import), then print the exit code and which of the
-# watched modules are loaded, as the last line
+# run in the child: import the module named first, run its main on the
+# argv given as JSON (none: only the import), then print the exit code
+# and which of the watched modules are loaded, as the last line
 _IMPORTS_CHILD = """\
-import json, sys
-import recdet.cli
-argv = json.loads(sys.argv[1])
-code = recdet.cli.main(argv) if argv else None
-print(json.dumps([code, [m for m in sys.argv[2:] if m in sys.modules]]))
+import importlib, json, sys
+module = importlib.import_module(sys.argv[1])
+argv = json.loads(sys.argv[2])
+code = module.main(argv) if argv else None
+print(json.dumps([code, [m for m in sys.argv[3:] if m in sys.modules]]))
 """
 _WATCHED = ("recdet.cli", "recdet.dsl", "csv", "random")
 
 
-def _loaded_after(*argv, flags=(), code=_IMPORTS_CHILD):
+def _loaded_after(*argv, module="recdet.cli", flags=()):
     """(exit code, the watched modules loaded) in a fresh interpreter that
     writes no bytecode, with recdet's import root as its PYTHONPATH."""
     env = {"PATH": "", "RECDET_COLOR": "0", "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(recdet.__file__).resolve().parents[1])}
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, json.dumps(list(argv)), *_WATCHED],
+        [sys.executable, *flags, "-c", _IMPORTS_CHILD, module, json.dumps(argv), *_WATCHED],
         capture_output=True,
         text=True,
         env=env,
@@ -744,9 +744,5 @@ class TestStartUp:
 
     def test_import_recdet_loads_no_cli_dsl_or_random(self):
         # -S: no site, whose .pth files may import random themselves
-        code = (
-            "import json, sys\nimport recdet\n"
-            "print(json.dumps([None, [m for m in sys.argv[2:] if m in sys.modules]]))\n"
-        )
-        _, loaded = _loaded_after(flags=("-S",), code=code)
+        _, loaded = _loaded_after(module="recdet", flags=("-S",))
         assert not loaded & {"recdet.cli", "recdet.dsl", "random"}
