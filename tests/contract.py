@@ -5,7 +5,10 @@ sha256 of its stdout and stderr, its exit code, and the adds, muls and
 divs ring.COUNTER counted, plus, for bench, the max_bits column of its
 CSV.  bench's ms column is dropped before its stdout is hashed.  Paths of
 the shipped specs are written as {specs}/NAME.rec, in the argv keys and in
-the output, so that the golden file does not depend on the checkout.
+the output, so that the golden file does not depend on the checkout.  The
+battery's own spec files, seeded random documents and malformed inputs,
+are written to a temporary directory for each pass and named
+{docs}/NAME.rec in the same way.
 
     python tests/contract.py --record   # write contract.json
     python tests/contract.py            # check against it
@@ -22,23 +25,42 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().with_name("contract.json")
 
-if str(ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(ROOT / "src"))
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
 
-from recdet import cli  # noqa: E402
+from recdet import cli, dsl  # noqa: E402
 from recdet.families import PARAM_FAMILIES, POLY_FAMILIES, family_names  # noqa: E402
 from recdet.ring import COUNTER  # noqa: E402
 from recdet.specfiles import available, spec_path  # noqa: E402
+from tests.conftest import random_document  # noqa: E402
 
 SPECS = "{specs}"
 SPECS_DIR = str(spec_path(available()[0]).parent)
+DOCS = "{docs}"
+# conftest.random_document seeds, two of each mode and ring: full-history
+# poly (0, 5), fixed-order rational (1, 2), fixed-order poly (4, 6) and
+# full-history rational (7, 23)
+DOCUMENT_SEEDS = (0, 1, 2, 4, 5, 6, 7, 23)
+# spec files the lexer or the decoder refuses (exit 1).  CI's literal of
+# 5,000 digits is left out: Python 3.10 has no int digit limit and
+# accepts it, so its record would depend on the interpreter
+_HEAD = "mode = fixed-order\nring = rational\norder = 1\ninitial = [1]\n"
+MALFORMED = {
+    "latin1": b"mode = fixed-order\n# caf\xe9\n",
+    "superscript": (_HEAD + "coeff p1(k) = 2\u00b2\n").encode(),
+    "vtab": (_HEAD + "coeff p1(k) = k +\v1\n").encode(),
+    "nbsp": (_HEAD + "coeff p1(k) = k +\u00a01\n").encode(),
+}
 SIZES = ("1", "2", "9", "30")
 FAMILY_SIZES = ("1", "9", "30")
 # the seven three-term polynomial families also run at a larger n
@@ -82,7 +104,38 @@ def argvs() -> list[list[str]]:
                 "bench", "--ring", ring, "--sizes", "1,2,3,4,5,6,7,8,40",
                 "--methods", "fast,bareiss,laplace", "--seed", seed,
             ])
+    for seed in DOCUMENT_SEEDS:
+        doc = f"{DOCS}/random-{seed}.rec"
+        out.append(["eval", doc, "--n", "30"])
+        for method in ("fast", "bareiss"):
+            out.append(["verify", doc, "--max-n", "30", "--method", method, "--format", "json"])
+        out.append(["verify", doc, "--max-n", "9", "--corrupt", "1,1", "--format", "json"])
+    # the malformed inputs of CI's malformed_input step
+    for name in MALFORMED:
+        out.append(["eval", f"{DOCS}/{name}.rec", "--n", "3"])
+    past = str(cli.MAX_TERMS + 1)
+    out += [
+        ["eval", f"{SPECS}/negative/bad-eval.rec", "--n", "12"],
+        ["bench", "--sizes", "2001"],
+        ["matrix", "fibonacci-num", "--k", "2001"],
+        ["bench", "--sizes", "0"],
+        ["family", "fibonacci-num", "--n", past],
+        ["eval", "naturals", "--n", past],
+    ]
     return out
+
+
+@contextlib.contextmanager
+def _documents():
+    """A temporary directory holding the battery's own spec files,
+    removed on exit; yields its path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in DOCUMENT_SEEDS:
+            text = dsl.render(random_document(random.Random(seed)))
+            Path(tmp, f"random-{seed}.rec").write_text(text, encoding="utf-8")
+        for name, data in MALFORMED.items():
+            Path(tmp, f"{name}.rec").write_bytes(data)
+        yield tmp
 
 
 def _sha(text: str) -> str:
@@ -98,15 +151,16 @@ def _drop_ms(csv_text: str) -> tuple[str, list[int]]:
     return kept, [int(r[4]) for r in rows[1:]]
 
 
-def run(argv: list[str]) -> tuple[dict, str, str]:
-    """One invocation's record, and its stdout and stderr as hashed."""
-    real = [a.replace(SPECS, SPECS_DIR) for a in argv]
+def run(argv: list[str], docs: str) -> tuple[dict, str, str]:
+    """One invocation's record, and its stdout and stderr as hashed, with
+    the battery's spec files in the directory docs."""
+    real = [a.replace(SPECS, SPECS_DIR).replace(DOCS, docs) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     COUNTER.reset()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(real)
-    stdout = out.getvalue().replace(SPECS_DIR, SPECS)
-    stderr = err.getvalue().replace(SPECS_DIR, SPECS)
+    stdout = out.getvalue().replace(SPECS_DIR, SPECS).replace(docs, DOCS)
+    stderr = err.getvalue().replace(SPECS_DIR, SPECS).replace(docs, DOCS)
     record = {
         "code": code,
         "adds": COUNTER.adds,
@@ -123,8 +177,8 @@ def run(argv: list[str]) -> tuple[dict, str, str]:
 
 
 def records() -> dict[str, dict]:
-    with _PLAIN:
-        return {" ".join(argv): run(argv)[0] for argv in argvs()}
+    with _PLAIN, _documents() as docs:
+        return {" ".join(argv): run(argv, docs)[0] for argv in argvs()}
 
 
 def first_mismatch(golden: dict[str, dict]) -> str | None:
@@ -132,13 +186,13 @@ def first_mismatch(golden: dict[str, dict]) -> str | None:
     golden one, in argv order, or of a key only one side has; None when
     every record matches."""
     keys = []
-    with _PLAIN:
+    with _PLAIN, _documents() as docs:
         for argv in argvs():
             key = " ".join(argv)
             keys.append(key)
             if key not in golden:
                 return f"recdet {key}: no golden record"
-            got, stdout, stderr = run(argv)
+            got, stdout, stderr = run(argv, docs)
             if got != golden[key]:
                 return (
                     f"recdet {key}\n  golden: {golden[key]}\n  got:    {got}\n"
