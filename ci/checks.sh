@@ -93,19 +93,34 @@ family_against_oracles() {
 # printed matrix of every shipped spec and every family that takes no
 # coefficient list (matrix and eval have no --params) at k = 30, parsed
 # back, must give by the fast method and by Bareiss the value eval
-# prints, a(1) * det = a(31) for a full-history spec and det = a(30)
+# prints, a(1) * det = a(k + 1) for a full-history spec and det = a(k)
 # for a fixed-order one. These matrices hold the cells det-crosscheck
 # never draws: fractional and constant polynomial cells, zero cells in
 # the band, and Fraction cells in a poly matrix, such as the -1s of
-# the subdiagonal, which keep every poly matrix here on the ring paths
-# (the rational ones with integral cells run on the ints)
+# the subdiagonal. Such a matrix has no kernel form, so Bareiss keeps
+# its ring path there, while the fast method scales its columns to
+# int coefficient lists (the rational ones with integral cells run on
+# the ints). The seven three-term polynomial families also run at
+# k = 150, where those list columns cross Legendre's and Laguerre's
+# division of the minors by what their scales share
 library_round_trip() {
   local tmp spec
   tmp=$(step_tmp)
   for spec in src/recdet/specs/*.rec naturals fibonacci-poly fibonacci-num lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre ode-example; do
-    recdet matrix "$spec" --k 30 --format json > "$tmp/matrix.json" || { echo "matrix $spec --k 30 failed"; exit 1; }
-    recdet eval "$spec" --n 31 > "$tmp/eval" || { echo "eval $spec --n 31 failed"; exit 1; }
-    PYTHONPATH=src python - "$spec" "$tmp/matrix.json" "$tmp/eval" <<'EOF' || { echo "the matrix JSON of $spec does not give eval's value"; exit 1; }
+    round_trip "$spec" 30
+  done
+  for spec in fibonacci-poly lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre; do
+    round_trip "$spec" 150
+  done
+}
+
+# library_round_trip's check of the matrix JSON of SPEC at k = K, in
+# the step's $tmp
+round_trip() {
+  local spec=$1 k=$2
+  recdet matrix "$spec" --k "$k" --format json > "$tmp/matrix.json" || { echo "matrix $spec --k $k failed"; exit 1; }
+  recdet eval "$spec" --n $((k + 1)) > "$tmp/eval" || { echo "eval $spec --n $((k + 1)) failed"; exit 1; }
+  PYTHONPATH=src python - "$spec" "$k" "$tmp/matrix.json" "$tmp/eval" <<'EOF' || { echo "the matrix JSON of $spec at k = $k does not give eval's value"; exit 1; }
 import json
 import sys
 from pathlib import Path
@@ -113,7 +128,8 @@ from pathlib import Path
 from recdet import FamilyId, FullHistorySpec, det_bareiss, det_hessenberg_fast, dsl, family_spec
 from recdet import matrix_from_json, parse_value
 
-token, matrix, terms = sys.argv[1:]
+token, k, matrix, terms = sys.argv[1:]
+k = int(k)
 if Path(token).is_file():
     spec = dsl.to_spec(dsl.parse(Path(token).read_text(encoding="utf-8")))
 else:
@@ -124,9 +140,8 @@ ring = json.loads(text)["ring"]
 a = [parse_value(line.split(": ", 1)[1], ring) for line in Path(terms).read_text().splitlines()]
 fast, bareiss = det_hessenberg_fast(m), det_bareiss(m)
 full = isinstance(spec, FullHistorySpec)
-sys.exit(0 if fast == bareiss and (a[0] * fast if full else fast) == a[30 if full else 29] else 1)
+sys.exit(0 if fast == bareiss and (a[0] * fast if full else fast) == a[k if full else k - 1] else 1)
 EOF
-  done
 }
 
 # eval reads a banded full-history spec within its band: row k

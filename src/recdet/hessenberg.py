@@ -8,10 +8,13 @@ det_bareiss is the O(n^3) ring elimination in general, and an O(n^2)
 row recurrence on upper-Hessenberg matrices while bits are not tracked,
 which needs no row swap and expands rows.  A matrix is given by its rows
 and an optional band; whether it is upper Hessenberg is read from its
-cells.  Both fast routes read its integral cells as ints once, and all
-three read its integral polynomial cells once, packed into ints by
-Kronecker substitution up to a width gate and as int coefficient lists
-past it.
+cells.  All three read its cells in one kernel form, made once (see
+SquareMatrix._kernel_form): integral cells as ints, and integral
+polynomial cells packed into ints by Kronecker substitution up to a
+width gate and as int coefficient lists past it, which Laplace reads as
+ring values.  The leading minors of any other matrix, and of a spec's
+columns, scale each column to ints or int coefficient lists where they
+can (see column_minors).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 from operator import attrgetter, sub
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import ring
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
@@ -40,6 +43,7 @@ from .ring import (
     pair_outgrew,
     pair_value,
     parse_value,
+    poly_scaled,
     render_value,
     ring_add,
     ring_exact_div,
@@ -67,11 +71,21 @@ def _coerce_entry(v: object) -> RingValue:
     raise RecdetError(f"matrix entries must be exact ring values, got {type(v).__name__}")
 
 
-# What SquareMatrix._kernel_rows reads for _int_rows and for _list_rows:
-# the field that keeps the rows, the cells' type, their denominator, the
-# kernel's value of a cell, and its zero below the subdiagonal
-_INT_CELLS = ("_ints", Fraction, attrgetter("denominator"), attrgetter("numerator"), 0)
-_LIST_CELLS = ("_lists", Polynomial, attrgetter("den"), attrgetter("nums"), ())
+class _Kernel(NamedTuple):
+    """A matrix's rows as the int kernels read them, and value, which
+    makes a kernel's cell or result the ring path's value (a Fraction
+    stays as it is)."""
+
+    rows: tuple
+    value: Callable
+
+
+# a kernel cell's type -> its denominator, its kernel value, and the
+# kernel's zero
+_CELLS = {
+    Fraction: (attrgetter("denominator"), attrgetter("numerator"), 0),
+    Polynomial: (attrgetter("den"), attrgetter("nums"), ()),
+}
 
 
 @dataclass(frozen=True)
@@ -86,16 +100,11 @@ class SquareMatrix:
     e[r][c] == 0 whenever c - r > b (b superdiagonals above the main
     one) and is enforced at construction; None means dense.
 
-    The int kernels read the cells of an upper-Hessenberg matrix once,
-    kept in fields that compare and print as nothing: _int_rows when every
-    cell on or above the subdiagonal is an integral Fraction, _list_rows
-    when every such cell is a Polynomial with integer coefficients, and
-    _packed_rows, those cells packed into ints, when they are and the
-    packing's slot width passes its gate.  Each is computed on first use,
-    or filled by matrix_from_json from the matrix's distinct cell texts
-    (and _int_rows by random_hessenberg from its draws) under the same
-    rule.  Any other matrix, and every matrix while bits are tracked,
-    keeps the ring paths.
+    The int kernels read the cells of an upper-Hessenberg matrix in one
+    form (see _kernel_form), kept in _kernel, a field that compares and
+    prints as nothing: computed on first use, or filled by matrix_from_json
+    from the matrix's distinct cell texts and by random_hessenberg from
+    its draws, under the same rule.
     """
 
     entries: tuple[tuple[RingValue, ...], ...]
@@ -103,9 +112,10 @@ class SquareMatrix:
     _below_subdiagonal: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _ints: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _lists: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _packed: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # None until computed, () where the rule refuses
+    _kernel: _Kernel | tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         rows = tuple(
@@ -169,69 +179,52 @@ class SquareMatrix:
             raise RecdetError(f"leading submatrix size {k} out of range")
         return SquareMatrix(tuple(row[:k] for row in self.entries[:k]), self.band)
 
-    def _int_rows(self) -> tuple[tuple[int, ...], ...] | None:
-        """The cells as ints, computed on first use and kept in _ints, when
-        every cell on or above this upper-Hessenberg matrix's subdiagonal is
-        an integral Fraction; else None, and None while COUNTER tracks bits."""
-        return self._kernel_rows(*_INT_CELLS)
+    def _kernel_form(self) -> _Kernel | None:
+        """The cells on or above the subdiagonal of this upper-Hessenberg
+        matrix in the one form the int kernels read, zero below it: as
+        ints (value Fraction) when every such cell is an integral
+        Fraction; when every one is a Polynomial with den 1, packed into
+        the ints p(2^B) (value _unpacked) while B is at most
+        _MAX_PACKED_BITS, else as int coefficient tuples, () for zero
+        (value _list_value).  None for any other matrix, which keeps the
+        ring paths, and for every matrix while COUNTER tracks bits.
 
-    def _list_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
-        """The cells as int coefficient tuples (Polynomial.nums, () for
-        zero), computed on first use and kept in _lists, when every cell on
-        or above this upper-Hessenberg matrix's subdiagonal is a Polynomial
-        with den 1; else None, and None while COUNTER tracks bits."""
-        return self._kernel_rows(*_LIST_CELLS)
-
-    def _packed_rows(self) -> tuple[int, tuple[tuple[int, ...], ...]] | None:
-        """(B, the cells of _list_rows as the ints p(2^B)) when _list_rows
-        has the cells and B is at most _MAX_PACKED_BITS; else None.  B
-        and then the ints are computed on first use and kept in _packed.
-
-        B = bit_length(H) + 1, H the product over the rows of
-        max(1, the sum of the row's cells' coefficient 1-norms).  By its
-        Leibniz expansion every minor has a 1-norm of at most H, so its
+        B = bit_length(H) + 1, H the product over the rows of max(1, the
+        sum of the row's cells' coefficient 1-norms).  By its Leibniz
+        expansion every minor has a 1-norm of at most H, so its
         coefficients have magnitudes below 2^(B - 1) (see _unpacked).
         """
-        lists = self._list_rows()
-        if lists is None:
-            return None
-        if self._packed is None:
-            b = _slot_bits(sum(abs(a) for cell in row for a in cell) for row in lists)
-            object.__setattr__(self, "_packed", (b, None))
-        b, rows = self._packed
-        if b > _MAX_PACKED_BITS:
-            return None
-        if rows is None:
-            rows = tuple(tuple(_pack(cell, b) for cell in row) for row in lists)
-            object.__setattr__(self, "_packed", (b, rows))
-        return b, rows
-
-    def _kernel_rows(
-        self, slot: str, kind: type, den: Callable, value: Callable, zero: object
-    ) -> tuple | None:
-        """The rows of an int kernel, kept in the field slot: each cell
-        value(v), zero below the subdiagonal, when the matrix is upper
-        Hessenberg and every cell on or above its subdiagonal is of type
-        kind with den(v) == 1."""
         if COUNTER.track_bits:
             return None
-        rows = getattr(self, slot)
-        if rows is None:
-            got: list = []
-            if self._below_subdiagonal is None:
-                for r, row in enumerate(self.entries):
-                    tail = row[max(r - 1, 0) :]
-                    if set(map(type, tail)) != {kind} or set(map(den, tail)) != {1}:
-                        got.clear()
-                        break
-                    got.append((zero,) * (r - 1) + tuple(map(value, tail)))
-            rows = tuple(got)
-            object.__setattr__(self, slot, rows)
-        return rows or None
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", _kernel_of(self))
+        return self._kernel or None
+
+
+def _kernel_of(m: SquareMatrix) -> _Kernel | tuple:
+    """m._kernel_form computed cell by cell, or () where its rule
+    refuses."""
+    if m._below_subdiagonal is not None:
+        return ()
+    kind = type(m.entries[0][0])
+    den, value, zero = _CELLS[kind]
+    rows = []
+    for r, row in enumerate(m.entries):
+        tail = row[max(r - 1, 0) :]
+        if set(map(type, tail)) != {kind} or set(map(den, tail)) != {1}:
+            return ()
+        rows.append((zero,) * (r - 1) + tuple(map(value, tail)))
+    if kind is Fraction:
+        return _Kernel(tuple(rows), Fraction)
+    b = _slot_bits(sum(abs(a) for cell in row for a in cell) for row in rows)
+    if b > _MAX_PACKED_BITS:
+        return _Kernel(tuple(rows), _list_value)
+    packed = tuple(tuple(_pack(cell, b) for cell in row) for row in rows)
+    return _Kernel(packed, partial(_unpacked, b=b))
 
 
 # The widest slot B with which the kernels run a polynomial matrix
-# packed (see SquareMatrix._packed_rows).  The packed ints grow with B
+# packed (see SquareMatrix._kernel_form).  The packed ints grow with B
 # and the degrees, and det_hessenberg_fast fell behind the list route
 # from B of about 300 to 470 bits in probes of degree 1 to 8 with
 # coefficients of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11,
@@ -241,7 +234,7 @@ _MAX_PACKED_BITS = 320
 
 def _slot_bits(row_norms: Iterable[int]) -> int:
     """B = bit_length(H) + 1, H the product of max(1, s) over the rows'
-    coefficient 1-norm sums s (see SquareMatrix._packed_rows)."""
+    coefficient 1-norm sums s (see SquareMatrix._kernel_form)."""
     h = 1
     for s in row_norms:
         h *= max(1, s)
@@ -345,15 +338,17 @@ def _laplace(m: SquareMatrix) -> RingValue:
     the same products and partial sums, so observing each distinct one
     once leaves max_bits as it would be.
 
-    The cells run over m._packed_rows when it has them, as ints, and the
-    determinant comes back as the ring path's Polynomial, or its Fraction
-    0 when the first row of a matrix wider than 1 is zero; else over ring
-    values (see _ring_term).
+    The cells run over m._kernel_form's ints or packed ints when it has
+    them, and the determinant comes back as the ring path's value, or its
+    Fraction 0 when the first row of a matrix wider than 1 is zero; else,
+    int coefficient tuples included, over ring values (see _ring_term).
     """
-    packed = m._packed_rows()
-    rows = packed[1] if packed else m.entries
+    form = m._kernel_form()
+    if form and form.value is _list_value:
+        form = None
+    rows = form.rows if form else m.entries
     # an empty expansion's value: the ring path's Fraction 0, or an int
-    empty = 0 if packed else Fraction(0)
+    empty = 0 if form else Fraction(0)
     n = len(rows)
     memo: dict[tuple[int, ...], tuple[RingValue, int, int]] = {}
 
@@ -382,11 +377,11 @@ def _laplace(m: SquareMatrix) -> RingValue:
     det, muls, adds = minor(tuple(range(n)))
     COUNTER.muls += muls
     COUNTER.adds += adds
-    if not packed:
+    if not form:
         return det
     if n > 1 and not any(rows[0]):
         return Fraction(0)
-    return _unpacked(det, packed[0])
+    return form.value(det)
 
 
 def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
@@ -464,23 +459,15 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
     as well, every later minor is 0.  A row whose subdiagonal cell is
     zero is only rescaled, and keeps its zero cells as they are.
 
-    The cells on or above the subdiagonal run over m._int_rows,
-    m._packed_rows or m._list_rows when it has them, and the results come
-    back as the ring path's Fractions or Polynomials, keeping the pivots'
-    Fraction 0s (see _unpacked and _list_value); the loop forms its rows
-    by _combine over ints and ring values, or by _combine_lists.  COUNTER
-    gets det_bareiss's ring-path counts in bulk, with minors or without.
+    The cells run over m._kernel_form when it has them, and the results
+    come back as the ring path's Fractions or Polynomials, keeping the
+    pivots' Fraction 0s; the loop forms its rows by _combine over ints
+    and ring values, or by _combine_lists.  COUNTER gets det_bareiss's
+    ring-path counts in bulk, with minors or without.
     """
     n = m.size
-    ints = m._int_rows()
-    packed = None if ints else m._packed_rows()
-    lists = None if ints or packed else m._list_rows()
-    zero, combine = ((), _combine_lists) if lists else (0, _combine)
-    if packed:
-        value, rows = partial(_unpacked, b=packed[0]), packed[1]
-    else:
-        value = Fraction if ints else _list_value if lists else None
-        rows = ints or lists or m.entries
+    rows, value = m._kernel_form() or (m.entries, None)
+    zero, combine = ((), _combine_lists) if value is _list_value else (0, _combine)
     # row r from column r - 1: the cells on or above the subdiagonal
     tails = [row[max(r - 1, 0) :] for r, row in enumerate(rows)]
     row = tails[0]
@@ -619,9 +606,9 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     multiplications in Horner order (see _horner).  With a declared band
     b the sum runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
 
-    The leading columns run over ints or int coefficient lists while
-    m._int_rows, m._packed_rows, m._list_rows or int_scaled lets them
-    (see _int_leading_minors); the ring recurrence takes the rest.
+    The columns run through column_minors: m._kernel_form's columns at
+    scale 1 where it has them, which never hand over, else the cells.
+    Only band cells are read, so a banded matrix costs O(n*b).
     """
     if m._below_subdiagonal is not None:
         r, c = m._below_subdiagonal
@@ -630,10 +617,22 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
         )
     n = m.size
     band = n if m.band is None else m.band
-    d: list[RingValue] = [Fraction(1), *_int_leading_minors(m, band)]
-    if len(d) > n:
-        return d[1:]
-    return _ring_leading_minors(*_matrix_columns(m.entries), n, band, d)
+    form = m._kernel_form()
+    if form is None:
+        minors = column_minors(lambda c: None, *_matrix_columns(m.entries), n, band)
+        return list(map(pair_value, minors))
+    rows, value = form
+    lists = value is _list_value
+
+    def kernel_column(c: int) -> tuple[int, list, object]:
+        # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
+        col = [row[c] for row in rows[max(c - band, 0) : c + 2]]
+        s = col[-1]
+        return 1, col, [-a for a in s] if lists else -s
+
+    # the cells are never read, so no column source is given
+    minors = column_minors(kernel_column, None, [], n, band)  # type: ignore[arg-type]
+    return minors if lists else [value(a) for a, _ in minors]
 
 
 def _matrix_columns(
@@ -644,6 +643,58 @@ def _matrix_columns(
         lambda c, lo: [row[c] for row in e[lo : c + 1]],
         [-e[t + 1][t] for t in range(len(e) - 1)],
     )
+
+
+def column_minors(
+    given: Callable[[int], tuple[int, list, object] | None],
+    column: Callable[[int, int], list[RingValue]],
+    subs: list[RingValue],
+    n: int,
+    band: int,
+) -> list:
+    """The leading minors d_1..d_n of the upper-Hessenberg matrix of
+    column and subs (see _ring_leading_minors), a matrix's or a spec's.
+    COUNTER gets the ring path's counts.
+
+    Column c comes as given(c), pre-scaled as scaled_leading_minors takes
+    it, where given has one and no column before it was gated into
+    lists.  Else its band cells and subs[c] take one scale, through
+    ring.int_scaled, or through ring.poly_scaled from the first column
+    whose band cells hold a Polynomial on: from there the ring path's
+    minors are Polynomials too.  A Polynomial subs[c] under band cells of
+    Fractions ends the int columns instead, as their minor stays a
+    Fraction.  The ring recurrence goes on from where the int columns
+    ended or a scale outgrew its minor.  Minors of int columns come back
+    as pairs (A, T), except those the ring recurrence reads.
+    """
+
+    def scaled() -> Iterator[tuple[int, list, object]]:
+        gate = int_scaled
+        for c in range(n):
+            got = given(c) if gate is int_scaled else None
+            if got is None:
+                cells = column(c, max(c - band, 0))
+                # the negated subdiagonal cell (c + 1, c) takes the scale
+                values = [*cells, subs[c] if c < len(subs) else Fraction(1)]
+                got = gate(values)
+                if got is None and gate is int_scaled and Polynomial in map(type, cells):
+                    gate = poly_scaled
+                    got = gate(values)
+                if got is None:
+                    return
+                scale, col = got
+                s = col.pop()
+                got = scale, col, s[0] if type(s) is list and len(s) == 1 else s
+            yield got
+
+    d = [Fraction(1), *scaled_leading_minors(scaled(), band)]
+    if len(d) > n:
+        return d[1:]
+    # the ring recurrence goes on from the minors its first column reads,
+    # as ring values
+    lo = max(len(d) - 1 - band, 0)
+    d[lo:] = map(pair_value, d[lo:])
+    return _ring_leading_minors(column, subs, n, band, d)
 
 
 def _ring_leading_minors(
@@ -683,37 +734,6 @@ def _ring_leading_minors(
     return d[1:]
 
 
-def _int_leading_minors(m: SquareMatrix, band: int) -> list[RingValue]:
-    """The leading minors d_1..d_c by scaled_leading_minors, as ring
-    values: of every column, at scale 1, when m._int_rows, m._packed_rows
-    or m._list_rows has the cells, the negated subdiagonal cell of a list
-    column a list too; else of the leading columns whose band and
-    subdiagonal cells int_scaled lets through.  Only band cells are read,
-    so a banded matrix costs O(n*b).  Packed minors come back unpacked to
-    Polynomials.
-    """
-    rows = m._int_rows()
-    packed = None if rows else m._packed_rows()
-    rows = packed[1] if packed else rows or m._list_rows()
-    gate = int_scaled if rows is None else lambda col: (1, col)
-    rows = rows or m.entries
-
-    def columns():
-        for c in range(m.size):
-            # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
-            scaled = gate([row[c] for row in rows[max(c - band, 0) : c + 2]])
-            if scaled is None:
-                return
-            scale, col = scaled
-            s = col[-1]
-            yield scale, col, [-a for a in s] if type(s) is tuple else -s
-
-    minors = scaled_leading_minors(columns(), band)
-    if packed:
-        return [_unpacked(a, packed[0]) for a, _ in minors]
-    return list(map(pair_value, minors))
-
-
 def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -> list:
     """The leading minors of the columns, by the ring recurrence run over
     ints, until the columns run out or the scales outgrow the minors (see
@@ -730,9 +750,8 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
     into a Fraction where it leaves as a ring value (ring.pair_value).
 
     The cells are ints (ring.int_scaled), or polynomials as int
-    coefficient lists or tuples: from ring.poly_scaled, whose s is still
-    an int, or from SquareMatrix._list_rows at scale 1, whose s is a
-    list.  From the first column of lists on, every column must come as
+    coefficient lists or tuples (ring.poly_scaled, or
+    SquareMatrix._kernel_form at scale 1), whose s is an int or a list.  From the first column of lists on, every column must come as
     lists: the scaled minors become lists too (_horner_lists), and the
     minors Polynomials, as the ring path makes them once a Polynomial
     enters.
@@ -995,29 +1014,27 @@ def _parse_row(
 def _fill_kernel_rows(
     m: SquareMatrix, texts: list[list[str]], cells: dict[str, RingValue]
 ) -> None:
-    """Fill the kernel rows of m, the upper-Hessenberg matrix of texts,
-    from cells, the value of each distinct text, each text converted
-    once: _ints, or _lists and _packed with _packed_rows' B, by
-    SquareMatrix._kernel_rows' rule.  A text whose value the rule refuses
-    may stand only below the subdiagonal, where it is zero; else m keeps
-    its fields for the accessors to decide."""
-    slot, kind, den, value, zero = (
-        _INT_CELLS if type(cells[texts[0][0]]) is Fraction else _LIST_CELLS
-    )
+    """Fill _kernel of m, the upper-Hessenberg matrix of texts, from cells,
+    the value of each distinct text, each text converted once, by
+    SquareMatrix._kernel_form's rule.  A text whose value the rule
+    refuses may stand only below the subdiagonal, where it is zero."""
+    kind = type(cells[texts[0][0]])
+    den, value, zero = _CELLS[kind]
     odd = {t for t, v in cells.items() if type(v) is not kind or den(v) != 1}
-    if odd and any(
-        not odd.isdisjoint(row[max(r - 1, 0) :]) for r, row in enumerate(texts)
-    ):
-        return
-    table = {t: zero if t in odd else value(v) for t, v in cells.items()}
-    object.__setattr__(m, slot, _rows_of(texts, table))
-    if kind is Polynomial:
-        norms = {t: sum(map(abs, nums)) for t, nums in table.items()}
-        b = _slot_bits(sum(map(norms.__getitem__, row)) for row in texts)
-        packed = None
-        if b <= _MAX_PACKED_BITS:
-            packed = _rows_of(texts, {t: _pack(nums, b) for t, nums in table.items()})
-        object.__setattr__(m, "_packed", (b, packed))
+    form: _Kernel | tuple = ()
+    if not odd or all(odd.isdisjoint(row[max(r - 1, 0) :]) for r, row in enumerate(texts)):
+        table = {t: zero if t in odd else value(v) for t, v in cells.items()}
+        if kind is Fraction:
+            form = _Kernel(_rows_of(texts, table), Fraction)
+        else:
+            norms = {t: sum(map(abs, nums)) for t, nums in table.items()}
+            b = _slot_bits(sum(map(norms.__getitem__, row)) for row in texts)
+            if b > _MAX_PACKED_BITS:
+                form = _Kernel(_rows_of(texts, table), _list_value)
+            else:
+                packed = {t: _pack(nums, b) for t, nums in table.items()}
+                form = _Kernel(_rows_of(texts, packed), partial(_unpacked, b=b))
+    object.__setattr__(m, "_kernel", form)
 
 
 def _rows_of(texts: list[list[str]], table: dict[str, object]) -> tuple:
@@ -1052,7 +1069,7 @@ def random_hessenberg(
     [-5, 5]; for the poly ring each band entry gets max_degree + 1 such
     integers as coefficients.  The PRNG is whatever Random instance the
     caller seeds, so runs are reproducible.  A rational matrix keeps the
-    ints it draws as its _int_rows.
+    ints it draws as its kernel form.
     """
     if size < 1:
         raise RecdetError("matrix size must be at least 1")
@@ -1073,5 +1090,5 @@ def random_hessenberg(
             rows.append([ZERO] * below + [Fraction(v) for v in drawn])
     m = SquareMatrix(rows)
     if ints:
-        object.__setattr__(m, "_ints", tuple(ints))
+        object.__setattr__(m, "_kernel", _Kernel(tuple(ints), Fraction))
     return m

@@ -27,10 +27,9 @@ from .hessenberg import (
     ZERO,
     SquareMatrix,
     _refuse_matrix_size,
-    _ring_leading_minors,
+    column_minors,
     leading_minors,
     rank_one_leading_minors,
-    scaled_leading_minors,
 )
 from .ring import (
     COUNTER,
@@ -39,7 +38,6 @@ from .ring import (
     pair_outgrew,
     pair_value,
     pairs_scaled,
-    poly_scaled,
     render_pair,
     render_value,
     ring_add,
@@ -611,21 +609,16 @@ class _BuildTheMatrix(Exception):
 def _band_minors(rows: _Rows) -> list:
     """hessenberg_leading_minors(spec_matrix(rows.spec, rows.n)), its
     values and COUNTER counts, from the matrix's columns read from the
-    table: column k is the band tail of row k, or for a fixed-order spec's
-    k <= m, a(k) on top of zeros (see embed_fixed_order).
+    table by column_minors: column k is the band tail of row k, or for a
+    fixed-order spec's k <= m, a(k) on top of zeros (see
+    embed_fixed_order), over the subdiagonal's -1s.
 
-    The columns run over ints: on a table no one shares, a coefficient's
-    own scaled columns where it carries them as coeff.column(k), the form
-    ring.poly_scaled gives of the cells (the catalog's three-term
-    polynomial families, see families._COLUMNS); else the table's scaled
-    int row where it has one, else the cells through ring.int_scaled
-    while they are Fractions, or as int coefficient lists from the first
-    column with a Polynomial on (ring.poly_scaled).  The minors of int
-    columns come back as the kernel's pairs (A, T) (see
-    scaled_leading_minors).  The ring recurrence takes over from the
-    column where a scale outgrew its minor, with the minors so far, those
-    its first column reads made Fractions, and reads the cells; it returns
-    early when the kernel took every column.
+    A column comes pre-scaled, on a table no one shares, as a
+    coefficient's own scaled column where it carries one as
+    coeff.column(k), the form ring.poly_scaled gives of the cells (the
+    catalog's three-term polynomial families, see families._COLUMNS);
+    else as the table's scaled int row where it has one.  Minors come
+    back as column_minors gives them, the int kernel's as pairs (A, T).
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a
@@ -662,28 +655,12 @@ def _band_minors(rows: _Rows) -> list:
 
     given = None if rows.shared else getattr(rows.cell, "column", None)
 
-    def scaled() -> Iterator[tuple[int, list, int]]:
-        gate = int_scaled
-        for c in range(n):
-            got = given(c + 1) if given else rows.scaled(c + 1) if gate is int_scaled else None
-            if got is None:
-                cells = column(c, max(c - band, 0))
-                got = gate(cells)
-                if got is None:  # a Polynomial: lists from here on
-                    gate = poly_scaled
-                    got = gate(cells)
-            # the -1 under column k, negated and scaled, is L_k
-            scale, col = got
-            yield scale, col, scale
+    def pre_scaled(c: int) -> tuple[int, list, int] | None:
+        got = given(c + 1) if given else rows.scaled(c + 1)
+        # the -1 under column k, negated and scaled, is L_k
+        return got and (got[0], got[1], got[0])
 
-    d = [_ONE, *scaled_leading_minors(scaled(), band)]
-    if len(d) > n:
-        return d[1:]
-    # the ring recurrence goes on from the minors its first column reads,
-    # as ring values
-    lo = max(len(d) - 1 - band, 0)
-    d[lo:] = map(pair_value, d[lo:])
-    return _ring_leading_minors(column, [_ONE] * (n - 1), n, band, d)
+    return column_minors(pre_scaled, column, [_ONE] * (n - 1), n, band)
 
 
 class VerificationCheck(NamedTuple):

@@ -318,21 +318,17 @@ COUNTER = OpCounter()
 #
 # The leading minors, Bareiss, Laplace and direct iteration each have an
 # int kernel that gives the ring path's values and adds its op counts to
-# COUNTER in bulk.  It runs a column or row over ints when int_scaled
-# lets it, or a matrix when SquareMatrix._int_rows does.  Where
-# pair_outgrew (scale_outgrew for a Polynomial) says the scales cost too
-# much, the leading minors hand over to their ring path, and direct
-# iteration starts again from its terms unless their own lcm outgrows
-# the last one too.  The leading minors of a spec's polynomial columns
-# run over int coefficient lists when poly_scaled lets them.  A
-# polynomial matrix whose cells SquareMatrix._list_rows admits runs on
-# the int kernels by Kronecker substitution: each cell p packed as the
-# int p(2^B), B = bit_length(H) + 1, H the product of the rows'
-# coefficient 1-norm sums, which bounds every minor's coefficients, and
-# no kernel divides, so every minor unpacks exactly from its int.  Past
-# a width gate on B (SquareMatrix._packed_rows), where wide int products
-# cost more than list ones, the leading minors and Bareiss run over the
-# cells' int coefficient lists and Laplace over ring values.
+# COUNTER in bulk.  A matrix runs on it when SquareMatrix._kernel_form
+# gives its cells as ints, as polynomials packed into the ints p(2^B) by
+# Kronecker substitution (no kernel divides, so every minor unpacks from
+# its int), or past a width gate on B as int coefficient lists, which
+# Laplace reads as ring values.  Else a column or row runs over ints when
+# int_scaled lets it, and the leading minors' columns over int
+# coefficient lists when poly_scaled does.  Where pair_outgrew
+# (scale_outgrew for a Polynomial) says the scales cost too much, the
+# leading minors hand over to their ring path, and direct iteration
+# starts again from its terms unless their own lcm outgrows the last one
+# too.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence

@@ -5,7 +5,7 @@ from math import comb, factorial
 
 import pytest
 
-from recdet import recurrence, ring
+from recdet import hessenberg, ring
 from recdet.errors import MissingParams, OutOfRange, UnexpectedParams
 from recdet.families import (
     _THREE_TERM,
@@ -331,9 +331,9 @@ class TestBandColumns:
         # recurrence then reads the cells on both routes
         monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", bits)
         handovers = []
-        tail = recurrence._ring_leading_minors
+        tail = hessenberg._ring_leading_minors
         monkeypatch.setattr(
-            recurrence, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
+            hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
         )
         spec = family_spec(fid)
         got, ops = counted(lambda: determinant_terms(spec, 40))

@@ -1,5 +1,6 @@
 """SquareMatrix, the three determinant algorithms, and the emitters."""
 
+import contextlib
 import json
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     LAPLACE_SIZE_LIMIT,
     SquareMatrix,
-    _int_leading_minors,
+    _list_value,
     _matrix_columns,
     _ring_leading_minors,
     det_bareiss,
@@ -268,6 +269,41 @@ def _counted(fn, *args, track_bits=False):
     return value, ops
 
 
+def _route(m):
+    """The kernel form that m's accessor hands out: "ints", "packed" or
+    "lists", or None, which keeps the ring paths."""
+    form = m._kernel_form()
+    if form is None:
+        return None
+    if form.value is Fraction:
+        return "ints"
+    return "lists" if form.value is _list_value else "packed"
+
+
+def _slot_width(m):
+    """B of m's packed kernel form."""
+    assert _route(m) == "packed"
+    return m._kernel_form().value.keywords["b"]
+
+
+def _kernel_minors(m):
+    """hessenberg_leading_minors(m) with no ring recurrence: the minors
+    the int kernels take before they would hand over, as ring values."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hessenberg, "_ring_leading_minors", lambda column, subs, n, band, d: d[1:])
+        return hessenberg_leading_minors(m)
+
+
+@contextlib.contextmanager
+def _ring_paths():
+    """No kernel form and no int columns: every algorithm on its ring
+    path, with bits untracked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SquareMatrix, "_kernel_form", lambda self: None)
+        mp.setattr(hessenberg, "scaled_leading_minors", lambda columns, band: [])
+        yield
+
+
 class TestIntegerKernel:
     """The int recurrence on column-scaled Fractions against the ring path."""
 
@@ -278,7 +314,7 @@ class TestIntegerKernel:
                 for kind in ("integral", "fractional", "sparse"):
                     m = _banded(rng, n, band, kind)
                     b = n if band is None else band
-                    fast, fast_ops = _counted(_int_leading_minors, m, b)
+                    fast, fast_ops = _counted(_kernel_minors, m)
                     ring, ring_ops = _counted(
                         _ring_leading_minors, *_matrix_columns(m.entries), n, b, [Fraction(1)]
                     )
@@ -291,16 +327,19 @@ class TestIntegerKernel:
         rows = [[Fraction(1, 2), 3, 0], [0, Fraction(2, 3), 5], [0, -1, Fraction(7, 4)]]
         m = SquareMatrix(rows, band=1)
         # d_3 = d_1 * det [[2/3, 5], [-1, 7/4]], the zero cutting the chain
-        assert _int_leading_minors(m, 1) == [
+        assert _kernel_minors(m) == [
             Fraction(1, 2),
             Fraction(1, 3),
             Fraction(1, 2) * (Fraction(2, 3) * Fraction(7, 4) + 5),
         ]
 
-    def test_the_ring_path_takes_over_at_a_polynomial_column(self):
+    def test_list_columns_take_over_at_a_polynomial_column(self):
+        # column 1 holds a Polynomial: ring.poly_scaled's lists run from
+        # there on, and the minors are Polynomials, as on the ring path
         m = SquareMatrix([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
-        assert _int_leading_minors(m, 3) == [1]
         ring = _counted(_ring_leading_minors, *_matrix_columns(m.entries), 3, 3, [Fraction(1)])
+        assert _counted(_kernel_minors, m) == ring
+        assert [type(d) for d in ring[0]] == [Fraction, Polynomial, Polynomial]
         assert _counted(hessenberg_leading_minors, m) == ring
 
     def test_the_ring_path_takes_over_past_the_excess_bound(self, monkeypatch):
@@ -312,7 +351,7 @@ class TestIntegerKernel:
         ]
         m = SquareMatrix(rows)
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 40)
-        assert 0 < len(_int_leading_minors(m, n)) < n
+        assert 0 < len(_kernel_minors(m)) < n
         want = _counted(_ring_leading_minors, *_matrix_columns(m.entries), n, n, [Fraction(1)])
         assert _counted(hessenberg_leading_minors, m) == want
 
@@ -326,6 +365,96 @@ class TestIntegerKernel:
         want = COUNTER.max_bits
         COUNTER.reset()
         assert got == want > 0
+
+
+def _mixed_case(rng, n, band):
+    """An upper-Hessenberg matrix with a declared band whose cells on and
+    above the subdiagonal, the subdiagonal included, mix Fractions (zero,
+    integral, fractional) with Polynomials (integral, fractional)."""
+
+    def cell():
+        kind = rng.randrange(5)
+        if kind == 0:
+            return Fraction(0)
+        if kind == 1:
+            return Fraction(rng.randint(-4, 4))
+        if kind == 2:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        coeffs = [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+        if kind == 4:
+            coeffs = [Fraction(a, rng.randint(1, 4)) for a in coeffs]
+        return Polynomial(coeffs)
+
+    rows = [
+        [
+            cell() if r <= c + 1 and (band is None or c - r <= band) else hessenberg.ZERO
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    return SquareMatrix(rows, band)
+
+
+class TestOneColumnRoute:
+    """hessenberg_leading_minors drives every column through
+    column_minors, whichever cells a matrix mixes: against the ring
+    path, the same values, the same type for every minor and the same
+    adds and muls; Bareiss and Laplace against theirs."""
+
+    def test_mixed_matrices_against_the_ring_paths(self):
+        for seed in range(1500):
+            rng = random.Random(seed)
+            n = rng.randint(1, 8)
+            band = rng.choice([None, *range(n)])
+            m = _mixed_case(rng, n, band)
+            b = n if band is None else band
+            got, ops = _counted(hessenberg_leading_minors, m)
+            want, want_ops = _counted(
+                _ring_leading_minors, *_matrix_columns(m.entries), n, b, [Fraction(1)]
+            )
+            assert got == want, seed
+            assert [type(v) for v in got] == [type(v) for v in want], seed
+            assert ops == want_ops, seed
+            det, ring_det = det_bareiss(m), _ring_reference(m)
+            assert (det, type(det)) == (ring_det, type(ring_det)), seed
+            det, ring_det = det_laplace(m), _recursive_laplace(m.entries)
+            assert (det, type(det)) == (ring_det, type(ring_det)), seed
+
+    def test_a_polynomial_subdiagonal_under_fraction_columns(self):
+        # band 0: the subdiagonal never enters the recurrence, so every
+        # minor is a Fraction; band 1: the minor after it is a Polynomial
+        lower = [[Fraction(1, 2), 0, 0], [X, Fraction(2, 3), 0], [0, -1, Fraction(7, 4)]]
+        upper = [[Fraction(1, 2), 3, 0], [X, Fraction(2, 3), 5], [0, -1, Fraction(7, 4)]]
+        for band, rows, types in (
+            (0, lower, [Fraction] * 3),
+            (1, upper, [Fraction, Polynomial, Polynomial]),
+        ):
+            m = SquareMatrix(rows, band)
+            want = _counted(_ring_leading_minors, *_matrix_columns(m.entries), 3, band, [Fraction(1)])
+            got = _counted(hessenberg_leading_minors, m)
+            assert got == want
+            assert [type(v) for v in got[0]] == [type(v) for v in want[0]] == types
+
+    def test_a_poly_familys_matrix_takes_no_ring_recurrence(self, monkeypatch):
+        # Theorem 1's matrix of hermite mixes the Fraction -1s of its
+        # subdiagonal with Polynomial cells: list columns throughout
+        spec = family_spec(FamilyId.HERMITE)
+        m = theorem1_matrix(spec, 60)
+        want, want_ops = _counted(
+            _ring_leading_minors, *_matrix_columns(m.entries), 60, 1, [Fraction(1)]
+        )
+        handovers = []
+        tail = hessenberg._ring_leading_minors
+        monkeypatch.setattr(
+            hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
+        )
+        got, ops = _counted(hessenberg_leading_minors, m)
+        assert handovers == []
+        terms, terms_ops = _counted(determinant_terms, spec, 60)
+        assert got == want == terms
+        assert [type(v) for v in got] == [type(v) for v in terms] == [Polynomial] * 60
+        # determinant_terms multiplies each minor by a(1) = 1 once more
+        assert ops == want_ops == (terms_ops[0], terms_ops[1] - 60, terms_ops[2])
 
 
 class TestListKernel:
@@ -425,18 +554,18 @@ def _integral_json(seed, n):
 
 
 class TestIntCache:
-    """SquareMatrix._int_rows: filled by matrix_from_json or computed on
-    first use, read by both fast and Bareiss, never while bits are
-    tracked."""
+    """SquareMatrix._kernel_form's ints: filled by matrix_from_json or
+    computed on first use, read by fast, Bareiss and Laplace, never while
+    bits are tracked."""
 
     def test_matrix_from_json_fills_the_cells(self):
         for seed in range(10):
             m = matrix_from_json(_integral_json(seed, seed + 1))
-            assert m._ints == m.entries
-            assert {type(v) for row in m._ints for v in row} == {int}
-            assert m._int_rows() is m._ints
+            assert m._kernel.rows == m.entries and m._kernel.value is Fraction
+            assert {type(v) for row in m._kernel.rows for v in row} == {int}
+            assert m._kernel_form() is m._kernel
             # the same cells as a matrix without the parser computes
-            assert SquareMatrix(m.entries)._int_rows() == m._ints
+            assert SquareMatrix(m.entries)._kernel_form() == m._kernel
 
     def test_random_hessenberg_keeps_the_ints_it_draws(self):
         for ring_name in ("rational", "poly"):
@@ -452,22 +581,21 @@ class TestIntCache:
                         else:
                             assert v is hessenberg.ZERO
                 if ring_name == "poly":
-                    assert m._ints is None and m._int_rows() is None
+                    assert m._kernel is None and _route(m) in ("packed", "lists")
                 else:
-                    assert m._ints == SquareMatrix(m.entries)._int_rows()
-                    assert {type(v) for row in m._ints for v in row} == {int}
+                    assert m._kernel == SquareMatrix(m.entries)._kernel_form()
+                    assert {type(v) for row in m._kernel.rows for v in row} == {int}
 
     def test_other_json_gets_no_cache(self):
         rng = random.Random(20)
         for kind in ("fractional", "poly"):
             text = matrix_to_json(_hessenberg_case(rng.random(), 6, kind, None, 0.0))
             m = matrix_from_json(text)
-            assert m._ints is None
-            assert m._int_rows() is None and m._ints == ()
+            assert m._kernel == () and _route(m) is None
             assert det_hessenberg_fast(m) == det_bareiss(m) == det_laplace(m)
         # one fractional cell in the band
         doc = {"size": 2, "ring": "rational", "entries": [["1", "1/2"], ["-1", "3"]]}
-        assert matrix_from_json(json.dumps(doc))._int_rows() is None
+        assert _route(matrix_from_json(json.dumps(doc))) is None
         # integral cells above a nonzero one below the subdiagonal: no shape to use
         rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "10"]]
         doc = {"size": 3, "ring": "rational", "entries": rows}
@@ -482,7 +610,7 @@ class TestIntCache:
                 m = SquareMatrix(m.entries)
             COUNTER.reset(track_bits=True)
             try:
-                assert m._int_rows() is None
+                assert m._kernel_form() is None
                 fast = det_hessenberg_fast(m)
                 fast_bits = COUNTER.max_bits
                 COUNTER.reset(track_bits=True)
@@ -498,28 +626,28 @@ class TestIntCache:
             finally:
                 COUNTER.reset()
             # nothing is computed while bits are tracked
-            assert (m._ints is None) is not cached
+            assert (m._kernel is None) is not cached
 
     def test_with_entry_of_a_cached_matrix_starts_afresh(self):
         rng = random.Random(22)
         for seed in range(8):
             m = matrix_from_json(_integral_json(seed, 8))
-            assert m._int_rows() is not None
+            assert _route(m) == "ints"
             r = rng.randrange(8)
             c = rng.randrange(max(r - 1, 0), 8)
             for value in (Fraction(1, 3), Fraction(-7, 2), X):
                 changed = m.with_entry(r, c, value)
-                assert changed._ints is None
+                assert changed._kernel is None
                 want = det_laplace(changed)
                 assert det_hessenberg_fast(changed) == det_bareiss(changed) == want
-                assert changed._int_rows() is None
+                assert _route(changed) is None
                 assert leading_minors(changed, "bareiss") == hessenberg_leading_minors(changed)
             # an integral cell keeps the matrix integral, with its own cells
             changed = m.with_entry(r, c, 9)
-            assert changed._int_rows() == changed.entries
+            assert changed._kernel_form().rows == changed.entries
             assert det_hessenberg_fast(changed) == det_bareiss(changed) == det_laplace(changed)
             sub = m.leading_submatrix(5)
-            assert sub._ints is None and sub._int_rows() == sub.entries
+            assert sub._kernel is None and sub._kernel_form().rows == sub.entries
 
     def test_a_matrix_that_is_not_upper_hessenberg_gets_no_kernel_rows(self):
         # integral cells, and integral polynomials, above a nonzero cell
@@ -532,11 +660,10 @@ class TestIntCache:
         for ring_name, rows in docs:
             m = matrix_from_json(json.dumps({"size": 3, "ring": ring_name, "entries": rows}))
             assert m._below_subdiagonal == (2, 0)
-            assert (m._ints, m._lists, m._packed) == (None, None, None)
+            assert m._kernel is None
             fresh = SquareMatrix(m.entries)
             for got in (m, fresh):
-                assert got._int_rows() is None
-                assert got._list_rows() is None and got._packed_rows() is None
+                assert got._kernel_form() is None and got._kernel == ()
             want = det_laplace(m)
             assert det_bareiss(m) == det_bareiss(fresh) == want
 
@@ -585,44 +712,40 @@ def _matrix_docs(draw):
 
 
 def _kernel_fields(m):
-    """What the kernels read of m, through the accessors and then as
-    kept: the same for a parsed matrix and for a fresh one."""
+    """What the kernels read of m, through the accessor and then as kept,
+    a packed form by its B: the same for a parsed matrix and for a fresh
+    one."""
+    form = m._kernel_form()
     return (
         m.entries,
         [[type(v) for v in row] for row in m.entries],
-        m._int_rows(),
-        m._list_rows(),
-        m._packed_rows(),
+        _route(m),
+        form and form.rows,
+        _slot_width(m) if _route(m) == "packed" else None,
         m._below_subdiagonal,
-        m._ints,
-        m._lists,
-        m._packed,
+        m._kernel == (),
     )
 
 
 class TestParseRoute:
-    """matrix_from_json fills the kernel rows from the distinct cell texts:
-    every field it fills equals what a matrix built from its cells
-    computes, and the accessors read the fields it filled."""
+    """matrix_from_json fills the kernel form from the distinct cell
+    texts: the form it fills equals what a matrix built from its cells
+    computes, and the accessor hands out the form it filled."""
 
     def _agree(self, ring_name, rows):
         n = len(rows)
         m = matrix_from_json(json.dumps({"size": n, "ring": ring_name, "entries": rows}))
-        filled = m._ints, m._lists, m._packed
+        filled = m._kernel
         fresh = SquareMatrix(m.entries)
-        assert fresh._ints is fresh._lists is fresh._packed is None
+        assert fresh._kernel is None
         # the parser's constructor makes the matrix the constructor makes
         assert (m, hash(m), repr(m), m.band) == (fresh, hash(fresh), repr(fresh), None)
         assert _kernel_fields(m) == _kernel_fields(fresh)
-        # a field the parser filled is the one the accessor hands out
-        if filled[0] is not None:
-            assert m._int_rows() is filled[0]
-        if filled[1] is not None:
-            assert m._list_rows() is filled[1]
-            assert m._packed is filled[2]
-        # and the parser fills every field that the rule admits
-        assert (filled[0] is not None) is (fresh._ints != ())
-        assert (filled[1] is not None) is (fresh._lists != ())
+        # the form the parser filled is the one the accessor hands out
+        if filled:
+            assert m._kernel_form() is filled
+        # and the parser fills the field of every upper-Hessenberg matrix
+        assert (filled is not None) is (m._below_subdiagonal is None)
         return m
 
     @settings(max_examples=300, deadline=None)
@@ -642,7 +765,7 @@ class TestParseRoute:
                         m = self._agree(ring_name, rows)
                         # a Fraction zero sends a poly matrix to the ring path
                         lists = ring_name == "poly" and "x" in zero
-                        assert (m._list_rows() is not None) is lists
+                        assert (_route(m) in ("packed", "lists")) is lists
 
     def test_b_on_both_sides_of_the_gate(self):
         for bits, n in ((2, 6), (90, 2), (90, 4), (40, 7)):
@@ -652,10 +775,11 @@ class TestParseRoute:
                 for r in range(n)
             ]
             m = self._agree("poly", rows)
-            b = m._packed[0]
-            assert b == _packing_bound(m).bit_length() + 1
-            assert (m._packed_rows() is None) is (b > hessenberg._MAX_PACKED_BITS)
-            assert m._list_rows() is not None
+            b = _packing_bound(m).bit_length() + 1
+            if b > hessenberg._MAX_PACKED_BITS:
+                assert _route(m) == "lists"
+            else:
+                assert _slot_width(m) == b
 
     def test_constant_and_fractional_polynomial_cells(self):
         for cell, route in (("0*x + 3", "lists"), ("x^0", "lists"), ("-2*x^0", "lists"),
@@ -663,10 +787,10 @@ class TestParseRoute:
             # "-1" would parse as a Fraction
             rows = [["x", cell], ["0*x - 1", "x + 1"]]
             m = self._agree("poly", rows)
-            assert (m._list_rows() is not None) is (route == "lists"), cell
+            assert (_route(m) in ("packed", "lists")) is (route == "lists"), cell
         # a poly document whose every band cell is a constant runs on the ints
         m = self._agree("poly", [["3", "0"], ["-1", " 2"]])
-        assert m._int_rows() == ((3, 0), (-1, 2))
+        assert _route(m) == "ints" and m._kernel.rows == ((3, 0), (-1, 2))
 
 
 def _integral(rng, n, upper, zeros):
@@ -1025,7 +1149,7 @@ def _poly_band_case(rng, n, degree, band, zeros):
 
 
 def _packing_bound(m):
-    """H of SquareMatrix._packed_rows: the product over the rows of
+    """H of SquareMatrix._kernel_form: the product over the rows of
     max(1, the sum of the coefficient 1-norms of the row's cells)."""
     h = 1
     for row in m.entries:
@@ -1044,24 +1168,26 @@ _LIST_ROUTE_FUNCTIONS = {
 
 
 class TestListRoute:
-    """SquareMatrix._list_rows and _packed_rows, and fast, Bareiss and
-    Laplace over packed ints and over int coefficient lists against their
-    ring paths on the same matrix: the same values, types, renderings and
-    COUNTER deltas, with packing forced on and forced off."""
+    """SquareMatrix._kernel_form's packed ints and int coefficient lists,
+    and fast, Bareiss and Laplace over them against their ring paths on
+    the same matrix: the same values, types, renderings and COUNTER
+    deltas, with packing forced on and forced off.  A matrix parsed from
+    JSON (text) is parsed again under each width gate, any other one
+    built again from its cells."""
 
-    def _agree(self, m, monkeypatch):
-        assert m._list_rows() is not None
+    def _agree(self, m, monkeypatch, text=None):
+        assert _route(m) in ("packed", "lists")
         results = {}
         for limit in (1 << 40, 0):
             with monkeypatch.context() as mp:
                 mp.setattr(hessenberg, "_MAX_PACKED_BITS", limit)
-                assert (m._packed_rows() is None) is (limit == 0)
+                m = matrix_from_json(text) if text else SquareMatrix(m.entries, m.band)
+                assert _route(m) == ("lists" if limit == 0 else "packed")
                 for name, fn in _LIST_ROUTE_FUNCTIONS.items():
                     if "laplace" in name and m.size > LAPLACE_SIZE_LIMIT:
                         continue
                     got, got_ops = _counted(fn, m)
-                    with monkeypatch.context() as ring_path:
-                        ring_path.setattr(SquareMatrix, "_list_rows", lambda self: None)
+                    with _ring_paths():
                         want, want_ops = _counted(fn, m)
                     got = got if isinstance(got, list) else [got]
                     want = want if isinstance(want, list) else [want]
@@ -1082,17 +1208,20 @@ class TestListRoute:
                     for zeros in (0.0, 0.3):
                         self._agree(_poly_band_case(rng, n, degree, band, zeros), monkeypatch)
 
-    def test_the_gate_reads_each_cells_coefficients(self):
+    def test_the_gate_reads_each_cells_coefficients(self, monkeypatch):
         m = _poly_band_case(random.Random(31), 7, 2, 1, 0.3)
-        rows = m._list_rows()
-        assert rows is m._lists
+        with monkeypatch.context() as mp:
+            mp.setattr(hessenberg, "_MAX_PACKED_BITS", 0)
+            lists = SquareMatrix(m.entries, m.band)
+            rows = lists._kernel_form().rows
+        assert _route(lists) == "lists" and rows is lists._kernel.rows
         for r in range(7):
             for c in range(7):
                 want = m.entries[r][c].nums if r <= c + 1 else ()
                 assert rows[r][c] == want and type(rows[r][c]) is tuple
         # each cell packed as its value at x = 2^B
-        b, packed = m._packed_rows()
-        assert m._packed == (b, packed)
+        b, packed = _slot_width(m), m._kernel_form().rows
+        assert packed is m._kernel.rows
         assert b == _packing_bound(m).bit_length() + 1
         for r in range(7):
             for c in range(7):
@@ -1101,14 +1230,15 @@ class TestListRoute:
 
     def test_the_width_limit_is_on_b(self, monkeypatch):
         m = _poly_band_case(random.Random(36), 9, 2, None, 0.0)
-        b = m._packed_rows()[0]
+        b = _slot_width(m)
         monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b)
-        assert m._packed_rows()[0] == b
+        assert _slot_width(SquareMatrix(m.entries)) == b
+        # a matrix past the limit packs no cell, and a form once computed
+        # is kept
         monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b - 1)
-        assert m._packed_rows() is None and m._list_rows() is not None
-        # a matrix past the limit keeps its B and packs no cell
         wide = SquareMatrix(m.entries)
-        assert wide._packed_rows() is None and wide._packed == (b, None)
+        assert _route(wide) == "lists" and _slot_width(m) == b
+        assert all(type(cell) is tuple for row in wide._kernel.rows for cell in row)
 
     def test_diagonal_and_triangular_monomials_where_b_is_tight(self, monkeypatch):
         # a diagonal determinant is one monomial whose coefficient is +-H:
@@ -1124,7 +1254,7 @@ class TestListRoute:
                     [[cells[r] if r == c else Polynomial() for c in range(n)] for r in range(n)]
                 )
                 h = _packing_bound(m)
-                assert m._packed_rows()[0] == h.bit_length() + 1
+                assert _slot_width(m) == h.bit_length() + 1
                 det = self._agree(m, monkeypatch)["det_hessenberg_fast"][-1]
                 assert max(map(abs, det.nums)) == h
                 # upper triangular: monomials above the diagonal too
@@ -1232,13 +1362,13 @@ class TestListRoute:
         shapes = [(size, 1) for size in range(1, 14)] + [(size, 2) for size in range(1, 12)]
         for n, degree in shapes:
             rows = [[cell(degree) if r <= c + 1 else "0" for c in range(n)] for r in range(n)]
-            m = matrix_from_json(json.dumps({"size": n, "ring": "poly", "entries": rows}))
-            results = self._agree(m, monkeypatch)
+            text = json.dumps({"size": n, "ring": "poly", "entries": rows})
+            results = self._agree(matrix_from_json(text), monkeypatch, text)
             assert results["det_bareiss"] == results["det_hessenberg_fast"]
 
     def test_the_gate_refuses_other_matrices(self, monkeypatch):
         base = _poly_band_case(random.Random(35), 6, 2, None, 0.0)
-        assert base._list_rows() is not None
+        assert _route(base) in ("packed", "lists")
         refused = [
             # a Fraction cell in the band, integral or not, zero included
             base.with_entry(2, 4, Fraction(3)),
@@ -1254,8 +1384,7 @@ class TestListRoute:
             })),
         ]
         for m in refused:
-            assert m._list_rows() is None and m._lists == ()
-            assert m._packed_rows() is None and m._packed is None
+            assert m._kernel_form() is None and m._kernel == ()
             want = det_laplace(m)
             assert det_bareiss(m) == want
             if m._below_subdiagonal is None:
@@ -1264,7 +1393,7 @@ class TestListRoute:
         m = SquareMatrix(base.entries)
         COUNTER.reset(track_bits=True)
         try:
-            assert m._list_rows() is None and m._packed_rows() is None
+            assert m._kernel_form() is None
             fast = det_hessenberg_fast(m)
             fast_bits = COUNTER.max_bits
             COUNTER.reset(track_bits=True)
@@ -1277,7 +1406,7 @@ class TestListRoute:
             assert (laplace, laplace_bits) == (_recursive_laplace(m.entries), COUNTER.max_bits)
         finally:
             COUNTER.reset()
-        assert m._lists is None and m._packed is None
+        assert m._kernel is None
         self._agree(m, monkeypatch)
 
 

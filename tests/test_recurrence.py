@@ -878,10 +878,10 @@ class TestCoefficientTable:
         n = 30
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", bits)
         minors, outgrew = [], []
-        minors_kernel, terms_kernel = recurrence.scaled_leading_minors, recurrence._scaled_terms
+        minors_kernel, terms_kernel = hessenberg.scaled_leading_minors, recurrence._scaled_terms
         with monkeypatch.context() as mp:
             mp.setattr(
-                recurrence,
+                hessenberg,
                 "scaled_leading_minors",
                 lambda *a: minors.append(minors_kernel(*a)) or minors[-1],
             )
@@ -1501,7 +1501,7 @@ class TestBandColumns:
         # cell is read twice
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 16)
         monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", 16)
-        kernel = recurrence.scaled_leading_minors
+        kernel = hessenberg.scaled_leading_minors
         lengths = []
 
         def spy(*args):
@@ -1509,7 +1509,7 @@ class TestBandColumns:
             lengths.append(len(minors))
             return minors
 
-        monkeypatch.setattr(recurrence, "scaled_leading_minors", spy)
+        monkeypatch.setattr(hessenberg, "scaled_leading_minors", spy)
         n = 30
         spec, calls = _counting_full(value)
         _assert_columns_match_matrix(spec, n)
