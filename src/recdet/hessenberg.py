@@ -939,8 +939,8 @@ def matrix_from_json(text: str) -> SquareMatrix:
     Each distinct cell text is parsed once, and each distinct term of the
     polynomial texts once, through a table of this call's own (see
     ring._parse_poly_text); cells are checked in row-major order, so the
-    first bad cell raises.  The kernel rows of an upper-Hessenberg
-    matrix come from the distinct texts too (see _fill_kernel_rows).
+    first bad cell raises.  The kernel form of an upper-Hessenberg
+    matrix comes from the distinct texts too (see _fill_kernel_rows).
     """
     try:
         payload = json.loads(text)
