@@ -60,6 +60,7 @@ if TYPE_CHECKING:
 # patterns with list.count(ZERO), which tests identity before calling
 # __eq__, so cells that are this very object cost no Python call.
 ZERO = Fraction(0)
+_ONE = Fraction(1)
 _RING_TYPES = {Fraction, Polynomial}
 
 
@@ -619,14 +620,14 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     band = n if m.band is None else m.band
     form = m._kernel_form()
     if form is None:
-        minors = column_minors(lambda c: None, *_matrix_columns(m.entries), n, band)
+        minors = column_minors(lambda k: None, *_matrix_columns(m.entries), n, band)
         return list(map(pair_value, minors))
     rows, value = form
     lists = value is _list_value
 
-    def kernel_column(c: int) -> tuple[int, list, object]:
-        # rows lo..c of the band, then the subdiagonal cell (c + 1, c)
-        col = [row[c] for row in rows[max(c - band, 0) : c + 2]]
+    def kernel_column(k: int) -> tuple[int, list, object]:
+        # column k - 1: rows lo..k - 1 of the band, then the subdiagonal cell
+        col = [row[k - 1] for row in rows[max(k - 1 - band, 0) : k + 1]]
         s = col[-1]
         return 1, col, [-a for a in s] if lists else -s
 
@@ -646,7 +647,7 @@ def _matrix_columns(
 
 
 def column_minors(
-    given: Callable[[int], tuple[int, list, object] | None],
+    given: Callable[[int], tuple | None],
     column: Callable[[int, int], list[RingValue]],
     subs: list[RingValue],
     n: int,
@@ -656,26 +657,28 @@ def column_minors(
     column and subs (see _ring_leading_minors), a matrix's or a spec's.
     COUNTER gets the ring path's counts.
 
-    Column c comes as given(c), pre-scaled as scaled_leading_minors takes
-    it, where given has one and no column before it was gated into
-    lists.  Else its band cells and subs[c] take one scale, through
-    ring.int_scaled, or through ring.poly_scaled from the first column
-    whose band cells hold a Polynomial on: from there the ring path's
-    minors are Polynomials too.  A Polynomial subs[c] under band cells of
-    Fractions ends the int columns instead, as their minor stays a
-    Fraction.  The ring recurrence goes on from where the int columns
-    ended or a scale outgrew its minor.  Minors of int columns come back
-    as pairs (A, T), except those the ring recurrence reads.
+    Column c comes pre-scaled as given(c + 1), where given has it and no
+    column before it was gated into lists: (L, col) over a -1, as in
+    Theorems 1 and 2, whose negated cell scaled by L is L, or (L, col, s)
+    as scaled_leading_minors takes it.  Else its band cells and subs[c]
+    take one scale, through ring.int_scaled, or through ring.poly_scaled
+    from the first column whose band cells hold a Polynomial on: from
+    there the ring path's minors are Polynomials too.  A Polynomial
+    subs[c] under band cells of Fractions ends the int columns instead,
+    as their minor stays a Fraction.  The ring recurrence goes on from
+    where the int columns ended or a scale outgrew its minor.  Minors of
+    int columns come back as pairs (A, T), except those the ring
+    recurrence reads.
     """
 
     def scaled() -> Iterator[tuple[int, list, object]]:
         gate = int_scaled
         for c in range(n):
-            got = given(c) if gate is int_scaled else None
+            got = given(c + 1) if gate is int_scaled else None
             if got is None:
                 cells = column(c, max(c - band, 0))
                 # the negated subdiagonal cell (c + 1, c) takes the scale
-                values = [*cells, subs[c] if c < len(subs) else Fraction(1)]
+                values = [*cells, subs[c] if c < len(subs) else _ONE]
                 got = gate(values)
                 if got is None and gate is int_scaled and Polynomial in map(type, cells):
                     gate = poly_scaled
@@ -685,9 +688,11 @@ def column_minors(
                 scale, col = got
                 s = col.pop()
                 got = scale, col, s[0] if type(s) is list and len(s) == 1 else s
+            elif len(got) == 2:
+                got = got[0], got[1], got[0]
             yield got
 
-    d = [Fraction(1), *scaled_leading_minors(scaled(), band)]
+    d = [_ONE, *scaled_leading_minors(scaled(), band)]
     if len(d) > n:
         return d[1:]
     # the ring recurrence goes on from the minors its first column reads,
@@ -751,7 +756,8 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
 
     The cells are ints (ring.int_scaled), or polynomials as int
     coefficient lists or tuples (ring.poly_scaled, or
-    SquareMatrix._kernel_form at scale 1), whose s is an int or a list.  From the first column of lists on, every column must come as
+    SquareMatrix._kernel_form at scale 1), whose s is an int or a list.
+    From the first column of lists on, every column must come as
     lists: the scaled minors become lists too (_horner_lists), and the
     minors Polynomials, as the ring path makes them once a Polynomial
     enters.

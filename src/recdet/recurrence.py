@@ -654,13 +654,7 @@ def _band_minors(rows: _Rows) -> list:
         return cells
 
     given = None if rows.shared else getattr(rows.cell, "column", None)
-
-    def pre_scaled(c: int) -> tuple[int, list, int] | None:
-        got = given(c + 1) if given else rows.scaled(c + 1)
-        # the -1 under column k, negated and scaled, is L_k
-        return got and (got[0], got[1], got[0])
-
-    return column_minors(pre_scaled, column, [_ONE] * (n - 1), n, band)
+    return column_minors(given or rows.scaled, column, [_ONE] * (n - 1), n, band)
 
 
 class VerificationCheck(NamedTuple):

@@ -430,7 +430,8 @@ class TestOneColumnRoute:
             (1, upper, [Fraction, Polynomial, Polynomial]),
         ):
             m = SquareMatrix(rows, band)
-            want = _counted(_ring_leading_minors, *_matrix_columns(m.entries), 3, band, [Fraction(1)])
+            columns = _matrix_columns(m.entries)
+            want = _counted(_ring_leading_minors, *columns, 3, band, [Fraction(1)])
             got = _counted(hessenberg_leading_minors, m)
             assert got == want
             assert [type(v) for v in got[0]] == [type(v) for v in want[0]] == types
