@@ -21,14 +21,15 @@ recdet() { PYTHONPATH=src python -m recdet.cli "$@"; }
 # determinants of its timed passes, which run with bits off as users
 # do: the int kernels, the Horner order and Bareiss's row recurrence,
 # and for the poly ring all three over the cells packed into ints up
-# to the packing's width gate, and fast and Bareiss over int
-# coefficient lists past it. Sizes 1 to 5 are the packed route's edge
-# cases (one cell, one step, the first and the last pivot close
-# together). Size 40 is past Laplace's limit, so there fast and
+# to the packing's width gate. Past it a matrix has no kernel form:
+# fast scales its columns to int coefficient lists and Bareiss runs
+# its row recurrence over ring values. Sizes 1 to 5 are the packed
+# route's edge cases (one cell, one step, the first and the last pivot
+# close together). Size 40 is past Laplace's limit, so there fast and
 # Bareiss check each other alone on a dense upper-Hessenberg matrix.
 # The third run's sizes straddle the gate of 320 bits: B is 116, 188
 # and 302 at sizes 20, 30 and 45, which run packed, and 344 and 427 at
-# 50 and 60, which run over lists (size 90's tracked Bareiss pass
+# 50 and 60, which run past the gate (size 90's tracked Bareiss pass
 # alone would take about 45 s).
 # Each method's second pass tracks bits, which runs every ring path
 # and Laplace's memo on its observing path
@@ -231,8 +232,9 @@ digit_limit() {
 
 # a real process refuses malformed input with its exit code and an
 # "error:" line on stderr, never a traceback: exit 1 for a syntax
-# error, a semantic error, a file that is not UTF-8, a literal
-# longer than int() takes, and a line holding a superscript two, a
+# error, a semantic error, a file that is not UTF-8, a literal past
+# the DSL's own limit of 4,300 digits (dsl.MAX_LITERAL_DIGITS, the same
+# on every Python), and a line holding a superscript two, a
 # vertical tab or a no-break space (the lexer skips only space, tab
 # and CR and takes ASCII digits only, and str.splitlines ends a line
 # at a vertical tab), and for a bench size below 1; exit 2 for an

@@ -152,13 +152,22 @@ def _lex_line(text: str, line_no: int) -> list[_Token]:
     return toks
 
 
+# The most digits an integer literal may have: CPython's default int
+# digit limit (sys.get_int_max_str_digits), kept by the DSL itself so
+# that a spec reads the same on a Python with no such limit, as 3.10
+# has, or with the limit raised or lifted.
+MAX_LITERAL_DIGITS = 4300
+
+
 def _int_literal(t: _Token) -> int:
-    try:
-        return int(t.text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits allows
-        raise SpecSyntaxError(
-            t.line, t.col, f"integer literal of {len(t.text)} digits is too long"
-        ) from None
+    if len(t.text) <= MAX_LITERAL_DIGITS:
+        try:
+            return int(t.text)
+        except ValueError:  # a digit limit lowered below MAX_LITERAL_DIGITS
+            pass
+    raise SpecSyntaxError(
+        t.line, t.col, f"integer literal of {len(t.text)} digits is too long"
+    )
 
 
 class _Cursor:

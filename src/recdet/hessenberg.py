@@ -8,13 +8,13 @@ det_bareiss is the O(n^3) ring elimination in general, and an O(n^2)
 row recurrence on upper-Hessenberg matrices while bits are not tracked,
 which needs no row swap and expands rows.  A matrix is given by its rows
 and an optional band; whether it is upper Hessenberg is read from its
-cells.  All three read its cells in one kernel form, made once (see
-SquareMatrix._kernel_form): integral cells as ints, and integral
-polynomial cells packed into ints by Kronecker substitution up to a
-width gate and as int coefficient lists past it, which Laplace reads as
-ring values.  The leading minors of any other matrix, and of a spec's
-columns, scale each column to ints or int coefficient lists where they
-can (see column_minors).
+cells.  All three read its cells in one kernel form, made once where
+the cells allow it (see SquareMatrix._kernel_form): integral cells as
+ints, and integral polynomial cells packed into ints by Kronecker
+substitution up to a width gate.  Bareiss and Laplace run any other
+matrix over ring values; its leading minors, as a spec's columns',
+scale each column to ints or int coefficient lists where they can (see
+column_minors).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from operator import attrgetter, sub
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from . import ring
@@ -35,7 +35,6 @@ from .ring import (
     RingValue,
     _add_product,
     _pair_poly,
-    _reduced,
     _reduced_poly,
     int_scaled,
     is_zero,
@@ -184,11 +183,10 @@ class SquareMatrix:
         """The cells on or above the subdiagonal of this upper-Hessenberg
         matrix in the one form the int kernels read, zero below it: as
         ints (value Fraction) when every such cell is an integral
-        Fraction; when every one is a Polynomial with den 1, packed into
-        the ints p(2^B) (value _unpacked) while B is at most
-        _MAX_PACKED_BITS, else as int coefficient tuples, () for zero
-        (value _list_value).  None for any other matrix, which keeps the
-        ring paths, and for every matrix while COUNTER tracks bits.
+        Fraction; when every one is a Polynomial with den 1 and B is at
+        most _MAX_PACKED_BITS, packed into the ints p(2^B) (value
+        _unpacked).  None for any other matrix, which keeps the ring
+        paths, and for every matrix while COUNTER tracks bits.
 
         B = bit_length(H) + 1, H the product over the rows of max(1, the
         sum of the row's cells' coefficient 1-norms).  By its Leibniz
@@ -219,17 +217,19 @@ def _kernel_of(m: SquareMatrix) -> _Kernel | tuple:
         return _Kernel(tuple(rows), Fraction)
     b = _slot_bits(sum(abs(a) for cell in row for a in cell) for row in rows)
     if b > _MAX_PACKED_BITS:
-        return _Kernel(tuple(rows), _list_value)
+        return ()
     packed = tuple(tuple(_pack(cell, b) for cell in row) for row in rows)
     return _Kernel(packed, partial(_unpacked, b=b))
 
 
 # The widest slot B with which the kernels run a polynomial matrix
-# packed (see SquareMatrix._kernel_form).  The packed ints grow with B
-# and the degrees, and det_hessenberg_fast fell behind the list route
-# from B of about 300 to 470 bits in probes of degree 1 to 8 with
-# coefficients of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11,
-# x86-64).
+# packed (see SquareMatrix._kernel_form); a wider one has no kernel form.
+# The packed ints grow with B and the degrees, and det_hessenberg_fast
+# fell behind int coefficient lists from B of about 300 to 470 bits in
+# probes of degree 1 to 8 with coefficients of 3 to 30 bits, at sizes
+# from 14 to 70 (Python 3.11, x86-64).  Past it the fast method scales
+# the columns to such lists (see column_minors), and Bareiss and Laplace
+# run over ring values.
 _MAX_PACKED_BITS = 320
 
 
@@ -341,12 +341,10 @@ def _laplace(m: SquareMatrix) -> RingValue:
 
     The cells run over m._kernel_form's ints or packed ints when it has
     them, and the determinant comes back as the ring path's value, or its
-    Fraction 0 when the first row of a matrix wider than 1 is zero; else,
-    int coefficient tuples included, over ring values (see _ring_term).
+    Fraction 0 when the first row of a matrix wider than 1 is zero; else
+    over ring values (see _ring_term).
     """
     form = m._kernel_form()
-    if form and form.value is _list_value:
-        form = None
     rows = form.rows if form else m.entries
     # an empty expansion's value: the ring path's Fraction 0, or an int
     empty = 0 if form else Fraction(0)
@@ -400,12 +398,6 @@ def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
     if COUNTER.track_bits:
         COUNTER.observe(total)
     return total
-
-
-def _list_value(v) -> RingValue:
-    """A list kernel's result as the ring path's value: the Polynomial of
-    an int coefficient list or tuple, or a Fraction as it is."""
-    return v if type(v) is Fraction else _reduced_poly(list(v), 1)
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
@@ -462,13 +454,12 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
 
     The cells run over m._kernel_form when it has them, and the results
     come back as the ring path's Fractions or Polynomials, keeping the
-    pivots' Fraction 0s; the loop forms its rows by _combine over ints
-    and ring values, or by _combine_lists.  COUNTER gets det_bareiss's
-    ring-path counts in bulk, with minors or without.
+    pivots' Fraction 0s; else over ring values.  Either way the loop
+    forms its rows by _combine.  COUNTER gets det_bareiss's ring-path
+    counts in bulk, with minors or without.
     """
     n = m.size
     rows, value = m._kernel_form() or (m.entries, None)
-    zero, combine = ((), _combine_lists) if value is _list_value else (0, _combine)
     # row r from column r - 1: the cells on or above the subdiagonal
     tails = [row[max(r - 1, 0) :] for r, row in enumerate(rows)]
     row = tails[0]
@@ -479,15 +470,15 @@ def _hessenberg_bareiss(m: SquareMatrix, minors: list[RingValue] | None) -> Ring
     for i in range(1, n):
         tail = tails[i]
         p, s = row[0], tail[0]
-        if p == zero and s == zero:
+        if p == 0 and s == 0:
             steps = i - 1
             pivots += [Fraction(0)] * (n - i)
             break
-        row = combine(p, tail[1:], s, row[1:])
-        if p == zero:
-            swaps[i] = len(row) - row.count(zero)
+        row = _combine(p, tail[1:], s, row[1:])
+        if p == 0:
+            swaps[i] = len(row) - row.count(0)
         pivots.append(row[0])
-    _hessenberg_bareiss_counts(tails, steps, swaps, zero)
+    _hessenberg_bareiss_counts(tails, steps, swaps)
     if minors is not None:
         minors += pivots if value is None else map(value, pivots)
     return pivots[-1] if value is None else value(pivots[-1])
@@ -505,26 +496,10 @@ def _combine(p: RingValue, xs: list, s: RingValue, ys: list) -> list:
     return [p * x - s * y for x, y in zip(xs, ys)]
 
 
-def _combine_lists(p: tuple[int, ...], xs: list, s: tuple[int, ...], ys: list) -> list:
-    """_combine over int coefficient lists, () for zero: a nonzero cell
-    is a list or tuple with no trailing zero, so that a zero test is a
-    comparison with () and a cancelled p * x - s * y becomes ()."""
-    if not p:
-        return [y if not y else _add_product([], s, y, sub) for y in ys]
-    if not s:
-        return [x if not x else _add_product([], p, x) for x in xs]
-    return [
-        acc if (acc := _add_product(_add_product([], p, x), s, y, sub)) and acc[-1]
-        else _reduced(acc, 1)[0]
-        for x, y in zip(xs, ys)
-    ]
-
-
-def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int], zero) -> None:
+def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int]) -> None:
     """Add to COUNTER the muls, adds and divs of _ring_bareiss's first
     steps on an upper-Hessenberg matrix, whose rows from the
-    subdiagonal on are tails, with the rows in swaps swapped up.  A
-    cell equal to zero (0, or () in int coefficient lists) is zero.
+    subdiagonal on are tails, with the rows in swaps swapped up.
 
     At step k, with w = n - k - 1, row k + 1 costs 2w muls, w adds and w
     divs when its subdiagonal cell is nonzero; every other row below the
@@ -537,7 +512,7 @@ def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int], z
     muls = adds = divs = 0
     for i in range(1, n):
         tail = tails[i]
-        live = len(tail) - tail.count(zero)
+        live = len(tail) - tail.count(0)
         rescaled = live * min(steps, i - 1)
         muls += rescaled
         divs += rescaled
@@ -545,7 +520,7 @@ def _hessenberg_bareiss_counts(tails: list, steps: int, swaps: dict[int, int], z
             if i in swaps:
                 muls += swaps[i]
                 divs += swaps[i]
-            elif tail[0] == zero:
+            elif tail[0] == 0:
                 muls += live
                 divs += live
             else:
@@ -623,17 +598,15 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
         minors = column_minors(lambda k: None, *_matrix_columns(m.entries), n, band)
         return list(map(pair_value, minors))
     rows, value = form
-    lists = value is _list_value
 
-    def kernel_column(k: int) -> tuple[int, list, object]:
+    def kernel_column(k: int) -> tuple[int, list, int]:
         # column k - 1: rows lo..k - 1 of the band, then the subdiagonal cell
         col = [row[k - 1] for row in rows[max(k - 1 - band, 0) : k + 1]]
-        s = col[-1]
-        return 1, col, [-a for a in s] if lists else -s
+        return 1, col, -col[-1]
 
     # the cells are never read, so no column source is given
     minors = column_minors(kernel_column, None, [], n, band)  # type: ignore[arg-type]
-    return minors if lists else [value(a) for a, _ in minors]
+    return [value(a) for a, _ in minors]
 
 
 def _matrix_columns(
@@ -754,9 +727,9 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
     that unreduced pair (d'_c, L_1 * ... * L_c), for the caller to turn
     into a Fraction where it leaves as a ring value (ring.pair_value).
 
-    The cells are ints (ring.int_scaled), or polynomials as int
-    coefficient lists or tuples (ring.poly_scaled, or
-    SquareMatrix._kernel_form at scale 1), whose s is an int or a list.
+    The cells are ints (ring.int_scaled, or SquareMatrix._kernel_form's
+    ints or packed ints at scale 1), or polynomials as int coefficient
+    lists (ring.poly_scaled), whose s is an int or a list.
     From the first column of lists on, every column must come as
     lists: the scaled minors become lists too (_horner_lists), and the
     minors Polynomials, as the ring path makes them once a Polynomial
@@ -870,9 +843,8 @@ def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
 
 def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
     """_horner over polynomials as int coefficient lists, constant term
-    first and [] or () for zero: the cells col and minors d are lists or
-    tuples, subs ints, lists or None.  A zero cell or minor skips its
-    product."""
+    first and [] for zero: the cells col and minors d are lists, subs
+    ints, lists or None.  A zero cell or minor skips its product."""
     acc = _add_product([], col[0], d[lo])
     for j in range(lo + 1, len(d)):
         s = subs[j - 1]
@@ -1035,9 +1007,7 @@ def _fill_kernel_rows(
         else:
             norms = {t: sum(map(abs, nums)) for t, nums in table.items()}
             b = _slot_bits(sum(map(norms.__getitem__, row)) for row in texts)
-            if b > _MAX_PACKED_BITS:
-                form = _Kernel(_rows_of(texts, table), _list_value)
-            else:
+            if b <= _MAX_PACKED_BITS:
                 packed = {t: _pack(nums, b) for t, nums in table.items()}
                 form = _Kernel(_rows_of(texts, packed), partial(_unpacked, b=b))
     object.__setattr__(m, "_kernel", form)

@@ -319,11 +319,10 @@ COUNTER = OpCounter()
 # The leading minors, Bareiss, Laplace and direct iteration each have an
 # int kernel that gives the ring path's values and adds its op counts to
 # COUNTER in bulk.  A matrix runs on it when SquareMatrix._kernel_form
-# gives its cells as ints, as polynomials packed into the ints p(2^B) by
-# Kronecker substitution (no kernel divides, so every minor unpacks from
-# its int), or past a width gate on B as int coefficient lists, which
-# Laplace reads as ring values.  Else a column or row runs over ints when
-# int_scaled lets it, and the leading minors' columns over int
+# gives its cells as ints, or as polynomials packed into the ints p(2^B)
+# by Kronecker substitution up to a width gate on B (no kernel divides,
+# so every minor unpacks from its int).  Else a column or row runs over
+# ints when int_scaled lets it, and the leading minors' columns over int
 # coefficient lists when poly_scaled does.  Where pair_outgrew
 # (scale_outgrew for a Polynomial) says the scales cost too much, the
 # leading minors hand over to their ring path, and direct iteration
@@ -352,8 +351,9 @@ _MAX_POLY_EXCESS_BITS = 2048
 
 def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
     """(L, [v * L for v in values]) as ints, L the lcm of the values'
-    denominators; None while COUNTER tracks bits, so that max_bits sees
-    the ring path's every result, or when a value is not a Fraction."""
+    denominators, by pairs_scaled's rule; None while COUNTER tracks
+    bits, so that max_bits sees the ring path's every result, or when a
+    value is not a Fraction."""
     if COUNTER.track_bits:
         return None
     nums: list[int] = []
@@ -363,10 +363,7 @@ def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
             return None
         nums.append(v.numerator)
         dens.append(v.denominator)
-    if dens.count(1) == len(dens):
-        return 1, nums
-    scale = lcm(*dens)
-    return scale, [n * (scale // d) for n, d in zip(nums, dens)]
+    return pairs_scaled(nums, dens)
 
 
 def poly_scaled(values: Iterable[RingValue]) -> tuple[int, list[list[int]]] | None:
@@ -397,7 +394,8 @@ def poly_scaled(values: Iterable[RingValue]) -> tuple[int, list[list[int]]] | No
 
 
 def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]]:
-    """int_scaled of the Fractions nums[j] / dens[j], from int pairs that
+    """(L, [n * L / d for each pair]) as ints, L the lcm of the reduced
+    denominators of the Fractions nums[j] / dens[j], from int pairs that
     need not be reduced (every den nonzero, of either sign); dens may be
     one int that every pair shares.
 

@@ -155,6 +155,25 @@ class TestSyntaxErrors:
             assert (exc.value.line, exc.value.col) == (line, col)
             assert f"literal of {len(digits)} digits is too long" in str(exc.value)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit to lift"
+    )
+    def test_the_dsl_keeps_its_own_digit_limit_with_the_ints_lifted(self):
+        # as on a Python with no int digit limit: 4,300 digits read, and
+        # 4,301 are refused by the DSL, not by int()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            doc = parse(FIB.replace("order = 2", "order = 2\nfirst_valid_k = " + "0" * 4299 + "3"))
+            assert doc.first_valid_k == 3
+            with pytest.raises(SpecSyntaxError) as exc:
+                parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = k + " + "9" * 4301))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert dsl.MAX_LITERAL_DIGITS == 4300
+        assert (exc.value.line, exc.value.col) == (5, 19)
+        assert "integer literal of 4301 digits is too long" in str(exc.value)
+
 
 def _reference_lex_line(text, line_no):
     """The lexer the regex scan replaced, a character at a time: the

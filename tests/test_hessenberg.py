@@ -13,7 +13,6 @@ from recdet.errors import NotHessenberg, RecdetError, SizeTooLarge
 from recdet.hessenberg import (
     LAPLACE_SIZE_LIMIT,
     SquareMatrix,
-    _list_value,
     _matrix_columns,
     _ring_leading_minors,
     det_bareiss,
@@ -270,14 +269,12 @@ def _counted(fn, *args, track_bits=False):
 
 
 def _route(m):
-    """The kernel form that m's accessor hands out: "ints", "packed" or
-    "lists", or None, which keeps the ring paths."""
+    """The kernel form that m's accessor hands out: "ints" or "packed",
+    or None, which keeps the ring paths."""
     form = m._kernel_form()
     if form is None:
         return None
-    if form.value is Fraction:
-        return "ints"
-    return "lists" if form.value is _list_value else "packed"
+    return "ints" if form.value is Fraction else "packed"
 
 
 def _slot_width(m):
@@ -582,7 +579,8 @@ class TestIntCache:
                         else:
                             assert v is hessenberg.ZERO
                 if ring_name == "poly":
-                    assert m._kernel is None and _route(m) in ("packed", "lists")
+                    # B is at most 264 here, within the packing gate
+                    assert m._kernel is None and _route(m) == "packed"
                 else:
                     assert m._kernel == SquareMatrix(m.entries)._kernel_form()
                     assert {type(v) for row in m._kernel.rows for v in row} == {int}
@@ -765,8 +763,8 @@ class TestParseRoute:
                         rows[spot[0]][spot[1]] = zero
                         m = self._agree(ring_name, rows)
                         # a Fraction zero sends a poly matrix to the ring path
-                        lists = ring_name == "poly" and "x" in zero
-                        assert (_route(m) in ("packed", "lists")) is lists
+                        packed = ring_name == "poly" and "x" in zero
+                        assert (_route(m) == "packed") is packed
 
     def test_b_on_both_sides_of_the_gate(self):
         for bits, n in ((2, 6), (90, 2), (90, 4), (40, 7)):
@@ -778,17 +776,17 @@ class TestParseRoute:
             m = self._agree("poly", rows)
             b = _packing_bound(m).bit_length() + 1
             if b > hessenberg._MAX_PACKED_BITS:
-                assert _route(m) == "lists"
+                assert _route(m) is None and m._kernel == ()
             else:
                 assert _slot_width(m) == b
 
     def test_constant_and_fractional_polynomial_cells(self):
-        for cell, route in (("0*x + 3", "lists"), ("x^0", "lists"), ("-2*x^0", "lists"),
+        for cell, route in (("0*x + 3", "packed"), ("x^0", "packed"), ("-2*x^0", "packed"),
                             ("1/2*x - 1/3", None), ("3/4*x^2", None), ("3", None)):
             # "-1" would parse as a Fraction
             rows = [["x", cell], ["0*x - 1", "x + 1"]]
             m = self._agree("poly", rows)
-            assert (_route(m) in ("packed", "lists")) is (route == "lists"), cell
+            assert _route(m) == route, cell
         # a poly document whose every band cell is a constant runs on the ints
         m = self._agree("poly", [["3", "0"], ["-1", " 2"]])
         assert _route(m) == "ints" and m._kernel.rows == ((3, 0), (-1, 2))
@@ -1169,21 +1167,23 @@ _LIST_ROUTE_FUNCTIONS = {
 
 
 class TestListRoute:
-    """SquareMatrix._kernel_form's packed ints and int coefficient lists,
-    and fast, Bareiss and Laplace over them against their ring paths on
-    the same matrix: the same values, types, renderings and COUNTER
-    deltas, with packing forced on and forced off.  A matrix parsed from
-    JSON (text) is parsed again under each width gate, any other one
-    built again from its cells."""
+    """Fast, Bareiss and Laplace on integral polynomial matrices against
+    their ring paths on the same matrix: the same values, types,
+    renderings and COUNTER deltas, with packing forced on and forced
+    off.  Packed, they read SquareMatrix._kernel_form's ints; unpacked,
+    the matrix has no kernel form, and the fast method scales its
+    columns to int coefficient lists.  A matrix parsed from JSON (text)
+    is parsed again under each width gate, any other one built again
+    from its cells."""
 
     def _agree(self, m, monkeypatch, text=None):
-        assert _route(m) in ("packed", "lists")
+        assert _route(m) == "packed"
         results = {}
         for limit in (1 << 40, 0):
             with monkeypatch.context() as mp:
                 mp.setattr(hessenberg, "_MAX_PACKED_BITS", limit)
                 m = matrix_from_json(text) if text else SquareMatrix(m.entries, m.band)
-                assert _route(m) == ("lists" if limit == 0 else "packed")
+                assert _route(m) == (None if limit == 0 else "packed")
                 for name, fn in _LIST_ROUTE_FUNCTIONS.items():
                     if "laplace" in name and m.size > LAPLACE_SIZE_LIMIT:
                         continue
@@ -1211,15 +1211,28 @@ class TestListRoute:
 
     def test_the_gate_reads_each_cells_coefficients(self, monkeypatch):
         m = _poly_band_case(random.Random(31), 7, 2, 1, 0.3)
+        columns = []
+        scaled_leading_minors = hessenberg.scaled_leading_minors
         with monkeypatch.context() as mp:
             mp.setattr(hessenberg, "_MAX_PACKED_BITS", 0)
-            lists = SquareMatrix(m.entries, m.band)
-            rows = lists._kernel_form().rows
-        assert _route(lists) == "lists" and rows is lists._kernel.rows
-        for r in range(7):
-            for c in range(7):
-                want = m.entries[r][c].nums if r <= c + 1 else ()
-                assert rows[r][c] == want and type(rows[r][c]) is tuple
+            mp.setattr(
+                hessenberg,
+                "scaled_leading_minors",
+                lambda cols, band: scaled_leading_minors(
+                    (columns.append(col) or col for col in cols), band
+                ),
+            )
+            wide = SquareMatrix(m.entries, m.band)
+            hessenberg_leading_minors(wide)
+        assert _route(wide) is None and wide._kernel == ()
+        # past the gate, the fast method reads each band cell, and each
+        # negated subdiagonal cell, as its coefficient list at scale 1
+        assert len(columns) == 7
+        for c, (scale, col, s) in enumerate(columns):
+            want = [list(m.entries[r][c].nums) for r in range(max(c - 1, 0), c + 1)]
+            assert scale == 1 and col == want and {type(v) for v in col} == {list}
+            sub = [-a for a in m.entries[c + 1][c].nums] if c < 6 else [1]
+            assert (s if type(s) is list else [s]) == sub
         # each cell packed as its value at x = 2^B
         b, packed = _slot_width(m), m._kernel_form().rows
         assert packed is m._kernel.rows
@@ -1234,12 +1247,11 @@ class TestListRoute:
         b = _slot_width(m)
         monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b)
         assert _slot_width(SquareMatrix(m.entries)) == b
-        # a matrix past the limit packs no cell, and a form once computed
-        # is kept
+        # a matrix past the limit has no kernel form, and a form once
+        # computed is kept
         monkeypatch.setattr(hessenberg, "_MAX_PACKED_BITS", b - 1)
         wide = SquareMatrix(m.entries)
-        assert _route(wide) == "lists" and _slot_width(m) == b
-        assert all(type(cell) is tuple for row in wide._kernel.rows for cell in row)
+        assert _route(wide) is None and wide._kernel == () and _slot_width(m) == b
 
     def test_diagonal_and_triangular_monomials_where_b_is_tight(self, monkeypatch):
         # a diagonal determinant is one monomial whose coefficient is +-H:
@@ -1369,7 +1381,7 @@ class TestListRoute:
 
     def test_the_gate_refuses_other_matrices(self, monkeypatch):
         base = _poly_band_case(random.Random(35), 6, 2, None, 0.0)
-        assert _route(base) in ("packed", "lists")
+        assert _route(base) == "packed"
         refused = [
             # a Fraction cell in the band, integral or not, zero included
             base.with_entry(2, 4, Fraction(3)),
@@ -1409,6 +1421,78 @@ class TestListRoute:
             COUNTER.reset()
         assert m._kernel is None
         self._agree(m, monkeypatch)
+
+
+def _wide_poly_case(seed, n, degree):
+    """A random upper-Hessenberg matrix of integral Polynomials of the
+    given degree with coefficients of up to 20 bits on and above its
+    subdiagonal, the int 0 below it."""
+    rng = random.Random(seed)
+    return SquareMatrix([
+        [Polynomial([rng.randint(-(2**20), 2**20) for _ in range(degree + 1)])
+         if r <= c + 1 else 0 for c in range(n)]
+        for r in range(n)
+    ])
+
+
+class TestPastTheGate:
+    """An integral polynomial matrix whose B is past _MAX_PACKED_BITS has
+    no kernel form: the fast method scales its columns to int coefficient
+    lists and never hands over to the ring recurrence, and Bareiss runs
+    its row recurrence over ring values, never the O(n^3) elimination.
+    Each gives the ring path's values, types and adds, muls and divs."""
+
+    def _cases(self):
+        for seed, (n, degree) in enumerate(((16, 1), (20, 2), (18, 1), (16, 2))):
+            m = _wide_poly_case(seed, n, degree)
+            assert _packing_bound(m).bit_length() + 1 > hessenberg._MAX_PACKED_BITS
+            assert _route(m) is None and m._kernel == ()
+            yield m
+
+    def test_fast_takes_list_columns_and_no_ring_recurrence(self, monkeypatch):
+        poly_scaled, ring_minors = hessenberg.poly_scaled, hessenberg._ring_leading_minors
+        for m in self._cases():
+            n = m.size
+            want, want_ops = _counted(
+                ring_minors, *_matrix_columns(m.entries), n, n, [Fraction(1)]
+            )
+            gated, handovers = [], []
+            with monkeypatch.context() as mp:
+                mp.setattr(hessenberg, "poly_scaled", lambda v: gated.append(1) or poly_scaled(v))
+                mp.setattr(
+                    hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or ring_minors(*a)
+                )
+                got, ops = _counted(hessenberg_leading_minors, m)
+                fast = det_hessenberg_fast(m)
+            assert len(gated) == 2 * n and handovers == []
+            assert got == want and fast == want[-1]
+            assert [type(v) for v in got] == [type(v) for v in want] == [Polynomial] * n
+            assert ops == want_ops
+
+    def test_bareiss_takes_its_row_recurrence_over_ring_values(self, monkeypatch):
+        ring_bareiss, combine = hessenberg._ring_bareiss, hessenberg._combine
+        for m in self._cases():
+            want_minors = []
+            want, want_ops = _counted(_ring_reference, m)
+            _, minors_ops = _counted(_ring_reference, m, want_minors)
+            eliminations, pivots = [], set()
+
+            def spy(p, xs, s, ys):
+                pivots.add(type(p))
+                return combine(p, xs, s, ys)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(
+                    hessenberg, "_ring_bareiss", lambda *a: eliminations.append(1) or ring_bareiss(*a)
+                )
+                mp.setattr(hessenberg, "_combine", spy)
+                det, ops = _counted(det_bareiss, m)
+                minors, got_minors_ops = _counted(leading_minors, m, "bareiss")
+            assert eliminations == [] and pivots == {Polynomial}
+            assert (det, type(det), ops) == (want, type(want), want_ops)
+            assert minors == want_minors and 0 not in minors
+            assert [type(v) for v in minors] == [type(v) for v in want_minors]
+            assert got_minors_ops == minors_ops
 
 
 class TestSizeCap:
