@@ -22,11 +22,11 @@ recdet() { PYTHONPATH=src python -m recdet.cli "$@"; }
 # do: the int kernels, the Horner order and Bareiss's row recurrence,
 # and for the poly ring all three over the cells packed into ints up
 # to the packing's width gate. Past it a matrix has no kernel form:
-# fast scales its columns to int coefficient lists and Bareiss runs
-# its row recurrence over ring values. Sizes 1 to 5 are the packed
-# route's edge cases (one cell, one step, the first and the last pivot
-# close together). Size 40 is past Laplace's limit, so there fast and
-# Bareiss check each other alone on a dense upper-Hessenberg matrix.
+# fast runs the ring recurrence and Bareiss its row recurrence, both
+# over ring values. Sizes 1 to 5 are the packed route's edge cases
+# (one cell, one step, the first and the last pivot close together).
+# Size 40 is past Laplace's limit, so there fast and Bareiss check
+# each other alone on a dense upper-Hessenberg matrix.
 # The third run's sizes straddle the gate of 320 bits: B is 116, 188
 # and 302 at sizes 20, 30 and 45, which run packed, and 344 and 427 at
 # 50 and 60, which run past the gate (size 90's tracked Bareiss pass
@@ -65,14 +65,15 @@ verify_shipped_by_bareiss() {
 }
 
 # family by the fast method reads the band columns from the spec
-# with no matrix, over int coefficient lists once a polynomial
-# enters; the oracle check (exit 3 on a mismatch) holds it to each
-# family's own recurrence. The polynomial families also run at
-# n = 300, past n = 150's degrees and Legendre and Laguerre
-# denominators, printed as JSON and as LaTeX. verify on a family
-# name takes the same columns for its determinants by the fast
-# method and Theorem 1's matrix by Bareiss, so the two reports must
-# be the same bytes
+# with no matrix; the polynomial families' come as int coefficient
+# lists from the catalog's columns (families._COLUMNS), the only
+# lists the leading minors take. The oracle check (exit 3 on a
+# mismatch) holds it to each family's own recurrence. The polynomial
+# families also run at n = 300, past n = 150's degrees and Legendre
+# and Laguerre denominators, printed as JSON and as LaTeX. verify on
+# a family name takes the same columns for its determinants by the
+# fast method and Theorem 1's matrix by Bareiss, so the two reports
+# must be the same bytes
 family_against_oracles() {
   local name format bareiss fast
   for name in naturals fibonacci-poly fibonacci-num lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre ode-example; do
@@ -99,11 +100,13 @@ family_against_oracles() {
 # never draws: fractional and constant polynomial cells, zero cells in
 # the band, and Fraction cells in a poly matrix, such as the -1s of
 # the subdiagonal. Such a matrix has no kernel form, so Bareiss keeps
-# its ring path there, while the fast method scales its columns to
-# int coefficient lists (the rational ones with integral cells run on
-# the ints). The seven three-term polynomial families also run at
-# k = 150, where those list columns cross Legendre's and Laguerre's
-# division of the minors by what their scales share
+# its ring path there, and the fast method runs the ring recurrence
+# from the first column that holds a Polynomial (the rational ones
+# scale their columns to ints). The seven three-term polynomial
+# families also run at k = 150, where that recurrence reads
+# Legendre's and Laguerre's fractional cells. The division of list
+# minors by what their scales share is reached only through family,
+# at n = 300 (family_against_oracles)
 library_round_trip() {
   local tmp spec
   tmp=$(step_tmp)

@@ -112,9 +112,10 @@ _COLUMNS: dict[FamilyId, Callable[[int], tuple[int, list[list[int]]]]] = {
 
 def _column_spec(fid: FamilyId) -> FullHistorySpec:
     """The band-1 spec of a family of _COLUMNS.  Its coeff carries the
-    family's scaled columns as coeff.column(k), the form ring.poly_scaled
-    gives of the cells, which the determinant kernel reads whole (see
-    recurrence._band_minors); a cell read by a call is a Fraction where
+    family's scaled columns as coeff.column(k), (L, the cells times L as
+    int coefficient lists), L the lcm of their denominators: the only int
+    coefficient lists the determinant kernel reads, whole (see
+    recurrence._band_minors).  A cell read by a call is a Fraction where
     it is constant and a Polynomial elsewhere."""
     cells = _COLUMNS[fid]
 

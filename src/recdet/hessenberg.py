@@ -13,8 +13,10 @@ the cells allow it (see SquareMatrix._kernel_form): integral cells as
 ints, and integral polynomial cells packed into ints by Kronecker
 substitution up to a width gate.  Bareiss and Laplace run any other
 matrix over ring values; its leading minors, as a spec's columns',
-scale each column to ints or int coefficient lists where they can (see
-column_minors).
+scale each column to ints where they can, and run the ring recurrence
+from the first column whose cells, its subdiagonal one included, hold a
+Polynomial; only the catalog's columns come as int coefficient lists
+(see column_minors).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import gcd
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
@@ -42,13 +45,11 @@ from .ring import (
     pair_outgrew,
     pair_value,
     parse_value,
-    poly_scaled,
     render_value,
     ring_add,
     ring_exact_div,
     ring_mul,
     ring_sub,
-    scale_outgrew,
 )
 
 if TYPE_CHECKING:
@@ -225,11 +226,10 @@ def _kernel_of(m: SquareMatrix) -> _Kernel | tuple:
 # The widest slot B with which the kernels run a polynomial matrix
 # packed (see SquareMatrix._kernel_form); a wider one has no kernel form.
 # The packed ints grow with B and the degrees, and det_hessenberg_fast
-# fell behind int coefficient lists from B of about 300 to 470 bits in
-# probes of degree 1 to 8 with coefficients of 3 to 30 bits, at sizes
-# from 14 to 70 (Python 3.11, x86-64).  Past it the fast method scales
-# the columns to such lists (see column_minors), and Bareiss and Laplace
-# run over ring values.
+# fell behind a route over int coefficient lists (since removed) from B
+# of about 300 to 470 bits in probes of degree 1 to 8 with coefficients
+# of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11, x86-64).  Past
+# it all three methods run over ring values.
 _MAX_PACKED_BITS = 320
 
 
@@ -630,37 +630,30 @@ def column_minors(
     column and subs (see _ring_leading_minors), a matrix's or a spec's.
     COUNTER gets the ring path's counts.
 
-    Column c comes pre-scaled as given(c + 1), where given has it and no
-    column before it was gated into lists: (L, col) over a -1, as in
-    Theorems 1 and 2, whose negated cell scaled by L is L, or (L, col, s)
-    as scaled_leading_minors takes it.  Else its band cells and subs[c]
-    take one scale, through ring.int_scaled, or through ring.poly_scaled
-    from the first column whose band cells hold a Polynomial on: from
-    there the ring path's minors are Polynomials too.  A Polynomial
-    subs[c] under band cells of Fractions ends the int columns instead,
-    as their minor stays a Fraction.  The ring recurrence goes on from
-    where the int columns ended or a scale outgrew its minor.  Minors of
-    int columns come back as pairs (A, T), except those the ring
-    recurrence reads.
+    Column c comes pre-scaled as given(c + 1), where given has it:
+    (L, col) over a -1, as in Theorems 1 and 2, whose negated cell scaled
+    by L is L, or (L, col, s) as scaled_leading_minors takes it.  Else its
+    band cells and subs[c] take one scale through ring.int_scaled, so only
+    a given column comes as int coefficient lists (families._COLUMNS).
+    The ring recurrence goes on from the first column the gate refuses (a
+    Polynomial among its cells, or bits tracked), with the cells as read,
+    or from where a scale outgrew its minor.  Minors of int columns come
+    back as pairs (A, T), except those the ring recurrence reads.
     """
+    refused: list[list[RingValue]] = []
 
-    def scaled() -> Iterator[tuple[int, list, object]]:
-        gate = int_scaled
+    def scaled() -> Iterator[tuple[int, list, int]]:
         for c in range(n):
-            got = given(c + 1) if gate is int_scaled else None
+            got = given(c + 1)
             if got is None:
                 cells = column(c, max(c - band, 0))
                 # the negated subdiagonal cell (c + 1, c) takes the scale
-                values = [*cells, subs[c] if c < len(subs) else _ONE]
-                got = gate(values)
-                if got is None and gate is int_scaled and Polynomial in map(type, cells):
-                    gate = poly_scaled
-                    got = gate(values)
+                got = int_scaled([*cells, subs[c] if c < len(subs) else _ONE])
                 if got is None:
+                    refused.append(cells)
                     return
                 scale, col = got
-                s = col.pop()
-                got = scale, col, s[0] if type(s) is list and len(s) == 1 else s
+                got = scale, col, col.pop()
             elif len(got) == 2:
                 got = got[0], got[1], got[0]
             yield got
@@ -672,7 +665,7 @@ def column_minors(
     # as ring values
     lo = max(len(d) - 1 - band, 0)
     d[lo:] = map(pair_value, d[lo:])
-    return _ring_leading_minors(column, subs, n, band, d)
+    return _ring_leading_minors(column, subs, n, band, d, *refused)
 
 
 def _ring_leading_minors(
@@ -681,28 +674,32 @@ def _ring_leading_minors(
     n: int,
     band: int,
     d: list[RingValue],
+    first: list[RingValue] | None = None,
 ) -> list[RingValue]:
     """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n.
 
     column(c, lo) gives column c's cells, rows lo..c of its band (0-based),
-    and is called once for each column d lacks, in order; subs[t] is the
+    and is called once for each column d lacks, in order, but the first
+    where its cells come as already read, as first; subs[t] is the
     negated subdiagonal cell (t + 1, t).  Columns run in _horner's order,
     or while COUNTER tracks bits as the plain sum of e[j][c] * prod * d_j,
     one ring_* call per operation, so that max_bits sees the values it
     pins."""
     start = len(d) - 1
+    los = [max(c - band, 0) for c in range(start, n)]
+    if first is None:
+        cols = map(column, range(start, n), los)
+    else:
+        cols = chain([first], map(column, range(start + 1, n), los[1:]))
     if not COUNTER.track_bits:
         skip = [None if s == 1 and type(s) is Fraction else s for s in subs]
-        for c in range(start, n):
-            lo = max(c - band, 0)
-            d.append(_horner(column(c, lo), lo, d, skip))
+        for lo, col in zip(los, cols):
+            d.append(_horner(col, lo, d, skip))
         terms = sum(min(c, band) for c in range(start, n))
         COUNTER.muls += n - start + 3 * terms
         COUNTER.adds += terms
         return d[1:]
-    for c in range(start, n):
-        lo = max(c - band, 0)
-        col = column(c, lo)
+    for c, lo, col in zip(range(start, n), los, cols):
         acc = ring_mul(col[-1], d[c])
         prod: RingValue = Fraction(1)
         for j in range(c - 1, lo - 1, -1):
@@ -715,8 +712,8 @@ def _ring_leading_minors(
 def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -> list:
     """The leading minors of the columns, by the ring recurrence run over
     ints, until the columns run out or the scales outgrow the minors (see
-    pair_outgrew and scale_outgrew).  COUNTER gets the ring path's muls
-    and adds for these columns, in bulk.
+    pair_outgrew).  COUNTER gets the ring path's muls and adds for these
+    columns, in bulk.
 
     Column c comes as (L_c, col, s): its band cells, rows max(c - band, 0)
     to c, scaled to ints by L_c, and its subdiagonal cell (c + 1, c)
@@ -728,14 +725,14 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
     into a Fraction where it leaves as a ring value (ring.pair_value).
 
     The cells are ints (ring.int_scaled, or SquareMatrix._kernel_form's
-    ints or packed ints at scale 1), or polynomials as int coefficient
-    lists (ring.poly_scaled), whose s is an int or a list.
-    From the first column of lists on, every column must come as
-    lists: the scaled minors become lists too (_horner_lists), and the
-    minors Polynomials, as the ring path makes them once a Polynomial
-    enters.
-    Each list minor then divides out what its scale shares with the
-    minors the next column reads (see _divide_window).
+    ints or packed ints at scale 1), or, for the catalog's three-term
+    polynomial families (families._COLUMNS), polynomials as int
+    coefficient lists in every column, s an int.  The scaled minors are
+    then lists too (_horner_lists), and the minors Polynomials, as the
+    ring path makes them.  Each list minor divides out what its scale
+    shares with the minors the next column reads (see _divide_window),
+    which keeps the catalog's scales within about log2(n) bits of the
+    minors' denominators, so list minors never hand over.
     """
     d: list = [1]
     shares: list[int] = []
@@ -766,8 +763,6 @@ def scaled_leading_minors(columns: Iterable[tuple[int, list, int]], band: int) -
             shares.append(total // minor.den)
             total = _divide_window(d, shares, max(c + 1 - band, 0), total)
             minors.append(minor)
-            if scale_outgrew(total, minor):
-                break
     COUNTER.muls += len(minors) + 3 * terms
     COUNTER.adds += terms
     return minors
@@ -844,12 +839,12 @@ def _horner(col: list, lo: int, d: list, subs: list) -> RingValue:
 def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
     """_horner over polynomials as int coefficient lists, constant term
     first and [] for zero: the cells col and minors d are lists, subs
-    ints, lists or None.  A zero cell or minor skips its product."""
+    ints or None.  A zero cell or minor skips its product."""
     acc = _add_product([], col[0], d[lo])
     for j in range(lo + 1, len(d)):
         s = subs[j - 1]
         if s is not None:
-            acc = [a * s for a in acc] if type(s) is int else _add_product([], acc, s)
+            acc = [a * s for a in acc]
         acc = _add_product(acc, col[j - lo], d[j])
     return acc
 

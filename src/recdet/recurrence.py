@@ -43,7 +43,6 @@ from .ring import (
     ring_add,
     ring_mul,
     runs_scaled,
-    scale_outgrew,
 )
 
 _ONE = Fraction(1)
@@ -307,11 +306,11 @@ def _direct(rows: _Rows) -> list:
     a scaled int row is taken as it is.  Where the scale outgrew the term
     (see ring.pair_outgrew), the int kernel starts again from the terms
     the next row reads, scaled by the lcm of their own denominators,
-    unless that outgrows the last term too (scale_outgrew).  The ring
-    loop takes over from the first row int_scaled refuses, and from a
-    scale that still outgrows.  The kernel's terms are pairs (A, T), each
-    made a Fraction only when a row that starts again or a ring loop
-    reads it (see _ring_window), or where it leaves as a ring value.
+    unless that outgrows the last term too.  The ring loop takes over
+    from the first row int_scaled refuses, and from a scale that still
+    outgrows.  The kernel's terms are pairs (A, T), each made a Fraction
+    only when a row that starts again or a ring loop reads it (see
+    _ring_window), or where it leaves as a ring value.
     """
     spec, n = rows.spec, rows.n
     hg = rows.factored()
@@ -346,7 +345,7 @@ def _direct(rows: _Rows) -> list:
     while start is not None and _scaled_terms(scaled_rows(), terms, *start):
         window = _ring_window(terms, rows.span)
         start = int_scaled(window)
-        if start is not None and scale_outgrew(start[0], window[-1]):
+        if start is not None and pair_outgrew(start[1][-1], start[0]):
             break
     for k in ks:
         row = _read_row(rows, k, terms)
@@ -615,10 +614,12 @@ def _band_minors(rows: _Rows) -> list:
 
     A column comes pre-scaled, on a table no one shares, as a
     coefficient's own scaled column where it carries one as
-    coeff.column(k), the form ring.poly_scaled gives of the cells (the
-    catalog's three-term polynomial families, see families._COLUMNS);
-    else as the table's scaled int row where it has one.  Minors come
-    back as column_minors gives them, the int kernel's as pairs (A, T).
+    coeff.column(k), int coefficient lists (the catalog's three-term
+    polynomial families, see families._COLUMNS), the only columns that
+    come as lists; else as the table's scaled int row where it has one.
+    Any other column is scaled to ints by column_minors, or read by the
+    ring recurrence.  Minors come back as column_minors gives them, the
+    int kernel's as pairs (A, T).
 
     The columns are read in column order and the build reads in row
     order, so a coefficient error of any kind, a cell that is neither a

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, floordiv, mul, sub
+from operator import floordiv, mul
 from typing import Iterable, Iterator, Union
 
 from .errors import DivisionByZero, InexactDivision, RecdetError, SizeTooLarge
@@ -241,12 +241,11 @@ def _combine(a: Polynomial, b: Polynomial, sign: int) -> Polynomial:
     return _reduced_poly(out, den)
 
 
-def _add_product(acc: list[int], a, b, op=add) -> list[int]:
+def _add_product(acc: list[int], a, b) -> list[int]:
     """acc + a * b over int coefficient lists or tuples, constant term
-    first, or acc - a * b when op is operator.sub: in place when acc is
-    long enough, else into a copy of acc grown by zeros.  A factor that is
-    empty, or the Fraction 0, adds nothing.  The shorter factor drives the
-    outer loop."""
+    first: in place when acc is long enough, else into a copy of acc
+    grown by zeros.  An empty factor adds nothing.  The shorter factor
+    drives the outer loop."""
     if not a or not b:
         return acc
     if len(a) > len(b):
@@ -254,8 +253,6 @@ def _add_product(acc: list[int], a, b, op=add) -> list[int]:
     short = len(a) + len(b) - 1 - len(acc)
     if short > 0:
         acc = acc + [0] * short
-    if op is sub:
-        a = [-y for y in a]
     for i, y in enumerate(a):
         if y:
             for j, x in enumerate(b, i):
@@ -322,12 +319,12 @@ COUNTER = OpCounter()
 # gives its cells as ints, or as polynomials packed into the ints p(2^B)
 # by Kronecker substitution up to a width gate on B (no kernel divides,
 # so every minor unpacks from its int).  Else a column or row runs over
-# ints when int_scaled lets it, and the leading minors' columns over int
-# coefficient lists when poly_scaled does.  Where pair_outgrew
-# (scale_outgrew for a Polynomial) says the scales cost too much, the
-# leading minors hand over to their ring path, and direct iteration
-# starts again from its terms unless their own lcm outgrows the last one
-# too.
+# ints when int_scaled lets it, the one gate for cells that come
+# unscaled; only the catalog's columns come as int coefficient lists
+# (families._COLUMNS).  Where pair_outgrew says the scales cost too
+# much, the leading minors hand over to their ring path, and direct
+# iteration starts again from its terms unless their own lcm outgrows
+# the last one too.
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence
@@ -339,14 +336,6 @@ COUNTER = OpCounter()
 # 3 best-of-3 runs, Python 3.11, x86-64).  The value is kept, not tuned:
 # no benchmark workload has row-dependent denominators.
 _MAX_EXCESS_BITS = 8192
-# The bound for a Polynomial minor's scaled coefficient list, where every
-# coefficient carries the excess.  On p(k, i) = x/i + 1/(k + 2i) at
-# n = 60, whose excess reaches 4,800 bits, lists up to 8,192 bits took
-# about 145 ms, up to this bound about 95 ms and the ring path alone
-# about 85 ms (best of 5 calls, 5 processes each, Python 3.11, x86-64);
-# Horner's polynomials with fractional coefficients, whose excess grows
-# by about 1.5 bits a column, ran no slower at n = 800 than with no bound.
-_MAX_POLY_EXCESS_BITS = 2048
 
 
 def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
@@ -364,33 +353,6 @@ def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
         nums.append(v.numerator)
         dens.append(v.denominator)
     return pairs_scaled(nums, dens)
-
-
-def poly_scaled(values: Iterable[RingValue]) -> tuple[int, list[list[int]]] | None:
-    """int_scaled of values that mix Fractions and Polynomials: (L, the
-    values times L as int coefficient lists, constant term first, [] for
-    zero), L the lcm of their denominators; None while COUNTER tracks
-    bits, or when a value is neither."""
-    if COUNTER.track_bits:
-        return None
-    nums: list[list[int]] = []
-    dens: list[int] = []
-    for v in values:
-        t = type(v)
-        if t is Polynomial:
-            nums.append(list(v.nums))
-            dens.append(v.den)
-        elif t is Fraction:
-            nums.append([v.numerator] if v else [])
-            dens.append(v.denominator)
-        else:
-            return None
-    if dens.count(1) == len(dens):
-        return 1, nums
-    scale = lcm(*dens)
-    return scale, [
-        ns if d == scale else [n * (scale // d) for n in ns] for ns, d in zip(nums, dens)
-    ]
 
 
 def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]]:
@@ -442,15 +404,6 @@ def _times(nums: Iterable[int], scales: Iterable[int], dens: Iterable[int]) -> I
     return map(floordiv, map(mul, nums, scales), dens)
 
 
-def scale_outgrew(scale: int, value: RingValue) -> bool:
-    """Whether scale, a multiple of value's reduced denominator, carries
-    more than _MAX_EXCESS_BITS bits beyond it, or _MAX_POLY_EXCESS_BITS
-    for a Polynomial."""
-    if type(value) is Polynomial:
-        return scale.bit_length() - value.den.bit_length() > _MAX_POLY_EXCESS_BITS
-    return scale.bit_length() - value.denominator.bit_length() > _MAX_EXCESS_BITS
-
-
 # A value of an int kernel is held as the pair (A, T) it computes, the
 # rational A / T with T > 0, neither reduced.  pair_outgrew and
 # render_pair give what the Fraction A / T would, with no Fraction built;
@@ -458,9 +411,10 @@ def scale_outgrew(scale: int, value: RingValue) -> bool:
 
 
 def pair_outgrew(num: int, scale: int) -> bool:
-    """scale_outgrew(scale, Fraction(num, scale)), scale > 0.  A scale of
-    at most _MAX_EXCESS_BITS bits cannot carry that many beyond any
-    denominator, so only a longer one takes a gcd."""
+    """Whether scale > 0 carries more than _MAX_EXCESS_BITS bits beyond
+    the reduced denominator of Fraction(num, scale).  A scale of at most
+    _MAX_EXCESS_BITS bits cannot carry that many beyond any denominator,
+    so only a longer one takes a gcd."""
     bits = scale.bit_length()
     if bits <= _MAX_EXCESS_BITS:
         return False

@@ -1,7 +1,7 @@
 """Catalog families: determinant route against the independent oracles."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -21,7 +21,7 @@ from recdet.families import (
     ode_residual_check,
 )
 from recdet.recurrence import FullHistorySpec, SequencePrefix, determinant_terms
-from recdet.ring import COUNTER, Polynomial, poly_scaled
+from recdet.ring import COUNTER, Polynomial, _reduced_poly
 
 from tests.conftest import coeffs
 
@@ -303,10 +303,19 @@ class TestBandColumns:
 
     @pytest.mark.parametrize("fid", list(TEXTBOOK_CELLS), ids=lambda f: f.value)
     def test_columns_are_the_scaled_cells(self, fid):
+        # (L, lists): L the lcm of the cells' denominators, and each list
+        # its own cell times L, constant term first, with no trailing zero
         coeff = family_spec(fid).coeff
         for k in range(1, 301):
             cells = [coeff(k, i) for i in range(max(k - 1, 1), k + 1)]
-            assert coeff.column(k) == poly_scaled(cells), f"column {k}"
+            scale, lists = coeff.column(k)
+            dens = [v.den if type(v) is Polynomial else v.denominator for v in cells]
+            assert scale == lcm(*dens) and len(lists) == len(cells), f"column {k}"
+            for nums, cell in zip(lists, cells):
+                assert type(nums) is list and all(type(a) is int for a in nums)
+                assert nums and nums[-1] != 0, f"column {k}"
+                got = Fraction(nums[0], scale) if len(nums) == 1 else _reduced_poly(nums[:], scale)
+                assert (type(got), got) == (type(cell), cell), f"column {k}"
 
     @pytest.mark.parametrize("fid", list(TEXTBOOK_CELLS), ids=lambda f: f.value)
     @pytest.mark.parametrize("n", (1, 2, 3, 60, 300))
@@ -317,30 +326,6 @@ class TestBandColumns:
         assert list(map(type, got)) == list(map(type, want))
         assert (got, ops) == (want, want_ops)
         assert ops[1] > 0
-
-    @pytest.mark.parametrize(
-        "fid, bits",
-        [(f, -1) for f in TEXTBOOK_CELLS] + [(FamilyId.LEGENDRE, 2)],
-        ids=str,
-    )
-    def test_the_ring_recurrence_takes_over_from_the_columns_as_from_the_cells(
-        self, monkeypatch, fid, bits
-    ):
-        # a low bound makes a scale outgrow its minor, after the first
-        # column at -1 and further on for Legendre at 2; the ring
-        # recurrence then reads the cells on both routes
-        monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", bits)
-        handovers = []
-        tail = hessenberg._ring_leading_minors
-        monkeypatch.setattr(
-            hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
-        )
-        spec = family_spec(fid)
-        got, ops = counted(lambda: determinant_terms(spec, 40))
-        want, want_ops = counted(lambda: determinant_terms(cell_route(spec), 40))
-        assert handovers == [1, 1]
-        assert (got, ops) == (want, want_ops)
-        assert tuple(got) == family_oracles(fid, 40)
 
     def test_the_families_of_columns_are_the_three_term_polynomial_ones(self):
         assert set(TEXTBOOK_CELLS) == POLY_FAMILIES - PARAM_FAMILIES

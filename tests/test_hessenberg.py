@@ -287,8 +287,25 @@ def _kernel_minors(m):
     """hessenberg_leading_minors(m) with no ring recurrence: the minors
     the int kernels take before they would hand over, as ring values."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hessenberg, "_ring_leading_minors", lambda column, subs, n, band, d: d[1:])
+        mp.setattr(hessenberg, "_ring_leading_minors", lambda column, subs, n, band, d, first=None: d[1:])
         return hessenberg_leading_minors(m)
+
+
+@contextlib.contextmanager
+def _handovers():
+    """A log of the ring recurrence's takeovers in hessenberg_leading_minors:
+    for each, the minors it goes on from and the cells of its first
+    column where they come as already read."""
+    log = []
+    tail = hessenberg._ring_leading_minors
+
+    def spy(column, subs, n, band, d, first=None):
+        log.append((list(d), first))
+        return tail(column, subs, n, band, d, first)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hessenberg, "_ring_leading_minors", spy)
+        yield log
 
 
 @contextlib.contextmanager
@@ -330,14 +347,18 @@ class TestIntegerKernel:
             Fraction(1, 2) * (Fraction(2, 3) * Fraction(7, 4) + 5),
         ]
 
-    def test_list_columns_take_over_at_a_polynomial_column(self):
-        # column 1 holds a Polynomial: ring.poly_scaled's lists run from
-        # there on, and the minors are Polynomials, as on the ring path
+    def test_the_ring_recurrence_takes_over_at_a_polynomial_column(self):
+        # column 1 holds a Polynomial: int_scaled refuses it, and the ring
+        # recurrence goes on from d_1 with the column's cells as read
         m = SquareMatrix([[1, X, 2], [-1, Fraction(1, 2), 1], [0, -1, 3]])
         ring = _counted(_ring_leading_minors, *_matrix_columns(m.entries), 3, 3, [Fraction(1)])
-        assert _counted(_kernel_minors, m) == ring
         assert [type(d) for d in ring[0]] == [Fraction, Polynomial, Polynomial]
-        assert _counted(hessenberg_leading_minors, m) == ring
+        assert _kernel_minors(m) == ring[0][:1]
+        with _handovers() as log:
+            got = _counted(hessenberg_leading_minors, m)
+        assert got == ring and [type(d) for d in got[0]] == [type(d) for d in ring[0]]
+        assert log == [([1, 1], [X, Fraction(1, 2)])]
+        assert [type(v) for v in log[0][1]] == [Polynomial, Fraction]
 
     def test_the_ring_path_takes_over_past_the_excess_bound(self, monkeypatch):
         # denominators that depend on the row: the column scales outgrow
@@ -433,21 +454,20 @@ class TestOneColumnRoute:
             assert got == want
             assert [type(v) for v in got[0]] == [type(v) for v in want[0]] == types
 
-    def test_a_poly_familys_matrix_takes_no_ring_recurrence(self, monkeypatch):
+    def test_a_poly_familys_matrix_takes_the_ring_recurrence_throughout(self):
         # Theorem 1's matrix of hermite mixes the Fraction -1s of its
-        # subdiagonal with Polynomial cells: list columns throughout
+        # subdiagonal with Polynomial cells, so it has no kernel form, and
+        # int_scaled refuses its first column: the ring recurrence reads
+        # every column, the first as column_minors read it
         spec = family_spec(FamilyId.HERMITE)
         m = theorem1_matrix(spec, 60)
+        assert m._kernel_form() is None
         want, want_ops = _counted(
             _ring_leading_minors, *_matrix_columns(m.entries), 60, 1, [Fraction(1)]
         )
-        handovers = []
-        tail = hessenberg._ring_leading_minors
-        monkeypatch.setattr(
-            hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or tail(*a)
-        )
-        got, ops = _counted(hessenberg_leading_minors, m)
-        assert handovers == []
+        with _handovers() as log:
+            got, ops = _counted(hessenberg_leading_minors, m)
+        assert log == [([1], [m.entries[0][0]])]
         terms, terms_ops = _counted(determinant_terms, spec, 60)
         assert got == want == terms
         assert [type(v) for v in got] == [type(v) for v in terms] == [Polynomial] * 60
@@ -1171,8 +1191,7 @@ class TestListRoute:
     their ring paths on the same matrix: the same values, types,
     renderings and COUNTER deltas, with packing forced on and forced
     off.  Packed, they read SquareMatrix._kernel_form's ints; unpacked,
-    the matrix has no kernel form, and the fast method scales its
-    columns to int coefficient lists.  A matrix parsed from JSON (text)
+    the matrix has no kernel form, and all three run over ring values.  A matrix parsed from JSON (text)
     is parsed again under each width gate, any other one built again
     from its cells."""
 
@@ -1213,7 +1232,7 @@ class TestListRoute:
         m = _poly_band_case(random.Random(31), 7, 2, 1, 0.3)
         columns = []
         scaled_leading_minors = hessenberg.scaled_leading_minors
-        with monkeypatch.context() as mp:
+        with monkeypatch.context() as mp, _handovers() as log:
             mp.setattr(hessenberg, "_MAX_PACKED_BITS", 0)
             mp.setattr(
                 hessenberg,
@@ -1223,16 +1242,14 @@ class TestListRoute:
                 ),
             )
             wide = SquareMatrix(m.entries, m.band)
-            hessenberg_leading_minors(wide)
+            minors = hessenberg_leading_minors(wide)
         assert _route(wide) is None and wide._kernel == ()
-        # past the gate, the fast method reads each band cell, and each
-        # negated subdiagonal cell, as its coefficient list at scale 1
-        assert len(columns) == 7
-        for c, (scale, col, s) in enumerate(columns):
-            want = [list(m.entries[r][c].nums) for r in range(max(c - 1, 0), c + 1)]
-            assert scale == 1 and col == want and {type(v) for v in col} == {list}
-            sub = [-a for a in m.entries[c + 1][c].nums] if c < 6 else [1]
-            assert (s if type(s) is list else [s]) == sub
+        # past the gate, int_scaled refuses the first column, whose band
+        # cells are Polynomials: the fast method scales no column, and the
+        # ring recurrence reads every one, the first as column_minors read it
+        assert columns == []
+        assert log == [([1], [m.entries[0][0]])]
+        assert minors == hessenberg_leading_minors(m)
         # each cell packed as its value at x = 2^B
         b, packed = _slot_width(m), m._kernel_form().rows
         assert packed is m._kernel.rows
@@ -1437,10 +1454,10 @@ def _wide_poly_case(seed, n, degree):
 
 class TestPastTheGate:
     """An integral polynomial matrix whose B is past _MAX_PACKED_BITS has
-    no kernel form: the fast method scales its columns to int coefficient
-    lists and never hands over to the ring recurrence, and Bareiss runs
-    its row recurrence over ring values, never the O(n^3) elimination.
-    Each gives the ring path's values, types and adds, muls and divs."""
+    no kernel form: the fast method runs the ring recurrence from the
+    first column, which int_scaled refuses, and Bareiss runs its row
+    recurrence over ring values, never the O(n^3) elimination.  Each
+    gives the ring path's values, types and adds, muls and divs."""
 
     def _cases(self):
         for seed, (n, degree) in enumerate(((16, 1), (20, 2), (18, 1), (16, 2))):
@@ -1449,22 +1466,23 @@ class TestPastTheGate:
             assert _route(m) is None and m._kernel == ()
             yield m
 
-    def test_fast_takes_list_columns_and_no_ring_recurrence(self, monkeypatch):
-        poly_scaled, ring_minors = hessenberg.poly_scaled, hessenberg._ring_leading_minors
+    def test_fast_takes_the_ring_recurrence_from_the_first_column(self, monkeypatch):
+        int_scaled = hessenberg.int_scaled
         for m in self._cases():
             n = m.size
             want, want_ops = _counted(
-                ring_minors, *_matrix_columns(m.entries), n, n, [Fraction(1)]
+                _ring_leading_minors, *_matrix_columns(m.entries), n, n, [Fraction(1)]
             )
-            gated, handovers = [], []
-            with monkeypatch.context() as mp:
-                mp.setattr(hessenberg, "poly_scaled", lambda v: gated.append(1) or poly_scaled(v))
-                mp.setattr(
-                    hessenberg, "_ring_leading_minors", lambda *a: handovers.append(1) or ring_minors(*a)
-                )
+            gated = []
+            with monkeypatch.context() as mp, _handovers() as log:
+                mp.setattr(hessenberg, "int_scaled", lambda v: gated.append(v) or int_scaled(v))
                 got, ops = _counted(hessenberg_leading_minors, m)
                 fast = det_hessenberg_fast(m)
-            assert len(gated) == 2 * n and handovers == []
+            # on each call the gate refuses the first column, handed over
+            # with its cells as read, and sees no other
+            first = [m.entries[0][0]]
+            assert gated == [[*first, -m.entries[1][0]]] * 2
+            assert log == [([1], first)] * 2
             assert got == want and fast == want[-1]
             assert [type(v) for v in got] == [type(v) for v in want] == [Polynomial] * n
             assert ops == want_ops

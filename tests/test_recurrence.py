@@ -12,13 +12,22 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from recdet import cli, dsl, hessenberg, recurrence, ring
 from recdet.errors import DivisionByZero, IndexBelowValidity, RecdetError, SizeTooLarge
-from recdet.families import PARAM_FAMILIES, FamilyId, family_oracles, family_spec
+from recdet.families import (
+    _COLUMNS,
+    PARAM_FAMILIES,
+    FamilyId,
+    family_oracles,
+    family_ring,
+    family_spec,
+)
 from recdet.hessenberg import (
     _matrix_columns,
     _ring_leading_minors,
     det_bareiss,
     det_hessenberg_fast,
     hessenberg_leading_minors,
+    matrix_from_json,
+    matrix_to_json,
 )
 from recdet.ring import COUNTER, Polynomial
 from recdet.recurrence import (
@@ -1486,21 +1495,20 @@ class TestBandColumns:
             _assert_columns_match_matrix(spec, n)
 
     @pytest.mark.parametrize(
-        "value",
+        "value, most",
         [
-            lambda k, i: Polynomial((Fraction(1, k + 2 * i), Fraction(1, i))),
-            lambda k, i: Fraction(1, i),
+            (lambda k, i: Polynomial((Fraction(1, k + 2 * i), Fraction(1, i))), 0),
+            (lambda k, i: Fraction(1, i), 29),
             # rational leading columns, then polynomial ones
-            lambda k, i: Fraction(1, i) if k < 6 else Polynomial((Fraction(1, i), 1)),
+            (lambda k, i: Fraction(1, i) if k < 6 else Polynomial((Fraction(1, i), 1)), 5),
         ],
         ids=["poly", "rational", "rational-then-poly"],
     )
-    def test_the_ring_path_takes_over_from_the_minors_so_far(self, value, monkeypatch):
+    def test_the_ring_path_takes_over_from_the_minors_so_far(self, value, most, monkeypatch):
         # row-dependent denominators outgrow a low bound within a few
-        # columns; the ring kernel goes on from the next column, and no
-        # cell is read twice
+        # columns, and int_scaled refuses the first polynomial column; the
+        # ring kernel goes on from there, and no cell is read twice
         monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", 16)
-        monkeypatch.setattr(ring, "_MAX_POLY_EXCESS_BITS", 16)
         kernel = hessenberg.scaled_leading_minors
         lengths = []
 
@@ -1513,10 +1521,35 @@ class TestBandColumns:
         n = 30
         spec, calls = _counting_full(value)
         _assert_columns_match_matrix(spec, n)
-        assert all(0 < length < n for length in lengths), lengths
+        assert lengths and all(min(most, 1) <= length <= most for length in lengths), lengths
         calls.clear()
         determinant_terms(spec, n)
         assert calls == Counter({(k, i): 1 for k in range(1, n + 1) for i in range(1, k + 1)})
+
+    def test_int_coefficient_lists_come_only_from_the_catalog(self, monkeypatch):
+        # the shipped poly specs, and the families' matrices read back
+        # from JSON, scale their cells through int_scaled alone, which
+        # refuses a Polynomial: only the catalog's columns take the list
+        # kernel
+        horner_lists, calls = hessenberg._horner_lists, []
+        monkeypatch.setattr(
+            hessenberg, "_horner_lists", lambda *a: calls.append(1) or horner_lists(*a)
+        )
+        docs = {name: dsl.parse(spec_text(name)) for name in available()}
+        poly = [name for name, doc in docs.items() if doc.ring == "poly"]
+        assert len(poly) == 8
+        for name in poly:
+            spec = dsl.to_spec(docs[name], name=name)
+            determinant_terms(spec, 30)
+            assert verify_spec(spec, 30).passed, name
+        for fid in _COLUMNS:
+            text = matrix_to_json(spec_matrix(family_spec(fid), 30), ring=family_ring(fid))
+            det_hessenberg_fast(matrix_from_json(text))
+        assert calls == []
+        for fid in _COLUMNS:
+            determinant_terms(family_spec(fid), 30)
+            assert calls, fid
+            calls.clear()
 
     def test_columns_are_read_in_band_once_each(self):
         n, band = 20, 2
