@@ -28,7 +28,7 @@ from functools import partial
 from itertools import chain
 from math import gcd
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import ring
 from .errors import NotHessenberg, RecdetError, SizeTooLarge
@@ -665,7 +665,7 @@ def column_minors(
     # as ring values
     lo = max(len(d) - 1 - band, 0)
     d[lo:] = map(pair_value, d[lo:])
-    return _ring_leading_minors(column, subs, n, band, d, *refused)
+    return _ring_leading_minors(column, subs, n, band, d, refused)
 
 
 def _ring_leading_minors(
@@ -674,23 +674,20 @@ def _ring_leading_minors(
     n: int,
     band: int,
     d: list[RingValue],
-    first: list[RingValue] | None = None,
+    read: Sequence[list[RingValue]] = (),
 ) -> list[RingValue]:
     """Extend d = [1, d_1, ..., d_c] to all n minors; returns d_1..d_n.
 
     column(c, lo) gives column c's cells, rows lo..c of its band (0-based),
-    and is called once for each column d lacks, in order, but the first
-    where its cells come as already read, as first; subs[t] is the
-    negated subdiagonal cell (t + 1, t).  Columns run in _horner's order,
+    and is called once for each column d lacks, in order, after the
+    columns read gives as already read; subs[t] is the negated
+    subdiagonal cell (t + 1, t).  Columns run in _horner's order,
     or while COUNTER tracks bits as the plain sum of e[j][c] * prod * d_j,
     one ring_* call per operation, so that max_bits sees the values it
     pins."""
     start = len(d) - 1
     los = [max(c - band, 0) for c in range(start, n)]
-    if first is None:
-        cols = map(column, range(start, n), los)
-    else:
-        cols = chain([first], map(column, range(start + 1, n), los[1:]))
+    cols = chain(read, map(column, range(start + len(read), n), los[len(read):]))
     if not COUNTER.track_bits:
         skip = [None if s == 1 and type(s) is Fraction else s for s in subs]
         for lo, col in zip(los, cols):
