@@ -327,6 +327,33 @@ class TestBandColumns:
         assert (got, ops) == (want, want_ops)
         assert ops[1] > 0
 
+    @pytest.mark.parametrize(
+        "fid, bits",
+        [(f, -1) for f in TEXTBOOK_CELLS] + [(FamilyId.LEGENDRE, 2)],
+        ids=str,
+    )
+    def test_the_columns_never_hand_over_to_the_ring_recurrence(self, monkeypatch, fid, bits):
+        # list minors divide out what their scales share, so no bound on
+        # a scale's excess stops them, even one that stops every int
+        # column after the first; the cells, refused by the gate, go to
+        # the ring recurrence from the first column
+        monkeypatch.setattr(ring, "_MAX_EXCESS_BITS", bits)
+        handovers = []
+        tail = hessenberg._ring_leading_minors
+        monkeypatch.setattr(
+            hessenberg,
+            "_ring_leading_minors",
+            lambda *a: handovers.append(len(a[4]) - 1) or tail(*a),
+        )
+        spec = family_spec(fid)
+        got, ops = counted(lambda: determinant_terms(spec, 40))
+        assert handovers == []
+        want, want_ops = counted(lambda: determinant_terms(cell_route(spec), 40))
+        assert handovers == [0]
+        assert list(map(type, got)) == list(map(type, want))
+        assert (got, ops) == (want, want_ops)
+        assert tuple(got) == family_oracles(fid, 40)
+
     def test_the_families_of_columns_are_the_three_term_polynomial_ones(self):
         assert set(TEXTBOOK_CELLS) == POLY_FAMILIES - PARAM_FAMILIES
         coeff_of = {f: getattr(family_spec(f, default_params(f, 3)), "coeff", None) for f in FamilyId}

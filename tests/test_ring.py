@@ -5,7 +5,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -377,6 +377,27 @@ class TestIntScaled:
         values = [Fraction(n, d) for n, d in zip(nums, [shared] * len(nums) if shared else dens)]
         assert pairs_scaled(nums, dens) == int_scaled(values)
 
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.one_of(fractions_st, polys_st), min_size=1, max_size=6))
+    def test_a_polynomial_anywhere_refuses_and_fractions_scale(self, values):
+        got = int_scaled(values)
+        if any(type(v) is Polynomial for v in values):
+            assert got is None
+            return
+        scale, nums = got
+        assert scale == lcm(*(v.denominator for v in values))
+        assert all(type(a) is int for a in nums)
+        assert [Fraction(a, scale) for a in nums] == values
+
+    def test_int_scaled_examples(self):
+        values = [Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(3)]
+        assert int_scaled(values) == (6, [3, -4, 0, 18])
+        assert int_scaled([Fraction(5)]) == (1, [5])
+        # an int, or a Polynomial of constant or empty coefficients, is no Fraction
+        assert int_scaled([Fraction(1), 1]) is None
+        assert int_scaled([Polynomial((Fraction(1, 2),)), Fraction(1)]) is None
+        assert int_scaled([Fraction(1), Polynomial(())]) is None
+
     def test_unreduced_pair_examples(self):
         assert pairs_scaled([2, 0, -9], [-4, 7, 6]) == (2, [-1, 0, -3])
         assert pairs_scaled([4, 6, 0], 8) == (4, [2, 3, 0])
@@ -507,6 +528,23 @@ class TestPairs:
         assert not pair_outgrew(1 << 8192, 3 << 8192)
         # a long scale that is all denominator carries no excess
         assert not pair_outgrew(1, (1 << 9000) + 1)
+
+    @pytest.mark.parametrize(
+        "last, want",
+        [(Fraction(1, 3), [False, False, True]), (Fraction(0), [False, True, True])],
+        ids=["last-third", "last-zero"],
+    )
+    def test_the_last_scaled_term_outgrows_as_its_fraction(self, last, want):
+        # the int kernel's restart check on a window of terms: its scale
+        # L = 21 * 2**s against the last term's reduced denominator, 3,
+        # or 1 for a zero term, since gcd(0, L) = L
+        got = []
+        for s in (8188, 8189, 8190):
+            scale, nums = int_scaled([Fraction(1, 3 << s), Fraction(-5, 7), last])
+            excess = scale.bit_length() - last.denominator.bit_length()
+            got.append(pair_outgrew(nums[-1], scale))
+            assert got[-1] == (excess > ring._MAX_EXCESS_BITS)
+        assert got == want
 
 
 class TestRendering:
