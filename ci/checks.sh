@@ -93,10 +93,12 @@ family_against_oracles() {
 
 # a library caller passes matrix JSON to matrix_from_json: the
 # printed matrix of every shipped spec and every family that takes no
-# coefficient list (matrix and eval have no --params) at k = 30, parsed
-# back, must give by the fast method and by Bareiss the value eval
-# prints, a(1) * det = a(k + 1) for a full-history spec and det = a(k)
-# for a fixed-order one. These matrices hold the cells det-crosscheck
+# coefficient list (matrix and eval have no --params) at k = 8 and
+# k = 30, parsed back, must give by the fast method and by Bareiss,
+# and by Laplace up to its size limit, the value eval prints,
+# a(1) * det = a(k + 1) for a full-history spec and det = a(k) for a
+# fixed-order one. So the k = 8 round trip runs Laplace's loop
+# untracked on ring values. These matrices hold the cells det-crosscheck
 # never draws: fractional and constant polynomial cells, zero cells in
 # the band, and Fraction cells in a poly matrix, such as the -1s of
 # the subdiagonal. Such a matrix has no kernel form, so Bareiss keeps
@@ -111,6 +113,7 @@ library_round_trip() {
   local tmp spec
   tmp=$(step_tmp)
   for spec in src/recdet/specs/*.rec naturals fibonacci-poly fibonacci-num lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre ode-example; do
+    round_trip "$spec" 8
     round_trip "$spec" 30
   done
   for spec in fibonacci-poly lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre; do
@@ -130,7 +133,7 @@ import sys
 from pathlib import Path
 
 from recdet import FamilyId, FullHistorySpec, det_bareiss, det_hessenberg_fast, dsl, family_spec
-from recdet import matrix_from_json, parse_value
+from recdet import LAPLACE_SIZE_LIMIT, det_laplace, matrix_from_json, parse_value
 
 token, k, matrix, terms = sys.argv[1:]
 k = int(k)
@@ -143,8 +146,10 @@ m = matrix_from_json(text)
 ring = json.loads(text)["ring"]
 a = [parse_value(line.split(": ", 1)[1], ring) for line in Path(terms).read_text().splitlines()]
 fast, bareiss = det_hessenberg_fast(m), det_bareiss(m)
+laplace = det_laplace(m) if m.size <= LAPLACE_SIZE_LIMIT else fast
 full = isinstance(spec, FullHistorySpec)
-sys.exit(0 if fast == bareiss and (a[0] * fast if full else fast) == a[k if full else k - 1] else 1)
+agree = fast == bareiss == laplace
+sys.exit(0 if agree and (a[0] * fast if full else fast) == a[k if full else k - 1] else 1)
 EOF
 }
 

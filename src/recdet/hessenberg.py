@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -337,24 +337,23 @@ def _laplace(m: SquareMatrix) -> RingValue:
     and adds that the expansion recomputing every minor makes for it,
     and COUNTER gets the root's totals in bulk.  That expansion forms
     the same products and partial sums, so observing each distinct one
-    once leaves max_bits as it would be.
+    once, while bits are tracked, leaves max_bits as it would be.
 
     The cells run over m._kernel_form's ints or packed ints when it has
     them, and the determinant comes back as the ring path's value, or its
     Fraction 0 when the first row of a matrix wider than 1 is zero; else
-    over ring values (see _ring_term).
+    over ring values.
     """
     form = m._kernel_form()
     rows = form.rows if form else m.entries
     # an empty expansion's value: the ring path's Fraction 0, or an int
     empty = 0 if form else Fraction(0)
     n = len(rows)
+    track = COUNTER.track_bits
     memo: dict[tuple[int, ...], tuple[RingValue, int, int]] = {}
 
     def minor(cols: tuple[int, ...]) -> tuple[RingValue, int, int]:
-        hit = memo.get(cols)
-        if hit is not None:
-            return hit
+        # a minor not in memo yet
         row = rows[n - len(cols)]
         if len(cols) == 1:
             hit = (row[cols[0]], 0, 0)
@@ -365,10 +364,15 @@ def _laplace(m: SquareMatrix) -> RingValue:
                 v = row[c]
                 if v == 0:
                     continue
-                rest, rest_muls, rest_adds = minor(cols[:j] + cols[j + 1 :])
+                sub = cols[:j] + cols[j + 1 :]
+                rest, rest_muls, rest_adds = memo.get(sub) or minor(sub)
                 muls += 1 + rest_muls
                 adds += rest_adds if total is None else rest_adds + 1
-                total = _ring_term(total, v, rest, j % 2)
+                t = -v * rest if j % 2 else v * rest
+                total = t if total is None else total + t
+                if track:
+                    COUNTER.observe(t)
+                    COUNTER.observe(total)
             hit = (empty if total is None else total, muls, adds)
         memo[cols] = hit
         return hit
@@ -381,23 +385,6 @@ def _laplace(m: SquareMatrix) -> RingValue:
     if n > 1 and not any(rows[0]):
         return Fraction(0)
     return form.value(det)
-
-
-def _ring_term(total, v: RingValue, rest: RingValue, odd: int) -> RingValue:
-    """total + (-1)^odd * v * rest over the ring or ints, the product and
-    the sum observed while bits are tracked; a total of None starts the
-    sum."""
-    t = v * rest
-    if COUNTER.track_bits:
-        COUNTER.observe(t)
-    if odd:
-        t = -t
-    if total is None:
-        return t
-    total = total + t
-    if COUNTER.track_bits:
-        COUNTER.observe(total)
-    return total
 
 
 def det_bareiss(m: SquareMatrix) -> RingValue:
@@ -581,11 +568,17 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     subdiagonal between j and c) d_{j-1} with d_0 = 1, in O(n^2) ring
     multiplications in Horner order (see _horner).  With a declared band
     b the sum runs over j >= c - b only, the other m[j][c] being zero: O(n*b).
-
-    The columns run through column_minors: m._kernel_form's columns at
-    scale 1 where it has them, which never hand over, else the cells.
-    Only band cells are read, so a banded matrix costs O(n*b).
     """
+    minors, value = _minors_pass(m)
+    return list(map(value, minors))
+
+
+def _minors_pass(m: SquareMatrix) -> tuple[list, Callable]:
+    """m's leading minors as the pass leaves them, and the function that
+    makes one the ring value.  m._kernel_form's columns run at scale 1,
+    never handing over: a dense kernel's from one transpose of its rows,
+    a banded one's from its band rows, O(n*b).  Else column_minors reads
+    the cells."""
     if m._below_subdiagonal is not None:
         r, c = m._below_subdiagonal
         raise NotHessenberg(
@@ -596,17 +589,16 @@ def hessenberg_leading_minors(m: SquareMatrix) -> list[RingValue]:
     form = m._kernel_form()
     if form is None:
         minors = column_minors(lambda k: None, *_matrix_columns(m.entries), n, band)
-        return list(map(pair_value, minors))
+        return minors, pair_value
     rows, value = form
-
-    def kernel_column(k: int) -> tuple[int, list, int]:
-        # column k - 1: rows lo..k - 1 of the band, then the subdiagonal cell
-        col = [row[k - 1] for row in rows[max(k - 1 - band, 0) : k + 1]]
-        return 1, col, -col[-1]
-
-    # the cells are never read, so no column source is given
-    minors = column_minors(kernel_column, None, [], n, band)  # type: ignore[arg-type]
-    return [value(a) for a, _ in minors]
+    # column c's negated subdiagonal cell, any int for the last column
+    subs = [-rows[c + 1][c] for c in range(n - 1)] + [0]
+    if m.band is None:
+        cols: Iterable = zip(*rows)
+    else:
+        cols = ([row[c] for row in rows[max(c - band, 0) : c + 1]] for c in range(n))
+    minors = scaled_leading_minors(zip(repeat(1), cols, subs), band)
+    return minors, lambda pair: value(pair[0])
 
 
 def _matrix_columns(
@@ -632,9 +624,9 @@ def column_minors(
 
     Column c comes pre-scaled as given(c + 1), where given has it:
     (L, col) over a -1, as in Theorems 1 and 2, whose negated cell scaled
-    by L is L, or (L, col, s) as scaled_leading_minors takes it.  Else its
-    band cells and subs[c] take one scale through ring.int_scaled, so only
-    a given column comes as int coefficient lists (families._COLUMNS).
+    by L is L.  Else its band cells and subs[c] take one scale through
+    ring.int_scaled, so only a given column comes as int coefficient
+    lists (families._COLUMNS).
     The ring recurrence goes on from the first column the gate refuses (a
     Polynomial among its cells, or bits tracked), with the cells as read,
     or from where a scale outgrew its minor.  Minors of int columns come
@@ -645,18 +637,17 @@ def column_minors(
     def scaled() -> Iterator[tuple[int, list, int]]:
         for c in range(n):
             got = given(c + 1)
+            if got is not None:
+                yield (*got, got[0])
+                continue
+            cells = column(c, max(c - band, 0))
+            # the negated subdiagonal cell (c + 1, c) takes the scale
+            got = int_scaled([*cells, subs[c] if c < len(subs) else _ONE])
             if got is None:
-                cells = column(c, max(c - band, 0))
-                # the negated subdiagonal cell (c + 1, c) takes the scale
-                got = int_scaled([*cells, subs[c] if c < len(subs) else _ONE])
-                if got is None:
-                    refused.append(cells)
-                    return
-                scale, col = got
-                got = scale, col, col.pop()
-            elif len(got) == 2:
-                got = got[0], got[1], got[0]
-            yield got
+                refused.append(cells)
+                return
+            scale, col = got
+            yield scale, col, col.pop()
 
     d = [_ONE, *scaled_leading_minors(scaled(), band)]
     if len(d) > n:
@@ -847,8 +838,10 @@ def _horner_lists(col: list, lo: int, d: list, subs: list) -> list[int]:
 
 
 def det_hessenberg_fast(m: SquareMatrix) -> RingValue:
-    """O(n^2) determinant via the leading-principal-minor recurrence."""
-    return hessenberg_leading_minors(m)[-1]
+    """O(n^2) determinant via the leading-principal-minor recurrence:
+    hessenberg_leading_minors(m)[-1], with d_n alone made a ring value."""
+    minors, value = _minors_pass(m)
+    return value(minors[-1])
 
 
 DET_FUNCTIONS = {
@@ -927,9 +920,10 @@ def matrix_from_json(text: str) -> SquareMatrix:
     if ring not in ("rational", "poly"):
         raise RecdetError(f"matrix JSON ring must be rational or poly, got {ring!r}")
     if (
-        not isinstance(entries, list)
+        type(entries) is not list
         or len(entries) != size
-        or any(not isinstance(row, list) or len(row) != size for row in entries)
+        or set(map(type, entries)) != {list}
+        or set(map(len, entries)) != {size}
     ):
         raise RecdetError("matrix JSON entries do not form a square array")
     # each distinct cell text is parsed once, and each distinct term of a

@@ -646,11 +646,12 @@ def _parse_poly_text(s: str, table: dict | None = None) -> Polynomial:
     """A polynomial's text, term by term, straight into the reduced pair.
 
     Each term gives its degree and a signed numerator over a
-    denominator, as ints; the terms are summed over the lcm of the
-    denominators, or as they are when every denominator is 1.  The first
-    malformed term raises, and a term's degree is checked before its
-    coefficient.  table, when given, maps each term's text (as it stands
-    between the " + " and " - " signs) to its (degree, numerator,
+    denominator, as ints, and is added as it comes over the lcm of the
+    denominators so far, which grows only at a term whose denominator
+    does not divide it: with every denominator 1 no lcm is taken.  The
+    first malformed term raises, and a term's degree is checked before
+    its coefficient.  table, when given, maps each term's text (as it
+    stands between the " + " and " - " signs) to its (degree, numerator,
     denominator), filled as terms are parsed: a term in it is not parsed
     again, and one that raises is never stored, so it raises again.
     """
@@ -659,21 +660,25 @@ def _parse_poly_text(s: str, table: dict | None = None) -> Polynomial:
     if table is None:
         table = {}
     get = table.get
-    terms: list[tuple[int, int, int]] = []
+    nums: list[int] = []
+    den = 1
     for j in range(0, len(chunks), 2):
         chunk = chunks[j]
         term = get(chunk)
         if term is None:
             term = table[chunk] = _parse_term(chunk)
+        d, n, q = term
         if j and chunks[j - 1] == "-":
-            d, n, q = term
-            term = d, -n, q
-        terms.append(term)
-    nums = [0] * (max([t[0] for t in terms]) + 1)
-    dens = [t[2] for t in terms]
-    den = 1 if dens.count(1) == len(dens) else lcm(*dens)
-    for d, n, q in terms:
-        nums[d] += n if q == den else n * (den // q)
+            n = -n
+        if q != den:
+            if den % q:
+                f = q // gcd(den, q)
+                nums = [a * f for a in nums]
+                den *= f
+            n *= den // q
+        if d >= len(nums):
+            nums += [0] * (d + 1 - len(nums))
+        nums[d] += n
     return _reduced_poly(nums, den)
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -346,6 +347,35 @@ SPEC_REFUSALS = [
 ]
 
 
+NOT_SQUARE = "matrix JSON entries do not form a square array"
+
+# (size, entries) of every shape matrix_from_json refuses as not square
+SQUARE_REFUSALS = [
+    (2, "ab"),
+    (2, {"1": "1", "2": "2"}),
+    (1, "1"),
+    (2, None),
+    (2, ["12", ["3", "4"]]),
+    (2, [["1", "2"], {"a": "3", "b": "4"}]),
+    (2, [None, ["3", "4"]]),
+    (2, [["1", "2"], ["3"]]),
+    (2, [["1"], ["3", "4"]]),
+    (2, [[], ["3", "4"]]),
+    (2, [["1", "2"], ["3", "4", "5"]]),
+    (1, [["1", "2"]]),
+    (2, [["1", "2"]]),
+    (2, [["1", "2"], ["3", "4"], ["5", "6"]]),
+    (1, []),
+    (3, [["1", "2", "3"], ["4", "5", "6"]]),
+]
+
+
+def _matrix_of_entries(entries, size):
+    return hessenberg.matrix_from_json(
+        json.dumps({"size": size, "ring": "rational", "entries": entries})
+    )
+
+
 class TestRefusals:
     """Refusals of outside input that no other test reaches, each with its
     exact error line and exit code."""
@@ -417,6 +447,10 @@ class TestRefusals:
         (lambda: hessenberg.matrix_from_json(
             '{"size":2,"ring":"rational","entries":[["1","2"],["3"]]}'),
          "matrix JSON entries do not form a square array"),
+        *[
+            (partial(_matrix_of_entries, entries, size), NOT_SQUARE)
+            for size, entries in SQUARE_REFUSALS
+        ],
         (lambda: parse_value("1", "bogus"), "unknown ring 'bogus'"),
         (lambda: spec_path("no-such-spec"), "no shipped spec named 'no-such-spec'"),
     ])

@@ -1513,6 +1513,70 @@ class TestPastTheGate:
             assert got_minors_ops == minors_ops
 
 
+def _with_bits(fn, m, track_bits):
+    """fn(m) and COUNTER's adds, muls, divs and max_bits after it, from a
+    reset counter tracking bits or not."""
+    COUNTER.reset(track_bits=track_bits)
+    try:
+        value = fn(m)
+        return value, (COUNTER.adds, COUNTER.muls, COUNTER.divs, COUNTER.max_bits)
+    finally:
+        COUNTER.reset()
+
+
+def _integral_band_spec(band):
+    """A spec whose Theorem 1 matrix has integral cells in a band."""
+    return FullHistorySpec(
+        Fraction(1), lambda k, i: Fraction(k - 2 * i + 3) if k - i <= band else 0, band=band
+    )
+
+
+class TestFastIsTheLastMinor:
+    """det_hessenberg_fast makes a ring value of d_n alone, so it is
+    checked against hessenberg_leading_minors(m)[-1] on every route: the
+    same value, type and adds, muls and divs, and the same max_bits
+    while bits are tracked."""
+
+    def _matrices(self, capsys):
+        rng = random.Random(34)
+        for n in (1, 2, 40):
+            yield "ints", random_hessenberg(n, rng)
+            yield "packed", random_hessenberg(n, rng, "poly", 2)
+            yield "ints", theorem1_matrix(_integral_band_spec(2), n)
+            # Fraction -1 subdiagonals under Polynomial cells, past n = 1
+            hermite = theorem1_matrix(family_spec(FamilyId.HERMITE), n)
+            yield "packed" if n == 1 else None, hermite
+        yield None, _wide_poly_case(34, 16, 1)
+        assert main(["matrix", "chebyshev-t", "--k", "12", "--format", "json"]) == 0
+        yield None, matrix_from_json(capsys.readouterr().out)
+
+    def test_values_types_and_counts_equal_the_last_leading_minor(self, capsys):
+        routes = []
+        for route, m in self._matrices(capsys):
+            assert _route(m) == route
+            routes.append(route)
+            for track_bits in (False, True):
+                det, ops = _with_bits(det_hessenberg_fast, m, track_bits)
+                minors, minors_ops = _with_bits(hessenberg_leading_minors, m, track_bits)
+                assert det == minors[-1] and type(det) is type(minors[-1])
+                assert ops[:3] == minors_ops[:3]
+                if track_bits:
+                    assert ops[3] == minors_ops[3] > 0
+        assert {"ints", "packed", None} <= set(routes)
+        # the banded matrices keep their band
+        assert theorem1_matrix(_integral_band_spec(2), 40).band == 2
+
+    def test_both_refuse_a_cell_below_the_subdiagonal_alike(self):
+        for ring_name in ("rational", "poly"):
+            m = random_hessenberg(6, random.Random(3), ring_name).with_entry(4, 1, 7)
+            refusals = []
+            for fn in (det_hessenberg_fast, hessenberg_leading_minors):
+                with pytest.raises(NotHessenberg) as info:
+                    fn(m)
+                refusals.append(str(info.value))
+            assert refusals == ["nonzero entry at row 5, column 2 below the first subdiagonal"] * 2
+
+
 class TestSizeCap:
     """Dense matrices past MAX_MATRIX_SIZE are refused before any row is
     built; only refusals are run here."""

@@ -951,6 +951,29 @@ class TestParsingIntoThePair:
         for chunk, term in table.items():
             assert term == ring._parse_term(chunk)
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.one_of(
+                st.lists(st.integers(-(2**70), 2**70), max_size=13),
+                st.lists(st.one_of(fractions_st, shared_den_fractions_st), max_size=13),
+            ).map(Polynomial),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_parse_value_inverts_render_with_and_without_a_term_table(self, polys):
+        # integral and fractional polynomials of degree at most 12; a
+        # constant, with no x in its text, parses as its Fraction
+        table = {}
+        for p in polys:
+            text = render_value(p)
+            kind = Polynomial if p.degree else Fraction
+            for got in (parse_value(text, "poly"), parse_value(text, "poly", table)):
+                assert got == p and type(got) is kind
+                if kind is Polynomial:
+                    assert (got.nums, got.den) == (p.nums, p.den)
+
     def test_parse_value_reads_and_fills_the_table(self):
         table = {}
         assert parse_value("-3*x^2 + 1/2", "poly", table) == parse_value("-3*x^2 + 1/2", "poly")
