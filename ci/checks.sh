@@ -258,6 +258,8 @@ malformed_input() {
   printf "${head}coeff p1(k) = 2\xc2\xb2\n" > "$tmp/superscript.rec"
   printf "${head}coeff p1(k) = k +\v1\n" > "$tmp/vtab.rec"
   printf "${head}coeff p1(k) = k +\xc2\xa01\n" > "$tmp/nbsp.rec"
+  python -c "print('${head}coeff p1(k) = ' + ' + '.join(['k'] * 1000))" > "$tmp/long-sum.rec"
+  python -c "print('${head}coeff p1(k) = ' + '(' * 400 + 'k' + ')' * 400)" > "$tmp/deep-parens.rec"
   expect() {
     local want=$1 code=0 ok
     shift
@@ -267,6 +269,12 @@ malformed_input() {
   }
   for f in src/recdet/specs/negative/bad-syntax.rec src/recdet/specs/negative/bad-semantic.rec "$tmp/latin1.rec" "$tmp/long.rec" "$tmp/superscript.rec" "$tmp/vtab.rec" "$tmp/nbsp.rec"; do
     expect 1 eval "$f" --n 3
+  done
+  # past the DSL's token limit: one error line, where the parser's
+  # recursion once ended in a traceback
+  for f in "$tmp/long-sum.rec" "$tmp/deep-parens.rec"; do
+    expect 1 eval "$f" --n 3
+    [ "$(wc -l < "$tmp/err")" -eq 1 ] && ! grep -q Traceback "$tmp/err" || { echo "recdet eval $f wrote more than one error line:"; cat "$tmp/err"; exit 1; }
   done
   expect 2 eval src/recdet/specs/negative/bad-eval.rec --n 12
   expect 2 bench --sizes 2001

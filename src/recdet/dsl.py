@@ -19,15 +19,15 @@ Fixed-order documents name their coefficients p1..pm, each a function
 of k; full-history documents have a single coefficient p(k, i).  Blank
 lines, and comment lines, are skipped; their blanks are those of the
 lexer (space, tab, CR), so a line of other spaces is refused at its
-first character.  Division denominators must be structurally x-free;
-denominators that vanish for some k are a runtime error tied to
-first_valid_k, with a best-effort parse-time probe at a few sample k.
+first character.  An expression has at most MAX_EXPR_TOKENS tokens.
+Division denominators must be structurally x-free; denominators that
+vanish for some k are a runtime error tied to first_valid_k, with a
+best-effort parse-time probe at a few sample k.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import add, mul, sub
@@ -54,60 +54,34 @@ from .ring import (
 
 # --- expression AST -------------------------------------------------------
 
-class Expr:
-    """Base class of the expression AST."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class IntLit(Expr):
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Var(Expr):
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
+class Neg(NamedTuple):
     operand: Expr
 
 
-@dataclass(frozen=True)
-class Add(Expr):
+class BinOp(NamedTuple):
+    op: str  # a key of _OPS
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+Expr = Union[IntLit, Var, Neg, BinOp]
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class CoeffDef:
+class CoeffDef(NamedTuple):
     name: str
     args: tuple[str, ...]
     expr: Expr
 
 
-@dataclass(frozen=True)
-class SpecDocument:
+class SpecDocument(NamedTuple):
     """Parsed DSL document; order and first_valid_k are None when absent."""
 
     mode: str
@@ -170,12 +144,22 @@ def _int_literal(t: _Token) -> int:
     )
 
 
+# The most tokens one expression may have.  Each binary operator,
+# parenthesis level and unary minus costs at least one token, and every
+# walk of the tree (the parser, _facts, _compile and its closures,
+# eval_expr, _render) recurses once per level, so this keeps the depth
+# far below Python's recursion limit.  The parser refuses the first
+# token past it, before any walker sees the tree.
+MAX_EXPR_TOKENS = 400
+
+
 class _Cursor:
     def __init__(self, tokens: list[_Token], line_no: int, line_len: int) -> None:
         self.tokens = tokens
         self.pos = 0
         self.line_no = line_no
         self.eol_col = line_len + 1
+        self.limit: int | None = None  # the position past an expression's last token
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -188,6 +172,10 @@ class _Cursor:
         t = self.peek()
         if t is None:
             raise SpecSyntaxError(self.line_no, self.eol_col, "unexpected end of line")
+        if self.pos == self.limit:
+            raise SpecSyntaxError(
+                t.line, t.col, f"expression is longer than {MAX_EXPR_TOKENS} tokens"
+            )
         self.pos += 1
         return t
 
@@ -198,8 +186,7 @@ class _Cursor:
             raise SpecSyntaxError(self.line_no, self.eol_col, f"expected {label}")
         if t.kind != kind:
             raise SpecSyntaxError(t.line, t.col, f"expected {label}, found {t.text!r}")
-        self.pos += 1
-        return t
+        return self.take()
 
     def expect_end(self) -> None:
         t = self.peek()
@@ -207,51 +194,130 @@ class _Cursor:
             raise SpecSyntaxError(t.line, t.col, f"expected end of line, found {t.text!r}")
 
 
+# --- binary operators -----------------------------------------------------
+#
+# _compile's values are unreduced (num, den) pairs of _Vec, each an int or
+# a run (a list) of ints, an int standing for the same int at every index
+# of the run.
+
+_Vec = Union[int, list[int]]
+_Pair = tuple[_Vec, _Vec]
+
+
+class _Refused(Exception):
+    """A value of a run divides by zero or names an unbound variable."""
+
+
+def _vneg(a: _Vec) -> _Vec:
+    return -a if type(a) is int else [-x for x in a]
+
+
+def _vadd(a: _Vec, b: _Vec) -> _Vec:
+    if type(a) is not int:
+        if type(b) is not int:
+            return list(map(add, a, b))
+        a, b = b, a
+    elif type(b) is int:
+        return a + b
+    return b if a == 0 else [a + x for x in b]
+
+
+def _vsub(a: _Vec, b: _Vec) -> _Vec:
+    if type(b) is int:
+        return _vadd(a, -b)
+    if type(a) is int:
+        return [a - x for x in b]
+    return list(map(sub, a, b))
+
+
+def _vmul(a: _Vec, b: _Vec) -> _Vec:
+    if type(a) is not int:
+        if type(b) is not int:
+            return list(map(mul, a, b))
+        a, b = b, a
+    elif type(b) is int:
+        return a * b
+    return b if a == 1 else [a * x for x in b]
+
+
+def _vhas_zero(a: _Vec) -> bool:
+    return a == 0 if type(a) is int else 0 in a
+
+
+def _pair_sum(op: Callable[[_Vec, _Vec], _Vec], a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
+    if b == d:
+        return op(a, c), b
+    return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
+
+
+def _pair_mul(a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
+    return _vmul(a, c), _vmul(b, d)
+
+
+def _pair_div(a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
+    if _vhas_zero(c):
+        raise _Refused
+    return _vmul(a, d), _vmul(b, c)
+
+
+class _Op(NamedTuple):
+    prec: int  # * and / bind tighter than + and -
+    glue: str  # the operator as _render writes it
+    counts: tuple[int, int, int]  # the (adds, muls, divs) eval_expr counts
+    ring: Callable[[RingValue, RingValue], RingValue]
+    pair: Callable[..., _Pair]  # a, b, c, d -> a/b op c/d as a pair
+
+
+_OPS = {
+    "+": _Op(1, " + ", (1, 0, 0), ring_add, partial(_pair_sum, _vadd)),
+    "-": _Op(1, " - ", (1, 0, 0), ring_sub, partial(_pair_sum, _vsub)),
+    "*": _Op(2, "*", (0, 1, 0), ring_mul, _pair_mul),
+    "/": _Op(2, "/", (0, 0, 1), ring_exact_div, _pair_div),
+}
+# a unary minus binds tighter than every binary operator
+_NEG_PREC = 3
+
+
 # --- expression parser (precedence climbing) ------------------------------
 
-def _parse_expr(cur: _Cursor) -> Expr:
-    node = _parse_term(cur)
-    while cur.peek_kind() in ("+", "-"):
-        op = cur.take()
-        rhs = _parse_term(cur)
-        node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+def _parse_value(cur: _Cursor) -> Expr:
+    """One expression of at most MAX_EXPR_TOKENS tokens."""
+    cur.limit = cur.pos + MAX_EXPR_TOKENS
+    node = _parse_expr(cur, 1)
+    cur.limit = None
     return node
 
 
-def _parse_term(cur: _Cursor) -> Expr:
-    node = _parse_factor(cur)
-    while cur.peek_kind() in ("*", "/"):
-        op = cur.take()
-        rhs = _parse_factor(cur)
-        node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
-    return node
-
-
-def _parse_factor(cur: _Cursor) -> Expr:
+def _parse_expr(cur: _Cursor, prec: int) -> Expr:
+    """An operand, then each binary operator that binds at least as
+    tightly as prec, with its right side, left to right."""
     t = cur.peek()
     if t is None:
         raise SpecSyntaxError(cur.line_no, cur.eol_col, "expected expression")
     if t.kind == "-":
         cur.take()
-        return Neg(_parse_factor(cur))
-    if t.kind == "INT":
+        node: Expr = Neg(_parse_expr(cur, _NEG_PREC))
+    elif t.kind == "INT":
         cur.take()
-        return IntLit(_int_literal(t))
-    if t.kind == "IDENT" and t.text in ("k", "i", "x"):
+        node = IntLit(_int_literal(t))
+    elif t.kind == "IDENT" and t.text in ("k", "i", "x"):
         cur.take()
-        return Var(t.text)
-    if t.kind == "(":
+        node = Var(t.text)
+    elif t.kind == "(":
         cur.take()
-        node = _parse_expr(cur)
+        node = _parse_expr(cur, 1)
         cur.expect(")")
-        return node
-    raise SpecSyntaxError(t.line, t.col, f"expected expression, found {t.text!r}")
+    else:
+        raise SpecSyntaxError(t.line, t.col, f"expected expression, found {t.text!r}")
+    while (op := _OPS.get(cur.peek_kind())) and op.prec >= prec:
+        node = BinOp(cur.take().kind, node, _parse_expr(cur, op.prec + 1))
+    return node
 
 
 # --- document parser ------------------------------------------------------
 
-_MODES = ("fixed-order", "full-history")
-_RINGS = ("rational", "poly")
+_CHOICES = {"mode": ("fixed-order", "full-history"), "ring": ("rational", "poly")}
+_KEYS = (*_CHOICES, "order", "first_valid_k", "initial")
 _COEFF_NAME_RE = re.compile(r"p([1-9][0-9]*)?\Z")
 
 
@@ -264,10 +330,7 @@ def parse(text: str) -> SpecDocument:
     full-history coefficients, vanishing probe denominators, ...).
     """
     seen: dict[str, int] = {}
-    mode: str | None = None
-    ring: str | None = None
-    order: int | None = None
-    first_valid_k: int | None = None
+    values: dict[str, str | int] = {}
     initials: tuple[Expr, ...] | None = None
     initial_is_list = False
     coeffs: list[tuple[CoeffDef, int]] = []
@@ -304,7 +367,7 @@ def parse(text: str) -> SpecDocument:
                         line=line_no,
                     )
             cur.expect("=")
-            expr = _parse_expr(cur)
+            expr = _parse_value(cur)
             cur.expect_end()
             if any(c.name == name_tok.text for c, _ in coeffs):
                 raise SpecSemanticError(
@@ -313,75 +376,55 @@ def parse(text: str) -> SpecDocument:
             coeffs.append((CoeffDef(name_tok.text, tuple(args), expr), line_no))
             continue
 
-        if key not in ("mode", "ring", "order", "initial", "first_valid_k"):
+        if key not in _KEYS:
             raise SpecSyntaxError(key_tok.line, key_tok.col, f"unknown key {key!r}")
         if key in seen:
             raise SpecSemanticError(f"duplicate key {key!r}", line=line_no)
         seen[key] = line_no
         eq = cur.expect("=")
 
-        if key in ("mode", "ring"):
+        if key in _CHOICES:
             value = raw_line[eq.col :].strip()
-            if key == "mode":
-                if value not in _MODES:
-                    raise SpecSemanticError(
-                        f"mode must be one of {', '.join(_MODES)}, got {value!r}",
-                        line=line_no,
-                    )
-                mode = value
-            else:
-                if value not in _RINGS:
-                    raise SpecSemanticError(
-                        f"ring must be one of {', '.join(_RINGS)}, got {value!r}",
-                        line=line_no,
-                    )
-                ring = value
-            continue
-
-        if key in ("order", "first_valid_k"):
+            if value not in _CHOICES[key]:
+                raise SpecSemanticError(
+                    f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}",
+                    line=line_no,
+                )
+            values[key] = value
+        elif key != "initial":  # order or first_valid_k
             num = cur.expect("INT", "an integer")
             cur.expect_end()
-            if key == "order":
-                order = _int_literal(num)
-            else:
-                first_valid_k = _int_literal(num)
-            continue
-
-        # key == "initial"
-        if cur.peek_kind() == "[":
-            cur.take()
-            exprs = [_parse_expr(cur)]
-            while cur.peek_kind() == ",":
-                cur.take()
-                exprs.append(_parse_expr(cur))
-            cur.expect("]")
-            cur.expect_end()
-            initials = tuple(exprs)
-            initial_is_list = True
+            values[key] = _int_literal(num)
         else:
-            expr = _parse_expr(cur)
+            initial_is_list = cur.peek_kind() == "["
+            if not initial_is_list:
+                initials = (_parse_value(cur),)
+            else:
+                cur.take()
+                exprs = [_parse_value(cur)]
+                while cur.peek_kind() == ",":
+                    cur.take()
+                    exprs.append(_parse_value(cur))
+                cur.expect("]")
+                initials = tuple(exprs)
             cur.expect_end()
-            initials = (expr,)
-            initial_is_list = False
 
-    return _validate(
-        mode, ring, order, first_valid_k, initials, initial_is_list, coeffs, seen
-    )
+    return _validate(values, initials, initial_is_list, coeffs, seen)
 
 
 def _validate(
-    mode: str | None,
-    ring: str | None,
-    order: int | None,
-    first_valid_k: int | None,
+    values: dict[str, str | int],
     initials: tuple[Expr, ...] | None,
     initial_is_list: bool,
     coeffs: list[tuple[CoeffDef, int]],
     seen: dict[str, int],
 ) -> SpecDocument:
+    mode = values.get("mode")
+    ring = values.get("ring", "rational")
+    order = values.get("order")
+    first_valid_k = values.get("first_valid_k")
     if mode is None:
         raise SpecSemanticError("missing key: mode")
-    ring = ring or "rational"
 
     if mode == "fixed-order":
         if order is None:
@@ -406,7 +449,7 @@ def _validate(
                 line=seen.get("first_valid_k"),
             )
         expected = [f"p{j}" for j in range(1, order + 1)]
-        by_name = {c.name: (c, ln) for c, ln in coeffs}
+        by_name = {c.name: c for c, _ in coeffs}
         for want in expected:
             if want not in by_name:
                 raise SpecSemanticError(f"missing coefficient {want}")
@@ -416,66 +459,49 @@ def _validate(
                     f"unexpected coefficient {c.name!r} for order {order}", line=ln
                 )
             if c.args != ("k",):
-                raise SpecSemanticError(
-                    f"{c.name} must take exactly (k)", line=ln
-                )
-        ordered = tuple(by_name[name][0] for name in expected)
-        doc = SpecDocument(
-            mode=mode,
-            ring=ring,
-            order=order,
-            initials=initials,
-            coeffs=ordered,
-            first_valid_k=first_valid_k,
-        )
+                raise SpecSemanticError(f"{c.name} must take exactly (k)", line=ln)
+        ordered = tuple(by_name[name] for name in expected)
         fvk = first_valid_k if first_valid_k is not None else order + 1
+        bound = ("k",)
         runs = [(list(range(fvk, fvk + 2 * order + 1)), None)]
         hint = "raise first_valid_k or fix the coefficient"
-        _probe(doc, _check_vars(doc, coeffs, seen), ("k",), runs, hint)
-        return doc
-
-    # full-history
-    if order is not None:
-        raise SpecSemanticError(
-            "order is not allowed in full-history mode", line=seen.get("order")
-        )
-    if first_valid_k is not None:
-        raise SpecSemanticError(
-            "first_valid_k is not allowed in full-history mode",
-            line=seen.get("first_valid_k"),
-        )
-    if initials is None:
-        raise SpecSemanticError("missing key: initial")
-    if initial_is_list:
-        raise SpecSemanticError(
-            "full-history initial must be a single expression, not a list",
-            line=seen.get("initial"),
-        )
-    if not coeffs:
-        raise SpecSemanticError("missing coefficient p(k, i)")
-    if len(coeffs) > 1:
-        raise SpecSemanticError(
-            "full-history mode takes a single coefficient p(k, i)",
-            line=coeffs[1][1],
-        )
-    cdef, ln = coeffs[0]
-    if cdef.name != "p":
-        raise SpecSemanticError(
-            f"full-history coefficient must be named p, got {cdef.name!r}", line=ln
-        )
-    if cdef.args != ("k", "i"):
-        raise SpecSemanticError("p must take exactly (k, i)", line=ln)
-    doc = SpecDocument(
-        mode=mode,
-        ring=ring,
-        order=None,
-        initials=initials,
-        coeffs=(cdef,),
-        first_valid_k=None,
-    )
-    runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
-    hint = "full-history coefficients must be defined for all 1 <= i <= k"
-    _probe(doc, _check_vars(doc, coeffs, seen), ("k", "i"), runs, hint)
+    else:  # full-history
+        if order is not None:
+            raise SpecSemanticError(
+                "order is not allowed in full-history mode", line=seen.get("order")
+            )
+        if first_valid_k is not None:
+            raise SpecSemanticError(
+                "first_valid_k is not allowed in full-history mode",
+                line=seen.get("first_valid_k"),
+            )
+        if initials is None:
+            raise SpecSemanticError("missing key: initial")
+        if initial_is_list:
+            raise SpecSemanticError(
+                "full-history initial must be a single expression, not a list",
+                line=seen.get("initial"),
+            )
+        if not coeffs:
+            raise SpecSemanticError("missing coefficient p(k, i)")
+        if len(coeffs) > 1:
+            raise SpecSemanticError(
+                "full-history mode takes a single coefficient p(k, i)",
+                line=coeffs[1][1],
+            )
+        cdef, ln = coeffs[0]
+        if cdef.name != "p":
+            raise SpecSemanticError(
+                f"full-history coefficient must be named p, got {cdef.name!r}", line=ln
+            )
+        if cdef.args != ("k", "i"):
+            raise SpecSemanticError("p must take exactly (k, i)", line=ln)
+        ordered = (cdef,)
+        bound = ("k", "i")
+        runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
+        hint = "full-history coefficients must be defined for all 1 <= i <= k"
+    doc = SpecDocument(mode, ring, order, initials, ordered, first_valid_k)
+    _probe(doc, _check_vars(doc, coeffs, seen), bound, runs, hint)
     return doc
 
 
@@ -485,52 +511,40 @@ _Facts = tuple[frozenset[str], bool, tuple[int, int, int]]
 def _facts(e: Expr) -> _Facts:
     """One walk of e: its variables, whether x is in some denominator,
     and the (adds, muls, divs) eval_expr counts for it."""
-    if isinstance(e, Neg):
-        return _facts(e.operand)
-    if not isinstance(e, (Add, Sub, Mul, Div)):
-        return frozenset((e.name,) if isinstance(e, Var) else ()), False, (0, 0, 0)
-    names, x_below, ops = _facts(e.left)
-    right, x_right, right_ops = _facts(e.right)
     t = type(e)
-    this = (t is Add or t is Sub, t is Mul, t is Div)
-    x_below = x_below or x_right or t is Div and "x" in right
-    return names | right, x_below, tuple(map(sum, zip(ops, right_ops, this)))
+    if t is BinOp:
+        names, x_below, ops = _facts(e.left)
+        right, x_right, right_ops = _facts(e.right)
+        x_below = x_below or x_right or e.op == "/" and "x" in right
+        return names | right, x_below, tuple(map(sum, zip(ops, right_ops, _OPS[e.op].counts)))
+    if t is Neg:
+        return _facts(e.operand)
+    return frozenset((e.name,) if t is Var else ()), False, (0, 0, 0)
 
 
 def _check_vars(
     doc: SpecDocument, coeffs: list[tuple[CoeffDef, int]], seen: dict[str, int]
 ) -> list[tuple[CoeffDef, int, _Facts]]:
     """Refuse a variable where the document may not use it, and x in a
-    denominator; each coefficient comes back with its line and its
-    facts (see _facts), in document order, for _probe."""
-    init_line = seen.get("initial")
-    for e in doc.initials:
-        vs, x_below, _ = _facts(e)
-        if "k" in vs or "i" in vs:
-            raise SpecSemanticError(
-                "initial values must be constants (no k or i)", line=init_line
-            )
-        if "x" in vs and doc.ring != "poly":
-            raise SpecSemanticError(
-                "x requires ring = poly", line=init_line
-            )
-        if x_below:
-            raise SpecSemanticError(
-                "denominators must be x-free", line=init_line
-            )
+    denominator, in the initials and then in the coefficients; each
+    coefficient comes back with its line and its facts (see _facts), in
+    document order, for _probe."""
+    constants = "initial values must be constants (no k or i)"
+    no_i = "variable i is only available in full-history coefficients"
+    fixed = doc.mode == "fixed-order"
+    items = [(e, None, seen.get("initial"), ("k", "i"), constants) for e in doc.initials]
+    items += [(c.expr, c, ln, ("i",) if fixed else (), no_i) for c, ln in coeffs]
     checked = []
-    for c, ln in coeffs:
-        facts = _facts(c.expr)
-        vs, x_below, _ = facts
-        if "i" in vs and doc.mode == "fixed-order":
-            raise SpecSemanticError(
-                "variable i is only available in full-history coefficients", line=ln
-            )
+    for e, c, ln, banned, why in items:
+        facts = vs, x_below, _ = _facts(e)
+        if any(v in vs for v in banned):
+            raise SpecSemanticError(why, line=ln)
         if "x" in vs and doc.ring != "poly":
             raise SpecSemanticError("x requires ring = poly", line=ln)
         if x_below:
             raise SpecSemanticError("denominators must be x-free", line=ln)
-        checked.append((c, ln, facts))
+        if c is not None:
+            checked.append((c, ln, facts))
     return checked
 
 
@@ -589,30 +603,23 @@ def eval_expr(e: Expr, k: int | None = None, i: int | None = None) -> RingValue:
     x stays symbolic as the degree-1 polynomial; a vanishing denominator
     raises DivisionByZero carrying the offending k.
     """
-    if isinstance(e, IntLit):
-        return Fraction(e.value)
-    if isinstance(e, Var):
-        if e.name == "x":
-            return Polynomial.x()
-        bound = k if e.name == "k" else i
-        if bound is None:
-            raise RecdetError(f"variable {e.name!r} is not bound")
-        return Fraction(bound)
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, k, i)
-    if isinstance(e, Add):
-        return ring_add(eval_expr(e.left, k, i), eval_expr(e.right, k, i))
-    if isinstance(e, Sub):
-        return ring_sub(eval_expr(e.left, k, i), eval_expr(e.right, k, i))
-    if isinstance(e, Mul):
-        return ring_mul(eval_expr(e.left, k, i), eval_expr(e.right, k, i))
-    if isinstance(e, Div):
-        num = eval_expr(e.left, k, i)
-        den = eval_expr(e.right, k, i)
-        if is_zero(den):
+    t = type(e)
+    if t is BinOp:
+        left = eval_expr(e.left, k, i)
+        right = eval_expr(e.right, k, i)
+        if e.op == "/" and is_zero(right):
             raise _zero_denominator(k)
-        return ring_exact_div(num, den)
-    raise RecdetError(f"unknown expression node {type(e).__name__}")
+        return _OPS[e.op].ring(left, right)
+    if t is IntLit:
+        return Fraction(e.value)
+    if t is Neg:
+        return -eval_expr(e.operand, k, i)
+    if e.name == "x":
+        return Polynomial.x()
+    bound = k if e.name == "k" else i
+    if bound is None:
+        raise RecdetError(f"variable {e.name!r} is not bound")
+    return Fraction(bound)
 
 
 def _zero_denominator(k: int | None) -> DivisionByZero:
@@ -623,11 +630,10 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 # --- compilation ----------------------------------------------------------
 #
 # to_spec compiles each x-free coefficient once into nested closures over
-# unreduced (num, den) int pairs, den != 0 (see _compile).  There is one
+# unreduced (num, den) pairs, den != 0 (see _compile).  There is one
 # compiled form: it evaluates the coefficient over a run of one index, i
 # for a fixed k in full history and k in fixed order, the running index
-# given as a list of ints, and every value is a pair of ints or of lists,
-# an int standing for the same int at every index of the run.  The row
+# given as a list of ints, and every value is a pair of _Vec.  The row
 # table, recurrence._Rows, computes whole rows by runs; a call at one
 # (k, i) runs the same closures at int k and i, which the run arithmetic
 # takes as one-point runs.  A value that eval_expr would refuse, by a zero
@@ -677,7 +683,7 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
         c.divs += divs
         return v
 
-    def vector(k: _Vec, i: _Vec | None = None) -> tuple[_Vec, _Vec] | None:
+    def vector(k: _Vec, i: _Vec | None = None) -> _Pair | None:
         try:
             return run(k, i)
         except _Refused:
@@ -691,10 +697,9 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     return coeff
 
 
-_Vec = Union[int, list[int]]
 # a factor of a separable coefficient: its compiled form, whether it
 # divides, and whether it sits in a denominator and so refuses a zero
-_Factor = tuple[Callable[..., tuple[_Vec, _Vec]], bool, bool]
+_Factor = tuple[Callable[..., _Pair], bool, bool]
 _Runs = tuple[list[int], list[int]]
 
 
@@ -704,7 +709,7 @@ def _split(e: Expr) -> tuple[int, list[_Factor], list[_Factor]] | None:
     e factors when it is a product or quotient of factors, with or
     without negation, each free of k (a factor of g) or free of i (of h;
     a constant goes there too); the split reads the AST only.  A factor
-    under the right side of some Div refuses where it is zero, even
+    under the right side of some / refuses where it is zero, even
     where the split puts it in a numerator: that is where e's own
     division refuses, so h and g refuse where e does."""
     sign = 1
@@ -716,13 +721,12 @@ def _split(e: Expr) -> tuple[int, list[_Factor], list[_Factor]] | None:
         names = _facts(node)[0]
         if "k" not in names or "i" not in names:
             (g if "i" in names else h).append((_compile(node, ("k", "i")), divides, guarded))
-        elif isinstance(node, Neg):
+        elif type(node) is Neg:
             sign = -sign
             todo.append((node.operand, divides, guarded))
-        elif isinstance(node, Mul):
-            todo += [(node.left, divides, guarded), (node.right, divides, guarded)]
-        elif isinstance(node, Div):
-            todo += [(node.left, divides, guarded), (node.right, not divides, True)]
+        elif node.op in ("*", "/"):
+            over = node.op == "/"
+            todo += [(node.left, divides, guarded), (node.right, divides != over, guarded or over)]
         else:
             return None
     return sign, h, g
@@ -757,124 +761,53 @@ def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_R
     return runs[0], runs[1]
 
 
-class _Refused(Exception):
-    """A value of a run divides by zero or names an unbound variable."""
-
-
-def _vneg(a: _Vec) -> _Vec:
-    return -a if type(a) is int else [-x for x in a]
-
-
-def _vadd(a: _Vec, b: _Vec) -> _Vec:
-    if type(a) is not int:
-        if type(b) is not int:
-            return list(map(add, a, b))
-        a, b = b, a
-    elif type(b) is int:
-        return a + b
-    return b if a == 0 else [a + x for x in b]
-
-
-def _vsub(a: _Vec, b: _Vec) -> _Vec:
-    if type(b) is int:
-        return _vadd(a, -b)
-    if type(a) is int:
-        return [a - x for x in b]
-    return list(map(sub, a, b))
-
-
-def _vmul(a: _Vec, b: _Vec) -> _Vec:
-    if type(a) is not int:
-        if type(b) is not int:
-            return list(map(mul, a, b))
-        a, b = b, a
-    elif type(b) is int:
-        return a * b
-    return b if a == 1 else [a * x for x in b]
-
-
-def _vhas_zero(a: _Vec) -> bool:
-    return a == 0 if type(a) is int else 0 in a
-
-
-def _refuse(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+def _refuse(k: _Vec, i: _Vec | None) -> _Pair:
     raise _Refused
 
 
-def _compile(e: Expr, bound: tuple[str, ...]) -> Callable[..., tuple[_Vec, _Vec]]:
+def _compile(e: Expr, bound: tuple[str, ...]) -> Callable[..., _Pair]:
     """An x-free expression as a closure of (k, i), each an int or a run,
     giving an unreduced pair; it raises _Refused where eval_expr raises
     at some index."""
-    if isinstance(e, IntLit):
+    t = type(e)
+    if t is BinOp:
+        f, g, pair = _compile(e.left, bound), _compile(e.right, bound), _OPS[e.op].pair
+        return lambda k, i: pair(*f(k, i), *g(k, i))
+    if t is IntLit:
         const = (e.value, 1)
         return lambda k, i: const
-    if isinstance(e, Var):
-        if e.name not in bound:
-            return _refuse
-        if e.name == "k":
-            return lambda k, i: (k, 1)
-        return lambda k, i: (i, 1)
-    if isinstance(e, Neg):
+    if t is Neg:
         f = _compile(e.operand, bound)
 
-        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
+        def value(k: _Vec, i: _Vec | None) -> _Pair:
             a, b = f(k, i)
             return _vneg(a), b
 
         return value
-    f = _compile(e.left, bound)  # type: ignore[attr-defined]
-    g = _compile(e.right, bound)  # type: ignore[attr-defined]
-    if isinstance(e, (Add, Sub)):
-        op = _vadd if isinstance(e, Add) else _vsub
-
-        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            if b == d:
-                return op(a, c), b
-            return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
-
-    elif isinstance(e, Mul):
-
-        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            return _vmul(a, c), _vmul(b, d)
-
-    elif isinstance(e, Div):
-
-        def value(k: _Vec, i: _Vec | None) -> tuple[_Vec, _Vec]:
-            a, b = f(k, i)
-            c, d = g(k, i)
-            if _vhas_zero(c):
-                raise _Refused
-            return _vmul(a, d), _vmul(b, c)
-
-    else:
-        raise RecdetError(f"unknown expression node {type(e).__name__}")
-    return value
+    if e.name not in bound:
+        return _refuse
+    if e.name == "k":
+        return lambda k, i: (k, 1)
+    return lambda k, i: (i, 1)
 
 
 # --- rendering ------------------------------------------------------------
-
-_BIN_OPS = {Add: ("+", 1, True), Sub: ("-", 1, True), Mul: ("*", 2, False), Div: ("/", 2, False)}
-
 
 def render_expr(e: Expr) -> str:
     return _render(e, 0)
 
 
 def _render(e: Expr, min_prec: int) -> str:
-    if isinstance(e, IntLit):
+    t = type(e)
+    if t is IntLit:
         return str(e.value)
-    if isinstance(e, Var):
+    if t is Var:
         return e.name
-    if isinstance(e, Neg):
-        s = "-" + _render(e.operand, 3)
-        prec = 3
+    if t is Neg:
+        prec = _NEG_PREC
+        s = "-" + _render(e.operand, prec)
     else:
-        op, prec, spaced = _BIN_OPS[type(e)]
-        glue = f" {op} " if spaced else op
+        prec, glue = _OPS[e.op][:2]
         s = _render(e.left, prec) + glue + _render(e.right, prec + 1)
     return f"({s})" if prec < min_prec else s
 

@@ -12,15 +12,12 @@ from fractions import Fraction
 import pytest
 
 from recdet.dsl import (
-    Add,
+    BinOp,
     CoeffDef,
-    Div,
     Expr,
     IntLit,
-    Mul,
     Neg,
     SpecDocument,
-    Sub,
     Var,
 )
 from recdet.recurrence import FixedOrderSpec, FullHistorySpec
@@ -96,13 +93,13 @@ def random_expr(rng: random.Random, vars_allowed: tuple[str, ...], depth: int = 
         return Neg(random_expr(rng, vars_allowed, depth + 1))
     left = random_expr(rng, vars_allowed, depth + 1)
     if kind == 1:
-        return Add(left, random_expr(rng, vars_allowed, depth + 1))
+        return BinOp("+", left, random_expr(rng, vars_allowed, depth + 1))
     if kind == 2:
-        return Sub(left, random_expr(rng, vars_allowed, depth + 1))
+        return BinOp("-", left, random_expr(rng, vars_allowed, depth + 1))
     if kind == 3:
-        return Mul(left, random_expr(rng, vars_allowed, depth + 1))
+        return BinOp("*", left, random_expr(rng, vars_allowed, depth + 1))
     # x-free, never-zero denominator: a positive integer
-    return Div(left, IntLit(rng.randint(1, 9)))
+    return BinOp("/", left, IntLit(rng.randint(1, 9)))
 
 
 def random_document(rng: random.Random) -> SpecDocument:

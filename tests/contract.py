@@ -53,7 +53,8 @@ DOCS = "{docs}"
 DOCUMENT_SEEDS = (0, 1, 2, 4, 5, 6, 7, 23)
 # spec files the lexer, the parser or the decoder refuses (exit 1), CI's
 # literal of 5,000 digits included: the DSL refuses it past its own
-# digit limit on every Python
+# digit limit on every Python, as it does CI's long and deep expressions
+# past its token limit
 _HEAD = "mode = fixed-order\nring = rational\norder = 1\ninitial = [1]\n"
 MALFORMED = {
     "latin1": b"mode = fixed-order\n# caf\xe9\n",
@@ -61,6 +62,8 @@ MALFORMED = {
     "vtab": (_HEAD + "coeff p1(k) = k +\v1\n").encode(),
     "nbsp": (_HEAD + "coeff p1(k) = k +\u00a01\n").encode(),
     "long": (_HEAD + "coeff p1(k) = " + "9" * 5000 + "\n").encode(),
+    "long-sum": (_HEAD + "coeff p1(k) = " + " + ".join(["k"] * 1000) + "\n").encode(),
+    "deep-parens": (_HEAD + "coeff p1(k) = " + "(" * 400 + "k" + ")" * 400 + "\n").encode(),
 }
 SIZES = ("1", "2", "9", "30")
 FAMILY_SIZES = ("1", "9", "30")

@@ -10,14 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from recdet import dsl
+from recdet import cli, dsl
 from recdet.dsl import (
-    Add,
-    Div,
+    BinOp,
     IntLit,
-    Mul,
     Neg,
-    Sub,
     Var,
     _facts,
     eval_expr,
@@ -70,21 +67,21 @@ class TestParsing:
 
     def test_subtraction_is_left_associative(self):
         doc = parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = 1 - 2 - 3"))
-        assert doc.coeffs[0].expr == Sub(Sub(IntLit(1), IntLit(2)), IntLit(3))
+        assert doc.coeffs[0].expr == BinOp("-", BinOp("-", IntLit(1), IntLit(2)), IntLit(3))
 
     def test_multiplication_binds_tighter_than_addition(self):
         doc = parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = 2*k + 1/k"))
-        assert doc.coeffs[0].expr == Add(
-            Mul(IntLit(2), Var("k")), Div(IntLit(1), Var("k"))
+        assert doc.coeffs[0].expr == BinOp(
+            "+", BinOp("*", IntLit(2), Var("k")), BinOp("/", IntLit(1), Var("k"))
         )
 
     def test_unary_minus_binds_tighter_than_multiplication(self):
         doc = parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = -k*2"))
-        assert doc.coeffs[0].expr == Mul(Neg(Var("k")), IntLit(2))
+        assert doc.coeffs[0].expr == BinOp("*", Neg(Var("k")), IntLit(2))
 
     def test_parentheses_override_precedence(self):
         doc = parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = (1 + k)*2"))
-        assert doc.coeffs[0].expr == Mul(Add(IntLit(1), Var("k")), IntLit(2))
+        assert doc.coeffs[0].expr == BinOp("*", BinOp("+", IntLit(1), Var("k")), IntLit(2))
 
     def test_full_history_document(self):
         doc = parse(
@@ -173,6 +170,95 @@ class TestSyntaxErrors:
         assert dsl.MAX_LITERAL_DIGITS == 4300
         assert (exc.value.line, exc.value.col) == (5, 19)
         assert "integer literal of 4301 digits is too long" in str(exc.value)
+
+
+
+# expressions of exactly dsl.MAX_EXPR_TOKENS = 400 tokens: a sum, nested
+# parentheses and a chain of unary minuses, each worth -k
+_AT_LIMIT = {
+    "sum": "-k" + " + k - k" * 99 + " + 0",
+    "parentheses": "(" * 199 + "-k" + ")" * 199,
+    "negations": "-" * 399 + "k",
+}
+# one token more: the 401st is each expression's last
+_PAST_LIMIT = {
+    "sum": "k" + " + k" * 200,
+    "parentheses": "(" * 200 + "k" + ")" * 200,
+    "negations": "-" * 400 + "k",
+}
+
+
+def _order_one(p1, initial="1"):
+    return f"mode = fixed-order\nring = rational\norder = 1\ninitial = [{initial}]\ncoeff p1(k) = {p1}\n"
+
+
+class TestExpressionTokenLimit:
+    def test_the_limit_is_400_tokens(self):
+        assert dsl.MAX_EXPR_TOKENS == 400
+        for name, expr in {**_AT_LIMIT, **_PAST_LIMIT}.items():
+            want = 400 if expr in _AT_LIMIT.values() else 401
+            assert len(dsl._lex_line(expr, 1)) == want, name
+
+    @pytest.mark.parametrize("name", sorted(_AT_LIMIT))
+    def test_an_expression_of_400_tokens_runs_everywhere(self, name, tmp_path, capsys):
+        text = _order_one(_AT_LIMIT[name])
+        doc = parse(text)
+        assert parse(render(doc)) == doc
+        spec = to_spec(doc)
+        assert [spec.coeffs[0](k) for k in (2, 3)] == [-2, -3]
+        path = tmp_path / f"{name}.rec"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["eval", str(path), "--n", "4"]) == 0
+        assert capsys.readouterr().out == "1: 1\n2: -2\n3: 6\n4: -24\n"
+        for method in ("fast", "bareiss"):
+            assert cli.main(["verify", str(path), "--max-n", "12", "--method", method]) == 0
+        capsys.readouterr()
+
+    def test_the_limit_holds_for_each_expression_alone(self):
+        # four expressions of 400 tokens, two of them on one line
+        one = "(" * 199 + "-1" + ")" * 199
+        doc = parse(
+            f"mode = fixed-order\norder = 2\ninitial = [{one}, {one}]\n"
+            f"coeff p1(k) = {_AT_LIMIT['sum']}\ncoeff p2(k) = {_AT_LIMIT['negations']}\n"
+        )
+        assert doc.initials == (Neg(IntLit(1)), Neg(IntLit(1)))
+        assert parse(render(doc)) == doc
+
+    @pytest.mark.parametrize("name", sorted(_PAST_LIMIT))
+    def test_the_401st_token_is_refused_where_it_stands(self, name, tmp_path, capsys):
+        text = _order_one(_PAST_LIMIT[name])
+        line = text.splitlines()[4]
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (5, len(line))
+        assert "expression is longer than 400 tokens" in str(exc.value)
+        # and in an initial value, where the list's ']' follows
+        with pytest.raises(SpecSyntaxError) as exc:
+            parse(_order_one("k", initial=_PAST_LIMIT[name].replace("k", "1")))
+        assert (exc.value.line, exc.value.col) == (4, len("initial = [") + len(_PAST_LIMIT[name]))
+        path = tmp_path / f"{name}.rec"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["eval", str(path), "--n", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 5, col {len(line)}: expression is longer than 400 tokens\n"
+
+
+class TestNodes:
+    def test_dsl_defines_no_dataclass(self):
+        # a dataclass costs most of the module's import time
+        own = [v for v in vars(dsl).values() if isinstance(v, type) and v.__module__ == dsl.__name__]
+        assert {"IntLit", "Var", "Neg", "BinOp", "CoeffDef", "SpecDocument"} <= {c.__name__ for c in own}
+        assert not [c for c in own if dataclasses.is_dataclass(c)]
+
+    def test_nodes_compare_by_operator_and_operands(self):
+        a, b = Var("k"), IntLit(2)
+        assert BinOp("+", a, b) == BinOp("+", Var("k"), IntLit(2))
+        assert BinOp("+", a, b) != BinOp("-", a, b)
+        assert BinOp("+", a, b) != BinOp("+", b, a)
+        assert Neg(a) != a
+        assert parse(FIB) == parse(FIB)
+        assert parse(FIB) != parse(FIB.replace("coeff p1(k) = 1", "coeff p1(k) = -1"))
 
 
 def _reference_lex_line(text, line_no):
@@ -270,15 +356,15 @@ class TestSemanticErrors:
 
     def test_x_in_a_denominator_is_rejected_even_over_poly(self):
         poly = FIB.replace("ring = rational", "ring = poly")
-        # however deep below a Div's right side x sits
+        # however deep below the right side of a / x sits
         for p1 in ("1/(x + 1)", "1/(k*(x + 1))", "k/(2 + (1/x))", "k - 2/(k*x)"):
             self.assert_semantic(
                 poly.replace("coeff p1(k) = 1", f"coeff p1(k) = {p1}"), "x-free"
             )
         self.assert_semantic(poly.replace("[1, 1]", "[1, 1/(2*x)]"), "x-free")
-        # x in a numerator under a Div is no denominator
+        # x in a numerator under a / is no denominator
         doc = parse(poly.replace("coeff p1(k) = 1", "coeff p1(k) = (x + 1)/k"))
-        assert doc.coeffs[0].expr == Div(Add(Var("x"), IntLit(1)), Var("k"))
+        assert doc.coeffs[0].expr == BinOp("/", BinOp("+", Var("x"), IntLit(1)), Var("k"))
 
     def test_first_valid_k_must_clear_the_initials(self):
         self.assert_semantic(FIB + "first_valid_k = 2\n", "at least order + 1")
@@ -311,7 +397,7 @@ class TestEvaluation:
 
     def test_x_evaluates_to_the_indeterminate(self):
         assert eval_expr(Var("x")) == Polynomial.x()
-        assert eval_expr(Mul(IntLit(2), Var("x"))) == Polynomial((0, 2))
+        assert eval_expr(BinOp("*", IntLit(2), Var("x"))) == Polynomial((0, 2))
 
     def test_unbound_variable_raises(self):
         with pytest.raises(RecdetError):
@@ -319,7 +405,7 @@ class TestEvaluation:
 
     def test_division_by_zero_carries_k(self):
         with pytest.raises(DivisionByZero) as exc:
-            eval_expr(Div(IntLit(1), Sub(Var("k"), IntLit(5))), k=5)
+            eval_expr(BinOp("/", IntLit(1), BinOp("-", Var("k"), IntLit(5))), k=5)
         assert exc.value.k == 5
 
     def test_a_compiled_value_that_raises_counts_nothing(self):
@@ -354,12 +440,12 @@ class TestEvaluation:
 
 class TestRendering:
     def test_minimal_parentheses(self):
-        assert render_expr(Sub(IntLit(1), Sub(IntLit(2), IntLit(3)))) == "1 - (2 - 3)"
-        assert render_expr(Sub(Sub(IntLit(1), IntLit(2)), IntLit(3))) == "1 - 2 - 3"
-        assert render_expr(Mul(Add(IntLit(1), Var("k")), IntLit(2))) == "(1 + k)*2"
-        assert render_expr(Neg(Add(Var("k"), IntLit(1)))) == "-(k + 1)"
-        assert render_expr(Div(IntLit(1), Mul(IntLit(2), IntLit(3)))) == "1/(2*3)"
-        assert render_expr(Add(Mul(IntLit(2), Var("x")), IntLit(1))) == "2*x + 1"
+        assert render_expr(BinOp("-", IntLit(1), BinOp("-", IntLit(2), IntLit(3)))) == "1 - (2 - 3)"
+        assert render_expr(BinOp("-", BinOp("-", IntLit(1), IntLit(2)), IntLit(3))) == "1 - 2 - 3"
+        assert render_expr(BinOp("*", BinOp("+", IntLit(1), Var("k")), IntLit(2))) == "(1 + k)*2"
+        assert render_expr(Neg(BinOp("+", Var("k"), IntLit(1)))) == "-(k + 1)"
+        assert render_expr(BinOp("/", IntLit(1), BinOp("*", IntLit(2), IntLit(3)))) == "1/(2*3)"
+        assert render_expr(BinOp("+", BinOp("*", IntLit(2), Var("x")), IntLit(1))) == "2*x + 1"
 
     def test_render_parse_round_trip_on_shipped_files(self):
         for name in available():
@@ -475,14 +561,13 @@ def test_compiled_coefficients_match_eval_expr_on_random_documents(
     assume(doc.ring == ring)
     if vanishing_at is not None:
         # divide every coefficient by k - c, which vanishes at k = c
-        den = Sub(Var("k"), IntLit(vanishing_at)) if vanishing_at >= 0 else Add(
-            Var("k"), IntLit(-vanishing_at)
+        den = (
+            BinOp("-", Var("k"), IntLit(vanishing_at))
+            if vanishing_at >= 0
+            else BinOp("+", Var("k"), IntLit(-vanishing_at))
         )
-        doc = dataclasses.replace(
-            doc,
-            coeffs=tuple(
-                dataclasses.replace(c, expr=Div(c.expr, den)) for c in doc.coeffs
-            ),
+        doc = doc._replace(
+            coeffs=tuple(c._replace(expr=BinOp("/", c.expr, den)) for c in doc.coeffs)
         )
     _assert_compiled_matches_eval_expr(doc)
 
@@ -495,8 +580,8 @@ def _random_separable(rng, depth=0):
         return random_expr(rng, (("k",), ("i",))[kind])
     if kind == 2:
         return Neg(_random_separable(rng, depth + 1))
-    node = Mul if kind == 3 else Div
-    return node(_random_separable(rng, depth + 1), _random_separable(rng, depth + 1))
+    op = "*" if kind == 3 else "/"
+    return BinOp(op, _random_separable(rng, depth + 1), _random_separable(rng, depth + 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -567,12 +652,10 @@ def test_compiled_coefficients_match_eval_expr_on_shipped_specs():
 
 def test_compiled_coefficients_keep_the_error_order():
     # left to right: an unbound i and a zero denominator, in both orders
-    zero = Div(IntLit(1), Sub(Var("k"), Var("k")))
+    zero = BinOp("/", IntLit(1), BinOp("-", Var("k"), Var("k")))
     doc = parse(FIB)
-    for expr in (Add(Var("i"), zero), Add(zero, Var("i"))):
-        bad = dataclasses.replace(
-            doc, coeffs=(dataclasses.replace(doc.coeffs[0], expr=expr), doc.coeffs[1])
-        )
+    for expr in (BinOp("+", Var("i"), zero), BinOp("+", zero, Var("i"))):
+        bad = doc._replace(coeffs=(doc.coeffs[0]._replace(expr=expr), doc.coeffs[1]))
         _assert_compiled_matches_eval_expr(bad, ks=(3,))
 
 
@@ -723,6 +806,10 @@ _TOTALITY_EXAMPLES = [
     "initial = [\u0663]",
     "order = \u0661\u0662",
     "mode = fixed-order\nring = rational\norder = 1\ninitial = [1]\ncoeff p1(k) = k\u00b9",
+    # far past MAX_EXPR_TOKENS: each is refused at its 401st token
+    _order_one(" + ".join(["k"] * 1000)),
+    _order_one("(" * 400 + "k" + ")" * 400),
+    _order_one("-" * 400 + "k"),
 ]
 if _INT_DIGIT_LIMIT:
     _LONG = "9" * max(5000, _INT_DIGIT_LIMIT + 1)

@@ -1032,9 +1032,9 @@ class TestCoefficientReadsOnce:
 
 def _k_minus(c):
     # k - c, or k + |c| for c < 0
-    return dsl.Sub(dsl.Var("k"), dsl.IntLit(c)) if c >= 0 else dsl.Add(
-        dsl.Var("k"), dsl.IntLit(-c)
-    )
+    if c >= 0:
+        return dsl.BinOp("-", dsl.Var("k"), dsl.IntLit(c))
+    return dsl.BinOp("+", dsl.Var("k"), dsl.IntLit(-c))
 
 
 def _evaluations_counted(spec):
@@ -1071,12 +1071,11 @@ class TestVectorRows:
         assume(doc.ring == "rational")
         if vanishing_at is not None:
             # divide every coefficient by k - c, which vanishes at k = c
-            doc = dataclasses.replace(
-                doc,
+            doc = doc._replace(
                 coeffs=tuple(
-                    dataclasses.replace(c, expr=dsl.Div(c.expr, _k_minus(vanishing_at)))
+                    c._replace(expr=dsl.BinOp("/", c.expr, _k_minus(vanishing_at)))
                     for c in doc.coeffs
-                ),
+                )
             )
         _assert_table_matches_reference(dsl.to_spec(doc), n)
 
@@ -1449,13 +1448,12 @@ def _fractional_poly_document(rng):
     doc = random_document(rng)
     while doc.ring != "poly":
         doc = random_document(rng)
-    extra = dsl.Div(dsl.Var("x"), dsl.Add(dsl.Var("k"), dsl.IntLit(1)))
-    return dataclasses.replace(
-        doc,
+    extra = dsl.BinOp("/", dsl.Var("x"), dsl.BinOp("+", dsl.Var("k"), dsl.IntLit(1)))
+    return doc._replace(
         coeffs=tuple(
-            dataclasses.replace(c, expr=dsl.Add(dsl.Div(c.expr, dsl.IntLit(3)), extra))
+            c._replace(expr=dsl.BinOp("+", dsl.BinOp("/", c.expr, dsl.IntLit(3)), extra))
             for c in doc.coeffs
-        ),
+        )
     )
 
 
