@@ -299,6 +299,24 @@ corrupt_negative_control() {
   done
 }
 
+# the contract battery (tests/contract.py) imports no pytest, so it runs
+# on each Python from 3.10 to 3.13 on PATH, with or without pytest, and
+# must match every golden record on each; an interpreter that is not on
+# PATH or does not start is named as missing, and at least one must run
+contract_each_python() {
+  local v ran=0
+  for v in 3.10 3.11 3.12 3.13; do
+    if ! "python$v" -c pass > /dev/null 2>&1; then
+      echo "python$v: missing"
+      continue
+    fi
+    echo "python$v:"
+    PYTHONDONTWRITEBYTECODE=1 "python$v" tests/contract.py || { echo "the contract battery failed on python$v"; exit 1; }
+    ran=$((ran + 1))
+  done
+  [ "$ran" -gt 0 ] || { echo "no python3.10 to python3.13 ran the contract battery"; exit 1; }
+}
+
 # a command imports only the modules it runs: the catalog commands
 # import no recdet.dsl, and a spec file's verify does. These are real
 # processes through python -m, the route in-process tests cannot reach,
@@ -366,6 +384,7 @@ STEPS=(
   digit_limit
   malformed_input
   corrupt_negative_control
+  contract_each_python
   cold_start
   benchmark_smoke
 )

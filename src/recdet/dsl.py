@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Callable, NamedTuple, Union
 
 from .errors import (
@@ -149,7 +149,9 @@ def _int_literal(t: _Token) -> int:
 # walk of the tree (the parser, _facts, _compile and its closures,
 # eval_expr, _render) recurses once per level, so this keeps the depth
 # far below Python's recursion limit.  The parser refuses the first
-# token past it, before any walker sees the tree.
+# token past it, before any walker sees the tree; to_spec and render
+# refuse a tree built in code by its nodes (see _check_size), of which a
+# parsed tree has no more than it has tokens.
 MAX_EXPR_TOKENS = 400
 
 
@@ -196,68 +198,31 @@ class _Cursor:
 
 # --- binary operators -----------------------------------------------------
 #
-# _compile's values are unreduced (num, den) pairs of _Vec, each an int or
-# a run (a list) of ints, an int standing for the same int at every index
-# of the run.
+# _compile's values are unreduced (num, den) pairs of runs, each run a list
+# of ints, one per index.
 
-_Vec = Union[int, list[int]]
-_Pair = tuple[_Vec, _Vec]
+_Run = list[int]
+_Pair = tuple[_Run, _Run]
 
 
 class _Refused(Exception):
     """A value of a run divides by zero or names an unbound variable."""
 
 
-def _vneg(a: _Vec) -> _Vec:
-    return -a if type(a) is int else [-x for x in a]
-
-
-def _vadd(a: _Vec, b: _Vec) -> _Vec:
-    if type(a) is not int:
-        if type(b) is not int:
-            return list(map(add, a, b))
-        a, b = b, a
-    elif type(b) is int:
-        return a + b
-    return b if a == 0 else [a + x for x in b]
-
-
-def _vsub(a: _Vec, b: _Vec) -> _Vec:
-    if type(b) is int:
-        return _vadd(a, -b)
-    if type(a) is int:
-        return [a - x for x in b]
-    return list(map(sub, a, b))
-
-
-def _vmul(a: _Vec, b: _Vec) -> _Vec:
-    if type(a) is not int:
-        if type(b) is not int:
-            return list(map(mul, a, b))
-        a, b = b, a
-    elif type(b) is int:
-        return a * b
-    return b if a == 1 else [a * x for x in b]
-
-
-def _vhas_zero(a: _Vec) -> bool:
-    return a == 0 if type(a) is int else 0 in a
-
-
-def _pair_sum(op: Callable[[_Vec, _Vec], _Vec], a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
+def _pair_sum(op: Callable[[int, int], int], a: _Run, b: _Run, c: _Run, d: _Run) -> _Pair:
     if b == d:
-        return op(a, c), b
-    return op(_vmul(a, d), _vmul(c, b)), _vmul(b, d)
+        return list(map(op, a, c)), b
+    return list(map(op, map(mul, a, d), map(mul, c, b))), list(map(mul, b, d))
 
 
-def _pair_mul(a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
-    return _vmul(a, c), _vmul(b, d)
+def _pair_mul(a: _Run, b: _Run, c: _Run, d: _Run) -> _Pair:
+    return list(map(mul, a, c)), list(map(mul, b, d))
 
 
-def _pair_div(a: _Vec, b: _Vec, c: _Vec, d: _Vec) -> _Pair:
-    if _vhas_zero(c):
+def _pair_div(a: _Run, b: _Run, c: _Run, d: _Run) -> _Pair:
+    if 0 in c:
         raise _Refused
-    return _vmul(a, d), _vmul(b, c)
+    return _pair_mul(a, b, d, c)
 
 
 class _Op(NamedTuple):
@@ -269,8 +234,8 @@ class _Op(NamedTuple):
 
 
 _OPS = {
-    "+": _Op(1, " + ", (1, 0, 0), ring_add, partial(_pair_sum, _vadd)),
-    "-": _Op(1, " - ", (1, 0, 0), ring_sub, partial(_pair_sum, _vsub)),
+    "+": _Op(1, " + ", (1, 0, 0), ring_add, partial(_pair_sum, add)),
+    "-": _Op(1, " - ", (1, 0, 0), ring_sub, partial(_pair_sum, sub)),
     "*": _Op(2, "*", (0, 1, 0), ring_mul, _pair_mul),
     "/": _Op(2, "/", (0, 0, 1), ring_exact_div, _pair_div),
 }
@@ -463,7 +428,7 @@ def _validate(
         ordered = tuple(by_name[name] for name in expected)
         fvk = first_valid_k if first_valid_k is not None else order + 1
         bound = ("k",)
-        runs = [(list(range(fvk, fvk + 2 * order + 1)), None)]
+        run = (list(range(fvk, fvk + 2 * order + 1)), None)
         hint = "raise first_valid_k or fix the coefficient"
     else:  # full-history
         if order is not None:
@@ -498,10 +463,14 @@ def _validate(
             raise SpecSemanticError("p must take exactly (k, i)", line=ln)
         ordered = (cdef,)
         bound = ("k", "i")
-        runs = [(kk, list(range(1, kk + 1))) for kk in range(1, 7)]
+        # (k, i) for 1 <= i <= k <= 6, row by row
+        run = (
+            [k for k in range(1, 7) for _ in range(k)],
+            [i for k in range(1, 7) for i in range(1, k + 1)],
+        )
         hint = "full-history coefficients must be defined for all 1 <= i <= k"
     doc = SpecDocument(mode, ring, order, initials, ordered, first_valid_k)
-    _probe(doc, _check_vars(doc, coeffs, seen), bound, runs, hint)
+    _probe(doc, _check_vars(doc, coeffs, seen), bound, run, hint)
     return doc
 
 
@@ -552,15 +521,15 @@ def _probe(
     doc: SpecDocument,
     coeffs: list[tuple[CoeffDef, int, _Facts]],
     bound: tuple[str, ...],
-    runs: list[tuple[_Vec, _Vec | None]],
+    run: tuple[_Run, _Run | None],
     hint: str,
 ) -> None:
-    """Best-effort guard: no initial, and no coefficient at a point of runs
-    (each i of a run (k, i), each k of a run (k, None)), divides by zero.
-    The coefficients go in document order, each by one run of its compiled
-    form (see _compile) per entry of runs; COUNTER then gets the ops
-    eval_expr would count at each point, in bulk as recurrence._count adds
-    them.  While bits are tracked, for a coefficient with x, or when a run
+    """Best-effort guard: no initial, and no coefficient at a point of run
+    (k, i), each (k[j], i[j]), or each k[j] where i is None, divides by
+    zero.  The coefficients go in document order, each by one run of its
+    compiled form (see _compile); COUNTER then gets the ops eval_expr
+    would count at each point, in bulk as recurrence._count adds them.
+    While bits are tracked, for a coefficient with x, or when the run
     refuses, it goes point by point with eval_expr instead, which names
     the first point that fails, followed by hint, and gives the error
     text, counts and max_bits."""
@@ -569,15 +538,12 @@ def _probe(
             eval_expr(e)
         except DivisionByZero:
             raise SpecSemanticError("initial value divides by zero") from None
-    points: list[tuple[int, int | None]] = []
-    for k, i in runs:
-        points += [(kk, None) for kk in k] if i is None else [(k, ii) for ii in i]
+    k, i = run
+    points = list(zip(k, i or [None] * len(k)))
     for cdef, ln, (vs, _, (adds, muls, divs)) in coeffs:
         if not COUNTER.track_bits and "x" not in vs:
-            run = _compile(cdef.expr, bound)
             try:
-                for k, i in runs:
-                    run(k, i)
+                _compile(cdef.expr, bound)(k, i)
             except _Refused:
                 pass
             else:
@@ -631,19 +597,18 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 #
 # to_spec compiles each x-free coefficient once into nested closures over
 # unreduced (num, den) pairs, den != 0 (see _compile).  There is one
-# compiled form: it evaluates the coefficient over a run of one index, i
-# for a fixed k in full history and k in fixed order, the running index
-# given as a list of ints, and every value is a pair of _Vec.  The row
-# table, recurrence._Rows, computes whole rows by runs; a call at one
-# (k, i) runs the same closures at int k and i, which the run arithmetic
-# takes as one-point runs.  A value that eval_expr would refuse, by a zero
-# denominator or an unbound variable, raises _Refused for the whole run,
-# and nothing is added to COUNTER.  A coefficient that contains x (poly
-# ring) calls eval_expr, which stays the reference the compiled closures
-# must agree with.  A full-history coefficient whose AST factors as
-# h(k) * g(i) (see _split) has one more form, the runs of h and g over
-# 1..n (see _factored), from which recurrence._Rows takes the whole
-# triangle in O(n).
+# compiled form: it evaluates the coefficient over a run, k and i given as
+# lists of ints of one length, and every value is a pair of such lists.
+# The row table, recurrence._Rows, computes whole rows by runs: k for
+# fixed order, i for full history with k = [j] * j in row j.  A call at
+# one (k, i) runs the same closures on the one-point runs [k] and [i].  A
+# value that eval_expr would refuse, by a zero denominator or an unbound
+# variable, raises _Refused for the whole run, and nothing is added to
+# COUNTER.  A coefficient that contains x (poly ring) calls eval_expr,
+# which stays the reference the compiled closures must agree with.  A
+# full-history coefficient whose AST factors as h(k) * g(i) (see _split)
+# has one more form, the runs of h and g over 1..n (see _factored), from
+# which recurrence._Rows takes the whole triangle in O(n).
 
 
 def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
@@ -669,7 +634,8 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
         if c.track_bits:
             return eval_expr(e, k, i)
         try:
-            v = Fraction(*run(k, i))
+            (a,), (b,) = run([k], None if i is None else [i])
+            v = Fraction(a, b)
         except _Refused:
             # eval_expr raises the error, with its k; a value that fails
             # adds nothing to COUNTER
@@ -683,7 +649,7 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
         c.divs += divs
         return v
 
-    def vector(k: _Vec, i: _Vec | None = None) -> _Pair | None:
+    def vector(k: _Run, i: _Run | None = None) -> _Pair | None:
         try:
             return run(k, i)
         except _Refused:
@@ -700,7 +666,6 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
 # a factor of a separable coefficient: its compiled form, whether it
 # divides, and whether it sits in a denominator and so refuses a zero
 _Factor = tuple[Callable[..., _Pair], bool, bool]
-_Runs = tuple[list[int], list[int]]
 
 
 def _split(e: Expr) -> tuple[int, list[_Factor], list[_Factor]] | None:
@@ -732,7 +697,7 @@ def _split(e: Expr) -> tuple[int, list[_Factor], list[_Factor]] | None:
     return sign, h, g
 
 
-def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_Runs, _Runs] | None:
+def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_Pair, _Pair] | None:
     """The factored form of a separable coefficient (see _split): h's run
     over k = 1..n and g's over i = 1..n, each as (nums, dens), unreduced
     ints with every den > 0, so that p(k, i) = h(k) * g(i); None where
@@ -740,20 +705,18 @@ def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_R
     1 <= i <= k <= n, since the triangle meets every k and every i."""
     run = list(range(1, n + 1))
     runs = []
-    for factors, num in ((h, sign), (g, 1)):
-        den: _Vec = 1
+    for factors, first in ((h, sign), (g, 1)):
+        nums, dens = [first] * n, [1] * n
         for f, divides, guarded in factors:
             try:
                 a, b = f(run, run)
             except _Refused:
                 return None
-            if guarded and _vhas_zero(a):
+            if guarded and 0 in a:
                 return None
             if divides:
                 a, b = b, a
-            num, den = _vmul(num, a), _vmul(den, b)
-        nums = num if type(num) is list else [num] * n
-        dens = den if type(den) is list else [den] * n
+            nums, dens = _pair_mul(nums, dens, a, b)
         if min(dens, default=1) < 0:
             nums = [-a if b < 0 else a for a, b in zip(nums, dens)]
             dens = list(map(abs, dens))
@@ -761,34 +724,34 @@ def _factored(sign: int, h: list[_Factor], g: list[_Factor], n: int) -> tuple[_R
     return runs[0], runs[1]
 
 
-def _refuse(k: _Vec, i: _Vec | None) -> _Pair:
+def _refuse(k: _Run, i: _Run | None) -> _Pair:
     raise _Refused
 
 
 def _compile(e: Expr, bound: tuple[str, ...]) -> Callable[..., _Pair]:
-    """An x-free expression as a closure of (k, i), each an int or a run,
-    giving an unreduced pair; it raises _Refused where eval_expr raises
-    at some index."""
+    """An x-free expression as a closure of (k, i), runs of one length (i
+    None where bound does not name it), giving an unreduced pair of runs;
+    it raises _Refused where eval_expr raises at some index."""
     t = type(e)
     if t is BinOp:
         f, g, pair = _compile(e.left, bound), _compile(e.right, bound), _OPS[e.op].pair
         return lambda k, i: pair(*f(k, i), *g(k, i))
     if t is IntLit:
-        const = (e.value, 1)
-        return lambda k, i: const
+        v = e.value
+        return lambda k, i: ([v] * len(k), [1] * len(k))
     if t is Neg:
         f = _compile(e.operand, bound)
 
-        def value(k: _Vec, i: _Vec | None) -> _Pair:
+        def value(k: _Run, i: _Run | None) -> _Pair:
             a, b = f(k, i)
-            return _vneg(a), b
+            return list(map(neg, a)), b
 
         return value
     if e.name not in bound:
         return _refuse
     if e.name == "k":
-        return lambda k, i: (k, 1)
-    return lambda k, i: (i, 1)
+        return lambda k, i: (k, [1] * len(k))
+    return lambda k, i: (i, [1] * len(k))
 
 
 # --- rendering ------------------------------------------------------------
@@ -814,6 +777,7 @@ def _render(e: Expr, min_prec: int) -> str:
 
 def render(doc: SpecDocument) -> str:
     """Canonical text for a document: parse(render(doc)) == doc."""
+    _check_size(doc)
     lines = [f"mode = {doc.mode}", f"ring = {doc.ring}"]
     if doc.mode == "fixed-order":
         lines.append(f"order = {doc.order}")
@@ -829,9 +793,26 @@ def render(doc: SpecDocument) -> str:
 
 # --- spec construction ----------------------------------------------------
 
+def _check_size(doc: SpecDocument) -> None:
+    """Refuse an expression of more than MAX_EXPR_TOKENS nodes, counted
+    without recursion, before a walk that recurses meets it."""
+    for e in (*doc.initials, *(c.expr for c in doc.coeffs)):
+        todo, nodes = [e], 0
+        while todo:
+            node = todo.pop()
+            nodes += 1
+            if nodes > MAX_EXPR_TOKENS:
+                raise SpecSemanticError(f"expression has more than {MAX_EXPR_TOKENS} nodes")
+            if type(node) is BinOp:
+                todo += node.left, node.right
+            elif type(node) is Neg:
+                todo.append(node.operand)
+
+
 def to_spec(doc: SpecDocument, name: str = "spec") -> FullHistorySpec | FixedOrderSpec:
     """Build the evaluable spec behind a parsed document; each coefficient
     is compiled once (see _compile_coeff)."""
+    _check_size(doc)
     if doc.mode == "full-history":
         init = eval_expr(doc.initials[0])
         coeff = _compile_coeff(doc.coeffs[0].expr, ("k", "i"))

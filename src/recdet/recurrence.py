@@ -156,11 +156,10 @@ class _Rows:
                 # row n for a shared table, whose every row is read
                 values = 0
                 for j in range(k, n + 1 if shared else k + 1):
-                    run = f.vector(j, list(range(1, j + 1)))
+                    run = f.vector([j] * j, list(range(1, j + 1)))
                     if run is None:
                         break
-                    nums, dens = run
-                    ints[j] = pairs_scaled(nums if type(nums) is list else [nums] * j, dens)
+                    ints[j] = pairs_scaled(*run)
                     values += j
                 _count((f,), values)
                 return run is not None and not shared

@@ -328,13 +328,11 @@ COUNTER = OpCounter()
 
 # Past this many bits of scale beyond a value's reduced denominator, the
 # int products of the term-by-term sum cost more than the ring recurrence
-# on reduced Fractions, when denominators depend on the row.  In Horner
-# order that no longer holds: Theorem 1's matrix of p(k, i) = 1/i at
-# n = 200 took 0.09 s on the ring path, 0.08 s over ints throughout and
-# 0.08 s up to this bound; (3i - 2)/(k + 2), whose denominators depend on
-# k alone, 0.03 s at n = 300 against 0.30 s on the ring path (medians of
-# 3 best-of-3 runs, Python 3.11, x86-64).  The value is kept, not tuned:
-# no benchmark workload has row-dependent denominators.
+# on reduced Fractions, when denominators depend on the row.  verify of
+# (k - i + 1)/(k + 2i) - 1/3 took, with this bound against ints
+# throughout, 26 against 16 ms at n = 100, 278 against 321 ms at n = 200
+# and 2.9 against 8.8 s at n = 400 (Python 3.11, x86-64): the bound pays
+# from n = 200 or so.  No benchmark workload runs a job that long.
 _MAX_EXCESS_BITS = 8192
 
 
@@ -355,21 +353,10 @@ def int_scaled(values: Iterable[RingValue]) -> tuple[int, list[int]] | None:
     return pairs_scaled(nums, dens)
 
 
-def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]]:
+def pairs_scaled(nums: list[int], dens: list[int]) -> tuple[int, list[int]]:
     """(L, [n * L / d for each pair]) as ints, L the lcm of the reduced
     denominators of the Fractions nums[j] / dens[j], from int pairs that
-    need not be reduced (every den nonzero, of either sign); dens may be
-    one int that every pair shares.
-
-    A shared den d takes one gcd over the run: the reduced denominators
-    are d / gcd(n_j, d), whose lcm is d / gcd(d, n_1, ..., n_w)."""
-    if type(dens) is int:
-        if dens < 0:
-            dens, nums = -dens, [-n for n in nums]
-        if dens == 1:
-            return 1, nums
-        g = gcd(dens, *nums)
-        return dens // g, nums if g == 1 else [n // g for n in nums]
+    need not be reduced (every den nonzero, of either sign)."""
     if dens.count(1) == len(dens):
         return 1, nums
     scale = lcm(*_reduced_dens(nums, dens))
@@ -377,15 +364,14 @@ def pairs_scaled(nums: list[int], dens: list[int] | int) -> tuple[int, list[int]
 
 
 def runs_scaled(
-    runs: list[tuple[list[int] | int, list[int] | int]], w: int
+    runs: list[tuple[list[int], list[int]]], w: int
 ) -> Iterator[tuple[int, list[int]]]:
     """pairs_scaled of each of w rows, row r made of the r-th pair of
-    every run (nums, dens) in turn; a run's nums or dens may be one int
-    that every row shares.  The rule is pairs_scaled's, taken a run at a
-    time: each run's reduced denominators, each row's lcm of them across
-    the runs, and each run's products, so no row makes a Python call."""
-    nums = [a if type(a) is list else [a] * w for a, _ in runs]
-    dens = [d if type(d) is list else [d] * w for _, d in runs]
+    every run (nums, dens) in turn, each of length w.  The rule is
+    pairs_scaled's, taken a run at a time: each run's reduced
+    denominators, each row's lcm of them across the runs, and each run's
+    products, so no row makes a Python call."""
+    nums, dens = zip(*runs)
     if all(d.count(1) == w for d in dens):
         return zip(repeat(1), map(list, zip(*nums)))
     scales = list(map(lcm, *map(_reduced_dens, nums, dens)))

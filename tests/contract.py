@@ -42,12 +42,12 @@ from recdet import cli, dsl  # noqa: E402
 from recdet.families import PARAM_FAMILIES, POLY_FAMILIES, family_names  # noqa: E402
 from recdet.ring import COUNTER  # noqa: E402
 from recdet.specfiles import available, spec_path  # noqa: E402
-from tests.conftest import random_document  # noqa: E402
+from tests.generators import random_document  # noqa: E402
 
 SPECS = "{specs}"
 SPECS_DIR = str(spec_path(available()[0]).parent)
 DOCS = "{docs}"
-# conftest.random_document seeds, two of each mode and ring: full-history
+# generators.random_document seeds, two of each mode and ring: full-history
 # poly (0, 5), fixed-order rational (1, 2), fixed-order poly (4, 6) and
 # full-history rational (7, 23)
 DOCUMENT_SEEDS = (0, 1, 2, 4, 5, 6, 7, 23)

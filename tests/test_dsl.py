@@ -243,6 +243,33 @@ class TestExpressionTokenLimit:
         assert captured.out == ""
         assert captured.err == f"error: line 5, col {len(line)}: expression is longer than 400 tokens\n"
 
+    def test_a_tree_built_past_the_limit_is_refused_by_its_nodes(self):
+        # parse never makes such a tree, but a document built in code may
+        # hold one: to_spec and render count its nodes before any walk
+        # that recurses, which a chain of 1,000 ks once took past
+        # Python's recursion limit
+        def chain(leaves):
+            e = Var("k")
+            for _ in range(leaves - 1):
+                e = BinOp("+", e, Var("k"))
+            return e
+
+        doc = parse(FIB)
+
+        def with_p1(e):
+            return doc._replace(coeffs=(doc.coeffs[0]._replace(expr=e), doc.coeffs[1]))
+
+        # 1,000 and 401 nodes, in a coefficient and in an initial value
+        for e in (chain(1000), Neg(Neg(chain(200)))):
+            for bad in (with_p1(e), doc._replace(initials=(e, IntLit(1)))):
+                for walk in (to_spec, render):
+                    with pytest.raises(SpecSemanticError, match="expression has more than 400 nodes"):
+                        walk(bad)
+        # 400 nodes pass: k + ... + k + -k, 200 terms
+        ok = with_p1(BinOp("+", chain(199), Neg(Var("k"))))
+        assert to_spec(ok).coeffs[0](3) == 594
+        assert parse(render(ok)) == ok
+
 
 class TestNodes:
     def test_dsl_defines_no_dataclass(self):
@@ -502,7 +529,7 @@ def _assert_compiled_matches_eval_expr(doc, ks=range(-2, 13)):
             _assert_vector_matches_eval_expr(
                 spec.coeff, expr, list(range(1, max(k, 1) + 1)),
                 lambda i, k=k: eval_expr(expr, k=k, i=i),
-                lambda run, k=k: spec.coeff.vector(k, run),
+                lambda run, k=k: spec.coeff.vector([k] * len(run), run),
             )
     else:
         ks = list(ks)
@@ -642,6 +669,31 @@ def test_a_factor_under_a_divisor_refuses_its_zero_in_a_numerator():
             eval_expr(doc.coeffs[0].expr, zero, zero)
 
 
+def test_fibonacci_vector_runs_are_lists_of_the_run_length():
+    # a constant as well: one value per index of the run, never one int
+    # that the run shares
+    p1 = to_spec(parse(spec_text("fibonacci-num"))).coeffs[0]
+    ks = list(range(3, 21))
+    assert p1.vector(ks, None) == ([1] * len(ks), [1] * len(ks))
+    assert p1.vector([3], None) == ([1], [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_vector_runs_are_two_lists_of_the_run_length(seed):
+    doc = random_document(random.Random(seed))
+    spec = to_spec(doc)
+    if doc.mode == "full-history":
+        fns, run = (spec.coeff,), ([6] * 6, list(range(1, 7)))
+    else:
+        fns, run = spec.coeffs, (list(range(spec.first_valid_k, 21)), None)
+    for fn in fns:
+        if hasattr(fn, "vector"):
+            nums, dens = fn.vector(*run)
+            assert type(nums) is list and type(dens) is list
+            assert len(nums) == len(dens) == len(run[0])
+
+
 def test_compiled_coefficients_match_eval_expr_on_shipped_specs():
     # k from -2 also reaches the k where ode-example, partial-sums,
     # laguerre and legendre divide by zero
@@ -674,7 +726,7 @@ def test_compiled_coefficients_defer_to_eval_expr_while_tracking_bits():
 # --- parse-time probes against the eval_expr reference -------------------
 
 
-def _reference_probe(doc, coeffs, bound, runs, hint):
+def _reference_probe(doc, coeffs, bound, run, hint):
     """The probe point by point by eval_expr: the reference whose errors,
     lines and counts the compiled probe must give.  It takes dsl._probe's
     arguments but finds its points from doc alone."""

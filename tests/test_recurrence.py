@@ -1048,7 +1048,7 @@ def _evaluations_counted(spec):
         return f(k, i)
 
     def vector(k, i):
-        evaluated.update((k, j) for j in i)
+        evaluated.update(zip(k, i))
         return f.vector(k, i)
 
     coeff.vector = vector
@@ -1262,12 +1262,9 @@ def test_fixed_order_rows_scale_as_pairs_scaled_row_by_row(spec):
     ks = list(range(spec.first_valid_k, n + 1))
     runs = [f.vector(ks, None) for f in spec.coeffs]
 
-    def at(v, r):
-        return v[r] if type(v) is list else v
-
     want = {}
     for r, k in enumerate(ks):
-        scale, ps = ring.pairs_scaled([at(a, r) for a, _ in runs], [at(d, r) for _, d in runs])
+        scale, ps = ring.pairs_scaled([a[r] for a, _ in runs], [d[r] for _, d in runs])
         want[k] = (scale, list(ps))
     assert rows.ints == want
 

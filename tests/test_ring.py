@@ -371,10 +371,10 @@ class TestIntScaled:
     )
     def test_unreduced_pairs_scale_as_their_fractions(self, pairs, shared):
         # signs on either side, common factors, zero numerators; dens
-        # given per pair or as one shared int
+        # drawn per pair or one den for every pair
         nums = [n for n, _ in pairs]
-        dens = [d for _, d in pairs] if shared is None else shared
-        values = [Fraction(n, d) for n, d in zip(nums, [shared] * len(nums) if shared else dens)]
+        dens = [d for _, d in pairs] if shared is None else [shared] * len(nums)
+        values = [Fraction(n, d) for n, d in zip(nums, dens)]
         assert pairs_scaled(nums, dens) == int_scaled(values)
 
     @settings(max_examples=200, deadline=None)
@@ -400,29 +400,27 @@ class TestIntScaled:
 
     def test_unreduced_pair_examples(self):
         assert pairs_scaled([2, 0, -9], [-4, 7, 6]) == (2, [-1, 0, -3])
-        assert pairs_scaled([4, 6, 0], 8) == (4, [2, 3, 0])
-        assert pairs_scaled([4, -6], -2) == (1, [-2, 3])
-        assert pairs_scaled([0, 0], 5) == (1, [0, 0])
+        assert pairs_scaled([4, 6, 0], [8, 8, 8]) == (4, [2, 3, 0])
+        assert pairs_scaled([4, -6], [-2, -2]) == (1, [-2, 3])
+        assert pairs_scaled([0, 0], [5, 5]) == (1, [0, 0])
         assert pairs_scaled((3, 5), (1, 1)) == (1, (3, 5))
 
 
 def _run_st(w: int):
-    """A run (nums, dens) of length w as a vector form gives it: nums a
-    list or one shared int, zeros and negatives among them; dens a list
-    of either sign, all 1, or one shared int."""
-    nums = st.one_of(st.lists(st.integers(-60, 60), min_size=w, max_size=w), st.integers(-60, 60))
+    """A run (nums, dens) of length w as a vector form gives it: nums
+    drawn per row or one int for every row, zeros and negatives among
+    them; dens of either sign drawn per row, all 1, or one den for every
+    row."""
+    nums = st.one_of(
+        st.lists(st.integers(-60, 60), min_size=w, max_size=w),
+        st.integers(-60, 60).map(lambda a: [a] * w),
+    )
     dens = st.one_of(
         st.lists(st.integers(-12, 12).filter(bool), min_size=w, max_size=w),
         st.just([1] * w),
-        st.just(1),
-        st.integers(-12, 12).filter(bool),
+        st.integers(-12, 12).filter(bool).map(lambda d: [d] * w),
     )
     return st.tuples(nums, dens)
-
-
-def _at(v, r):
-    """Row r's entry of a run's nums or dens."""
-    return v[r] if type(v) is list else v
 
 
 runs_st = st.integers(0, 30).flatmap(
@@ -441,8 +439,8 @@ class TestRunsScaled:
         got = list(runs_scaled(runs, w))
         assert len(got) == w
         for r, (scale, ps) in enumerate(got):
-            nums = [_at(a, r) for a, _ in runs]
-            dens = [_at(d, r) for _, d in runs]
+            nums = [a[r] for a, _ in runs]
+            dens = [d[r] for _, d in runs]
             want_scale, want = pairs_scaled(nums, dens)
             assert type(ps) is list
             assert (scale, ps) == (want_scale, list(want))
@@ -455,9 +453,12 @@ class TestRunsScaled:
             (3, [1, 5]),
         ]
         # every den 1: scale 1, the nums as they are
-        assert list(runs_scaled([(7, 1), ([1, 2], [1, 1])], 2)) == [(1, [7, 1]), (1, [7, 2])]
-        # one shared negative den
-        assert list(runs_scaled([([4, 6], -8)], 2)) == [(2, [-1]), (4, [-3])]
+        assert list(runs_scaled([([7, 7], [1, 1]), ([1, 2], [1, 1])], 2)) == [
+            (1, [7, 1]),
+            (1, [7, 2]),
+        ]
+        # one negative den for every row
+        assert list(runs_scaled([([4, 6], [-8, -8])], 2)) == [(2, [-1]), (4, [-3])]
 
 
 # An int kernel's pair (A, T) = (a * s, d * s): a value a / d with a
