@@ -108,10 +108,18 @@ family_against_oracles() {
 # families also run at k = 150, where that recurrence reads
 # Legendre's and Laguerre's fractional cells. The division of list
 # minors by what their scales share is reached only through family,
-# at n = 300 (family_against_oracles)
+# at n = 300 (family_against_oracles). Each round trip runs on each
+# Python from 3.10 to 3.13 on PATH, the CLI calls and the check alike
+# (see each_python)
 library_round_trip() {
-  local tmp spec
+  local tmp
   tmp=$(step_tmp)
+  each_python round_trips
+}
+
+# every round trip of library_round_trip under $py
+round_trips() {
+  local spec
   for spec in src/recdet/specs/*.rec naturals fibonacci-poly fibonacci-num lucas-poly chebyshev-t chebyshev-u hermite legendre laguerre ode-example; do
     round_trip "$spec" 8
     round_trip "$spec" 30
@@ -121,13 +129,13 @@ library_round_trip() {
   done
 }
 
-# library_round_trip's check of the matrix JSON of SPEC at k = K, in
-# the step's $tmp
+# library_round_trip's check of the matrix JSON of SPEC at k = K under
+# $py, in the step's $tmp
 round_trip() {
   local spec=$1 k=$2
-  recdet matrix "$spec" --k "$k" --format json > "$tmp/matrix.json" || { echo "matrix $spec --k $k failed"; exit 1; }
-  recdet eval "$spec" --n $((k + 1)) > "$tmp/eval" || { echo "eval $spec --n $((k + 1)) failed"; exit 1; }
-  PYTHONPATH=src python - "$spec" "$k" "$tmp/matrix.json" "$tmp/eval" <<'EOF' || { echo "the matrix JSON of $spec at k = $k does not give eval's value"; exit 1; }
+  PYTHONPATH=src "$py" -m recdet.cli matrix "$spec" --k "$k" --format json > "$tmp/matrix.json" || { echo "matrix $spec --k $k failed on $py"; exit 1; }
+  PYTHONPATH=src "$py" -m recdet.cli eval "$spec" --n $((k + 1)) > "$tmp/eval" || { echo "eval $spec --n $((k + 1)) failed on $py"; exit 1; }
+  PYTHONPATH=src "$py" - "$spec" "$k" "$tmp/matrix.json" "$tmp/eval" <<'EOF' || { echo "the matrix JSON of $spec at k = $k does not give eval's value on $py"; exit 1; }
 import json
 import sys
 from pathlib import Path
@@ -299,22 +307,33 @@ corrupt_negative_control() {
   done
 }
 
-# the contract battery (tests/contract.py) imports no pytest, so it runs
-# on each Python from 3.10 to 3.13 on PATH, with or without pytest, and
-# must match every golden record on each; an interpreter that is not on
-# PATH or does not start is named as missing, and at least one must run
-contract_each_python() {
-  local v ran=0
+# run the function named by $1 once under each python3.10 to python3.13
+# on PATH, which it reads as $py; an interpreter that is not on PATH or
+# does not start is named as missing, and at least one must run
+each_python() {
+  local v py ran=0
   for v in 3.10 3.11 3.12 3.13; do
-    if ! "python$v" -c pass > /dev/null 2>&1; then
-      echo "python$v: missing"
+    py=python$v
+    if ! "$py" -c pass > /dev/null 2>&1; then
+      echo "$py: missing"
       continue
     fi
-    echo "python$v:"
-    PYTHONDONTWRITEBYTECODE=1 "python$v" tests/contract.py || { echo "the contract battery failed on python$v"; exit 1; }
+    echo "$py:"
+    "$1"
     ran=$((ran + 1))
   done
-  [ "$ran" -gt 0 ] || { echo "no python3.10 to python3.13 ran the contract battery"; exit 1; }
+  [ "$ran" -gt 0 ] || { echo "no python3.10 to python3.13 ran $1"; exit 1; }
+}
+
+# the contract battery (tests/contract.py) imports no pytest, so it runs
+# on each Python from 3.10 to 3.13 on PATH, with or without pytest, and
+# must match every golden record on each (see each_python)
+contract_each_python() {
+  each_python contract_battery
+}
+
+contract_battery() {
+  PYTHONDONTWRITEBYTECODE=1 "$py" tests/contract.py || { echo "the contract battery failed on $py"; exit 1; }
 }
 
 # a command imports only the modules it runs: the catalog commands

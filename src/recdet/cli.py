@@ -393,8 +393,10 @@ def build_parser() -> _Parser:
         help="op-count benchmark on random matrices",
         description="Time the determinant algorithms on seeded random "
         "upper-Hessenberg matrices.  Each method is timed with bit tracking "
-        "off, on the kernels that verify runs; max_bits comes from a second, "
-        "tracked pass on the ring paths, which make the same ring_ops.",
+        "off, over ints, or for the poly ring over the polynomials packed "
+        "into ints by Kronecker substitution below the packing's width gate "
+        "and over ring values past it; max_bits comes from a second, tracked "
+        "pass on the ring paths, which make the same ring_ops.",
     )
     p.add_argument("--sizes", type=_int_list, required=True, metavar="N1,N2,...")
     p.add_argument(

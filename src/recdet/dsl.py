@@ -595,59 +595,46 @@ def _zero_denominator(k: int | None) -> DivisionByZero:
 
 # --- compilation ----------------------------------------------------------
 #
-# to_spec compiles each x-free coefficient once into nested closures over
-# unreduced (num, den) pairs, den != 0 (see _compile).  There is one
-# compiled form: it evaluates the coefficient over a run, k and i given as
-# lists of ints of one length, and every value is a pair of such lists.
-# The row table, recurrence._Rows, computes whole rows by runs: k for
-# fixed order, i for full history with k = [j] * j in row j.  A call at
-# one (k, i) runs the same closures on the one-point runs [k] and [i].  A
-# value that eval_expr would refuse, by a zero denominator or an unbound
-# variable, raises _Refused for the whole run, and nothing is added to
-# COUNTER.  A coefficient that contains x (poly ring) calls eval_expr,
-# which stays the reference the compiled closures must agree with.  A
-# full-history coefficient whose AST factors as h(k) * g(i) (see _split)
-# has one more form, the runs of h and g over 1..n (see _factored), from
-# which recurrence._Rows takes the whole triangle in O(n).
+# eval_expr reads a coefficient at one point.  Runs are compiled: to_spec
+# compiles each x-free coefficient once into nested closures over
+# unreduced (num, den) pairs, den != 0 (see _compile), that evaluate it
+# over a run, k and i given as lists of ints of one length, each value a
+# pair of such lists.  recurrence._Rows computes whole rows by runs (k for
+# fixed order, i for full history with k = [j] * j in row j), and _probe
+# its sample points by one run.  A value that eval_expr would refuse, by a
+# zero denominator or an unbound variable, raises _Refused for the whole
+# run, and nothing is added to COUNTER.  A full-history coefficient whose
+# AST factors as h(k) * g(i) (see _split) has one more form, the runs of h
+# and g over 1..n (see _factored), from which recurrence._Rows takes the
+# whole triangle in O(n).
 
 
 def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
     """e as a coefficient function of k (and i when bound names it).
 
-    It equals eval_expr(e, k, i), raises what eval_expr raises, and on
-    success adds the same ring ops to COUNTER.  While COUNTER tracks bits
-    it defers to eval_expr, so max_bits still sees every intermediate.
-    An x-free e also gets its vector form as the function's attribute
-    vector, and the (adds, muls, divs) one value costs as its attribute
-    ops: a row table computes a row by one run of vector and adds ops
-    once per value of it to COUNTER, as that many calls would.  A
-    full-history e that factors (see _split) also gets the attribute
-    factored, n -> the runs of h and g (see _factored).
+    A call is eval_expr(e, k, i): its value, its errors and its ring ops,
+    except that a call that raises while COUNTER does not track bits adds
+    nothing to COUNTER.  An x-free e also gets its vector form as the
+    function's attribute vector, and the (adds, muls, divs) one value
+    costs as its attribute ops: a row table computes a row by one run of
+    vector and adds ops once per value of it to COUNTER, as that many
+    calls would.  A full-history e that factors (see _split) also gets
+    the attribute factored, n -> the runs of h and g (see _factored).
     """
-    vs, _, (adds, muls, divs) = _facts(e)
-    if "x" in vs:
-        return lambda k, i=None: eval_expr(e, k, i)
-    run = _compile(e, bound)
 
     def coeff(k: int, i: int | None = None) -> RingValue:
-        c = COUNTER
-        if c.track_bits:
-            return eval_expr(e, k, i)
+        saved = COUNTER.adds, COUNTER.muls, COUNTER.divs
         try:
-            (a,), (b,) = run([k], None if i is None else [i])
-            v = Fraction(a, b)
-        except _Refused:
-            # eval_expr raises the error, with its k; a value that fails
-            # adds nothing to COUNTER
-            saved = c.adds, c.muls, c.divs
-            try:
-                return eval_expr(e, k, i)
-            finally:
-                c.adds, c.muls, c.divs = saved
-        c.adds += adds
-        c.muls += muls
-        c.divs += divs
-        return v
+            return eval_expr(e, k, i)
+        except RecdetError:
+            if not COUNTER.track_bits:
+                COUNTER.adds, COUNTER.muls, COUNTER.divs = saved
+            raise
+
+    vs, _, ops = _facts(e)
+    if "x" in vs:
+        return coeff
+    run = _compile(e, bound)
 
     def vector(k: _Run, i: _Run | None = None) -> _Pair | None:
         try:
@@ -656,7 +643,7 @@ def _compile_coeff(e: Expr, bound: tuple[str, ...]) -> Callable[..., RingValue]:
             return None
 
     coeff.vector = vector  # type: ignore[attr-defined]
-    coeff.ops = (adds, muls, divs)  # type: ignore[attr-defined]
+    coeff.ops = ops  # type: ignore[attr-defined]
     factors = _split(e) if bound == ("k", "i") else None
     if factors is not None:
         coeff.factored = partial(_factored, *factors)  # type: ignore[attr-defined]
@@ -811,7 +798,7 @@ def _check_size(doc: SpecDocument) -> None:
 
 def to_spec(doc: SpecDocument, name: str = "spec") -> FullHistorySpec | FixedOrderSpec:
     """Build the evaluable spec behind a parsed document; each coefficient
-    is compiled once (see _compile_coeff)."""
+    is made once (see _compile_coeff)."""
     _check_size(doc)
     if doc.mode == "full-history":
         init = eval_expr(doc.initials[0])

@@ -104,8 +104,7 @@ class SquareMatrix:
     The int kernels read the cells of an upper-Hessenberg matrix in one
     form (see _kernel_form), kept in _kernel, a field that compares and
     prints as nothing: computed on first use, or filled by matrix_from_json
-    from the matrix's distinct cell texts and by random_hessenberg from
-    its draws, under the same rule.
+    from the matrix's distinct cell texts under the same rule.
     """
 
     entries: tuple[tuple[RingValue, ...], ...]
@@ -225,11 +224,13 @@ def _kernel_of(m: SquareMatrix) -> _Kernel | tuple:
 
 # The widest slot B with which the kernels run a polynomial matrix
 # packed (see SquareMatrix._kernel_form); a wider one has no kernel form.
-# The packed ints grow with B and the degrees, and det_hessenberg_fast
-# fell behind a route over int coefficient lists (since removed) from B
-# of about 300 to 470 bits in probes of degree 1 to 8 with coefficients
-# of 3 to 30 bits, at sizes from 14 to 70 (Python 3.11, x86-64).  Past
-# it all three methods run over ring values.
+# The packed ints grow with B and the degrees.  In probes of degree 1 to
+# 8 with coefficients of 2 to 10 bits, at sizes from 10 to 70 (best of 3,
+# Python 3.11.7, x86-64), det_hessenberg_fast and det_bareiss over the
+# packed ints took 0.1 to 0.8 of their time over the Polynomials below B
+# of about 280 bits, and fell behind them from B of about 310 (degree 8)
+# to 490 bits (degree 1).  Past the gate all three methods run over ring
+# values.
 _MAX_PACKED_BITS = 320
 
 
@@ -1028,29 +1029,20 @@ def random_hessenberg(
     """Seeded pseudo-random upper-Hessenberg matrix.
 
     Entries in the allowed band are drawn uniformly from the integers
-    [-5, 5]; for the poly ring each band entry gets max_degree + 1 such
-    integers as coefficients.  The PRNG is whatever Random instance the
-    caller seeds, so runs are reproducible.  A rational matrix keeps the
-    ints it draws as its kernel form.
+    [-5, 5], row by row; for the poly ring each band entry gets
+    max_degree + 1 such integers as coefficients.  The PRNG is whatever
+    Random instance the caller seeds, so runs are reproducible.
     """
     if size < 1:
         raise RecdetError("matrix size must be at least 1")
     _refuse_matrix_size(size)
-    rows: list[list[RingValue]] = []
-    ints: list[tuple[int, ...]] = []
-    for r in range(size):
-        if ring == "poly":
-            rows.append([
-                ZERO if r > c + 1
-                else Polynomial([rng.randint(-5, 5) for _ in range(max_degree + 1)])
-                for c in range(size)
-            ])
-        else:
-            below = max(r - 1, 0)
-            drawn = [rng.randint(-5, 5) for _ in range(below, size)]
-            ints.append((0,) * below + tuple(drawn))
-            rows.append([ZERO] * below + [Fraction(v) for v in drawn])
-    m = SquareMatrix(rows)
-    if ints:
-        object.__setattr__(m, "_kernel", _Kernel(tuple(ints), Fraction))
-    return m
+    poly = ring == "poly"
+    return SquareMatrix([
+        [
+            ZERO if r > c + 1
+            else Polynomial([rng.randint(-5, 5) for _ in range(max_degree + 1)]) if poly
+            else Fraction(rng.randint(-5, 5))
+            for c in range(size)
+        ]
+        for r in range(size)
+    ])

@@ -214,14 +214,12 @@ class _Rows:
         as p(k, i) = h(k) * g(i) (see dsl._factored), read once per call;
         None where the vector form would not run, for a fixed-order spec,
         an a(1) that is not a Fraction or no such form, while bits are
-        tracked, once a vector row was asked for, or where a run refuses.
-        COUNTER gets the DSL ops of the whole triangle."""
+        tracked, or where a run refuses; its two readers ask before any
+        row is read.  COUNTER gets the DSL ops of the whole triangle."""
         if self.hg is None:
             f = self.funcs[0]
             self.hg = (
                 self.vector
-                and not self.asked
-                and self.n >= 1
                 and not COUNTER.track_bits
                 and type(self.spec.initial) is Fraction
                 and hasattr(f, "factored")

@@ -448,6 +448,40 @@ class TestEvaluation:
         assert exc.value.k == 7
         assert COUNTER.ring_ops == 0
 
+    def test_a_full_history_coefficient_read_without_i_names_i(self):
+        spec = to_spec(parse("mode = full-history\ninitial = 1\ncoeff p(k, i) = i/(k + 1)\n"))
+        with pytest.raises(RecdetError, match="^variable 'i' is not bound$"):
+            spec.coeff(3)
+
+    @pytest.mark.parametrize(
+        "ring, p1", (("rational", "(k + 1)/(k - 9)"), ("poly", "(k*x + 1)/(k - 9)"))
+    )
+    def test_every_coefficient_keeps_one_failure_rule(self, ring, p1):
+        # a read that raises adds nothing to COUNTER while bits are not
+        # tracked; tracked, it keeps what eval_expr counted before it
+        # raised, with x or without
+        doc = parse(
+            f"mode = fixed-order\nring = {ring}\norder = 1\ninitial = [1]\n"
+            f"coeff p1(k) = {p1}\n"
+        )
+        coeff = to_spec(doc).coeffs[0]
+        try:
+            for track_bits in (False, True):
+                COUNTER.reset(track_bits=True)
+                with pytest.raises(DivisionByZero):
+                    eval_expr(doc.coeffs[0].expr, k=9)
+                counted = COUNTER.adds, COUNTER.muls, COUNTER.divs
+                assert counted == ((2, 0, 0) if ring == "rational" else (2, 1, 0))
+                COUNTER.reset(track_bits=track_bits)
+                COUNTER.adds, COUNTER.muls, COUNTER.divs = 5, 6, 7
+                with pytest.raises(DivisionByZero) as exc:
+                    coeff(9)
+                assert exc.value.k == 9
+                got = COUNTER.adds - 5, COUNTER.muls - 6, COUNTER.divs - 7
+                assert got == (counted if track_bits else (0, 0, 0))
+        finally:
+            COUNTER.reset()
+
     def test_to_spec_fixed_order_evaluates(self):
         spec = to_spec(parse(FIB), name="fib")
         assert eval_fixed_order(spec, 7).terms == (1, 1, 2, 3, 5, 8, 13)

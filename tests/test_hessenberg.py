@@ -598,12 +598,16 @@ class TestIntCache:
                             assert v == (Polynomial(want) if ring_name == "poly" else want[0])
                         else:
                             assert v is hessenberg.ZERO
+                form = m._kernel_form()
+                fresh = SquareMatrix(m.entries)._kernel_form()
                 if ring_name == "poly":
-                    # B is at most 264 here, within the packing gate
-                    assert m._kernel is None and _route(m) == "packed"
+                    # B is at most 264 here, within the packing gate; each
+                    # packed form's value is a partial of its own
+                    assert _route(m) == "packed" and form.rows == fresh.rows
+                    assert _slot_width(m) == fresh.value.keywords["b"]
                 else:
-                    assert m._kernel == SquareMatrix(m.entries)._kernel_form()
-                    assert {type(v) for row in m._kernel.rows for v in row} == {int}
+                    assert form == fresh
+                    assert {type(v) for row in form.rows for v in row} == {int}
 
     def test_other_json_gets_no_cache(self):
         rng = random.Random(20)
